@@ -19,7 +19,7 @@ STATICCHECK_VERSION := $(shell sed -n 's/.*StaticcheckVersion = "\(.*\)".*/\1/p'
 GOVULNCHECK_MODULE  := $(shell sed -n 's/.*GovulncheckModule  = "\(.*\)".*/\1/p' tools.go)
 GOVULNCHECK_VERSION := $(shell sed -n 's/.*GovulncheckVersion = "\(.*\)".*/\1/p' tools.go)
 
-.PHONY: all build test race bench bench-json bench-micro bench-pr3 bench-pr5 bench-pr10 smoke-pipeline smoke-churn smoke-service smoke-shard smoke-processes smoke-restart soak soak-short fuzz-smoke csmlint staticcheck govulncheck lint fmt fmt-check vet ci
+.PHONY: all build test race bench bench-load bench-json bench-micro bench-pr3 bench-pr5 bench-pr10 smoke-pipeline smoke-churn smoke-service smoke-shard smoke-processes smoke-restart soak soak-short fuzz-smoke csmlint staticcheck govulncheck lint fmt fmt-check vet ci
 
 all: build test
 
@@ -35,6 +35,15 @@ race:
 # Benchmark smoke run: every benchmark once, no test re-run.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+
+# The repo's benchmark (BENCHMARK.json): csmload's closed-loop workloads,
+# every command validated against an uncoded replay; the last stdout line
+# is the result JSON. WORKLOAD=<name> runs one workload, SECONDS=<s>
+# overrides the 25 s measurement window.
+WORKLOAD ?= all
+SECONDS ?= 25
+bench-load:
+	$(GO) run ./cmd/csmload -workload $(WORKLOAD) -seconds $(SECONDS)
 
 # Kernel micro-benchmark smoke run (encode/decode and field kernels).
 bench-micro:

@@ -44,7 +44,7 @@ func run(args []string) error {
 		seed      = fs.Uint64("seed", 1, "random seed")
 		workers   = fs.Int("workers", runtime.GOMAXPROCS(0), "execution-phase worker goroutines (rounds are identical for any value)")
 		pipeline  = fs.Int("pipeline", 0, "pipelined-engine depth: overlap up to this many rounds' client stages with later rounds (0: sequential engine)")
-		batch     = fs.Int("batch", 1, "rounds per consensus instance (command batching; decodes are primed across a batch)")
+		batch     = fs.Int("batch", 1, "rounds per consensus instance (command batching)")
 		churn     = fs.String("churn", "", "churn schedule: comma-separated round:op:node[:behavior] events, op one of crash|rejoin|corrupt|release (e.g. \"1:crash:2,3:rejoin:2,4:corrupt:5:wrong\")")
 	)
 	if err := fs.Parse(args); err != nil {

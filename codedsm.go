@@ -279,7 +279,7 @@ func WithMaxTicksPerRound(ticks int) Option { return csm.WithMaxTicksPerRound(ti
 func WithParallelism(workers int) Option { return csm.WithParallelism(workers) }
 
 // WithBatching groups consecutive workload rounds under one consensus
-// instance (command batching with primed decodes).
+// instance (command batching).
 func WithBatching(rounds int) Option { return csm.WithBatching(rounds) }
 
 // WithPipeline enables the pipelined engine at the given depth.

@@ -26,14 +26,14 @@
 //   - Config.BatchSize B groups B consecutive workload rounds under one
 //     consensus instance. The agreed B*K commands are Lagrange-encoded in
 //     a single flat-row bulk pass per node, and the B micro-steps then run
-//     the coded execution back to back. From the second micro-step on,
-//     each node primes its Reed-Solomon decode with the previous
-//     micro-step's faulty set (lcc.Primed): the error-locator solve is
-//     skipped whenever the corruption pattern is stable, which is the
-//     steady state under static Byzantine behaviour. For every decided
-//     batch, outputs, detected faults and decoded states are identical to
-//     unbatched execution; only tick accounting (one consensus per batch)
-//     and the operation counts of the accelerated decodes differ. The
+//     the coded execution back to back. Every step's decode — batched
+//     or not — first runs the verified-subset check (lcc.Primed) on dim
+//     rows chosen clear of the nodes this node has caught lying before
+//     (suspicion is sticky across steps and batches), so interpolation
+//     and the error-locator solve run only on the step a liar first
+//     shows up. For every decided batch, outputs, detected faults and
+//     decoded states are identical to unbatched execution; only tick
+//     accounting (one consensus per batch) differs. The
 //     consensus granularity itself necessarily changes: rotating-leader
 //     protocols elect one leader per instance (rotating over instances,
 //     so every node still leads eventually) and a corrupted proposal
@@ -212,8 +212,8 @@ type Config[E comparable] struct {
 	Parallelism int
 	// BatchSize is the number of consecutive workload rounds each
 	// consensus instance decides (Run/RunPipelined group the workload
-	// accordingly). The B micro-steps share one amortized command encode
-	// and prime each other's decodes; see the package documentation.
+	// accordingly). The B micro-steps share one amortized command encode;
+	// see the package documentation.
 	// 0 and 1 both mean one round per consensus instance; negative
 	// values are rejected.
 	BatchSize int

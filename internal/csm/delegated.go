@@ -111,8 +111,7 @@ func (c *Cluster[E]) delegatedAttempt(agreed [][]E, worker, attempt int) (*Round
 	gotCmds := false
 	var claimed [][]E
 	for i, n := range c.nodes {
-		n.received = make(map[int][]E, c.cfg.N)
-		n.decoded = nil
+		n.resetStep()
 		var coded [][]E
 		if i == worker {
 			coded = n.dlgCoded
@@ -190,7 +189,7 @@ func (c *Cluster[E]) delegatedAttempt(agreed [][]E, worker, attempt int) (*Round
 		w := c.nodes[worker]
 		results := make([][]E, c.cfg.N)
 		for i := 0; i < c.cfg.N; i++ {
-			if v, ok := w.received[i]; ok {
+			if v := w.received[i]; v != nil {
 				results[i] = v
 			} else {
 				results[i] = field.ZeroVec[E](c.counting, c.tr.ResultLen())
@@ -350,7 +349,7 @@ func (c *Cluster[E]) delegatedAttempt(agreed [][]E, worker, attempt int) (*Round
 func (c *Cluster[E]) verifyDelegationProof(d *delegate.Delegation[E], n *node[E], pm *dlgProofMsg) error {
 	results := make([][]E, c.cfg.N)
 	for i := 0; i < c.cfg.N; i++ {
-		if v, ok := n.received[i]; ok {
+		if v := n.received[i]; v != nil {
 			results[i] = v
 		} else {
 			results[i] = field.ZeroVec[E](c.counting, c.tr.ResultLen())

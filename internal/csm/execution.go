@@ -123,9 +123,6 @@ func (c *Cluster[E]) executeAgreed(agreed [][][]E, steps, ticksConsensus int, st
 	if err := c.encodeBatchCommands(agreed); err != nil {
 		return nil, err
 	}
-	for _, n := range c.nodes {
-		n.suspects = nil // first micro-step always runs the full decoder
-	}
 	out := make([]*RoundResult[E], 0, steps)
 	for j := 0; j < steps; j++ {
 		outcome, err := c.runExecutionStep(j)
@@ -173,8 +170,7 @@ func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 		return nil, err
 	}
 	for i, n := range c.nodes {
-		n.received = make(map[int][]E, c.cfg.N)
-		n.decoded = nil
+		n.resetStep()
 		n.planBroadcast(results[i])
 	}
 	if err := c.transmitAllResults(); err != nil {
@@ -199,7 +195,7 @@ func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 			}
 			n.collect(n.ep.Receive())
 			pending++
-			if len(n.received) >= need {
+			if n.receivedCount >= need {
 				ready = append(ready, n)
 			}
 		}
@@ -213,16 +209,6 @@ func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 		}
 		if ticks >= c.cfg.MaxTicksPerRound {
 			return nil, fmt.Errorf("%w (after %d ticks)", ErrRoundStuck, ticks)
-		}
-	}
-	// Prime the next micro-step's decodes with this step's verdicts.
-	for _, n := range c.nodes {
-		if n.behavior != Honest || n.decoded == nil {
-			continue
-		}
-		n.suspects = n.decoded.faulty
-		if n.suspects == nil {
-			n.suspects = []int{}
 		}
 	}
 	return &stepOutcome[E]{

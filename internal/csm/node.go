@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"codedsm/internal/field"
+	"codedsm/internal/ints"
 	"codedsm/internal/lcc"
 	"codedsm/internal/transport"
 )
@@ -20,9 +21,11 @@ type node[E comparable] struct {
 	behavior   Behavior
 	codedState []E
 
-	// per-round collection state
-	received map[int][]E // sender -> result vector
-	decoded  *nodeDecode[E]
+	// per-step collection state: received is sender-indexed (nil: nothing
+	// from that sender yet) and receivedCount its non-nil entries.
+	received      [][]E
+	receivedCount int
+	decoded       *nodeDecode[E]
 
 	// Staged result transmission: planBroadcast draws all Byzantine
 	// randomness on the driving goroutine (cluster-RNG order matters) and
@@ -32,14 +35,15 @@ type node[E comparable] struct {
 	txBroadcast []byte   // payload to Broadcast (nil: nothing to broadcast)
 	txSends     [][]byte // per-recipient payloads (Equivocate), nil otherwise
 
-	// Batched-decode state: suspects is the faulty set the previous
-	// micro-step of the current batch identified (nil on a batch's first
-	// micro-step — the full decoder always runs there), and primed is the
-	// accelerator built for it, reused while layout and suspicion match.
-	// primedIdx/primedSusp memoize the exact layout NewPrimed last ran
-	// for, so an ineligible layout (primed == nil) is not rebuilt every
-	// lock-step tick of a degraded partially synchronous round, while a
-	// genuinely new layout still gets its priming attempt.
+	// Primed-decode state: suspects is the sorted union of this node's past
+	// decode verdicts, sticky across steps and batches (see absorbVerdict) —
+	// it only steers which rows the verified-subset check trusts, so it
+	// affects speed, never the result — and primed is the check built for
+	// it, reused while layout and suspicion match. primedIdx/primedSusp
+	// memoize the exact layout NewPrimed last ran for, so an ineligible
+	// layout (primed == nil) is not rebuilt every lock-step tick of a
+	// degraded partially synchronous round, while a genuinely new layout
+	// still gets its priming attempt.
 	suspects   []int
 	primed     *lcc.Primed[E]
 	primedIdx  []int
@@ -119,7 +123,7 @@ func (n *node[E]) planBroadcast(result []E) {
 		// transport would drop a crashed node's traffic anyway).
 	case WrongResult, BadLeader:
 		bad := field.RandVec(c.cfg.BaseField, c.rng, len(result))
-		n.received[n.id] = bad // a liar is at least self-consistent
+		n.accept(n.id, bad) // a liar is at least self-consistent
 		n.txBroadcast = c.encodeResultPayload(c.round, bad)
 	case Equivocate:
 		// A different wrong value to every peer. On a no-equivocation
@@ -132,9 +136,9 @@ func (n *node[E]) planBroadcast(result []E) {
 			bad := field.RandVec(c.cfg.BaseField, c.rng, len(result))
 			n.txSends[to] = c.encodeResultPayload(c.round, bad)
 		}
-		n.received[n.id] = result
+		n.accept(n.id, result)
 	default:
-		n.received[n.id] = result
+		n.accept(n.id, result)
 		n.txBroadcast = c.encodeResultPayload(c.round, result)
 	}
 }
@@ -157,6 +161,26 @@ func (n *node[E]) transmitResult() error {
 	return nil
 }
 
+// resetStep clears the per-step collection state, reusing the
+// sender-indexed slice.
+func (n *node[E]) resetStep() {
+	if len(n.received) != n.cluster.cfg.N {
+		n.received = make([][]E, n.cluster.cfg.N)
+	}
+	clear(n.received)
+	n.receivedCount = 0
+	n.decoded = nil
+}
+
+// accept records sender from's result for the current step; a repeated
+// sender overwrites.
+func (n *node[E]) accept(from int, result []E) {
+	if n.received[from] == nil {
+		n.receivedCount++
+	}
+	n.received[from] = result
+}
+
 // collect ingests result messages for the current round.
 func (n *node[E]) collect(msgs []transport.Message) {
 	c := n.cluster
@@ -165,69 +189,63 @@ func (n *node[E]) collect(msgs []transport.Message) {
 			continue
 		}
 		round, result, ok := c.decodeResultPayload(m.Payload)
-		if !ok || round != c.round || len(result) != c.tr.ResultLen() {
+		if !ok || round != c.round || len(result) != c.tr.ResultLen() || int(m.From) >= len(n.received) {
 			continue
 		}
-		n.received[int(m.From)] = result
+		n.accept(int(m.From), result)
 	}
 }
 
 // tryDecode decodes once enough results are available. Synchronous mode
 // decodes whatever arrived after the fixed interval (missing results are
 // erasures); partially synchronous mode requires at least N-b results.
-// From a batch's second micro-step on, the decode first tries the primed
-// fast path (suspects from the previous micro-step); the full
+// Every decode first tries the node's primed verified-subset check
+// (trusted rows chosen clear of the sticky suspects); the full
 // noisy-interpolation decoder remains the fallback and the authority on
-// anything the fast path cannot certify.
+// anything the check cannot certify.
 // need is the step-constant decode threshold (Cluster.decodeNeed),
 // computed once per micro-step by the caller.
 func (n *node[E]) tryDecode(force bool, need int) (bool, error) {
 	c := n.cluster
-	if len(n.received) < need {
+	if n.receivedCount < need {
 		return false, nil
 	}
-	if !force && len(n.received) < c.cfg.N {
+	if !force && n.receivedCount < c.cfg.N {
 		// Wait for more stragglers unless the deadline passed.
 		return false, nil
 	}
-	indices := n.idxScratch[:0]
-	//csmlint:allow detmap(keys are collected then sorted two lines down)
-	for idx := range n.received {
-		indices = append(indices, idx)
-	}
-	slices.Sort(indices)
-	n.idxScratch = indices
-	results := n.resScratch[:0]
-	for _, idx := range indices {
-		results = append(results, n.received[idx])
-	}
-	n.resScratch = results
-	var dec *lcc.DecodeResult[E]
-	if n.suspects != nil {
-		var primed *lcc.Primed[E]
-		switch {
-		case n.primed != nil && n.primed.Matches(indices, n.suspects):
-			primed = n.primed
-		case !slices.Equal(n.primedIdx, indices) || !slices.Equal(n.primedSusp, n.suspects):
-			p, err := c.code.NewPrimed(indices, n.suspects, c.tr.Degree(), c.cfg.MaxFaults)
-			if err != nil {
-				return false, fmt.Errorf("csm: node %d priming decode: %w", n.id, err)
-			}
-			n.primed = p // may be nil: layout ineligible for the fast path
-			n.primedIdx = append(n.primedIdx[:0], indices...)
-			n.primedSusp = append(n.primedSusp[:0], n.suspects...)
-			primed = p
-		default:
-			// This exact layout was already found ineligible: skip.
+	indices, results := n.idxScratch[:0], n.resScratch[:0]
+	for idx, res := range n.received {
+		if res != nil {
+			indices = append(indices, idx)
+			results = append(results, res)
 		}
-		if primed != nil {
-			fast, ok, err := primed.Decode(results, 1)
-			if err != nil {
-				return false, fmt.Errorf("csm: node %d primed decode: %w", n.id, err)
-			}
-			if ok {
-				dec = fast
-			}
+	}
+	n.idxScratch, n.resScratch = indices, results
+	var primed *lcc.Primed[E]
+	switch {
+	case n.primed != nil && n.primed.Matches(indices, n.suspects):
+		primed = n.primed
+	case !slices.Equal(n.primedIdx, indices) || !slices.Equal(n.primedSusp, n.suspects):
+		p, err := c.code.NewPrimed(indices, n.suspects, c.tr.Degree(), c.cfg.MaxFaults)
+		if err != nil {
+			return false, fmt.Errorf("csm: node %d priming decode: %w", n.id, err)
+		}
+		n.primed = p // may be nil: layout ineligible for the fast path
+		n.primedIdx = append(n.primedIdx[:0], indices...)
+		n.primedSusp = append(n.primedSusp[:0], n.suspects...)
+		primed = p
+	default:
+		// This exact layout was already found ineligible: skip.
+	}
+	var dec *lcc.DecodeResult[E]
+	if primed != nil {
+		fast, ok, err := primed.Decode(results, 1)
+		if err != nil {
+			return false, fmt.Errorf("csm: node %d primed decode: %w", n.id, err)
+		}
+		if ok {
+			dec = fast
 		}
 	}
 	if dec == nil {
@@ -237,6 +255,7 @@ func (n *node[E]) tryDecode(force bool, need int) (bool, error) {
 		}
 		dec = full
 	}
+	n.absorbVerdict(dec.FaultyNodes)
 	outputs := make([][]E, c.cfg.K)
 	nextStates := make([][]E, c.cfg.K)
 	for k := 0; k < c.cfg.K; k++ {
@@ -256,4 +275,18 @@ func (n *node[E]) tryDecode(force bool, need int) (bool, error) {
 	n.stateScratch = n.codedState
 	n.codedState = newCoded
 	return true, nil
+}
+
+// absorbVerdict folds one decode's faulty set into the sticky suspects:
+// the union of past verdicts, so a persistent or intermittent liar costs
+// one full decode when it first lies rather than one per batch. Once the
+// union is too broad for NewPrimed to prime a full round on (fewer than
+// dim+b unsuspected nodes), older suspicion is dropped and only the
+// latest verdict — at most the code's radius, hence primeable — is kept.
+func (n *node[E]) absorbVerdict(faulty []int) {
+	c := n.cluster
+	n.suspects = ints.UnionSorted(n.suspects, faulty)
+	if c.cfg.N-len(n.suspects) < c.code.ResultDim(c.tr.Degree())+c.cfg.MaxFaults {
+		n.suspects = append(n.suspects[:0], faulty...)
+	}
 }

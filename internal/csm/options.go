@@ -171,8 +171,7 @@ func WithParallelism(workers int) Option {
 }
 
 // WithBatching groups the given number of consecutive workload rounds
-// under one consensus instance (command batching with primed decodes; see
-// Config.BatchSize).
+// under one consensus instance (command batching; see Config.BatchSize).
 func WithBatching(rounds int) Option {
 	if rounds < 0 {
 		return optionErr("WithBatching(%d): negative batch size", rounds)

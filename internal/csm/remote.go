@@ -35,6 +35,7 @@ import (
 	"slices"
 
 	"codedsm/internal/field"
+	"codedsm/internal/ints"
 	"codedsm/internal/lcc"
 	"codedsm/internal/nodeapi"
 	"codedsm/internal/poly"
@@ -70,10 +71,11 @@ type RemoteConfig[E comparable] struct {
 	NewTransition TransitionFactory[E]
 	// K is the number of state machines.
 	K int
-	// MaxFaults is the fault budget b the code is sized for. The Oracle
-	// execution phase requires all N results (honest deployment), but
-	// the capacity check K <= SyncMaxMachines(N, b, d) still applies so a
-	// config that could never decode under b faults is rejected up front.
+	// MaxFaults is the fault budget b the code is sized for: up to b
+	// corrupted results per round are corrected (see FaultyDetected), and
+	// the capacity check K <= SyncMaxMachines(N, b, d) rejects up front a
+	// config that could never decode under b faults. The Oracle execution
+	// phase still waits for all N results.
 	// Consensus modes additionally validate the protocol's own quorum
 	// shape (PBFT: N >= 3b+1) and tolerate dead peers in the execution
 	// phase by subset-decoding once enough results arrived.
@@ -122,6 +124,10 @@ type NodeProcess[E comparable] struct {
 	initialCoded []E
 	// store is the durable state (nil without RemoteConfig.Durability).
 	store *nodeStore
+
+	// faulty is the sorted set of peers whose results a decode corrected,
+	// cumulative over the run (see FaultyDetected).
+	faulty []int
 
 	// steady-state scratch, mirroring the simulated node's
 	cmdScratch   []E
@@ -229,6 +235,12 @@ func (p *NodeProcess[E]) Transition() *sm.Transition[E] { return p.tr }
 // DigestSum returns the node's canonical run digest over every decoded
 // output so far — across restarts when durability is enabled.
 func (p *NodeProcess[E]) DigestSum() string { return p.digest.Sum() }
+
+// FaultyDetected returns the peers whose execution results this node's
+// decodes have corrected so far, ascending. Correction is silent on the
+// round path — outputs and digest are the oracle's regardless — so this is
+// how an operator learns a peer is broken or hostile.
+func (p *NodeProcess[E]) FaultyDetected() []int { return slices.Clone(p.faulty) }
 
 // Durable reports whether the node persists state.
 func (p *NodeProcess[E]) Durable() bool { return p.store != nil }
@@ -442,12 +454,10 @@ func (p *NodeProcess[E]) executeSteps(batch [][][]E) ([][][]E, error) {
 		if err != nil {
 			return out, fmt.Errorf("csm: node %d decode: %w", p.self, err)
 		}
-		if len(dec.FaultyNodes) > 0 {
-			// Honest deployment: a corrupted result means a peer is broken
-			// or hostile; surface it rather than silently correcting.
-			return out, fmt.Errorf("csm: node %d round %d: decode flagged corrupted results from nodes %v",
-				p.self, p.round, dec.FaultyNodes)
-		}
+		// A decode that succeeded has corrected every in-budget corrupted
+		// result, exactly as the simulated cluster does: carry on with the
+		// corrected outputs and remember who lied.
+		p.faulty = ints.UnionSorted(p.faulty, dec.FaultyNodes)
 		outputs := make([][]E, p.cfg.K)
 		nextStates := make([][]E, p.cfg.K)
 		for k := 0; k < p.cfg.K; k++ {

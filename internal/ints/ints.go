@@ -27,3 +27,15 @@ func SortedMapKeys[V any](m map[int]V) []int {
 	slices.Sort(out)
 	return out
 }
+
+// UnionSorted adds every element of add to the ascending, duplicate-free
+// set and returns it, still ascending and duplicate-free. set's backing
+// array is reused when it has room; add may be in any order.
+func UnionSorted(set, add []int) []int {
+	for _, v := range add {
+		if i, found := slices.BinarySearch(set, v); !found {
+			set = slices.Insert(set, i, v)
+		}
+	}
+	return set
+}

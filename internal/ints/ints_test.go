@@ -20,3 +20,18 @@ func TestSortedKeys(t *testing.T) {
 		}
 	}
 }
+
+func TestUnionSorted(t *testing.T) {
+	for _, tc := range []struct {
+		set, add, want []int
+	}{
+		{nil, nil, nil},
+		{nil, []int{4, 1, 4}, []int{1, 4}},
+		{[]int{2, 6}, []int{6, 0, 9, 3}, []int{0, 2, 3, 6, 9}},
+		{[]int{2, 6}, []int{2}, []int{2, 6}},
+	} {
+		if got := UnionSorted(tc.set, tc.add); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("UnionSorted(%v, %v) = %v, want %v", tc.set, tc.add, got, tc.want)
+		}
+	}
+}

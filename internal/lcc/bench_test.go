@@ -76,3 +76,33 @@ func BenchmarkLCCDecode(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLCCDecodeHonest is the steady-state decode of an execution
+// step — every row clean, the verified-subset check certifies — at the
+// csmload sim-honest shape, bare and over the counting decorator.
+func BenchmarkLCCDecodeHonest(b *testing.B) {
+	const k, n, l, degree = 22, 64, 2, 1
+	for _, counted := range []bool{false, true} {
+		b.Run(fmt.Sprintf("K=%d/N=%d/L=%d/counted=%v", k, n, l, counted), func(b *testing.B) {
+			var f field.Field[uint64] = field.NewGoldilocks()
+			if counted {
+				f = field.NewCounting(f)
+			}
+			code, err := New(poly.NewRing(f), k, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			results, err := code.EncodeVectors(benchValues(k, l))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := code.DecodeOutputs(results, degree); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

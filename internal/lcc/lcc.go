@@ -37,8 +37,9 @@ type Code[E comparable] struct {
 	alphaTree *poly.SubproductTree[E]
 	coeffs    [][]E // N x K Lagrange coefficient matrix C = [c_ik]
 
-	mu         sync.Mutex // guards codesByDim (nodes decode concurrently)
-	codesByDim map[int]*rs.Code[E]
+	mu          sync.Mutex // guards the two maps (nodes decode concurrently)
+	codesByDim  map[int]*rs.Code[E]
+	checksByDim map[int]*subsetCheck[E] // see checkFor
 }
 
 // New constructs the code for K machines on N nodes, choosing
@@ -78,12 +79,13 @@ func NewWithPoints[E comparable](ring *poly.Ring[E], omegas, alphas []E) (*Code[
 		seen[p] = true
 	}
 	c := &Code[E]{
-		ring:       ring,
-		f:          ring.Field(),
-		bulk:       ring.Bulk(),
-		omegas:     append([]E(nil), omegas...),
-		alphas:     append([]E(nil), alphas...),
-		codesByDim: make(map[int]*rs.Code[E]),
+		ring:        ring,
+		f:           ring.Field(),
+		bulk:        ring.Bulk(),
+		omegas:      append([]E(nil), omegas...),
+		alphas:      append([]E(nil), alphas...),
+		codesByDim:  make(map[int]*rs.Code[E]),
+		checksByDim: make(map[int]*subsetCheck[E]),
 	}
 	c.omegaTree = poly.NewSubproductTree(ring, c.omegas)
 	c.alphaTree = poly.NewSubproductTree(ring, c.alphas)
@@ -427,6 +429,10 @@ func mergeFaulty(faultyByComponent [][]int) []int {
 	return ints.SortedKeys(faulty)
 }
 
+// decode is every DecodeOutputs* entry point. The verified-subset check
+// (no suspects: the first dim rows are trusted) runs first; whatever it
+// cannot certify falls through to the noisy-interpolation decoder
+// unchanged, so results and errors are those of the full decoder alone.
 func (c *Code[E]) decode(results [][]E, indices []int, degree, workers int) (*DecodeResult[E], error) {
 	n := len(c.alphas)
 	rows := n
@@ -437,23 +443,37 @@ func (c *Code[E]) decode(results [][]E, indices []int, degree, workers int) (*De
 	if err != nil {
 		return nil, err
 	}
-	code, err := c.codeForDim(c.ResultDim(degree))
+	if isFullSet(indices, n) {
+		indices = nil
+	}
+	dim := c.ResultDim(degree)
+	colMajor := transposeColMajor(results, rows, l, nil)
+	// An out-of-range or repeated index is the full decoder's to report.
+	if indices == nil || validSubset(indices, n) {
+		check, err := c.checkFor(indices, rows, dim, nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		if check != nil {
+			if res, ok := check.verify(c, colMajor, l, workers, &checkScratch[E]{}); ok {
+				return res, nil
+			}
+		}
+	}
+	code, err := c.codeForDim(dim)
 	if err != nil {
 		return nil, err
 	}
 	// Resolve the decoding code once, not per component: either the full
 	// code (indices nil or the complete 0..N-1 set) or one shared subcode.
 	target := code
-	if indices != nil && !isFullSet(indices, n) {
+	if indices != nil {
 		if target, err = code.Subcode(indices); err != nil {
 			return nil, err
 		}
-	} else {
-		indices = nil
 	}
 	k := len(c.omegas)
 	outputs := flatOutputs[E](k, l)
-	colMajor := transposeColMajor(results, rows, l, nil)
 	// Components are independent codewords; decode them concurrently and
 	// merge the per-component faulty sets afterwards in component order.
 	// Each worker owns one reusable evaluation scratch buffer.
@@ -490,6 +510,19 @@ func (c *Code[E]) decode(results [][]E, indices []int, degree, workers int) (*De
 		return nil, err
 	}
 	return &DecodeResult[E]{Outputs: outputs, FaultyNodes: mergeFaulty(faultyByComponent)}, nil
+}
+
+// validSubset reports whether indices are pairwise distinct node indices
+// in [0, n).
+func validSubset(indices []int, n int) bool {
+	seen := make([]bool, n)
+	for _, idx := range indices {
+		if idx < 0 || idx >= n || seen[idx] {
+			return false
+		}
+		seen[idx] = true
+	}
+	return true
 }
 
 // SyncMaxMachines returns the largest K supported by N nodes with b faults

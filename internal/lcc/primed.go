@@ -1,103 +1,267 @@
 package lcc
 
 import (
+	"fmt"
 	"slices"
 	"sync/atomic"
 
-	"codedsm/internal/poly"
 	"codedsm/internal/pool"
 )
 
-// Primed is a decode accelerator for repeated decodes against a stable
-// fault pattern — the steady state of a batched execution round, where the
-// same Byzantine nodes corrupt every micro-step of the batch (Section 5.2's
-// decoder runs once; subsequent micro-steps reuse its verdict).
+// The verified-subset check is the steady-state decode of every execution
+// step. The evaluation points are fixed, so for one received-row layout
+// and one choice of exactly dim = d(K-1)+1 "trusted" rows, the values of
+// the degree-< dim polynomial through the trusted rows at every other
+// received row and at the K omegas are a constant matrix times the trusted
+// values. A decode is then dim ScaleVec/ScaleAccVec kernel calls per
+// vector component — no interpolation, no subproduct tree, no
+// error-locator solve — followed by a mismatch count against the rows that
+// were not trusted.
 //
-// Instead of running the full noisy-interpolation decoder (interpolation
-// plus an extended-Euclidean error-locator solve per component), a primed
-// decode excludes the suspected rows, interpolates the remaining
-// ("trusted") rows directly, and checks the candidate against every
-// received coordinate. Soundness does not rest on the suspicion being
-// right: a candidate polynomial of degree < dim that matches all trusted
-// rows agrees with the true result polynomial on at least
-// |trusted| - maxFaults coordinates, and the capacity conditions of
-// Table 2 (2b+1 <= N - d(K-1) synchronous, 3b+1 <= N - d(K-1) partially
-// synchronous) make that at least dim, forcing the two polynomials equal.
-// NewPrimed therefore refuses to prime when |trusted| < dim + maxFaults,
-// and Decode reports ok=false — caller falls back to the full decoder —
-// whenever a component's trusted interpolation exceeds the result degree
-// (a suspect turned honest, or a new liar appeared among the trusted rows).
-type Primed[E comparable] struct {
-	code      *Code[E]
-	dim       int
-	maxFaults int
-	indices   []int // node index per received row; nil means the full 0..N-1
-	suspects  []int // node indices excluded from interpolation (sorted)
-	rows      int
-	trusted   []int // row positions (not node indices) used for interpolation
+// Soundness rests on the unique-decoding radius alone, for every layout
+// the engines produce (all N rows in a synchronous round, the N-b rows of
+// a partially synchronous one, any subset with the missing rows treated
+// as erasures): the candidate has degree < dim by construction, so it is a
+// codeword of the (sub)code over the received rows, and it is accepted
+// only when it disagrees with the received word on at most
+// radius = (rows-dim)/2 rows. Two distinct codewords differ on at least
+// rows-dim+1 > 2·radius rows, so at most one codeword lies that close to
+// any word — the accepted candidate *is* the codeword the full
+// noisy-interpolation decoder (rs.Code.Decode) returns, its mismatching
+// rows are exactly that decoder's error positions, and outputs and
+// FaultyNodes are bit-identical to the full decode's. Nothing in the
+// argument depends on which rows were trusted, on the suspect set being
+// right, or on the fault budget being respected: a lying trusted row, a
+// suspect turned honest, or more corruption than the code can correct
+// only ever make the count exceed the radius, in which case the check
+// refuses and the caller runs the full decoder, which stays the authority
+// on everything the check cannot certify (including ErrTooManyErrors).
+type subsetCheck[E comparable] struct {
+	indices []int // node index per received row; nil means the full 0..N-1
+	rows    int
+	trusted []int // the dim row positions whose values define the candidate
+	rest    []int // every other row position, ascending
+	radius  int   // (rows-dim)/2, the (sub)code's unique-decoding radius
+	// cols[t][i] is the Lagrange basis polynomial of trusted row t evaluated
+	// at z_i, where z runs over the rest rows' alphas and then the K omegas.
+	cols [][]E
+}
 
-	trustedTree *poly.SubproductTree[E] // over the trusted rows' points
-	rowTree     *poly.SubproductTree[E] // over all received rows' points
+// checkScratch is the reusable working memory of one verify caller:
+// per-worker prediction vectors and mismatch masks.
+type checkScratch[E comparable] struct {
+	pred []E
+	bad  []bool
+}
+
+// checkFor returns the verified-subset check for a received-row layout
+// (indices nil: the full node set) that trusts the first dim rows whose
+// node is not in suspects (sorted ascending), or nil when fewer than
+// dim+spare rows are unsuspected. The one check every honest round needs —
+// full layout, rows 0..dim-1 trusted — is built once per dimension and
+// shared by all nodes decoding against this Code. Any other check is built
+// for the caller alone: an evicting shared cache would make the number of
+// builds, and with it the counted field operations of a seeded run, depend
+// on worker scheduling.
+func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare int) (*subsetCheck[E], error) {
+	if rows < dim {
+		return nil, nil
+	}
+	nodeOf := func(r int) int {
+		if indices != nil {
+			return indices[r]
+		}
+		return r
+	}
+	trusted := make([]int, 0, dim)
+	rest := make([]int, 0, rows-dim)
+	unsuspected := 0
+	for r := 0; r < rows; r++ {
+		_, suspected := slices.BinarySearch(suspects, nodeOf(r))
+		if !suspected {
+			unsuspected++
+		}
+		if !suspected && len(trusted) < dim {
+			trusted = append(trusted, r)
+		} else {
+			rest = append(rest, r)
+		}
+	}
+	if len(trusted) < dim || unsuspected < dim+spare {
+		return nil, nil
+	}
+	shared := indices == nil && trusted[dim-1] == dim-1
+	if shared {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if chk, ok := c.checksByDim[dim]; ok {
+			return chk, nil
+		}
+	}
+	// ℓ_t(z) = M(z) / ((z - x_t)·w_t) with M(z) = Π_m (z - x_m) over the
+	// trusted points x and w_t = Π_{m≠t} (x_t - x_m).
+	k := len(c.omegas)
+	xs := make([]E, dim)
+	for t, r := range trusted {
+		xs[t] = c.alphas[nodeOf(r)]
+	}
+	z := len(rest) + k
+	zs := make([]E, 0, z)
+	for _, r := range rest {
+		zs = append(zs, c.alphas[nodeOf(r)])
+	}
+	zs = append(zs, c.omegas...)
+	diffs := make([]E, dim*z)
+	master := make([]E, z)
+	weights := make([]E, dim)
+	xdiff := make([]E, dim)
+	for t := 0; t < dim; t++ {
+		row := diffs[t*z : (t+1)*z]
+		c.bulk.SubScalarVec(row, zs, xs[t])
+		if t == 0 {
+			copy(master, row)
+		} else {
+			c.bulk.MulVec(master, master, row)
+		}
+		c.bulk.ScalarSubVec(xdiff, xs[t], xs)
+		w := c.f.One()
+		for m, d := range xdiff {
+			if m != t {
+				w = c.f.Mul(w, d)
+			}
+		}
+		weights[t] = w
+	}
+	flat := make([]E, dim*z)
+	weightInvs := make([]E, dim)
+	if err := c.bulk.BatchInvInto(flat, diffs); err != nil {
+		return nil, fmt.Errorf("lcc: verified-subset check: repeated row index: %w", err)
+	}
+	if err := c.bulk.BatchInvInto(weightInvs, weights); err != nil {
+		return nil, fmt.Errorf("lcc: verified-subset check: repeated row index: %w", err)
+	}
+	chk := &subsetCheck[E]{
+		indices: indices,
+		rows:    rows,
+		trusted: trusted,
+		rest:    rest,
+		radius:  (rows - dim) / 2,
+		cols:    make([][]E, dim),
+	}
+	for t := range chk.cols {
+		col := flat[t*z : (t+1)*z : (t+1)*z]
+		c.bulk.MulVec(col, col, master)
+		c.bulk.ScaleVec(col, weightInvs[t], col)
+		chk.cols[t] = col
+	}
+	if shared {
+		c.checksByDim[dim] = chk
+	}
+	return chk, nil
+}
+
+// verify decodes the l column-major received words with the check. ok is
+// false when some component's candidate misses more than radius rows; the
+// words are then for the full decoder. On ok the result is exactly the
+// full decoder's (see the soundness argument on subsetCheck).
+func (s *subsetCheck[E]) verify(c *Code[E], colMajor []E, l, workers int, sc *checkScratch[E]) (*DecodeResult[E], bool) {
+	k, nr := len(c.omegas), len(s.rest)
+	z := nr + k
+	nw := pool.Clamp(workers, l)
+	if len(sc.pred) != nw*z {
+		sc.pred = make([]E, nw*z)
+		sc.bad = make([]bool, nw*nr)
+	}
+	clear(sc.bad)
+	outputs := flatOutputs[E](k, l)
+	var refused atomic.Bool
+	_ = pool.RunIndexed(workers, l, func(worker, j int) error {
+		if refused.Load() {
+			return nil // some component was already refused: short-circuit
+		}
+		word := colMajor[j*s.rows : (j+1)*s.rows]
+		pred := sc.pred[worker*z : (worker+1)*z]
+		bad := sc.bad[worker*nr : (worker+1)*nr]
+		c.bulk.ScaleVec(pred, word[s.trusted[0]], s.cols[0])
+		for t := 1; t < len(s.trusted); t++ {
+			c.bulk.ScaleAccVec(pred, word[s.trusted[t]], s.cols[t])
+		}
+		misses := 0
+		for i, r := range s.rest {
+			if !c.f.Equal(pred[i], word[r]) {
+				bad[i] = true
+				misses++
+			}
+		}
+		if misses > s.radius {
+			refused.Store(true)
+			return nil
+		}
+		for ki, v := range pred[nr:] {
+			outputs[ki][j] = v
+		}
+		return nil
+	})
+	if refused.Load() {
+		return nil, false
+	}
+	faulty := []int{}
+	for i, r := range s.rest {
+		missed := false
+		for w := 0; w < nw && !missed; w++ {
+			missed = sc.bad[w*nr+i]
+		}
+		switch {
+		case !missed:
+		case s.indices != nil:
+			faulty = append(faulty, s.indices[r])
+		default:
+			faulty = append(faulty, r)
+		}
+	}
+	slices.Sort(faulty) // a caller's indices need not be ascending
+	return &DecodeResult[E]{Outputs: outputs, FaultyNodes: faulty}, true
+}
+
+// Primed is the verified-subset check bound to one decoding node: a
+// received-row layout, a set of suspected nodes kept out of the trusted
+// rows, and the node's reusable scratch. Suspicion is only a hint for
+// choosing trusted rows that are likely clean — the steady state of an
+// execution round, where the same Byzantine nodes corrupt step after step
+// (Section 5.2's decoder runs once; later steps reuse its verdict) — and
+// never enters the soundness argument (see subsetCheck).
+type Primed[E comparable] struct {
+	code     *Code[E]
+	suspects []int // sorted
+	check    *subsetCheck[E]
 
 	colScratch []E // column-major transpose, reused across Decode calls
+	scratch    checkScratch[E]
 }
 
 // NewPrimed builds a primed decoder for the given received-row layout
 // (indices as in DecodeOutputsSubset; nil for the full node set), suspected
 // node set, transition degree, and fault budget. It returns (nil, nil)
-// when the layout is ineligible — too few unsuspected rows for the
-// self-verifying fast path — in which case callers must use the full
-// decoder.
+// when the layout is ineligible — fewer than dim+maxFaults unsuspected
+// rows, so that maxFaults fresh liars could leave no clean choice of dim
+// trusted rows and the suspicion is too broad to be worth priming on — in
+// which case callers must use the full decoder.
 func (c *Code[E]) NewPrimed(indices, suspects []int, degree, maxFaults int) (*Primed[E], error) {
 	n := len(c.alphas)
 	rows := n
 	if indices != nil && !isFullSet(indices, n) {
 		rows = len(indices)
+		indices = slices.Clone(indices)
 	} else {
 		indices = nil
 	}
-	dim := c.ResultDim(degree)
-	suspect := make(map[int]bool, len(suspects))
-	for _, s := range suspects {
-		suspect[s] = true
+	suspects = slices.Clone(suspects)
+	slices.Sort(suspects)
+	check, err := c.checkFor(indices, rows, c.ResultDim(degree), suspects, maxFaults)
+	if err != nil || check == nil {
+		return nil, err
 	}
-	trusted := make([]int, 0, rows)
-	pts := make([]E, 0, rows)
-	rowPts := make([]E, rows)
-	for r := 0; r < rows; r++ {
-		node := r
-		if indices != nil {
-			node = indices[r]
-		}
-		rowPts[r] = c.alphas[node]
-		if suspect[node] {
-			continue
-		}
-		trusted = append(trusted, r)
-		pts = append(pts, c.alphas[node])
-	}
-	if len(trusted) < dim+maxFaults {
-		return nil, nil // not enough trusted rows to self-verify
-	}
-	p := &Primed[E]{
-		code:      c,
-		dim:       dim,
-		maxFaults: maxFaults,
-		suspects:  slices.Clone(suspects),
-		rows:      rows,
-		trusted:   trusted,
-	}
-	slices.Sort(p.suspects)
-	if indices != nil {
-		p.indices = slices.Clone(indices)
-	}
-	p.trustedTree = poly.NewSubproductTree(c.ring, pts)
-	if indices == nil {
-		p.rowTree = c.alphaTree
-	} else {
-		p.rowTree = poly.NewSubproductTree(c.ring, rowPts)
-	}
-	return p, nil
+	return &Primed[E]{code: c, suspects: suspects, check: check}, nil
 }
 
 // Matches reports whether this primed decoder was built for exactly the
@@ -107,7 +271,7 @@ func (p *Primed[E]) Matches(indices, suspects []int) bool {
 	if indices != nil && isFullSet(indices, len(p.code.alphas)) {
 		indices = nil
 	}
-	if !slices.Equal(p.indices, indices) {
+	if !slices.Equal(p.check.indices, indices) {
 		return false
 	}
 	if len(suspects) != len(p.suspects) {
@@ -121,95 +285,24 @@ func (p *Primed[E]) Matches(indices, suspects []int) bool {
 	return slices.Equal(s, p.suspects)
 }
 
-// Decode attempts the primed fast path on a received results matrix shaped
-// exactly like the layout the decoder was primed for. ok=false means some
-// component could not be certified (the suspect set no longer explains the
-// corruption pattern) and the caller must run the full decoder; the
-// returned result is nil in that case. On ok=true the decode is exactly
-// what the full decoder would have produced: the capacity precondition
-// enforced at priming time makes the trusted interpolation provably equal
-// to the true result polynomial, and FaultyNodes is recomputed from scratch
-// against every received row (a suspect that sent a clean value this
-// micro-step is not accused).
+// Decode attempts the verified-subset check on a received results matrix
+// shaped exactly like the layout the decoder was primed for. ok=false
+// means some component could not be certified (a trusted row lied, or the
+// word is beyond the code's radius) and the caller must run the full
+// decoder; the returned result is nil in that case. On ok=true the decode
+// is exactly what the full decoder would have produced, FaultyNodes
+// included (a suspect that sent a clean value this step is not accused).
 //
 // A Primed belongs to one decoding node: Decode reuses internal scratch
 // and must not be called concurrently on the same instance (the component
 // fan-out inside one call is fine).
 func (p *Primed[E]) Decode(results [][]E, workers int) (*DecodeResult[E], bool, error) {
-	c := p.code
-	l, err := c.vectorLen(results, p.rows)
+	rows := p.check.rows
+	l, err := p.code.vectorLen(results, rows)
 	if err != nil {
 		return nil, false, err
 	}
-	k := len(c.omegas)
-	outputs := flatOutputs[E](k, l)
-	p.colScratch = transposeColMajor(results, p.rows, l, p.colScratch)
-	colMajor := p.colScratch
-	f := c.f
-	faultyByComponent := make([][]int, l)
-	var fallback atomic.Bool
-	type scratch struct {
-		trusted   []E
-		corrected []E
-		omega     []E
-	}
-	scratches := make([]scratch, pool.Clamp(workers, l))
-	err = pool.RunIndexed(workers, l, func(worker, j int) error {
-		if fallback.Load() {
-			return nil // some component already failed: short-circuit
-		}
-		word := colMajor[j*p.rows : (j+1)*p.rows]
-		sc := &scratches[worker]
-		if sc.trusted == nil {
-			sc.trusted = make([]E, len(p.trusted))
-			sc.corrected = make([]E, p.rows)
-			sc.omega = make([]E, k)
-		}
-		for i, r := range p.trusted {
-			sc.trusted[i] = word[r]
-		}
-		cand, ierr := p.trustedTree.Interpolate(sc.trusted)
-		if ierr != nil {
-			return ierr
-		}
-		if c.ring.Deg(cand) >= p.dim {
-			fallback.Store(true) // a trusted row is corrupted: not certifiable
-			return nil
-		}
-		if eerr := p.rowTree.EvalManyInto(sc.corrected, cand); eerr != nil {
-			return eerr
-		}
-		var errorsAt []int
-		for r := 0; r < p.rows; r++ {
-			if !f.Equal(sc.corrected[r], word[r]) {
-				node := r
-				if p.indices != nil {
-					node = p.indices[r]
-				}
-				errorsAt = append(errorsAt, node)
-			}
-		}
-		if len(errorsAt) > p.maxFaults {
-			// More corrupted rows than the budget explains: the candidate
-			// cannot be certified (and under the capacity precondition this
-			// means a trusted row lied consistently enough to slip through
-			// the degree test — impossible for degree < dim, but cheap to
-			// keep as a hard stop).
-			fallback.Store(true)
-			return nil
-		}
-		c.ring.EvalManyInto(sc.omega, cand, c.omegas)
-		for ki := 0; ki < k; ki++ {
-			outputs[ki][j] = sc.omega[ki]
-		}
-		faultyByComponent[j] = errorsAt
-		return nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	if fallback.Load() {
-		return nil, false, nil
-	}
-	return &DecodeResult[E]{Outputs: outputs, FaultyNodes: mergeFaulty(faultyByComponent)}, true, nil
+	p.colScratch = transposeColMajor(results, rows, l, p.colScratch)
+	res, ok := p.check.verify(p.code, p.colScratch, l, workers, &p.scratch)
+	return res, ok, nil
 }

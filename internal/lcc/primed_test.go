@@ -151,29 +151,57 @@ func TestPrimedRecoveredSuspectNotAccused(t *testing.T) {
 }
 
 func TestPrimedFallsBackOnNewLiar(t *testing.T) {
-	// A liar outside the suspect set corrupts a trusted row: the fast path
-	// must refuse (ok=false), never certify a wrong result.
+	// dim = 3 and suspects {2, 9}: rows 0, 1 and 3 are trusted. A new liar
+	// inside them corrupts the candidate itself: the fast path must refuse
+	// (ok=false), never certify a wrong result.
 	const k, n, d, b = 3, 16, 1, 4
 	fx := newPrimedFixture(t, k, n, d, 2)
 	primed, err := fx.code.NewPrimed(nil, []int{2, 9}, d, b)
 	if err != nil || primed == nil {
 		t.Fatalf("priming failed: %v", err)
 	}
-	second := corrupt(fx.rounds[1], 2, 9, 13) // 13 is new
-	got, ok, err := primed.Decode(second, 1)
-	if err != nil {
-		t.Fatal(err)
+	for _, liar := range []int{0, 1, 3} {
+		second := corrupt(fx.rounds[1], 2, 9, liar)
+		got, ok, err := primed.Decode(second, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			t.Fatalf("certified a word with trusted row %d lying: %+v", liar, got)
+		}
+		// The full decoder handles it fine.
+		full, err := fx.code.DecodeOutputs(second, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []int{liar, 2, 9}
+		slices.Sort(want)
+		if !slices.Equal(full.FaultyNodes, want) {
+			t.Fatalf("full decode located %v, want %v", full.FaultyNodes, want)
+		}
 	}
-	if ok {
-		t.Fatalf("certified a batch with an unsuspected liar: %+v", got)
-	}
-	// The full decoder handles it fine.
+	// A new liar outside the trusted rows is within the radius here, so the
+	// check may certify — but only the very decode the full decoder gives,
+	// with the new liar named.
+	second := corrupt(fx.rounds[1], 2, 9, 13)
 	full, err := fx.code.DecodeOutputs(second, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(full.FaultyNodes, []int{2, 9, 13}) {
 		t.Fatalf("full decode located %v", full.FaultyNodes)
+	}
+	got, ok, err := primed.Decode(second, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		assertSameDecode(t, got, full)
+		for m := range got.Outputs {
+			if !slices.Equal(got.Outputs[m], fx.outputs[1][m]) {
+				t.Fatalf("machine %d mis-certified: %v, want %v", m, got.Outputs[m], fx.outputs[1][m])
+			}
+		}
 	}
 }
 

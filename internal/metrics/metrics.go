@@ -47,9 +47,9 @@ type Table1Config struct {
 	// op counts are worker-count-independent; wall-clock is not.
 	Parallelism int
 	// BatchSize groups the measured rounds into consensus batches
-	// (csm.Config.BatchSize). Batching lowers the CSM row's measured
-	// ops/node/round — primed decodes amortize the error-locator solve
-	// across the batch. The replication baselines run the same grouping
+	// (csm.Config.BatchSize). Decode cost no longer depends on it — every
+	// step's decode is primed, batched or not — so only the consensus
+	// phase amortizes. The replication baselines run the same grouping
 	// through their consensus-free ExecuteBatch purely for a uniform
 	// harness; their rows are measurement-identical for any value.
 	BatchSize int

@@ -53,9 +53,9 @@ type ScalingConfig struct {
 	// worker-count-independent.
 	Parallelism int
 	// BatchSize groups rounds under one consensus instance
-	// (csm.Config.BatchSize); batching lowers the decentralized
-	// ops/node/round through primed decodes. The delegated series batches
-	// too (its worker does the coding, so only consensus amortizes).
+	// (csm.Config.BatchSize); in both series only consensus amortizes
+	// (decentralized decodes are primed on every step, batched or not,
+	// and the delegated worker does the coding).
 	BatchSize int
 	// Pipeline sets the decentralized cluster's pipelined-engine depth;
 	// the delegated cluster always runs sequentially (the Section 6.2
