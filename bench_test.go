@@ -214,11 +214,10 @@ func BenchmarkClusterRoundParallel(b *testing.B) {
 // --- Pipelined engine: batch x pipeline sweep ---
 
 // BenchmarkClusterRoundPipelined measures the batched + pipelined engine
-// against the sequential one on the PR2 reference cluster (N=64, µ = 1/3
+// against the sequential one on the reference cluster (N=64, µ = 1/3
 // wrong-result nodes, oracle consensus — the paper's throughput setting).
 // Each op executes an 8-round workload, so commands/sec =
-// 8*K / (ns_op * 1e-9); the BENCH_PR2.json N=64 rows are per single round
-// (commands/sec = K / (ns_op * 1e-9)). Outputs are identical across all
+// 8*K / (ns_op * 1e-9). Outputs are identical across all
 // configurations (TestPipelinedBitIdenticalToSequential,
 // TestBatchedMatchesSequentialOutputs); the batched configurations win by
 // priming steady-state decodes with the previous micro-step's faulty set,

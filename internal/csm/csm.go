@@ -428,12 +428,12 @@ func New[E comparable](cfg Config[E]) (*Cluster[E], error) {
 			return nil, err
 		}
 		c.nodes[i] = &node[E]{
-			cluster:    c,
-			id:         i,
-			ep:         ep,
-			behavior:   cfg.Byzantine[i],
-			codedState: codedStates[i],
+			stepCore: newStepCore(code, tr, c.bulk, i, cfg.MaxFaults),
+			cluster:  c,
+			ep:       ep,
+			behavior: cfg.Byzantine[i],
 		}
+		c.nodes[i].codedState = codedStates[i]
 		if c.nodes[i].behavior == Crashed {
 			// Born crashed: unreachable and without a share until repaired.
 			if err := net.SetDown(transport.NodeID(i), true); err != nil {
@@ -523,6 +523,38 @@ type batchMsg struct {
 	Cmds  [][]uint64
 }
 
+// validateBatchShape checks a proposed batch before anything is decided:
+// at least one round, K command vectors per round, CmdLen elements each.
+// A malformed round is named by its offset within the batch.
+func validateBatchShape[E comparable](batch [][][]E, k, cmdLen int) error {
+	if len(batch) == 0 {
+		return errors.New("csm: empty batch")
+	}
+	for j, cmds := range batch {
+		if len(cmds) != k {
+			return &batchRoundError{offset: j, err: fmt.Errorf("%d command vectors for K=%d machines", len(cmds), k)}
+		}
+		for i, cmd := range cmds {
+			if len(cmd) != cmdLen {
+				return &batchRoundError{offset: j, err: fmt.Errorf("command %d has length %d, want %d", i, len(cmd), cmdLen)}
+			}
+		}
+	}
+	return nil
+}
+
+// encodeBatchMsg serializes a shape-checked batch as the canonical
+// batchMsg payload for the given round. Every engine and consensus mode
+// proposes and parses these exact bytes, which is what keeps run digests
+// identical across them.
+func encodeBatchMsg[E comparable](f field.Field[E], round int, batch [][][]E) ([]byte, error) {
+	wire := make([][]uint64, 0, len(batch)*len(batch[0]))
+	for _, cmds := range batch {
+		wire = append(wire, matToWire(f, cmds)...)
+	}
+	return encodePayload(batchMsg{Round: round, Cmds: wire})
+}
+
 // Execution-phase result broadcasts use a fixed binary layout instead of
 // gob: every node receives N-1 of them per round, and gob's reflective
 // decoder dominated the steady-state allocation profile. Layout (all
@@ -568,17 +600,6 @@ func decodeResult[E comparable](f field.Field[E], data []byte) (round int, resul
 	return int(binary.LittleEndian.Uint64(data)), result, true
 }
 
-// encodeResultPayload serializes a round's result vector (counting-field
-// conversions excluded: the codec works on canonical uint64s).
-func (c *Cluster[E]) encodeResultPayload(round int, result []E) []byte {
-	return encodeResult(c.cfg.BaseField, round, result)
-}
-
-// decodeResultPayload parses a result broadcast.
-func (c *Cluster[E]) decodeResultPayload(data []byte) (round int, result []E, ok bool) {
-	return decodeResult(c.cfg.BaseField, data)
-}
-
 func encodePayload(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -589,24 +610,6 @@ func encodePayload(v any) ([]byte, error) {
 
 func decodePayload(data []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
-// toWire converts a field vector to its canonical uint64 representation.
-func (c *Cluster[E]) toWire(vec []E) []uint64 {
-	out := make([]uint64, len(vec))
-	for i, e := range vec {
-		out[i] = c.cfg.BaseField.Uint64(e)
-	}
-	return out
-}
-
-// fromWire converts uint64 wire values back into field elements.
-func (c *Cluster[E]) fromWire(vals []uint64) []E {
-	out := make([]E, len(vals))
-	for i, v := range vals {
-		out[i] = c.cfg.BaseField.FromUint64(v)
-	}
-	return out
 }
 
 // ExecuteRound agrees on the given commands (one vector per machine) and
@@ -651,13 +654,7 @@ func (c *Cluster[E]) runConsensus(batch [][][]E) ([][][]E, int, error) {
 		// Trusted sequencer: no proposal to serialize, no network phase.
 		return batch, 0, nil
 	}
-	wire := make([][]uint64, 0, len(batch)*c.cfg.K)
-	for _, cmds := range batch {
-		for _, cmd := range cmds {
-			wire = append(wire, c.toWire(cmd))
-		}
-	}
-	valid, err := encodePayload(batchMsg{Round: c.round, Cmds: wire})
+	valid, err := encodeBatchMsg(c.cfg.BaseField, c.round, batch)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -674,7 +671,9 @@ func (c *Cluster[E]) runConsensus(batch [][][]E) ([][][]E, int, error) {
 	if err != nil {
 		return nil, ticks, err
 	}
-	return c.validateBatch(decided, len(batch), ticks)
+	// A garbage decision parses to nil commands: the batch is skipped.
+	agreed, _, _ := parseBatchMsg(c.cfg.BaseField, decided, len(batch), c.cfg.K, c.tr.CmdLen())
+	return agreed, ticks, nil
 }
 
 // leaderFor rotates leadership across consensus instances.
@@ -746,50 +745,33 @@ func (c *Cluster[E]) runPBFT(valid []byte) ([]byte, int, error) {
 	return decided, budget, nil
 }
 
-// parseBatchMsg decodes a batch payload (the gob batchMsg both the
-// consensus phase and the multi-process sequencer broadcast) into per-step
-// command vectors. steps < 0 infers the step count from the command count
-// (the remote follower does not know the sequencer's batch size up
-// front); a non-negative steps additionally pins it. ok is false for
-// anything malformed.
-func parseBatchMsg[E comparable](f field.Field[E], data []byte, steps, k, cmdLen int) ([][][]E, bool) {
+// parseBatchMsg decodes a batch payload (encodeBatchMsg's bytes) into the
+// round it was proposed for and its per-step command vectors. steps < 0
+// infers the step count from the command count (the remote follower does
+// not know the sequencer's batch size up front); a non-negative steps
+// additionally pins it. ok is false for anything malformed.
+func parseBatchMsg[E comparable](f field.Field[E], data []byte, steps, k, cmdLen int) (cmds [][][]E, round int, ok bool) {
 	var batch batchMsg
 	if err := decodePayload(data, &batch); err != nil {
-		return nil, false
+		return nil, 0, false
 	}
 	if steps < 0 {
 		if k < 1 || len(batch.Cmds) == 0 || len(batch.Cmds)%k != 0 {
-			return nil, false
+			return nil, 0, false
 		}
 		steps = len(batch.Cmds) / k
 	}
 	if len(batch.Cmds) != steps*k {
-		return nil, false
+		return nil, 0, false
+	}
+	for _, w := range batch.Cmds {
+		if len(w) != cmdLen {
+			return nil, 0, false
+		}
 	}
 	out := make([][][]E, steps)
 	for j := range out {
-		out[j] = make([][]E, k)
-		for i := 0; i < k; i++ {
-			w := batch.Cmds[j*k+i]
-			if len(w) != cmdLen {
-				return nil, false
-			}
-			vec := make([]E, cmdLen)
-			for x, v := range w {
-				vec[x] = f.FromUint64(v)
-			}
-			out[j][i] = vec
-		}
+		out[j] = matFromWire[[]E](f, batch.Cmds[j*k:(j+1)*k])
 	}
-	return out, true
-}
-
-// validateBatch checks a decided batch of the given step count; garbage
-// yields a skipped batch (nil commands).
-func (c *Cluster[E]) validateBatch(decided []byte, steps, ticks int) ([][][]E, int, error) {
-	out, ok := parseBatchMsg(c.cfg.BaseField, decided, steps, c.cfg.K, c.tr.CmdLen())
-	if !ok {
-		return nil, ticks, nil // garbage decision: skip batch
-	}
-	return out, ticks, nil
+	return out, batch.Round, true
 }

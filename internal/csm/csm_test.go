@@ -384,10 +384,9 @@ func TestErrRoundStuck(t *testing.T) {
 }
 
 func TestResultPayloadCodec(t *testing.T) {
-	c := newCluster(t, baseConfig(2, 9, 2))
 	vec := []uint64{5, 0, field.GoldilocksModulus - 1}
-	payload := c.encodeResultPayload(7, vec)
-	round, got, ok := c.decodeResultPayload(payload)
+	payload := encodeResult[uint64](gold, 7, vec)
+	round, got, ok := decodeResult[uint64](gold, payload)
 	if !ok || round != 7 || !field.VecEqual[uint64](field.NewGoldilocks(), got, vec) {
 		t.Fatalf("roundtrip failed: ok=%v round=%d got=%v", ok, round, got)
 	}
@@ -404,7 +403,7 @@ func TestResultPayloadCodec(t *testing.T) {
 	binary.LittleEndian.PutUint64(huge[8:], 1<<61)
 	bad = append(bad, huge)
 	for i, p := range bad {
-		if _, _, ok := c.decodeResultPayload(p); ok {
+		if _, _, ok := decodeResult[uint64](gold, p); ok {
 			t.Errorf("malformed payload %d accepted", i)
 		}
 	}

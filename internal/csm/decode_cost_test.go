@@ -113,12 +113,29 @@ func (l *tickLink) Step() ([]transport.Message, error) {
 	return l.Link.Step()
 }
 
-// processRoundCounts runs the consensus fixture (N=4, K=2, d=1, b=1) as
-// four NodeProcess over local links, every node on its own counting
-// field, one round per batch. It returns node 0's counted field
-// operations and lock-step ticks per round, the WAL records node 0 wrote
-// (zero without durability), and every node's run digest.
-func processRoundCounts(t *testing.T, kind ConsensusKind, durable bool, workload [][][]uint64) (ops []uint64, ticks []int, walRecords int, digests []string) {
+// processRun configures runProcesses.
+type processRun struct {
+	kind    ConsensusKind
+	durable bool
+	batch   int // rounds per batch; 0 means one
+	// wrap decorates node i's link (nil: none); this is how a test plants
+	// a Byzantine peer or forged traffic.
+	wrap func(i int, l transport.Link) transport.Link
+}
+
+// processCounts is what runProcesses observed on node 0, per batch, and
+// the finished processes.
+type processCounts struct {
+	ops        []uint64 // counted field operations
+	ticks      []int    // lock-step ticks
+	walRecords int      // records in node 0's WAL (zero without durability)
+	procs      []*NodeProcess[uint64]
+}
+
+// runProcesses runs the consensus fixture (N=4, K=2, d=1, b=1) as four
+// NodeProcess over local links, every node on its own counting field, and
+// requires every node to finish the workload.
+func runProcesses(t *testing.T, run processRun, workload [][][]uint64) processCounts {
 	t.Helper()
 	net, err := transport.New(transport.Config{N: consN, Mode: transport.Sync, Seed: consSeed})
 	if err != nil {
@@ -134,6 +151,9 @@ func processRoundCounts(t *testing.T, kind ConsensusKind, durable bool, workload
 	tls := make([]*tickLink, consN)
 	procs := make([]*NodeProcess[uint64], consN)
 	for i, l := range links {
+		if run.wrap != nil {
+			l = run.wrap(i, l)
+		}
 		counters[i] = field.NewCounting[uint64](gold)
 		tls[i] = &tickLink{Link: l}
 		cfg := RemoteConfig[uint64]{
@@ -141,9 +161,9 @@ func processRoundCounts(t *testing.T, kind ConsensusKind, durable bool, workload
 			NewTransition: consTransition,
 			K:             consK,
 			MaxFaults:     consFaults,
-			Consensus:     kind,
+			Consensus:     run.kind,
 		}
-		if durable {
+		if run.durable {
 			dirs[i] = filepath.Join(base, strconv.Itoa(i))
 			cfg.Durability = &DurabilityConfig{Dir: dirs[i]}
 		}
@@ -152,61 +172,71 @@ func processRoundCounts(t *testing.T, kind ConsensusKind, durable bool, workload
 		}
 		counters[i].Reset() // encoding the initial share is set-up
 	}
-	ops = make([]uint64, len(workload))
-	ticks = make([]int, len(workload))
+	batch := max(run.batch, 1)
+	var out processCounts
 	errs := make([]error, consN)
 	var wg sync.WaitGroup
 	for i, p := range procs {
 		wg.Add(1)
 		go func(i int, p *NodeProcess[uint64]) {
 			defer wg.Done()
-			if kind == Oracle && !p.IsSequencer() {
+			if run.kind == Oracle && !p.IsSequencer() {
 				_, errs[i] = p.Follow()
 				return
 			}
-			for r := range workload {
+			for start := 0; start < len(workload); start += batch {
+				rounds := workload[start:min(start+batch, len(workload))]
 				opsBefore, ticksBefore := counters[i].Counts().Total(), tls[i].ticks
-				if kind == Oracle {
-					_, errs[i] = p.LeadBatch(workload[r : r+1])
+				if run.kind == Oracle {
+					_, errs[i] = p.LeadBatch(rounds)
 				} else {
-					_, errs[i] = p.RunWorkload(workload[r:r+1], 1)
+					_, errs[i] = p.RunWorkload(rounds, batch)
 				}
 				if errs[i] != nil {
 					_ = tls[i].Close() // unblock the peers
 					return
 				}
 				if i == 0 {
-					ops[r] = counters[i].Counts().Total() - opsBefore
-					ticks[r] = tls[i].ticks - ticksBefore
+					out.ops = append(out.ops, counters[i].Counts().Total()-opsBefore)
+					out.ticks = append(out.ticks, tls[i].ticks-ticksBefore)
 				}
 			}
-			if kind == Oracle {
+			if run.kind == Oracle {
 				errs[i] = p.Stop()
 			}
 		}(i, p)
 	}
 	wg.Wait()
-	digests = make([]string, consN)
 	for i, p := range procs {
 		if errs[i] != nil {
-			t.Fatalf("%v node %d: %v", kind, i, errs[i])
+			t.Fatalf("%v node %d: %v", run.kind, i, errs[i])
 		}
-		digests[i] = p.DigestSum()
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if durable {
+	if run.durable {
 		seg, err := os.Open(filepath.Join(dirs[0], wal.SegmentName(0)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer seg.Close()
-		if _, err := wal.Scan(seg, func(wal.Record) error { walRecords++; return nil }); err != nil {
+		if _, err := wal.Scan(seg, func(wal.Record) error { out.walRecords++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return ops, ticks, walRecords, digests
+	out.procs = procs
+	return out
+}
+
+// consDigest is the run digest of Cluster.Run on the consensus fixture.
+func consDigest(t *testing.T, workload [][][]uint64) string {
+	t.Helper()
+	d := nodeapi.NewDigest()
+	for r, outs := range consOracleOutputs(t, workload) {
+		d.AddRound(r, outs)
+	}
+	return d.Sum()
 }
 
 // TestProcessRoundCountGuard is TestRoundOpCountGuard's counterpart for
@@ -217,29 +247,25 @@ func processRoundCounts(t *testing.T, kind ConsensusKind, durable bool, workload
 // Cluster.Run.
 func TestProcessRoundCountGuard(t *testing.T) {
 	workload := RandomWorkload[uint64](gold, 6, consK, 1, consSeed)
-	want := nodeapi.NewDigest()
-	for r, outs := range consOracleOutputs(t, workload) {
-		want.AddRound(r, outs)
-	}
+	want := consDigest(t, workload)
 	for _, tc := range []struct {
-		kind       ConsensusKind
-		durable    bool
+		run        processRun
 		ops        []uint64
 		ticks      []int
 		walRecords int
 	}{
-		{kind: Oracle, ops: []uint64{304, 48, 48, 48, 48, 48}, ticks: []int{2, 2, 2, 2, 2, 2}},
-		{kind: PBFT, durable: true, ops: []uint64{304, 48, 48, 48, 48, 48}, ticks: []int{4, 4, 4, 4, 4, 4}, walRecords: 12},
+		{run: processRun{kind: Oracle}, ops: []uint64{304, 48, 48, 48, 48, 48}, ticks: []int{2, 2, 2, 2, 2, 2}},
+		{run: processRun{kind: PBFT, durable: true}, ops: []uint64{304, 48, 48, 48, 48, 48}, ticks: []int{4, 4, 4, 4, 4, 4}, walRecords: 12},
 	} {
-		ops, ticks, walRecords, digests := processRoundCounts(t, tc.kind, tc.durable, workload)
-		for i, d := range digests {
-			if d != want.Sum() {
-				t.Errorf("%v node %d digest %s, Cluster.Run's %s", tc.kind, i, d, want.Sum())
+		got := runProcesses(t, tc.run, workload)
+		for i, p := range got.procs {
+			if p.DigestSum() != want {
+				t.Errorf("%v node %d digest %s, Cluster.Run's %s", tc.run.kind, i, p.DigestSum(), want)
 			}
 		}
-		if !slices.Equal(ops, tc.ops) || !slices.Equal(ticks, tc.ticks) || walRecords != tc.walRecords {
+		if !slices.Equal(got.ops, tc.ops) || !slices.Equal(got.ticks, tc.ticks) || got.walRecords != tc.walRecords {
 			t.Errorf("%v: node 0 per round: field ops %v ticks %v, %d WAL records; pinned %v %v, %d",
-				tc.kind, ops, ticks, walRecords, tc.ops, tc.ticks, tc.walRecords)
+				tc.run.kind, got.ops, got.ticks, got.walRecords, tc.ops, tc.ticks, tc.walRecords)
 		}
 	}
 }

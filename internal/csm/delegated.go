@@ -94,7 +94,7 @@ func (c *Cluster[E]) delegatedAttempt(agreed [][]E, worker, attempt int) (*Round
 		if workerByz {
 			coded[0][0] = c.counting.Add(coded[0][0], c.counting.One())
 		}
-		payload, err := encodePayload(dlgCmdsMsg{Round: c.round, Attempt: attempt, Coded: c.wireMatrix(coded)})
+		payload, err := encodePayload(dlgCmdsMsg{Round: c.round, Attempt: attempt, Coded: matToWire(c.cfg.BaseField, coded)})
 		if err != nil {
 			return nil, ticks, false, err
 		}
@@ -125,7 +125,7 @@ func (c *Cluster[E]) delegatedAttempt(agreed [][]E, worker, attempt int) (*Round
 				dm.Round != c.round || dm.Attempt != attempt || len(dm.Coded) != c.cfg.N {
 				continue
 			}
-			coded = c.unwireMatrix(dm.Coded)
+			coded = matFromWire[[]E](c.cfg.BaseField, dm.Coded)
 		}
 		if coded == nil {
 			continue // silent worker: nothing to execute against
@@ -164,7 +164,7 @@ func (c *Cluster[E]) delegatedAttempt(agreed [][]E, worker, attempt int) (*Round
 	abort := false
 	for i, n := range c.nodes {
 		msgs := n.ep.Receive()
-		n.collect(msgs)
+		n.ingest(msgs, c.round)
 		for _, m := range msgs {
 			if m.Kind != dlgAlertKind {
 				continue
@@ -216,10 +216,10 @@ func (c *Cluster[E]) delegatedAttempt(agreed [][]E, worker, attempt int) (*Round
 		}
 		proof = dlgProofMsg{
 			Round: c.round, Attempt: attempt, Dim: dproof.Dim,
-			Coeffs:    c.wirePolys(dproof.Coeffs),
+			Coeffs:    matToWire(c.cfg.BaseField, dproof.Coeffs),
 			Taus:      dproof.Tau,
-			Outputs:   c.wireMatrix(dec.Outputs),
-			CodedNext: c.wireMatrix(codedNext),
+			Outputs:   matToWire(c.cfg.BaseField, dec.Outputs),
+			CodedNext: matToWire(c.cfg.BaseField, codedNext),
 		}
 		payload, err := encodePayload(proof)
 		if err != nil {
@@ -310,8 +310,8 @@ func (c *Cluster[E]) delegatedAttempt(agreed [][]E, worker, attempt int) (*Round
 		}
 	}
 	// Accept: honest nodes adopt the verified outputs and coded states.
-	outputs := c.unwireMatrix(c.anyProof().Outputs)
-	codedNext := c.unwireMatrix(c.anyProof().CodedNext)
+	outputs := matFromWire[[]E](c.cfg.BaseField, c.anyProof().Outputs)
+	codedNext := matFromWire[[]E](c.cfg.BaseField, c.anyProof().CodedNext)
 	faulty := c.tauComplement(c.anyProof().Taus)
 	for i, n := range c.nodes {
 		if c.cfg.Byzantine[i] != Honest {
@@ -357,10 +357,10 @@ func (c *Cluster[E]) verifyDelegationProof(d *delegate.Delegation[E], n *node[E]
 	}
 	dproof := &delegate.DecodeProof[E]{
 		Dim:    pm.Dim,
-		Coeffs: c.unwirePolys(pm.Coeffs),
+		Coeffs: matFromWire[poly.Poly[E]](c.cfg.BaseField, pm.Coeffs),
 		Tau:    pm.Taus,
 	}
-	outputs := c.unwireMatrix(pm.Outputs)
+	outputs := matFromWire[[]E](c.cfg.BaseField, pm.Outputs)
 	if err := d.VerifyDecodeProof(results, c.tr.Degree(), dproof, outputs); err != nil {
 		return err
 	}
@@ -373,7 +373,7 @@ func (c *Cluster[E]) verifyDelegationProof(d *delegate.Delegation[E], n *node[E]
 		}
 		nextStates[k] = next
 	}
-	return d.AuditEncoding(nextStates, c.unwireMatrix(pm.CodedNext))
+	return d.AuditEncoding(nextStates, matFromWire[[]E](c.cfg.BaseField, pm.CodedNext))
 }
 
 // honestNodeWithProof returns an honest node holding the round's proof.
@@ -411,39 +411,6 @@ func (c *Cluster[E]) tauComplement(taus [][]int) []int {
 		if cnt < len(taus) {
 			out = append(out, i)
 		}
-	}
-	return out
-}
-
-// wireMatrix / unwireMatrix convert vectors of field vectors.
-func (c *Cluster[E]) wireMatrix(m [][]E) [][]uint64 {
-	out := make([][]uint64, len(m))
-	for i, row := range m {
-		out[i] = c.toWire(row)
-	}
-	return out
-}
-
-func (c *Cluster[E]) unwireMatrix(m [][]uint64) [][]E {
-	out := make([][]E, len(m))
-	for i, row := range m {
-		out[i] = c.fromWire(row)
-	}
-	return out
-}
-
-func (c *Cluster[E]) wirePolys(ps []poly.Poly[E]) [][]uint64 {
-	out := make([][]uint64, len(ps))
-	for i, p := range ps {
-		out[i] = c.toWire(p)
-	}
-	return out
-}
-
-func (c *Cluster[E]) unwirePolys(ps [][]uint64) []poly.Poly[E] {
-	out := make([]poly.Poly[E], len(ps))
-	for i, p := range ps {
-		out[i] = poly.Poly[E](c.fromWire(p))
 	}
 	return out
 }

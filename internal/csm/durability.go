@@ -171,6 +171,24 @@ func vecFromWire[E comparable](f field.Field[E], vals []uint64) []E {
 	return out
 }
 
+// matToWire and matFromWire convert a slice of field vectors (plain or a
+// named vector type such as poly.Poly).
+func matToWire[E comparable, V ~[]E](f field.Field[E], m []V) [][]uint64 {
+	out := make([][]uint64, len(m))
+	for i, row := range m {
+		out[i] = vecToWire(f, row)
+	}
+	return out
+}
+
+func matFromWire[V ~[]E, E comparable](f field.Field[E], m [][]uint64) []V {
+	out := make([]V, len(m))
+	for i, row := range m {
+		out[i] = vecFromWire(f, row)
+	}
+	return out
+}
+
 // ---- per-node durable store (remote engine) ----
 
 // appliedState is one round's durable node state: the share and digest
@@ -534,9 +552,8 @@ func (c *Cluster[E]) restoreSnapshot(payload []byte) error {
 	}
 	for i, nd := range c.nodes {
 		c.setBehavior(i, behaviors[i])
-		nd.codedState = shares[i]
+		nd.adoptShare(shares[i])
 		nd.received, nd.decoded = nil, nil
-		nd.suspects, nd.primed, nd.primedIdx, nd.primedSusp = nil, nil, nil, nil
 		down := behaviors[i] == Crashed || behaviors[i] == Recovering
 		if err := c.net.SetDown(transport.NodeID(i), down); err != nil {
 			return err

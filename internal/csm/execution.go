@@ -2,7 +2,6 @@ package csm
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"iter"
 
@@ -33,20 +32,10 @@ type stepOutcome[E comparable] struct {
 // The returned slice covers exactly the rounds whose execution completed
 // (all of them when err is nil).
 func (c *Cluster[E]) executeBatch(batch [][][]E, stage *clientStage[E]) ([]*RoundResult[E], error) {
+	if err := validateBatchShape(batch, c.cfg.K, c.tr.CmdLen()); err != nil {
+		return nil, err
+	}
 	steps := len(batch)
-	if steps == 0 {
-		return nil, errors.New("csm: empty batch")
-	}
-	for j, cmds := range batch {
-		if len(cmds) != c.cfg.K {
-			return nil, &batchRoundError{offset: j, err: fmt.Errorf("%d command vectors for K=%d machines", len(cmds), c.cfg.K)}
-		}
-		for k, cmd := range cmds {
-			if len(cmd) != c.tr.CmdLen() {
-				return nil, &batchRoundError{offset: j, err: fmt.Errorf("command %d has length %d, want %d", k, len(cmd), c.tr.CmdLen())}
-			}
-		}
-	}
 	// Churn boundary: membership and adversary changes scheduled for the
 	// rounds this instance covers apply before its consensus phase, on the
 	// driving goroutine — the instance is the atomic unit of agreement, so
@@ -116,10 +105,7 @@ func (c *Cluster[E]) executeAgreed(agreed [][][]E, steps, ticksConsensus int, st
 		}
 		return out, nil
 	}
-	// One amortized Lagrange encode covers every micro-step's commands:
-	// encoding is linear and state-independent, so the per-machine command
-	// vectors of all steps concatenate into one flat row per machine and
-	// each node runs K ScaleAccVec kernels over the whole batch at once.
+	// One amortized Lagrange encode covers every micro-step's commands.
 	if err := c.encodeBatchCommands(agreed); err != nil {
 		return nil, err
 	}
@@ -193,7 +179,7 @@ func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 			if n.behavior != Honest || n.decoded != nil {
 				continue
 			}
-			n.collect(n.ep.Receive())
+			n.ingest(n.ep.Receive(), c.round)
 			pending++
 			if n.receivedCount >= need {
 				ready = append(ready, n)

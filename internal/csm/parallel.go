@@ -6,14 +6,16 @@ import (
 
 // The parallel execution engine fans a round's node-level work across
 // worker goroutines while keeping the simulation bit-identical to the
-// sequential path. The round is split into phases by what they touch:
+// sequential path. The per-node work is the stepCore every node embeds
+// (step.go — the same core a NodeProcess runs); this file only schedules
+// it. The round is split into phases by what they touch:
 //
-//   - command encode (parallel): each node's Lagrange encode of the whole
-//     agreed batch is a pure function of the coefficients and the batch;
-//     one flat ScaleAccVec pass per machine covers every micro-step.
-//   - compute (parallel): every node's coded transition g_i = f(S̃_i, X̃_i)
-//     is a pure function of the node's state and its coded command slice;
-//     results land in index-addressed slots.
+//   - command encode (parallel): stepCore.encodeCommands is a pure
+//     function of the node's coefficients and the agreed batch, flattened
+//     once so one ScaleAccVec pass per machine covers every micro-step.
+//   - compute (parallel): stepCore.apply, the coded transition
+//     g_i = f(S̃_i, X̃_i), is a pure function of the node's state and its
+//     coded command slice; results land in index-addressed slots.
 //   - broadcast: Byzantine lies consume the cluster RNG on the driving
 //     goroutine in node order (planBroadcast); the RNG-free signing and
 //     enqueueing (transmitResult) fans out across workers whenever the
@@ -22,8 +24,8 @@ import (
 //     random delays consume the sequential RNG and a DelayFn may be
 //     stateful) — delivery order is re-sorted deterministically by the
 //     lock-step network, so enqueue order cannot leak into the simulation.
-//   - decode (parallel): each honest node's Reed-Solomon decode of the
-//     collected results is independent; message collection stays on the
+//   - decode (parallel): each honest node's stepCore.absorb touches only
+//     that node's core; message collection (stepCore.ingest) stays on the
 //     driving goroutine so inbox draining is ordered.
 //   - client/audit (sequential or pipelined): draws from the cluster RNG
 //     on the driving goroutine; the tally itself may run on the
@@ -44,30 +46,16 @@ func (c *Cluster[E]) workers() int {
 func (c *Cluster[E]) Parallelism() int { return c.workers() }
 
 // encodeBatchCommands Lagrange-encodes the agreed batch once per node:
-// encoding is linear and state-independent, so the per-machine command
-// vectors of all micro-steps concatenate into one flat row per machine
-// and each node's encode is K ScaleAccVec kernels over the whole batch.
+// the batch is flattened once, and every live node's core encodes its
+// coded commands for all micro-steps from the shared flat rows.
 func (c *Cluster[E]) encodeBatchCommands(steps [][][]E) error {
-	cmdLen := c.tr.CmdLen()
-	total := len(steps) * cmdLen
-	vecs := steps[0]
-	if len(steps) > 1 {
-		flat := make([]E, c.cfg.K*total)
-		vecs = make([][]E, c.cfg.K)
-		for k := 0; k < c.cfg.K; k++ {
-			row := flat[k*total : (k+1)*total : (k+1)*total]
-			for j := range steps {
-				copy(row[j*cmdLen:(j+1)*cmdLen], steps[j][k])
-			}
-			vecs[k] = row
-		}
-	}
+	flat := flattenBatch(steps, c.tr.CmdLen())
 	return pool.Run(c.workers(), len(c.nodes), func(i int) error {
 		n := c.nodes[i]
 		if n.behavior == Crashed || n.behavior == Recovering {
 			return nil // down nodes hold no share and encode nothing
 		}
-		n.cmdScratch = n.lagrangeEncodeInto(n.cmdScratch, total, vecs)
+		n.encodeCommands(flat)
 		return nil
 	})
 }
@@ -81,7 +69,7 @@ func (c *Cluster[E]) computeAllResults(micro int) ([][]E, error) {
 		if n.behavior == Crashed || n.behavior == Recovering {
 			return nil // no state, no compute; planBroadcast sends nothing
 		}
-		r, err := n.computeResultAt(micro)
+		r, err := n.apply(micro)
 		if err != nil {
 			return err
 		}

@@ -132,9 +132,9 @@ func (p *NodeProcess[E]) rollbackTo(round int) error {
 	}
 	if round == 0 {
 		p.round = 0
-		p.codedState = append([]E(nil), p.initialCoded...)
+		p.core.adoptShare(slices.Clone(p.initialCoded))
 		p.digest = nodeapi.NewDigest()
-		return p.forceSnapshot()
+		return p.snapshot(true)
 	}
 	if p.store == nil {
 		return fmt.Errorf("csm: node %d cannot roll back to round %d without a durable store", p.self, round)
@@ -144,12 +144,12 @@ func (p *NodeProcess[E]) rollbackTo(round int) error {
 		return fmt.Errorf("csm: node %d cannot roll back to round %d: record evicted from the retained window", p.self, round)
 	}
 	p.round = round
-	p.codedState = vecFromWire(p.cfg.BaseField, st.share)
+	p.core.adoptShare(vecFromWire(p.cfg.BaseField, st.share))
 	p.digest = nodeapi.NewDigest()
 	if err := p.digest.UnmarshalBinary(st.digest); err != nil {
 		return err
 	}
-	return p.forceSnapshot()
+	return p.snapshot(true)
 }
 
 // encodeDelta serializes this (up-to-date) node's catch-up delta: its
@@ -161,7 +161,7 @@ func (p *NodeProcess[E]) encodeDelta(target, from int) ([]byte, error) {
 	var w bwriter
 	w.u64(uint64(target))
 	w.u64(uint64(from))
-	w.vec(vecToWire(p.cfg.BaseField, p.codedState))
+	w.vec(vecToWire(p.cfg.BaseField, p.core.codedState))
 	w.u32(uint32(p.cfg.K))
 	for r := from; r < target; r++ {
 		st, ok := p.store.appliedAt(r)
@@ -246,19 +246,19 @@ func (p *NodeProcess[E]) catchUp(target int, ahead []int) error {
 	for i, idx := range ahead {
 		shares[i] = vecFromWire(p.cfg.BaseField, deltas[idx].share)
 	}
-	newShare, _, err := p.code.RepairShare(ahead, shares, p.self)
+	newShare, _, err := p.core.code.RepairShare(ahead, shares, p.self)
 	if err != nil {
 		return fmt.Errorf("csm: node %d recovery repair: %w", p.self, err)
 	}
-	p.codedState = newShare
+	p.core.adoptShare(newShare)
 	p.round = target
-	return p.forceSnapshot()
+	return p.snapshot(true)
 }
 
-// forceSnapshot cuts a snapshot generation at the node's current state
-// (no-op without durability). Used after recovery changed the state
-// outside the ordinary append path.
-func (p *NodeProcess[E]) forceSnapshot() error {
+// snapshot offers the node's current state to the durable store (no-op
+// without durability): at the store's cadence after a batch, or forced
+// after recovery changed the state outside the ordinary append path.
+func (p *NodeProcess[E]) snapshot(force bool) error {
 	if p.store == nil {
 		return nil
 	}
@@ -266,5 +266,5 @@ func (p *NodeProcess[E]) forceSnapshot() error {
 	if err != nil {
 		return err
 	}
-	return p.store.maybeSnapshot(p.round, vecToWire(p.cfg.BaseField, p.codedState), dstate, true)
+	return p.store.maybeSnapshot(p.round, vecToWire(p.cfg.BaseField, p.core.codedState), dstate, force)
 }

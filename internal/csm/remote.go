@@ -6,19 +6,21 @@
 //
 //   - in Oracle mode node 0 is the sequencer (the paper's
 //     trusted-sequencer consensus, Section 2.2): it broadcasts each
-//     agreed command batch in the same gob batchMsg the simulated
-//     consensus phase serializes;
-//   - every node Lagrange-encodes its coded command row, applies the
-//     transition to its coded state, and broadcasts the result in the
-//     same fixed binary codec (encodeResult) the simulated path uses;
-//   - every node collects all N results, Reed-Solomon-decodes them,
-//     recovers every machine's output and next state, and re-encodes its
-//     coded state.
+//     agreed command batch as encodeBatchMsg's payload, the bytes the
+//     simulated consensus phase proposes;
+//   - every node runs the coded step on the same stepCore (step.go) the
+//     simulated node embeds: encode its coded command row, apply the
+//     transition to its coded state, broadcast the result (encodeResult),
+//     collect the peers' results, decode — the primed verified-subset
+//     check first, sticky suspects and all — and re-encode its state.
 //
-// Because both the batch and result codecs are shared with the simulated
-// cluster, a multi-process run's outputs are bit-identical to Cluster.Run
-// on the same workload — TestRemoteMatchesCluster pins this over local
-// links and over real TCP.
+// The process engine owns only what differs from the simulation: results
+// travel over the link's lock-step ticks, a consensus-mode node stops
+// waiting for stragglers after a grace period, and each round ends in the
+// run digest and the WAL. One core and one pair of codecs is why a
+// multi-process run's outputs are bit-identical to Cluster.Run on the
+// same workload — TestRemoteMatchesCluster pins this over local links and
+// over real TCP.
 //
 // Scope: how a batch is decided is pluggable (RemoteConfig.Consensus).
 // Oracle keeps the trusted-sequencer split above; DolevStrong and PBFT
@@ -102,16 +104,15 @@ type RemoteConfig[E comparable] struct {
 type NodeProcess[E comparable] struct {
 	cfg  RemoteConfig[E]
 	link transport.Link
-	ring *poly.Ring[E]
-	bulk field.Bulk[E]
-	code *lcc.Code[E]
 	tr   *sm.Transition[E]
+	// core is the node's coded step (shared with the simulated node),
+	// built over the plain field.
+	core stepCore[E]
 
-	self       int
-	n          int
-	round      int // workload round (not the link's lock-step round)
-	codedState []E
-	stopped    bool
+	self    int
+	n       int
+	round   int // workload round (not the link's lock-step round)
+	stopped bool
 	// startView is the PBFT view the previous instance decided in; new
 	// instances start there so a dead leader costs one view change per
 	// run, not one per batch.
@@ -128,10 +129,6 @@ type NodeProcess[E comparable] struct {
 	// faulty is the sorted set of peers whose results a decode corrected,
 	// cumulative over the run (see FaultyDetected).
 	faulty []int
-
-	// steady-state scratch, mirroring the simulated node's
-	cmdScratch   []E
-	stateScratch []E
 }
 
 // NewNodeProcess builds this process's node over the given link and
@@ -182,18 +179,17 @@ func NewNodeProcess[E comparable](cfg RemoteConfig[E], link transport.Link) (*No
 			return nil, fmt.Errorf("csm: initial state %d has length %d, want %d", k, len(st), tr.StateLen())
 		}
 	}
+	self := int(link.Self())
 	p := &NodeProcess[E]{
 		cfg:  cfg,
 		link: link,
-		ring: ring,
-		bulk: ring.Bulk(),
-		code: code,
 		tr:   tr,
-		self: int(link.Self()),
+		core: newStepCore(code, tr, ring.Bulk(), self, cfg.MaxFaults),
+		self: self,
 		n:    n,
 	}
-	p.codedState = lagrangeRowInto(p.bulk, cfg.BaseField.Zero(), code.Coeffs()[p.self], initial, nil, tr.StateLen())
-	p.initialCoded = append([]E(nil), p.codedState...)
+	p.initialCoded = p.core.lagrangeRowInto(nil, tr.StateLen(), initial)
+	p.core.codedState = slices.Clone(p.initialCoded)
 	p.digest = nodeapi.NewDigest()
 	if cfg.Durability != nil {
 		store, err := openNodeStore(*cfg.Durability, cfg.Consensus)
@@ -208,7 +204,7 @@ func NewNodeProcess[E comparable](cfg RemoteConfig[E], link transport.Link) (*No
 					cfg.Durability.Dir, len(store.share), tr.StateLen())
 			}
 			p.round = store.round
-			p.codedState = vecFromWire(cfg.BaseField, store.share)
+			p.core.codedState = vecFromWire(cfg.BaseField, store.share)
 			if err := p.digest.UnmarshalBinary(store.digest); err != nil {
 				return nil, fmt.Errorf("csm: restoring durable digest: %w", err)
 			}
@@ -282,12 +278,6 @@ func (p *NodeProcess[E]) LeadBatch(batch [][][]E) ([][][]E, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.store != nil {
-		// Write-ahead: the decided batch hits disk before any peer sees it.
-		if err := p.store.appendBatch(p.round, payload); err != nil {
-			return nil, err
-		}
-	}
 	if err := p.link.Broadcast(batchKind, payload); err != nil {
 		return nil, err
 	}
@@ -296,7 +286,7 @@ func (p *NodeProcess[E]) LeadBatch(batch [][][]E) ([][][]E, error) {
 	if _, err := p.link.Step(); err != nil {
 		return nil, err
 	}
-	return p.executeSteps(batch)
+	return p.commitBatch(payload, p.round, batch)
 }
 
 // FollowBatch waits for the sequencer's next batch and executes it. done
@@ -322,21 +312,11 @@ func (p *NodeProcess[E]) FollowBatch() (outputs [][][]E, done bool, err error) {
 			case stopKind:
 				return nil, true, nil
 			case batchKind:
-				batch, ok := parseBatchMsg(p.cfg.BaseField, m.Payload, -1, p.cfg.K, p.tr.CmdLen())
+				batch, round, ok := parseBatchMsg(p.cfg.BaseField, m.Payload, -1, p.cfg.K, p.tr.CmdLen())
 				if !ok {
 					return nil, false, fmt.Errorf("csm: node %d: malformed batch from sequencer", p.self)
 				}
-				var bm batchMsg
-				if err := decodePayload(m.Payload, &bm); err == nil && bm.Round != p.round {
-					return nil, false, fmt.Errorf("csm: node %d at round %d received batch for round %d (desynchronized)",
-						p.self, p.round, bm.Round)
-				}
-				if p.store != nil {
-					if err := p.store.appendBatch(p.round, m.Payload); err != nil {
-						return nil, false, err
-					}
-				}
-				out, err := p.executeSteps(batch)
+				out, err := p.commitBatch(m.Payload, round, batch)
 				return out, false, err
 			}
 		}
@@ -346,79 +326,75 @@ func (p *NodeProcess[E]) FollowBatch() (outputs [][][]E, done bool, err error) {
 }
 
 // encodeBatchProposal validates the batch shape and serializes it as
-// the canonical batchMsg payload for the node's current round — the
-// exact bytes the simulated consensus phase proposes, which is what
-// keeps run digests identical across engines and consensus modes.
+// the canonical payload for the node's current round.
 func (p *NodeProcess[E]) encodeBatchProposal(batch [][][]E) ([]byte, error) {
-	if len(batch) == 0 {
-		return nil, errors.New("csm: empty batch")
+	if err := validateBatchShape(batch, p.cfg.K, p.tr.CmdLen()); err != nil {
+		return nil, err
 	}
-	for j, cmds := range batch {
-		if len(cmds) != p.cfg.K {
-			return nil, fmt.Errorf("csm: batch round %d: %d command vectors for K=%d machines", j, len(cmds), p.cfg.K)
-		}
-		for k, cmd := range cmds {
-			if len(cmd) != p.tr.CmdLen() {
-				return nil, fmt.Errorf("csm: batch round %d: command %d has length %d, want %d", j, k, len(cmd), p.tr.CmdLen())
-			}
-		}
-	}
-	wire := make([][]uint64, 0, len(batch)*p.cfg.K)
-	for _, cmds := range batch {
-		for _, cmd := range cmds {
-			w := make([]uint64, len(cmd))
-			for i, e := range cmd {
-				w[i] = p.cfg.BaseField.Uint64(e)
-			}
-			wire = append(wire, w)
-		}
-	}
-	return encodePayload(batchMsg{Round: p.round, Cmds: wire})
+	return encodeBatchMsg(p.cfg.BaseField, p.round, batch)
 }
 
-// executeSteps runs the coded execution micro-steps of one agreed batch.
-// All N nodes run it in lock step; on return every node has decoded all
-// rounds and re-encoded its coded state.
+// batchDesyncError reports a decided batch that was proposed for another
+// round than the one this node is about to execute: the node and its
+// peers disagree on where the run stands, and nothing was executed.
+type batchDesyncError struct {
+	node, at, got int
+}
+
+func (e *batchDesyncError) Error() string {
+	return fmt.Sprintf("csm: node %d at round %d was handed the batch for round %d (desynchronized)", e.node, e.at, e.got)
+}
+
+// commitBatch is the one path from a decided batch to executed rounds,
+// whoever decided it (this sequencer, the sequencer's broadcast, a BFT
+// instance): check that the payload was proposed for this node's round,
+// log it ahead of execution, run the coded micro-steps. The batch record
+// is intent only — recovery replays applied records, never batch records
+// — so only its order against the applied records matters.
+func (p *NodeProcess[E]) commitBatch(payload []byte, round int, agreed [][][]E) ([][][]E, error) {
+	if round != p.round {
+		return nil, &batchDesyncError{node: p.self, at: p.round, got: round}
+	}
+	if p.store != nil {
+		if err := p.store.appendBatch(p.round, payload); err != nil {
+			return nil, err
+		}
+	}
+	return p.executeSteps(agreed)
+}
+
+// executeSteps runs the coded execution micro-steps of one agreed batch
+// on the node's step core. All N nodes run it in lock step; on return
+// every node has decoded all rounds and re-encoded its coded state.
 func (p *NodeProcess[E]) executeSteps(batch [][][]E) ([][][]E, error) {
 	f := p.cfg.BaseField
-	steps := len(batch)
-	cmdLen := p.tr.CmdLen()
-	// One amortized row encode covers the whole batch, as on the
-	// simulated path: commands are state-independent.
-	flat := make([][]E, p.cfg.K)
-	for k := 0; k < p.cfg.K; k++ {
-		row := make([]E, 0, steps*cmdLen)
-		for j := 0; j < steps; j++ {
-			row = append(row, batch[j][k]...)
-		}
-		flat[k] = row
-	}
-	p.cmdScratch = lagrangeRowInto(p.bulk, f.Zero(), p.code.Coeffs()[p.self], flat, p.cmdScratch, steps*cmdLen)
+	s := &p.core
+	s.encodeCommands(flattenBatch(batch, p.tr.CmdLen()))
 	// minShares is the exact erasure-decode threshold deg(f∘u)+1 =
 	// (K-1)d+1: consensus modes fall back to it when a peer is dead
 	// (e.g. a killed PBFT leader); Oracle mode always waits for all N.
 	minShares := (p.cfg.K-1)*p.tr.Degree() + 1
-	out := make([][][]E, 0, steps)
-	for j := 0; j < steps; j++ {
-		cmd := p.cmdScratch[j*cmdLen : (j+1)*cmdLen]
-		result, err := p.tr.ApplyResult(p.codedState, cmd)
+	out := make([][][]E, 0, len(batch))
+	for j := range batch {
+		result, err := s.apply(j)
 		if err != nil {
 			return out, err
 		}
 		if err := p.link.Broadcast(resultKind, encodeResult(f, p.round, result)); err != nil {
 			return out, err
 		}
-		received := map[int][]E{p.self: result}
-		for ticks := 0; len(received) < p.n; ticks++ {
-			if p.cfg.Consensus != Oracle && ticks >= quorumGraceTicks && len(received) >= minShares {
+		s.resetStep()
+		s.accept(p.self, result)
+		for ticks := 0; s.receivedCount < p.n; ticks++ {
+			if p.cfg.Consensus != Oracle && ticks >= quorumGraceTicks && s.receivedCount >= minShares {
 				// Stragglers got their grace; the subset decode below
 				// recovers every output exactly from what arrived.
 				break
 			}
 			if ticks >= p.cfg.MaxTicksPerRound {
 				missing := make([]int, 0, p.n)
-				for i := 0; i < p.n; i++ {
-					if received[i] == nil {
+				for i, res := range s.received {
+					if res == nil {
 						missing = append(missing, i)
 					}
 				}
@@ -429,75 +405,28 @@ func (p *NodeProcess[E]) executeSteps(batch [][][]E) ([][][]E, error) {
 			if err != nil {
 				return out, err
 			}
-			for _, m := range msgs {
-				if m.Kind != resultKind {
-					continue
-				}
-				round, res, ok := decodeResult(f, m.Payload)
-				if !ok || round != p.round || len(res) != p.tr.ResultLen() {
-					continue
-				}
-				received[int(m.From)] = res
-			}
+			s.ingest(msgs, p.round)
 		}
-		indices := make([]int, 0, p.n)
-		//csmlint:allow detmap(keys are collected then sorted two lines down)
-		for idx := range received {
-			indices = append(indices, idx)
-		}
-		slices.Sort(indices)
-		results := make([][]E, len(indices))
-		for i, idx := range indices {
-			results[i] = received[idx]
-		}
-		dec, err := p.code.DecodeOutputsSubset(indices, results, p.tr.Degree())
+		dec, err := s.absorb()
 		if err != nil {
-			return out, fmt.Errorf("csm: node %d decode: %w", p.self, err)
+			return out, err
 		}
-		// A decode that succeeded has corrected every in-budget corrupted
-		// result, exactly as the simulated cluster does: carry on with the
-		// corrected outputs and remember who lied.
-		p.faulty = ints.UnionSorted(p.faulty, dec.FaultyNodes)
-		outputs := make([][]E, p.cfg.K)
-		nextStates := make([][]E, p.cfg.K)
-		for k := 0; k < p.cfg.K; k++ {
-			next, o, err := p.tr.SplitResult(dec.Outputs[k])
-			if err != nil {
-				return out, err
-			}
-			nextStates[k] = next
-			outputs[k] = o
-		}
-		newCoded := lagrangeRowInto(p.bulk, f.Zero(), p.code.Coeffs()[p.self], nextStates, p.stateScratch, p.tr.StateLen())
-		p.stateScratch = p.codedState
-		p.codedState = newCoded
+		p.faulty = ints.UnionSorted(p.faulty, dec.faulty)
 		p.round++
-		out = append(out, outputs)
-		wireOuts := make([][]uint64, p.cfg.K)
-		for k := range outputs {
-			wireOuts[k] = vecToWire(f, outputs[k])
-		}
+		out = append(out, dec.outputs)
+		wireOuts := matToWire(f, dec.outputs)
 		p.digest.AddRound(p.round-1, wireOuts)
 		if p.store != nil {
 			dstate, err := p.digest.MarshalBinary()
 			if err != nil {
 				return out, err
 			}
-			if err := p.store.appendApplied(p.round-1, vecToWire(f, p.codedState), dstate, wireOuts); err != nil {
+			if err := p.store.appendApplied(p.round-1, vecToWire(f, s.codedState), dstate, wireOuts); err != nil {
 				return out, err
 			}
 		}
 	}
-	if p.store != nil {
-		dstate, err := p.digest.MarshalBinary()
-		if err != nil {
-			return out, err
-		}
-		if err := p.store.maybeSnapshot(p.round, vecToWire(f, p.codedState), dstate, false); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	return out, p.snapshot(false)
 }
 
 // Stop broadcasts the stop marker and runs the final lock-step tick that
@@ -524,20 +453,25 @@ func (p *NodeProcess[E]) Stop() error {
 // bit-identical to Cluster.Run's RoundResult.Outputs on the same seeded
 // workload.
 func (p *NodeProcess[E]) Lead(rounds [][][]E, batchSize int) ([][][]E, error) {
-	if batchSize < 1 {
-		batchSize = 1
+	out, err := runBatches(rounds, batchSize, p.LeadBatch)
+	if err != nil {
+		return out, err
 	}
+	return out, p.Stop()
+}
+
+// runBatches feeds a workload to run in batches of batchSize rounds and
+// concatenates the decoded outputs, stopping at the first error with the
+// outputs gathered so far.
+func runBatches[E comparable](rounds [][][]E, batchSize int, run func([][][]E) ([][][]E, error)) ([][][]E, error) {
+	batchSize = max(batchSize, 1)
 	out := make([][][]E, 0, len(rounds))
 	for start := 0; start < len(rounds); start += batchSize {
-		end := min(start+batchSize, len(rounds))
-		res, err := p.LeadBatch(rounds[start:end])
+		res, err := run(rounds[start:min(start+batchSize, len(rounds))])
 		out = append(out, res...)
 		if err != nil {
 			return out, err
 		}
-	}
-	if err := p.Stop(); err != nil {
-		return out, err
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package csm
 
 import (
+	"encoding/binary"
 	"errors"
 	"slices"
 	"sync"
@@ -15,13 +16,15 @@ import (
 
 // lyingLink is a Byzantine peer as the deployed engine meets one: the
 // node behind it computes honestly, but every execution result it
-// broadcasts is corrupted before it is signed.
+// broadcasts — or, with only set, the result of that one workload round —
+// is corrupted before it is signed.
 type lyingLink struct {
 	transport.Link
+	only *int
 }
 
 func (l lyingLink) Broadcast(kind string, payload []byte) error {
-	if kind == resultKind {
+	if kind == resultKind && (l.only == nil || binary.LittleEndian.Uint64(payload) == uint64(*l.only)) {
 		payload = slices.Clone(payload)
 		payload[resultHdrLen] ^= 1 // low bit of the first result element
 	}
@@ -51,7 +54,7 @@ func runByzRemote(t *testing.T, workload [][][]uint64, liars, failing []int) ([]
 	failed.Add(len(failing))
 	for i, l := range links {
 		if slices.Contains(liars, i) {
-			l = lyingLink{l}
+			l = lyingLink{Link: l}
 		}
 		p, err := NewNodeProcess(RemoteConfig[uint64]{
 			BaseField:     field.NewGoldilocks(),
@@ -140,6 +143,125 @@ func TestRemoteDecodeFailureIsTyped(t *testing.T) {
 		}
 		if procs[honest].Round() != 0 {
 			t.Fatalf("node %d executed %d rounds past an undecodable one", honest, procs[honest].Round())
+		}
+	}
+}
+
+// requireHonestOutcome checks what a corrected run owes its operator: every
+// node but the liar ends on Cluster.Run's digest and names exactly the liar.
+func requireHonestOutcome(t *testing.T, procs []*NodeProcess[uint64], liar int, want string) {
+	t.Helper()
+	for i, p := range procs {
+		if i == liar {
+			continue
+		}
+		if p.DigestSum() != want {
+			t.Errorf("node %d digest %s, Cluster.Run's %s", i, p.DigestSum(), want)
+		}
+		if got := p.FaultyDetected(); !slices.Equal(got, []int{liar}) {
+			t.Errorf("node %d detected %v, want [%d]", i, got, liar)
+		}
+	}
+}
+
+// TestRemoteSuspicionIsSticky: node 1 — inside the rows an unsuspecting
+// check trusts — lies in every round. The honest nodes fall back to the
+// full decoder once, re-prime around node 1, and from then on certify
+// every step: once the liar is known, a batch costs node 0 no more than
+// the same batch of a cluster where nobody lies.
+func TestRemoteSuspicionIsSticky(t *testing.T) {
+	const liar = 1
+	workload := RandomWorkload[uint64](gold, 8, consK, 1, consSeed)
+	want := consDigest(t, workload)
+	for _, kind := range []ConsensusKind{Oracle, PBFT} {
+		clean := runProcesses(t, processRun{kind: kind, batch: 2}, workload)
+		lying := runProcesses(t, processRun{kind: kind, batch: 2, wrap: func(i int, l transport.Link) transport.Link {
+			if i == liar {
+				return lyingLink{Link: l}
+			}
+			return l
+		}}, workload)
+		requireHonestOutcome(t, lying.procs, liar, want)
+		last := len(lying.ops) - 1
+		if lying.ops[0] <= clean.ops[0] {
+			t.Errorf("%v: first batch cost %d ops, the clean cluster's %d: the liar forced no fallback", kind, lying.ops[0], clean.ops[0])
+		}
+		if lying.ops[last] > lying.ops[1] || lying.ops[last] > clean.ops[last] {
+			t.Errorf("%v: last batch cost %d ops, second %d, clean cluster's %d: a decode fell back again (per batch: %v)",
+				kind, lying.ops[last], lying.ops[1], clean.ops[last], lying.ops)
+		}
+	}
+}
+
+// TestRemoteLateLiarFallsBackOnce: node 1 corrupts its result in round 3
+// only. That round's decode falls back and corrects it; every round after
+// it certifies again at the steady-state cost.
+func TestRemoteLateLiarFallsBackOnce(t *testing.T) {
+	const liar, lieRound = 1, 3
+	workload := RandomWorkload[uint64](gold, 8, consK, 1, consSeed)
+	only := lieRound
+	got := runProcesses(t, processRun{kind: Oracle, wrap: func(i int, l transport.Link) transport.Link {
+		if i == liar {
+			return lyingLink{Link: l, only: &only}
+		}
+		return l
+	}}, workload)
+	requireHonestOutcome(t, got.procs, liar, consDigest(t, workload))
+	steady := got.ops[lieRound-1]
+	if got.ops[lieRound] <= steady {
+		t.Errorf("round %d cost %d ops, no more than an honest round's %d: the lie forced no fallback", lieRound, got.ops[lieRound], steady)
+	}
+	for r := lieRound + 2; r < len(got.ops); r++ {
+		if got.ops[r] > steady {
+			t.Errorf("round %d cost %d ops, an honest round costs %d: a decode fell back again (per round: %v)", r, got.ops[r], steady, got.ops)
+		}
+	}
+}
+
+// forgingLink delivers, after the real traffic of every tick, result
+// frames no honest peer would send: for the round its node is collecting
+// (read off the node's own result broadcast), but from a sender outside
+// the cluster, from a negative sender, and — under a real peer's id — with
+// the wrong length.
+type forgingLink struct {
+	transport.Link
+	round int
+}
+
+func (l *forgingLink) Broadcast(kind string, payload []byte) error {
+	if kind == resultKind {
+		l.round = int(binary.LittleEndian.Uint64(payload))
+	}
+	return l.Link.Broadcast(kind, payload)
+}
+
+func (l *forgingLink) Step() ([]transport.Message, error) {
+	msgs, err := l.Link.Step()
+	ok := encodeResult[uint64](gold, l.round, []uint64{1, 2})
+	long := encodeResult[uint64](gold, l.round, []uint64{1, 2, 3})
+	return append(msgs,
+		transport.Message{From: consN + 3, Kind: resultKind, Payload: ok},
+		transport.Message{From: -1, Kind: resultKind, Payload: ok},
+		transport.Message{From: 2, Kind: resultKind, Payload: long},
+	), err
+}
+
+// TestRemoteIgnoresMalformedResultFrames: a result frame whose sender is
+// out of range or whose length is wrong is dropped at ingest — it is
+// neither indexed into the decode nor allowed to displace the sender's
+// real result — so the run ends clean, with nobody accused.
+func TestRemoteIgnoresMalformedResultFrames(t *testing.T) {
+	workload := RandomWorkload[uint64](gold, 4, consK, 1, consSeed)
+	got := runProcesses(t, processRun{kind: Oracle, wrap: func(i int, l transport.Link) transport.Link {
+		if i == 0 {
+			return &forgingLink{Link: l}
+		}
+		return l
+	}}, workload)
+	want := consDigest(t, workload)
+	for i, p := range got.procs {
+		if p.DigestSum() != want || len(p.FaultyDetected()) != 0 {
+			t.Errorf("node %d digest %s detected %v, want %s and nobody", i, p.DigestSum(), p.FaultyDetected(), want)
 		}
 	}
 }

@@ -4,14 +4,14 @@
 // and N-1 followers: the batch IS whatever node 0 broadcasts. The
 // consensus modes below remove that asymmetry. Every node derives the
 // same seeded workload, serializes each batch into the identical
-// canonical payload (the same gob batchMsg the simulated consensus
+// canonical payload (encodeBatchMsg, the bytes the simulated consensus
 // phase proposes), and runs a real BFT instance over its transport.Link
 // to decide it — Dolev-Strong under synchrony, PBFT under partial
 // synchrony. The decided payload, not the local proposal, is what gets
 // parsed and executed, so a node that somehow proposed stale bytes
 // still executes the agreed batch.
 //
-// Because the execution core and both codecs are shared with the
+// Because the step core (step.go) and both codecs are shared with the
 // simulated cluster, the run digest of a consensus-mode multi-process
 // run is bit-identical to the simulated Oracle cluster on the same
 // workload — consensus changes who decides, never what is computed.
@@ -123,24 +123,12 @@ func (p *NodeProcess[E]) RunWorkload(rounds [][][]E, batchSize int) ([][][]E, er
 	if p.cfg.Consensus == Oracle {
 		return nil, fmt.Errorf("%w: RunWorkload needs a BFT protocol; Oracle clusters use Lead/Follow", ErrConsensusConfig)
 	}
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	out := make([][][]E, 0, len(rounds))
-	for start := 0; start < len(rounds); start += batchSize {
-		end := min(start+batchSize, len(rounds))
-		res, err := p.runConsensusBatch(rounds[start:end])
-		out = append(out, res...)
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	return runBatches(rounds, batchSize, p.runConsensusBatch)
 }
 
 // runConsensusBatch decides and executes one batch: propose the
 // canonical payload, run the consensus instance, parse and validate the
-// decided bytes, write-ahead log them, execute.
+// decided bytes, commit them.
 func (p *NodeProcess[E]) runConsensusBatch(batch [][][]E) ([][][]E, error) {
 	proposal, err := p.encodeBatchProposal(batch)
 	if err != nil {
@@ -150,7 +138,7 @@ func (p *NodeProcess[E]) runConsensusBatch(batch [][][]E) ([][][]E, error) {
 	if err != nil {
 		return nil, fmt.Errorf("csm: node %d round %d: %v consensus: %w", p.self, p.round, p.cfg.Consensus, err)
 	}
-	agreed, ok := parseBatchMsg(p.cfg.BaseField, decided, len(batch), p.cfg.K, p.tr.CmdLen())
+	agreed, round, ok := parseBatchMsg(p.cfg.BaseField, decided, len(batch), p.cfg.K, p.tr.CmdLen())
 	if !ok {
 		// Unlike the simulated cluster (which skips a garbage batch and
 		// retries under a rotated leader), the multi-process driver has no
@@ -159,16 +147,5 @@ func (p *NodeProcess[E]) runConsensusBatch(batch [][][]E) ([][][]E, error) {
 		return nil, fmt.Errorf("csm: node %d round %d: %v decided an unusable batch (%d bytes)",
 			p.self, p.round, p.cfg.Consensus, len(decided))
 	}
-	var bm batchMsg
-	if err := decodePayload(decided, &bm); err == nil && bm.Round != p.round {
-		return nil, fmt.Errorf("csm: node %d at round %d decided a batch for round %d (desynchronized)",
-			p.self, p.round, bm.Round)
-	}
-	if p.store != nil {
-		// Write-ahead: the decided batch hits disk before execution.
-		if err := p.store.appendBatch(p.round, decided); err != nil {
-			return nil, err
-		}
-	}
-	return p.executeSteps(agreed)
+	return p.commitBatch(decided, round, agreed)
 }

@@ -3,6 +3,8 @@ package csm
 import (
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"codedsm/internal/field"
 	"codedsm/internal/sm"
 	"codedsm/internal/transport"
+	"codedsm/internal/wal"
 )
 
 // remoteFixture is the shared shape of the remote-vs-oracle tests: a
@@ -332,5 +335,53 @@ func TestRemoteBatchValidation(t *testing.T) {
 		if _, err := p.LeadBatch(batch); err == nil {
 			t.Errorf("case %d: LeadBatch accepted malformed batch %v", i, batch)
 		}
+	}
+
+	// A well-formed batch for another round than the follower is at: a
+	// typed desync error, nothing executed, nothing logged.
+	dir := t.TempDir()
+	follower, err := NewNodeProcess(RemoteConfig[uint64]{
+		BaseField: gold, NewTransition: remoteTransition, K: remoteK,
+		Durability: &DurabilityConfig{Dir: dir},
+	}, links[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	wrongRound, err := encodeBatchMsg[uint64](gold, 1, RandomWorkload[uint64](gold, 1, remoteK, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := links[SequencerID].Broadcast(batchKind, wrongRound); err != nil {
+		t.Fatal(err)
+	}
+	var peers sync.WaitGroup
+	for _, i := range []int{0, 2, 3} {
+		peers.Add(1)
+		go func(l transport.Link) {
+			defer peers.Done()
+			_, _ = l.Step() // the tick that delivers the batch
+		}(links[i])
+	}
+	_, done, err := follower.FollowBatch()
+	peers.Wait()
+	var desync *batchDesyncError
+	if !errors.As(err, &desync) || desync.at != 0 || desync.got != 1 || done {
+		t.Fatalf("FollowBatch on a round-1 batch at round 0: done=%v err=%v, want a desync error", done, err)
+	}
+	if follower.Round() != 0 {
+		t.Errorf("follower executed %d rounds of a desynchronized batch", follower.Round())
+	}
+	seg, err := os.Open(filepath.Join(dir, wal.SegmentName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	records := 0
+	if _, err := wal.Scan(seg, func(wal.Record) error { records++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if records != 0 {
+		t.Errorf("a desynchronized batch left %d WAL records", records)
 	}
 }

@@ -373,8 +373,6 @@ func (c *Cluster[E]) Rejoin(node int) error {
 		return fmt.Errorf("csm: rejoin node %d: %w", node, err)
 	}
 	c.setBehavior(node, Honest)
-	n := c.nodes[node]
-	n.suspects, n.primed, n.primedIdx, n.primedSusp = nil, nil, nil, nil
 	return nil
 }
 
@@ -433,7 +431,7 @@ func (c *Cluster[E]) RepairNode(i int) error {
 	c.repairs.Ops.Adds += after.Adds - before.Adds
 	c.repairs.Ops.Muls += after.Muls - before.Muls
 	c.repairs.Ops.Invs += after.Invs - before.Invs
-	c.nodes[i].codedState = repaired
+	c.nodes[i].adoptShare(repaired)
 	return nil
 }
 

@@ -11,8 +11,8 @@ import (
 
 // Micro-benchmarks for the encode/decode kernels in isolation, swept over
 // K (machines) x L (vector length), so kernel-level regressions are visible
-// without the noise of a whole cluster round. Compare against BENCH_PR2.json
-// with benchstat (see README "Performance").
+// without the noise of a whole cluster round. Compare two commits with
+// benchstat (see README "Performance").
 
 func benchCode(b *testing.B, k, n int) *Code[uint64] {
 	b.Helper()

@@ -23,8 +23,7 @@ import (
 // identical N=12 cluster serving ~6 machines and the global machine
 // count grows with S (M = 6·S); commands spread uniformly. A flat ns_op
 // from S=1 to S=4 is 4x the aggregate machines served at the same
-// per-command cost — that S=1 vs S=4 comparison is recorded as
-// BENCH_PR10.json.
+// per-command cost.
 func BenchmarkShardedThroughput(b *testing.B) {
 	const (
 		perShard = 6  // machines per shard (ring-balanced on average)
