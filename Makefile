@@ -35,10 +35,12 @@ SECONDS ?= 25
 bench-load:
 	$(GO) run ./cmd/csmload -workload $(WORKLOAD) -seconds $(SECONDS)
 
-# Kernel micro-benchmark smoke run (encode/decode and field kernels).
+# Micro-benchmark smoke run: the coding kernels (encode/decode, field)
+# and one TCP link barrier tick on an N=4 loopback mesh.
 bench-micro:
 	$(GO) test -bench='BenchmarkLCCEncode|BenchmarkLCCDecode' -benchtime=1x -run='^$$' ./internal/lcc/
 	$(GO) test -bench='BenchmarkFieldKernels' -benchtime=1x -run='^$$' ./internal/field/
+	$(GO) test -bench='BenchmarkTCPTick' -benchtime=100x -run='^$$' ./internal/transport/
 
 # The design aim's tracked number: non-test Go lines, repo-wide and in
 # the engine package.

@@ -1,5 +1,5 @@
 // Command csmnode runs one node of a Coded State Machine cluster as its
-// own OS process, speaking the length-prefixed signed TCP transport to
+// own OS process, speaking the session-authenticated TCP transport to
 // its peers. A cluster is N csmnode processes, each started from a
 // static per-node config file; `csmnode bootstrap` writes a matching set
 // of config files for an N-node localhost cluster.

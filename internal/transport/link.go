@@ -18,15 +18,29 @@ var ErrClosed = errors.New("transport: link closed")
 //   - NewLocalLinks adapts the simulated Network: N links in one process,
 //     Step is a barrier that advances the shared network once all N nodes
 //     have arrived. This is the deterministic test oracle.
-//   - NewTCP speaks length-prefixed frames over real sockets: one link
-//     per OS process, Step is a distributed barrier over per-peer DONE
-//     markers. This is the production path.
+//   - NewTCP speaks length-prefixed frames over mutually authenticated
+//     sessions on real sockets: one link per OS process, Step is a
+//     distributed barrier over per-peer DONE markers. This is the
+//     production path.
 //
 // Both deliver messages with the synchronous model's one-round latency
-// (sent in round r, delivered in round r+1) and both carry the same
-// signed Message envelope, so a protocol driven over a Link is
-// bit-identical across the two — the property the remote-engine
-// equivalence tests pin.
+// (sent in round r, delivered in round r+1), in the same order, and both
+// guarantee that a delivered Message's From is the node that sent it, so
+// a protocol driven over a Link is bit-identical across the two — the
+// property the remote-engine equivalence tests pin.
+//
+// How From is authenticated differs, and with it what Message.Sig holds.
+// The simulated network signs every envelope with the sender's ed25519
+// key — one signature per broadcast, the paper's authenticated-broadcast
+// cost model — and delivers the signature in Sig. The TCP transport
+// authenticates each connection once, by roster key, and accepts a frame
+// only from the session of the From it claims (see tcp.go); its messages
+// arrive with Sig empty. What that gives up is third-party verifiability
+// of an envelope: a receiver cannot show a TCP-delivered message to
+// anyone else as proof of who sent it. Nothing above the transport reads
+// Sig, and nothing may start to: content that has to convince a third
+// node goes through SignBlob/VerifyBlob, which are ed25519 on both
+// transports.
 //
 // Simulation-only knobs (SetDown crash injection; the delay models and
 // equivocation coercion of Config) are honoured by the local links and
@@ -38,9 +52,10 @@ type Link interface {
 	N() int
 	// Round is the current lock-step round.
 	Round() int
-	// Send transmits a signed message to one node.
+	// Send transmits a message to one node, authenticated as this node's.
 	Send(to NodeID, kind string, payload []byte) error
-	// Broadcast transmits a signed message to every other node.
+	// Broadcast transmits a message to every other node, authenticated as
+	// this node's.
 	Broadcast(kind string, payload []byte) error
 	// Step ends this node's round: it blocks until every node in the
 	// cluster has ended the same round, advances to the next one, and
@@ -52,7 +67,8 @@ type Link interface {
 	// SignBlob signs protocol content under a domain-separation context
 	// with this node's key. Blob signatures survive re-broadcast by other
 	// nodes (Dolev-Strong chains, PBFT view-change proofs), unlike the
-	// per-message envelope signature, which binds sender and round.
+	// authentication of a message's envelope, which only convinces its
+	// direct receiver.
 	SignBlob(context string, data []byte) []byte
 	// VerifyBlob verifies a blob signature produced by node id's SignBlob
 	// against the cluster roster.

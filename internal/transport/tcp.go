@@ -2,10 +2,14 @@ package transport
 
 import (
 	"crypto/ed25519"
+	"crypto/tls"
+	"crypto/x509"
 	"errors"
 	"fmt"
 	"io"
+	"math/big"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"syscall"
@@ -32,7 +36,8 @@ type TCPConfig struct {
 	// Defaults to 30s.
 	DialTimeout time.Duration
 	// RetryBackoff is the initial redial backoff; it doubles per attempt
-	// up to 2s. Defaults to 50ms.
+	// up to 2s. Defaults to 2ms: the nodes of a mesh start together, so a
+	// lost dial race is over within milliseconds.
 	RetryBackoff time.Duration
 	// StepTimeout bounds how long Step waits for the round barrier before
 	// failing — the guard that keeps a wedged peer from hanging the whole
@@ -51,7 +56,7 @@ type TCPConfig struct {
 	// barrier: once that many peers (excluding self) have ended the round
 	// and SuspectAfter has elapsed, the missing peers are marked suspected
 	// and the round completes without them. Suspected peers are skipped by
-	// later barriers (their frames are buffered, not written, so a crashed
+	// later barriers (their frames stay staged, not written, so a crashed
 	// peer cannot stall writes either) and rehabilitated the moment one of
 	// their end-of-round markers arrives. Zero (the default) keeps the
 	// strict all-peers barrier: any dead peer fails Step at StepTimeout.
@@ -71,22 +76,37 @@ type TCPConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// outConn is the dedicated outbound (send-only) connection to one peer,
-// with the retransmit buffer that makes reconnects lossless: frames of
+// outConn is the dedicated outbound (send-only) connection to one peer.
+// A round's frames are staged here and reach the socket as one write when
+// Step ends the round; the lock-step contract delivers nothing before
+// the barrier, so nothing is observable earlier. The staged bytes double
+// as the retransmit buffer that makes reconnects lossless: the frames of
 // the current and previous round are replayed after a redial, and the
-// receiving side deduplicates. Only the driving goroutine writes, so no
-// lock is needed beyond the TCP struct's own.
+// receiving side deduplicates.
 type outConn struct {
 	id   NodeID
 	addr string
-	// mu guards conn and the replay buffers: writes come from the driving
-	// goroutine, but Close (from a signal handler, say) must also reach
-	// the connection.
-	mu      sync.Mutex
-	conn    net.Conn
-	round   int      // round the buffered frames belong to
-	bufCur  [][]byte // raw frames written this round (data + done)
-	bufPrev [][]byte // previous round's frames (the peer may not have read them yet)
+	// mu guards conn and the buffers: staging and writes come from the
+	// driving goroutine, but Close (from a signal handler, say) must also
+	// reach the connection.
+	mu    sync.Mutex
+	conn  net.Conn
+	round int    // round the frames in cur belong to
+	cur   []byte // this round's frames: data in send order, then the DONE marker
+	prev  []byte // previous round's frames (the peer may not have read them yet)
+}
+
+// stage appends one frame to the peer's buffer for the given round.
+func (o *outConn) stage(round int, typ byte, body []byte) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if round != o.round {
+		o.prev, o.cur = o.cur, o.prev[:0]
+		o.round = round
+	}
+	var err error
+	o.cur, err = appendFrame(o.cur, typ, body)
+	return err
 }
 
 // TCP is a Link over real sockets. Each process owns one node; rounds
@@ -98,6 +118,21 @@ type outConn struct {
 // "sent in round r, delivered in round r+1" contract as the simulated
 // synchronous network.
 //
+// What authenticates a frame is its connection. Every connection is a
+// TLS 1.3 session in which both ends present a self-signed certificate
+// over their DeriveKeys ed25519 key and prove possession of it in the
+// handshake; the dialer accepts only the roster key of the peer it
+// dialled, the acceptor only a roster key other than its own. A data
+// frame is then accepted only if its From is the session's peer and its
+// To is this node, and a DONE marker counts for the session's peer — one
+// ed25519 signature and verification per connection, symmetric crypto
+// per frame (PBFT's normal-case trade: Castro & Liskov, OSDI '99).
+// Messages are delivered with an empty Sig: an envelope no longer proves
+// its origin to a third party, which nothing consumes — content that
+// must survive re-broadcast goes through SignBlob/VerifyBlob, still
+// ed25519 and transport-independent. In exchange DONE markers are
+// authenticated, and a captured connection opening cannot be replayed.
+//
 // Simulation-only knobs are rejected: SetDown fails with
 // ErrSimulationOnly, and there is no equivalent of the simulator's delay
 // models or equivocation coercion.
@@ -105,12 +140,13 @@ type TCP struct {
 	cfg  TCPConfig
 	pubs []ed25519.PublicKey
 	priv ed25519.PrivateKey
+	cert tls.Certificate // self-signed over priv; see sessionConfig
 	ln   net.Listener
 
 	mu       sync.Mutex
 	cond     *sync.Cond
 	round    int
-	buffered map[int][]Message       // send round -> verified messages for Self
+	buffered map[int][]Message       // send round -> authenticated messages for Self
 	seen     map[int]map[string]bool // send round -> frame bodies (reconnect dedup)
 	doneMax  map[NodeID]int          // highest round each peer has ended (absent: none)
 	suspect  map[NodeID]bool         // peers presumed crashed (failover mode only)
@@ -140,7 +176,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		cfg.DialTimeout = 30 * time.Second
 	}
 	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Millisecond
+		cfg.RetryBackoff = 2 * time.Millisecond
 	}
 	if cfg.StepTimeout <= 0 {
 		cfg.StepTimeout = 60 * time.Second
@@ -155,6 +191,10 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		cfg.SuspectAfter = 2 * time.Second
 	}
 	pubs, privs := DeriveKeys(cfg.Seed, cfg.N)
+	cert, err := sessionCert(privs[cfg.Self])
+	if err != nil {
+		return nil, fmt.Errorf("transport: node %d session certificate: %w", cfg.Self, err)
+	}
 	var ln net.Listener
 	for attempt, backoff := 0, cfg.BindBackoff; ; attempt++ {
 		var err error
@@ -178,6 +218,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		cfg:      cfg,
 		pubs:     pubs,
 		priv:     privs[cfg.Self],
+		cert:     cert,
 		ln:       ln,
 		buffered: make(map[int][]Message),
 		seen:     make(map[int]map[string]bool),
@@ -227,10 +268,79 @@ func (t *TCP) logf(format string, args ...any) {
 	}
 }
 
-// dialPeer connects to one peer with exponential backoff, sends the
-// signed hello, and returns the connection. The timeout bounds the whole
-// attempt, backoff included.
+// sessionCert wraps a node's roster key in the self-signed certificate
+// it presents in every handshake. Peers pin the key and check nothing
+// else, so the rest of the certificate is constant.
+func sessionCert(priv ed25519.PrivateKey) (tls.Certificate, error) {
+	tmpl := &x509.Certificate{
+		SerialNumber: big.NewInt(1),
+		NotBefore:    time.Unix(0, 0),
+		NotAfter:     time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC), // RFC 5280: no expiry
+	}
+	// ed25519 signing is deterministic and the serial is given, so no
+	// randomness is drawn.
+	der, err := x509.CreateCertificate(nil, tmpl, tmpl, priv.Public(), priv)
+	if err != nil {
+		return tls.Certificate{}, err
+	}
+	return tls.Certificate{Certificate: [][]byte{der}, PrivateKey: priv}, nil
+}
+
+// sessionPeer maps the key a session's peer proved possession of to its
+// roster id.
+func (t *TCP) sessionPeer(cs tls.ConnectionState) (NodeID, error) {
+	if len(cs.PeerCertificates) == 0 {
+		return 0, errors.New("transport: peer presented no certificate")
+	}
+	key, ok := cs.PeerCertificates[0].PublicKey.(ed25519.PublicKey)
+	if !ok {
+		return 0, errors.New("transport: peer key is not ed25519")
+	}
+	for id, pub := range t.pubs {
+		if pub.Equal(key) {
+			return NodeID(id), nil
+		}
+	}
+	return 0, errors.New("transport: peer key is not in the roster")
+}
+
+// sessionConfig is the TLS configuration of one end of a connection:
+// mutual authentication by roster key, with admit deciding which roster
+// members this end talks to. Certificate chains mean nothing here
+// (InsecureSkipVerify, RequireAnyClientCert); the handshake still proves
+// possession of the presented key, and VerifyConnection fails it unless
+// that key is an admitted roster key.
+func (t *TCP) sessionConfig(admit func(peer NodeID) error) *tls.Config {
+	return &tls.Config{
+		MinVersion:         tls.VersionTLS13,
+		Certificates:       []tls.Certificate{t.cert},
+		ClientAuth:         tls.RequireAnyClientCert,
+		InsecureSkipVerify: true,
+		VerifyConnection: func(cs tls.ConnectionState) error {
+			peer, err := t.sessionPeer(cs)
+			if err != nil {
+				return err
+			}
+			return admit(peer)
+		},
+		// The dialer never reads, so the acceptor must not send it tickets
+		// to leave unread; and a round's flush should be one record, not
+		// the MSS-sized ones a fresh connection starts with.
+		SessionTicketsDisabled:      true,
+		DynamicRecordSizingDisabled: true,
+	}
+}
+
+// dialPeer connects to one peer with exponential backoff, completes the
+// handshake against that peer's roster key, and returns the session. The
+// timeout bounds the whole attempt, backoff included.
 func (t *TCP) dialPeer(id NodeID, timeout time.Duration) (net.Conn, error) {
+	cfg := t.sessionConfig(func(peer NodeID) error {
+		if peer != id {
+			return fmt.Errorf("transport: dialled node %d, reached node %d", id, peer)
+		}
+		return nil
+	})
 	deadline := time.Now().Add(timeout) //csmlint:allow detsource(dial deadline on a real socket; I/O pacing, never protocol state)
 	backoff := t.cfg.RetryBackoff
 	var lastErr error
@@ -244,12 +354,12 @@ func (t *TCP) dialPeer(id NodeID, timeout time.Duration) (net.Conn, error) {
 				t.cfg.Self, id, t.cfg.Peers[id], timeout, lastErr)
 		}
 		//csmlint:allow detsource(remaining dial budget on a real socket)
-		conn, err := net.DialTimeout("tcp", t.cfg.Peers[id], time.Until(deadline))
+		raw, err := net.DialTimeout("tcp", t.cfg.Peers[id], time.Until(deadline))
 		if err == nil {
-			hello := helloBody(t.cfg.Self, func(context string, data []byte) []byte {
-				return ed25519.Sign(t.priv, blobBytes(context, data))
-			})
-			if err = writeFrame(conn, frameHello, hello); err == nil {
+			conn := tls.Client(raw, cfg)
+			conn.SetDeadline(deadline)
+			if err = conn.Handshake(); err == nil {
+				conn.SetDeadline(time.Time{})
 				if attempt > 0 {
 					t.logf("node %d reconnected to node %d after %d retries", t.cfg.Self, id, attempt)
 				}
@@ -269,36 +379,40 @@ func (t *TCP) dialPeer(id NodeID, timeout time.Duration) (net.Conn, error) {
 // acceptLoop registers inbound peer connections for the life of the link.
 func (t *TCP) acceptLoop() {
 	defer t.wg.Done()
+	cfg := t.sessionConfig(func(peer NodeID) error {
+		if peer == t.cfg.Self {
+			return fmt.Errorf("transport: node %d was dialled with its own key", peer)
+		}
+		return nil
+	})
 	for {
-		conn, err := t.ln.Accept()
+		raw, err := t.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			t.handleInbound(conn)
+			t.handleInbound(tls.Server(raw, cfg))
 		}()
 	}
 }
 
-// handleInbound validates the hello and runs the connection's read loop.
-func (t *TCP) handleInbound(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //csmlint:allow detsource(hello read deadline on a real socket)
-	typ, body, err := readFrame(conn)
-	if err != nil || typ != frameHello {
+// handleInbound completes the handshake — which refuses anyone but
+// another roster member — and runs the connection's read loop.
+func (t *TCP) handleInbound(conn *tls.Conn) {
+	conn.SetDeadline(time.Now().Add(10 * time.Second)) //csmlint:allow detsource(handshake deadline on a real socket)
+	if err := conn.Handshake(); err != nil {
+		t.logf("node %d refused inbound connection from %s: %v", t.cfg.Self, conn.RemoteAddr(), err)
 		conn.Close()
 		return
 	}
-	id, err := parseHello(body, t.cfg.N, func(id NodeID, context string, data, sig []byte) bool {
-		return ed25519.Verify(t.pubs[id], blobBytes(context, data), sig)
-	})
-	if err != nil || id == t.cfg.Self {
-		t.logf("node %d rejected inbound connection: %v", t.cfg.Self, err)
+	conn.SetDeadline(time.Time{})
+	id, err := t.sessionPeer(conn.ConnectionState())
+	if err != nil { // unreachable: the handshake admitted this key
 		conn.Close()
 		return
 	}
-	conn.SetReadDeadline(time.Time{})
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -325,7 +439,7 @@ func (t *TCP) readLoop(id NodeID, conn net.Conn) {
 		}
 		switch typ {
 		case frameData:
-			t.ingestData(body)
+			t.ingestData(id, body)
 		case frameDone:
 			round, err := parseDone(body)
 			if err != nil {
@@ -335,9 +449,10 @@ func (t *TCP) readLoop(id NodeID, conn net.Conn) {
 			// DONE(r) marks the end of every round up to r, so one integer
 			// per peer is enough — and it stays correct when failover lets
 			// the cluster advance several rounds past a straggler. The
-			// marker only feeds the barrier count (never message content),
-			// so a lying future round can at worst stop us waiting for a
-			// peer the failover policy would drop anyway.
+			// session vouches that the marker is this peer's own; it only
+			// feeds the barrier count (never message content), so a peer
+			// lying about a future round can at worst stop us waiting for
+			// itself.
 			if max, ok := t.doneMax[id]; !ok || round > max {
 				t.doneMax[id] = round
 			}
@@ -353,18 +468,17 @@ func (t *TCP) readLoop(id NodeID, conn net.Conn) {
 	}
 }
 
-// ingestData verifies and buffers one data frame. Retransmitted frames
-// (after a peer's reconnect) are deduplicated by their exact bytes.
-func (t *TCP) ingestData(body []byte) {
+// ingestData buffers one data frame received over from's session (or
+// sent by this node to itself). A frame claiming another sender, or
+// addressed to another node, is a member forging what its session does
+// not cover: counted and dropped. Retransmitted frames (after a peer's
+// reconnect) are deduplicated by their exact bytes.
+func (t *TCP) ingestData(from NodeID, body []byte) {
 	m, err := UnmarshalMessage(body)
 	if err != nil {
 		return
 	}
-	if m.To != t.cfg.Self {
-		return // not ours; a confused or malicious peer
-	}
-	if int(m.From) < 0 || int(m.From) >= t.cfg.N ||
-		!ed25519.Verify(t.pubs[m.From], signingBytes(m.From, m.Round, m.Kind, m.Payload), m.Sig) {
+	if m.From != from || m.To != t.cfg.Self {
 		t.mu.Lock()
 		t.stats.ForgeriesDropped++
 		t.mu.Unlock()
@@ -473,44 +587,33 @@ func (t *TCP) isSuspect(id NodeID) bool {
 	return t.suspect[id]
 }
 
-// writePeer frames and writes one message to a peer's outbound
-// connection, buffering it for replay and redialing with backoff if the
+// flush ends the peer's round on the wire: the round's staged data frames
+// and its DONE marker go out as one write, redialing with backoff if the
 // connection broke. Only the driving goroutine calls it.
-func (t *TCP) writePeer(o *outConn, typ byte, body []byte, round int) error {
+func (t *TCP) flush(o *outConn) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if round != o.round {
-		o.bufPrev, o.bufCur = o.bufCur, nil
-		o.round = round
-	}
-	frame := make([]byte, 5+len(body))
-	frame[4] = typ
-	copy(frame[5:], body)
-	frame[0] = byte(len(body))
-	frame[1] = byte(len(body) >> 8)
-	frame[2] = byte(len(body) >> 16)
-	frame[3] = byte(len(body) >> 24)
-	o.bufCur = append(o.bufCur, frame)
 	if o.conn != nil {
-		if _, err := o.conn.Write(frame); err == nil {
+		if _, err := o.conn.Write(o.cur); err == nil {
 			return nil
 		}
 		o.conn.Close()
 		o.conn = nil
 	}
 	// With failover enabled a suspected peer must not stall the writer:
-	// skip the blocking redial, keep the frame buffered, and let a later
-	// write (after rehabilitation) replay it.
+	// skip the blocking redial, keep the frames staged, and let a later
+	// flush (after rehabilitation) replay them.
 	failover := t.cfg.FailoverQuorum > 0
 	if failover && t.isSuspect(o.id) {
 		return nil
 	}
-	// Reconnect and replay everything the peer may have missed: the
-	// previous round's frames (it may not have processed our DONE) and
-	// the current round's. The receiver deduplicates byte-identical
-	// frames, so over-replay is harmless. In failover mode the redial
-	// budget is SuspectAfter, not the full DialTimeout — an unreachable
-	// peer becomes suspected instead of an error.
+	// Reconnect — a fresh session, authenticated again — and replay
+	// everything the peer may have missed: the previous round's frames (it
+	// may not have processed our DONE) and the current round's. The
+	// receiver deduplicates byte-identical frames, so over-replay is
+	// harmless. In failover mode the redial budget is SuspectAfter, not the
+	// full DialTimeout — an unreachable peer becomes suspected instead of
+	// an error.
 	dialBudget := t.cfg.DialTimeout
 	if failover && t.cfg.SuspectAfter < dialBudget {
 		dialBudget = t.cfg.SuspectAfter
@@ -524,33 +627,28 @@ func (t *TCP) writePeer(o *outConn, typ byte, body []byte, round int) error {
 		return err
 	}
 	o.conn = conn
-	replay := make([][]byte, 0, len(o.bufPrev)+len(o.bufCur))
-	replay = append(replay, o.bufPrev...)
-	replay = append(replay, o.bufCur...)
-	for _, f := range replay {
-		if _, err := conn.Write(f); err != nil {
-			conn.Close()
-			o.conn = nil
-			if failover {
-				t.markSuspect(o.id, "write failed during replay")
-				return nil
-			}
-			return fmt.Errorf("transport: node %d replaying to node %d: %w", t.cfg.Self, o.id, err)
+	if _, err := conn.Write(slices.Concat(o.prev, o.cur)); err != nil {
+		conn.Close()
+		o.conn = nil
+		if failover {
+			t.markSuspect(o.id, "write failed during replay")
+			return nil
 		}
+		return fmt.Errorf("transport: node %d replaying to node %d: %w", t.cfg.Self, o.id, err)
 	}
 	return nil
 }
 
-// send signs and transmits one message. A self-addressed message is
-// buffered locally (the simulator's Endpoint.Send allows it too).
-func (t *TCP) send(to NodeID, round int, kind string, payload, sig []byte) error {
-	m := Message{From: t.cfg.Self, To: to, Round: round, Kind: kind, Payload: payload, Sig: sig}
-	body, err := AppendMessage(nil, m)
+// send stages one message for its recipient; Step puts it on the wire. A
+// self-addressed message is buffered locally (the simulator's
+// Endpoint.Send allows it too).
+func (t *TCP) send(to NodeID, round int, kind string, payload []byte) error {
+	body, err := AppendMessage(nil, Message{From: t.cfg.Self, To: to, Round: round, Kind: kind, Payload: payload})
 	if err != nil {
 		return err
 	}
 	if to == t.cfg.Self {
-		t.ingestData(body)
+		t.ingestData(to, body)
 		return nil
 	}
 	t.mu.Lock()
@@ -563,40 +661,34 @@ func (t *TCP) send(to NodeID, round int, kind string, payload, sig []byte) error
 	if o == nil {
 		return fmt.Errorf("transport: node %d has no connection to node %d", t.cfg.Self, to)
 	}
-	return t.writePeer(o, frameData, body, round)
+	return o.stage(round, frameData, body)
 }
 
-// Send transmits a signed message to a single node.
+// Send transmits a message to a single node. It is unsigned: the
+// recipient takes the sender from the session it arrives on.
 func (t *TCP) Send(to NodeID, kind string, payload []byte) error {
 	if int(to) < 0 || int(to) >= t.cfg.N {
 		return fmt.Errorf("transport: recipient %d out of range", to)
 	}
-	round := t.Round()
-	payload = append([]byte(nil), payload...)
-	sig := ed25519.Sign(t.priv, signingBytes(t.cfg.Self, round, kind, payload))
-	return t.send(to, round, kind, payload, sig)
+	return t.send(to, t.Round(), kind, payload)
 }
 
-// Broadcast transmits a signed message to every other node. As on the
-// simulated network, the signature covers (sender, round, kind, payload)
-// but not the recipient, so one ed25519 signature is shared by all N-1
-// copies.
+// Broadcast transmits a message to every other node.
 func (t *TCP) Broadcast(kind string, payload []byte) error {
 	round := t.Round()
-	payload = append([]byte(nil), payload...)
-	sig := ed25519.Sign(t.priv, signingBytes(t.cfg.Self, round, kind, payload))
 	for to := 0; to < t.cfg.N; to++ {
 		if NodeID(to) == t.cfg.Self {
 			continue
 		}
-		if err := t.send(NodeID(to), round, kind, payload, sig); err != nil {
+		if err := t.send(NodeID(to), round, kind, payload); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Step ends this node's round: it sends DONE to every peer, waits (up to
+// Step ends this node's round: it flushes the round's staged messages and
+// a DONE marker to every peer in one write each, waits (up to
 // StepTimeout) for every peer's DONE of the same round, advances, and
 // returns the round's deliveries sorted in the simulated network's
 // deterministic order. With FailoverQuorum set, the barrier instead
@@ -607,7 +699,7 @@ func (t *TCP) Step() ([]Message, error) {
 	t.mu.Lock()
 	r := t.round
 	outs := make([]*outConn, 0, len(t.out))
-	//csmlint:allow detmap(per-peer DONE fan-out; send order over distinct sockets is I/O scheduling, deliveries are re-sorted deterministically)
+	//csmlint:allow detmap(per-peer flush fan-out; write order over distinct sockets is I/O scheduling, deliveries are re-sorted deterministically)
 	for _, o := range t.out {
 		outs = append(outs, o)
 	}
@@ -619,7 +711,10 @@ func (t *TCP) Step() ([]Message, error) {
 	sort.Slice(outs, func(i, j int) bool { return outs[i].id < outs[j].id })
 	done := doneBody(r)
 	for _, o := range outs {
-		if err := t.writePeer(o, frameDone, done, r); err != nil {
+		if err := o.stage(r, frameDone, done); err != nil {
+			return nil, err
+		}
+		if err := t.flush(o); err != nil {
 			return nil, err
 		}
 	}

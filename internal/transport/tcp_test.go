@@ -1,10 +1,16 @@
 package transport
 
 import (
+	"bytes"
+	"crypto/ed25519"
+	"crypto/tls"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -14,7 +20,7 @@ import (
 // addresses are free for the nodes to bind (a small reuse race CI has to
 // live with — the alternative is a config file format that cannot name
 // ports up front).
-func reservePorts(t *testing.T, n int) []string {
+func reservePorts(t testing.TB, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	lns := make([]net.Listener, n)
@@ -33,9 +39,17 @@ func reservePorts(t *testing.T, n int) []string {
 }
 
 // startTCPCluster brings up an n-node in-process TCP cluster.
-func startTCPCluster(t *testing.T, n int, seed uint64) []Link {
+func startTCPCluster(t testing.TB, n int, seed uint64) []Link {
 	t.Helper()
 	addrs := reservePorts(t, n)
+	return startTCPClusterAt(t, seed, addrs, func(*TCPConfig) {})
+}
+
+// startTCPClusterAt brings up one node per listen address; tweak may
+// adjust each node's config (its Peers slice is the node's own copy).
+func startTCPClusterAt(t testing.TB, seed uint64, addrs []string, tweak func(*TCPConfig)) []Link {
+	t.Helper()
+	n := len(addrs)
 	links := make([]Link, n)
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -43,11 +57,13 @@ func startTCPCluster(t *testing.T, n int, seed uint64) []Link {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tcp, err := NewTCP(TCPConfig{
+			cfg := TCPConfig{
 				Self: NodeID(i), N: n, Seed: seed,
-				Listen: addrs[i], Peers: addrs,
+				Listen: addrs[i], Peers: append([]string(nil), addrs...),
 				DialTimeout: 10 * time.Second, StepTimeout: 10 * time.Second,
-			})
+			}
+			tweak(&cfg)
+			tcp, err := NewTCP(cfg)
 			if err != nil {
 				errs[i] = err
 				return
@@ -79,11 +95,21 @@ type delivery struct {
 	Payload string
 }
 
+func deliveries(msgs []Message) []delivery {
+	out := make([]delivery, len(msgs))
+	for i, m := range msgs {
+		out[i] = delivery{Round: m.Round, From: m.From, Kind: m.Kind, Payload: string(m.Payload)}
+	}
+	return out
+}
+
 // driveExchange runs the same small protocol over any Link
 // implementation: every node broadcasts a round-stamped payload each
 // round and sends a point-to-point message to its successor, for the
-// given number of rounds. It returns each node's full delivery sequence.
-func driveExchange(t *testing.T, links []Link, rounds int) [][]delivery {
+// given number of rounds. atRound, when non-nil, runs on each node's
+// goroutine at the start of each of its rounds (fault injection). It
+// returns each node's full delivery sequence.
+func driveExchange(t *testing.T, links []Link, rounds int, atRound func(node, round int)) [][]delivery {
 	t.Helper()
 	n := len(links)
 	out := make([][]delivery, n)
@@ -94,6 +120,9 @@ func driveExchange(t *testing.T, links []Link, rounds int) [][]delivery {
 		go func(i int, l Link) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
+				if atRound != nil {
+					atRound(i, r)
+				}
 				if err := l.Broadcast("bcast", fmt.Appendf(nil, "b/%d/%d", i, r)); err != nil {
 					errs[i] = err
 					return
@@ -108,9 +137,7 @@ func driveExchange(t *testing.T, links []Link, rounds int) [][]delivery {
 					errs[i] = err
 					return
 				}
-				for _, m := range msgs {
-					out[i] = append(out[i], delivery{Round: m.Round, From: m.From, Kind: m.Kind, Payload: string(m.Payload)})
-				}
+				out[i] = append(out[i], deliveries(msgs)...)
 			}
 		}(i, l)
 	}
@@ -123,12 +150,10 @@ func driveExchange(t *testing.T, links []Link, rounds int) [][]delivery {
 	return out
 }
 
-// TestTCPDeliveryMatchesSimulatedOracle is the transport-equivalence
-// contract: the same protocol driven over real localhost sockets delivers
-// exactly the messages, in exactly the order, that the deterministic
-// in-memory oracle delivers.
-func TestTCPDeliveryMatchesSimulatedOracle(t *testing.T) {
-	const n, rounds, seed = 4, 3, 1234
+// simulatedExchange is driveExchange over the deterministic in-memory
+// oracle.
+func simulatedExchange(t *testing.T, n, rounds int, seed uint64) [][]delivery {
+	t.Helper()
 	sim, err := New(Config{N: n, Mode: Sync, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
@@ -137,8 +162,11 @@ func TestTCPDeliveryMatchesSimulatedOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := driveExchange(t, simLinks, rounds)
-	got := driveExchange(t, startTCPCluster(t, n, seed), rounds)
+	return driveExchange(t, simLinks, rounds, nil)
+}
+
+func requireSameDeliveries(t *testing.T, got, want [][]delivery) {
+	t.Helper()
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
 			t.Fatalf("node %d: TCP delivered %d messages, oracle %d", i, len(got[i]), len(want[i]))
@@ -149,6 +177,66 @@ func TestTCPDeliveryMatchesSimulatedOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTCPDeliveryMatchesSimulatedOracle is the transport-equivalence
+// contract: the same protocol driven over real localhost sockets delivers
+// exactly the messages, in exactly the order, that the deterministic
+// in-memory oracle delivers.
+func TestTCPDeliveryMatchesSimulatedOracle(t *testing.T) {
+	const n, rounds, seed = 4, 3, 1234
+	want := simulatedExchange(t, n, rounds, seed)
+	got := driveExchange(t, startTCPCluster(t, n, seed), rounds, nil)
+	requireSameDeliveries(t, got, want)
+}
+
+// TestTCPReconnectMatchesSimulatedOracle kills connections mid-run, from
+// both ends: every node closes its outbound session to its successor
+// before round 1, and node 0 closes its inbound session from node 2
+// before round 2 (one receiver-side kill only: a write into a connection
+// the receiver dropped can succeed and vanish, the sender learns on the
+// next one, and two nodes doing that to each other in the same round
+// would both wait at the barrier with nothing left to flush). Each sender
+// must notice on a later flush, redial, authenticate a fresh session and
+// replay — and the deliveries must still equal the oracle's, nothing
+// lost and nothing doubled.
+func TestTCPReconnectMatchesSimulatedOracle(t *testing.T) {
+	const n, rounds, seed = 4, 6, 4321
+	want := simulatedExchange(t, n, rounds, seed)
+	links := startTCPCluster(t, n, seed)
+	first := make([]net.Conn, n) // each node's original session to its successor
+	for i, l := range links {
+		first[i] = outSession(l.(*TCP), NodeID((i+1)%n))
+	}
+	node0 := links[0].(*TCP)
+	got := driveExchange(t, links, rounds, func(node, round int) {
+		switch {
+		case round == 1:
+			first[node].Close()
+		case round == 2 && node == 0:
+			node0.mu.Lock()
+			in := node0.inConns[2]
+			node0.mu.Unlock()
+			in.Close()
+		}
+	})
+	requireSameDeliveries(t, got, want)
+	for i, l := range links {
+		if outSession(l.(*TCP), NodeID((i+1)%n)) == first[i] {
+			t.Errorf("node %d still holds the session the test closed; it never redialled", i)
+		}
+	}
+	if got := node0.Stats().ForgeriesDropped; got != 0 {
+		t.Errorf("replay over the fresh sessions counted %d forgeries", got)
+	}
+}
+
+// outSession returns the node's current outbound session to peer.
+func outSession(tcp *TCP, peer NodeID) net.Conn {
+	o := tcp.out[peer]
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.conn
 }
 
 // TestTCPSimulationOnlyKnobs pins the typed error: crash injection is an
@@ -242,23 +330,482 @@ func TestTCPCloseUnblocksStep(t *testing.T) {
 	}
 }
 
-// TestTCPForgeryDropped: a frame carrying a bad signature is counted and
-// dropped, exactly like the simulated network's Inject path.
-func TestTCPForgeryDropped(t *testing.T) {
-	links := startTCPCluster(t, 2, 21)
-	tcp0 := links[0].(*TCP)
-	// Hand-deliver a forged body to node 0's ingest path: claims to be
-	// from node 1 but is signed with garbage.
-	body, err := AppendMessage(nil, Message{From: 1, To: 0, Round: 0, Kind: "forged", Payload: []byte("x"), Sig: make([]byte, 64)})
+// dialAs opens a session to addr the way any process holding key could:
+// the repo's own certificate shape, a stock TLS 1.3 client.
+func dialAs(t *testing.T, addr string, key ed25519.PrivateKey) *tls.Conn {
+	t.Helper()
+	cert, err := sessionCert(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp0.ingestData(body)
-	if got := tcp0.Stats().ForgeriesDropped; got != 1 {
-		t.Fatalf("ForgeriesDropped = %d, want 1", got)
+	conn, err := tls.Dial("tcp", addr, &tls.Config{
+		MinVersion: tls.VersionTLS13, Certificates: []tls.Certificate{cert}, InsecureSkipVerify: true,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := len(tcp0.buffered[0]); n != 0 {
-		t.Fatalf("forged message was buffered (%d pending)", n)
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+// mustFrame appends one frame to dst.
+func mustFrame(t *testing.T, dst []byte, typ byte, body []byte) []byte {
+	t.Helper()
+	dst, err := appendFrame(dst, typ, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// dataFrame appends m to dst as a data frame.
+func dataFrame(t *testing.T, dst []byte, m Message) []byte {
+	t.Helper()
+	body, err := AppendMessage(nil, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustFrame(t, dst, frameData, body)
+}
+
+// requireRefused fails unless the node hangs up on conn.
+func requireRefused(t *testing.T, conn net.Conn) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err := io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("connection still open 5s after the impostor spoke")
+	}
+}
+
+// waitFor polls the node's state (under its lock) until cond holds.
+func waitFor(t *testing.T, tcp *TCP, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		tcp.mu.Lock()
+		ok := cond()
+		tcp.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// linkState is what an impostor must not be able to move: who the node
+// listens to, what it has buffered, and what its barrier has counted.
+type linkState struct {
+	in       map[NodeID]net.Conn
+	buffered int
+	doneMax  map[NodeID]int
+	stats    Stats
+}
+
+// settledState snapshots the node once every peer's session is
+// registered (a dialer's handshake returns before the acceptor's does).
+func settledState(t *testing.T, tcp *TCP) linkState {
+	t.Helper()
+	waitFor(t, tcp, "the inbound mesh", func() bool { return len(tcp.inConns) == tcp.cfg.N-1 })
+	return snapshotState(tcp)
+}
+
+func snapshotState(tcp *TCP) linkState {
+	tcp.mu.Lock()
+	defer tcp.mu.Unlock()
+	st := linkState{in: map[NodeID]net.Conn{}, doneMax: map[NodeID]int{}, stats: tcp.stats}
+	for id, c := range tcp.inConns {
+		st.in[id] = c
+	}
+	for id, r := range tcp.doneMax {
+		st.doneMax[id] = r
+	}
+	for _, msgs := range tcp.buffered {
+		st.buffered += len(msgs)
+	}
+	return st
+}
+
+func requireUntouched(t *testing.T, tcp *TCP, before linkState) {
+	t.Helper()
+	if after := snapshotState(tcp); !reflect.DeepEqual(after, before) {
+		t.Fatalf("impostor moved the node's state:\n before %+v\n after  %+v", before, after)
+	}
+}
+
+// stepAll ends the round on every link at once and returns each node's
+// deliveries.
+func stepAll(t *testing.T, links []Link) [][]delivery {
+	t.Helper()
+	out := make([][]delivery, len(links))
+	errs := make([]error, len(links))
+	var wg sync.WaitGroup
+	for i, l := range links {
+		wg.Add(1)
+		go func(i int, l Link) {
+			defer wg.Done()
+			var msgs []Message
+			msgs, errs[i] = l.Step()
+			out[i] = deliveries(msgs)
+		}(i, l)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
+	return out
+}
+
+// oneRound has every link broadcast a payload and step once.
+func oneRound(t *testing.T, links []Link, payload string) [][]delivery {
+	t.Helper()
+	for i, l := range links {
+		if err := l.Broadcast("bcast", []byte(payload)); err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
+	return stepAll(t, links)
+}
+
+// TestTCPImpostorsRefused: whoever cannot prove possession of another
+// node's roster key never gets past the handshake, so the frames it sends
+// — a message in node 1's name and the end of a far-future round — reach
+// neither the message buffer nor the barrier, and the mesh runs on.
+func TestTCPImpostorsRefused(t *testing.T) {
+	const n, seed = 3, 77
+	links := startTCPCluster(t, n, seed)
+	victim := links[0].(*TCP)
+	_, members := DeriveKeys(seed, n)
+	_, strangers := DeriveKeys(seed+1, n)
+	forged := dataFrame(t, nil, Message{From: 1, To: 0, Kind: "forged", Payload: []byte("x")})
+	forged = mustFrame(t, forged, frameDone, doneBody(1<<20))
+	before := settledState(t, victim)
+
+	for _, impostor := range []struct {
+		name string
+		dial func(t *testing.T) net.Conn
+	}{
+		{"raw client", func(t *testing.T) net.Conn {
+			conn, err := net.Dial("tcp", victim.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { conn.Close() })
+			return conn
+		}},
+		{"key outside the roster", func(t *testing.T) net.Conn { return dialAs(t, victim.Addr(), strangers[1]) }},
+		{"the node's own key", func(t *testing.T) net.Conn { return dialAs(t, victim.Addr(), members[0]) }},
+	} {
+		t.Run(impostor.name, func(t *testing.T) {
+			conn := impostor.dial(t)
+			conn.Write(forged) // the node may hang up mid-write; either way it must refuse
+			requireRefused(t, conn)
+			requireUntouched(t, victim, before)
+		})
+	}
+
+	for i, got := range oneRound(t, links, "after") {
+		if len(got) != n-1 {
+			t.Fatalf("node %d delivered %v after the impostors, want one broadcast per peer", i, got)
+		}
+	}
+}
+
+// tap is a TCP relay that records everything the dialing side sends: the
+// network attacker's view of one connection.
+type tap struct {
+	ln net.Listener
+	mu sync.Mutex
+	up bytes.Buffer
+}
+
+func (p *tap) Write(b []byte) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.up.Write(b)
+}
+
+func (p *tap) captured() []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]byte(nil), p.up.Bytes()...)
+}
+
+func startTap(t *testing.T, listen, target string) *tap {
+	t.Helper()
+	ln, err := net.Listen("tcp", listen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &tap{ln: ln}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", target)
+			if err != nil {
+				down.Close()
+				continue
+			}
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				io.Copy(up, io.TeeReader(down, p))
+				up.Close()
+			}()
+			go func() {
+				defer wg.Done()
+				io.Copy(down, up)
+				down.Close()
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	return p
+}
+
+// TestTCPReplayedSessionRefused: an attacker who recorded everything node
+// 1 ever sent node 0 — the opening of the session and a full round —
+// replays it on a fresh connection and appends the end of a far-future
+// round. Under the signed-hello design the replayed opening took over
+// node 1's slot and the DONE marker behind it needed no signature; a
+// session's opening is worthless on replay, so node 0 hangs up with its
+// state, its real session to node 1 and the next barrier unaffected.
+func TestTCPReplayedSessionRefused(t *testing.T) {
+	const seed = 88
+	addrs := reservePorts(t, 3)
+	nodes, tapAddr := addrs[:2], addrs[2]
+	wire := startTap(t, tapAddr, nodes[0])
+	links := startTCPClusterAt(t, seed, nodes, func(cfg *TCPConfig) {
+		if cfg.Self == 1 {
+			cfg.Peers[0] = tapAddr
+		}
+	})
+	oneRound(t, links, "recorded")
+	victim := links[0].(*TCP)
+	before := settledState(t, victim)
+
+	conn, err := net.Dial("tcp", nodes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.Write(mustFrame(t, wire.captured(), frameDone, doneBody(1<<20)))
+	requireRefused(t, conn)
+	requireUntouched(t, victim, before)
+
+	for i, got := range oneRound(t, links, "after") {
+		want := delivery{Round: 1, From: NodeID(1 - i), Kind: "bcast", Payload: "after"}
+		if len(got) != 1 || got[0] != want {
+			t.Fatalf("node %d delivered %v after the replay, want %v", i, got, want)
+		}
+	}
+}
+
+// TestTCPForgeryDropped: a session covers its own peer's messages to this
+// node and nothing else. Node 1 turned Byzantine — a process holding node
+// 1's key — gets a session, but its frame in node 2's name and its frame
+// addressed elsewhere are counted and dropped, exactly like a bad
+// signature on the simulated network's Inject path; its own message goes
+// through.
+func TestTCPForgeryDropped(t *testing.T) {
+	const n, seed = 3, 21
+	links := startTCPCluster(t, n, seed)
+	victim := links[0].(*TCP)
+	_, members := DeriveKeys(seed, n)
+	conn := dialAs(t, victim.Addr(), members[1])
+	frames := dataFrame(t, nil, Message{From: 2, To: 0, Kind: "as-node-2", Payload: []byte("x")})
+	frames = dataFrame(t, frames, Message{From: 1, To: 2, Kind: "misaddressed", Payload: []byte("x")})
+	frames = dataFrame(t, frames, Message{From: 1, To: 0, Kind: "own", Payload: []byte("x")})
+	frames = mustFrame(t, frames, frameDone, doneBody(0))
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, victim, "node 1's DONE over the new session", func() bool {
+		_, ok := victim.doneMax[1]
+		return ok
+	})
+	if got := victim.Stats().ForgeriesDropped; got != 2 {
+		t.Fatalf("ForgeriesDropped = %d, want 2", got)
+	}
+	victim.mu.Lock()
+	defer victim.mu.Unlock()
+	if got := victim.buffered[0]; len(got) != 1 || got[0].From != 1 || got[0].Kind != "own" {
+		t.Fatalf("buffered %+v, want only node 1's own message", got)
+	}
+}
+
+// countingConn counts the writes that reach a session.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestTCPRoundIsOneWrite pins the coalescing contract: whatever a node
+// sends in round r stays staged until its Step, reaches each peer as one
+// write together with the DONE marker, and is delivered by the Step that
+// ends round r — a message to itself included — never earlier.
+func TestTCPRoundIsOneWrite(t *testing.T) {
+	links := startTCPCluster(t, 2, 31)
+	a := links[0].(*TCP)
+	o := a.out[1]
+	session := &countingConn{Conn: o.conn}
+	o.conn = session
+
+	for _, send := range []func() error{
+		func() error { return a.Send(1, "p2p", []byte("to-peer")) },
+		func() error { return a.Send(0, "p2p", []byte("to-self")) },
+		func() error { return a.Broadcast("bcast", []byte("to-all")) },
+	} {
+		if err := send(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := session.writes.Load(); got != 0 {
+		t.Fatalf("%d writes before Step, want the round staged", got)
+	}
+	got := stepAll(t, links)
+	want := [][]delivery{
+		{{Round: 0, From: 0, Kind: "p2p", Payload: "to-self"}},
+		{{Round: 0, From: 0, Kind: "bcast", Payload: "to-all"}, {Round: 0, From: 0, Kind: "p2p", Payload: "to-peer"}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round 0 delivered %v, want %v", got, want)
+	}
+	if got := session.writes.Load(); got != 1 {
+		t.Fatalf("%d writes for round 0, want 1", got)
+	}
+	if got := stepAll(t, links); len(got[0])+len(got[1]) != 0 {
+		t.Fatalf("idle round 1 delivered %v", got)
+	}
+	if got := session.writes.Load(); got != 2 {
+		t.Fatalf("%d writes after two rounds, want 2 (an idle round is its DONE marker alone)", got)
+	}
+}
+
+// TestTCPSuspectFramesReplayedAfterRehabilitation: in failover mode a
+// suspected peer behind a broken connection is not redialled — its frames
+// stay staged — and the first flush after its rehabilitation replays them
+// over a fresh session, the previous round's included.
+func TestTCPSuspectFramesReplayedAfterRehabilitation(t *testing.T) {
+	addrs := reservePorts(t, 2)
+	links := startTCPClusterAt(t, 41, addrs, func(cfg *TCPConfig) { cfg.FailoverQuorum = 1 })
+	a, b := links[0].(*TCP), links[1].(*TCP)
+	oneRound(t, links, "warm-up")
+
+	outSession(a, 1).Close()
+	a.markSuspect(1, "test")
+	if err := a.Send(1, "p2p", []byte("staged-while-suspected")); err != nil {
+		t.Fatal(err)
+	}
+	// Node 0 ends round 1: the flush finds the session dead and the peer
+	// suspected, so it neither writes nor redials, and waits at the
+	// barrier. Node 1's DONE(1) then rehabilitates node 1 and completes it.
+	stepped := make(chan error, 1)
+	go func() {
+		_, err := a.Step()
+		stepped <- err
+	}()
+	for outSession(a, 1) != nil { // until the flush has dropped the dead session
+		time.Sleep(time.Millisecond)
+	}
+	type result struct {
+		msgs []Message
+		err  error
+	}
+	bStepped := make(chan result, 1)
+	go func() {
+		msgs, err := b.Step() // blocks: node 0's round 1 is still staged
+		bStepped <- result{msgs, err}
+	}()
+	if err := <-stepped; err != nil {
+		t.Fatal(err)
+	}
+	if outSession(a, 1) != nil {
+		t.Fatal("node 0 redialled a suspected peer")
+	}
+	if got := a.Suspected(); len(got) != 0 {
+		t.Fatalf("node 1 still suspected after its DONE arrived: %v", got)
+	}
+	// Round 2's flush redials and replays round 1 behind it.
+	if err := a.Send(1, "p2p", []byte("after-rehabilitation")); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		_, err := a.Step()
+		stepped <- err
+	}()
+	r1 := <-bStepped
+	if r1.err != nil {
+		t.Fatal(r1.err)
+	}
+	if len(r1.msgs) != 1 || string(r1.msgs[0].Payload) != "staged-while-suspected" || r1.msgs[0].Round != 1 {
+		t.Fatalf("node 1's round 1 delivered %+v, want the frame staged while it was suspected", r1.msgs)
+	}
+	r2, err := b.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-stepped; err != nil {
+		t.Fatal(err)
+	}
+	if len(r2) != 1 || string(r2[0].Payload) != "after-rehabilitation" || r2[0].Round != 2 {
+		t.Fatalf("node 1's round 2 delivered %+v, want the frame sent after rehabilitation", r2)
+	}
+}
+
+// BenchmarkTCPTick is one link barrier tick on the deployed shape: an
+// N=4 loopback mesh in which every node broadcasts one coded-result-sized
+// payload and steps. ns/op is the wall-clock of a whole tick (all four
+// nodes, concurrently); allocs/op sums the four nodes' send and receive
+// sides.
+func BenchmarkTCPTick(b *testing.B) {
+	const n = 4
+	links := startTCPCluster(b, n, 51)
+	payload := bytes.Repeat([]byte{0xc5}, 256)
+	errs := make([]error, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i, l := range links {
+		wg.Add(1)
+		go func(i int, l Link) {
+			defer wg.Done()
+			for r := 0; r < b.N; r++ {
+				if errs[i] = l.Broadcast("csm-result", payload); errs[i] != nil {
+					return
+				}
+				if _, errs[i] = l.Step(); errs[i] != nil {
+					return
+				}
+			}
+		}(i, l)
+	}
+	wg.Wait()
+	b.StopTimer()
+	for i, err := range errs {
+		if err != nil {
+			b.Fatalf("node %d: %v", i, err)
+		}
 	}
 }
 

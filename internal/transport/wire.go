@@ -2,41 +2,40 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
 
-// Wire format shared by every non-simulated transport. A TCP connection
-// carries a sequence of length-prefixed frames:
+// Wire format of the TCP transport. Inside the authenticated session of
+// one connection (see tcp.go) the dialing node sends a sequence of
+// length-prefixed frames:
 //
 //	uint32 (LE)  body length
-//	byte         frame type (frameHello | frameData | frameDone)
+//	byte         frame type (frameData | frameDone)
 //	body         type-specific payload
 //
 // A frameData body is a Message in the fixed binary layout produced by
-// AppendMessage — the same signed envelope the simulated network passes
-// around in memory, so anything exchanged over sockets round-trips
-// through one codec and one signature scheme (the codec-equivalence tests
-// in wire_test.go pin this). frameHello identifies the sending node right
-// after dialing; frameDone is the lock-step barrier marker that ends a
-// peer's round (see tcp.go).
+// AppendMessage — the same envelope the simulated network passes around
+// in memory, Sig included, so a simulated message round-trips through
+// the codec with its signature intact (wire_test.go pins this). The TCP
+// transport itself leaves Sig empty: the session, not the frame, says who
+// sent it. frameDone is the lock-step barrier marker that ends a peer's
+// round. Nothing inside the stream identifies the sender, and frames of
+// any other type are ignored.
 //
 // All length fields are validated against hard caps before any
 // allocation, so a malformed or adversarial frame (fuzzed in
 // wire_fuzz_test.go) yields an error, never a panic or a huge make().
 const (
-	frameHello byte = 1
-	frameData  byte = 2
-	frameDone  byte = 3
+	frameData byte = 2
+	frameDone byte = 3
 
 	// maxFrameBody bounds a frame body; a peer announcing more is cut off
 	// before any allocation happens.
 	maxFrameBody = 16 << 20
 	// maxWireKind bounds a message kind tag.
 	maxWireKind = 255
-	// wireMagic opens every hello frame: a cheap guard against a stray
-	// client speaking a different protocol on the cluster port.
-	wireMagic = 0x43534d31 // "CSM1"
 )
 
 // AppendMessage appends the fixed binary encoding of m to dst:
@@ -99,16 +98,20 @@ func UnmarshalMessage(b []byte) (Message, error) {
 	return m, nil
 }
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, typ byte, body []byte) error {
+// ErrFrameTooLarge reports a frame body beyond maxFrameBody, on either
+// side of the wire: the encoder refuses to build one and the reader cuts
+// the stream off before allocating for one.
+var ErrFrameTooLarge = errors.New("transport: frame body exceeds the size cap")
+
+// appendFrame appends one length-prefixed frame to dst and returns the
+// extended slice. It is the only frame encoder.
+func appendFrame(dst []byte, typ byte, body []byte) ([]byte, error) {
 	if len(body) > maxFrameBody {
-		return fmt.Errorf("transport: frame body of %d bytes exceeds cap %d", len(body), maxFrameBody)
+		return dst, fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, len(body), maxFrameBody)
 	}
-	hdr := make([]byte, 5, 5+len(body))
-	binary.LittleEndian.PutUint32(hdr, uint32(len(body)))
-	hdr[4] = typ
-	_, err := w.Write(append(hdr, body...))
-	return err
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
+	dst = append(dst, typ)
+	return append(dst, body...), nil
 }
 
 // readFrame reads one length-prefixed frame, rejecting oversized bodies
@@ -120,41 +123,13 @@ func readFrame(r io.Reader) (typ byte, body []byte, err error) {
 	}
 	size := binary.LittleEndian.Uint32(hdr[:4])
 	if size > maxFrameBody {
-		return 0, nil, fmt.Errorf("transport: frame of %d bytes exceeds cap %d", size, maxFrameBody)
+		return 0, nil, fmt.Errorf("%w: %d > %d bytes announced", ErrFrameTooLarge, size, maxFrameBody)
 	}
 	body = make([]byte, size)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, err
 	}
 	return hdr[4], body, nil
-}
-
-// helloBody encodes the post-dial identification frame: magic, the
-// sender's node id, and a signature binding the id to the cluster's keys
-// (domain-separated so it cannot be replayed as a protocol message).
-func helloBody(id NodeID, sign func(context string, data []byte) []byte) []byte {
-	var b [12]byte
-	binary.LittleEndian.PutUint32(b[0:], wireMagic)
-	binary.LittleEndian.PutUint64(b[4:], uint64(id))
-	return append(b[:], sign("csm-hello", b[:])...)
-}
-
-// parseHello validates a hello frame against the cluster roster.
-func parseHello(body []byte, n int, verify func(id NodeID, context string, data, sig []byte) bool) (NodeID, error) {
-	if len(body) < 12 {
-		return 0, fmt.Errorf("transport: hello truncated at %d bytes", len(body))
-	}
-	if binary.LittleEndian.Uint32(body[0:]) != wireMagic {
-		return 0, fmt.Errorf("transport: bad hello magic %#x", binary.LittleEndian.Uint32(body[0:]))
-	}
-	id := NodeID(int64(binary.LittleEndian.Uint64(body[4:])))
-	if int(id) < 0 || int(id) >= n {
-		return 0, fmt.Errorf("transport: hello from out-of-range node %d", id)
-	}
-	if !verify(id, "csm-hello", body[:12], body[12:]) {
-		return 0, fmt.Errorf("transport: hello signature from node %d does not verify", id)
-	}
-	return id, nil
 }
 
 // doneBody encodes a barrier marker for the given round.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -100,38 +101,37 @@ func TestWireCodecPreservesSimulatedSignatures(t *testing.T) {
 	}
 }
 
-// TestHelloRoundTrip covers the connection handshake frame.
-func TestHelloRoundTrip(t *testing.T) {
-	net, err := New(Config{N: 5, Mode: Sync, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := net.Endpoint(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := helloBody(3, ep.SignBlob)
-	id, err := parseHello(body, 5, net.VerifyBlob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 3 {
-		t.Fatalf("hello parsed as node %d, want 3", id)
-	}
-	// A different claimed id must fail verification.
-	forged := append([]byte(nil), body...)
-	forged[4] = 1 // claim node 1 with node 3's signature
-	if _, err := parseHello(forged, 5, net.VerifyBlob); err == nil {
-		t.Fatal("forged hello accepted")
-	}
-}
-
 // TestFrameReaderCaps ensures an oversized frame announcement errors out
 // before any allocation.
 func TestFrameReaderCaps(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, frameData}) // ~4 GiB announcement
-	if _, _, err := readFrame(&buf); err == nil {
-		t.Fatal("oversized frame accepted")
+	if _, _, err := readFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized announcement: got %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestAppendFrame covers the one frame encoder: what it builds the reader
+// reads back, and a body over the cap is refused with the reader's typed
+// error, leaving the buffer as it was.
+func TestAppendFrame(t *testing.T) {
+	frame, err := appendFrame(nil, frameDone, doneBody(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ, body, err := readFrame(bytes.NewReader(frame))
+	if err != nil || typ != frameDone {
+		t.Fatalf("round-trip: type %d, err %v", typ, err)
+	}
+	if round, err := parseDone(body); err != nil || round != 7 {
+		t.Fatalf("round-trip: DONE(%d), err %v", round, err)
+	}
+	prefix := []byte("kept")
+	got, err := appendFrame(prefix, frameData, make([]byte, maxFrameBody+1))
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized body: got %v, want ErrFrameTooLarge", err)
+	}
+	if !bytes.Equal(got, prefix) {
+		t.Fatalf("a refused frame left %d bytes behind in the buffer", len(got)-len(prefix))
 	}
 }
