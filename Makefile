@@ -35,12 +35,14 @@ SECONDS ?= 25
 bench-load:
 	$(GO) run ./cmd/csmload -workload $(WORKLOAD) -seconds $(SECONDS)
 
-# Micro-benchmark smoke run: the coding kernels (encode/decode, field)
-# and one TCP link barrier tick on an N=4 loopback mesh.
+# Micro-benchmark smoke run: the coding kernels (encode/decode, field),
+# one TCP link barrier tick on an N=4 loopback mesh, and the batch payload
+# codec every proposal and decision passes through.
 bench-micro:
 	$(GO) test -bench='BenchmarkLCCEncode|BenchmarkLCCDecode' -benchtime=1x -run='^$$' ./internal/lcc/
 	$(GO) test -bench='BenchmarkFieldKernels' -benchtime=1x -run='^$$' ./internal/field/
 	$(GO) test -bench='BenchmarkTCPTick' -benchtime=100x -run='^$$' ./internal/transport/
+	$(GO) test -bench='BenchmarkBatchCodec' -benchtime=1000x -run='^$$' ./internal/csm/
 
 # The design aim's tracked number: non-test Go lines, repo-wide and in
 # the engine package.
@@ -109,13 +111,15 @@ soak-short:
 	$(GO) run -race ./examples/soak -csmnode bin/csmnode -duration 15s
 
 # Short fuzz runs over the TCP framing and message codec, the WAL record
-# reader, and the consensus wire codecs (CI smoke): the checked-in corpus
-# plus a few seconds of new coverage-guided inputs.
+# reader, the consensus wire codecs, and the batch payload parser (CI
+# smoke): the checked-in corpus plus a few seconds of new coverage-guided
+# inputs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalMessage -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReader -fuzztime=10s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzConsensusMessage -fuzztime=10s ./internal/consensus/
+	$(GO) test -run='^$$' -fuzz=FuzzParseBatchMsg -fuzztime=10s ./internal/csm/
 
 # csmlint: the repo's own analyzer suite (determinism, wire-codec, and
 # crash-safety invariants; see internal/lint/README.md), run through the

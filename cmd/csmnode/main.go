@@ -24,8 +24,8 @@
 // change routes leadership around them and the survivors' digests still
 // match the simulated oracle run.
 //
-// With data_dir set (bootstrap -data-dir), every node write-ahead-logs
-// each decided batch and periodically snapshots its coded share, so a
+// With data_dir set (bootstrap -data-dir), every node logs each executed
+// round's coded share and periodically snapshots it, so a
 // killed cluster restarted on the same config files recovers its state,
 // reconciles residual crash skew peer-to-peer (csm's Recover handshake),
 // and resumes the workload where it stopped. CSMNODE_CRASH=<point>[@n]
@@ -86,7 +86,7 @@ type nodeConfig struct {
 	// mode); empty elsewhere.
 	ClientListen  string `json:"client_listen,omitempty"`
 	StepTimeoutMS int    `json:"step_timeout_ms,omitempty"`
-	// DataDir is this node's durable state directory (write-ahead log +
+	// DataDir is this node's durable state directory (applied-round log +
 	// coded snapshots). Empty disables durability.
 	DataDir string `json:"data_dir,omitempty"`
 	// SnapshotEvery is the snapshot cadence in rounds (0 = engine

@@ -191,10 +191,10 @@ func runConsensus(csmnode, dir string, n, rounds int, consensus string, killLead
 			"-rounds", fmt.Sprint(rounds)}
 		var env []string
 		if killLeader && i == 0 {
-			// Durable batch-1 rounds append twice (decided batch, then
-			// applied state); the 8th append is mid-round-3, after node 0
-			// already served as PBFT leader for three decided batches.
-			env = append(os.Environ(), "CSMNODE_CRASH=wal-before-append@8")
+			// A durable round appends once (its applied state, after the
+			// decode); the 4th append is the end of round 3, after node 0
+			// already served as PBFT leader for three durable batches.
+			env = append(os.Environ(), "CSMNODE_CRASH=wal-before-append@4")
 		}
 		procs[i] = startNode(csmnode, args, env, &outputs[i])
 	}

@@ -5,7 +5,7 @@
 //  1. run the workload on the in-memory simulated cluster and digest its
 //     outputs (the oracle);
 //  2. bootstrap a durable csmnode cluster (-data-dir: every node
-//     write-ahead-logs decided batches and snapshots its coded share);
+//     logs each executed round's state and snapshots its coded share);
 //  3. SIGKILL all N processes mid-workload — no warning, no flush — and
 //     restart them from their data directories, several times;
 //  4. one cycle arms CSMNODE_CRASH so a node dies halfway through a WAL

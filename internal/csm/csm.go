@@ -59,11 +59,10 @@
 package csm
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -515,14 +514,6 @@ type RoundResult[E comparable] struct {
 	Ticks int
 }
 
-// batchMsg is the consensus payload: the batch's command vectors, one per
-// machine per batch step, flattened step-major (step j, machine k at
-// index j*K+k; a single-round batch is exactly one vector per machine).
-type batchMsg struct {
-	Round int
-	Cmds  [][]uint64
-}
-
 // validateBatchShape checks a proposed batch before anything is decided:
 // at least one round, K command vectors per round, CmdLen elements each.
 // A malformed round is named by its offset within the batch.
@@ -543,23 +534,40 @@ func validateBatchShape[E comparable](batch [][][]E, k, cmdLen int) error {
 	return nil
 }
 
-// encodeBatchMsg serializes a shape-checked batch as the canonical
-// batchMsg payload for the given round. Every engine and consensus mode
+// batchMagic opens every batch payload; batchHdrLen is the fixed header.
+var batchMagic = [4]byte{'C', 'S', 'M', 'B'}
+
+const batchHdrLen = 4 + 8 + 4 + 4
+
+// encodeBatchMsg serializes a shape-checked batch as the canonical payload
+// for the given round, a fixed little-endian layout like encodeResult's and
+// internal/consensus/wire.go's: batchMagic, u64 round, u32 vector count
+// (steps*K, step-major: step j, machine k at index j*K+k), u32 cmdLen, then
+// count*cmdLen canonical u64 elements. Every engine and consensus mode
 // proposes and parses these exact bytes, which is what keeps run digests
 // identical across them.
-func encodeBatchMsg[E comparable](f field.Field[E], round int, batch [][][]E) ([]byte, error) {
-	wire := make([][]uint64, 0, len(batch)*len(batch[0]))
+func encodeBatchMsg[E comparable](f field.Field[E], round int, batch [][][]E) []byte {
+	count, cmdLen := len(batch)*len(batch[0]), len(batch[0][0])
+	buf := make([]byte, batchHdrLen, batchHdrLen+8*count*cmdLen)
+	copy(buf, batchMagic[:])
+	binary.LittleEndian.PutUint64(buf[4:], uint64(round))
+	binary.LittleEndian.PutUint32(buf[12:], uint32(count))
+	binary.LittleEndian.PutUint32(buf[16:], uint32(cmdLen))
 	for _, cmds := range batch {
-		wire = append(wire, matToWire(f, cmds)...)
+		for _, cmd := range cmds {
+			for _, e := range cmd {
+				buf = binary.LittleEndian.AppendUint64(buf, f.Uint64(e))
+			}
+		}
 	}
-	return encodePayload(batchMsg{Round: round, Cmds: wire})
+	return buf
 }
 
-// Execution-phase result broadcasts use a fixed binary layout instead of
-// gob: every node receives N-1 of them per round, and gob's reflective
-// decoder dominated the steady-state allocation profile. Layout (all
-// little-endian uint64): round, element count, then the canonical field
-// representation of each element.
+// Execution-phase result broadcasts use a fixed binary layout: every node
+// receives N-1 of them per round, and a reflective decoder would dominate
+// the steady-state allocation profile. Layout (all little-endian uint64):
+// round, element count, then the canonical field representation of each
+// element.
 //
 // The codec is package-level because it IS the wire format: the simulated
 // cluster and the multi-process remote engine (remote.go) encode and
@@ -598,18 +606,6 @@ func decodeResult[E comparable](f field.Field[E], data []byte) (round int, resul
 		result[i] = f.FromUint64(binary.LittleEndian.Uint64(data[resultHdrLen+8*i:]))
 	}
 	return int(binary.LittleEndian.Uint64(data)), result, true
-}
-
-func encodePayload(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("csm: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodePayload(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
 // ExecuteRound agrees on the given commands (one vector per machine) and
@@ -654,12 +650,10 @@ func (c *Cluster[E]) runConsensus(batch [][][]E) ([][][]E, int, error) {
 		// Trusted sequencer: no proposal to serialize, no network phase.
 		return batch, 0, nil
 	}
-	valid, err := encodeBatchMsg(c.cfg.BaseField, c.round, batch)
-	if err != nil {
-		return nil, 0, err
-	}
+	valid := encodeBatchMsg(c.cfg.BaseField, c.round, batch)
 	var decided []byte
 	var ticks int
+	var err error
 	switch c.cfg.Consensus {
 	case DolevStrong:
 		decided, ticks, err = c.runDolevStrong(valid)
@@ -671,9 +665,18 @@ func (c *Cluster[E]) runConsensus(batch [][][]E) ([][][]E, int, error) {
 	if err != nil {
 		return nil, ticks, err
 	}
-	// A garbage decision parses to nil commands: the batch is skipped.
-	agreed, _, _ := parseBatchMsg(c.cfg.BaseField, decided, len(batch), c.cfg.K, c.tr.CmdLen())
-	return agreed, ticks, nil
+	return c.agreedCommands(decided, len(batch)), ticks, nil
+}
+
+// agreedCommands parses a decided payload. Garbage, or a well-formed batch
+// proposed for another round than the cluster is about to execute, yields
+// nil: the batch is skipped and its commands stay pending.
+func (c *Cluster[E]) agreedCommands(decided []byte, steps int) [][][]E {
+	agreed, round, ok := parseBatchMsg(c.cfg.BaseField, decided, steps, c.cfg.K, c.tr.CmdLen())
+	if !ok || round != c.round {
+		return nil
+	}
+	return agreed
 }
 
 // leaderFor rotates leadership across consensus instances.
@@ -749,29 +752,42 @@ func (c *Cluster[E]) runPBFT(valid []byte) ([]byte, int, error) {
 // round it was proposed for and its per-step command vectors. steps < 0
 // infers the step count from the command count (the remote follower does
 // not know the sequencer's batch size up front); a non-negative steps
-// additionally pins it. ok is false for anything malformed.
+// additionally pins it. ok is false for anything malformed — every check
+// runs before the first allocation, and the decoded commands share one
+// backing array. Only canonical elements are accepted, so a payload that
+// parses re-encodes to the same bytes.
 func parseBatchMsg[E comparable](f field.Field[E], data []byte, steps, k, cmdLen int) (cmds [][][]E, round int, ok bool) {
-	var batch batchMsg
-	if err := decodePayload(data, &batch); err != nil {
+	if len(data) < batchHdrLen || [4]byte(data[:4]) != batchMagic || k < 1 || cmdLen < 1 {
 		return nil, 0, false
 	}
+	round64 := binary.LittleEndian.Uint64(data[4:])
+	count := uint64(binary.LittleEndian.Uint32(data[12:]))
 	if steps < 0 {
-		if k < 1 || len(batch.Cmds) == 0 || len(batch.Cmds)%k != 0 {
-			return nil, 0, false
-		}
-		steps = len(batch.Cmds) / k
+		steps = int(count / uint64(k)) // a remainder fails the count check below
 	}
-	if len(batch.Cmds) != steps*k {
+	// count and cmdLen are both below 2^32, so their product cannot wrap;
+	// comparing element counts keeps the factor 8 out of it.
+	body := data[batchHdrLen:]
+	if round64 > math.MaxInt || count == 0 || count != uint64(steps)*uint64(k) ||
+		uint64(binary.LittleEndian.Uint32(data[16:])) != uint64(cmdLen) ||
+		len(body)%8 != 0 || uint64(len(body)/8) != count*uint64(cmdLen) {
 		return nil, 0, false
 	}
-	for _, w := range batch.Cmds {
-		if len(w) != cmdLen {
+	flat := make([]E, len(body)/8)
+	for i := range flat {
+		v := binary.LittleEndian.Uint64(body[8*i:])
+		flat[i] = f.FromUint64(v)
+		if f.Uint64(flat[i]) != v {
 			return nil, 0, false
 		}
 	}
-	out := make([][][]E, steps)
-	for j := range out {
-		out[j] = matFromWire[[]E](f, batch.Cmds[j*k:(j+1)*k])
+	vecs := make([][]E, count)
+	for i := range vecs {
+		vecs[i] = flat[i*cmdLen : (i+1)*cmdLen : (i+1)*cmdLen]
 	}
-	return out, batch.Round, true
+	cmds = make([][][]E, steps)
+	for j := range cmds {
+		cmds[j] = vecs[j*k : (j+1)*k : (j+1)*k]
+	}
+	return cmds, int(round64), true
 }

@@ -255,7 +255,7 @@ func TestProcessRoundCountGuard(t *testing.T) {
 		walRecords int
 	}{
 		{run: processRun{kind: Oracle}, ops: []uint64{304, 48, 48, 48, 48, 48}, ticks: []int{2, 2, 2, 2, 2, 2}},
-		{run: processRun{kind: PBFT, durable: true}, ops: []uint64{304, 48, 48, 48, 48, 48}, ticks: []int{4, 4, 4, 4, 4, 4}, walRecords: 12},
+		{run: processRun{kind: PBFT, durable: true}, ops: []uint64{304, 48, 48, 48, 48, 48}, ticks: []int{4, 4, 4, 4, 4, 4}, walRecords: 6},
 	} {
 		got := runProcesses(t, tc.run, workload)
 		for i, p := range got.procs {

@@ -1,6 +1,8 @@
 package csm
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 
 	"codedsm/internal/delegate"
@@ -38,6 +40,20 @@ type dlgProofMsg struct {
 type dlgAlertMsg struct {
 	Round, Attempt int
 	Phase          string
+}
+
+// encodePayload and decodePayload gob-code the three messages above, the
+// last reflective codec on a wire path (batch and result: see csm.go).
+func encodePayload(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("csm: encode: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+func decodePayload(data []byte, v any) error {
+	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
 // delegationEpsilon is the committee failure-probability target.

@@ -1,28 +1,28 @@
 // Durable coded state: the csm side of the internal/wal layer.
 //
-// Both engines persist the same two things — the decided consensus
-// batches (write-ahead, before execution) and the per-round results of
-// applying them — but they recover differently:
+// The two engines log different things, because they recover differently:
 //
-//   - The in-process Cluster logs every decided batch (including
-//     skipped ones, so the round/instance counters replay identically)
-//     and snapshots the full cluster state — every node's coded share,
-//     the oracle machines, membership behaviors, and the churn cursor.
-//     Recovery loads the newest valid snapshot and re-executes the
-//     logged batches: the log entry IS the consensus decision, so
-//     replay bypasses the consensus phase and feeds the agreed commands
-//     straight to the execution engine.
+//   - The in-process Cluster logs every decided batch write-ahead, before
+//     execution (including skipped ones, so the round/instance counters
+//     replay identically), and snapshots the full cluster state — every
+//     node's coded share, the oracle machines, membership behaviors, and
+//     the churn cursor. Recovery loads the newest valid snapshot and
+//     re-executes the logged batches: the log entry IS the consensus
+//     decision, so replay bypasses the consensus phase and feeds the
+//     agreed commands straight to the execution engine.
 //
 //   - A NodeProcess cannot re-execute commands alone: recovering the
 //     next coded share requires decoding all N results, which one
-//     process cannot do offline (f∘u has degree d(K-1), not K-1). Its
-//     applied records therefore carry the node's own next share, the
-//     marshaled run-digest state, and the decoded outputs; replay is a
-//     pure state restore. The batch records remain the write-ahead
-//     intent — and the torn-write fodder the fault harness aims at.
-//     Whatever round skew a crash leaves between nodes is reconciled by
-//     NodeProcess.Recover (remote.go): stale-but-present shares catch
-//     up via lcc.RepairShare from peers, only for the missing delta.
+//     process cannot do offline (f∘u has degree d(K-1), not K-1). A
+//     logged batch would therefore have no reader, and none is written:
+//     the node's log is applied records only, one per executed round,
+//     fsynced after the decode and before the outputs are returned. Each
+//     carries the node's own next share — one coded state, the size of a
+//     single machine's — the marshaled run-digest state, and the decoded
+//     outputs; replay is a pure state restore. Whatever round skew a
+//     crash leaves between nodes is reconciled by NodeProcess.Recover
+//     (recover.go): stale-but-present shares catch up via
+//     lcc.RepairShare from peers, only for the missing delta.
 package csm
 
 import (
@@ -59,9 +59,11 @@ func (d DurabilityConfig) normalized() DurabilityConfig {
 	return d
 }
 
-// WAL record types (the type byte of each wal record).
+// WAL record types (the type byte of each wal record). Type 1 was the
+// remote engine's write-ahead batch record; nothing ever read it and it is
+// no longer written, but older data directories hold it, so the value
+// stays reserved — never reuse it — and absorbRecord skips it.
 const (
-	recNodeBatch    byte = 1 // remote: decided batch, write-ahead
 	recNodeApplied  byte = 2 // remote: post-round share + digest + outputs + deciding protocol
 	recClusterBatch byte = 3 // in-process: decided batch, write-ahead
 )
@@ -218,11 +220,11 @@ type nodeStore struct {
 	protoErr error
 
 	snapEvery int
-	lastSnap  int // round of the newest snapshot
-	prevSnap  int // round of the previous snapshot (retention floor)
-	round     int // recovered executed-round count
-	share     []uint64
-	digest    []byte
+	lastSnap  int                  // round of the newest snapshot
+	prevSnap  int                  // round of the previous snapshot (retention floor)
+	round     int                  // executed rounds recovered at open (not kept current)
+	share     []uint64             // share after them, as recovered
+	digest    []byte               // digest state after them, as recovered
 	applied   map[int]appliedState // executed round -> state after it
 	appendBuf bwriter
 }
@@ -300,7 +302,7 @@ func (s *nodeStore) scanSegment(path string, advance bool) {
 // otherwise they only populate the retained window.
 func (s *nodeStore) absorbRecord(rec wal.Record, advance bool) {
 	if rec.Type != recNodeApplied {
-		return // batch records are write-ahead intent, not state
+		return // a legacy batch record (type 1): never state
 	}
 	r := &breader{b: rec.Payload}
 	round := int(r.u64())
@@ -331,15 +333,6 @@ func (s *nodeStore) absorbRecord(rec wal.Record, advance bool) {
 	}
 }
 
-// appendBatch logs a decided batch before execution (write-ahead).
-func (s *nodeStore) appendBatch(round int, payload []byte) error {
-	w := &s.appendBuf
-	w.b = w.b[:0]
-	w.u64(uint64(round))
-	w.bytes(payload)
-	return s.log.Append(recNodeBatch, w.b)
-}
-
 // appendApplied logs one executed round's resulting state, stamped with
 // the protocol that decided the round's batch.
 func (s *nodeStore) appendApplied(round int, share []uint64, digest []byte, outputs [][]uint64) error {
@@ -354,18 +347,16 @@ func (s *nodeStore) appendApplied(round int, share []uint64, digest []byte, outp
 		w.vec(out)
 	}
 	s.applied[round] = appliedState{share: share, digest: digest, outputs: outputs}
-	s.round = round + 1
-	s.share, s.digest = share, digest
 	return s.log.Append(recNodeApplied, w.b)
 }
 
-// maybeSnapshot rotates to a new snapshot generation when the cadence
-// is due (or force is set): write the snapshot atomically, roll the WAL
-// segment, and prune the retained window below the previous snapshot.
-func (s *nodeStore) maybeSnapshot(round int, share []uint64, digest []byte, force bool) error {
-	if !force && round-s.lastSnap < s.snapEvery {
-		return nil
-	}
+// snapshotDue reports whether the snapshot cadence has come round.
+func (s *nodeStore) snapshotDue(round int) bool { return round-s.lastSnap >= s.snapEvery }
+
+// snapshot rotates to a new snapshot generation: write the snapshot
+// atomically, roll the WAL segment, and prune the retained window below
+// the previous snapshot.
+func (s *nodeStore) snapshot(round int, share []uint64, digest []byte) error {
 	var w bwriter
 	w.u64(uint64(round))
 	w.vec(share)
@@ -390,8 +381,6 @@ func (s *nodeStore) maybeSnapshot(round int, share []uint64, digest []byte, forc
 			delete(s.applied, r)
 		}
 	}
-	s.round = round
-	s.share, s.digest = share, digest
 	return nil
 }
 

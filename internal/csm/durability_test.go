@@ -1,9 +1,12 @@
 package csm
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -413,5 +416,70 @@ func TestNodeProcessDurableTornTail(t *testing.T) {
 		if d != want {
 			t.Fatalf("node %d digest %s, want %s", i, d, want)
 		}
+	}
+}
+
+// TestNodeStoreIgnoresLegacyBatchRecords: binaries before the batch record
+// was dropped interleaved a type-1 record (round + the gob-coded batch)
+// ahead of every applied record. A segment written that way must reopen to
+// exactly the state of the same segment without them.
+func TestNodeStoreIgnoresLegacyBatchRecords(t *testing.T) {
+	const legacyBatch byte = 1
+	write := func(dir string, legacy bool) {
+		t.Helper()
+		s, err := openNodeStore(DurabilityConfig{Dir: dir}, PBFT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 3; r++ {
+			if legacy {
+				var w bwriter
+				w.u64(uint64(r))
+				w.bytes([]byte("the decided batch, as the old binary logged it"))
+				if err := s.log.Append(legacyBatch, w.b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			outputs := [][]uint64{{uint64(r)}, {uint64(r + 1)}}
+			if err := s.appendApplied(r, []uint64{uint64(10 + r)}, []byte{byte(r)}, outputs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldDir, newDir := t.TempDir(), t.TempDir()
+	write(oldDir, true)
+	write(newDir, false)
+
+	seg, err := os.Open(filepath.Join(oldDir, wal.SegmentName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	var types []byte
+	if _, err := wal.Scan(seg, func(r wal.Record) error { types = append(types, r.Type); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{legacyBatch, recNodeApplied, legacyBatch, recNodeApplied, legacyBatch, recNodeApplied}; !bytes.Equal(types, want) {
+		t.Fatalf("legacy segment holds record types %v, want %v", types, want)
+	}
+
+	reopen := func(dir string) *nodeStore {
+		t.Helper()
+		s, err := openNodeStore(DurabilityConfig{Dir: dir}, PBFT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.close() })
+		return s
+	}
+	got, want := reopen(oldDir), reopen(newDir)
+	if got.round != 3 || got.round != want.round ||
+		!slices.Equal(got.share, want.share) || !bytes.Equal(got.digest, want.digest) ||
+		!reflect.DeepEqual(got.applied, want.applied) {
+		t.Errorf("legacy directory reopened at round %d share %v digest %v (%d applied), want round %d share %v digest %v (%d applied)",
+			got.round, got.share, got.digest, len(got.applied), want.round, want.share, want.digest, len(want.applied))
 	}
 }

@@ -2,7 +2,6 @@ package csm
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -61,15 +60,10 @@ func parallelScenarios() map[string]Config[uint64] {
 	return scenarios
 }
 
-// encodeRound gob-encodes a round result so byte equality is exact
+// encodeRound renders a round result so byte equality is exact
 // structural equality (outputs, correctness, faults, skips, ticks).
-func encodeRound(t *testing.T, res *RoundResult[uint64]) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(res); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+func encodeRound(res *RoundResult[uint64]) []byte {
+	return fmt.Appendf(nil, "%+v", *res)
 }
 
 func TestParallelRoundsBitIdenticalToSequential(t *testing.T) {
@@ -94,7 +88,7 @@ func TestParallelRoundsBitIdenticalToSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(encodeRound(t, seqRes), encodeRound(t, parRes)) {
+				if !bytes.Equal(encodeRound(seqRes), encodeRound(parRes)) {
 					t.Fatalf("round %d diverged:\nsequential: %+v\nparallel:   %+v", r, seqRes, parRes)
 				}
 				if !seqRes.Correct {
@@ -150,7 +144,7 @@ func TestParallelismWorkerSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
-			trace.Write(encodeRound(t, res))
+			trace.Write(encodeRound(res))
 		}
 		if ref == nil {
 			ref = trace.Bytes()

@@ -37,7 +37,7 @@ func TestPipelinedBitIdenticalToSequential(t *testing.T) {
 				t.Fatalf("round counts differ: %d vs %d", len(seqRes), len(pipeRes))
 			}
 			for r := range seqRes {
-				if !bytes.Equal(encodeRound(t, seqRes[r]), encodeRound(t, pipeRes[r])) {
+				if !bytes.Equal(encodeRound(seqRes[r]), encodeRound(pipeRes[r])) {
 					t.Fatalf("round %d diverged:\nsequential: %+v\npipelined:  %+v", r, seqRes[r], pipeRes[r])
 				}
 				if !seqRes[r].Correct {
@@ -86,7 +86,7 @@ func TestRunPipelinedForcesPipelining(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := range seqRes {
-		if !bytes.Equal(encodeRound(t, seqRes[r]), encodeRound(t, pipeRes[r])) {
+		if !bytes.Equal(encodeRound(seqRes[r]), encodeRound(pipeRes[r])) {
 			t.Fatalf("round %d diverged", r)
 		}
 	}

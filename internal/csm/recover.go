@@ -255,16 +255,17 @@ func (p *NodeProcess[E]) catchUp(target int, ahead []int) error {
 	return p.snapshot(true)
 }
 
-// snapshot offers the node's current state to the durable store (no-op
-// without durability): at the store's cadence after a batch, or forced
-// after recovery changed the state outside the ordinary append path.
+// snapshot rotates the durable store to a snapshot of the node's current
+// state (no-op without durability): when the store's cadence is due after
+// a batch, or forced after recovery changed the state outside the ordinary
+// append path. The state is marshaled only when a rotation happens.
 func (p *NodeProcess[E]) snapshot(force bool) error {
-	if p.store == nil {
+	if p.store == nil || !(force || p.store.snapshotDue(p.round)) {
 		return nil
 	}
 	dstate, err := p.digest.MarshalBinary()
 	if err != nil {
 		return err
 	}
-	return p.store.maybeSnapshot(p.round, vecToWire(p.cfg.BaseField, p.core.codedState), dstate, force)
+	return p.store.snapshot(p.round, vecToWire(p.cfg.BaseField, p.core.codedState), dstate)
 }

@@ -94,7 +94,7 @@ type RemoteConfig[E comparable] struct {
 	// round's results before giving up (default 200).
 	MaxTicksPerRound int
 	// Durability persists this node's coded share, run digest, and
-	// decided batches under a data directory (see durability.go). A
+	// decoded outputs under a data directory (see durability.go). A
 	// restarted process resumes from its last durable round; Recover
 	// then reconciles any round skew with the peers.
 	Durability *DurabilityConfig
@@ -286,7 +286,7 @@ func (p *NodeProcess[E]) LeadBatch(batch [][][]E) ([][][]E, error) {
 	if _, err := p.link.Step(); err != nil {
 		return nil, err
 	}
-	return p.commitBatch(payload, p.round, batch)
+	return p.commitBatch(p.round, batch)
 }
 
 // FollowBatch waits for the sequencer's next batch and executes it. done
@@ -316,7 +316,7 @@ func (p *NodeProcess[E]) FollowBatch() (outputs [][][]E, done bool, err error) {
 				if !ok {
 					return nil, false, fmt.Errorf("csm: node %d: malformed batch from sequencer", p.self)
 				}
-				out, err := p.commitBatch(m.Payload, round, batch)
+				out, err := p.commitBatch(round, batch)
 				return out, false, err
 			}
 		}
@@ -331,7 +331,7 @@ func (p *NodeProcess[E]) encodeBatchProposal(batch [][][]E) ([]byte, error) {
 	if err := validateBatchShape(batch, p.cfg.K, p.tr.CmdLen()); err != nil {
 		return nil, err
 	}
-	return encodeBatchMsg(p.cfg.BaseField, p.round, batch)
+	return encodeBatchMsg(p.cfg.BaseField, p.round, batch), nil
 }
 
 // batchDesyncError reports a decided batch that was proposed for another
@@ -347,18 +347,16 @@ func (e *batchDesyncError) Error() string {
 
 // commitBatch is the one path from a decided batch to executed rounds,
 // whoever decided it (this sequencer, the sequencer's broadcast, a BFT
-// instance): check that the payload was proposed for this node's round,
-// log it ahead of execution, run the coded micro-steps. The batch record
-// is intent only — recovery replays applied records, never batch records
-// — so only its order against the applied records matters.
-func (p *NodeProcess[E]) commitBatch(payload []byte, round int, agreed [][][]E) ([][][]E, error) {
+// instance): check that the batch was proposed for this node's round, run
+// the coded micro-steps. The batch itself is never logged. A NodeProcess
+// cannot re-execute a batch alone — the decode needs the peers' results —
+// so recovery is a state restore from the applied records executeSteps
+// writes after each decode, plus Recover's delta from the peers; logged
+// intent would have no reader. A durable round is one applied record and
+// one fsync, on disk before the outputs are returned.
+func (p *NodeProcess[E]) commitBatch(round int, agreed [][][]E) ([][][]E, error) {
 	if round != p.round {
 		return nil, &batchDesyncError{node: p.self, at: p.round, got: round}
-	}
-	if p.store != nil {
-		if err := p.store.appendBatch(p.round, payload); err != nil {
-			return nil, err
-		}
 	}
 	return p.executeSteps(agreed)
 }

@@ -147,5 +147,5 @@ func (p *NodeProcess[E]) runConsensusBatch(batch [][][]E) ([][][]E, error) {
 		return nil, fmt.Errorf("csm: node %d round %d: %v decided an unusable batch (%d bytes)",
 			p.self, p.round, p.cfg.Consensus, len(decided))
 	}
-	return p.commitBatch(decided, round, agreed)
+	return p.commitBatch(round, agreed)
 }

@@ -348,10 +348,7 @@ func TestRemoteBatchValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	wrongRound, err := encodeBatchMsg[uint64](gold, 1, RandomWorkload[uint64](gold, 1, remoteK, 1, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	wrongRound := encodeBatchMsg[uint64](gold, 1, RandomWorkload[uint64](gold, 1, remoteK, 1, 3))
 	if err := links[SequencerID].Broadcast(batchKind, wrongRound); err != nil {
 		t.Fatal(err)
 	}

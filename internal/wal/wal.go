@@ -27,6 +27,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // Magic prefixes a WAL segment file. The trailing byte versions the
@@ -76,7 +77,6 @@ type Record struct {
 // Log is an append-only record log backed by a single segment file.
 type Log struct {
 	f      *os.File
-	path   string
 	policy SyncPolicy
 	size   int64
 	buf    []byte
@@ -85,26 +85,35 @@ type Log struct {
 // Open opens (creating if absent) the segment at path, scans it for
 // valid records, truncates any torn tail, and returns the log
 // positioned for append together with the records that survived.
-// Payload slices are owned by the caller.
-func Open(path string, policy SyncPolicy) (*Log, []Record, error) {
+// Payload slices are owned by the caller. Under SyncAlways a created
+// segment's directory entry is durable on return: the records fsynced
+// into it later are only as durable as its name.
+func Open(path string, policy SyncPolicy) (_ *Log, _ []Record, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	info, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, nil, err
 	}
-	l := &Log{f: f, path: path, policy: policy}
+	l := &Log{f: f, policy: policy}
 	if info.Size() == 0 {
 		if _, err := f.Write(Magic[:]); err != nil {
-			f.Close()
 			return nil, nil, err
 		}
 		if err := l.maybeSync(); err != nil {
-			f.Close()
 			return nil, nil, err
+		}
+		if policy == SyncAlways {
+			if err := syncDir(filepath.Dir(path)); err != nil {
+				return nil, nil, err
+			}
 		}
 		l.size = headerLen
 		return l, nil, nil
@@ -115,23 +124,19 @@ func Open(path string, policy SyncPolicy) (*Log, []Record, error) {
 		return nil
 	})
 	if err != nil {
-		f.Close()
 		return nil, nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
 	if end < info.Size() {
 		// Torn or corrupt tail: discard everything after the last
 		// valid record so appends resume from a clean boundary.
 		if err := f.Truncate(end); err != nil {
-			f.Close()
 			return nil, nil, err
 		}
 		if err := f.Sync(); err != nil {
-			f.Close()
 			return nil, nil, err
 		}
 	}
 	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
 		return nil, nil, err
 	}
 	l.size = end
@@ -235,15 +240,14 @@ func (l *Log) Sync() error { return l.f.Sync() }
 // Size reports the current segment size in bytes, header included.
 func (l *Log) Size() int64 { return l.size }
 
-// Path reports the segment file path.
-func (l *Log) Path() string { return l.path }
-
-// Close syncs (under SyncAlways appends are already durable; this
-// covers SyncNever) and closes the segment.
+// Close closes the segment, syncing it first under SyncNever; under
+// SyncAlways every append (and the header) was synced as it was written.
 func (l *Log) Close() error {
-	if err := l.f.Sync(); err != nil {
-		l.f.Close()
-		return err
+	if l.policy != SyncAlways {
+		if err := l.f.Sync(); err != nil {
+			l.f.Close()
+			return err
+		}
 	}
 	return l.f.Close()
 }
