@@ -63,6 +63,50 @@ func TestRoundOpCountGuard(t *testing.T) {
 	}
 }
 
+// TestDelegatedRoundCountGuard pins the Section 6.2 round at the same
+// shape as TestRoundOpCountGuard: the cluster's counted field operations
+// and lock-step ticks per delegated round, exact on any host, honest and
+// with that test's 21 WrongResult nodes (whose round-2 worker is one of
+// them: it is caught and the round retried under the next worker). Each
+// figure is logged as a fraction of the decentralised honest round.
+func TestDelegatedRoundCountGuard(t *testing.T) {
+	const decentralised = 358_912 // TestRoundOpCountGuard's honest round
+	liars := map[int]Behavior{}
+	for i := 0; len(liars) < 21; i++ {
+		liars[(i*5+2)%64] = WrongResult
+	}
+	for _, tc := range []struct {
+		name   string
+		byz    map[int]Behavior
+		ops    []uint64
+		ticks  []int
+		faulty int
+	}{
+		{"honest", nil, []uint64{136170, 119676, 93276}, []int{4, 4, 4}, 0},
+		{"21 WrongResult", liars, []uint64{144942, 133112, 124304}, []int{4, 4, 8}, 21},
+	} {
+		cfg := delegatedConfig(22, 64, 21)
+		cfg.Byzantine = tc.byz
+		c := newCluster(t, cfg)
+		ops, ticks := make([]uint64, 3), make([]int, 3)
+		for r, cmds := range RandomWorkload[uint64](gold, 3, 22, c.tr.CmdLen(), 7) {
+			before := c.OpCounts().Total()
+			res, err := c.ExecuteRound(cmds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Correct || len(res.FaultyDetected) != tc.faulty {
+				t.Errorf("%s round %d: correct=%v, %d faulty detected, want %d", tc.name, r, res.Correct, len(res.FaultyDetected), tc.faulty)
+			}
+			ops[r], ticks[r] = c.OpCounts().Total()-before, res.Ticks
+			t.Logf("%s round %d: %d counted field ops, %.2fx the decentralised round's %d", tc.name, r, ops[r], float64(ops[r])/decentralised, decentralised)
+		}
+		if !slices.Equal(ops, tc.ops) || !slices.Equal(ticks, tc.ticks) {
+			t.Errorf("%s: per round field ops %v ticks %v; pinned %v %v", tc.name, ops, ticks, tc.ops, tc.ticks)
+		}
+	}
+}
+
 // TestIntermittentLiarForcesOneFallback: node 0 — inside the rows an
 // unsuspecting check trusts — lies, sends one more bad result from its
 // stale state after being released, then behaves for a round, over and
