@@ -35,19 +35,17 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
+	"slices"
 	"time"
 
 	"codedsm"
 	"codedsm/internal/nodeapi"
+	"codedsm/internal/procharness"
 )
 
 func main() {
@@ -76,11 +74,13 @@ func main() {
 	})
 	defer deadline.Stop()
 
-	gold := codedsm.NewGoldilocks()
-	workload := codedsm.RandomWorkload[uint64](gold, *rounds, *k, 1, *seed)
+	workload := codedsm.RandomWorkload[uint64](codedsm.NewGoldilocks(), *rounds, *k, 1, *seed)
 
 	// 1. The in-memory oracle run.
-	oracle, oracleOutputs := oracleDigest(gold, workload, *n, *k, *degree, *seed)
+	oracle, oracleOutputs, err := procharness.Oracle(workload, *n, *k, *degree, *seed)
+	if err != nil {
+		log.Fatal(err)
+	}
 	log.Printf("oracle:   %d rounds on the simulated cluster, digest=%s", *rounds, oracle)
 
 	// 2. Bootstrap the real cluster's config files.
@@ -89,8 +89,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	bootArgs := []string{"bootstrap", "-dir", dir,
-		"-n", fmt.Sprint(*n), "-k", fmt.Sprint(*k), "-degree", fmt.Sprint(*degree),
+	bootArgs := []string{"-k", fmt.Sprint(*k), "-degree", fmt.Sprint(*degree),
 		"-faults", fmt.Sprint(*faults), "-seed", fmt.Sprint(*seed)}
 	if *consensus != "oracle" {
 		bootArgs = append(bootArgs, "-consensus", *consensus)
@@ -102,36 +101,38 @@ func main() {
 		// needs durable nodes.
 		bootArgs = append(bootArgs, "-data-dir", filepath.Join(dir, "data"))
 	}
-	bootstrap := exec.Command(*csmnode, bootArgs...)
-	bootstrap.Stderr = os.Stderr
-	if err := bootstrap.Run(); err != nil {
-		log.Fatalf("csmnode bootstrap: %v", err)
+	h := procharness.New(*csmnode, dir, *n)
+	h.Verbose = true
+	if err := h.Bootstrap(bootArgs...); err != nil {
+		log.Fatal(err)
 	}
+	defer h.KillAll()
 
 	if *consensus == "oracle" {
-		runIngress(*csmnode, dir, *n, *rounds, workload, oracle, oracleOutputs)
+		runIngress(h, workload, oracle, oracleOutputs)
 	} else {
-		runConsensus(*csmnode, dir, *n, *rounds, *consensus, *killLeader, oracle)
+		runConsensus(h, *rounds, *consensus, *killLeader, oracle)
 	}
 }
 
 // runIngress is the sequencer deployment: node 0 serves the socket
 // ingress, the harness submits the workload command by command and
 // checks every streamed output against the oracle as it arrives.
-func runIngress(csmnode, dir string, n, rounds int, workload [][][]uint64, oracle string, oracleOutputs [][][]uint64) {
-	clientAddr := clientListenAddr(filepath.Join(dir, "node0.json"))
-
-	procs := make([]*exec.Cmd, n)
-	outputs := make([]*strings.Builder, n)
-	for i := range procs {
-		args := []string{"run", "-config", filepath.Join(dir, fmt.Sprintf("node%d.json", i))}
-		if i == 0 {
-			args = append(args, "-serve")
-		}
-		procs[i] = startNode(csmnode, args, nil, &outputs[i])
+func runIngress(h *procharness.Cluster, workload [][][]uint64, oracle string, oracleOutputs [][][]uint64) {
+	clientAddr, err := h.ClientAddr()
+	if err != nil {
+		log.Fatal(err)
 	}
-	defer killAll(procs)
-	log.Printf("cluster:  %d csmnode processes up, ingress at %s", n, clientAddr)
+	for i := 0; i < h.N; i++ {
+		var args []string
+		if i == 0 {
+			args = []string{"-serve"}
+		}
+		if err := h.Start(i, args); err != nil {
+			log.Fatal(err)
+		}
+	}
+	log.Printf("cluster:  %d csmnode processes up, ingress at %s", h.N, clientAddr)
 
 	client, err := nodeapi.Dial(clientAddr, 30*time.Second)
 	if err != nil {
@@ -149,7 +150,7 @@ func runIngress(csmnode, dir string, n, rounds int, workload [][][]uint64, oracl
 				log.Fatalf("reading results of round %d: %v", r, err)
 			}
 			want := oracleOutputs[resp.Round][resp.Machine]
-			if !equalU64(resp.Output, want) {
+			if !slices.Equal(resp.Output, want) {
 				log.Fatalf("FAIL: round %d machine %d: cluster output %v, oracle %v",
 					resp.Round, resp.Machine, resp.Output, want)
 			}
@@ -159,23 +160,16 @@ func runIngress(csmnode, dir string, n, rounds int, workload [][][]uint64, oracl
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("ingress:  %d rounds submitted over the socket, digest=%s", rounds, remoteDigest)
+	log.Printf("ingress:  %d rounds submitted over the socket, digest=%s", len(workload), remoteDigest)
 
 	// Every process must exit cleanly and print the oracle digest.
-	for i, p := range procs {
-		if err := p.Wait(); err != nil {
-			log.Fatalf("FAIL: node %d exited with %v\n%s", i, err, outputs[i])
-		}
-	}
 	if remoteDigest != oracle {
 		log.Fatalf("FAIL: ingress digest %s, oracle %s", remoteDigest, oracle)
 	}
-	for i := range procs {
-		if d := digestLine(outputs[i].String()); d != oracle {
-			log.Fatalf("FAIL: node %d digest %s, oracle %s", i, d, oracle)
-		}
+	if err := h.AwaitAll(oracle, len(workload)); err != nil {
+		log.Fatalf("FAIL: %v", err)
 	}
-	log.Printf("PASS: %d processes x %d rounds bit-identical to the in-memory oracle", n, rounds)
+	log.Printf("PASS: %d processes x %d rounds bit-identical to the in-memory oracle", h.N, len(workload))
 }
 
 // runConsensus is the symmetric BFT deployment: every node runs the
@@ -183,135 +177,40 @@ func runIngress(csmnode, dir string, n, rounds int, workload [][][]uint64, oracl
 // consensus protocol over the TCP links. With killLeader the harness
 // arms a WAL crash hook on node 0 so it dies around round 3 — rounds
 // 0-2 prove the view-0 leader path, the rest prove the view change.
-func runConsensus(csmnode, dir string, n, rounds int, consensus string, killLeader bool, oracle string) {
-	procs := make([]*exec.Cmd, n)
-	outputs := make([]*strings.Builder, n)
-	for i := range procs {
-		args := []string{"run", "-config", filepath.Join(dir, fmt.Sprintf("node%d.json", i)),
-			"-rounds", fmt.Sprint(rounds)}
+func runConsensus(h *procharness.Cluster, rounds int, consensus string, killLeader bool, oracle string) {
+	for i := 0; i < h.N; i++ {
 		var env []string
 		if killLeader && i == 0 {
 			// A durable round appends once (its applied state, after the
 			// decode); the 4th append is the end of round 3, after node 0
 			// already served as PBFT leader for three durable batches.
-			env = append(os.Environ(), "CSMNODE_CRASH=wal-before-append@4")
+			env = []string{"CSMNODE_CRASH=wal-before-append@4"}
 		}
-		procs[i] = startNode(csmnode, args, env, &outputs[i])
+		if err := h.Start(i, []string{"-rounds", fmt.Sprint(rounds)}, env...); err != nil {
+			log.Fatal(err)
+		}
 	}
-	defer killAll(procs)
-	log.Printf("cluster:  %d csmnode processes running %s over TCP", n, consensus)
+	log.Printf("cluster:  %d csmnode processes running %s over TCP", h.N, consensus)
 
-	for i, p := range procs {
-		err := p.Wait()
+	for i := 0; i < h.N; i++ {
+		res, err := h.Wait(i)
 		if killLeader && i == 0 {
 			if err == nil {
-				log.Fatalf("FAIL: node 0 survived its injected crash\n%s", outputs[0])
+				log.Fatalf("FAIL: node 0 survived its injected crash (digest %s at round %d)", res.Digest, res.Rounds)
 			}
-			log.Printf("leader:   node 0 killed by injected WAL crash (%v)", err)
+			log.Print("leader:   node 0 killed by injected WAL crash")
 			continue
 		}
 		if err != nil {
-			log.Fatalf("FAIL: node %d exited with %v\n%s", i, err, outputs[i])
+			log.Fatalf("FAIL: %v", err)
 		}
-		if d := digestLine(outputs[i].String()); d != oracle {
-			log.Fatalf("FAIL: node %d digest %s, oracle %s", i, d, oracle)
+		if res.Digest != oracle || res.Rounds != rounds {
+			log.Fatalf("FAIL: node %d digest %s at round %d, oracle %s at %d", i, res.Digest, res.Rounds, oracle, rounds)
 		}
 	}
 	if killLeader {
-		log.Printf("PASS: %d survivors finished %d rounds via %s view change, bit-identical to the in-memory oracle", n-1, rounds, consensus)
+		log.Printf("PASS: %d survivors finished %d rounds via %s view change, bit-identical to the in-memory oracle", h.N-1, rounds, consensus)
 	} else {
-		log.Printf("PASS: %d processes x %d rounds of %s bit-identical to the in-memory oracle", n, rounds, consensus)
+		log.Printf("PASS: %d processes x %d rounds of %s bit-identical to the in-memory oracle", h.N, rounds, consensus)
 	}
-}
-
-// startNode launches one csmnode process with its stdout captured.
-func startNode(csmnode string, args, env []string, out **strings.Builder) *exec.Cmd {
-	p := exec.Command(csmnode, args...)
-	*out = &strings.Builder{}
-	p.Stdout = *out
-	p.Stderr = os.Stderr
-	p.Env = env
-	if err := p.Start(); err != nil {
-		log.Fatalf("starting %v: %v", args, err)
-	}
-	return p
-}
-
-func killAll(procs []*exec.Cmd) {
-	for _, p := range procs {
-		if p.Process != nil {
-			p.Process.Kill()
-		}
-	}
-}
-
-// oracleDigest runs the workload on the simulated cluster and returns
-// the canonical digest plus the per-round outputs for streaming checks.
-func oracleDigest(gold codedsm.Goldilocks, workload [][][]uint64, n, k, degree int, seed uint64) (string, [][][]uint64) {
-	cluster, err := codedsm.Open(gold,
-		func(f codedsm.Field[uint64]) (*codedsm.Transition[uint64], error) {
-			return codedsm.NewPolynomialRegister(f, degree)
-		},
-		codedsm.WithNodes(n),
-		codedsm.WithMachines(k),
-		codedsm.WithFaults(0),
-		codedsm.WithSeed(seed))
-	if err != nil {
-		log.Fatal(err)
-	}
-	results, err := cluster.Run(workload)
-	if err != nil {
-		log.Fatal(err)
-	}
-	digest := nodeapi.NewDigest()
-	outputs := make([][][]uint64, len(results))
-	for r, res := range results {
-		if !res.Correct {
-			log.Fatalf("oracle round %d incorrect", r)
-		}
-		digest.AddRound(r, res.Outputs)
-		outputs[r] = res.Outputs
-	}
-	return digest.Sum(), outputs
-}
-
-// clientListenAddr extracts client_listen from the sequencer's config.
-func clientListenAddr(path string) string {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var cfg struct {
-		ClientListen string `json:"client_listen"`
-	}
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		log.Fatalf("parsing %s: %v", path, err)
-	}
-	if cfg.ClientListen == "" {
-		log.Fatalf("no client_listen in %s (bootstrap without -serve?)", path)
-	}
-	return cfg.ClientListen
-}
-
-// digestLine extracts the digest=<hex> line a csmnode prints at exit.
-func digestLine(out string) string {
-	sc := bufio.NewScanner(strings.NewReader(out))
-	for sc.Scan() {
-		if d, ok := strings.CutPrefix(sc.Text(), "digest="); ok {
-			return d
-		}
-	}
-	return "<no digest line>"
-}
-
-func equalU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

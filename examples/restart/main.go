@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"codedsm"
-	"codedsm/internal/nodeapi"
 	"codedsm/internal/procharness"
 )
 
@@ -54,9 +53,11 @@ func main() {
 	defer deadline.Stop()
 
 	// 1. The oracle: same workload, in-memory simulated cluster.
-	gold := codedsm.NewGoldilocks()
-	workload := codedsm.RandomWorkload[uint64](gold, *rounds, *k, 1, *seed)
-	oracle := oracleDigest(gold, workload, *n, *k, *degree, *seed)
+	workload := codedsm.RandomWorkload[uint64](codedsm.NewGoldilocks(), *rounds, *k, 1, *seed)
+	oracle, _, err := procharness.Oracle(workload, *n, *k, *degree, *seed)
+	if err != nil {
+		log.Fatal(err)
+	}
 	log.Printf("oracle:   digest=%s over %d rounds (in-memory cluster)", oracle, *rounds)
 
 	// 2. A durable cluster: snapshot often so recovery exercises both the
@@ -113,32 +114,4 @@ func main() {
 		log.Fatalf("FAIL: %v", err)
 	}
 	log.Printf("PASS: %d processes, %d crash-restart cycles, final digest bit-identical to the oracle", *n, *cycles+1)
-}
-
-// oracleDigest runs the workload on the simulated cluster and returns
-// the canonical digest of its outputs.
-func oracleDigest(gold codedsm.Goldilocks, workload [][][]uint64, n, k, degree int, seed uint64) string {
-	cluster, err := codedsm.Open(gold,
-		func(f codedsm.Field[uint64]) (*codedsm.Transition[uint64], error) {
-			return codedsm.NewPolynomialRegister(f, degree)
-		},
-		codedsm.WithNodes(n),
-		codedsm.WithMachines(k),
-		codedsm.WithFaults(0),
-		codedsm.WithSeed(seed))
-	if err != nil {
-		log.Fatal(err)
-	}
-	results, err := cluster.Run(workload)
-	if err != nil {
-		log.Fatal(err)
-	}
-	digest := nodeapi.NewDigest()
-	for r, res := range results {
-		if !res.Correct {
-			log.Fatalf("oracle round %d incorrect", r)
-		}
-		digest.AddRound(r, res.Outputs)
-	}
-	return digest.Sum()
 }

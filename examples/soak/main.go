@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"codedsm"
-	"codedsm/internal/nodeapi"
 	"codedsm/internal/procharness"
 )
 
@@ -130,7 +129,10 @@ func mustCorrect(results []*codedsm.RoundResult[uint64], err error) {
 // whose every node must print the oracle digest at the full round count.
 func crashSoak(gold codedsm.Goldilocks, csmnode string, seed uint64, rng *rand.Rand) {
 	workload := codedsm.RandomWorkload[uint64](gold, procRounds, procMachines, 1, seed)
-	oracle := oracleDigest(gold, workload, seed)
+	oracle, _, err := procharness.Oracle(workload, procNodes, procMachines, procDegree, seed)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	dir, err := os.MkdirTemp("", "csmnode-soak-*")
 	if err != nil {
@@ -161,32 +163,4 @@ func crashSoak(gold codedsm.Goldilocks, csmnode string, seed uint64, rng *rand.R
 		log.Fatalf("FAIL (seed %d, %d kills): %v", seed, kills, err)
 	}
 	log.Printf("soak:     seed %d survived %d whole-cluster SIGKILLs, digest bit-identical", seed, kills)
-}
-
-// oracleDigest runs the workload on the simulated cluster and returns
-// the canonical digest of its outputs.
-func oracleDigest(gold codedsm.Goldilocks, workload [][][]uint64, seed uint64) string {
-	cluster, err := codedsm.Open(gold,
-		func(f codedsm.Field[uint64]) (*codedsm.Transition[uint64], error) {
-			return codedsm.NewPolynomialRegister(f, procDegree)
-		},
-		codedsm.WithNodes(procNodes),
-		codedsm.WithMachines(procMachines),
-		codedsm.WithFaults(0),
-		codedsm.WithSeed(seed))
-	if err != nil {
-		log.Fatal(err)
-	}
-	results, err := cluster.Run(workload)
-	if err != nil {
-		log.Fatal(err)
-	}
-	digest := nodeapi.NewDigest()
-	for r, res := range results {
-		if !res.Correct {
-			log.Fatalf("oracle round %d incorrect", r)
-		}
-		digest.AddRound(r, res.Outputs)
-	}
-	return digest.Sum()
 }

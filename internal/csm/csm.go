@@ -55,7 +55,9 @@
 // return. All cluster and network randomness is consumed on the driving
 // goroutine in the same order as sequential execution, which is what makes
 // pipelined runs bit-identical (RoundResult for RoundResult) to
-// sequential ones.
+// sequential ones. The delegated execution phase (delegated.go) keeps the
+// same contract: the honest nodes adopt their refreshed coded states on
+// the driving goroutine before the step returns its snapshot.
 package csm
 
 import (
@@ -190,9 +192,11 @@ type Config[E comparable] struct {
 	// NoEquivocation models a broadcast network (Section 6 assumption).
 	NoEquivocation bool
 	// Delegated enables the Section 6.2 execution phase: a rotating worker
-	// performs all coding, verified by a random auditor committee; fraud
-	// aborts the attempt and the next worker retries. Requires a
-	// synchronous broadcast network (Mode == Sync and NoEquivocation).
+	// performs all coding, verified by a random auditor committee; fraud,
+	// or a worker that sends nothing, aborts the attempt and the next
+	// worker retries. Requires a synchronous broadcast network (Mode ==
+	// Sync and NoEquivocation); excludes Churn, Durability and Crashed
+	// entries in Byzantine (a node crashed at run time is tolerated).
 	Delegated bool
 	// InitialStates holds K state vectors; nil means all-zero states.
 	InitialStates [][]E
@@ -220,8 +224,9 @@ type Config[E comparable] struct {
 	// to Pipeline decided rounds may have their client/audit stage still
 	// outstanding while the driving goroutine executes later rounds.
 	// 0 disables pipelining in Run (RunPipelined then uses
-	// DefaultPipelineDepth); negative values are rejected. Incompatible
-	// with Delegated.
+	// DefaultPipelineDepth); negative values are rejected. Both execution
+	// phases pipeline: a delegated step hands the client stage the same
+	// immutable snapshot a decentralised one does.
 	Pipeline int
 	// Churn schedules membership and adversary changes: an event with
 	// Round r is applied at the boundary of the consensus instance that
@@ -348,9 +353,6 @@ func New[E comparable](cfg Config[E]) (*Cluster[E], error) {
 	}
 	if cfg.Pipeline < 0 {
 		return nil, fmt.Errorf("csm: negative Pipeline depth %d", cfg.Pipeline)
-	}
-	if cfg.Pipeline > 0 && cfg.Delegated {
-		return nil, errors.New("csm: pipelining requires the decentralized execution phase (Delegated=false): the delegated round interleaves client work with network phases")
 	}
 	counting := field.NewCounting(cfg.BaseField)
 	ring := poly.NewRing[E](counting)

@@ -1,432 +1,405 @@
 package csm
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"codedsm/internal/delegate"
 	"codedsm/internal/field"
 	"codedsm/internal/intermix"
 	"codedsm/internal/poly"
+	"codedsm/internal/transport"
 )
 
-// Delegated-mode message kinds (Section 6.2 over the lock-step network).
+// Delegated execution (Section 6.2) is a policy on the one round loop:
+// executeAgreed asks once per batch who decodes, and a delegated step
+// hands finishStep the same stepOutcome a decentralised one does. An
+// attempt under one worker is five phases over four lock-step ticks:
+//
+//  1. the worker fast-encodes the agreed commands and broadcasts all N
+//     coded rows;
+//  2. every node that heard it installs its row where encodeCommands would
+//     have written it, honest auditors check the encoding (an enc alert on
+//     fraud), and the ordinary result exchange runs (broadcastResults);
+//  3. nodes ingest the results as the core does; a confirmed enc alert
+//     aborts; the worker decodes with a proof, refreshes all N coded
+//     states and broadcasts both;
+//  4. auditors verify the proof against the results they received (a dec
+//     alert on fraud; a dishonest auditor fabricates one);
+//  5. (no tick) a confirmed dec alert aborts, otherwise every honest node
+//     adopts the outputs and its own refreshed coded state.
+//
+// An aborted attempt, or a worker nobody heard from after two ticks, hands
+// the step to the next worker. The attempt owns its protocol state: what
+// node i received from the worker is a local indexed by i, and no node
+// reads another's copy. The paper's commoners settle an alert in O(1)
+// from the INTERMIX transcript; the simulation keeps none, so one node
+// re-runs the verifier for the whole broadcast network and the counted
+// cost is per alert (enc) or per attempt (dec), not per node.
+//
+// Wire layouts, little-endian on durability.go's cursor. A section is a
+// u32 row count, then per row a u32 length and that many u64 values:
+//
+//	cmds:  u64 round, u32 attempt, section N x cmdLen elements
+//	proof: u64 round, u32 attempt, sections resultLen x (<= dim
+//	       coefficients of h), resultLen x (<= N tau entries, each < N),
+//	       K x resultLen results, N x stateLen refreshed coded states
+//	alert: u64 round, u32 attempt, u8 phase
+//
+// A parser checks round, attempt, every shape and every value against the
+// cluster's own in a dry pass before it allocates, and takes canonical
+// elements only, so what it accepts re-encodes to the same bytes.
 const (
-	dlgCmdsKind   = "csm-dlg-cmds"
-	dlgResultKind = "csm-result" // nodes broadcast results as in Section 5
-	dlgProofKind  = "csm-dlg-proof"
-	dlgAlertKind  = "csm-dlg-alert"
+	dlgCmdsKind  = "csm-dlg-cmds"
+	dlgProofKind = "csm-dlg-proof"
+	dlgAlertKind = "csm-dlg-alert"
+
+	dlgAlertEnc byte = 1 // the coded commands are not C·X
+	dlgAlertDec byte = 2 // the decode proof or the refreshed states are wrong
+
+	// delegationEpsilon is the committee failure-probability target.
+	delegationEpsilon = 0.01
 )
 
-// dlgCmdsMsg carries the worker's coded commands for every node.
-type dlgCmdsMsg struct {
-	Round, Attempt int
-	Coded          [][]uint64 // N rows, cmdLen columns
+// dlgProof is the worker's decode proof with the results it proves and
+// the refreshed coded states.
+type dlgProof[E comparable] struct {
+	delegate.DecodeProof[E]
+	outputs   [][]E // K result vectors [next state | output]
+	codedNext [][]E // N coded states
 }
 
-// dlgProofMsg carries the worker's decode proof and the refreshed coded
-// states.
-type dlgProofMsg struct {
-	Round, Attempt int
-	Dim            int
-	Coeffs         [][]uint64 // per result component, h's coefficients
-	Taus           [][]int
-	Outputs        [][]uint64 // K result vectors [next state | output]
-	CodedNext      [][]uint64 // N refreshed coded states
-}
-
-// dlgAlertMsg is an auditor's fraud alert; Phase is "enc" or "dec".
-type dlgAlertMsg struct {
-	Round, Attempt int
-	Phase          string
-}
-
-// encodePayload and decodePayload gob-code the three messages above, the
-// last reflective codec on a wire path (batch and result: see csm.go).
-func encodePayload(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("csm: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodePayload(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
-// delegationEpsilon is the committee failure-probability target.
-const delegationEpsilon = 0.01
-
-// runExecutionDelegated is the Section 6.2 execution phase: a rotating
-// worker performs all coding, a random auditor committee verifies it, and
-// fraud aborts the attempt so the next worker retries. Requires the
-// broadcast (no-equivocation) network, as the paper does.
-func (c *Cluster[E]) runExecutionDelegated(agreed [][]E) (*RoundResult[E], int, error) {
-	ticks := 0
-	for attempt := 0; attempt < c.cfg.N; attempt++ {
-		worker := (c.round + attempt) % c.cfg.N
-		res, t, aborted, err := c.delegatedAttempt(agreed, worker, attempt)
-		ticks += t
-		if err != nil {
-			return nil, ticks, err
-		}
-		if !aborted {
-			return res, ticks, nil
-		}
-	}
-	return nil, ticks, fmt.Errorf("csm: delegated round found no honest worker: %w", ErrRoundStuck)
-}
-
-// committee returns this attempt's honest-auditor election result.
-func (c *Cluster[E]) committee(attempt int) []int {
-	mu := float64(c.cfg.MaxFaults) / float64(c.cfg.N)
-	j, err := intermix.CommitteeSize(delegationEpsilon, mu)
-	if err != nil || j < 1 {
-		j = 1
-	}
-	beacon := c.cfg.Seed ^ (uint64(c.round) << 16) ^ uint64(attempt)
-	return intermix.ElectCommittee(beacon, c.cfg.N, j)
-}
-
-func (c *Cluster[E]) delegatedAttempt(agreed [][]E, worker, attempt int) (*RoundResult[E], int, bool, error) {
-	ticks := 0
+// runExecutionDelegated is the Section 6.2 execution step: a rotating
+// worker performs all coding, a random auditor committee (re-elected per
+// attempt) verifies it, and fraud aborts the attempt so the next worker
+// retries. Requires the broadcast (no-equivocation) network, as the paper
+// does.
+func (c *Cluster[E]) runExecutionDelegated(agreed [][]E) (*stepOutcome[E], error) {
 	d := delegate.New(c.ring, c.code, delegate.HonestDelegate)
 	d.Parallelism = c.workers()
-	committee := c.committee(attempt)
-	isAuditor := make(map[int]bool, len(committee))
-	for _, a := range committee {
-		isAuditor[a] = true
+	size, err := intermix.CommitteeSize(delegationEpsilon, float64(c.cfg.MaxFaults)/float64(c.cfg.N))
+	if err != nil || size < 1 {
+		size = 1
 	}
-	workerByz := c.cfg.Byzantine[worker] != Honest
+	ticks := 0
+	tick := func() { c.net.Step(); ticks++ }
+	for attempt := 0; attempt < c.cfg.N; attempt++ {
+		w := c.nodes[(c.round+attempt)%c.cfg.N]
+		auditors := intermix.ElectCommittee(c.cfg.Seed^(uint64(c.round)<<16)^uint64(attempt), c.cfg.N, size)
+		// What node i holds from the worker (the worker: what it sent).
+		cmds := make([][][]E, c.cfg.N)
+		proofs := make([]*dlgProof[E], c.cfg.N)
 
-	// Phase 1: the worker fast-encodes the commands and broadcasts them.
-	if c.cfg.Byzantine[worker] != Silent {
-		coded, err := d.EncodeCommands(agreed)
-		if err != nil {
-			return nil, ticks, false, err
+		// Phase 1. A lying worker corrupts one coded command.
+		if !sendsNothing(w.behavior) {
+			if cmds[w.id], err = d.EncodeCommands(agreed); err != nil {
+				return nil, err
+			}
+			if w.behavior != Honest {
+				cmds[w.id][0][0] = c.counting.Add(cmds[w.id][0][0], c.counting.One())
+			}
+			if err := w.ep.Broadcast(dlgCmdsKind, c.encodeDlgCmds(attempt, cmds[w.id])); err != nil {
+				return nil, err
+			}
 		}
-		if workerByz {
-			coded[0][0] = c.counting.Add(coded[0][0], c.counting.One())
-		}
-		payload, err := encodePayload(dlgCmdsMsg{Round: c.round, Attempt: attempt, Coded: matToWire(c.cfg.BaseField, coded)})
-		if err != nil {
-			return nil, ticks, false, err
-		}
-		if err := c.nodes[worker].ep.Broadcast(dlgCmdsKind, payload); err != nil {
-			return nil, ticks, false, err
-		}
-		c.nodes[worker].dlgCoded = coded // the worker keeps its own copy
-	}
-	c.net.Step()
-	ticks++
+		tick()
 
-	// Phase 2: nodes pick up their coded command; honest auditors verify
-	// the encoding; every node computes and broadcasts its result.
-	gotCmds := false
-	var claimed [][]E
-	for i, n := range c.nodes {
-		n.resetStep()
-		var coded [][]E
-		if i == worker {
-			coded = n.dlgCoded
-		}
-		for _, m := range n.ep.Receive() {
-			if m.Kind != dlgCmdsKind {
+		// Phase 2.
+		for i, n := range c.nodes {
+			if coded, ok := c.parseDlgCmds(heardFrom(n, w, dlgCmdsKind), attempt); ok {
+				cmds[i] = coded
+			}
+			if cmds[i] == nil {
 				continue
 			}
-			var dm dlgCmdsMsg
-			if err := decodePayload(m.Payload, &dm); err != nil ||
-				dm.Round != c.round || dm.Attempt != attempt || len(dm.Coded) != c.cfg.N {
-				continue
-			}
-			coded = matFromWire[[]E](c.cfg.BaseField, dm.Coded)
-		}
-		if coded == nil {
-			continue // silent worker: nothing to execute against
-		}
-		gotCmds = true
-		claimed = coded
-		if isAuditor[i] && c.cfg.Byzantine[i] == Honest {
-			if err := d.AuditEncoding(agreed, coded); err != nil {
-				payload, perr := encodePayload(dlgAlertMsg{Round: c.round, Attempt: attempt, Phase: "enc"})
-				if perr != nil {
-					return nil, ticks, false, perr
-				}
-				if err := n.ep.Broadcast(dlgAlertKind, payload); err != nil {
-					return nil, ticks, false, err
+			n.cmdScratch = append(n.cmdScratch[:0], cmds[i][i]...)
+			if slices.Contains(auditors, i) && n.behavior == Honest && d.AuditEncoding(agreed, cmds[i]) != nil {
+				if err := n.ep.Broadcast(dlgAlertKind, encodeDlgAlert(c.round, attempt, dlgAlertEnc)); err != nil {
+					return nil, err
 				}
 			}
 		}
-		result, err := c.tr.ApplyResult(n.codedState, coded[i])
-		if err != nil {
-			return nil, ticks, false, err
+		// The first node that heard the worker will settle enc alerts.
+		first := slices.IndexFunc(cmds, func(coded [][]E) bool { return coded != nil })
+		if first < 0 { // nobody did
+			tick()
+			continue
 		}
-		n.planBroadcast(result)
-		if err := n.transmitResult(); err != nil {
-			return nil, ticks, false, err
+		if err := c.broadcastResults(0); err != nil {
+			return nil, err
 		}
-	}
-	c.net.Step()
-	ticks++
-	if !gotCmds {
-		return nil, ticks, true, nil // silent worker: abort attempt
-	}
+		tick()
 
-	// Phase 3: check encoding alerts (commoner O(1) re-check, modelled by
-	// re-running the verifier once); the worker decodes and broadcasts the
-	// proof.
-	abort := false
-	for i, n := range c.nodes {
-		msgs := n.ep.Receive()
-		n.ingest(msgs, c.round)
-		for _, m := range msgs {
-			if m.Kind != dlgAlertKind {
+		// Phase 3.
+		abort := false
+		for i, n := range c.nodes {
+			msgs := n.ep.Receive()
+			n.ingest(msgs, c.round)
+			if i != first {
 				continue
 			}
-			var am dlgAlertMsg
-			if err := decodePayload(m.Payload, &am); err != nil ||
-				am.Round != c.round || am.Attempt != attempt || am.Phase != "enc" {
-				continue
-			}
-			if i == 0 { // validate once for the whole (broadcast) network
-				if err := d.AuditEncoding(agreed, claimed); err != nil {
-					abort = true
-				}
+			for k := c.dlgAlerts(msgs, attempt, dlgAlertEnc); k > 0; k-- {
+				abort = d.AuditEncoding(agreed, cmds[i]) != nil || abort
 			}
 		}
-	}
-	if abort {
-		return nil, ticks, true, nil
-	}
-	var proof dlgProofMsg
-	if c.cfg.Byzantine[worker] != Silent {
-		w := c.nodes[worker]
-		results := make([][]E, c.cfg.N)
-		for i := 0; i < c.cfg.N; i++ {
-			if v := w.received[i]; v != nil {
-				results[i] = v
-			} else {
-				results[i] = field.ZeroVec[E](c.counting, c.tr.ResultLen())
-			}
+		if abort {
+			continue
 		}
-		dec, dproof, err := d.DecodeWithProof(results, c.tr.Degree())
+		dec, dproof, err := d.DecodeWithProof(c.receivedOrZero(w), c.tr.Degree())
 		if err != nil {
-			return nil, ticks, false, err
+			return nil, err
 		}
-		nextStates := make([][]E, c.cfg.K)
-		for k := 0; k < c.cfg.K; k++ {
-			next, _, err := c.tr.SplitResult(dec.Outputs[k])
-			if err != nil {
-				return nil, ticks, false, err
-			}
-			nextStates[k] = next
-		}
-		codedNext, err := d.UpdateStates(nextStates)
+		next, _, err := c.splitResults(dec.Outputs)
 		if err != nil {
-			return nil, ticks, false, err
+			return nil, err
 		}
-		if workerByz {
+		codedNext, err := d.UpdateStates(next)
+		if err != nil {
+			return nil, err
+		}
+		if w.behavior != Honest { // a lying worker corrupts one output too
 			dec.Outputs[0][0] = c.counting.Add(dec.Outputs[0][0], c.counting.One())
 		}
-		proof = dlgProofMsg{
-			Round: c.round, Attempt: attempt, Dim: dproof.Dim,
-			Coeffs:    matToWire(c.cfg.BaseField, dproof.Coeffs),
-			Taus:      dproof.Tau,
-			Outputs:   matToWire(c.cfg.BaseField, dec.Outputs),
-			CodedNext: matToWire(c.cfg.BaseField, codedNext),
+		proofs[w.id] = &dlgProof[E]{*dproof, dec.Outputs, codedNext}
+		if err := w.ep.Broadcast(dlgProofKind, c.encodeDlgProof(attempt, proofs[w.id])); err != nil {
+			return nil, err
 		}
-		payload, err := encodePayload(proof)
-		if err != nil {
-			return nil, ticks, false, err
-		}
-		if err := w.ep.Broadcast(dlgProofKind, payload); err != nil {
-			return nil, ticks, false, err
-		}
-		w.dlgProof = &proof
-	}
-	c.net.Step()
-	ticks++
+		tick()
 
-	// Phase 4: auditors verify the decode proof; Byzantine auditors raise
-	// false alerts against an honest worker.
-	gotProof := false
-	for i, n := range c.nodes {
-		var pm *dlgProofMsg
-		if i == worker && n.dlgProof != nil {
-			pm = n.dlgProof
-		}
-		for _, m := range n.ep.Receive() {
-			if m.Kind != dlgProofKind {
-				continue
+		// Phase 4.
+		for i, n := range c.nodes {
+			if p, ok := c.parseDlgProof(heardFrom(n, w, dlgProofKind), attempt); ok {
+				proofs[i] = p
 			}
-			var got dlgProofMsg
-			if err := decodePayload(m.Payload, &got); err != nil ||
-				got.Round != c.round || got.Attempt != attempt {
-				continue
-			}
-			pm = &got
-		}
-		if pm == nil {
-			continue
-		}
-		gotProof = true
-		n.dlgProof = pm
-		if !isAuditor[i] {
-			continue
-		}
-		raise := false
-		if c.cfg.Byzantine[i] != Honest {
-			raise = true // dishonest auditor: fabricated alert
-		} else if c.verifyDelegationProof(d, n, pm) != nil {
-			raise = true
-		}
-		if raise {
-			payload, err := encodePayload(dlgAlertMsg{Round: c.round, Attempt: attempt, Phase: "dec"})
-			if err != nil {
-				return nil, ticks, false, err
-			}
-			if err := n.ep.Broadcast(dlgAlertKind, payload); err != nil {
-				return nil, ticks, false, err
+			if p := proofs[i]; p != nil && slices.Contains(auditors, i) &&
+				(n.behavior != Honest || c.verifyDelegationProof(d, n, p) != nil) {
+				if err := n.ep.Broadcast(dlgAlertKind, encodeDlgAlert(c.round, attempt, dlgAlertDec)); err != nil {
+					return nil, err
+				}
 			}
 		}
-	}
-	c.net.Step()
-	ticks++
-	if !gotProof {
-		return nil, ticks, true, nil
-	}
+		tick()
 
-	// Phase 5: commoners re-check any alert in O(1) (modelled by one
-	// re-verification) and either abort or accept.
-	alertSeen := false
-	for _, n := range c.nodes {
-		for _, m := range n.ep.Receive() {
-			if m.Kind != dlgAlertKind {
+		// Phase 5. The first honest node settles a dec alert, dismissing a
+		// fabricated one; then every honest node adopts what it holds.
+		alerted := false
+		for _, n := range c.nodes {
+			alerted = c.dlgAlerts(n.ep.Receive(), attempt, dlgAlertDec) > 0 || alerted
+		}
+		if alerted {
+			v := slices.IndexFunc(c.nodes, func(n *node[E]) bool { return n.behavior == Honest })
+			if c.verifyDelegationProof(d, c.nodes[v], proofs[v]) != nil {
 				continue
 			}
-			var am dlgAlertMsg
-			if err := decodePayload(m.Payload, &am); err != nil ||
-				am.Round != c.round || am.Attempt != attempt || am.Phase != "dec" {
+		}
+		for i, n := range c.nodes {
+			if n.behavior != Honest {
 				continue
 			}
-			alertSeen = true
-		}
-	}
-	if alertSeen {
-		// One network-wide validity check (the broadcast transcript is
-		// shared): a fabricated alert against an honest proof is dismissed.
-		validator := c.honestNodeWithProof()
-		if validator == nil {
-			return nil, ticks, true, nil
-		}
-		if err := c.verifyDelegationProof(d, validator, validator.dlgProof); err != nil {
-			return nil, ticks, true, nil // valid alert: abort attempt
-		}
-	}
-	// Accept: honest nodes adopt the verified outputs and coded states.
-	outputs := matFromWire[[]E](c.cfg.BaseField, c.anyProof().Outputs)
-	codedNext := matFromWire[[]E](c.cfg.BaseField, c.anyProof().CodedNext)
-	faulty := c.tauComplement(c.anyProof().Taus)
-	for i, n := range c.nodes {
-		if c.cfg.Byzantine[i] != Honest {
-			continue
-		}
-		nextStates := make([][]E, c.cfg.K)
-		outs := make([][]E, c.cfg.K)
-		for k := 0; k < c.cfg.K; k++ {
-			next, out, err := c.tr.SplitResult(outputs[k])
+			next, outs, err := c.splitResults(proofs[i].outputs)
 			if err != nil {
-				return nil, ticks, false, err
+				return nil, err
 			}
-			nextStates[k] = next
-			outs[k] = out
+			n.decoded = &nodeDecode[E]{outputs: outs, nextStates: next, faulty: c.tauComplement(proofs[i].Tau)}
+			n.codedState = slices.Clone(proofs[i].codedNext[i])
 		}
-		n.decoded = &nodeDecode[E]{outputs: outs, nextStates: nextStates, faulty: faulty}
-		n.codedState = append([]E(nil), codedNext[i]...)
+		return c.newOutcome(ticks), nil
 	}
-	// Advance the oracle and run the client phase.
-	oracleOutputs := make([][]E, c.cfg.K)
-	for k, m := range c.oracle {
-		out, err := m.Step(agreed[k])
-		if err != nil {
-			return nil, ticks, false, err
-		}
-		oracleOutputs[k] = out
-	}
-	res := &RoundResult[E]{Ticks: ticks}
-	c.clientPhase(oracleOutputs, c.drawClientReplies(), c.snapshotDecodes(), res)
-	return res, ticks, false, nil
+	return nil, fmt.Errorf("csm: delegated round found no honest worker: %w", ErrRoundStuck)
 }
 
-// verifyDelegationProof is the auditor-side verification of a broadcast
-// proof against the auditor's own received results.
-func (c *Cluster[E]) verifyDelegationProof(d *delegate.Delegation[E], n *node[E], pm *dlgProofMsg) error {
-	results := make([][]E, c.cfg.N)
-	for i := 0; i < c.cfg.N; i++ {
-		if v := n.received[i]; v != nil {
-			results[i] = v
-		} else {
-			results[i] = field.ZeroVec[E](c.counting, c.tr.ResultLen())
+// heardFrom drains n's inbox and returns what the worker sent it under
+// kind, nil if nothing.
+func heardFrom[E comparable](n, worker *node[E], kind string) (payload []byte) {
+	for _, m := range n.ep.Receive() {
+		if m.Kind == kind && int(m.From) == worker.id {
+			payload = m.Payload
 		}
 	}
-	dproof := &delegate.DecodeProof[E]{
-		Dim:    pm.Dim,
-		Coeffs: matFromWire[poly.Poly[E]](c.cfg.BaseField, pm.Coeffs),
-		Tau:    pm.Taus,
+	return payload
+}
+
+// dlgAlerts counts the alerts for this attempt and phase among msgs.
+func (c *Cluster[E]) dlgAlerts(msgs []transport.Message, attempt int, phase byte) (count int) {
+	for _, m := range msgs {
+		if m.Kind == dlgAlertKind && parseDlgAlert(m.Payload, c.round, attempt, phase) {
+			count++
+		}
 	}
-	outputs := matFromWire[[]E](c.cfg.BaseField, pm.Outputs)
-	if err := d.VerifyDecodeProof(results, c.tr.Degree(), dproof, outputs); err != nil {
+	return count
+}
+
+// receivedOrZero is the word node n received with absent senders
+// zero-filled: the worker's decoder and its proof take no erasures, so a
+// missing result costs the budget an error.
+func (c *Cluster[E]) receivedOrZero(n *node[E]) [][]E {
+	out := slices.Clone(n.received)
+	for i, v := range out {
+		if v == nil {
+			out[i] = field.ZeroVec[E](c.counting, c.tr.ResultLen())
+		}
+	}
+	return out
+}
+
+// splitResults splits the K result vectors into next states and outputs.
+func (c *Cluster[E]) splitResults(results [][]E) (next, outs [][]E, err error) {
+	next, outs = make([][]E, len(results)), make([][]E, len(results))
+	for k, r := range results {
+		if next[k], outs[k], err = c.tr.SplitResult(r); err != nil {
+			return nil, nil, err
+		}
+	}
+	return next, outs, nil
+}
+
+// verifyDelegationProof is node n's check of a broadcast proof against the
+// results n itself received: the decode identities, and that the refreshed
+// coded states encode the proved next states.
+func (c *Cluster[E]) verifyDelegationProof(d *delegate.Delegation[E], n *node[E], p *dlgProof[E]) error {
+	if err := d.VerifyDecodeProof(c.receivedOrZero(n), c.tr.Degree(), &p.DecodeProof, p.outputs); err != nil {
 		return err
 	}
-	// The refreshed coded states must encode the proved next states.
-	nextStates := make([][]E, c.cfg.K)
-	for k := 0; k < c.cfg.K; k++ {
-		next, _, err := c.tr.SplitResult(outputs[k])
-		if err != nil {
-			return err
-		}
-		nextStates[k] = next
+	next, _, err := c.splitResults(p.outputs)
+	if err != nil {
+		return err
 	}
-	return d.AuditEncoding(nextStates, matFromWire[[]E](c.cfg.BaseField, pm.CodedNext))
+	return d.AuditEncoding(next, p.codedNext)
 }
 
-// honestNodeWithProof returns an honest node holding the round's proof.
-func (c *Cluster[E]) honestNodeWithProof() *node[E] {
-	for i, n := range c.nodes {
-		if c.cfg.Byzantine[i] == Honest && n.dlgProof != nil {
-			return n
-		}
-	}
-	return nil
-}
-
-// anyProof returns the proof any node holds (identical network-wide under
-// the broadcast assumption).
-func (c *Cluster[E]) anyProof() *dlgProofMsg {
-	for _, n := range c.nodes {
-		if n.dlgProof != nil {
-			return n.dlgProof
-		}
-	}
-	return nil
-}
-
-// tauComplement lists nodes excluded from every component's tau set —
-// the nodes whose results the decode identified as corrupted or missing.
-func (c *Cluster[E]) tauComplement(taus [][]int) []int {
-	inAll := make([]int, c.cfg.N)
+// tauComplement lists the nodes missing from some component's tau set:
+// those whose results the decode found corrupted or missing.
+func (c *Cluster[E]) tauComplement(taus [][]int) (out []int) {
+	in := make([]int, c.cfg.N)
 	for _, tau := range taus {
 		for _, i := range tau {
-			inAll[i]++
+			in[i]++
 		}
 	}
-	var out []int
-	for i, cnt := range inAll {
+	for i, cnt := range in {
 		if cnt < len(taus) {
 			out = append(out, i)
 		}
 	}
 	return out
+}
+
+// ---- codecs ----
+
+// dlgHeader opens a message for a round and attempt; dlgOpen starts
+// reading one that must carry exactly those.
+func dlgHeader(round, attempt int) *bwriter {
+	w := &bwriter{}
+	w.u64(uint64(round))
+	w.u32(uint32(attempt))
+	return w
+}
+
+func dlgOpen(data []byte, round, attempt int) breader {
+	r := breader{b: data}
+	if r.u64() != uint64(round) || r.u32() != uint32(attempt) {
+		r.fail = true
+	}
+	return r
+}
+
+func dlgPut[T any, V ~[]T](w *bwriter, rows []V, wire func(T) uint64) {
+	w.u32(uint32(len(rows)))
+	for _, row := range rows {
+		w.u32(uint32(len(row)))
+		for _, v := range row {
+			w.u64(wire(v))
+		}
+	}
+}
+
+// dlgGet reads a section that must hold exactly n rows of lo..hi values
+// parse accepts; a dry read checks all of that and allocates nothing.
+func dlgGet[T any, V ~[]T](r *breader, n, lo, hi int, dry bool, parse func(uint64) (T, bool)) []V {
+	var rows []V
+	if r.u32() != uint32(n) {
+		r.fail = true
+	} else if !dry {
+		rows = make([]V, n)
+	}
+	for i := 0; i < n && !r.fail; i++ {
+		count := int(r.u32())
+		if count < lo || count > hi {
+			r.fail = true
+		} else if !dry {
+			rows[i] = make(V, count)
+		}
+		for j := 0; j < count && !r.fail; j++ {
+			if v, ok := parse(r.u64()); !ok {
+				r.fail = true
+			} else if !dry {
+				rows[i][j] = v
+			}
+		}
+	}
+	return rows
+}
+
+func (c *Cluster[E]) elemToWire(e E) uint64 { return c.cfg.BaseField.Uint64(e) }
+
+func (c *Cluster[E]) elemFromWire(v uint64) (E, bool) {
+	e := c.cfg.BaseField.FromUint64(v)
+	return e, c.cfg.BaseField.Uint64(e) == v
+}
+
+func (c *Cluster[E]) nodeFromWire(v uint64) (int, bool) { return int(v), v < uint64(c.cfg.N) }
+
+func (c *Cluster[E]) encodeDlgCmds(attempt int, coded [][]E) []byte {
+	w := dlgHeader(c.round, attempt)
+	dlgPut(w, coded, c.elemToWire)
+	return w.b
+}
+
+func (c *Cluster[E]) parseDlgCmds(data []byte, attempt int) (coded [][]E, ok bool) {
+	for _, dry := range [2]bool{true, false} {
+		r := dlgOpen(data, c.round, attempt)
+		coded = dlgGet[E, []E](&r, c.cfg.N, c.tr.CmdLen(), c.tr.CmdLen(), dry, c.elemFromWire)
+		if !r.done() {
+			return nil, false
+		}
+	}
+	return coded, true
+}
+
+func (c *Cluster[E]) encodeDlgProof(attempt int, p *dlgProof[E]) []byte {
+	w := dlgHeader(c.round, attempt)
+	dlgPut(w, p.Coeffs, c.elemToWire)
+	dlgPut(w, p.Tau, func(i int) uint64 { return uint64(i) })
+	dlgPut(w, p.outputs, c.elemToWire)
+	dlgPut(w, p.codedNext, c.elemToWire)
+	return w.b
+}
+
+func (c *Cluster[E]) parseDlgProof(data []byte, attempt int) (p *dlgProof[E], ok bool) {
+	dim, comps, stateLen := c.code.ResultDim(c.tr.Degree()), c.tr.ResultLen(), c.tr.StateLen()
+	for _, dry := range [2]bool{true, false} {
+		r := dlgOpen(data, c.round, attempt)
+		coeffs := dlgGet[E, poly.Poly[E]](&r, comps, 0, dim, dry, c.elemFromWire)
+		taus := dlgGet[int, []int](&r, comps, 0, c.cfg.N, dry, c.nodeFromWire)
+		outputs := dlgGet[E, []E](&r, c.cfg.K, comps, comps, dry, c.elemFromWire)
+		codedNext := dlgGet[E, []E](&r, c.cfg.N, stateLen, stateLen, dry, c.elemFromWire)
+		if !r.done() {
+			return nil, false
+		}
+		if !dry {
+			p = &dlgProof[E]{delegate.DecodeProof[E]{Dim: dim, Coeffs: coeffs, Tau: taus}, outputs, codedNext}
+		}
+	}
+	return p, true
+}
+
+func encodeDlgAlert(round, attempt int, phase byte) []byte {
+	w := dlgHeader(round, attempt)
+	w.u8(phase)
+	return w.b
+}
+
+func parseDlgAlert(data []byte, round, attempt int, phase byte) bool {
+	r := dlgOpen(data, round, attempt)
+	return r.u8() == phase && r.done()
 }

@@ -173,20 +173,12 @@ func vecFromWire[E comparable](f field.Field[E], vals []uint64) []E {
 	return out
 }
 
-// matToWire and matFromWire convert a slice of field vectors (plain or a
-// named vector type such as poly.Poly).
+// matToWire converts a slice of field vectors (plain or a named vector
+// type such as poly.Poly) to their canonical form.
 func matToWire[E comparable, V ~[]E](f field.Field[E], m []V) [][]uint64 {
 	out := make([][]uint64, len(m))
 	for i, row := range m {
 		out[i] = vecToWire(f, row)
-	}
-	return out
-}
-
-func matFromWire[V ~[]E, E comparable](f field.Field[E], m [][]uint64) []V {
-	out := make([]V, len(m))
-	for i, row := range m {
-		out[i] = vecFromWire(f, row)
 	}
 	return out
 }

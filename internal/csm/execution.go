@@ -59,10 +59,10 @@ func (c *Cluster[E]) executeBatch(batch [][][]E, stage *clientStage[E]) ([]*Roun
 }
 
 // executeAgreed runs the post-consensus phases of executeBatch for an
-// already-decided batch: the skipped-instance path, the delegated path,
-// or the coded execution micro-steps. WAL replay calls it directly with
-// replay set — the logged record is the decision, so consensus is
-// bypassed and no durability records are written while re-executing.
+// already-decided batch: the skipped-instance path or the coded execution
+// micro-steps. WAL replay calls it directly with replay set — the logged
+// record is the decision, so consensus is bypassed and no durability
+// records are written while re-executing.
 func (c *Cluster[E]) executeAgreed(agreed [][][]E, steps, ticksConsensus int, stage *clientStage[E], replay bool) ([]*RoundResult[E], error) {
 	if agreed == nil {
 		// Byzantine leader: the whole batch is skipped (commands stay
@@ -86,32 +86,18 @@ func (c *Cluster[E]) executeAgreed(agreed [][][]E, steps, ticksConsensus int, st
 		}
 		return out, nil
 	}
+	// Who decodes this batch's steps: every node, off one amortized
+	// Lagrange encode of all the micro-steps' commands — or the rotating
+	// worker of Section 6.2, which encodes each step's commands itself.
+	step := c.runExecutionStep
 	if c.cfg.Delegated {
-		// The delegated execution phase (Section 6.2) performs its own
-		// coding through the rotating worker; micro-steps simply share the
-		// consensus instance. Pipelining is rejected at construction.
-		out := make([]*RoundResult[E], 0, steps)
-		for j := 0; j < steps; j++ {
-			res, ticksExec, err := c.runExecutionDelegated(agreed[j])
-			if err != nil {
-				return out, err
-			}
-			res.Ticks = ticksExec
-			if j == 0 {
-				res.Ticks += ticksConsensus
-			}
-			c.round++
-			out = append(out, res)
-		}
-		return out, nil
-	}
-	// One amortized Lagrange encode covers every micro-step's commands.
-	if err := c.encodeBatchCommands(agreed); err != nil {
+		step = func(micro int) (*stepOutcome[E], error) { return c.runExecutionDelegated(agreed[micro]) }
+	} else if err := c.encodeBatchCommands(agreed); err != nil {
 		return nil, err
 	}
 	out := make([]*RoundResult[E], 0, steps)
 	for j := 0; j < steps; j++ {
-		outcome, err := c.runExecutionStep(j)
+		outcome, err := step(j)
 		if err != nil {
 			return out, err
 		}
@@ -151,15 +137,7 @@ func (c *Cluster[E]) executeAgreed(agreed [][][]E, steps, ticksConsensus int, st
 // state — the happens-before boundary the next micro-step's compute phase
 // relies on — and the outcome snapshot is ready for the client stage.
 func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
-	results, err := c.computeAllResults(micro)
-	if err != nil {
-		return nil, err
-	}
-	for i, n := range c.nodes {
-		n.resetStep()
-		n.planBroadcast(results[i])
-	}
-	if err := c.transmitAllResults(); err != nil {
+	if err := c.broadcastResults(micro); err != nil {
 		return nil, err
 	}
 	ticks := 0
@@ -197,11 +175,33 @@ func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 			return nil, fmt.Errorf("%w (after %d ticks)", ErrRoundStuck, ticks)
 		}
 	}
+	return c.newOutcome(ticks), nil
+}
+
+// broadcastResults opens a step the way both execution phases do: every
+// live node computes its coded result from the coded command in its batch
+// scratch (parallel), stages it in node order, and transmits.
+func (c *Cluster[E]) broadcastResults(micro int) error {
+	results, err := c.computeAllResults(micro)
+	if err != nil {
+		return err
+	}
+	for i, n := range c.nodes {
+		n.resetStep()
+		n.planBroadcast(results[i])
+	}
+	return c.transmitAllResults()
+}
+
+// newOutcome closes a step whose honest nodes hold their decodes: the
+// Byzantine client replies are drawn and the decodes snapshotted here, on
+// the driving goroutine, for whichever goroutine runs finishStep.
+func (c *Cluster[E]) newOutcome(ticks int) *stepOutcome[E] {
 	return &stepOutcome[E]{
 		replies: c.drawClientReplies(),
 		decodes: c.snapshotDecodes(),
 		res:     &RoundResult[E]{Ticks: ticks},
-	}, nil
+	}
 }
 
 // decodeNeed is the result count a node waits for before decoding. In the

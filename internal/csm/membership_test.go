@@ -242,6 +242,32 @@ func TestCrashedLeaderSkipsInstance(t *testing.T) {
 	}
 }
 
+// TestDelegatedCrashedWorkerRetried: a delegated worker that is down is a
+// node nobody hears from, so the attempt is abandoned after two ticks and
+// the next worker runs the step; a crashed non-worker is one missing
+// result. The dead worker used to code for itself alone and every honest
+// node adopted the all-zero outputs of its proof.
+func TestDelegatedCrashedWorkerRetried(t *testing.T) {
+	for _, tc := range []struct {
+		crash int
+		ticks []int
+	}{
+		{crash: 0, ticks: []int{6, 4, 4}}, // round 0's worker: one aborted attempt
+		{crash: 5, ticks: []int{4, 4, 4}},
+	} {
+		c := newCluster(t, delegatedConfig(2, 14, 3))
+		if err := c.Crash(tc.crash); err != nil {
+			t.Fatal(err)
+		}
+		for r, res := range runRounds(t, c, 3) {
+			if !res.Correct || res.Ticks != tc.ticks[r] || !slices.Equal(res.FaultyDetected, []int{tc.crash}) {
+				t.Errorf("node %d down, round %d: correct=%v ticks=%d faulty=%v, want true, %d, [%d]",
+					tc.crash, r, res.Correct, res.Ticks, res.FaultyDetected, tc.ticks[r], tc.crash)
+			}
+		}
+	}
+}
+
 func TestMembershipValidation(t *testing.T) {
 	c := newCluster(t, baseConfig(2, 10, 2))
 	if err := c.Crash(-1); err == nil {

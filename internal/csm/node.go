@@ -10,8 +10,8 @@ const resultKind = "csm-result"
 
 // node is one simulated CSM compute node: the shared coded-step core
 // (step.go) plus what only the simulation has — an endpoint on the
-// lock-step network, an injected behavior, the staged result transmission
-// and the delegated-mode protocol state.
+// lock-step network, an injected behavior and the staged result
+// transmission.
 type node[E comparable] struct {
 	stepCore[E]
 	cluster  *Cluster[E]
@@ -26,10 +26,6 @@ type node[E comparable] struct {
 	// whenever the network delivery schedule is deterministic.
 	txBroadcast []byte   // payload to Broadcast (nil: nothing to broadcast)
 	txSends     [][]byte // per-recipient payloads (Equivocate), nil otherwise
-
-	// delegated-mode state (Section 6.2)
-	dlgCoded [][]E        // worker only: the coded commands it produced
-	dlgProof *dlgProofMsg // the proof this node holds for the round
 }
 
 // planBroadcast stages the node's (possibly corrupted) result

@@ -142,6 +142,8 @@ func WithNoEquivocation() Option {
 // WithDelegated enables the Section 6.2 delegated execution phase (a
 // rotating verified worker performs all coding). Delegation requires a
 // synchronous broadcast network, so this option implies WithNoEquivocation.
+// It composes with WithBatching and WithPipeline; WithChurn, WithChurnFn
+// and WithDurability are refused with it.
 func WithDelegated() Option {
 	return func(s *settings) error {
 		s.delegated = true

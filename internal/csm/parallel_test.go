@@ -57,6 +57,13 @@ func parallelScenarios() map[string]Config[uint64] {
 	cfg.InitialStates = [][]uint64{{100}, {200}, {300}}
 	scenarios["state-evolution"] = cfg
 
+	// Section 6.2: round 1's worker lies and round 4's sends nothing (both
+	// are caught and the round retried under the next worker), node 9
+	// lies about its result.
+	cfg = delegatedConfig(2, 14, 3)
+	cfg.Byzantine = map[int]Behavior{1: WrongResult, 4: Silent, 9: WrongResult}
+	scenarios["delegated"] = cfg
+
 	return scenarios
 }
 

@@ -1,9 +1,6 @@
 package csm
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // DefaultPipelineDepth is the client-stage queue depth RunPipelined uses
 // when Config.Pipeline is zero: the driving goroutine may run up to this
@@ -93,9 +90,6 @@ func (s *clientStage[E]) drain() (int, error) {
 // round (a workload prefix) are returned together with a *BatchError
 // carrying that prefix and the failed round's index.
 func (c *Cluster[E]) RunPipelined(rounds [][][]E) ([]*RoundResult[E], error) {
-	if c.cfg.Delegated {
-		return nil, fmt.Errorf("csm: pipelining requires the decentralized execution phase")
-	}
 	depth := c.cfg.Pipeline
 	if depth <= 0 {
 		depth = DefaultPipelineDepth

@@ -190,19 +190,7 @@ func TestPipelineConfigValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("negative BatchSize must be rejected")
 	}
-	cfg = baseConfig(2, 12, 2)
-	cfg.NoEquivocation = true
-	cfg.Delegated = true
-	cfg.Pipeline = 2
-	if _, err := New(cfg); err == nil {
-		t.Error("Pipeline + Delegated must be rejected")
-	}
-	// RunPipelined on a delegated cluster is rejected too.
-	cfg.Pipeline = 0
-	c := newCluster(t, cfg)
-	if _, err := c.RunPipelined(RandomWorkload[uint64](gold, 1, 2, 1, 3)); err == nil {
-		t.Error("RunPipelined on a delegated cluster must fail")
-	}
+	c := newCluster(t, baseConfig(2, 12, 2))
 	if _, err := c.ExecuteBatch(nil); err == nil {
 		t.Error("empty batch must fail")
 	}

@@ -1,8 +1,9 @@
 // Package procharness drives real csmnode OS processes for the
-// fault-injection harnesses (examples/restart, examples/soak): bootstrap
-// a localhost cluster, start/kill/await its nodes — SIGKILL, not a
-// graceful signal, so a "crash" really is one — and scrape the
-// digest=/rounds= lines every node prints at exit.
+// deployment and fault-injection harnesses (examples/processes,
+// examples/restart, examples/soak): run the in-memory oracle they compare
+// against, bootstrap a localhost cluster, start/kill/await its nodes —
+// SIGKILL, not a graceful signal, so a "crash" really is one — and scrape
+// the digest=/rounds= lines every node prints at exit.
 package procharness
 
 import (
@@ -17,7 +18,42 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"codedsm"
+	"codedsm/internal/nodeapi"
 )
+
+// Oracle runs the workload on the in-memory simulated cluster a csmnode
+// deployment must match — n fault-free nodes, k polynomial registers of
+// the given degree — and returns the run digest every csmnode should
+// print at exit, with the per-round outputs for streaming checks.
+func Oracle(workload [][][]uint64, n, k, degree int, seed uint64) (string, [][][]uint64, error) {
+	cluster, err := codedsm.Open(codedsm.NewGoldilocks(),
+		func(f codedsm.Field[uint64]) (*codedsm.Transition[uint64], error) {
+			return codedsm.NewPolynomialRegister(f, degree)
+		},
+		codedsm.WithNodes(n),
+		codedsm.WithMachines(k),
+		codedsm.WithFaults(0),
+		codedsm.WithSeed(seed))
+	if err != nil {
+		return "", nil, err
+	}
+	results, err := cluster.Run(workload)
+	if err != nil {
+		return "", nil, err
+	}
+	digest := nodeapi.NewDigest()
+	outputs := make([][][]uint64, len(results))
+	for r, res := range results {
+		if !res.Correct {
+			return "", nil, fmt.Errorf("oracle round %d incorrect", r)
+		}
+		digest.AddRound(r, res.Outputs)
+		outputs[r] = res.Outputs
+	}
+	return digest.Sum(), outputs, nil
+}
 
 // Result is what one csmnode process reported on stdout when it exited.
 type Result struct {
