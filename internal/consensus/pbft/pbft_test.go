@@ -71,6 +71,30 @@ func TestAllHonestSync(t *testing.T) {
 	}
 }
 
+// TestEqualProposalsRoundCount pins how many lock-step rounds one
+// instance takes when every node proposes the same value, as every node
+// of a RunWorkload cluster does: consensus.Run returns after the round
+// in which the last node decided.
+func TestEqualProposalsRoundCount(t *testing.T) {
+	const n, f = 4, 1
+	net := setup(t, n, transport.Sync, 0, 1)
+	nodes := make([]consensus.Node, n)
+	waitFor := make([]int, n)
+	for i := 0; i < n; i++ {
+		nodes[i] = honest(t, net, i, f, []byte("SAME"))
+		waitFor[i] = i
+	}
+	if err := consensus.Run(net, nodes, waitFor, 30); err != nil {
+		t.Fatal(err)
+	}
+	if got := checkAgreement(t, nodes, waitFor); string(got) != "SAME" {
+		t.Errorf("decided %q", got)
+	}
+	if got := net.Round(); got != 4 {
+		t.Errorf("decided after %d rounds, pinned 4", got)
+	}
+}
+
 func TestSilentLeaderViewChange(t *testing.T) {
 	// Node 0 (view-0 leader) is silent; the protocol must change views and
 	// decide node 1's proposal.

@@ -146,15 +146,38 @@ func TestIntermittentLiarForcesOneFallback(t *testing.T) {
 	}
 }
 
-// tickLink counts the lock-step ticks its node spends.
-type tickLink struct {
+// pinnedKinds are the message kinds TestProcessRoundCountGuard counts:
+// PBFT's three phases and the execution result.
+var pinnedKinds = [4]string{"pbft-preprepare", "pbft-prepare", "pbft-commit", resultKind}
+
+// msgCounts is one node's traffic in pinnedKinds order.
+type msgCounts struct{ sent, recv [4]int }
+
+// countLink counts the lock-step ticks its node spends and the messages
+// of each pinned kind it broadcasts and receives (a NodeProcess only
+// broadcasts).
+type countLink struct {
 	transport.Link
 	ticks int
+	msgs  msgCounts
 }
 
-func (l *tickLink) Step() ([]transport.Message, error) {
+func (l *countLink) Broadcast(kind string, payload []byte) error {
+	if i := slices.Index(pinnedKinds[:], kind); i >= 0 {
+		l.msgs.sent[i]++
+	}
+	return l.Link.Broadcast(kind, payload)
+}
+
+func (l *countLink) Step() ([]transport.Message, error) {
 	l.ticks++
-	return l.Link.Step()
+	msgs, err := l.Link.Step()
+	for _, m := range msgs {
+		if i := slices.Index(pinnedKinds[:], m.Kind); i >= 0 {
+			l.msgs.recv[i]++
+		}
+	}
+	return msgs, err
 }
 
 // processRun configures runProcesses.
@@ -170,9 +193,10 @@ type processRun struct {
 // processCounts is what runProcesses observed on node 0, per batch, and
 // the finished processes.
 type processCounts struct {
-	ops        []uint64 // counted field operations
-	ticks      []int    // lock-step ticks
-	walRecords int      // records in node 0's WAL (zero without durability)
+	ops        []uint64    // counted field operations
+	ticks      []int       // lock-step ticks
+	msgs       []msgCounts // pinned-kind traffic
+	walRecords int         // records in node 0's WAL (zero without durability)
 	procs      []*NodeProcess[uint64]
 }
 
@@ -192,14 +216,14 @@ func runProcesses(t *testing.T, run processRun, workload [][][]uint64) processCo
 	base := t.TempDir()
 	dirs := make([]string, consN)
 	counters := make([]*field.Counting[uint64], consN)
-	tls := make([]*tickLink, consN)
+	tls := make([]*countLink, consN)
 	procs := make([]*NodeProcess[uint64], consN)
 	for i, l := range links {
 		if run.wrap != nil {
 			l = run.wrap(i, l)
 		}
 		counters[i] = field.NewCounting[uint64](gold)
-		tls[i] = &tickLink{Link: l}
+		tls[i] = &countLink{Link: l}
 		cfg := RemoteConfig[uint64]{
 			BaseField:     counters[i],
 			NewTransition: consTransition,
@@ -230,7 +254,7 @@ func runProcesses(t *testing.T, run processRun, workload [][][]uint64) processCo
 			}
 			for start := 0; start < len(workload); start += batch {
 				rounds := workload[start:min(start+batch, len(workload))]
-				opsBefore, ticksBefore := counters[i].Counts().Total(), tls[i].ticks
+				opsBefore, ticksBefore, msgsBefore := counters[i].Counts().Total(), tls[i].ticks, tls[i].msgs
 				if run.kind == Oracle {
 					_, errs[i] = p.LeadBatch(rounds)
 				} else {
@@ -243,6 +267,12 @@ func runProcesses(t *testing.T, run processRun, workload [][][]uint64) processCo
 				if i == 0 {
 					out.ops = append(out.ops, counters[i].Counts().Total()-opsBefore)
 					out.ticks = append(out.ticks, tls[i].ticks-ticksBefore)
+					var m msgCounts
+					for k := range pinnedKinds {
+						m.sent[k] = tls[i].msgs.sent[k] - msgsBefore.sent[k]
+						m.recv[k] = tls[i].msgs.recv[k] - msgsBefore.recv[k]
+					}
+					out.msgs = append(out.msgs, m)
 				}
 			}
 			if run.kind == Oracle {
@@ -284,11 +314,13 @@ func consDigest(t *testing.T, workload [][][]uint64) string {
 }
 
 // TestProcessRoundCountGuard is TestRoundOpCountGuard's counterpart for
-// the deployed engine: node 0's counted field operations, lock-step ticks
-// and WAL records per round are exact on any host, so they are pinned
-// with zero tolerance — under the trusted sequencer, and under PBFT with
-// the WAL on — next to the digests every node must share with
-// Cluster.Run.
+// the deployed engine: node 0's counted field operations, lock-step ticks,
+// pinned-kind messages and WAL records per round are exact on any host,
+// so they are pinned with zero tolerance — under the trusted sequencer,
+// and under PBFT with the WAL on — next to the digests every node must
+// share with Cluster.Run. Node 0 is the sequencer, and PBFT's view-0
+// leader: every round it sends one message of each phase and receives
+// the other three nodes' prepares, commits and results.
 func TestProcessRoundCountGuard(t *testing.T) {
 	workload := RandomWorkload[uint64](gold, 6, consK, 1, consSeed)
 	want := consDigest(t, workload)
@@ -296,10 +328,13 @@ func TestProcessRoundCountGuard(t *testing.T) {
 		run        processRun
 		ops        []uint64
 		ticks      []int
+		msgs       msgCounts // every round
 		walRecords int
 	}{
-		{run: processRun{kind: Oracle}, ops: []uint64{304, 48, 48, 48, 48, 48}, ticks: []int{2, 2, 2, 2, 2, 2}},
-		{run: processRun{kind: PBFT, durable: true}, ops: []uint64{304, 48, 48, 48, 48, 48}, ticks: []int{4, 4, 4, 4, 4, 4}, walRecords: 6},
+		{run: processRun{kind: Oracle}, ops: []uint64{304, 48, 48, 48, 48, 48}, ticks: []int{2, 2, 2, 2, 2, 2},
+			msgs: msgCounts{sent: [4]int{0, 0, 0, 1}, recv: [4]int{0, 0, 0, 3}}},
+		{run: processRun{kind: PBFT, durable: true}, ops: []uint64{304, 48, 48, 48, 48, 48}, ticks: []int{4, 4, 4, 4, 4, 4},
+			msgs: msgCounts{sent: [4]int{1, 1, 1, 1}, recv: [4]int{0, 3, 3, 3}}, walRecords: 6},
 	} {
 		got := runProcesses(t, tc.run, workload)
 		for i, p := range got.procs {
@@ -310,6 +345,12 @@ func TestProcessRoundCountGuard(t *testing.T) {
 		if !slices.Equal(got.ops, tc.ops) || !slices.Equal(got.ticks, tc.ticks) || got.walRecords != tc.walRecords {
 			t.Errorf("%v: node 0 per round: field ops %v ticks %v, %d WAL records; pinned %v %v, %d",
 				tc.run.kind, got.ops, got.ticks, got.walRecords, tc.ops, tc.ticks, tc.walRecords)
+		}
+		for r, m := range got.msgs {
+			if m != tc.msgs {
+				t.Errorf("%v: node 0 round %d sent %v received %v of %v; pinned %v %v",
+					tc.run.kind, r, m.sent, m.recv, pinnedKinds, tc.msgs.sent, tc.msgs.recv)
+			}
 		}
 	}
 }
