@@ -9,9 +9,13 @@
 // Protocols are written once against the Transport interface and run
 // unchanged over two drivers: Run ticks all N nodes of a simulated
 // lock-step Network inside one process (the deterministic oracle), and
-// RunLink ticks one node over its own transport.Link — the per-process
+// DriveLink ticks one node over its own transport.Link — the per-process
 // driver the multi-process engine uses, where the link's Step barrier
-// replaces the simulator's global Network.Step.
+// replaces the simulator's global Network.Step. DriveLink runs a caller's
+// hook after every tick, on the inbox that tick consumed, so work that
+// does not need the decision (CSM's first execution step, on a prepared
+// batch) shares the instance's ticks instead of following them; RunLink
+// is DriveLink without a hook.
 package consensus
 
 import (
@@ -161,17 +165,32 @@ func Run(net *transport.Network, nodes []Node, waitFor []int, maxRounds int) err
 }
 
 // RunLink drives one participant over its own Link until it decides or
-// maxTicks have elapsed, returning the decided value. Each tick processes
-// the previous round's inbox and ends with a Step; the tick a node decides
-// in consumes its inbox but does not step, so in a lock-step run every
-// honest node leaves its instance on the same link round — the property
-// that lets the execution phase follow consensus without an extra
-// synchronization exchange.
+// maxTicks have elapsed, returning the decided value: DriveLink with no
+// hook.
 func RunLink(link transport.Link, node Node, maxTicks int) ([]byte, error) {
+	return DriveLink(link, node, maxTicks, nil)
+}
+
+// DriveLink drives one participant over its own Link like RunLink, and
+// after every Tick calls hook (when non-nil) with the inbox that tick
+// consumed, before the tick's Step — so whatever the hook broadcasts
+// leaves in the same round as the protocol's own messages. Each tick
+// processes the previous round's inbox and ends with a Step; the tick a
+// node decides in consumes its inbox and runs the hook but does not step,
+// so in a lock-step run every honest node leaves its instance on the same
+// link round — the property that lets the execution phase follow
+// consensus without an extra synchronization exchange. A hook error ends
+// the instance with that error.
+func DriveLink(link transport.Link, node Node, maxTicks int, hook func(inbox []transport.Message) error) ([]byte, error) {
 	var inbox []transport.Message
 	for tick := 0; tick < maxTicks; tick++ {
 		if err := node.Tick(inbox); err != nil {
 			return nil, fmt.Errorf("consensus: node %d tick %d: %w", link.Self(), tick, err)
+		}
+		if hook != nil {
+			if err := hook(inbox); err != nil {
+				return nil, err
+			}
 		}
 		if v, ok := node.Decided(); ok {
 			return v, nil

@@ -5,6 +5,26 @@
 // (pre-prepare, prepare, commit) with 2f+1 quorums, plus view changes with
 // exponentially growing timeouts that guarantee liveness after GST.
 //
+// One departure from the textbook schedule: a backup that enters the
+// instance's start view holding a value of its own (Config.Value)
+// broadcasts its prepare for that value's digest at once, instead of a
+// tick later on the leader's pre-prepare. A CSM cluster running a seeded
+// workload proposes identical bytes from every node, so the prepares and
+// the pre-prepare cross on the wire and a node is prepared after one tick
+// and decided after two, not three. Nothing else moves. Prepared still
+// needs the leader's pre-prepare with the same digest, 2f+1 prepares for
+// it, and this node's own prepare among them; a pre-prepare that arrives
+// after its votes re-runs the quorum checks. Safety rests on the same
+// invariant as before: an honest node sends one prepare per view
+// (sentPrepare), so two prepare quorums of one view share an honest node
+// and cannot name different digests. A backup whose value differs from
+// the leader's has spent its one prepare and does not prepare the
+// leader's value in that view; if too few backups agree with the leader
+// the start view times out and the view change proceeds as usual, every
+// later view preparing only the new leader's value. Prepared exposes the
+// prepared value so a caller can start work on it before the decision
+// (Castro & Liskov's tentative execution), checking it against Decided.
+//
 // Participants are written against consensus.Transport, so one instance
 // runs identically over the simulated lock-step network and over a
 // transport.Link into a real TCP cluster. All messages use the fixed
@@ -42,7 +62,9 @@ type Config struct {
 	Slot uint64
 	// MaxFaults is f; the cluster must have N >= 3f+1 nodes.
 	MaxFaults int
-	// Value is this node's own proposal, used when it becomes leader.
+	// Value is this node's own proposal: a leader proposes it, and a
+	// backup prepares it on entering the start view (see the package
+	// comment). Nil means a backup waits for the leader's pre-prepare.
 	Value []byte
 	// BaseTimeout is the initial view's timeout in rounds (doubles per
 	// view). Defaults to 6.
@@ -69,7 +91,7 @@ type Node struct {
 	prepares    map[int]map[[32]byte]map[int]bool // view -> digest -> senders
 	commits     map[int]map[[32]byte]map[int]bool
 	vcs         map[int]map[int]consensus.ViewChangeMsg // newView -> sender -> VC
-	sentPrepare map[int]bool
+	sentPrepare map[int][32]byte                        // view -> the one digest this node prepared
 	sentCommit  map[int]bool
 
 	preparedView  int
@@ -112,7 +134,7 @@ func New(cfg Config) (*Node, error) {
 		prepares:     make(map[int]map[[32]byte]map[int]bool),
 		commits:      make(map[int]map[[32]byte]map[int]bool),
 		vcs:          make(map[int]map[int]consensus.ViewChangeMsg),
-		sentPrepare:  make(map[int]bool),
+		sentPrepare:  make(map[int][32]byte),
 		sentCommit:   make(map[int]bool),
 		preparedView: -1,
 	}, nil
@@ -145,8 +167,7 @@ func (nd *Node) Tick(inbox []transport.Message) error {
 		return nil
 	}
 	if nd.timer == 0 && nd.view == nd.cfg.StartView {
-		// Entering the initial view: the leader proposes.
-		if err := nd.maybePropose(); err != nil {
+		if err := nd.enterStartView(); err != nil {
 			return err
 		}
 	}
@@ -183,10 +204,15 @@ func (nd *Node) timeoutFor(view int) int {
 	return t
 }
 
-// maybePropose sends a pre-prepare if this node leads the current view.
-func (nd *Node) maybePropose() error {
+// enterStartView opens the instance: the leader pre-prepares its value,
+// and a backup holding a value prepares it without waiting for the
+// pre-prepare (see the package comment).
+func (nd *Node) enterStartView() error {
 	if Leader(nd.view, nd.n) != nd.id {
-		return nil
+		if _, sent := nd.sentPrepare[nd.view]; sent || nd.cfg.Value == nil {
+			return nil
+		}
+		return nd.prepare(nd.view, digestOf(nd.cfg.Value))
 	}
 	value := nd.cfg.Value
 	if nd.preparedValue != nil {
@@ -198,6 +224,16 @@ func (nd *Node) maybePropose() error {
 	}
 	// Leader treats its own proposal as pre-prepared and prepares it.
 	return nd.onPrePrepare(pp, nd.id)
+}
+
+// prepare broadcasts this node's one prepare of the view and counts it.
+func (nd *Node) prepare(view int, digest [32]byte) error {
+	nd.sentPrepare[view] = digest
+	vote := consensus.VoteMsg{Slot: nd.cfg.Slot, View: view, Digest: digest}
+	if err := nd.tr.Broadcast(kindPrepare, consensus.AppendVoteMsg(nil, vote)); err != nil {
+		return err
+	}
+	return nd.onVote(kindPrepare, vote, int(nd.id))
 }
 
 func (nd *Node) handle(m transport.Message) error {
@@ -248,16 +284,13 @@ func (nd *Node) onPrePrepare(pp consensus.PrePrepareMsg, from transport.NodeID) 
 		// the view change completes.
 		return nil
 	}
-	if nd.sentPrepare[pp.View] || nd.targetView > nd.view {
-		return nil
+	digest := digestOf(pp.Value)
+	if _, sent := nd.sentPrepare[pp.View]; !sent && nd.targetView <= nd.view {
+		return nd.prepare(pp.View, digest)
 	}
-	nd.sentPrepare[pp.View] = true
-	vote := consensus.VoteMsg{Slot: nd.cfg.Slot, View: pp.View, Digest: digestOf(pp.Value)}
-	if err := nd.tr.Broadcast(kindPrepare, consensus.AppendVoteMsg(nil, vote)); err != nil {
-		return err
-	}
-	// Count our own prepare.
-	return nd.onVote(kindPrepare, vote, int(nd.id))
+	// This node prepared at the start view: the votes may already hold a
+	// quorum that was only waiting for this pre-prepare.
+	return nd.advance(pp.View, digest)
 }
 
 func (nd *Node) onVote(kind string, v consensus.VoteMsg, from int) error {
@@ -276,32 +309,40 @@ func (nd *Node) onVote(kind string, v consensus.VoteMsg, from int) error {
 		byDigest[v.Digest] = senders
 	}
 	senders[from] = true
-	if len(senders) < nd.quorum() {
+	return nd.advance(v.View, v.Digest)
+}
+
+// advance takes view's instance as far as the votes for digest allow:
+// prepared (2f+1 prepares, this node's own among them) sends the commit,
+// a commit quorum decides. Both need the leader's pre-prepare of that
+// digest, which may arrive after the votes.
+func (nd *Node) advance(view int, digest [32]byte) error {
+	prepares, commits := len(nd.prepares[view][digest]), len(nd.commits[view][digest])
+	if nd.done || (prepares < nd.quorum() && commits < nd.quorum()) {
 		return nil
 	}
-	value, have := nd.prePrepared[v.View]
-	if !have || digestOf(value) != v.Digest {
+	value, have := nd.prePrepared[view]
+	if !have || digestOf(value) != digest {
 		return nil // quorum on a value we have not seen yet
 	}
-	if kind == kindPrepare {
-		if nd.sentCommit[v.View] || v.View != nd.view || nd.targetView > nd.view {
-			return nil
-		}
+	if mine, sent := nd.sentPrepare[view]; prepares >= nd.quorum() && sent && mine == digest &&
+		!nd.sentCommit[view] && view == nd.view && nd.targetView <= nd.view {
 		// Prepared: remember for view changes.
-		if v.View > nd.preparedView {
-			nd.preparedView = v.View
+		if view > nd.preparedView {
+			nd.preparedView = view
 			nd.preparedValue = append([]byte(nil), value...)
 		}
-		nd.sentCommit[v.View] = true
-		vote := consensus.VoteMsg{Slot: nd.cfg.Slot, View: v.View, Digest: v.Digest}
+		nd.sentCommit[view] = true
+		vote := consensus.VoteMsg{Slot: nd.cfg.Slot, View: view, Digest: digest}
 		if err := nd.tr.Broadcast(kindCommit, consensus.AppendVoteMsg(nil, vote)); err != nil {
 			return err
 		}
-		return nd.onVote(kindCommit, v, int(nd.id))
+		return nd.onVote(kindCommit, vote, int(nd.id))
 	}
-	// Commit quorum: decide.
-	nd.decided = append([]byte(nil), value...)
-	nd.done = true
+	if commits >= nd.quorum() {
+		nd.decided = append([]byte(nil), value...)
+		nd.done = true
+	}
 	return nil
 }
 
@@ -418,6 +459,14 @@ func (nd *Node) Decided() ([]byte, bool) {
 		return nil, false
 	}
 	return nd.decided, true
+}
+
+// Prepared returns the value this node has prepared in its highest
+// prepared view. A prepared value is not decided: a view change can
+// still replace it, so work started on it must be checked against
+// Decided.
+func (nd *Node) Prepared() ([]byte, bool) {
+	return nd.preparedValue, nd.preparedView >= 0
 }
 
 // View returns the node's current view; after a decision it is the view

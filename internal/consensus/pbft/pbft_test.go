@@ -90,8 +90,8 @@ func TestEqualProposalsRoundCount(t *testing.T) {
 	if got := checkAgreement(t, nodes, waitFor); string(got) != "SAME" {
 		t.Errorf("decided %q", got)
 	}
-	if got := net.Round(); got != 4 {
-		t.Errorf("decided after %d rounds, pinned 4", got)
+	if got := net.Round(); got != 3 {
+		t.Errorf("decided after %d rounds, pinned 3", got)
 	}
 }
 

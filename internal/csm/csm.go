@@ -567,22 +567,32 @@ func encodeBatchMsg[E comparable](f field.Field[E], round int, batch [][][]E) []
 
 // Execution-phase result broadcasts use a fixed binary layout: every node
 // receives N-1 of them per round, and a reflective decoder would dominate
-// the steady-state allocation profile. Layout (all little-endian uint64):
-// round, element count, then the canonical field representation of each
-// element.
+// the steady-state allocation profile. Layout (little-endian): u64 round,
+// the [32]byte batch tag, u64 element count, then the canonical field
+// representation of each element as a u64. The tag names the batch the
+// result was computed on: a NodeProcess may compute step 0 on a batch
+// its consensus instance has prepared but not yet decided
+// (remote_consensus.go), so it tags every result with the SHA-256 of the
+// batch payload and counts only results tagged with the batch it
+// executes. The simulated Cluster never speculates and uses clusterTag.
 //
 // The codec is package-level because it IS the wire format: the simulated
 // cluster and the multi-process remote engine (remote.go) encode and
 // decode result broadcasts with these exact functions, which is what
 // makes a TCP run's traffic round-trip through the same bytes as the
 // in-memory oracle's.
-const resultHdrLen = 16
+const resultHdrLen = 8 + 32 + 8
 
-// encodeResult serializes a round's result vector.
-func encodeResult[E comparable](f field.Field[E], round int, result []E) []byte {
+// clusterTag is the batch tag of the simulated Cluster's results.
+var clusterTag [32]byte
+
+// encodeResult serializes a round's result vector, computed on the batch
+// tag names.
+func encodeResult[E comparable](f field.Field[E], round int, tag [32]byte, result []E) []byte {
 	buf := make([]byte, resultHdrLen+8*len(result))
 	binary.LittleEndian.PutUint64(buf[0:], uint64(round))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(len(result)))
+	copy(buf[8:40], tag[:])
+	binary.LittleEndian.PutUint64(buf[40:], uint64(len(result)))
 	for i, e := range result {
 		binary.LittleEndian.PutUint64(buf[resultHdrLen+8*i:], f.Uint64(e))
 	}
@@ -592,22 +602,22 @@ func encodeResult[E comparable](f field.Field[E], round int, result []E) []byte 
 // decodeResult parses a result broadcast, converting the wire values
 // straight into field elements. ok is false for malformed payloads (which
 // collect ignores, like any other garbage message).
-func decodeResult[E comparable](f field.Field[E], data []byte) (round int, result []E, ok bool) {
+func decodeResult[E comparable](f field.Field[E], data []byte) (round int, tag [32]byte, result []E, ok bool) {
 	if len(data) < resultHdrLen {
-		return 0, nil, false
+		return 0, tag, nil, false
 	}
-	count := binary.LittleEndian.Uint64(data[8:])
+	count := binary.LittleEndian.Uint64(data[40:])
 	body := len(data) - resultHdrLen
 	// Compare counts, not count*8: a huge attacker-chosen count must not
 	// overflow past the length check into make().
 	if body%8 != 0 || count != uint64(body/8) {
-		return 0, nil, false
+		return 0, tag, nil, false
 	}
 	result = make([]E, count)
 	for i := range result {
 		result[i] = f.FromUint64(binary.LittleEndian.Uint64(data[resultHdrLen+8*i:]))
 	}
-	return int(binary.LittleEndian.Uint64(data)), result, true
+	return int(binary.LittleEndian.Uint64(data)), [32]byte(data[8:40]), result, true
 }
 
 // ExecuteRound agrees on the given commands (one vector per machine) and

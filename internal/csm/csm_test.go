@@ -385,10 +385,10 @@ func TestErrRoundStuck(t *testing.T) {
 
 func TestResultPayloadCodec(t *testing.T) {
 	vec := []uint64{5, 0, field.GoldilocksModulus - 1}
-	payload := encodeResult[uint64](gold, 7, vec)
-	round, got, ok := decodeResult[uint64](gold, payload)
-	if !ok || round != 7 || !field.VecEqual[uint64](field.NewGoldilocks(), got, vec) {
-		t.Fatalf("roundtrip failed: ok=%v round=%d got=%v", ok, round, got)
+	payload := encodeResult[uint64](gold, 7, [32]byte{3: 9}, vec)
+	round, tag, got, ok := decodeResult[uint64](gold, payload)
+	if !ok || round != 7 || tag != [32]byte{3: 9} || !field.VecEqual[uint64](field.NewGoldilocks(), got, vec) {
+		t.Fatalf("roundtrip failed: ok=%v round=%d tag=%x got=%v", ok, round, tag, got)
 	}
 	// Malformed payloads must be rejected, never panic: short, truncated,
 	// trailing garbage, and a huge count whose *8 would overflow the int
@@ -399,11 +399,11 @@ func TestResultPayloadCodec(t *testing.T) {
 		payload[:len(payload)-3],
 		append(append([]byte(nil), payload...), 1, 2, 3),
 	}
-	huge := make([]byte, 16)
-	binary.LittleEndian.PutUint64(huge[8:], 1<<61)
+	huge := make([]byte, resultHdrLen)
+	binary.LittleEndian.PutUint64(huge[40:], 1<<61)
 	bad = append(bad, huge)
 	for i, p := range bad {
-		if _, _, ok := decodeResult[uint64](gold, p); ok {
+		if _, _, _, ok := decodeResult[uint64](gold, p); ok {
 			t.Errorf("malformed payload %d accepted", i)
 		}
 	}

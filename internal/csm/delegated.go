@@ -134,7 +134,7 @@ func (c *Cluster[E]) runExecutionDelegated(agreed [][]E) (*stepOutcome[E], error
 		abort := false
 		for i, n := range c.nodes {
 			msgs := n.ep.Receive()
-			n.ingest(msgs, c.round)
+			n.ingest(msgs, c.round, clusterTag)
 			if i != first {
 				continue
 			}

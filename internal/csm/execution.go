@@ -157,7 +157,7 @@ func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 			if n.behavior != Honest || n.decoded != nil {
 				continue
 			}
-			n.ingest(n.ep.Receive(), c.round)
+			n.ingest(n.ep.Receive(), c.round, clusterTag)
 			pending++
 			if n.receivedCount >= need {
 				ready = append(ready, n)

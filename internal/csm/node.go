@@ -43,7 +43,7 @@ func (n *node[E]) planBroadcast(result []E) {
 	case WrongResult, BadLeader:
 		bad := field.RandVec(c.cfg.BaseField, c.rng, len(result))
 		n.accept(n.id, bad) // a liar is at least self-consistent
-		n.txBroadcast = encodeResult(c.cfg.BaseField, c.round, bad)
+		n.txBroadcast = encodeResult(c.cfg.BaseField, c.round, clusterTag, bad)
 	case Equivocate:
 		// A different wrong value to every peer. On a no-equivocation
 		// (broadcast) network the transport coerces these to the first.
@@ -53,12 +53,12 @@ func (n *node[E]) planBroadcast(result []E) {
 				continue
 			}
 			bad := field.RandVec(c.cfg.BaseField, c.rng, len(result))
-			n.txSends[to] = encodeResult(c.cfg.BaseField, c.round, bad)
+			n.txSends[to] = encodeResult(c.cfg.BaseField, c.round, clusterTag, bad)
 		}
 		n.accept(n.id, result)
 	default:
 		n.accept(n.id, result)
-		n.txBroadcast = encodeResult(c.cfg.BaseField, c.round, result)
+		n.txBroadcast = encodeResult(c.cfg.BaseField, c.round, clusterTag, result)
 	}
 }
 

@@ -32,6 +32,7 @@
 package csm
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"slices"
@@ -286,7 +287,7 @@ func (p *NodeProcess[E]) LeadBatch(batch [][][]E) ([][][]E, error) {
 	if _, err := p.link.Step(); err != nil {
 		return nil, err
 	}
-	return p.commitBatch(p.round, batch)
+	return p.commitBatch(p.round, batch, sha256.Sum256(payload), nil)
 }
 
 // FollowBatch waits for the sequencer's next batch and executes it. done
@@ -316,7 +317,7 @@ func (p *NodeProcess[E]) FollowBatch() (outputs [][][]E, done bool, err error) {
 				if !ok {
 					return nil, false, fmt.Errorf("csm: node %d: malformed batch from sequencer", p.self)
 				}
-				out, err := p.commitBatch(round, batch)
+				out, err := p.commitBatch(round, batch, sha256.Sum256(m.Payload), nil)
 				return out, false, err
 			}
 		}
@@ -348,42 +349,66 @@ func (e *batchDesyncError) Error() string {
 // commitBatch is the one path from a decided batch to executed rounds,
 // whoever decided it (this sequencer, the sequencer's broadcast, a BFT
 // instance): check that the batch was proposed for this node's round, run
-// the coded micro-steps. The batch itself is never logged. A NodeProcess
-// cannot re-execute a batch alone — the decode needs the peers' results —
-// so recovery is a state restore from the applied records executeSteps
-// writes after each decode, plus Recover's delta from the peers; logged
-// intent would have no reader. A durable round is one applied record and
-// one fsync, on disk before the outputs are returned.
-func (p *NodeProcess[E]) commitBatch(round int, agreed [][][]E) ([][][]E, error) {
+// the coded micro-steps. tag is the SHA-256 of the batch payload, which
+// every result of the batch carries; spec is what the node already holds
+// of step 0 from its consensus instance (nil: nothing). The batch itself
+// is never logged. A NodeProcess cannot re-execute a batch alone — the
+// decode needs the peers' results — so recovery is a state restore from
+// the applied records executeSteps writes after each decode, plus
+// Recover's delta from the peers; logged intent would have no reader. A
+// durable round is one applied record and one fsync, on disk before the
+// outputs are returned.
+func (p *NodeProcess[E]) commitBatch(round int, agreed [][][]E, tag [32]byte, spec *speculation[E]) ([][][]E, error) {
 	if round != p.round {
 		return nil, &batchDesyncError{node: p.self, at: p.round, got: round}
 	}
-	return p.executeSteps(agreed)
+	return p.executeSteps(agreed, tag, spec)
 }
 
 // executeSteps runs the coded execution micro-steps of one agreed batch
 // on the node's step core. All N nodes run it in lock step; on return
-// every node has decoded all rounds and re-encoded its coded state.
-func (p *NodeProcess[E]) executeSteps(batch [][][]E) ([][][]E, error) {
+// every node has decoded all rounds and re-encoded its coded state. When
+// spec holds this node's own step-0 result on the very batch tag names,
+// that result — already broadcast with the commit — is step 0's; any
+// other speculation is dropped, which costs one apply and leaves no trace
+// in the coded state (apply never writes it).
+func (p *NodeProcess[E]) executeSteps(batch [][][]E, tag [32]byte, spec *speculation[E]) ([][][]E, error) {
 	f := p.cfg.BaseField
 	s := &p.core
-	s.encodeCommands(flattenBatch(batch, p.tr.CmdLen()))
+	reuse := spec != nil && spec.result != nil && spec.tag == tag
+	if !reuse {
+		s.encodeCommands(flattenBatch(batch, p.tr.CmdLen()))
+	}
 	// minShares is the exact erasure-decode threshold deg(f∘u)+1 =
 	// (K-1)d+1: consensus modes fall back to it when a peer is dead
 	// (e.g. a killed PBFT leader); Oracle mode always waits for all N.
 	minShares := (p.cfg.K-1)*p.tr.Degree() + 1
 	out := make([][][]E, 0, len(batch))
 	for j := range batch {
-		result, err := s.apply(j)
-		if err != nil {
-			return out, err
-		}
-		if err := p.link.Broadcast(resultKind, encodeResult(f, p.round, result)); err != nil {
-			return out, err
-		}
 		s.resetStep()
+		// delivered: the peers hold this node's result. A reused
+		// speculation went out with the commit, a tick before the
+		// decision; a result broadcast here reaches the peers only with
+		// the next Step, which the node takes even when it already holds
+		// every result, so that all nodes leave the step on the same tick.
+		delivered := j == 0 && reuse
+		var result []E
+		if delivered {
+			result = spec.result
+		} else {
+			var err error
+			if result, err = s.apply(j); err != nil {
+				return out, err
+			}
+			if err := p.link.Broadcast(resultKind, encodeResult(f, p.round, tag, result)); err != nil {
+				return out, err
+			}
+		}
 		s.accept(p.self, result)
-		for ticks := 0; s.receivedCount < p.n; ticks++ {
+		if j == 0 && spec != nil {
+			s.ingest(spec.early, p.round, tag)
+		}
+		for ticks := 0; !delivered || s.receivedCount < p.n; ticks++ {
 			if p.cfg.Consensus != Oracle && ticks >= quorumGraceTicks && s.receivedCount >= minShares {
 				// Stragglers got their grace; the subset decode below
 				// recovers every output exactly from what arrived.
@@ -403,7 +428,8 @@ func (p *NodeProcess[E]) executeSteps(batch [][][]E) ([][][]E, error) {
 			if err != nil {
 				return out, err
 			}
-			s.ingest(msgs, p.round)
+			delivered = true
+			s.ingest(msgs, p.round, tag)
 		}
 		dec, err := s.absorb()
 		if err != nil {

@@ -219,26 +219,27 @@ func TestRemoteLateLiarFallsBackOnce(t *testing.T) {
 }
 
 // forgingLink delivers, after the real traffic of every tick, result
-// frames no honest peer would send: for the round its node is collecting
-// (read off the node's own result broadcast), but from a sender outside
-// the cluster, from a negative sender, and — under a real peer's id — with
-// the wrong length.
+// frames no honest peer would send: for the round and batch its node is
+// collecting (read off the node's own result broadcast), but from a sender
+// outside the cluster, from a negative sender, and — under a real peer's
+// id — with the wrong length.
 type forgingLink struct {
 	transport.Link
 	round int
+	tag   [32]byte
 }
 
 func (l *forgingLink) Broadcast(kind string, payload []byte) error {
 	if kind == resultKind {
-		l.round = int(binary.LittleEndian.Uint64(payload))
+		l.round, l.tag = int(binary.LittleEndian.Uint64(payload)), [32]byte(payload[8:40])
 	}
 	return l.Link.Broadcast(kind, payload)
 }
 
 func (l *forgingLink) Step() ([]transport.Message, error) {
 	msgs, err := l.Link.Step()
-	ok := encodeResult[uint64](gold, l.round, []uint64{1, 2})
-	long := encodeResult[uint64](gold, l.round, []uint64{1, 2, 3})
+	ok := encodeResult[uint64](gold, l.round, l.tag, []uint64{1, 2})
+	long := encodeResult[uint64](gold, l.round, l.tag, []uint64{1, 2, 3})
 	return append(msgs,
 		transport.Message{From: consN + 3, Kind: resultKind, Payload: ok},
 		transport.Message{From: -1, Kind: resultKind, Payload: ok},

@@ -22,6 +22,7 @@
 package csm
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"codedsm/internal/consensus"
@@ -68,16 +69,74 @@ func ValidateRemoteConsensus(kind ConsensusKind, n, maxFaults int) error {
 	return nil
 }
 
-// decideBatch runs one consensus instance over the link and returns the
-// decided payload bytes. The slot is the workload round, so instances
-// never alias across batches; the Dolev-Strong sender rotates with the
-// round, and PBFT instances start in the view the previous instance
-// decided in — all survivors agree on it, so a dead low-view leader
-// costs one view change for the whole run, not one per batch.
-func (p *NodeProcess[E]) decideBatch(proposal []byte) ([]byte, error) {
+// preparer is a consensus node that names the value it has prepared
+// before deciding it (pbft.Node).
+type preparer interface {
+	Prepared() ([]byte, bool)
+}
+
+// speculation is what a node holds of a batch's step 0 when its
+// consensus instance decides: the peers' result broadcasts that arrived
+// during the instance, and possibly its own result on a prepared batch.
+type speculation[E comparable] struct {
+	// early holds, per sender, the last result broadcast received during
+	// the instance, whatever batch it is tagged with; executeSteps counts
+	// those tagged with the decided batch.
+	early []transport.Message
+	// tag is the SHA-256 of the prepared payload result was computed on;
+	// result is nil until the node speculated.
+	tag    [32]byte
+	result []E
+}
+
+// collect is the consensus tick hook (consensus.DriveLink): it keeps the
+// tick's result broadcasts, then — the first time the instance has
+// prepared a payload that parses as a steps-round batch for this node's
+// round — encodes that batch's commands, applies step 0 and broadcasts
+// the result tagged with the payload's SHA-256, in the tick the node
+// sends its commit.
+func (p *NodeProcess[E]) collect(spec *speculation[E], nd consensus.Node, steps int, inbox []transport.Message) error {
+	for _, m := range inbox {
+		if m.Kind == resultKind && m.From >= 0 && int(m.From) < p.n {
+			spec.early[m.From] = m
+		}
+	}
+	pr, ok := nd.(preparer)
+	if spec.result != nil || !ok {
+		return nil
+	}
+	value, ok := pr.Prepared()
+	if !ok {
+		return nil
+	}
+	batch, round, ok := parseBatchMsg(p.cfg.BaseField, value, steps, p.cfg.K, p.tr.CmdLen())
+	if !ok || round != p.round {
+		return nil
+	}
+	p.core.encodeCommands(flattenBatch(batch, p.tr.CmdLen()))
+	result, err := p.core.apply(0)
+	if err != nil {
+		return err
+	}
+	spec.tag, spec.result = sha256.Sum256(value), result
+	return p.link.Broadcast(resultKind, encodeResult(p.cfg.BaseField, p.round, spec.tag, result))
+}
+
+// decideBatch runs one consensus instance over the link, collecting
+// step 0 into spec as it goes, and returns the decided payload bytes. The
+// slot is the workload round, so instances never alias across batches;
+// the Dolev-Strong sender rotates with the round, and PBFT instances start
+// in the view the previous instance decided in — all survivors agree on
+// it, so a dead low-view leader costs one view change for the whole run,
+// not one per batch.
+func (p *NodeProcess[E]) decideBatch(proposal []byte, steps int, spec *speculation[E]) ([]byte, error) {
+	var nd consensus.Node
+	var err error
+	maxTicks := p.cfg.MaxTicksPerRound
 	switch p.cfg.Consensus {
 	case DolevStrong:
-		nd, err := dolevstrong.New(dolevstrong.Config{
+		maxTicks = dolevstrong.Rounds(p.cfg.MaxFaults) + 1
+		nd, err = dolevstrong.New(dolevstrong.Config{
 			Transport: p.link,
 			Sender:    transport.NodeID(p.round % p.n),
 			Slot:      uint64(p.round),
@@ -85,30 +144,30 @@ func (p *NodeProcess[E]) decideBatch(proposal []byte) ([]byte, error) {
 			Value:     proposal,
 			Default:   nil,
 		})
-		if err != nil {
-			return nil, err
-		}
-		return consensus.RunLink(p.link, nd, dolevstrong.Rounds(p.cfg.MaxFaults)+1)
 	case PBFT:
-		nd, err := pbft.New(pbft.Config{
+		nd, err = pbft.New(pbft.Config{
 			Transport: p.link,
 			Slot:      uint64(p.round),
 			MaxFaults: p.cfg.MaxFaults,
 			Value:     proposal,
 			StartView: p.startView,
 		})
-		if err != nil {
-			return nil, err
-		}
-		decided, err := consensus.RunLink(p.link, nd, p.cfg.MaxTicksPerRound)
-		if err != nil {
-			return nil, err
-		}
-		p.startView = nd.View()
-		return decided, nil
 	default:
 		return nil, fmt.Errorf("%w: decideBatch under %v", ErrConsensusConfig, p.cfg.Consensus)
 	}
+	if err != nil {
+		return nil, err
+	}
+	decided, err := consensus.DriveLink(p.link, nd, maxTicks, func(inbox []transport.Message) error {
+		return p.collect(spec, nd, steps, inbox)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if v, ok := nd.(*pbft.Node); ok {
+		p.startView = v.View()
+	}
+	return decided, nil
 }
 
 // RunWorkload drives a whole workload under a real consensus protocol.
@@ -134,7 +193,8 @@ func (p *NodeProcess[E]) runConsensusBatch(batch [][][]E) ([][][]E, error) {
 	if err != nil {
 		return nil, err
 	}
-	decided, err := p.decideBatch(proposal)
+	spec := &speculation[E]{early: make([]transport.Message, p.n)}
+	decided, err := p.decideBatch(proposal, len(batch), spec)
 	if err != nil {
 		return nil, fmt.Errorf("csm: node %d round %d: %v consensus: %w", p.self, p.round, p.cfg.Consensus, err)
 	}
@@ -147,5 +207,5 @@ func (p *NodeProcess[E]) runConsensusBatch(batch [][][]E) ([][][]E, error) {
 		return nil, fmt.Errorf("csm: node %d round %d: %v decided an unusable batch (%d bytes)",
 			p.self, p.round, p.cfg.Consensus, len(decided))
 	}
-	return p.commitBatch(round, agreed)
+	return p.commitBatch(round, agreed, sha256.Sum256(decided), spec)
 }

@@ -150,15 +150,16 @@ func (s *stepCore[E]) accept(from int, result []E) {
 }
 
 // ingest accepts the well-formed result broadcasts for the given round
-// among msgs; anything else — another kind, a malformed payload, a stale
-// round, a wrong length, a sender outside 0..N-1 — is ignored.
-func (s *stepCore[E]) ingest(msgs []transport.Message, round int) {
+// computed on the batch tag names among msgs; anything else — another
+// kind, a malformed payload, a stale round, another batch, a wrong
+// length, a sender outside 0..N-1 — is ignored.
+func (s *stepCore[E]) ingest(msgs []transport.Message, round int, tag [32]byte) {
 	for _, m := range msgs {
 		if m.Kind != resultKind {
 			continue
 		}
-		r, result, ok := decodeResult(s.tr.Field(), m.Payload)
-		if !ok || r != round || len(result) != s.tr.ResultLen() || m.From < 0 || int(m.From) >= len(s.received) {
+		r, t, result, ok := decodeResult(s.tr.Field(), m.Payload)
+		if !ok || r != round || t != tag || len(result) != s.tr.ResultLen() || m.From < 0 || int(m.From) >= len(s.received) {
 			continue
 		}
 		s.accept(int(m.From), result)
