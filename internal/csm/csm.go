@@ -663,17 +663,20 @@ func (c *Cluster[E]) runConsensus(batch [][][]E) ([][][]E, int, error) {
 		return batch, 0, nil
 	}
 	valid := encodeBatchMsg(c.cfg.BaseField, c.round, batch)
+	start := c.net.Round()
 	var decided []byte
-	var ticks int
 	var err error
 	switch c.cfg.Consensus {
 	case DolevStrong:
-		decided, ticks, err = c.runDolevStrong(valid)
+		decided, err = c.runDolevStrong(valid)
 	case PBFT:
-		decided, ticks, err = c.runPBFT(valid)
+		decided, err = c.runPBFT(valid)
 	default:
 		return nil, 0, fmt.Errorf("csm: unknown consensus kind %d", c.cfg.Consensus)
 	}
+	// The instance's ticks are the rounds the network stepped, not its
+	// budget.
+	ticks := c.net.Round() - start
 	if err != nil {
 		return nil, ticks, err
 	}
@@ -694,7 +697,7 @@ func (c *Cluster[E]) agreedCommands(decided []byte, steps int) [][][]E {
 // leaderFor rotates leadership across consensus instances.
 func (c *Cluster[E]) leaderFor(instance int) int { return instance % c.cfg.N }
 
-func (c *Cluster[E]) runDolevStrong(valid []byte) ([]byte, int, error) {
+func (c *Cluster[E]) runDolevStrong(valid []byte) ([]byte, error) {
 	leader := c.leaderFor(c.instances)
 	proposal := valid
 	if b := c.cfg.Byzantine[leader]; b == BadLeader {
@@ -705,7 +708,7 @@ func (c *Cluster[E]) runDolevStrong(valid []byte) ([]byte, int, error) {
 	for i := 0; i < c.cfg.N; i++ {
 		tr, err := consensus.NewNetTransport(c.net, transport.NodeID(i))
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		nd, err := dolevstrong.New(dolevstrong.Config{
 			Transport: tr, Sender: transport.NodeID(leader),
@@ -713,22 +716,21 @@ func (c *Cluster[E]) runDolevStrong(valid []byte) ([]byte, int, error) {
 			Value: proposal, Default: nil,
 		})
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		nodes[i] = nd
 		if c.cfg.Byzantine[i] == Honest {
 			waitFor = append(waitFor, i)
 		}
 	}
-	rounds := dolevstrong.Rounds(c.cfg.MaxFaults) + 1
-	if err := consensus.Run(c.net, nodes, waitFor, rounds); err != nil {
-		return nil, rounds, err
+	if err := consensus.Run(c.net, nodes, waitFor, dolevstrong.Rounds(c.cfg.MaxFaults)+1); err != nil {
+		return nil, err
 	}
 	decided, _ := nodes[waitFor[0]].Decided()
-	return decided, rounds, nil
+	return decided, nil
 }
 
-func (c *Cluster[E]) runPBFT(valid []byte) ([]byte, int, error) {
+func (c *Cluster[E]) runPBFT(valid []byte) ([]byte, error) {
 	nodes := make([]consensus.Node, c.cfg.N)
 	waitFor := make([]int, 0, c.cfg.N)
 	for i := 0; i < c.cfg.N; i++ {
@@ -738,26 +740,25 @@ func (c *Cluster[E]) runPBFT(valid []byte) ([]byte, int, error) {
 		}
 		tr, err := consensus.NewNetTransport(c.net, transport.NodeID(i))
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		nd, err := pbft.New(pbft.Config{
 			Transport: tr, Slot: uint64(c.round),
 			MaxFaults: c.cfg.MaxFaults, Value: proposal,
 		})
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		nodes[i] = nd
 		if c.cfg.Byzantine[i] == Honest {
 			waitFor = append(waitFor, i)
 		}
 	}
-	budget := c.cfg.MaxTicksPerRound
-	if err := consensus.Run(c.net, nodes, waitFor, budget); err != nil {
-		return nil, budget, err
+	if err := consensus.Run(c.net, nodes, waitFor, c.cfg.MaxTicksPerRound); err != nil {
+		return nil, err
 	}
 	decided, _ := nodes[waitFor[0]].Decided()
-	return decided, budget, nil
+	return decided, nil
 }
 
 // parseBatchMsg decodes a batch payload (encodeBatchMsg's bytes) into the

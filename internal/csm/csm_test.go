@@ -272,6 +272,24 @@ func TestPBFTConsensusIntegration(t *testing.T) {
 	}
 }
 
+// TestPBFTRoundReportsSteppedTicks: a simulated PBFT round reports the
+// lock-step ticks it took — three for the instance, one for the result
+// exchange — not the instance's tick budget (MaxTicksPerRound, which it
+// used to report: ticks=201 per round).
+func TestPBFTRoundReportsSteppedTicks(t *testing.T) {
+	cfg := baseConfig(2, 7, 2)
+	cfg.Consensus = PBFT
+	c := newCluster(t, cfg)
+	for r, res := range runRounds(t, c, 3) {
+		if !res.Correct || res.Ticks != 4 {
+			t.Errorf("round %d: correct=%v ticks=%d, want true, 4", r, res.Correct, res.Ticks)
+		}
+	}
+	if got := c.net.Round(); got != 3*4 {
+		t.Errorf("the network stepped %d times in 3 rounds, want %d", got, 3*4)
+	}
+}
+
 func TestThroughputAccounting(t *testing.T) {
 	cfg := baseConfig(3, 12, 2)
 	c := newCluster(t, cfg)
