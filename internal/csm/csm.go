@@ -279,6 +279,10 @@ type Cluster[E comparable] struct {
 	// would visit only every gcd(B,N)-th node — silently excluding
 	// BadLeader adversaries from batched runs. For B=1 the two coincide.
 	instances int
+	// pbftView is the view the last PBFT instance decided in; the next
+	// instance starts there, so a faulty low-view leader costs one view
+	// change per run, not one per instance (NodeProcess.startView).
+	pbftView int
 	// epoch counts membership epochs: it advances whenever a churn
 	// boundary applies at least one event, so rounds between two
 	// increments share one static fault pattern.
@@ -732,6 +736,7 @@ func (c *Cluster[E]) runDolevStrong(valid []byte) ([]byte, error) {
 
 func (c *Cluster[E]) runPBFT(valid []byte) ([]byte, error) {
 	nodes := make([]consensus.Node, c.cfg.N)
+	var honest *pbft.Node
 	waitFor := make([]int, 0, c.cfg.N)
 	for i := 0; i < c.cfg.N; i++ {
 		proposal := valid
@@ -745,6 +750,7 @@ func (c *Cluster[E]) runPBFT(valid []byte) ([]byte, error) {
 		nd, err := pbft.New(pbft.Config{
 			Transport: tr, Slot: uint64(c.round),
 			MaxFaults: c.cfg.MaxFaults, Value: proposal,
+			StartView: c.pbftView,
 		})
 		if err != nil {
 			return nil, err
@@ -752,12 +758,16 @@ func (c *Cluster[E]) runPBFT(valid []byte) ([]byte, error) {
 		nodes[i] = nd
 		if c.cfg.Byzantine[i] == Honest {
 			waitFor = append(waitFor, i)
+			if honest == nil {
+				honest = nd
+			}
 		}
 	}
 	if err := consensus.Run(c.net, nodes, waitFor, c.cfg.MaxTicksPerRound); err != nil {
 		return nil, err
 	}
-	decided, _ := nodes[waitFor[0]].Decided()
+	c.pbftView = honest.View()
+	decided, _ := honest.Decided()
 	return decided, nil
 }
 
