@@ -111,15 +111,17 @@ soak-short:
 	$(GO) run -race ./examples/soak -csmnode bin/csmnode -duration 15s
 
 # Short fuzz runs over the TCP framing and message codec, the WAL record
-# reader, the consensus wire codecs, the batch payload parser and the
-# delegated-mode message parsers (CI smoke): the checked-in corpus plus a
-# few seconds of new coverage-guided inputs.
+# reader, the consensus wire codecs, the batch payload parser, the
+# execution result decoder and the delegated-mode message parsers (CI
+# smoke): the checked-in corpus plus a few seconds of new coverage-guided
+# inputs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalMessage -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReader -fuzztime=10s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzConsensusMessage -fuzztime=10s ./internal/consensus/
 	$(GO) test -run='^$$' -fuzz=FuzzParseBatchMsg -fuzztime=10s ./internal/csm/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeResult -fuzztime=10s ./internal/csm/
 	$(GO) test -run='^$$' -fuzz=FuzzParseDelegatedMsg -fuzztime=10s ./internal/csm/
 
 # csmlint: the repo's own analyzer suite (determinism, wire-codec, and

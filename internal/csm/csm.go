@@ -605,21 +605,29 @@ func encodeResult[E comparable](f field.Field[E], round int, tag [32]byte, resul
 
 // decodeResult parses a result broadcast, converting the wire values
 // straight into field elements. ok is false for malformed payloads (which
-// collect ignores, like any other garbage message).
+// collect ignores, like any other garbage message). Only canonical
+// elements are accepted, as parseBatchMsg does: FromUint64 would reduce a
+// non-canonical one (Goldilocks subtracts p, GF(2^m) masks high bits), so
+// two payloads would decode to one result. A payload that decodes
+// re-encodes to the same bytes.
 func decodeResult[E comparable](f field.Field[E], data []byte) (round int, tag [32]byte, result []E, ok bool) {
 	if len(data) < resultHdrLen {
-		return 0, tag, nil, false
+		return 0, [32]byte{}, nil, false
 	}
 	count := binary.LittleEndian.Uint64(data[40:])
 	body := len(data) - resultHdrLen
 	// Compare counts, not count*8: a huge attacker-chosen count must not
 	// overflow past the length check into make().
 	if body%8 != 0 || count != uint64(body/8) {
-		return 0, tag, nil, false
+		return 0, [32]byte{}, nil, false
 	}
 	result = make([]E, count)
 	for i := range result {
-		result[i] = f.FromUint64(binary.LittleEndian.Uint64(data[resultHdrLen+8*i:]))
+		v := binary.LittleEndian.Uint64(data[resultHdrLen+8*i:])
+		result[i] = f.FromUint64(v)
+		if f.Uint64(result[i]) != v {
+			return 0, [32]byte{}, nil, false
+		}
 	}
 	return int(binary.LittleEndian.Uint64(data)), [32]byte(data[8:40]), result, true
 }

@@ -1,6 +1,7 @@
 package csm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -420,9 +421,54 @@ func TestResultPayloadCodec(t *testing.T) {
 	huge := make([]byte, resultHdrLen)
 	binary.LittleEndian.PutUint64(huge[40:], 1<<61)
 	bad = append(bad, huge)
+	// An element at or above the modulus has a smaller canonical twin.
+	nonCanonical := bytes.Clone(payload)
+	binary.LittleEndian.PutUint64(nonCanonical[resultHdrLen:], field.GoldilocksModulus+5)
+	bad = append(bad, nonCanonical)
 	for i, p := range bad {
 		if _, _, _, ok := decodeResult[uint64](gold, p); ok {
 			t.Errorf("malformed payload %d accepted", i)
 		}
+	}
+	// GF(2^8) elements are below 256; FromUint64 would mask the high bits.
+	gf, err := field.NewGF2m(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, ok := decodeResult[uint64](gf, encodeResult[uint64](gold, 7, clusterTag, []uint64{5, 256 + 5})); ok {
+		t.Error("GF(2^8) payload with a 9-bit element accepted")
+	}
+}
+
+// FuzzDecodeResult throws arbitrary bytes at the result decoder over a
+// prime and a binary field. It must never panic; a refusal returns
+// nothing; and what it accepts has exactly the elements the input
+// carries and re-encodes to the same bytes.
+func FuzzDecodeResult(f *testing.F) {
+	f.Add(encodeResult[uint64](gold, 3, [32]byte{1, 2, 3}, []uint64{7, field.GoldilocksModulus - 1}))
+	f.Add(encodeResult[uint64](gold, 41, clusterTag, []uint64{0, 1}))
+	gf, err := field.NewGF2m(8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzDecodeResult[uint64](t, gold, data)
+		fuzzDecodeResult[uint64](t, gf, data)
+	})
+}
+
+func fuzzDecodeResult[E comparable](t *testing.T, f field.Field[E], data []byte) {
+	round, tag, result, ok := decodeResult(f, data)
+	if !ok {
+		if round != 0 || tag != ([32]byte{}) || result != nil {
+			t.Fatalf("refused, yet returned round %d tag %x and %d elements", round, tag, len(result))
+		}
+		return
+	}
+	if resultHdrLen+8*len(result) != len(data) {
+		t.Fatalf("accepted %d elements from %d bytes", len(result), len(data))
+	}
+	if again := encodeResult(f, round, tag, result); !bytes.Equal(again, data) {
+		t.Fatalf("re-encoding differs:\n got %x\nwant %x", again, data)
 	}
 }
