@@ -95,6 +95,48 @@ func TestEqualProposalsRoundCount(t *testing.T) {
 	}
 }
 
+// TestStartViewPrepareIsSpent: every node prepares its own value on
+// entering the start view and has then spent its one prepare of the view.
+// A leader whose value no backup holds gets only its own prepare, so
+// nobody prepares in view 0, the view times out, and view 1 decides the
+// backups' value everywhere. A backup whose value differs from everyone
+// else's never becomes prepared, yet decides the others' value from their
+// commit quorum in view 0.
+func TestStartViewPrepareIsSpent(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		values   [4]string
+		view     int    // the view the value is decided in
+		prepared [4]int // each node's highest prepared view (-1: none)
+	}{
+		{"leader alone", [4]string{"LEADER", "V", "V", "V"}, 1, [4]int{1, 1, 1, 1}},
+		{"one backup alone", [4]string{"V", "V", "V", "ODD"}, 0, [4]int{0, 0, 0, -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := setup(t, 4, transport.Sync, 0, 9)
+			nodes := make([]consensus.Node, 4)
+			waitFor := []int{0, 1, 2, 3}
+			for i, v := range tc.values {
+				nodes[i] = honest(t, net, i, 1, []byte(v))
+			}
+			if err := consensus.Run(net, nodes, waitFor, 80); err != nil {
+				t.Fatal(err)
+			}
+			if got := checkAgreement(t, nodes, waitFor); string(got) != "V" {
+				t.Errorf("decided %q, want V", got)
+			}
+			for i, n := range nodes {
+				nd := n.(*Node)
+				value, ok := nd.Prepared()
+				if nd.View() != tc.view || nd.preparedView != tc.prepared[i] || ok != (tc.prepared[i] >= 0) || ok && string(value) != "V" {
+					t.Errorf("node %d: view %d, prepared %q in view %d; want view %d, V in view %d",
+						i, nd.View(), value, nd.preparedView, tc.view, tc.prepared[i])
+				}
+			}
+		})
+	}
+}
+
 func TestSilentLeaderViewChange(t *testing.T) {
 	// Node 0 (view-0 leader) is silent; the protocol must change views and
 	// decide node 1's proposal.

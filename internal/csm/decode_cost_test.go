@@ -153,6 +153,14 @@ var pinnedKinds = [4]string{"pbft-preprepare", "pbft-prepare", "pbft-commit", re
 // msgCounts is one node's traffic in pinnedKinds order.
 type msgCounts struct{ sent, recv [4]int }
 
+func (m msgCounts) minus(o msgCounts) msgCounts {
+	for k := range pinnedKinds {
+		m.sent[k] -= o.sent[k]
+		m.recv[k] -= o.recv[k]
+	}
+	return m
+}
+
 // countLink counts the lock-step ticks its node spends and the messages
 // of each pinned kind it broadcasts and receives (a NodeProcess only
 // broadcasts).
@@ -188,15 +196,17 @@ type processRun struct {
 	// wrap decorates node i's link (nil: none); this is how a test plants
 	// a Byzantine peer or forged traffic.
 	wrap func(i int, l transport.Link) transport.Link
+	// feed gives a node its own workload in place of the shared one.
+	feed map[int][][][]uint64
 }
 
-// processCounts is what runProcesses observed on node 0, per batch, and
-// the finished processes.
+// processCounts is what runProcesses observed per batch — on node 0, or
+// on every node where indexed by node — and the finished processes.
 type processCounts struct {
-	ops        []uint64    // counted field operations
-	ticks      []int       // lock-step ticks
-	msgs       []msgCounts // pinned-kind traffic
-	walRecords int         // records in node 0's WAL (zero without durability)
+	ops        []uint64           // node 0's counted field operations
+	ticks      [consN][]int       // lock-step ticks
+	msgs       [consN][]msgCounts // pinned-kind traffic
+	walRecords int                // records in node 0's WAL (zero without durability)
 	procs      []*NodeProcess[uint64]
 }
 
@@ -252,6 +262,10 @@ func runProcesses(t *testing.T, run processRun, workload [][][]uint64) processCo
 				_, errs[i] = p.Follow()
 				return
 			}
+			workload := workload
+			if w, ok := run.feed[i]; ok {
+				workload = w
+			}
 			for start := 0; start < len(workload); start += batch {
 				rounds := workload[start:min(start+batch, len(workload))]
 				opsBefore, ticksBefore, msgsBefore := counters[i].Counts().Total(), tls[i].ticks, tls[i].msgs
@@ -266,14 +280,9 @@ func runProcesses(t *testing.T, run processRun, workload [][][]uint64) processCo
 				}
 				if i == 0 {
 					out.ops = append(out.ops, counters[i].Counts().Total()-opsBefore)
-					out.ticks = append(out.ticks, tls[i].ticks-ticksBefore)
-					var m msgCounts
-					for k := range pinnedKinds {
-						m.sent[k] = tls[i].msgs.sent[k] - msgsBefore.sent[k]
-						m.recv[k] = tls[i].msgs.recv[k] - msgsBefore.recv[k]
-					}
-					out.msgs = append(out.msgs, m)
 				}
+				out.ticks[i] = append(out.ticks[i], tls[i].ticks-ticksBefore)
+				out.msgs[i] = append(out.msgs[i], tls[i].msgs.minus(msgsBefore))
 			}
 			if run.kind == Oracle {
 				errs[i] = p.Stop()
@@ -342,11 +351,11 @@ func TestProcessRoundCountGuard(t *testing.T) {
 				t.Errorf("%v node %d digest %s, Cluster.Run's %s", tc.run.kind, i, p.DigestSum(), want)
 			}
 		}
-		if !slices.Equal(got.ops, tc.ops) || !slices.Equal(got.ticks, tc.ticks) || got.walRecords != tc.walRecords {
+		if !slices.Equal(got.ops, tc.ops) || !slices.Equal(got.ticks[0], tc.ticks) || got.walRecords != tc.walRecords {
 			t.Errorf("%v: node 0 per round: field ops %v ticks %v, %d WAL records; pinned %v %v, %d",
-				tc.run.kind, got.ops, got.ticks, got.walRecords, tc.ops, tc.ticks, tc.walRecords)
+				tc.run.kind, got.ops, got.ticks[0], got.walRecords, tc.ops, tc.ticks, tc.walRecords)
 		}
-		for r, m := range got.msgs {
+		for r, m := range got.msgs[0] {
 			if m != tc.msgs {
 				t.Errorf("%v: node 0 round %d sent %v received %v of %v; pinned %v %v",
 					tc.run.kind, r, m.sent, m.recv, pinnedKinds, tc.msgs.sent, tc.msgs.recv)

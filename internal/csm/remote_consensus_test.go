@@ -1,12 +1,16 @@
 package csm
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"codedsm/internal/consensus"
 	"codedsm/internal/field"
 	"codedsm/internal/sm"
 	"codedsm/internal/transport"
@@ -237,6 +241,119 @@ func TestRemotePBFTLeaderFailoverOverTCP(t *testing.T) {
 	requireIdentical(t, 0, outs[0], want[:killAfter])
 	for i := 1; i < consN; i++ {
 		requireIdentical(t, i, outs[i], want)
+	}
+}
+
+// foreignTagLink tags its node's result broadcasts for one workload round
+// with the digest of no batch, and flips the first element: a peer that
+// counted such a result would name the node as faulty.
+type foreignTagLink struct {
+	transport.Link
+	round uint64
+}
+
+func (l foreignTagLink) Broadcast(kind string, payload []byte) error {
+	if kind == resultKind && binary.LittleEndian.Uint64(payload) == l.round {
+		payload = slices.Clone(payload)
+		foreign := sha256.Sum256([]byte("no batch"))
+		copy(payload[8:40], foreign[:])
+		payload[resultHdrLen] ^= 1
+	}
+	return l.Link.Broadcast(kind, payload)
+}
+
+// TestRemoteForeignTagNeverCounted: one peer's results for round 2 carry
+// a tag naming no batch. No node counts them — the others wait out the
+// straggler grace and decode without that peer — so nobody is accused,
+// and every digest is still Cluster.Run's.
+func TestRemoteForeignTagNeverCounted(t *testing.T) {
+	const peer, round = 3, 2
+	workload := RandomWorkload[uint64](gold, 6, consK, 1, consSeed)
+	got := runProcesses(t, processRun{kind: PBFT, wrap: func(i int, l transport.Link) transport.Link {
+		if i == peer {
+			return foreignTagLink{Link: l, round: round}
+		}
+		return l
+	}}, workload)
+	want := consDigest(t, workload)
+	for i, p := range got.procs {
+		if p.DigestSum() != want || len(p.FaultyDetected()) != 0 {
+			t.Errorf("node %d digest %s detected %v, want %s and nobody", i, p.DigestSum(), p.FaultyDetected(), want)
+		}
+	}
+	if ticks := got.ticks[0][round]; ticks != 2+quorumGraceTicks {
+		t.Errorf("node 0 spent %d ticks on round %d, want %d: the foreign-tagged result was counted", ticks, round, 2+quorumGraceTicks)
+	}
+}
+
+// TestRemoteOddProposalTakesNormalExchange: node 3 is fed a different
+// batch for round 2. Its start-view prepare is spent on that batch, so it
+// never becomes prepared (sends no commit) and never speculates; it
+// decides the majority batch from the others' commit quorum, counts their
+// step-0 results, and broadcasts its own after the decision. Every node
+// then steps the same three ticks, and every digest is the majority
+// workload's.
+func TestRemoteOddProposalTakesNormalExchange(t *testing.T) {
+	const odd, round = 3, 2
+	workload := RandomWorkload[uint64](gold, 6, consK, 1, consSeed)
+	fed := slices.Clone(workload)
+	fed[round] = RandomWorkload[uint64](gold, 1, consK, 1, consSeed+1)[0]
+	got := runProcesses(t, processRun{kind: PBFT, feed: map[int][][][]uint64{odd: fed}}, workload)
+	want := consDigest(t, workload)
+	for i, p := range got.procs {
+		if p.DigestSum() != want {
+			t.Errorf("node %d digest %s, the majority's %s", i, p.DigestSum(), want)
+		}
+		m, commits := got.msgs[i][round], 1
+		if i == odd {
+			commits = 0
+		}
+		if got.ticks[i][round] != 3 || m.sent[2] != commits || m.sent[3] != 1 {
+			t.Errorf("node %d round %d: %d ticks, sent %d commits and %d results; want 3, %d, 1",
+				i, round, got.ticks[i][round], m.sent[2], m.sent[3], commits)
+		}
+	}
+}
+
+// commitDropLink withholds its node's view-0 commits for one slot, so the
+// instance cannot decide in view 0 although every node has prepared and
+// speculated; the view change carries the prepared batch into view 1.
+type commitDropLink struct {
+	transport.Link
+	slot uint64
+}
+
+func (l commitDropLink) Broadcast(kind string, payload []byte) error {
+	if kind == "pbft-commit" {
+		if v, err := consensus.DecodeVoteMsg(payload); err == nil && v.Slot == l.slot && v.View == 0 {
+			return nil
+		}
+	}
+	return l.Link.Broadcast(kind, payload)
+}
+
+// TestRemoteSpeculationSurvivesViewChange: round 2 decides only after a
+// view change, on the batch every node speculated on. The speculation is
+// kept — one result broadcast per node, no extra field ops — and the
+// outputs are Cluster.Run's.
+func TestRemoteSpeculationSurvivesViewChange(t *testing.T) {
+	const round = 2
+	workload := RandomWorkload[uint64](gold, 6, consK, 1, consSeed)
+	got := runProcesses(t, processRun{kind: PBFT, wrap: func(i int, l transport.Link) transport.Link {
+		return commitDropLink{Link: l, slot: round}
+	}}, workload)
+	want := consDigest(t, workload)
+	for i, p := range got.procs {
+		if p.DigestSum() != want {
+			t.Errorf("node %d digest %s, Cluster.Run's %s", i, p.DigestSum(), want)
+		}
+		if got.ticks[i][round] <= 2 || got.msgs[i][round].sent[3] != 1 {
+			t.Errorf("node %d round %d: %d ticks, %d result broadcasts; want a view change and 1",
+				i, round, got.ticks[i][round], got.msgs[i][round].sent[3])
+		}
+	}
+	if got.ops[round] != got.ops[round-1] {
+		t.Errorf("node 0 round %d cost %d field ops, round %d %d: the speculation was recomputed", round, got.ops[round], round-1, got.ops[round-1])
 	}
 }
 
