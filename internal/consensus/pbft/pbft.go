@@ -288,8 +288,9 @@ func (nd *Node) onPrePrepare(pp consensus.PrePrepareMsg, from transport.NodeID) 
 	if _, sent := nd.sentPrepare[pp.View]; !sent && nd.targetView <= nd.view {
 		return nd.prepare(pp.View, digest)
 	}
-	// This node prepared at the start view: the votes may already hold a
-	// quorum that was only waiting for this pre-prepare.
+	// No prepare to send (a backup spent its one at the start view, or a
+	// view change is pending): the votes may already hold a quorum that
+	// was only waiting for this pre-prepare.
 	return nd.advance(pp.View, digest)
 }
 

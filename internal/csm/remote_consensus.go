@@ -90,19 +90,18 @@ type speculation[E comparable] struct {
 }
 
 // collect is the consensus tick hook (consensus.DriveLink): it keeps the
-// tick's result broadcasts, then — the first time the instance has
-// prepared a payload that parses as a steps-round batch for this node's
-// round — encodes that batch's commands, applies step 0 and broadcasts
-// the result tagged with the payload's SHA-256, in the tick the node
-// sends its commit.
-func (p *NodeProcess[E]) collect(spec *speculation[E], nd consensus.Node, steps int, inbox []transport.Message) error {
+// tick's result broadcasts, then — the first time pr (nil: a protocol
+// that cannot tell) has prepared a payload that parses as a steps-round
+// batch for this node's round — encodes that batch's commands, applies
+// step 0 and broadcasts the result tagged with the payload's SHA-256, in
+// the tick the node sends its commit.
+func (p *NodeProcess[E]) collect(spec *speculation[E], pr preparer, steps int, inbox []transport.Message) error {
 	for _, m := range inbox {
 		if m.Kind == resultKind && m.From >= 0 && int(m.From) < p.n {
 			spec.early[m.From] = m
 		}
 	}
-	pr, ok := nd.(preparer)
-	if spec.result != nil || !ok {
+	if spec.result != nil || pr == nil {
 		return nil
 	}
 	value, ok := pr.Prepared()
@@ -158,8 +157,9 @@ func (p *NodeProcess[E]) decideBatch(proposal []byte, steps int, spec *speculati
 	if err != nil {
 		return nil, err
 	}
+	pr, _ := nd.(preparer)
 	decided, err := consensus.DriveLink(p.link, nd, maxTicks, func(inbox []transport.Message) error {
-		return p.collect(spec, nd, steps, inbox)
+		return p.collect(spec, pr, steps, inbox)
 	})
 	if err != nil {
 		return nil, err
