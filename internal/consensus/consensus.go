@@ -189,7 +189,7 @@ func DriveLink(link transport.Link, node Node, maxTicks int, hook func(inbox []t
 		}
 		if hook != nil {
 			if err := hook(inbox); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("consensus: node %d tick %d hook: %w", link.Self(), tick, err)
 			}
 		}
 		if v, ok := node.Decided(); ok {

@@ -109,3 +109,58 @@ func TestRunLinkDecides(t *testing.T) {
 		}
 	}
 }
+
+// thirdTick decides on its third tick.
+type thirdTick struct{ ticks int }
+
+func (n *thirdTick) Tick(inbox []transport.Message) error { n.ticks++; return nil }
+func (n *thirdTick) Decided() ([]byte, bool)              { return []byte("v"), n.ticks == 3 }
+
+// TestDriveLinkHook: the hook runs after every tick — the deciding one
+// included — on the inbox that tick consumed, and what it broadcasts
+// leaves with that tick's Step; the deciding tick does not step. A hook
+// error ends the instance with that error.
+func TestDriveLinkHook(t *testing.T) {
+	errHook := errors.New("hook failed")
+	for _, failAt := range []int{-1, 1} {
+		net, err := transport.New(transport.Config{N: 2, Mode: transport.Sync, Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		links, err := transport.NewLocalLinks(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inboxes := make([][]int, len(links))
+		errs := make([]error, len(links))
+		var wg sync.WaitGroup
+		for i, l := range links {
+			wg.Add(1)
+			go func(i int, l transport.Link) {
+				defer wg.Done()
+				_, errs[i] = DriveLink(l, &thirdTick{}, 4, func(inbox []transport.Message) error {
+					if len(inboxes[i]) == failAt {
+						return errHook
+					}
+					inboxes[i] = append(inboxes[i], len(inbox))
+					return l.Broadcast("hook", nil)
+				})
+			}(i, l)
+		}
+		wg.Wait()
+		for i := range links {
+			if failAt >= 0 {
+				if !errors.Is(errs[i], errHook) {
+					t.Errorf("node %d: err %v, want the hook's", i, errs[i])
+				}
+				continue
+			}
+			if errs[i] != nil || !slices.Equal(inboxes[i], []int{0, 1, 1}) {
+				t.Errorf("node %d: err %v, hook saw inboxes of %v messages; want nil, [0 1 1]", i, errs[i], inboxes[i])
+			}
+		}
+		if failAt < 0 && net.Round() != 2 {
+			t.Errorf("the instance stepped %d times, want 2", net.Round())
+		}
+	}
+}
