@@ -10,14 +10,18 @@
 //     simulated consensus phase proposes;
 //   - every node runs the coded step on the same stepCore (step.go) the
 //     simulated node embeds: encode its coded command row, apply the
-//     transition to its coded state, broadcast the result (encodeResult),
-//     collect the peers' results, decode — the primed verified-subset
-//     check first, sticky suspects and all — and re-encode its state.
+//     transition to its coded state, broadcast the result (encodeResult,
+//     tagged with the SHA-256 of the batch payload it was computed on),
+//     collect the peers' results for that batch, decode — the primed
+//     verified-subset check first, sticky suspects and all — and
+//     re-encode its state.
 //
 // The process engine owns only what differs from the simulation: results
-// travel over the link's lock-step ticks, a consensus-mode node stops
-// waiting for stragglers after a grace period, and each round ends in the
-// run digest and the WAL. One core and one pair of codecs is why a
+// travel over the link's lock-step ticks, step 0 of a PBFT-decided batch
+// starts on the prepared batch before the decision (remote_consensus.go;
+// the tag keeps a result computed on any other batch from being counted),
+// a consensus-mode node stops waiting for stragglers after a grace
+// period, and each round ends in the run digest and the WAL. One core and one pair of codecs is why a
 // multi-process run's outputs are bit-identical to Cluster.Run on the
 // same workload — TestRemoteMatchesCluster pins this over local links and
 // over real TCP.

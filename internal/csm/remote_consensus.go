@@ -11,6 +11,27 @@
 // parsed and executed, so a node that somehow proposed stale bytes
 // still executes the agreed batch.
 //
+// Under PBFT a round is two lock-step ticks, as under the sequencer.
+// Every node proposes the same bytes, so each backup prepares its own
+// proposal at the start view (package pbft): every node is prepared
+// after one tick and decided after two. The node does not wait for the
+// decision to execute (Castro & Liskov's tentative execution): collect,
+// the tick hook it hands consensus.DriveLink, encodes the prepared
+// batch's commands, applies step 0 and broadcasts the result in the
+// tick that carries the node's commit, so the result exchange shares
+// that tick instead of following the decision. Every result carries the
+// SHA-256 of the batch payload it was computed on (the tag of the result
+// codec, csm.go). During the instance a node keeps the last result each
+// peer sent; at the decision it counts only those tagged with the
+// decided batch, and keeps its own speculation only if that was on the
+// decided batch too. Otherwise — a view change decided another value,
+// or the node never prepared because its own proposal differed — it
+// drops the speculation and runs step 0 on the decided batch after the
+// decision, as every node used to. A dropped speculation costs one
+// command encode and one apply; the coded state changes only in absorb,
+// so nothing has to be undone. Dolev-Strong runs through the same driver
+// and never speculates: its node has no prepared value.
+//
 // Because the step core (step.go) and both codecs are shared with the
 // simulated cluster, the run digest of a consensus-mode multi-process
 // run is bit-identical to the simulated Oracle cluster on the same
