@@ -744,7 +744,6 @@ func (c *Cluster[E]) runDolevStrong(valid []byte) ([]byte, error) {
 
 func (c *Cluster[E]) runPBFT(valid []byte) ([]byte, error) {
 	nodes := make([]consensus.Node, c.cfg.N)
-	var honest *pbft.Node
 	waitFor := make([]int, 0, c.cfg.N)
 	for i := 0; i < c.cfg.N; i++ {
 		proposal := valid
@@ -766,16 +765,16 @@ func (c *Cluster[E]) runPBFT(valid []byte) ([]byte, error) {
 		nodes[i] = nd
 		if c.cfg.Byzantine[i] == Honest {
 			waitFor = append(waitFor, i)
-			if honest == nil {
-				honest = nd
-			}
 		}
 	}
 	if err := consensus.Run(c.net, nodes, waitFor, c.cfg.MaxTicksPerRound); err != nil {
 		return nil, err
 	}
-	c.pbftView = honest.View()
-	decided, _ := honest.Decided()
+	// Every honest node decided the same value; the first one's view
+	// starts the next instance.
+	first := nodes[waitFor[0]].(*pbft.Node)
+	c.pbftView = first.View()
+	decided, _ := first.Decided()
 	return decided, nil
 }
 

@@ -150,6 +150,9 @@ func TestIntermittentLiarForcesOneFallback(t *testing.T) {
 // PBFT's three phases and the execution result.
 var pinnedKinds = [4]string{"pbft-preprepare", "pbft-prepare", "pbft-commit", resultKind}
 
+// ixCommit and ixResult index pbft-commit and csm-result in pinnedKinds.
+const ixCommit, ixResult = 2, 3
+
 // msgCounts is one node's traffic in pinnedKinds order.
 type msgCounts struct{ sent, recv [4]int }
 

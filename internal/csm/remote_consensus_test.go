@@ -308,9 +308,9 @@ func TestRemoteOddProposalTakesNormalExchange(t *testing.T) {
 		if i == odd {
 			commits = 0
 		}
-		if got.ticks[i][round] != 3 || m.sent[2] != commits || m.sent[3] != 1 {
+		if got.ticks[i][round] != 3 || m.sent[ixCommit] != commits || m.sent[ixResult] != 1 {
 			t.Errorf("node %d round %d: %d ticks, sent %d commits and %d results; want 3, %d, 1",
-				i, round, got.ticks[i][round], m.sent[2], m.sent[3], commits)
+				i, round, got.ticks[i][round], m.sent[ixCommit], m.sent[ixResult], commits)
 		}
 	}
 }
@@ -347,9 +347,9 @@ func TestRemoteSpeculationSurvivesViewChange(t *testing.T) {
 		if p.DigestSum() != want {
 			t.Errorf("node %d digest %s, Cluster.Run's %s", i, p.DigestSum(), want)
 		}
-		if got.ticks[i][round] <= 2 || got.msgs[i][round].sent[3] != 1 {
+		if got.ticks[i][round] <= 2 || got.msgs[i][round].sent[ixResult] != 1 {
 			t.Errorf("node %d round %d: %d ticks, %d result broadcasts; want a view change and 1",
-				i, round, got.ticks[i][round], got.msgs[i][round].sent[3])
+				i, round, got.ticks[i][round], got.msgs[i][round].sent[ixResult])
 		}
 	}
 	if got.ops[round] != got.ops[round-1] {
