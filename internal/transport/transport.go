@@ -98,7 +98,12 @@ type Config struct {
 type Stats struct {
 	MessagesDelivered uint64
 	BytesDelivered    uint64
-	ForgeriesDropped  uint64
+	// ForgeriesDropped counts every injected envelope the network refuses:
+	// on the simulated network, an Inject whose signature does not verify,
+	// whose recipient is out of range or whose round has passed (see
+	// admit); on the TCP transport, a frame claiming a sender or recipient
+	// its session does not cover.
+	ForgeriesDropped uint64
 	// RandomDelays counts pre-GST deliveries scheduled by the seeded RNG.
 	// It stays zero while a DelayFn is installed: the RNG is consumed only
 	// on the random-delay path, so installing or removing a DelayFn never
@@ -297,7 +302,7 @@ func (n *Network) enqueue(m Message, trusted bool) {
 		n.stats.DroppedDown++
 		return
 	}
-	if !trusted && !n.Verify(m) {
+	if !trusted && !n.admit(m) {
 		n.stats.ForgeriesDropped++
 		return
 	}
@@ -317,6 +322,17 @@ func (n *Network) enqueue(m Message, trusted bool) {
 	}
 	delivery := n.deliveryRound(m)
 	n.pending[delivery] = append(n.pending[delivery], m)
+}
+
+// admit is the check an injected envelope must pass; the signature does
+// not cover To, so a validly signed message proves nothing about where it
+// may go. It refuses a recipient outside 0..N-1 (Step would index the
+// down table with it), a round earlier than the current one (a replay: an
+// Endpoint always stamps the current round, and a replay's delivery round
+// may already have passed, which would park it in pending for good), and
+// a signature that does not verify. Caller holds mu.
+func (n *Network) admit(m Message) bool {
+	return int(m.To) >= 0 && int(m.To) < n.cfg.N && m.Round >= n.round && n.Verify(m)
 }
 
 // deliveryRound computes when a message sent now arrives. Caller holds mu.
@@ -374,8 +390,9 @@ func (n *Network) Step() {
 }
 
 // Inject delivers a raw message envelope (used by adversarial tests to
-// attempt forgery); it is dropped unless the signature verifies against the
-// claimed sender.
+// attempt forgery); it is dropped, and counted in ForgeriesDropped, unless
+// its signature verifies against the claimed sender, its recipient is a
+// node and its round has not passed.
 func (n *Network) Inject(m Message) { n.enqueue(m, false) }
 
 // Endpoint is a node's handle on the network.

@@ -125,6 +125,57 @@ func TestForgeryDropped(t *testing.T) {
 	}
 }
 
+// TestInjectOutOfRangeRecipientDropped: the signature does not cover To,
+// so a validly signed message can be re-addressed. One addressed past the
+// last node used to be scheduled and then crash Step, which indexes the
+// down table by recipient, when its delivery round came.
+func TestInjectOutOfRangeRecipientDropped(t *testing.T) {
+	n := newNet(t, Config{N: 4, Mode: PartialSync, GST: 100, Seed: 12,
+		DelayFn: func(from, to NodeID, round int) int { return 3 }})
+	a := endpoint(t, n, 0)
+	if err := a.Send(1, "k", []byte("x")); err != nil { // due at round 3
+		t.Fatal(err)
+	}
+	n.Step()
+	// Inside the delay window: the same content, signed by node 0 for the
+	// current round, addressed past either end of the roster.
+	round := n.Round()
+	for _, to := range []NodeID{9, -1} {
+		n.Inject(Message{From: 0, To: to, Round: round, Kind: "k", Payload: []byte("x"),
+			Sig: a.sign(round, "k", []byte("x"))})
+	}
+	for r := 0; r < 4; r++ {
+		n.Step()
+	}
+	if st := n.Stats(); st.ForgeriesDropped != 2 || st.MessagesDelivered != 1 {
+		t.Fatalf("stats %+v, want 2 forgeries dropped and the one send delivered", st)
+	}
+}
+
+// TestInjectStaleReplayDropped: replaying a delivered message after its
+// delivery round used to park it in pending for good, since Step only
+// ever looks at the round it advances to.
+func TestInjectStaleReplayDropped(t *testing.T) {
+	n := newNet(t, Config{N: 3, Mode: Sync, Seed: 13})
+	if err := endpoint(t, n, 0).Send(1, "k", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	n.Step()
+	got := endpoint(t, n, 1).Receive()
+	if len(got) != 1 || !n.Verify(got[0]) {
+		t.Fatalf("received %+v", got)
+	}
+	n.Inject(got[0])
+	n.Step()
+	n.Inject(got[0])
+	if st := n.Stats(); st.ForgeriesDropped != 2 {
+		t.Fatalf("ForgeriesDropped = %d, want 2", st.ForgeriesDropped)
+	}
+	if len(n.pending) != 0 {
+		t.Fatalf("replays parked in pending for rounds %v", n.pending)
+	}
+}
+
 func TestPartialSyncDelaysBeforeGST(t *testing.T) {
 	const gst = 10
 	n := newNet(t, Config{N: 2, Mode: PartialSync, GST: gst, MaxPreGSTDelay: 5, Seed: 5})
