@@ -132,10 +132,12 @@ func (c *Cluster[E]) executeAgreed(agreed [][][]E, steps, ticksConsensus int, st
 // runExecutionStep drives the coded execution phase for one micro-step of
 // the current batch: compute (parallel), broadcast (randomness drawn in
 // node order on the driving goroutine, signatures fanned out when the
-// network schedule is RNG-free), then the lock-step collect/decode loop.
-// On return every honest node has decoded and re-encoded its next coded
-// state — the happens-before boundary the next micro-step's compute phase
-// relies on — and the outcome snapshot is ready for the client stage.
+// network schedule is RNG-free), then the lock-step loop: the driving
+// goroutine steps the network, and each node still waiting collects and
+// decodes on the workers. On return every honest node has decoded and
+// re-encoded its next coded state — the happens-before boundary the next
+// micro-step's compute phase relies on — and the outcome snapshot is ready
+// for the client stage.
 func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 	if err := c.broadcastResults(micro); err != nil {
 		return nil, err
@@ -143,32 +145,22 @@ func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 	ticks := 0
 	deadline := 1 // synchronous networks: results arrive in exactly one tick
 	need := c.decodeNeed()
+	pending := make([]*node[E], 0, len(c.nodes))
 	for {
 		c.net.Step()
 		ticks++
-		// Collect sequentially (inbox draining), then decode in parallel —
-		// the expensive Reed-Solomon work. Only nodes that have reached the
-		// decode threshold are fanned out; the rest cannot decode yet
-		// (tryDecode would return immediately), so delay-heavy ticks spawn
-		// no workers at all.
-		pending := 0
-		ready := make([]*node[E], 0, len(c.nodes))
+		pending = pending[:0]
 		for _, n := range c.nodes {
-			if n.behavior != Honest || n.decoded != nil {
-				continue
-			}
-			n.ingest(n.ep.Receive(), c.round, clusterTag)
-			pending++
-			if n.receivedCount >= need {
-				ready = append(ready, n)
+			if n.behavior == Honest && n.decoded == nil {
+				pending = append(pending, n)
 			}
 		}
 		force := c.cfg.Mode == transport.PartialSync || ticks >= deadline
-		allDecoded, err := c.tryDecodeAll(ready, force, need)
+		allDecoded, err := c.collectAndDecode(pending, force, need)
 		if err != nil {
 			return nil, err
 		}
-		if allDecoded && len(ready) == pending {
+		if allDecoded {
 			break
 		}
 		if ticks >= c.cfg.MaxTicksPerRound {

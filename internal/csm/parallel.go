@@ -1,6 +1,8 @@
 package csm
 
 import (
+	"slices"
+
 	"codedsm/internal/pool"
 )
 
@@ -24,9 +26,12 @@ import (
 //     random delays consume the sequential RNG and a DelayFn may be
 //     stateful) — delivery order is re-sorted deterministically by the
 //     lock-step network, so enqueue order cannot leak into the simulation.
-//   - decode (parallel): each honest node's stepCore.absorb touches only
-//     that node's core; message collection (stepCore.ingest) stays on the
-//     driving goroutine so inbox draining is ordered.
+//   - collect + decode (parallel): the driving goroutine steps the
+//     network; then each honest node still waiting drains its own inbox,
+//     parses the results into its own row buffer (stepCore.ingest) and,
+//     once it holds enough, decodes (stepCore.absorb), as one task that
+//     touches only that node's inbox and core. An inbox is fixed once
+//     Step has built it, so when a node reads it cannot matter.
 //   - client/audit (sequential or pipelined): draws from the cluster RNG
 //     on the driving goroutine; the tally itself may run on the
 //     background client stage.
@@ -102,17 +107,21 @@ func (c *Cluster[E]) transmitAllResults() error {
 	return nil
 }
 
-// tryDecodeAll runs the decode phase for the pending honest nodes in
-// parallel and reports whether every one of them now holds a decode. Every
-// node is attempted even if one fails — a parallel pool races ahead of an
-// error anyway, so the sequential path does the same and the cluster is
-// left in an identical state for any worker count, error or not; the
-// lowest-index error is reported.
-func (c *Cluster[E]) tryDecodeAll(pending []*node[E], force bool, need int) (bool, error) {
+// collectAndDecode runs one tick of the collect/decode loop for the
+// pending honest nodes, one task per node: drain its inbox, ingest the
+// results, and decode once enough have arrived (tryDecode returns at once
+// for a node below the threshold). It reports whether every one of them
+// now holds a decode. Every node is attempted even if one fails — a
+// parallel pool races ahead of an error anyway, so the sequential path
+// does the same and the cluster is left in an identical state for any
+// worker count, error or not; the lowest-index error is reported.
+func (c *Cluster[E]) collectAndDecode(pending []*node[E], force bool, need int) (bool, error) {
 	oks := make([]bool, len(pending))
 	errs := make([]error, len(pending))
 	_ = pool.Run(c.workers(), len(pending), func(i int) error {
-		oks[i], errs[i] = pending[i].tryDecode(force, need)
+		n := pending[i]
+		n.ingest(n.ep.Receive(), c.round, clusterTag)
+		oks[i], errs[i] = n.tryDecode(force, need)
 		return nil
 	})
 	for _, err := range errs {
@@ -120,10 +129,5 @@ func (c *Cluster[E]) tryDecodeAll(pending []*node[E], force bool, need int) (boo
 			return false, err
 		}
 	}
-	for _, ok := range oks {
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
+	return !slices.Contains(oks, false), nil
 }

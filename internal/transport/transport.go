@@ -10,16 +10,26 @@
 // Table 2 exactly reproducible. Messages are signed with ed25519
 // ("authenticated Byzantine faults": arbitrary misbehaviour, but forging
 // another node's messages is detectable and dropped).
+//
+// A transmission travels as one envelope: the signed message and the
+// recipients it goes to. A broadcast is one envelope and one signature
+// for its N-1 copies, so a round of N broadcasts queues N envelopes, not
+// N(N-1) messages; Step fans each envelope out into the recipients'
+// inboxes. What a node receives, in which round and in which order is
+// the same as if every copy had been queued on its own (see post and
+// Step for the argument), and TestNetworkDeliveryGolden pins it.
 package transport
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -122,8 +132,12 @@ type Network struct {
 	rng       *rand.Rand
 	pubs      []ed25519.PublicKey
 	privs     []ed25519.PrivateKey
-	pending   map[int][]Message // delivery round -> messages
-	inboxes   [][]Message       // per node, messages deliverable this round
+	ids       []NodeID           // 0..N-1; a unicast envelope's recipient is a window of it
+	othersOf  [][]NodeID         // per sender, every other node (see others)
+	pending   map[int][]envelope // delivery round -> envelopes
+	spare     []envelope         // the queue the last Step drained, for reuse
+	inboxes   [][]Message        // per node, messages deliverable this round
+	sizes     []int              // Step's per-inbox counts
 	firstSent map[equivKey][]byte
 	down      []bool // crashed nodes: their traffic drops in both directions
 	stats     Stats
@@ -149,10 +163,16 @@ func New(cfg Config) (*Network, error) {
 	n := &Network{
 		cfg:       cfg,
 		rng:       rand.New(rand.NewPCG(cfg.Seed, 0x5eed)),
-		pending:   make(map[int][]Message),
+		ids:       make([]NodeID, cfg.N),
+		othersOf:  make([][]NodeID, cfg.N),
+		pending:   make(map[int][]envelope),
 		inboxes:   make([][]Message, cfg.N),
+		sizes:     make([]int, cfg.N),
 		firstSent: make(map[equivKey][]byte),
 		down:      make([]bool, cfg.N),
+	}
+	for i := range n.ids {
+		n.ids[i] = NodeID(i)
 	}
 	n.pubs, n.privs = DeriveKeys(cfg.Seed, cfg.N)
 	return n, nil
@@ -286,11 +306,21 @@ func (n *Network) Verify(m Message) bool {
 	return ed25519.Verify(n.pubs[m.From], signingBytes(m.From, m.Round, m.Kind, m.Payload), m.Sig)
 }
 
-// enqueue schedules a signed message for delivery; it drops forgeries.
-// trusted marks messages constructed and signed by an Endpoint in this
-// process — their signatures are valid by construction (an endpoint signs
-// with its own key over exactly the bytes it enqueues), so re-verifying
-// each copy would only burn a redundant ed25519 verification per recipient.
+// An envelope is one transmission: a signed message and the recipients it
+// still has to reach, ascending. A broadcast is one envelope for its N-1
+// copies, not N-1 messages; Step sets each copy's To as it fans the
+// envelope out. The recipient list is read-only once filed — the common
+// broadcast shares its sender's cached list (others).
+type envelope struct {
+	msg Message
+	to  []NodeID
+}
+
+// enqueue files a unicast message m.To: one envelope with one recipient. It
+// drops forgeries. trusted marks messages constructed and signed by an
+// Endpoint in this process — their signatures are valid by construction
+// (an endpoint signs with its own key over exactly the bytes it enqueues),
+// so re-verifying them would only burn a redundant ed25519 verification.
 // Messages entering through Inject are never trusted. Callers hold no lock.
 func (n *Network) enqueue(m Message, trusted bool) {
 	n.mu.Lock()
@@ -306,22 +336,106 @@ func (n *Network) enqueue(m Message, trusted bool) {
 		n.stats.ForgeriesDropped++
 		return
 	}
-	if n.cfg.NoEquivocation {
-		key := equivKey{from: m.From, round: m.Round, kind: m.Kind}
-		if first, ok := n.firstSent[key]; ok {
-			// The broadcast channel carries one value per (sender, round,
-			// kind): everyone hears the first one. Re-sign as the sender so
-			// the coerced copy still verifies.
-			if !bytes.Equal(first, m.Payload) {
-				m.Payload = append([]byte(nil), first...)
-				m.Sig = ed25519.Sign(n.privs[m.From], signingBytes(m.From, m.Round, m.Kind, m.Payload))
-			}
-		} else {
-			n.firstSent[key] = append([]byte(nil), m.Payload...)
+	n.post(m, n.ids[m.To:m.To+1:m.To+1])
+}
+
+// enqueueBroadcast files m for every other node under one lock: the
+// envelope carries the live recipients, and each copy a down sender or a
+// down recipient loses counts in DroppedDown, before any delay is drawn,
+// exactly as if the copies had been enqueued one by one. Callers hold no
+// lock.
+func (n *Network) enqueueBroadcast(m Message) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.down[m.From] {
+		n.stats.DroppedDown += uint64(n.cfg.N - 1)
+		return
+	}
+	to, dropped := n.others(m.From), 0
+	for _, r := range to {
+		if n.down[r] {
+			dropped++
 		}
 	}
-	delivery := n.deliveryRound(m)
-	n.pending[delivery] = append(n.pending[delivery], m)
+	if dropped > 0 {
+		n.stats.DroppedDown += uint64(dropped)
+		live := make([]NodeID, 0, len(to)-dropped)
+		for _, r := range to {
+			if !n.down[r] {
+				live = append(live, r)
+			}
+		}
+		to = live
+	}
+	if len(to) > 0 {
+		n.post(m, to)
+	}
+}
+
+// others is the ascending list of every node but from, built once per
+// sender and shared read-only by all of its broadcast envelopes. Caller
+// holds mu.
+func (n *Network) others(from NodeID) []NodeID {
+	if n.othersOf[from] == nil {
+		to := make([]NodeID, 0, n.cfg.N-1)
+		to = append(to, n.ids[:from]...)
+		n.othersOf[from] = append(to, n.ids[from+1:]...)
+	}
+	return n.othersOf[from]
+}
+
+// post applies the broadcast channel's coercion to an admitted envelope
+// and files it under its delivery round. Caller holds mu.
+//
+// With NoEquivocation the channel carries one value per (sender, round,
+// kind) and every recipient hears the first: a later, different payload
+// is replaced and re-signed as the sender, once for the whole envelope, so
+// every coerced copy still verifies.
+//
+// Synchronous and post-GST sends all arrive next round, as one envelope.
+// Before GST each recipient's delay is drawn in ascending recipient order
+// — the order a copy-per-recipient network drew them in, so the seeded
+// RNG stream and a DelayFn see the same calls — and the recipients are
+// grouped into one envelope per delivery round.
+func (n *Network) post(m Message, to []NodeID) {
+	if n.cfg.NoEquivocation {
+		key := equivKey{from: m.From, round: m.Round, kind: m.Kind}
+		if first, ok := n.firstSent[key]; !ok {
+			n.firstSent[key] = append([]byte(nil), m.Payload...)
+		} else if !bytes.Equal(first, m.Payload) {
+			m.Payload = append([]byte(nil), first...)
+			m.Sig = ed25519.Sign(n.privs[m.From], signingBytes(m.From, m.Round, m.Kind, m.Payload))
+		}
+	}
+	if n.DelayDeterministic(m.Round) {
+		n.file(m.Round+1, envelope{m, to})
+		return
+	}
+	var rounds []int
+	var groups []envelope
+	for _, r := range to {
+		d := m.Round + n.preGSTDelay(m.From, r, m.Round)
+		i := slices.Index(rounds, d)
+		if i < 0 {
+			i = len(rounds)
+			rounds = append(rounds, d)
+			groups = append(groups, envelope{msg: m})
+		}
+		groups[i].to = append(groups[i].to, r)
+	}
+	for i, d := range rounds {
+		n.file(d, groups[i])
+	}
+}
+
+// file appends an envelope to its delivery round's queue, starting an
+// empty queue on the buffer the last Step drained. Caller holds mu.
+func (n *Network) file(round int, e envelope) {
+	q, ok := n.pending[round]
+	if !ok {
+		q, n.spare = n.spare, nil
+	}
+	n.pending[round] = append(q, e)
 }
 
 // admit is the check an injected envelope must pass; the signature does
@@ -335,58 +449,75 @@ func (n *Network) admit(m Message) bool {
 	return int(m.To) >= 0 && int(m.To) < n.cfg.N && m.Round >= n.round && n.Verify(m)
 }
 
-// deliveryRound computes when a message sent now arrives. Caller holds mu.
+// preGSTDelay is the delay of one copy sent before GST. Caller holds mu.
 // The seeded RNG is consumed only on the random-delay path: when a DelayFn
 // is installed it fully determines the pre-GST schedule and the RNG state
 // is left untouched, so the same seed produces the same random delays
 // whether or not other runs used a DelayFn.
-func (n *Network) deliveryRound(m Message) int {
-	if n.cfg.Mode == Sync || m.Round >= n.cfg.GST {
-		return m.Round + 1
-	}
-	var delay int
+func (n *Network) preGSTDelay(from, to NodeID, round int) int {
 	if n.cfg.DelayFn != nil {
-		delay = n.cfg.DelayFn(m.From, m.To, m.Round)
-		if delay < 1 {
-			delay = 1
-		}
-	} else {
-		delay = 1 + n.rng.IntN(n.cfg.MaxPreGSTDelay+1)
-		n.stats.RandomDelays++
+		return max(n.cfg.DelayFn(from, to, round), 1)
 	}
-	return m.Round + delay
+	n.stats.RandomDelays++
+	return 1 + n.rng.IntN(n.cfg.MaxPreGSTDelay+1)
 }
 
 // Step advances the network one round, moving due messages into inboxes.
+//
+// Delivery order is deterministic: the due envelopes are sorted stably by
+// (From, Kind) — enqueue order breaks ties — and each is fanned out to its
+// recipients in ascending order. An inbox therefore holds its messages in
+// (From, Kind, enqueue order), which is the (From, To, Kind, enqueue
+// order) a copy-per-recipient network sorted into, since To is fixed
+// within one inbox. Every inbox of the round is a window of one
+// allocation, sized before it is filled.
 func (n *Network) Step() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.round++
-	for i := range n.inboxes {
-		n.inboxes[i] = nil
-	}
 	due := n.pending[n.round]
 	delete(n.pending, n.round)
-	// Deterministic delivery order: by sender, then recipient, then kind.
-	sort.SliceStable(due, func(i, j int) bool {
-		if due[i].From != due[j].From {
-			return due[i].From < due[j].From
+	slices.SortStableFunc(due, func(a, b envelope) int {
+		if a.msg.From != b.msg.From {
+			return cmp.Compare(a.msg.From, b.msg.From)
 		}
-		if due[i].To != due[j].To {
-			return due[i].To < due[j].To
-		}
-		return due[i].Kind < due[j].Kind
+		return strings.Compare(a.msg.Kind, b.msg.Kind)
 	})
-	for _, m := range due {
-		if n.down[m.To] {
-			// In flight when the recipient crashed: dropped on delivery.
-			n.stats.DroppedDown++
-			continue
+	sizes := n.sizes
+	clear(sizes)
+	total := 0
+	for _, e := range due {
+		for _, r := range e.to {
+			if !n.down[r] {
+				sizes[r]++
+				total++
+			}
 		}
-		n.inboxes[m.To] = append(n.inboxes[m.To], m)
-		n.stats.MessagesDelivered++
-		n.stats.BytesDelivered += uint64(len(m.Payload))
 	}
+	var all []Message
+	if total > 0 {
+		all = make([]Message, total)
+	}
+	for i, size := range sizes {
+		// Capped, so a caller appending to its inbox cannot reach the next.
+		n.inboxes[i], all = all[:0:size], all[size:]
+	}
+	for _, e := range due {
+		for _, r := range e.to {
+			if n.down[r] {
+				// In flight when the recipient crashed: dropped on delivery.
+				n.stats.DroppedDown++
+				continue
+			}
+			m := e.msg
+			m.To = r
+			n.inboxes[r] = append(n.inboxes[r], m)
+			n.stats.MessagesDelivered++
+			n.stats.BytesDelivered += uint64(len(m.Payload))
+		}
+	}
+	clear(due)
+	n.spare = due[:0]
 }
 
 // Inject delivers a raw message envelope (used by adversarial tests to
@@ -426,21 +557,16 @@ func (e *Endpoint) Send(to NodeID, kind string, payload []byte) error {
 // Broadcast transmits a signed message to every other node. The signature
 // covers (sender, round, kind, payload) but not the recipient, so one
 // ed25519 signature is computed and shared by all N-1 copies — the
-// authenticated-broadcast cost model of Section 2.1, not N-1 times it.
+// authenticated-broadcast cost model of Section 2.1, not N-1 times it. The
+// copies travel as one envelope, enqueued under one lock; they are told
+// apart only at delivery, where Step writes each one's To.
 func (e *Endpoint) Broadcast(kind string, payload []byte) error {
 	round := e.net.Round()
-	body := append([]byte(nil), payload...)
-	sig := e.sign(round, kind, payload)
-	for to := 0; to < e.net.cfg.N; to++ {
-		if NodeID(to) == e.id {
-			continue
-		}
-		e.net.enqueue(Message{
-			From: e.id, To: NodeID(to), Round: round, Kind: kind,
-			Payload: body,
-			Sig:     sig,
-		}, true)
-	}
+	e.net.enqueueBroadcast(Message{
+		From: e.id, Round: round, Kind: kind,
+		Payload: append([]byte(nil), payload...),
+		Sig:     e.sign(round, kind, payload),
+	})
 	return nil
 }
 
@@ -470,11 +596,11 @@ func blobBytes(context string, data []byte) []byte {
 }
 
 // Receive returns the messages delivered to this node in the current round.
+// Step builds every round's inboxes afresh and never writes one again, so
+// the caller may keep the slice; every Receive of the round returns the
+// same one, so a caller that rewrites messages in place must copy first.
 func (e *Endpoint) Receive() []Message {
 	e.net.mu.Lock()
 	defer e.net.mu.Unlock()
-	msgs := e.net.inboxes[e.id]
-	out := make([]Message, len(msgs))
-	copy(out, msgs)
-	return out
+	return e.net.inboxes[e.id]
 }
