@@ -135,9 +135,7 @@ type Network struct {
 	ids       []NodeID           // 0..N-1; a unicast envelope's recipient is a window of it
 	othersOf  [][]NodeID         // per sender, every other node (see others)
 	pending   map[int][]envelope // delivery round -> envelopes
-	spare     []envelope         // the queue the last Step drained, for reuse
 	inboxes   [][]Message        // per node, messages deliverable this round
-	sizes     []int              // Step's per-inbox counts
 	firstSent map[equivKey][]byte
 	down      []bool // crashed nodes: their traffic drops in both directions
 	stats     Stats
@@ -167,7 +165,6 @@ func New(cfg Config) (*Network, error) {
 		othersOf:  make([][]NodeID, cfg.N),
 		pending:   make(map[int][]envelope),
 		inboxes:   make([][]Message, cfg.N),
-		sizes:     make([]int, cfg.N),
 		firstSent: make(map[equivKey][]byte),
 		down:      make([]bool, cfg.N),
 	}
@@ -351,20 +348,10 @@ func (n *Network) enqueueBroadcast(m Message) {
 		n.stats.DroppedDown += uint64(n.cfg.N - 1)
 		return
 	}
-	to, dropped := n.others(m.From), 0
-	for _, r := range to {
-		if n.down[r] {
-			dropped++
-		}
-	}
-	if dropped > 0 {
-		n.stats.DroppedDown += uint64(dropped)
-		live := make([]NodeID, 0, len(to)-dropped)
-		for _, r := range to {
-			if !n.down[r] {
-				live = append(live, r)
-			}
-		}
+	to := n.others(m.From)
+	if slices.ContainsFunc(to, n.isDown) {
+		live := slices.DeleteFunc(slices.Clone(to), n.isDown)
+		n.stats.DroppedDown += uint64(len(to) - len(live))
 		to = live
 	}
 	if len(to) > 0 {
@@ -408,7 +395,7 @@ func (n *Network) post(m Message, to []NodeID) {
 		}
 	}
 	if n.DelayDeterministic(m.Round) {
-		n.file(m.Round+1, envelope{m, to})
+		n.pending[m.Round+1] = append(n.pending[m.Round+1], envelope{m, to})
 		return
 	}
 	var rounds []int
@@ -424,18 +411,8 @@ func (n *Network) post(m Message, to []NodeID) {
 		groups[i].to = append(groups[i].to, r)
 	}
 	for i, d := range rounds {
-		n.file(d, groups[i])
+		n.pending[d] = append(n.pending[d], groups[i])
 	}
-}
-
-// file appends an envelope to its delivery round's queue, starting an
-// empty queue on the buffer the last Step drained. Caller holds mu.
-func (n *Network) file(round int, e envelope) {
-	q, ok := n.pending[round]
-	if !ok {
-		q, n.spare = n.spare, nil
-	}
-	n.pending[round] = append(q, e)
 }
 
 // admit is the check an injected envelope must pass; the signature does
@@ -483,9 +460,7 @@ func (n *Network) Step() {
 		}
 		return strings.Compare(a.msg.Kind, b.msg.Kind)
 	})
-	sizes := n.sizes
-	clear(sizes)
-	total := 0
+	sizes, total := make([]int, n.cfg.N), 0
 	for _, e := range due {
 		for _, r := range e.to {
 			if !n.down[r] {
@@ -494,10 +469,7 @@ func (n *Network) Step() {
 			}
 		}
 	}
-	var all []Message
-	if total > 0 {
-		all = make([]Message, total)
-	}
+	all := make([]Message, total)
 	for i, size := range sizes {
 		// Capped, so a caller appending to its inbox cannot reach the next.
 		n.inboxes[i], all = all[:0:size], all[size:]
@@ -516,8 +488,6 @@ func (n *Network) Step() {
 			n.stats.BytesDelivered += uint64(len(m.Payload))
 		}
 	}
-	clear(due)
-	n.spare = due[:0]
 }
 
 // Inject delivers a raw message envelope (used by adversarial tests to
