@@ -36,12 +36,13 @@ bench-load:
 	$(GO) run ./cmd/csmload -workload $(WORKLOAD) -seconds $(SECONDS)
 
 # Micro-benchmark smoke run: the coding kernels (encode/decode, field),
-# one TCP link barrier tick on an N=4 loopback mesh, and the batch payload
-# codec every proposal and decision passes through.
+# one TCP link barrier tick on an N=4 loopback mesh, one simulated N=64
+# result exchange, and the batch payload codec every proposal and decision
+# passes through.
 bench-micro:
 	$(GO) test -bench='BenchmarkLCCEncode|BenchmarkLCCDecode' -benchtime=1x -run='^$$' ./internal/lcc/
 	$(GO) test -bench='BenchmarkFieldKernels' -benchtime=1x -run='^$$' ./internal/field/
-	$(GO) test -bench='BenchmarkTCPTick' -benchtime=100x -run='^$$' ./internal/transport/
+	$(GO) test -bench='BenchmarkTCPTick|BenchmarkNetworkTick' -benchtime=100x -benchmem -run='^$$' ./internal/transport/
 	$(GO) test -bench='BenchmarkBatchCodec' -benchtime=1000x -run='^$$' ./internal/csm/
 
 # The design aim's tracked number: non-test Go lines, repo-wide and in

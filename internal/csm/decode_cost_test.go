@@ -63,6 +63,34 @@ func TestRoundOpCountGuard(t *testing.T) {
 	}
 }
 
+// TestRoundAllocGuard caps the heap allocations of one honest round at
+// TestRoundOpCountGuard's shape, on one worker so the count is the
+// engine's and not the fan-out's. A round cost 7 189 allocations while
+// the network queued one Message per recipient and every node parsed each
+// result into a fresh slice; with one envelope per broadcast, one inbox
+// allocation per Step and parsing into each node's reused row buffer it
+// costs 2 635 (2 699 under -race). The ceiling leaves about 10 % of room.
+func TestRoundAllocGuard(t *testing.T) {
+	const ceiling = 2_900
+	cfg := baseConfig(22, 64, 21)
+	cfg.Parallelism = 1
+	c := newCluster(t, cfg)
+	wl := RandomWorkload[uint64](gold, 16, cfg.K, c.tr.CmdLen(), 7)
+	r := 0
+	round := func() {
+		if _, err := c.ExecuteRound(wl[r%len(wl)]); err != nil {
+			t.Fatal(err)
+		}
+		r++
+	}
+	round() // the first round primes every node's decode
+	allocs := testing.AllocsPerRun(5, round)
+	t.Logf("heap allocations per honest N=64 K=22 b=21 round: %.0f", allocs)
+	if allocs > ceiling {
+		t.Fatalf("%.0f allocations per round, ceiling %d", allocs, ceiling)
+	}
+}
+
 // TestDelegatedRoundCountGuard pins the Section 6.2 round at the same
 // shape as TestRoundOpCountGuard: the cluster's counted field operations
 // and lock-step ticks per delegated round, exact on any host, honest and

@@ -1,0 +1,122 @@
+package transport
+
+import (
+	"bytes"
+	"errors"
+	"math/rand/v2"
+	"slices"
+	"sync"
+	"testing"
+
+	"codedsm/internal/pool"
+)
+
+// sameMessages reports whether two delivered sequences are identical,
+// payload and signature bytes included.
+func sameMessages(a, b []Message) bool {
+	return slices.EqualFunc(a, b, func(x, y Message) bool {
+		return x.From == y.From && x.To == y.To && x.Round == y.Round && x.Kind == y.Kind &&
+			bytes.Equal(x.Payload, y.Payload) && bytes.Equal(x.Sig, y.Sig)
+	})
+}
+
+// TestNetworkConcurrentBroadcastDeterministic: on a synchronous network
+// delivery does not depend on enqueue order, which is what lets the
+// cluster sign and enqueue a round's results from many goroutines. 64
+// endpoints send from 8 goroutines in a shuffled order — two broadcasts
+// each, the second coerced to the first on this no-equivocation network,
+// plus a unicast from every fifth node — and every inbox must equal a
+// sequential run's. Run it under -race.
+func TestNetworkConcurrentBroadcastDeterministic(t *testing.T) {
+	const n, goroutines, rounds = 64, 8, 3
+	run := func(shuffle *rand.Rand) [n][]Message {
+		net := newNet(t, Config{N: n, Mode: Sync, NoEquivocation: true, Seed: 61})
+		var eps [n]*Endpoint
+		for i := range eps {
+			eps[i] = endpoint(t, net, NodeID(i))
+		}
+		var got [n][]Message
+		for r := 0; r < rounds; r++ {
+			send := func(id int) error {
+				for _, b := range []byte{0xb0, 0xb1} {
+					if err := eps[id].Broadcast("b", []byte{byte(r), byte(id), b}); err != nil {
+						return err
+					}
+				}
+				if id%5 == 0 {
+					return eps[id].Send(NodeID((id+r+1)%n), "a", []byte{byte(r), byte(id)})
+				}
+				return nil
+			}
+			if shuffle == nil {
+				for id := 0; id < n; id++ {
+					if err := send(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else {
+				order := shuffle.Perm(n)
+				errs := make([]error, goroutines)
+				var wg sync.WaitGroup
+				for g := range goroutines {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := g; i < n && errs[g] == nil; i += goroutines {
+							errs[g] = send(order[i])
+						}
+					}()
+				}
+				wg.Wait()
+				if err := errors.Join(errs...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			net.Step()
+			for i, ep := range eps {
+				got[i] = append(got[i], ep.Receive()...)
+			}
+		}
+		return got
+	}
+	want := run(nil)
+	for seed := uint64(1); seed <= 4; seed++ {
+		got := run(rand.New(rand.NewPCG(seed, 0x5f)))
+		for i := range got {
+			if !sameMessages(got[i], want[i]) {
+				t.Fatalf("shuffle %d: node %d received %d messages unlike the sequential run's %d", seed, i, len(got[i]), len(want[i]))
+			}
+		}
+	}
+}
+
+// BenchmarkNetworkTick is one simulated result exchange at csmload's
+// sim-honest shape: 64 nodes each broadcast a result-sized payload (the
+// 48-byte result header and a Bank result's two field elements), fanned
+// out over GOMAXPROCS goroutines as the cluster's transmit phase does, then
+// one Step and 64 Receives. The 64 ed25519 signatures are part of it, as
+// they are of every simulated round.
+func BenchmarkNetworkTick(b *testing.B) {
+	const n = 64
+	net, err := New(Config{N: n, Mode: Sync, Seed: 71})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eps := make([]*Endpoint, n)
+	for i := range eps {
+		if eps[i], err = net.Endpoint(NodeID(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	payload := bytes.Repeat([]byte{0xc5}, 48+2*8)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := pool.Run(0, n, func(i int) error { return eps[i].Broadcast("csm-result", payload) }); err != nil {
+			b.Fatal(err)
+		}
+		net.Step()
+		for _, ep := range eps {
+			ep.Receive()
+		}
+	}
+}
