@@ -13,9 +13,10 @@
 //
 // A transmission travels as one envelope: the signed message and the
 // recipients it goes to. A broadcast is one envelope and one signature
-// for its N-1 copies, so a round of N broadcasts queues N envelopes, not
-// N(N-1) messages; Step fans each envelope out into the recipients'
-// inboxes. What a node receives, in which round and in which order is
+// for its N-1 copies, so a synchronous round of N broadcasts queues N
+// envelopes, not N(N-1) messages; Step fans each envelope out into the
+// recipients' inboxes. (Before GST every copy draws its own delay and is
+// filed as an envelope of its own.) What a node receives, in which round and in which order is
 // the same as if every copy had been queued on its own (see post and
 // Step for the argument), and TestNetworkDeliveryGolden pins it.
 package transport
@@ -132,8 +133,6 @@ type Network struct {
 	rng       *rand.Rand
 	pubs      []ed25519.PublicKey
 	privs     []ed25519.PrivateKey
-	ids       []NodeID           // 0..N-1; a unicast envelope's recipient is a window of it
-	othersOf  [][]NodeID         // per sender, every other node (see others)
 	pending   map[int][]envelope // delivery round -> envelopes
 	inboxes   [][]Message        // per node, messages deliverable this round
 	firstSent map[equivKey][]byte
@@ -161,15 +160,10 @@ func New(cfg Config) (*Network, error) {
 	n := &Network{
 		cfg:       cfg,
 		rng:       rand.New(rand.NewPCG(cfg.Seed, 0x5eed)),
-		ids:       make([]NodeID, cfg.N),
-		othersOf:  make([][]NodeID, cfg.N),
 		pending:   make(map[int][]envelope),
 		inboxes:   make([][]Message, cfg.N),
 		firstSent: make(map[equivKey][]byte),
 		down:      make([]bool, cfg.N),
-	}
-	for i := range n.ids {
-		n.ids[i] = NodeID(i)
 	}
 	n.pubs, n.privs = DeriveKeys(cfg.Seed, cfg.N)
 	return n, nil
@@ -306,8 +300,8 @@ func (n *Network) Verify(m Message) bool {
 // An envelope is one transmission: a signed message and the recipients it
 // still has to reach, ascending. A broadcast is one envelope for its N-1
 // copies, not N-1 messages; Step sets each copy's To as it fans the
-// envelope out. The recipient list is read-only once filed — the common
-// broadcast shares its sender's cached list (others).
+// envelope out. The recipient list is read-only once filed: a pre-GST
+// copy's is a window of its transmission's list.
 type envelope struct {
 	msg Message
 	to  []NodeID
@@ -333,14 +327,14 @@ func (n *Network) enqueue(m Message, trusted bool) {
 		n.stats.ForgeriesDropped++
 		return
 	}
-	n.post(m, n.ids[m.To:m.To+1:m.To+1])
+	n.post(m, []NodeID{m.To})
 }
 
 // enqueueBroadcast files m for every other node under one lock: the
-// envelope carries the live recipients, and each copy a down sender or a
-// down recipient loses counts in DroppedDown, before any delay is drawn,
-// exactly as if the copies had been enqueued one by one. Callers hold no
-// lock.
+// envelope carries the live recipients, ascending, and each copy a down
+// sender or a down recipient loses counts in DroppedDown, before any delay
+// is drawn, exactly as if the copies had been enqueued one by one. Callers
+// hold no lock.
 func (n *Network) enqueueBroadcast(m Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -348,27 +342,19 @@ func (n *Network) enqueueBroadcast(m Message) {
 		n.stats.DroppedDown += uint64(n.cfg.N - 1)
 		return
 	}
-	to := n.others(m.From)
-	if slices.ContainsFunc(to, n.isDown) {
-		live := slices.DeleteFunc(slices.Clone(to), n.isDown)
-		n.stats.DroppedDown += uint64(len(to) - len(live))
-		to = live
+	to := make([]NodeID, 0, n.cfg.N-1)
+	for r := range NodeID(n.cfg.N) {
+		switch {
+		case r == m.From:
+		case n.down[r]:
+			n.stats.DroppedDown++
+		default:
+			to = append(to, r)
+		}
 	}
 	if len(to) > 0 {
 		n.post(m, to)
 	}
-}
-
-// others is the ascending list of every node but from, built once per
-// sender and shared read-only by all of its broadcast envelopes. Caller
-// holds mu.
-func (n *Network) others(from NodeID) []NodeID {
-	if n.othersOf[from] == nil {
-		to := make([]NodeID, 0, n.cfg.N-1)
-		to = append(to, n.ids[:from]...)
-		n.othersOf[from] = append(to, n.ids[from+1:]...)
-	}
-	return n.othersOf[from]
 }
 
 // post applies the broadcast channel's coercion to an admitted envelope
@@ -382,8 +368,8 @@ func (n *Network) others(from NodeID) []NodeID {
 // Synchronous and post-GST sends all arrive next round, as one envelope.
 // Before GST each recipient's delay is drawn in ascending recipient order
 // — the order a copy-per-recipient network drew them in, so the seeded
-// RNG stream and a DelayFn see the same calls — and the recipients are
-// grouped into one envelope per delivery round.
+// RNG stream and a DelayFn see the same calls — and each copy is filed
+// under its own delivery round as a one-recipient envelope.
 func (n *Network) post(m Message, to []NodeID) {
 	if n.cfg.NoEquivocation {
 		key := equivKey{from: m.From, round: m.Round, kind: m.Kind}
@@ -398,20 +384,9 @@ func (n *Network) post(m Message, to []NodeID) {
 		n.pending[m.Round+1] = append(n.pending[m.Round+1], envelope{m, to})
 		return
 	}
-	var rounds []int
-	var groups []envelope
-	for _, r := range to {
+	for i, r := range to {
 		d := m.Round + n.preGSTDelay(m.From, r, m.Round)
-		i := slices.Index(rounds, d)
-		if i < 0 {
-			i = len(rounds)
-			rounds = append(rounds, d)
-			groups = append(groups, envelope{msg: m})
-		}
-		groups[i].to = append(groups[i].to, r)
-	}
-	for i, d := range rounds {
-		n.pending[d] = append(n.pending[d], groups[i])
+		n.pending[d] = append(n.pending[d], envelope{m, to[i : i+1 : i+1]})
 	}
 }
 
