@@ -603,29 +603,33 @@ func encodeResult[E comparable](f field.Field[E], round int, tag [32]byte, resul
 	return buf
 }
 
-// decodeResultInto parses a result broadcast of exactly len(dst) elements
-// into dst, converting the wire values straight into field elements, and
-// returns the round and batch tag it carries. ok is false for a malformed
-// payload or another length (which collect ignores, like any other garbage
-// message); dst then holds garbage. Only canonical elements are accepted,
-// as parseBatchMsg does: FromUint64 would reduce a non-canonical one
-// (Goldilocks subtracts p, GF(2^m) masks high bits), so two payloads would
-// decode to one result. A payload that decodes re-encodes to the same
-// bytes.
-func decodeResultInto[E comparable](f field.Field[E], data []byte, dst []E) (round int, tag [32]byte, ok bool) {
-	// The attacker-chosen count is compared, never multiplied: a huge one
-	// cannot overflow past the length check.
-	if len(data) != resultHdrLen+8*len(dst) || binary.LittleEndian.Uint64(data[40:]) != uint64(len(dst)) {
-		return 0, [32]byte{}, false
+// decodeResult parses a result broadcast, converting the wire values
+// straight into field elements. ok is false for malformed payloads (which
+// collect ignores, like any other garbage message). Only canonical
+// elements are accepted, as parseBatchMsg does: FromUint64 would reduce a
+// non-canonical one (Goldilocks subtracts p, GF(2^m) masks high bits), so
+// two payloads would decode to one result. A payload that decodes
+// re-encodes to the same bytes.
+func decodeResult[E comparable](f field.Field[E], data []byte) (round int, tag [32]byte, result []E, ok bool) {
+	if len(data) < resultHdrLen {
+		return 0, [32]byte{}, nil, false
 	}
-	for i := range dst {
+	count := binary.LittleEndian.Uint64(data[40:])
+	body := len(data) - resultHdrLen
+	// Compare counts, not count*8: a huge attacker-chosen count must not
+	// overflow past the length check into make().
+	if body%8 != 0 || count != uint64(body/8) {
+		return 0, [32]byte{}, nil, false
+	}
+	result = make([]E, count)
+	for i := range result {
 		v := binary.LittleEndian.Uint64(data[resultHdrLen+8*i:])
-		dst[i] = f.FromUint64(v)
-		if f.Uint64(dst[i]) != v {
-			return 0, [32]byte{}, false
+		result[i] = f.FromUint64(v)
+		if f.Uint64(result[i]) != v {
+			return 0, [32]byte{}, nil, false
 		}
 	}
-	return int(binary.LittleEndian.Uint64(data)), [32]byte(data[8:40]), true
+	return int(binary.LittleEndian.Uint64(data)), [32]byte(data[8:40]), result, true
 }
 
 // ExecuteRound agrees on the given commands (one vector per machine) and

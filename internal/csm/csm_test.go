@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math/rand/v2"
-	"slices"
 	"testing"
 
 	"codedsm/internal/field"
@@ -404,20 +402,6 @@ func TestErrRoundStuck(t *testing.T) {
 	}
 }
 
-// decodeResult parses a payload into a fresh vector as long as its body:
-// decodeResultInto with the destination a receiver would size from the
-// bytes alone, so the count field is still checked against them.
-func decodeResult[E comparable](f field.Field[E], data []byte) (round int, tag [32]byte, result []E, ok bool) {
-	if len(data) < resultHdrLen || (len(data)-resultHdrLen)%8 != 0 {
-		return 0, [32]byte{}, nil, false
-	}
-	result = make([]E, (len(data)-resultHdrLen)/8)
-	if round, tag, ok = decodeResultInto(f, data, result); !ok {
-		return 0, [32]byte{}, nil, false
-	}
-	return round, tag, result, true
-}
-
 func TestResultPayloadCodec(t *testing.T) {
 	vec := []uint64{5, 0, field.GoldilocksModulus - 1}
 	payload := encodeResult[uint64](gold, 7, [32]byte{3: 9}, vec)
@@ -453,52 +437,6 @@ func TestResultPayloadCodec(t *testing.T) {
 	}
 	if _, _, _, ok := decodeResult[uint64](gf, encodeResult[uint64](gold, 7, clusterTag, []uint64{5, 256 + 5})); ok {
 		t.Error("GF(2^8) payload with a 9-bit element accepted")
-	}
-	// A well-formed payload of another length than the destination's.
-	for _, l := range []int{len(vec) - 1, len(vec) + 1} {
-		if _, _, ok := decodeResultInto[uint64](gold, payload, make([]uint64, l)); ok {
-			t.Errorf("%d-element payload accepted into %d elements", len(vec), l)
-		}
-	}
-}
-
-// TestIngestKeepsAcceptedRows: results are parsed into the core's reused
-// row buffer, and nothing a later message carries — a malformed payload,
-// a stale round, a foreign tag, a short result, another kind — may touch
-// a row accepted earlier in the step; a well-formed repeat replaces it.
-// Rows are the core's own: two cores never share one.
-func TestIngestKeepsAcceptedRows(t *testing.T) {
-	c := newCluster(t, baseConfig(2, 7, 2))
-	core, other := &c.nodes[0].stepCore, &c.nodes[1].stepCore
-	l := c.tr.ResultLen()
-	good := field.RandVec[uint64](gold, rand.New(rand.NewPCG(1, 2)), l)
-	msg := func(kind string, payload []byte) transport.Message {
-		return transport.Message{From: 3, To: 0, Kind: kind, Payload: payload}
-	}
-	nonCanonical := encodeResult[uint64](gold, 5, clusterTag, good)
-	binary.LittleEndian.PutUint64(nonCanonical[len(nonCanonical)-8:], field.GoldilocksModulus+1)
-	for _, s := range []*stepCore[uint64]{core, other} {
-		s.resetStep()
-		s.ingest([]transport.Message{msg(resultKind, encodeResult[uint64](gold, 5, clusterTag, good))}, 5, clusterTag)
-	}
-	core.ingest([]transport.Message{
-		msg(resultKind, nonCanonical),
-		msg(resultKind, encodeResult[uint64](gold, 4, clusterTag, make([]uint64, l))),
-		msg(resultKind, encodeResult[uint64](gold, 5, [32]byte{1}, make([]uint64, l))),
-		msg(resultKind, encodeResult[uint64](gold, 5, clusterTag, make([]uint64, l-1))),
-		msg("other", encodeResult[uint64](gold, 5, clusterTag, make([]uint64, l))),
-	}, 5, clusterTag)
-	if core.receivedCount != 1 || !slices.Equal(core.received[3], good) {
-		t.Fatalf("refused messages changed the accepted row: count %d, row %v, want %v", core.receivedCount, core.received[3], good)
-	}
-	if &core.received[3][0] == &other.received[3][0] {
-		t.Fatal("two cores share a received row")
-	}
-	repeat := slices.Clone(good)
-	repeat[0] = gold.Add(repeat[0], gold.One())
-	core.ingest([]transport.Message{msg(resultKind, encodeResult[uint64](gold, 5, clusterTag, repeat))}, 5, clusterTag)
-	if core.receivedCount != 1 || !slices.Equal(core.received[3], repeat) || !slices.Equal(other.received[3], good) {
-		t.Fatalf("a well-formed repeat gave count %d row %v (other core %v)", core.receivedCount, core.received[3], other.received[3])
 	}
 }
 

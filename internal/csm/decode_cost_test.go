@@ -66,12 +66,12 @@ func TestRoundOpCountGuard(t *testing.T) {
 // TestRoundAllocGuard caps the heap allocations of one honest round at
 // TestRoundOpCountGuard's shape, on one worker so the count is the
 // engine's and not the fan-out's. A round cost 7 189 allocations while
-// the network queued one Message per recipient and every node parsed each
-// result into a fresh slice; with one envelope per broadcast, one inbox
-// allocation per Step and parsing into each node's reused row buffer it
-// costs 2 635 (2 699 under -race). The ceiling leaves about 10 % of room.
+// the network queued one Message per recipient; with one envelope per
+// broadcast and one inbox allocation per Step it costs 6 730 (6 795 under
+// -race), of which 4 032 are the N(N-1) parsed results. The ceiling sits
+// between the two.
 func TestRoundAllocGuard(t *testing.T) {
-	const ceiling = 2_900
+	const ceiling = 7_000
 	cfg := baseConfig(22, 64, 21)
 	cfg.Parallelism = 1
 	c := newCluster(t, cfg)

@@ -231,9 +231,7 @@ func (c *Cluster[E]) dlgAlerts(msgs []transport.Message, attempt int, phase byte
 
 // receivedOrZero is the word node n received with absent senders
 // zero-filled: the worker's decoder and its proof take no erasures, so a
-// missing result costs the budget an error. Its rows are n's ingest
-// buffer, so the word is read within the attempt that filled it and never
-// kept: the decode and the proof check copy or only compare.
+// missing result costs the budget an error.
 func (c *Cluster[E]) receivedOrZero(n *node[E]) [][]E {
 	out := slices.Clone(n.received)
 	for i, v := range out {

@@ -28,7 +28,7 @@ import (
 //     lock-step network, so enqueue order cannot leak into the simulation.
 //   - collect + decode (parallel): the driving goroutine steps the
 //     network; then each honest node still waiting drains its own inbox,
-//     parses the results into its own row buffer (stepCore.ingest) and,
+//     parses the results into its own core (stepCore.ingest) and,
 //     once it holds enough, decodes (stepCore.absorb), as one task that
 //     touches only that node's inbox and core. An inbox is fixed once
 //     Step has built it, so when a node reads it cannot matter.

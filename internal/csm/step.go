@@ -36,16 +36,6 @@ type stepCore[E comparable] struct {
 	received      [][]E
 	receivedCount int
 
-	// Ingest's row buffer, reused across steps: rows[i] is where sender
-	// i's accepted result lives, and spare is where the next payload is
-	// parsed. A parse that passes every check swaps spare into the
-	// sender's slot, so a refused one never touches an accepted row. A
-	// row stays valid only until a later ingest reuses it: absorb keeps
-	// nothing of it (the decoders copy their input), and every other
-	// reader of received is done with it within the step.
-	rows  [][]E
-	spare []E
-
 	// Primed-decode state: suspects is the sorted union of this node's past
 	// decode verdicts, sticky across steps and batches (see absorbVerdict) —
 	// it only steers which rows the verified-subset check trusts, so it
@@ -141,22 +131,13 @@ func (s *stepCore[E]) apply(micro int) ([]E, error) {
 }
 
 // resetStep clears the per-step collection state, reusing the
-// sender-indexed slice and, once allocated, the row buffer.
+// sender-indexed slice.
 func (s *stepCore[E]) resetStep() {
 	if len(s.received) != s.n {
 		s.received = make([][]E, s.n)
 	}
 	clear(s.received)
 	s.receivedCount = 0
-	if len(s.rows) != s.n {
-		l := s.tr.ResultLen()
-		buf := make([]E, (s.n+1)*l)
-		s.rows = make([][]E, s.n)
-		for i := range s.rows {
-			s.rows[i] = buf[i*l : (i+1)*l : (i+1)*l]
-		}
-		s.spare = buf[s.n*l:]
-	}
 }
 
 // accept records sender from's result for the current step; a repeated
@@ -170,21 +151,18 @@ func (s *stepCore[E]) accept(from int, result []E) {
 
 // ingest accepts the well-formed result broadcasts for the given round
 // computed on the batch tag names among msgs; anything else — another
-// kind, a sender outside 0..N-1, a malformed payload, a wrong length, a
-// stale round, another batch — is ignored. Results are parsed into the
-// row buffer, so a step's collection allocates nothing.
+// kind, a malformed payload, a stale round, another batch, a wrong
+// length, a sender outside 0..N-1 — is ignored.
 func (s *stepCore[E]) ingest(msgs []transport.Message, round int, tag [32]byte) {
 	for _, m := range msgs {
-		from := int(m.From)
-		if m.Kind != resultKind || from < 0 || from >= len(s.received) {
+		if m.Kind != resultKind {
 			continue
 		}
-		r, t, ok := decodeResultInto(s.tr.Field(), m.Payload, s.spare)
-		if !ok || r != round || t != tag {
+		r, t, result, ok := decodeResult(s.tr.Field(), m.Payload)
+		if !ok || r != round || t != tag || len(result) != s.tr.ResultLen() || m.From < 0 || int(m.From) >= len(s.received) {
 			continue
 		}
-		s.rows[from], s.spare = s.spare, s.rows[from]
-		s.accept(from, s.rows[from])
+		s.accept(int(m.From), result)
 	}
 }
 
