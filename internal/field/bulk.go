@@ -31,9 +31,15 @@ type Bulk[E comparable] interface {
 	MulVec(dst, a, b []E)
 	// ScaleVec sets dst[i] = c * a[i].
 	ScaleVec(dst []E, c E, a []E)
-	// ScaleAccVec sets dst[i] = dst[i] + c*a[i] (axpy): the inner kernel of
-	// the K x L Lagrange encode.
+	// ScaleAccVec sets dst[i] = dst[i] + c*a[i] (axpy).
 	ScaleAccVec(dst []E, c E, a []E)
+	// LinCombAccVec sets dst[i] = dst[i] + sum_k cs[k]*vecs[k][i] over the
+	// len(vecs) terms: the inner kernel of the Lagrange encode and of the
+	// verified-subset decode. It is the ScaleAccVec chain over the terms,
+	// element for element, in one call; cs must hold at least len(vecs)
+	// coefficients and every vecs[k] at least len(dst) elements. dst may
+	// alias any term: all terms are read at i before dst[i] is written.
+	LinCombAccVec(dst, cs []E, vecs [][]E)
 	// SubScaleVec sets dst[i] = dst[i] - c*a[i]: the row-elimination kernel
 	// of Gaussian elimination and schoolbook polynomial division.
 	SubScaleVec(dst []E, c E, a []E)
@@ -102,6 +108,19 @@ func (g genericBulk[E]) ScaleVec(dst []E, c E, a []E) {
 func (g genericBulk[E]) ScaleAccVec(dst []E, c E, a []E) {
 	for i := range a {
 		dst[i] = g.Add(dst[i], g.Mul(c, a[i]))
+	}
+}
+
+// LinCombAccVec makes the ScaleAccVec chain's Field calls, in the chain's
+// order per element, but finishes each element before writing it so a term
+// may alias dst.
+func (g genericBulk[E]) LinCombAccVec(dst, cs []E, vecs [][]E) {
+	for i := range dst {
+		acc := dst[i]
+		for k, v := range vecs {
+			acc = g.Add(acc, g.Mul(cs[k], v[i]))
+		}
+		dst[i] = acc
 	}
 }
 

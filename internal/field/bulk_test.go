@@ -2,7 +2,9 @@ package field
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -124,8 +126,67 @@ func TestBulkKernelsMatchScalar(t *testing.T) {
 				alias = append([]uint64(nil), a...)
 				bf.ScaleVec(alias, c, alias)
 				check("ScaleVec(aliased)", alias, ref.mulVec(repeat(c, n), a))
+
+				for _, terms := range []int{0, 1, 2, 21, 64} {
+					cs := RandVec[uint64](bf, rng, terms)
+					vecs := make([][]uint64, terms)
+					for k := range vecs {
+						vecs[k] = RandVec[uint64](bf, rng, n)
+					}
+					acc = append([]uint64(nil), b...)
+					bf.LinCombAccVec(acc, cs, vecs)
+					want := ref.linCombAcc(b, cs, vecs)
+					check(fmt.Sprintf("LinCombAccVec(%d terms)", terms), acc, want)
+					if terms < 2 {
+						continue
+					}
+					// dst aliasing a middle term: every term is read before
+					// dst[i] is written, so the result is the out-of-place one.
+					alias = append([]uint64(nil), vecs[terms/2]...)
+					aliased := append([][]uint64(nil), vecs...)
+					aliased[terms/2] = alias
+					bf.LinCombAccVec(alias, cs, aliased)
+					check(fmt.Sprintf("LinCombAccVec(%d terms, aliased)", terms), alias, ref.linCombAcc(vecs[terms/2], cs, vecs))
+				}
 			}
 		})
+	}
+}
+
+// linCombAcc is dst + Σ_k cs[k]·vecs[k], out of place, as the ScaleAccVec
+// chain computes it.
+func (r refKernels[E]) linCombAcc(dst, cs []E, vecs [][]E) []E {
+	out := append([]E(nil), dst...)
+	for k, v := range vecs {
+		for i := range out {
+			out[i] = r.f.Add(out[i], r.f.Mul(cs[k], v[i]))
+		}
+	}
+	return out
+}
+
+// TestGoldilocksLinCombMaximalCarries drives the lazily reduced Goldilocks
+// combination at its worst case — every coefficient, element and
+// accumulator p-1, so every 128-bit product is maximal and the carry word
+// grows with the term count — and requires the ScaleAccVec chain's result.
+func TestGoldilocksLinCombMaximalCarries(t *testing.T) {
+	gold := NewGoldilocks()
+	const pm1, n = GoldilocksModulus - 1, 64
+	for _, terms := range []int{1, 2, 21, 64, 1000} {
+		cs := repeat(pm1, terms)
+		vecs := make([][]uint64, terms)
+		for k := range vecs {
+			vecs[k] = repeat(pm1, n)
+		}
+		want := repeat(pm1, n)
+		for k := range vecs {
+			gold.ScaleAccVec(want, cs[k], vecs[k])
+		}
+		got := repeat(pm1, n)
+		gold.LinCombAccVec(got, cs, vecs)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d terms: got %v want %v", terms, got[:1], want[:1])
+		}
 	}
 }
 
@@ -202,12 +263,15 @@ func TestCountingBulkTotalsMatchScalar(t *testing.T) {
 	}
 
 	dst := make([]uint64, n)
+	terms := [][]uint64{a, b, a, b, a}
+	cs := RandVec[uint64](gold, rng, len(terms))
 	run := func(k Bulk[uint64]) {
 		k.AddVec(dst, a, b)
 		k.SubVec(dst, a, b)
 		k.MulVec(dst, a, b)
 		k.ScaleVec(dst, c, a)
 		k.ScaleAccVec(dst, c, a)
+		k.LinCombAccVec(dst, cs, terms)
 		k.SubScaleVec(dst, c, a)
 		k.DotVec(a, b)
 		k.SubScalarVec(dst, a, c)
@@ -231,5 +295,15 @@ func TestCountingBulkTotalsMatchScalar(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("bulk counting totals %+v, scalar totals %+v", got, want)
+	}
+
+	// LinCombAccVec's single charge is the ScaleAccVec chain's total.
+	chain, comb := NewCounting[uint64](gold), NewCounting[uint64](gold)
+	for k := range terms {
+		chain.ScaleAccVec(dst, cs[k], terms[k])
+	}
+	comb.LinCombAccVec(dst, cs, terms)
+	if chain.Counts() != comb.Counts() {
+		t.Fatalf("LinCombAccVec charged %+v, the ScaleAccVec chain %+v", comb.Counts(), chain.Counts())
 	}
 }

@@ -42,6 +42,15 @@ func (c *Counting[E]) ScaleAccVec(dst []E, k E, a []E) {
 	c.innerBulk.ScaleAccVec(dst, k, a)
 }
 
+// LinCombAccVec implements Bulk, counting len(vecs)·len(dst) additions and
+// multiplications — the ScaleAccVec chain's totals — in one charge.
+func (c *Counting[E]) LinCombAccVec(dst, ks []E, vecs [][]E) {
+	n := uint64(len(vecs) * len(dst))
+	c.adds.Add(n)
+	c.muls.Add(n)
+	c.innerBulk.LinCombAccVec(dst, ks, vecs)
+}
+
 // SubScaleVec implements Bulk, counting len(a) additions and
 // multiplications.
 func (c *Counting[E]) SubScaleVec(dst []E, k E, a []E) {

@@ -74,6 +74,19 @@ func (f *GF2m) ScaleAccVec(dst []uint64, c uint64, a []uint64) {
 	}
 }
 
+// LinCombAccVec implements Bulk, finishing each element before writing it
+// so a term may alias dst.
+func (f *GF2m) LinCombAccVec(dst, cs []uint64, vecs [][]uint64) {
+	cs = cs[:len(vecs)]
+	for i := range dst {
+		acc := dst[i]
+		for k, v := range vecs {
+			acc ^= f.Mul(cs[k], v[i])
+		}
+		dst[i] = acc
+	}
+}
+
 // SubScaleVec implements Bulk; identical to ScaleAccVec in characteristic 2.
 func (f *GF2m) SubScaleVec(dst []uint64, c uint64, a []uint64) {
 	f.ScaleAccVec(dst, c, a)

@@ -50,6 +50,26 @@ func (g Goldilocks) ScaleAccVec(dst []uint64, c uint64, a []uint64) {
 	}
 }
 
+// LinCombAccVec implements Bulk with one reduction per element instead of
+// one per term: each element's products accumulate unreduced in 192 bits
+// (lo, hi and a carry word top), and since 2^128 ≡ -2^32 (mod p) the sum is
+// goldReduce(hi, lo) - top·2^32. top counts carries, so it stays below the
+// term count and no number of terms can overflow it.
+func (g Goldilocks) LinCombAccVec(dst, cs []uint64, vecs [][]uint64) {
+	cs = cs[:len(vecs)]
+	for i := range dst {
+		lo, hi, top := dst[i], uint64(0), uint64(0)
+		for k, v := range vecs {
+			ph, pl := bits.Mul64(cs[k], v[i])
+			var carry uint64
+			lo, carry = bits.Add64(lo, pl, 0)
+			hi, carry = bits.Add64(hi, ph, carry)
+			top += carry
+		}
+		dst[i] = g.Sub(goldReduce(hi, lo), goldReduce(top>>32, top<<32))
+	}
+}
+
 // SubScaleVec implements Bulk.
 func (g Goldilocks) SubScaleVec(dst []uint64, c uint64, a []uint64) {
 	for i := range a {

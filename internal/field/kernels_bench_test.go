@@ -54,4 +54,31 @@ func BenchmarkFieldKernels(b *testing.B) {
 			}
 		}
 	}
+	// The verified-subset decode's shape: 21 terms of 64 elements per
+	// component, as one LinCombAccVec beside the ScaleAccVec chain it
+	// replaced.
+	const terms, n = 21, 64
+	cs := RandVec[uint64](gold, rng, terms)
+	vecs := make([][]uint64, terms)
+	for k := range vecs {
+		vecs[k] = RandVec[uint64](gold, rng, n)
+	}
+	dst := make([]uint64, n)
+	for _, impl := range []string{"native", "generic"} {
+		k := impls[impl]
+		b.Run(fmt.Sprintf("LinCombAccVec/%s/terms=%d/n=%d", impl, terms, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.LinCombAccVec(dst, cs, vecs)
+			}
+		})
+		b.Run(fmt.Sprintf("ScaleAccVecChain/%s/terms=%d/n=%d", impl, terms, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for t, v := range vecs {
+					k.ScaleAccVec(dst, cs[t], v)
+				}
+			}
+		})
+	}
 }
