@@ -14,7 +14,7 @@ import (
 //
 //   - command encode (parallel): stepCore.encodeCommands is a pure
 //     function of the node's coefficients and the agreed batch, flattened
-//     once so one ScaleAccVec pass per machine covers every micro-step.
+//     once so one K-term LinCombAccVec per node covers every micro-step.
 //   - compute (parallel): stepCore.apply, the coded transition
 //     g_i = f(S̃_i, X̃_i), is a pure function of the node's state and its
 //     coded command slice; results land in index-addressed slots.
@@ -37,9 +37,10 @@ import (
 //     background client stage.
 //
 // Shared structures reached from worker goroutines are safe by
-// construction: field.Counting uses atomic counters (which commute, so op
-// totals are also identical), lcc.Code guards its lazy RS-code cache with
-// a mutex, and poly rings/trees are immutable after construction.
+// construction: field.Counting uses atomic counters, charged once per
+// kernel call (they commute, so op totals are also identical), lcc.Code
+// guards its lazy RS-code cache with a mutex, and poly rings/trees are
+// immutable after construction.
 
 // workers returns the effective worker count for node-level fan-out:
 // cfg.Parallelism, defaulted and clamped to the cluster size.

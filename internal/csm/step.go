@@ -80,7 +80,7 @@ type nodeDecode[E comparable] struct {
 
 // lagrangeRowInto accumulates this node's Lagrange encode Σ_k row[k]
 // vecs[k] into dst — (re)allocated at the given length when it does not
-// match — on the bulk kernels (K ScaleAccVec calls). It returns dst.
+// match — as one K-term LinCombAccVec. It returns dst.
 func (s *stepCore[E]) lagrangeRowInto(dst []E, length int, vecs [][]E) []E {
 	if len(dst) != length {
 		dst = make([]E, length)
@@ -88,9 +88,7 @@ func (s *stepCore[E]) lagrangeRowInto(dst []E, length int, vecs [][]E) []E {
 	for j := range dst {
 		dst[j] = s.zero
 	}
-	for k := range vecs {
-		s.bulk.ScaleAccVec(dst, s.row[k], vecs[k])
-	}
+	s.bulk.LinCombAccVec(dst, s.row, vecs)
 	return dst
 }
 
@@ -117,7 +115,7 @@ func flattenBatch[E comparable](batch [][][]E, cmdLen int) [][]E {
 
 // encodeCommands Lagrange-encodes the whole batch's commands (flat rows
 // from flattenBatch, shared read-only by every node) into the batch
-// scratch: K ScaleAccVec kernels cover every micro-step at once.
+// scratch: one K-term LinCombAccVec covers every micro-step at once.
 func (s *stepCore[E]) encodeCommands(flat [][]E) {
 	s.cmdScratch = s.lagrangeRowInto(s.cmdScratch, len(flat[0]), flat)
 }

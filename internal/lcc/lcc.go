@@ -172,9 +172,9 @@ func (c *Code[E]) EncodeVectors(values [][]E) ([][]E, error) {
 // runtime.GOMAXPROCS). Each row i = Σ_k c_ik values[k] is independent, so
 // the result is identical to the sequential product.
 //
-// The K x L inner product runs as one ScaleAccVec (axpy) kernel per
-// coefficient row entry over a single flat backing array — no per-row
-// allocation and no per-element interface dispatch.
+// Each row's K x L inner product is one K-term LinCombAccVec kernel over a
+// single flat backing array — no per-row allocation and no per-element
+// interface dispatch.
 func (c *Code[E]) EncodeVectorsParallel(values [][]E, workers int) ([][]E, error) {
 	l, err := c.vectorLen(values, len(c.omegas))
 	if err != nil {
@@ -189,10 +189,7 @@ func (c *Code[E]) EncodeVectorsParallel(values [][]E, workers int) ([][]E, error
 		for j := range vec {
 			vec[j] = zero
 		}
-		row := c.coeffs[i]
-		for k := range values {
-			c.bulk.ScaleAccVec(vec, row[k], values[k])
-		}
+		c.bulk.LinCombAccVec(vec, c.coeffs[i], values)
 		out[i] = vec
 		return nil
 	})

@@ -13,10 +13,10 @@ import (
 // and one choice of exactly dim = d(K-1)+1 "trusted" rows, the values of
 // the degree-< dim polynomial through the trusted rows at every other
 // received row and at the K omegas are a constant matrix times the trusted
-// values. A decode is then dim ScaleVec/ScaleAccVec kernel calls per
-// vector component — no interpolation, no subproduct tree, no
-// error-locator solve — followed by a mismatch count against the rows that
-// were not trusted.
+// values. A decode is then, per vector component, one ScaleVec on the
+// first trusted row's column and one LinCombAccVec over the other dim-1 —
+// no interpolation, no subproduct tree, no error-locator solve — followed
+// by a mismatch count against the rows that were not trusted.
 //
 // Soundness rests on the unique-decoding radius alone, for every layout
 // the engines produce (all N rows in a synchronous round, the N-b rows of
@@ -48,10 +48,12 @@ type subsetCheck[E comparable] struct {
 }
 
 // checkScratch is the reusable working memory of one verify caller:
-// per-worker prediction vectors and mismatch masks.
+// per-worker prediction vectors, gathered trusted values and mismatch
+// masks.
 type checkScratch[E comparable] struct {
-	pred []E
-	bad  []bool
+	pred  []E
+	coefs []E
+	bad   []bool
 }
 
 // checkFor returns the verified-subset check for a received-row layout
@@ -165,11 +167,12 @@ func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare i
 // words are then for the full decoder. On ok the result is exactly the
 // full decoder's (see the soundness argument on subsetCheck).
 func (s *subsetCheck[E]) verify(c *Code[E], colMajor []E, l, workers int, sc *checkScratch[E]) (*DecodeResult[E], bool) {
-	k, nr := len(c.omegas), len(s.rest)
+	k, nr, dim := len(c.omegas), len(s.rest), len(s.trusted)
 	z := nr + k
 	nw := pool.Clamp(workers, l)
-	if len(sc.pred) != nw*z {
+	if len(sc.pred) != nw*z || len(sc.coefs) != nw*dim {
 		sc.pred = make([]E, nw*z)
+		sc.coefs = make([]E, nw*dim)
 		sc.bad = make([]bool, nw*nr)
 	}
 	clear(sc.bad)
@@ -181,11 +184,13 @@ func (s *subsetCheck[E]) verify(c *Code[E], colMajor []E, l, workers int, sc *ch
 		}
 		word := colMajor[j*s.rows : (j+1)*s.rows]
 		pred := sc.pred[worker*z : (worker+1)*z]
+		coefs := sc.coefs[worker*dim : (worker+1)*dim]
 		bad := sc.bad[worker*nr : (worker+1)*nr]
-		c.bulk.ScaleVec(pred, word[s.trusted[0]], s.cols[0])
-		for t := 1; t < len(s.trusted); t++ {
-			c.bulk.ScaleAccVec(pred, word[s.trusted[t]], s.cols[t])
+		for t, r := range s.trusted {
+			coefs[t] = word[r]
 		}
+		c.bulk.ScaleVec(pred, coefs[0], s.cols[0])
+		c.bulk.LinCombAccVec(pred, coefs[1:], s.cols[1:])
 		misses := 0
 		for i, r := range s.rest {
 			if !c.f.Equal(pred[i], word[r]) {
