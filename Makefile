@@ -9,7 +9,7 @@ STATICCHECK_VERSION := $(shell sed -n 's/.*StaticcheckVersion = "\(.*\)".*/\1/p'
 GOVULNCHECK_MODULE  := $(shell sed -n 's/.*GovulncheckModule  = "\(.*\)".*/\1/p' tools.go)
 GOVULNCHECK_VERSION := $(shell sed -n 's/.*GovulncheckVersion = "\(.*\)".*/\1/p' tools.go)
 
-.PHONY: all build test race bench bench-load bench-micro loc smoke-pipeline smoke-churn smoke-service smoke-shard smoke-processes smoke-restart soak soak-short fuzz-smoke csmlint staticcheck govulncheck lint fmt fmt-check vet ci
+.PHONY: all build test race bench bench-load bench-micro profile-round loc smoke-pipeline smoke-churn smoke-service smoke-shard smoke-processes smoke-restart soak soak-short fuzz-smoke csmlint staticcheck govulncheck lint fmt fmt-check vet ci
 
 all: build test
 
@@ -44,6 +44,17 @@ bench-micro:
 	$(GO) test -bench='BenchmarkFieldKernels' -benchtime=1x -run='^$$' ./internal/field/
 	$(GO) test -bench='BenchmarkTCPTick|BenchmarkNetworkTick' -benchtime=100x -benchmem -run='^$$' ./internal/transport/
 	$(GO) test -bench='BenchmarkBatchCodec' -benchtime=1000x -run='^$$' ./internal/csm/
+
+# CPU profile of one honest simulated round at sim-honest's shape
+# (BenchmarkHonestRound: N=64, K=22, b=21, default fan-out) for
+# PROFILE_TIME, written to bin/round.pprof with its test binary beside it,
+# then printed by cumulative share.
+PROFILE_TIME ?= 8s
+profile-round:
+	@mkdir -p bin
+	$(GO) test -run='^$$' -bench='^BenchmarkHonestRound$$' -benchtime=$(PROFILE_TIME) \
+		-o bin/csm.test -outputdir $(abspath bin) -cpuprofile round.pprof ./internal/csm/
+	$(GO) tool pprof -top -cum bin/csm.test bin/round.pprof
 
 # The design aim's tracked number: non-test Go lines, repo-wide and in
 # the engine package.

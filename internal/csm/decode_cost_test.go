@@ -92,6 +92,30 @@ func TestRoundAllocGuard(t *testing.T) {
 	}
 }
 
+// BenchmarkHonestRound times one honest round at csmload's sim-honest
+// shape (N=64, K=22, b=21, Bank, B=1) on the default fan-out, through
+// ExecuteRound rather than the ingress, so a CPU profile of it
+// (`make profile-round`) shows the round's own work: signing, the network
+// tick, the verified-subset decode and re-encode.
+func BenchmarkHonestRound(b *testing.B) {
+	c, err := New(baseConfig(22, 64, 21))
+	if err != nil {
+		b.Fatal(err)
+	}
+	wl := RandomWorkload[uint64](gold, 16, c.cfg.K, c.tr.CmdLen(), 7)
+	if _, err := c.ExecuteRound(wl[0]); err != nil { // primes every node's decode
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	r := 1
+	for b.Loop() {
+		if _, err := c.ExecuteRound(wl[r%len(wl)]); err != nil {
+			b.Fatal(err)
+		}
+		r++
+	}
+}
+
 // TestDelegatedRoundCountGuard pins the Section 6.2 round at the same
 // shape as TestRoundOpCountGuard: the cluster's counted field operations
 // and lock-step ticks per delegated round, exact on any host, honest and
