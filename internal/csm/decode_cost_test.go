@@ -3,6 +3,7 @@ package csm
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -70,11 +71,28 @@ func TestRoundOpCountGuard(t *testing.T) {
 // the network queued one Message per recipient; with one envelope per
 // broadcast and one inbox allocation per Step it costs 6 730 (6 795 under
 // -race), of which 4 032 are the N(N-1) parsed results. The ceiling sits
-// between the two.
+// between the two. It also caps the heap bytes a round allocates on the
+// default fan-out, the engine csmload runs: 711 KB, half of it the
+// per-recipient inbox block Step fills every tick.
 func TestRoundAllocGuard(t *testing.T) {
-	const ceiling = 7_000
+	const allocCeiling, byteCeiling = 7_000, 800_000
+	allocs := testing.AllocsPerRun(5, honestRounds(t, 1))
+	bytes := bytesPerRun(5, honestRounds(t, 0))
+	t.Logf("per honest N=64 K=22 b=21 round: %.0f heap allocations (Parallelism 1), %d heap bytes (Parallelism 0)", allocs, bytes)
+	if allocs > allocCeiling {
+		t.Errorf("%.0f allocations per round, ceiling %d", allocs, allocCeiling)
+	}
+	if bytes > byteCeiling {
+		t.Errorf("%d heap bytes per round, ceiling %d", bytes, byteCeiling)
+	}
+}
+
+// honestRounds returns a function that executes the next honest round of
+// TestRoundOpCountGuard's shape on a cluster with the given Parallelism,
+// after one round that primes every node's decode.
+func honestRounds(t *testing.T, parallelism int) func() {
 	cfg := baseConfig(22, 64, 21)
-	cfg.Parallelism = 1
+	cfg.Parallelism = parallelism
 	c := newCluster(t, cfg)
 	wl := RandomWorkload[uint64](gold, 16, cfg.K, c.tr.CmdLen(), 7)
 	r := 0
@@ -84,12 +102,21 @@ func TestRoundAllocGuard(t *testing.T) {
 		}
 		r++
 	}
-	round() // the first round primes every node's decode
-	allocs := testing.AllocsPerRun(5, round)
-	t.Logf("heap allocations per honest N=64 K=22 b=21 round: %.0f", allocs)
-	if allocs > ceiling {
-		t.Fatalf("%.0f allocations per round, ceiling %d", allocs, ceiling)
+	round()
+	return round
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// allocated by one call of f over runs calls, after one warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
 	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // BenchmarkHonestRound times one honest round at csmload's sim-honest
