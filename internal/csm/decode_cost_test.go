@@ -67,23 +67,26 @@ func TestRoundOpCountGuard(t *testing.T) {
 
 // TestRoundAllocGuard caps the heap allocations of one honest round at
 // TestRoundOpCountGuard's shape, on one worker so the count is the
-// engine's and not the fan-out's. A round cost 7 189 allocations while
-// the network queued one Message per recipient; with one envelope per
-// broadcast and one inbox allocation per Step it costs 6 730 (6 795 under
-// -race), of which 4 032 are the N(N-1) parsed results. The ceiling sits
-// between the two. It also caps the heap bytes a round allocates on the
-// default fan-out, the engine csmload runs: 711 KB, half of it the
-// per-recipient inbox block Step fills every tick.
+// engine's and not the fan-out's, and the heap bytes it allocates on the
+// default fan-out, the engine csmload runs. A round cost 7 189
+// allocations while the network queued one Message per recipient and
+// 6 730 (711 KB) while Step still copied every copy into per-node inboxes
+// and the client tally keyed two maps per machine by wire-byte strings.
+// With inboxes read as views over the round's envelopes and the tally a
+// short list per machine it costs 5 490 allocations, 4 032 of them the
+// N(N-1) parsed results, and 308 KB. Each ceiling sits within 10 % above
+// today's figure; the byte ceiling is also 45 % of the old 711 KB. The
+// race detector's own allocations are added on top (raceHeapSlack).
 func TestRoundAllocGuard(t *testing.T) {
-	const allocCeiling, byteCeiling = 7_000, 800_000
+	const allocCeiling, byteCeiling = 6_000, 320_000
 	allocs := testing.AllocsPerRun(5, honestRounds(t, 1))
 	bytes := bytesPerRun(5, honestRounds(t, 0))
 	t.Logf("per honest N=64 K=22 b=21 round: %.0f heap allocations (Parallelism 1), %d heap bytes (Parallelism 0)", allocs, bytes)
 	if allocs > allocCeiling {
 		t.Errorf("%.0f allocations per round, ceiling %d", allocs, allocCeiling)
 	}
-	if bytes > byteCeiling {
-		t.Errorf("%d heap bytes per round, ceiling %d", bytes, byteCeiling)
+	if bytes > byteCeiling+raceHeapSlack {
+		t.Errorf("%d heap bytes per round, ceiling %d", bytes, byteCeiling+raceHeapSlack)
 	}
 }
 

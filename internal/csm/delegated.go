@@ -2,6 +2,7 @@ package csm
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"codedsm/internal/delegate"
@@ -133,12 +134,11 @@ func (c *Cluster[E]) runExecutionDelegated(agreed [][]E) (*stepOutcome[E], error
 		// Phase 3.
 		abort := false
 		for i, n := range c.nodes {
-			msgs := n.ep.Receive()
-			n.ingest(msgs, c.round, clusterTag)
+			n.ingest(n.ep.Deliveries(), c.round, clusterTag)
 			if i != first {
 				continue
 			}
-			for k := c.dlgAlerts(msgs, attempt, dlgAlertEnc); k > 0; k-- {
+			for k := c.dlgAlerts(n.ep.Deliveries(), attempt, dlgAlertEnc); k > 0; k-- {
 				abort = d.AuditEncoding(agreed, cmds[i]) != nil || abort
 			}
 		}
@@ -184,7 +184,7 @@ func (c *Cluster[E]) runExecutionDelegated(agreed [][]E) (*stepOutcome[E], error
 		// fabricated one; then every honest node adopts what it holds.
 		alerted := false
 		for _, n := range c.nodes {
-			alerted = c.dlgAlerts(n.ep.Receive(), attempt, dlgAlertDec) > 0 || alerted
+			alerted = c.dlgAlerts(n.ep.Deliveries(), attempt, dlgAlertDec) > 0 || alerted
 		}
 		if alerted {
 			v := slices.IndexFunc(c.nodes, func(n *node[E]) bool { return n.behavior == Honest })
@@ -208,10 +208,10 @@ func (c *Cluster[E]) runExecutionDelegated(agreed [][]E) (*stepOutcome[E], error
 	return nil, fmt.Errorf("csm: delegated round found no honest worker: %w", ErrRoundStuck)
 }
 
-// heardFrom drains n's inbox and returns what the worker sent it under
-// kind, nil if nothing.
+// heardFrom returns what the worker sent n this round under kind, nil if
+// nothing.
 func heardFrom[E comparable](n, worker *node[E], kind string) (payload []byte) {
-	for _, m := range n.ep.Receive() {
+	for m := range n.ep.Deliveries() {
 		if m.Kind == kind && int(m.From) == worker.id {
 			payload = m.Payload
 		}
@@ -220,8 +220,8 @@ func heardFrom[E comparable](n, worker *node[E], kind string) (payload []byte) {
 }
 
 // dlgAlerts counts the alerts for this attempt and phase among msgs.
-func (c *Cluster[E]) dlgAlerts(msgs []transport.Message, attempt int, phase byte) (count int) {
-	for _, m := range msgs {
+func (c *Cluster[E]) dlgAlerts(msgs iter.Seq[transport.Message], attempt int, phase byte) (count int) {
+	for m := range msgs {
 		if m.Kind == dlgAlertKind && parseDlgAlert(m.Payload, c.round, attempt, phase) {
 			count++
 		}

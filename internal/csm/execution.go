@@ -1,6 +1,7 @@
 package csm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"iter"
@@ -237,19 +238,21 @@ func (c *Cluster[E]) finishStep(o *stepOutcome[E]) error {
 // one round, in the exact (machine-major, node-minor) order the
 // sequential client phase consumed the cluster RNG; honest slots are nil,
 // and so are crashed/recovering ones — a down node sends the clients
-// nothing at all, where an active liar sends garbage. Pre-drawing keeps
-// pipelined runs on the same random stream as sequential ones.
+// nothing at all, where an active liar sends garbage — and so is a whole
+// row nobody lies in. Pre-drawing keeps pipelined runs on the same random
+// stream as sequential ones.
 func (c *Cluster[E]) drawClientReplies() [][][]E {
 	f := c.cfg.BaseField
 	out := make([][][]E, c.cfg.K)
 	for k := 0; k < c.cfg.K; k++ {
-		rep := make([][]E, len(c.nodes))
 		for i, n := range c.nodes {
 			if n.behavior != Honest && n.behavior != Crashed && n.behavior != Recovering {
-				rep[i] = field.RandVec(f, c.rng, c.tr.OutLen())
+				if out[k] == nil {
+					out[k] = make([][]E, len(c.nodes))
+				}
+				out[k][i] = field.RandVec(f, c.rng, c.tr.OutLen())
 			}
 		}
-		out[k] = rep
 	}
 	return out
 }
@@ -267,38 +270,30 @@ func (c *Cluster[E]) snapshotDecodes() []*nodeDecode[E] {
 
 // clientPhase simulates the M clients collecting per-node replies: a client
 // accepts an output once b+1 nodes report the same value (Table 2, output
-// delivery: 2b+1 <= N). Byzantine nodes report the pre-drawn garbage. The
-// result is then audited against the oracle execution.
+// delivery: 2b+1 <= N). Byzantine nodes report the pre-drawn garbage.
+// Each machine's tally is a short list of distinct replies (one in an
+// honest round). The result is then audited against the oracle execution.
 func (c *Cluster[E]) clientPhase(oracleOutputs [][]E, replies [][][]E, decodes []*nodeDecode[E], res *RoundResult[E]) {
 	f := c.cfg.BaseField
 	res.Outputs = make([][]E, c.cfg.K)
 	res.Correct = true
 	faulty := make(map[int]bool)
-	var keyBuf []byte
+	var tally []replyCount[E]
 	for k := 0; k < c.cfg.K; k++ {
-		counts := make(map[string]int)
-		values := make(map[string][]E)
+		tally = tally[:0]
 		for i := range decodes {
 			var reply []E
 			switch {
-			case replies[k][i] != nil:
+			case replies[k] != nil && replies[k][i] != nil:
 				reply = replies[k][i]
 			case decodes[i] != nil:
 				reply = decodes[i].outputs[k]
 			default:
 				continue
 			}
-			// Tally replies by their canonical wire bytes; formatting the
-			// vector through fmt was a per-node-per-machine allocation storm.
-			keyBuf = keyBuf[:0]
-			for _, e := range reply {
-				keyBuf = binary.LittleEndian.AppendUint64(keyBuf, f.Uint64(e))
-			}
-			key := string(keyBuf)
-			counts[key]++
-			values[key] = reply
+			tally = countReply(f, tally, reply)
 		}
-		res.Outputs[k] = acceptReply(counts, values, c.cfg.MaxFaults+1)
+		res.Outputs[k] = acceptReply(f, tally, c.cfg.MaxFaults+1)
 		if res.Outputs[k] == nil || !field.VecEqual(f, res.Outputs[k], oracleOutputs[k]) {
 			res.Correct = false
 		}
@@ -322,28 +317,42 @@ func (c *Cluster[E]) clientPhase(oracleOutputs [][]E, replies [][][]E, decodes [
 	res.FaultyDetected = ints.SortedKeys(faulty)
 }
 
+// replyCount is a distinct reply a client heard and how many nodes sent it.
+type replyCount[E comparable] struct {
+	value []E
+	count int
+}
+
+// countReply adds one node's reply to a machine's tally.
+func countReply[E comparable](f field.Field[E], tally []replyCount[E], reply []E) []replyCount[E] {
+	for i := range tally {
+		if field.VecEqual(f, tally[i].value, reply) {
+			tally[i].count++
+			return tally
+		}
+	}
+	return append(tally, replyCount[E]{value: reply, count: 1})
+}
+
 // acceptReply picks the client-accepted output under the b+1
-// matching-replies rule. The previous implementation iterated the Go map
-// and took the first key reaching the threshold — map iteration order is
-// nondeterministic, so when two values qualified, identically-seeded runs
-// could disagree on the accepted output. The winner is now chosen
-// deterministically: highest count, ties broken by the smallest canonical
-// wire-byte key.
-func acceptReply[E comparable](counts map[string]int, values map[string][]E, threshold int) []E {
-	best, bestKey := 0, ""
-	//csmlint:allow detmap(order-independent argmax: strict count comparison with smallest-key tie-break picks the same winner in any order)
-	for key, cnt := range counts {
-		if cnt < threshold || cnt < best {
-			continue
+// matching-replies rule: the reply with the highest count of at least
+// threshold, nil if none reaches it. Two replies can tie there (b+1 each
+// when 2b+2 <= N); the smaller canonical wire key wins, built only for
+// tied replies, so the winner never depends on the order of the tally.
+func acceptReply[E comparable](f field.Field[E], tally []replyCount[E], threshold int) []E {
+	key := func(v []E) (b []byte) {
+		for _, e := range v {
+			b = binary.LittleEndian.AppendUint64(b, f.Uint64(e))
 		}
-		if cnt > best || key < bestKey {
-			best, bestKey = cnt, key
+		return b
+	}
+	best := replyCount[E]{count: threshold - 1}
+	for _, t := range tally {
+		if t.count > best.count || t.count == best.count && best.value != nil && bytes.Compare(key(t.value), key(best.value)) < 0 {
+			best = t
 		}
 	}
-	if best == 0 {
-		return nil
-	}
-	return values[bestKey]
+	return best.value
 }
 
 // batchRoundError marks a pre-execution batch failure attributable to one

@@ -27,11 +27,12 @@ import (
 //     stateful) — delivery order is re-sorted deterministically by the
 //     lock-step network, so enqueue order cannot leak into the simulation.
 //   - collect + decode (parallel): the driving goroutine steps the
-//     network; then each honest node still waiting drains its own inbox,
-//     parses the results into its own core (stepCore.ingest) and,
-//     once it holds enough, decodes (stepCore.absorb), as one task that
-//     touches only that node's inbox and core. An inbox is fixed once
-//     Step has built it, so when a node reads it cannot matter.
+//     network; then each honest node still waiting ranges over its own
+//     deliveries, parses the results into its own core (stepCore.ingest)
+//     and, once it holds enough, decodes (stepCore.absorb), as one task
+//     that writes only that node's core. The round's sorted envelopes
+//     are fixed once Step has filed them, so when a node reads them
+//     cannot matter.
 //   - client/audit (sequential or pipelined): draws from the cluster RNG
 //     on the driving goroutine; the tally itself may run on the
 //     background client stage.
@@ -109,8 +110,8 @@ func (c *Cluster[E]) transmitAllResults() error {
 }
 
 // collectAndDecode runs one tick of the collect/decode loop for the
-// pending honest nodes, one task per node: drain its inbox, ingest the
-// results, and decode once enough have arrived (tryDecode returns at once
+// pending honest nodes, one task per node: ingest the results among its
+// deliveries, and decode once enough have arrived (tryDecode returns at once
 // for a node below the threshold). It reports whether every one of them
 // now holds a decode. Every node is attempted even if one fails — a
 // parallel pool races ahead of an error anyway, so the sequential path
@@ -121,7 +122,7 @@ func (c *Cluster[E]) collectAndDecode(pending []*node[E], force bool, need int) 
 	errs := make([]error, len(pending))
 	_ = pool.Run(c.workers(), len(pending), func(i int) error {
 		n := pending[i]
-		n.ingest(n.ep.Receive(), c.round, clusterTag)
+		n.ingest(n.ep.Deliveries(), c.round, clusterTag)
 		oks[i], errs[i] = n.tryDecode(force, need)
 		return nil
 	})

@@ -410,7 +410,7 @@ func (p *NodeProcess[E]) executeSteps(batch [][][]E, tag [32]byte, spec *specula
 		}
 		s.accept(p.self, result)
 		if j == 0 && spec != nil {
-			s.ingest(spec.early, p.round, tag)
+			s.ingest(slices.Values(spec.early), p.round, tag)
 		}
 		for ticks := 0; !delivered || s.receivedCount < p.n; ticks++ {
 			if p.cfg.Consensus != Oracle && ticks >= quorumGraceTicks && s.receivedCount >= minShares {
@@ -433,7 +433,7 @@ func (p *NodeProcess[E]) executeSteps(batch [][][]E, tag [32]byte, spec *specula
 				return out, err
 			}
 			delivered = true
-			s.ingest(msgs, p.round, tag)
+			s.ingest(slices.Values(msgs), p.round, tag)
 		}
 		dec, err := s.absorb()
 		if err != nil {

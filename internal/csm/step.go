@@ -2,6 +2,7 @@ package csm
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"codedsm/internal/field"
@@ -151,8 +152,8 @@ func (s *stepCore[E]) accept(from int, result []E) {
 // computed on the batch tag names among msgs; anything else — another
 // kind, a malformed payload, a stale round, another batch, a wrong
 // length, a sender outside 0..N-1 — is ignored.
-func (s *stepCore[E]) ingest(msgs []transport.Message, round int, tag [32]byte) {
-	for _, m := range msgs {
+func (s *stepCore[E]) ingest(msgs iter.Seq[transport.Message], round int, tag [32]byte) {
+	for m := range msgs {
 		if m.Kind != resultKind {
 			continue
 		}

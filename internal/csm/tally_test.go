@@ -1,45 +1,139 @@
 package csm
 
 import (
+	"encoding/binary"
+	"math/rand/v2"
+	"slices"
 	"testing"
+
+	"codedsm/internal/field"
 )
 
+// tallyOf folds replies into a tally the way clientPhase does.
+func tallyOf(replies ...[]uint64) []replyCount[uint64] {
+	var tally []replyCount[uint64]
+	for _, r := range replies {
+		tally = countReply(gold, tally, r)
+	}
+	return tally
+}
+
+// repeat returns n references to v.
+func repeat(v []uint64, n int) [][]uint64 {
+	out := make([][]uint64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
 // TestAcceptReplyDeterministicOnCollision is the regression test for the
-// client-tally determinism bug: the old implementation iterated the Go map
+// client-tally determinism bug: the old implementation iterated a Go map
 // and broke at the first key reaching the b+1 threshold, so with two
 // qualifying values the accepted output depended on map iteration order.
 // acceptReply must pick the highest count, ties broken by the smallest
-// canonical wire-byte key — the same answer on every run.
+// canonical wire-byte key — the same answer whatever order the replies
+// were heard in.
 func TestAcceptReplyDeterministicOnCollision(t *testing.T) {
-	va := []uint64{1}
-	vb := []uint64{2}
-	vc := []uint64{3}
-	keyA, keyB, keyC := "\x01aaaaaaa", "\x02bbbbbbb", "\x03ccccccc"
+	va, vb, vc := []uint64{1}, []uint64{2}, []uint64{3}
+	// 256's little-endian wire key (00 01 ...) sorts before 1's (01 00 ...).
+	vWire := []uint64{256}
 
-	// Two keys over threshold, distinct counts: highest count wins,
-	// whatever the map order. Repeat to shake out iteration-order luck.
+	// Two values over threshold, distinct counts: highest count wins in
+	// every hearing order.
+	heard := slices.Concat(repeat(va, 3), repeat(vb, 5), repeat(vc, 1))
+	rng := rand.New(rand.NewPCG(1, 2))
 	for i := 0; i < 64; i++ {
-		counts := map[string]int{keyA: 3, keyB: 5, keyC: 1}
-		values := map[string][]uint64{keyA: va, keyB: vb, keyC: vc}
-		if got := acceptReply(counts, values, 3); got == nil || got[0] != vb[0] {
-			t.Fatalf("iteration %d: accepted %v, want highest-count value %v", i, got, vb)
+		rng.Shuffle(len(heard), func(a, b int) { heard[a], heard[b] = heard[b], heard[a] })
+		if got := acceptReply(gold, tallyOf(heard...), 3); got == nil || got[0] != vb[0] {
+			t.Fatalf("order %d: accepted %v, want highest-count value %v", i, got, vb)
 		}
 	}
 	// Exact tie at the threshold: the smallest wire-byte key wins.
-	for i := 0; i < 64; i++ {
-		counts := map[string]int{keyB: 4, keyA: 4}
-		values := map[string][]uint64{keyA: va, keyB: vb}
-		if got := acceptReply(counts, values, 3); got == nil || got[0] != va[0] {
-			t.Fatalf("iteration %d: tie broken to %v, want smallest-key value %v", i, got, va)
+	for _, tc := range []struct{ first, second, want []uint64 }{
+		{vb, va, va}, {va, vb, va}, {va, vWire, vWire}, {vWire, va, vWire},
+	} {
+		tally := []replyCount[uint64]{{tc.first, 4}, {tc.second, 4}}
+		if got := acceptReply(gold, tally, 3); got == nil || got[0] != tc.want[0] {
+			t.Fatalf("tie %v/%v broken to %v, want smallest-key value %v", tc.first, tc.second, got, tc.want)
 		}
 	}
 	// Nothing reaches the threshold: no accepted output.
-	if got := acceptReply(map[string]int{keyA: 2, keyB: 2}, map[string][]uint64{keyA: va, keyB: vb}, 3); got != nil {
+	if got := acceptReply(gold, tallyOf(va, va, vb, vb), 3); got != nil {
 		t.Fatalf("below-threshold tally accepted %v", got)
 	}
 	// Empty tally (every node silent).
-	if got := acceptReply(map[string]int{}, map[string][]uint64{}, 1); got != nil {
+	if got := acceptReply(gold, nil, 1); got != nil {
 		t.Fatalf("empty tally accepted %v", got)
+	}
+}
+
+// mapTally is the client tally clientPhase ran before it kept a list of
+// distinct replies, kept here as the reference: counts and values keyed by
+// each reply's canonical wire bytes, then the highest count of at least
+// threshold, ties to the smallest key.
+func mapTally(f field.Field[uint64], replies [][]uint64, threshold int) []uint64 {
+	counts := make(map[string]int)
+	values := make(map[string][]uint64)
+	for _, reply := range replies {
+		var key []byte
+		for _, e := range reply {
+			key = binary.LittleEndian.AppendUint64(key, f.Uint64(e))
+		}
+		counts[string(key)]++
+		values[string(key)] = reply
+	}
+	best, bestKey := 0, ""
+	for key, cnt := range counts {
+		if cnt < threshold || cnt < best {
+			continue
+		}
+		if cnt > best || key < bestKey {
+			best, bestKey = cnt, key
+		}
+	}
+	if best == 0 {
+		return nil
+	}
+	return values[bestKey]
+}
+
+// TestAcceptReplyMatchesMapTally checks the list tally against mapTally
+// on seeded random reply multisets: values drawn from a small pool (equal
+// values in distinct slices among them, as duplicate garbage from several
+// liars would be), shuffled, with two values forced to tie at or above the
+// threshold in a third of the cases.
+func TestAcceptReplyMatchesMapTally(t *testing.T) {
+	rng := rand.New(rand.NewPCG(37, 5))
+	ties := 0
+	for trial := 0; trial < 4000; trial++ {
+		threshold := 1 + rng.IntN(4)
+		length := 1 + rng.IntN(3)
+		pool := make([][]uint64, 1+rng.IntN(5))
+		for i := range pool {
+			pool[i] = make([]uint64, length)
+			for j := range pool[i] {
+				pool[i][j] = uint64(rng.IntN(3)) << (8 * rng.IntN(2))
+			}
+		}
+		var replies [][]uint64
+		for range rng.IntN(12) {
+			replies = append(replies, slices.Clone(pool[rng.IntN(len(pool))]))
+		}
+		if len(pool) > 1 && rng.IntN(3) == 0 {
+			n := threshold + rng.IntN(2)
+			replies = slices.Concat(replies, repeat(pool[0], n), repeat(pool[1], n))
+			ties++
+		}
+		rng.Shuffle(len(replies), func(a, b int) { replies[a], replies[b] = replies[b], replies[a] })
+		got := acceptReply(gold, tallyOf(replies...), threshold)
+		want := mapTally(gold, replies, threshold)
+		if (got == nil) != (want == nil) || !field.VecEqual(gold, got, want) {
+			t.Fatalf("trial %d: threshold %d, replies %v: accepted %v, map tally %v", trial, threshold, replies, got, want)
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no forced tie drawn")
 	}
 }
 
@@ -64,10 +158,7 @@ func TestClientPhaseCollidingReplies(t *testing.T) {
 	decodes := make([]*nodeDecode[uint64], cfg.N)
 	decodes[0], decodes[1] = mk(high), mk(high)
 	decodes[2], decodes[3] = mk(low), mk(low)
-	replies := make([][][]uint64, cfg.K)
-	for k := range replies {
-		replies[k] = make([][]uint64, cfg.N)
-	}
+	replies := make([][][]uint64, cfg.K) // no liar: every machine's row is nil
 	oracle := [][]uint64{{7}, {9}}
 	for i := 0; i < 64; i++ {
 		res := &RoundResult[uint64]{}

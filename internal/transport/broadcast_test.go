@@ -26,7 +26,10 @@ func sameMessages(a, b []Message) bool {
 // endpoints send from 8 goroutines in a shuffled order — two broadcasts
 // each, the second coerced to the first on this no-equivocation network,
 // plus a unicast from every fifth node — and every inbox must equal a
-// sequential run's. Run it under -race.
+// sequential run's. The sequential run reads each inbox with Receive; the
+// shuffled runs drain all 64 at once, one goroutine per node ranging over
+// its Deliveries, as the cluster's collect phase does. Run it under
+// -race -count=10.
 func TestNetworkConcurrentBroadcastDeterministic(t *testing.T) {
 	const n, goroutines, rounds = 64, 8, 3
 	run := func(shuffle *rand.Rand) [n][]Message {
@@ -73,9 +76,23 @@ func TestNetworkConcurrentBroadcastDeterministic(t *testing.T) {
 				}
 			}
 			net.Step()
-			for i, ep := range eps {
-				got[i] = append(got[i], ep.Receive()...)
+			if shuffle == nil {
+				for i, ep := range eps {
+					got[i] = append(got[i], ep.Receive()...)
+				}
+				continue
 			}
+			var wg sync.WaitGroup
+			for i, ep := range eps {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for m := range ep.Deliveries() {
+						got[i] = append(got[i], m)
+					}
+				}()
+			}
+			wg.Wait()
 		}
 		return got
 	}
@@ -94,8 +111,9 @@ func TestNetworkConcurrentBroadcastDeterministic(t *testing.T) {
 // sim-honest shape: 64 nodes each broadcast a result-sized payload (the
 // 48-byte result header and a Bank result's two field elements), fanned
 // out over GOMAXPROCS goroutines as the cluster's transmit phase does, then
-// one Step and 64 Receives. The 64 ed25519 signatures are part of it, as
-// they are of every simulated round.
+// one Step, and every node ranges over its Deliveries on the same fan-out,
+// as the cluster's collect phase does. The 64 ed25519 signatures are part
+// of it, as they are of every simulated round.
 func BenchmarkNetworkTick(b *testing.B) {
 	const n = 64
 	net, err := New(Config{N: n, Mode: Sync, Seed: 71})
@@ -115,8 +133,15 @@ func BenchmarkNetworkTick(b *testing.B) {
 			b.Fatal(err)
 		}
 		net.Step()
-		for _, ep := range eps {
-			ep.Receive()
+		delivered := make([]int, n)
+		_ = pool.Run(0, n, func(i int) error {
+			for range eps[i].Deliveries() {
+				delivered[i]++
+			}
+			return nil
+		})
+		if slices.Contains(delivered, 0) {
+			b.Fatal("a node received nothing")
 		}
 	}
 }

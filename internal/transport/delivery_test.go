@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"slices"
 	"testing"
 )
 
@@ -68,8 +69,9 @@ var deliveryGoldens = []struct {
 	},
 }
 
-// goldenSchedule drives one network through a fixed schedule and returns
-// each node's delivery digest and the final Stats. Every round, nodes 0-3,
+// goldenSchedule drives one network through a fixed schedule, reading
+// every node's deliveries after each Step with read, and returns each
+// node's delivery digest and the final Stats. Every round, nodes 0-3,
 // 5 and 6 broadcast, node 4 equivocates (a different payload to every
 // peer) and node 1 sends one unicast. On top of that: node 5 is down at enqueue time in rounds 1
 // and 2; node 6 goes down after round 4's sends, with messages to it in
@@ -77,7 +79,7 @@ var deliveryGoldens = []struct {
 // payload to node 0 and then broadcasts a different one under the same
 // (sender, round, kind), which a no-equivocation network coerces; in round
 // 3 a forgery claiming node 0 is injected.
-func goldenSchedule(t *testing.T, cfg Config) ([goldenN]string, Stats) {
+func goldenSchedule(t *testing.T, cfg Config, read func(*Endpoint) []Message) ([goldenN]string, Stats) {
 	t.Helper()
 	const sendRounds, drainRounds = 10, 6
 	net := newNet(t, cfg)
@@ -128,7 +130,7 @@ func goldenSchedule(t *testing.T, cfg Config) ([goldenN]string, Stats) {
 		}
 		net.Step()
 		for i, ep := range eps {
-			hashDeliveries(hs[i], net.Round(), ep.Receive())
+			hashDeliveries(hs[i], net.Round(), read(ep))
 		}
 	}
 	var out [goldenN]string
@@ -162,18 +164,28 @@ func hashDeliveries(h hash.Hash, round int, msgs []Message) {
 // which signature, and what the counters say — across broadcasts, unicast
 // and equivocating sends, no-equivocation coercion, seeded and
 // DelayFn-chosen pre-GST delays, crashes at enqueue and in flight, and a
-// refused forgery.
+// refused forgery. Both ways of reading an inbox, Receive and ranging
+// over Deliveries, must reproduce it.
 func TestNetworkDeliveryGolden(t *testing.T) {
+	reads := []struct {
+		name string
+		read func(*Endpoint) []Message
+	}{
+		{"Receive", (*Endpoint).Receive},
+		{"Deliveries", func(ep *Endpoint) []Message { return slices.Collect(ep.Deliveries()) }},
+	}
 	for _, g := range deliveryGoldens {
 		t.Run(g.name, func(t *testing.T) {
-			got, stats := goldenSchedule(t, g.cfg)
-			for i := range got {
-				if got[i] != g.nodes[i] {
-					t.Errorf("node %d delivery digest %s, want %s", i, got[i], g.nodes[i])
+			for _, r := range reads {
+				got, stats := goldenSchedule(t, g.cfg, r.read)
+				for i := range got {
+					if got[i] != g.nodes[i] {
+						t.Errorf("%s: node %d delivery digest %s, want %s", r.name, i, got[i], g.nodes[i])
+					}
 				}
-			}
-			if stats != g.stats {
-				t.Errorf("stats %+v, want %+v", stats, g.stats)
+				if stats != g.stats {
+					t.Errorf("%s: stats %+v, want %+v", r.name, stats, g.stats)
+				}
 			}
 		})
 	}

@@ -14,11 +14,11 @@
 // A transmission travels as one envelope: the signed message and the
 // recipients it goes to. A broadcast is one envelope and one signature
 // for its N-1 copies, so a synchronous round of N broadcasts queues N
-// envelopes, not N(N-1) messages; Step fans each envelope out into the
-// recipients' inboxes. (Before GST every copy draws its own delay and is
-// filed as an envelope of its own.) What a node receives, in which round and in which order is
-// the same as if every copy had been queued on its own (see post and
-// Step for the argument), and TestNetworkDeliveryGolden pins it.
+// envelopes, not N(N-1) messages (before GST every copy draws its own
+// delay and is filed alone). A node's inbox is a view over the round's
+// sorted envelopes, not a copy. What a node receives, in which round and
+// in which order is the same as if every copy had been queued on its own
+// (see post and Step), and TestNetworkDeliveryGolden pins it.
 package transport
 
 import (
@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -134,7 +135,7 @@ type Network struct {
 	pubs      []ed25519.PublicKey
 	privs     []ed25519.PrivateKey
 	pending   map[int][]envelope // delivery round -> envelopes
-	inboxes   [][]Message        // per node, messages deliverable this round
+	delivered []envelope         // this round's, sorted, live recipients only
 	firstSent map[equivKey][]byte
 	down      []bool // crashed nodes: their traffic drops in both directions
 	stats     Stats
@@ -161,7 +162,6 @@ func New(cfg Config) (*Network, error) {
 		cfg:       cfg,
 		rng:       rand.New(rand.NewPCG(cfg.Seed, 0x5eed)),
 		pending:   make(map[int][]envelope),
-		inboxes:   make([][]Message, cfg.N),
 		firstSent: make(map[equivKey][]byte),
 		down:      make([]bool, cfg.N),
 	}
@@ -299,9 +299,10 @@ func (n *Network) Verify(m Message) bool {
 
 // An envelope is one transmission: a signed message and the recipients it
 // still has to reach, ascending. A broadcast is one envelope for its N-1
-// copies, not N-1 messages; Step sets each copy's To as it fans the
-// envelope out. The recipient list is read-only once filed: a pre-GST
-// copy's is a window of its transmission's list.
+// copies, not N-1 messages; Deliveries sets each copy's To as it hands
+// the copy over. The recipient list is read-only once filed: a pre-GST
+// copy's is a window of its transmission's list, and Step copies a list
+// before it removes a down recipient from it.
 type envelope struct {
 	msg Message
 	to  []NodeID
@@ -414,15 +415,15 @@ func (n *Network) preGSTDelay(from, to NodeID, round int) int {
 	return 1 + n.rng.IntN(n.cfg.MaxPreGSTDelay+1)
 }
 
-// Step advances the network one round, moving due messages into inboxes.
+// Step advances the network one round and keeps the envelopes due in it,
+// sorted, as the round's deliveries (see Endpoint.Deliveries).
 //
 // Delivery order is deterministic: the due envelopes are sorted stably by
-// (From, Kind) — enqueue order breaks ties — and each is fanned out to its
-// recipients in ascending order. An inbox therefore holds its messages in
-// (From, Kind, enqueue order), which is the (From, To, Kind, enqueue
-// order) a copy-per-recipient network sorted into, since To is fixed
-// within one inbox. Every inbox of the round is a window of one
-// allocation, sized before it is filled.
+// (From, Kind) — enqueue order breaks ties — and a node receives its
+// copies in that order: (From, Kind, enqueue order), which is the (From,
+// To, Kind, enqueue order) a copy-per-recipient network sorted into, since
+// To is fixed within one inbox. A recipient down now loses its copy here,
+// so a SetDown after Step does not change what the round delivers.
 func (n *Network) Step() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -435,34 +436,19 @@ func (n *Network) Step() {
 		}
 		return strings.Compare(a.msg.Kind, b.msg.Kind)
 	})
-	sizes, total := make([]int, n.cfg.N), 0
-	for _, e := range due {
-		for _, r := range e.to {
-			if !n.down[r] {
-				sizes[r]++
-				total++
-			}
+	isDown := func(r NodeID) bool { return n.down[r] }
+	for i := range due {
+		e := &due[i]
+		if slices.ContainsFunc(e.to, isDown) {
+			// In flight when a recipient crashed: dropped on delivery.
+			sent := len(e.to)
+			e.to = slices.DeleteFunc(slices.Clone(e.to), isDown)
+			n.stats.DroppedDown += uint64(sent - len(e.to))
 		}
+		n.stats.MessagesDelivered += uint64(len(e.to))
+		n.stats.BytesDelivered += uint64(len(e.to) * len(e.msg.Payload))
 	}
-	all := make([]Message, total)
-	for i, size := range sizes {
-		// Capped, so a caller appending to its inbox cannot reach the next.
-		n.inboxes[i], all = all[:0:size], all[size:]
-	}
-	for _, e := range due {
-		for _, r := range e.to {
-			if n.down[r] {
-				// In flight when the recipient crashed: dropped on delivery.
-				n.stats.DroppedDown++
-				continue
-			}
-			m := e.msg
-			m.To = r
-			n.inboxes[r] = append(n.inboxes[r], m)
-			n.stats.MessagesDelivered++
-			n.stats.BytesDelivered += uint64(len(m.Payload))
-		}
-	}
+	n.delivered = due
 }
 
 // Inject delivers a raw message envelope (used by adversarial tests to
@@ -540,12 +526,40 @@ func blobBytes(context string, data []byte) []byte {
 	return buf.Bytes()
 }
 
-// Receive returns the messages delivered to this node in the current round.
-// Step builds every round's inboxes afresh and never writes one again, so
-// the caller may keep the slice; every Receive of the round returns the
-// same one, so a caller that rewrites messages in place must copy first.
-func (e *Endpoint) Receive() []Message {
+// Deliveries yields the messages delivered to this node in the round
+// current when it is called, in Step's order, each with To set. It walks
+// the round's envelopes, which Step never rewrites, so endpoints may range
+// over their deliveries concurrently. Every recipient's copy shares one
+// payload and signature: callers must not rewrite those bytes.
+func (e *Endpoint) Deliveries() iter.Seq[Message] {
 	e.net.mu.Lock()
-	defer e.net.mu.Unlock()
-	return e.net.inboxes[e.id]
+	round := e.net.delivered
+	e.net.mu.Unlock()
+	return func(yield func(Message) bool) {
+		for _, env := range round {
+			if _, ok := slices.BinarySearch(env.to, e.id); !ok {
+				continue
+			}
+			m := env.msg
+			m.To = e.id
+			if !yield(m) {
+				return
+			}
+		}
+	}
+}
+
+// Receive returns Deliveries as a fresh slice of exactly their length,
+// which the caller owns (the payload and signature bytes stay shared).
+func (e *Endpoint) Receive() []Message {
+	deliveries := e.Deliveries()
+	count := 0
+	for range deliveries {
+		count++
+	}
+	msgs := make([]Message, 0, count)
+	for m := range deliveries {
+		msgs = append(msgs, m)
+	}
+	return msgs
 }

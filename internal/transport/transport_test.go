@@ -2,6 +2,7 @@ package transport
 
 import (
 	"crypto/ed25519"
+	"slices"
 	"testing"
 )
 
@@ -52,6 +53,11 @@ func TestSynchronousDelivery(t *testing.T) {
 	got := b.Receive()
 	if len(got) != 1 || string(got[0].Payload) != "hello" || got[0].From != 0 || got[0].Kind != "ping" {
 		t.Fatalf("received %+v", got)
+	}
+	// Every Receive returns a slice of its own.
+	got[0].From, got[0].Kind = 2, "rewritten"
+	if again := b.Receive(); len(again) != 1 || again[0].From != 0 || again[0].Kind != "ping" {
+		t.Fatalf("second Receive saw the first one's rewrite: %+v", again)
 	}
 	// Inbox cleared next round.
 	n.Step()
@@ -463,21 +469,38 @@ func TestDownNodeDropsTraffic(t *testing.T) {
 	}
 }
 
+// TestDownNodeDropsInFlightAtDelivery: a broadcast in flight when one of
+// its recipients crashes still reaches the others, and the crashed one
+// loses its copy at Step. What a round delivers is fixed at Step: a
+// SetDown between Step and the read changes neither the deliveries nor
+// the Stats.
 func TestDownNodeDropsInFlightAtDelivery(t *testing.T) {
-	n := newNet(t, Config{N: 2, Seed: 4})
-	a := endpoint(t, n, 0)
-	if err := a.Send(1, "k", []byte("x")); err != nil { // in flight
+	n := newNet(t, Config{N: 3, Seed: 4})
+	if err := endpoint(t, n, 0).Broadcast("k", []byte("x")); err != nil { // in flight
 		t.Fatal(err)
 	}
-	if err := n.SetDown(1, true); err != nil { // recipient crashes
+	if err := n.SetDown(1, true); err != nil { // a recipient crashes
 		t.Fatal(err)
 	}
 	n.Step()
+	want := n.Stats()
+	if want.DroppedDown != 1 || want.MessagesDelivered != 1 {
+		t.Fatalf("stats %+v, want one copy dropped and one delivered", want)
+	}
+	if err := n.SetDown(1, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.SetDown(2, true); err != nil {
+		t.Fatal(err)
+	}
 	if got := endpoint(t, n, 1).Receive(); len(got) != 0 {
 		t.Fatalf("crashed node received %d in-flight messages", len(got))
 	}
-	if st := n.Stats(); st.DroppedDown != 1 {
-		t.Fatalf("DroppedDown = %d, want 1", st.DroppedDown)
+	if got := slices.Collect(endpoint(t, n, 2).Deliveries()); len(got) != 1 || got[0].To != 2 || string(got[0].Payload) != "x" {
+		t.Fatalf("node 2, down only after Step, received %+v", got)
+	}
+	if st := n.Stats(); st != want {
+		t.Fatalf("stats moved after Step: %+v, want %+v", st, want)
 	}
 }
 
