@@ -45,14 +45,17 @@ bench-micro:
 	$(GO) test -bench='BenchmarkTCPTick|BenchmarkNetworkTick' -benchtime=100x -benchmem -run='^$$' ./internal/transport/
 	$(GO) test -bench='BenchmarkBatchCodec' -benchtime=1000x -run='^$$' ./internal/csm/
 
-# CPU profile of one honest simulated round at sim-honest's shape
-# (BenchmarkHonestRound: N=64, K=22, b=21, default fan-out) for
-# PROFILE_TIME, written to bin/round.pprof with its test binary beside it,
-# then printed by cumulative share.
+# CPU profile of one internal/csm benchmark for PROFILE_TIME, written to
+# bin/round.pprof with its test binary beside it, then printed by
+# cumulative share. PROFILE_BENCH picks the benchmark: BenchmarkHonestRound
+# (default; one honest round at sim-honest's shape, N=64, K=22, b=21,
+# default fan-out) or BenchmarkByzantineBatch (one B=8 batch at
+# sim-byz-batched's shape).
 PROFILE_TIME ?= 8s
+PROFILE_BENCH ?= BenchmarkHonestRound
 profile-round:
 	@mkdir -p bin
-	$(GO) test -run='^$$' -bench='^BenchmarkHonestRound$$' -benchtime=$(PROFILE_TIME) \
+	$(GO) test -run='^$$' -bench='^$(PROFILE_BENCH)$$' -benchtime=$(PROFILE_TIME) \
 		-o bin/csm.test -outputdir $(abspath bin) -cpuprofile round.pprof ./internal/csm/
 	$(GO) tool pprof -top -cum bin/csm.test bin/round.pprof
 

@@ -146,6 +146,38 @@ func BenchmarkHonestRound(b *testing.B) {
 	}
 }
 
+// BenchmarkByzantineBatch times one consensus batch at csmload's
+// sim-byz-batched shape: N=64, K=22, b=21, csmload's 21 WrongResult nodes,
+// B=8 rounds per batch, pipeline depth 4, default fan-out. An op is the
+// whole batch: error correction on its first step, the primed decode on
+// the other seven, and the pipelined client stage.
+func BenchmarkByzantineBatch(b *testing.B) {
+	cfg := baseConfig(22, 64, 21)
+	cfg.Byzantine = map[int]Behavior{}
+	for i := 0; len(cfg.Byzantine) < 21; i++ {
+		cfg.Byzantine[(i*5+2)%64] = WrongResult
+	}
+	cfg.BatchSize, cfg.Pipeline = 8, 4
+	c, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wl := RandomWorkload[uint64](gold, 4*cfg.BatchSize, cfg.K, c.tr.CmdLen(), 7)
+	batch := func(i int) {
+		start := (i % 4) * cfg.BatchSize
+		if _, err := c.Run(wl[start : start+cfg.BatchSize]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	batch(0) // the first batch learns the liars and primes every node's decode
+	b.ReportAllocs()
+	i := 1
+	for b.Loop() {
+		batch(i)
+		i++
+	}
+}
+
 // TestDelegatedRoundCountGuard pins the Section 6.2 round at the same
 // shape as TestRoundOpCountGuard: the cluster's counted field operations
 // and lock-step ticks per delegated round, exact on any host, honest and
