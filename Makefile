@@ -37,20 +37,23 @@ bench-load:
 
 # Micro-benchmark smoke run: the coding kernels (encode/decode, field),
 # one TCP link barrier tick on an N=4 loopback mesh, one simulated N=64
-# result exchange, and the batch payload codec every proposal and decision
-# passes through.
+# result exchange, the batch payload codec every proposal and decision
+# passes through, and one sim-byz-batched set-up (a new cluster and its
+# first batch, where every honest node runs the full decoder).
 bench-micro:
 	$(GO) test -bench='BenchmarkLCCEncode|BenchmarkLCCDecode' -benchtime=1x -run='^$$' ./internal/lcc/
 	$(GO) test -bench='BenchmarkFieldKernels' -benchtime=1x -run='^$$' ./internal/field/
 	$(GO) test -bench='BenchmarkTCPTick|BenchmarkNetworkTick' -benchtime=100x -benchmem -run='^$$' ./internal/transport/
 	$(GO) test -bench='BenchmarkBatchCodec' -benchtime=1000x -run='^$$' ./internal/csm/
+	$(GO) test -bench='BenchmarkByzantineSetup' -benchtime=1x -run='^$$' ./internal/csm/
 
 # CPU profile of one internal/csm benchmark for PROFILE_TIME, written to
 # bin/round.pprof with its test binary beside it, then printed by
 # cumulative share. PROFILE_BENCH picks the benchmark: BenchmarkHonestRound
 # (default; one honest round at sim-honest's shape, N=64, K=22, b=21,
-# default fan-out) or BenchmarkByzantineBatch (one B=8 batch at
-# sim-byz-batched's shape).
+# default fan-out), BenchmarkByzantineBatch (one B=8 batch at
+# sim-byz-batched's shape) or BenchmarkByzantineSetup (a new cluster of
+# that shape and its first batch: the first detection's full decodes).
 PROFILE_TIME ?= 8s
 PROFILE_BENCH ?= BenchmarkHonestRound
 profile-round:

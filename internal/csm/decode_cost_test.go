@@ -65,6 +65,27 @@ func TestRoundOpCountGuard(t *testing.T) {
 	}
 }
 
+// TestErasureRoundOpCountGuard pins, exactly, the rounds of
+// TestRoundOpCountGuard's shape in which 3 nodes have crashed and 18 send
+// wrong results: every node decodes the 61 results it received, so its
+// first full decode runs on an rs Subcode — the erasure layout — and not
+// on the full-length code.
+func TestErasureRoundOpCountGuard(t *testing.T) {
+	pinned := []uint64{3_875_801, 684_221, 231_130}
+	cfg := baseConfig(22, 64, 21)
+	cfg.Byzantine = map[int]Behavior{}
+	for i := 0; len(cfg.Byzantine) < 21; i++ {
+		cfg.Byzantine[(i*5+2)%64] = WrongResult
+		if i < 3 {
+			cfg.Byzantine[(i*5+2)%64] = Crashed
+		}
+	}
+	ops := roundOps(t, newCluster(t, cfg), 3)
+	if !slices.Equal(ops, pinned) {
+		t.Errorf("3 Crashed + 18 WrongResult rounds: %v counted field ops, pinned %v", ops, pinned)
+	}
+}
+
 // TestRoundAllocGuard caps the heap allocations of one honest round at
 // TestRoundOpCountGuard's shape, on one worker so the count is the
 // engine's and not the fan-out's, and the heap bytes it allocates on the
@@ -175,6 +196,34 @@ func BenchmarkByzantineBatch(b *testing.B) {
 	for b.Loop() {
 		batch(i)
 		i++
+	}
+}
+
+// BenchmarkByzantineSetup times what csmload's sim-byz-batched setup_s
+// times: a new cluster of BenchmarkByzantineBatch's shape and its first
+// B=8 batch, the one whose first step meets the 21 liars unsuspected and
+// every honest node falls back to the full decoder.
+func BenchmarkByzantineSetup(b *testing.B) {
+	cfg := baseConfig(22, 64, 21)
+	cfg.Byzantine = map[int]Behavior{}
+	for i := 0; len(cfg.Byzantine) < 21; i++ {
+		cfg.Byzantine[(i*5+2)%64] = WrongResult
+	}
+	cfg.BatchSize, cfg.Pipeline = 8, 4
+	tr, err := bankFactory(gold)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wl := RandomWorkload[uint64](gold, cfg.BatchSize, cfg.K, tr.CmdLen(), 7)
+	b.ReportAllocs()
+	for b.Loop() {
+		c, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Run(wl); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
