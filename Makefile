@@ -130,9 +130,9 @@ soak-short:
 
 # Short fuzz runs over the TCP framing and message codec, the WAL record
 # reader, the consensus wire codecs, the batch payload parser, the
-# execution result decoder and the delegated-mode message parsers (CI
-# smoke): the checked-in corpus plus a few seconds of new coverage-guided
-# inputs.
+# execution result decoder, the delegated-mode message parsers and the
+# Gao decoder's dense path against its tree path (CI smoke): the
+# checked-in corpus plus a few seconds of new coverage-guided inputs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalMessage -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/transport/
@@ -141,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseBatchMsg -fuzztime=10s ./internal/csm/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeResult -fuzztime=10s ./internal/csm/
 	$(GO) test -run='^$$' -fuzz=FuzzParseDelegatedMsg -fuzztime=10s ./internal/csm/
+	$(GO) test -run='^$$' -fuzz=FuzzGaoDecode -fuzztime=10s ./internal/rs/
 
 # csmlint: the repo's own analyzer suite (determinism, wire-codec, and
 # crash-safety invariants; see internal/lint/README.md), run through the

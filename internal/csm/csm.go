@@ -385,6 +385,13 @@ func New[E comparable](cfg Config[E]) (*Cluster[E], error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Delegated {
+		// The worker decodes every round on the shared result code: build
+		// it, dense tables and all, as set-up rather than in round 0.
+		if _, err := code.ResultCode(d); err != nil {
+			return nil, err
+		}
+	}
 	net, err := transport.New(transport.Config{
 		N: cfg.N, Mode: cfg.Mode, GST: cfg.GST,
 		NoEquivocation: cfg.NoEquivocation, Seed: cfg.Seed,

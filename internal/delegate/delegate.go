@@ -24,9 +24,9 @@ import (
 
 	"codedsm/internal/field"
 	"codedsm/internal/intermix"
+	"codedsm/internal/ints"
 	"codedsm/internal/lcc"
 	"codedsm/internal/poly"
-	"codedsm/internal/rs"
 )
 
 // CorruptMode selects how a Byzantine delegate misbehaves.
@@ -161,16 +161,17 @@ type DecodeProof[E comparable] struct {
 // quasilinear cost; BW's linear-algebra formulation is cubic, so the worker
 // uses the Gao extended-Euclidean decoder (the quasilinear-capable one);
 // DecodeBW remains available and is compared in the decoder ablation
-// benchmarks.
+// benchmarks. It decodes on the lcc.Code's shared result code, so the RS
+// code is built once per Code, not once per round.
 func (d *Delegation[E]) DecodeWithProof(results [][]E, degree int) (*lcc.DecodeResult[E], *DecodeProof[E], error) {
 	if len(results) != d.code.N() {
 		return nil, nil, fmt.Errorf("delegate: %d results for N=%d", len(results), d.code.N())
 	}
-	dim := d.code.ResultDim(degree)
-	code, err := rs.NewCode(d.ring, d.code.Alphas(), dim)
+	code, err := d.code.ResultCode(degree)
 	if err != nil {
 		return nil, nil, err
 	}
+	dim := code.Dim()
 	comps := len(results[0])
 	proof := &DecodeProof[E]{Dim: dim, Coeffs: make([]poly.Poly[E], comps), Tau: make([][]int, comps)}
 	outputs := make([][]E, d.code.K())
@@ -220,7 +221,7 @@ func (d *Delegation[E]) DecodeWithProof(results [][]E, degree int) (*lcc.DecodeR
 	if d.mode == CorruptOutputs && comps > 0 {
 		outputs[0][0] = d.f.Add(outputs[0][0], d.f.One())
 	}
-	dec := &lcc.DecodeResult[E]{Outputs: outputs, FaultyNodes: sortedKeys(faulty)}
+	dec := &lcc.DecodeResult[E]{Outputs: outputs, FaultyNodes: ints.SortedKeys(faulty)}
 	return dec, proof, nil
 }
 
@@ -286,17 +287,4 @@ func (d *Delegation[E]) VerifyDecodeProof(results [][]E, degree int, proof *Deco
 // command encoding, Section 6.2 "Updating coded states").
 func (d *Delegation[E]) UpdateStates(nextStates [][]E) ([][]E, error) {
 	return d.EncodeCommands(nextStates)
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -263,6 +263,13 @@ func (c *Code[E]) codeForDim(dim int) (*rs.Code[E], error) {
 	return code, nil
 }
 
+// ResultCode returns the Reed-Solomon code over the alphas that a
+// degree-d transition's results form, the full decoder's code: built on
+// first use and shared by every caller of this Code.
+func (c *Code[E]) ResultCode(degree int) (*rs.Code[E], error) {
+	return c.codeForDim(c.ResultDim(degree))
+}
+
 // ResultDim returns the RS dimension of execution results for a transition
 // of total degree d: deg h = d(K-1), so dimension d(K-1)+1.
 func (c *Code[E]) ResultDim(degree int) int {

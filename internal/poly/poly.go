@@ -271,29 +271,30 @@ func (r *Ring[E]) intToField(n int) E {
 }
 
 // PartialEEA runs the extended Euclidean algorithm on (a, b) and stops at
-// the first remainder with degree < stopDeg. It returns (g, u, v) with
-// g = u*a + v*b. This is the core of the Gao Reed-Solomon decoder.
-func (r *Ring[E]) PartialEEA(a, b Poly[E], stopDeg int) (g, u, v Poly[E], err error) {
+// the first remainder with degree < stopDeg. It returns that remainder g
+// and its cofactor v of b: g = u*a + v*b for some u, so a divides g - v*b.
+// The cofactor u of a is never formed — the Gao Reed-Solomon decoder, this
+// function's purpose, reads only g and v (message = g / v), and carrying u
+// would cost a product and a difference per step. If the remainder
+// sequence reaches zero before stopDeg (the gcd has high degree, e.g. when
+// decoding the all-zero codeword), g is that zero remainder.
+func (r *Ring[E]) PartialEEA(a, b Poly[E], stopDeg int) (g, v Poly[E], err error) {
 	r0, r1 := r.Normalize(a), r.Normalize(b)
-	u0, u1 := Poly[E]{r.f.One()}, Poly[E](nil)
 	v0, v1 := Poly[E](nil), Poly[E]{r.f.One()}
 	for len(r0)-1 >= stopDeg {
 		if len(r1) == 0 {
-			// The remainder sequence terminated at zero before reaching
-			// stopDeg (the gcd has high degree — e.g. decoding the all-zero
-			// codeword). The zero remainder with its cofactors is the
-			// correct final element: 0 = u1*a + v1*b.
-			return r1, u1, v1, nil
+			// The zero remainder with its cofactor is the correct final
+			// element: 0 = u1*a + v1*b.
+			return r1, v1, nil
 		}
 		q, rem, derr := r.DivMod(r0, r1)
 		if derr != nil {
-			return nil, nil, nil, derr
+			return nil, nil, derr
 		}
 		r0, r1 = r1, rem
-		u0, u1 = u1, r.Sub(u0, r.Mul(q, u1))
 		v0, v1 = v1, r.Sub(v0, r.Mul(q, v1))
 	}
-	return r0, u0, v0, nil
+	return r0, v0, nil
 }
 
 // Interpolate returns the unique polynomial of degree < len(xs) through the

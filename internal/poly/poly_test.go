@@ -242,23 +242,35 @@ func TestInterpolateDuplicatePoints(t *testing.T) {
 	}
 }
 
+// TestPartialEEA checks the (g, v) contract on a generic pair and on the
+// edge cases: a divides g - v*b, and deg g < stopDeg.
 func TestPartialEEA(t *testing.T) {
 	r := newGoldRing()
 	rng := rand.New(rand.NewPCG(9, 10))
 	a := randPoly(r, rng, 20)
 	b := randPoly(r, rng, 15)
-	g, u, v, err := r.PartialEEA(a, b, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Deg(g) >= 8 && !r.IsZero(b) {
-		// Stop condition: the returned remainder has degree < stopDeg
-		// unless the inputs were already smaller.
-		t.Fatalf("PartialEEA returned degree %d >= 8", r.Deg(g))
-	}
-	lhs := r.Add(r.Mul(u, a), r.Mul(v, b))
-	if !r.Equal(lhs, g) {
-		t.Fatal("u*a + v*b != g")
+	q := randPoly(r, rng, 6)
+	for _, tc := range []struct {
+		name    string
+		a, b    Poly[uint64]
+		stopDeg int
+	}{
+		{"generic", a, b, 8},
+		{"b = 0", a, nil, 8},
+		{"b divides a, stop below deg b", r.Mul(q, b), b, 8},
+		{"b divides a, stop above deg b", r.Mul(q, b), b, 18},
+		{"stopDeg > deg a", a, b, 25},
+	} {
+		g, v, err := r.PartialEEA(tc.a, tc.b, tc.stopDeg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if r.Deg(g) >= tc.stopDeg {
+			t.Errorf("%s: remainder degree %d >= stopDeg %d", tc.name, r.Deg(g), tc.stopDeg)
+		}
+		if _, rem, err := r.DivMod(r.Sub(g, r.Mul(v, tc.b)), tc.a); err != nil || !r.IsZero(rem) {
+			t.Errorf("%s: a does not divide g - v*b (remainder %v, %v)", tc.name, rem, err)
+		}
 	}
 }
 

@@ -130,7 +130,7 @@ func (t *SubproductTree[E]) Interpolate(ys []E) (Poly[E], error) {
 	if t.root == nil {
 		return nil, nil
 	}
-	invs, err := t.interpWeights()
+	invs, err := t.Weights()
 	if err != nil {
 		return nil, err
 	}
@@ -139,10 +139,10 @@ func (t *SubproductTree[E]) Interpolate(ys []E) (Poly[E], error) {
 	return t.combine(t.root, weights), nil
 }
 
-// interpWeights returns (computing on first use) the cached barycentric-style
+// Weights returns (computing on first use) the cached barycentric-style
 // weights 1/m'(x_i), where m'(x_i) = prod_{j != i} (x_i - x_j) is nonzero
-// iff the points are distinct.
-func (t *SubproductTree[E]) interpWeights() ([]E, error) {
+// iff the points are distinct. The slice is shared: do not modify it.
+func (t *SubproductTree[E]) Weights() ([]E, error) {
 	t.weightsOnce.Do(func() {
 		deriv := t.ring.Derivative(t.Master())
 		derivVals, err := t.EvalMany(deriv)
