@@ -45,6 +45,7 @@ const denseMaxLen = 128
 // Code is a Reed-Solomon code of the given dimension over fixed evaluation
 // points: codewords are (p(points[0]), ..., p(points[n-1])) for polynomials
 // p with deg(p) < dim.
+//
 // Up to denseMaxLen points it runs on dense tables, beyond that and as a
 // Subcode on the tree. Tables are built with the code and never written
 // again, so any number of goroutines may decode on one Code.
@@ -140,13 +141,13 @@ func (c *Code[E]) interpolate(word []E) (poly.Poly[E], error) {
 	return c.ring.Normalize(p), nil
 }
 
-// evaluate returns p at every point: one LinCombAccVec over the power
-// table when deg p < dim, or the tree.
+// evaluate returns p, of degree < dim, at every point: one LinCombAccVec
+// over the power table, or the tree.
 func (c *Code[E]) evaluate(p poly.Poly[E]) ([]E, error) {
-	p = c.ring.Normalize(p)
-	if c.pows == nil || len(p) > len(c.pows) {
+	if c.pows == nil {
 		return c.tree.EvalMany(p)
 	}
+	p = c.ring.Normalize(p)
 	out := field.ZeroVec(c.ring.Field(), len(c.points))
 	c.ring.Bulk().LinCombAccVec(out, p, c.pows[:len(p)])
 	return out, nil
