@@ -92,6 +92,25 @@ func TestErasureRoundOpCountGuard(t *testing.T) {
 	}
 }
 
+// TestCrashedBeyondBudgetRoundOpCountGuard pins, exactly, the rounds of
+// TestRoundOpCountGuard's shape in which 22 nodes — one more than b — have
+// crashed and nobody lies: every node decodes the 42 results it received,
+// an erasure layout with 20 rows of slack over the dimension, so a
+// verified-subset check with b spare unsuspected rows cannot be primed on
+// it and every round builds a check of its own.
+func TestCrashedBeyondBudgetRoundOpCountGuard(t *testing.T) {
+	pinned := []uint64{476_532, 476_532, 476_532}
+	cfg := baseConfig(22, 64, 21)
+	cfg.Byzantine = map[int]Behavior{}
+	for i := 0; len(cfg.Byzantine) < 22; i++ {
+		cfg.Byzantine[(i*5+2)%64] = Crashed
+	}
+	ops := roundOps(t, newCluster(t, cfg), 3)
+	if !slices.Equal(ops, pinned) {
+		t.Errorf("22 Crashed rounds: %v counted field ops, pinned %v", ops, pinned)
+	}
+}
+
 // TestRoundAllocGuard caps the heap allocations of one honest round at
 // TestRoundOpCountGuard's shape, on one worker so the count is the
 // engine's and not the fan-out's, and the heap bytes it allocates on the
