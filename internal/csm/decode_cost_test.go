@@ -39,7 +39,9 @@ func roundOps(t *testing.T, c *Cluster[uint64], rounds int) []uint64 {
 // on any host, so every round is pinned: the steady honest round (358 912;
 // round 0 also builds the shared verified-subset check) and the 21-liar
 // round once suspects are learned (242 404; rounds 0 and 1 pay the
-// first detection's full decode and the re-priming). Before the
+// first detection's full decode and the re-priming). Round 0 of the
+// 21-liar run cost 2 114 802 while the full decoder re-ran the refused
+// verified-subset check before Gao. Before the
 // verified-subset check an honest round cost 2.02 M operations (one
 // 64-point interpolation and re-evaluation per node per component). Round
 // 1 of the 21-liar run, where every honest node first meets the liars,
@@ -50,7 +52,7 @@ func roundOps(t *testing.T, c *Cluster[uint64], rounds int) []uint64 {
 // where it is.
 func TestRoundOpCountGuard(t *testing.T) {
 	pinnedHonest := []uint64{369_908, 358_912, 358_912}
-	pinnedByz := []uint64{2_114_802, 715_232, 242_404, 242_404}
+	pinnedByz := []uint64{1_996_466, 715_232, 242_404, 242_404}
 	honest := roundOps(t, newCluster(t, baseConfig(22, 64, 21)), 3)
 	cfg := baseConfig(22, 64, 21)
 	cfg.Byzantine = map[int]Behavior{}
@@ -75,9 +77,11 @@ func TestRoundOpCountGuard(t *testing.T) {
 // on the full-length code. Round 0 cost 3 875 801 before the EEA stopped
 // forming its unused cofactor u (−84 710) and the full-length result code,
 // which this round builds but does not decode on, gained its dense tables
-// (+28 321).
+// (+28 321), and 3 819 412 while the full decoder built and ran the
+// erasure layout's verified-subset check a second time after the primed
+// one had refused.
 func TestErasureRoundOpCountGuard(t *testing.T) {
-	pinned := []uint64{3_819_412, 684_221, 231_130}
+	pinned := []uint64{3_253_532, 684_221, 231_130}
 	cfg := baseConfig(22, 64, 21)
 	cfg.Byzantine = map[int]Behavior{}
 	for i := 0; len(cfg.Byzantine) < 21; i++ {
@@ -95,11 +99,13 @@ func TestErasureRoundOpCountGuard(t *testing.T) {
 // TestCrashedBeyondBudgetRoundOpCountGuard pins, exactly, the rounds of
 // TestRoundOpCountGuard's shape in which 22 nodes — one more than b — have
 // crashed and nobody lies: every node decodes the 42 results it received,
-// an erasure layout with 20 rows of slack over the dimension, so a
-// verified-subset check with b spare unsuspected rows cannot be primed on
-// it and every round builds a check of its own.
+// an erasure layout whose radius is 10 < b. A node primes its check with
+// only as many spare unsuspected rows as that radius, so round 0 builds
+// the check and later rounds reuse it. While priming asked for b spare
+// rows the layout was ineligible and every round cost 476 532: the full
+// decoder built a check of its own each time.
 func TestCrashedBeyondBudgetRoundOpCountGuard(t *testing.T) {
-	pinned := []uint64{476_532, 476_532, 476_532}
+	pinned := []uint64{476_532, 156_072, 156_072}
 	cfg := baseConfig(22, 64, 21)
 	cfg.Byzantine = map[int]Behavior{}
 	for i := 0; len(cfg.Byzantine) < 22; i++ {

@@ -47,7 +47,7 @@ func (c *Cluster[E]) DecodeMachineState(k int) ([]E, error) {
 	}
 	// The coded states encode the K state vectors at degree 1 (the
 	// encoding polynomial u_t itself, not a transition image).
-	dec, err := c.code.DecodeOutputsSubsetParallel(indices, contributions, 1, c.cfg.Parallelism)
+	dec, err := c.code.DecodeOutputsSubset(indices, contributions, 1)
 	if err != nil {
 		return nil, fmt.Errorf("csm: decode machine %d state: %w", k, err)
 	}

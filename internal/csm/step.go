@@ -40,12 +40,13 @@ type stepCore[E comparable] struct {
 	// Primed-decode state: suspects is the sorted union of this node's past
 	// decode verdicts, sticky across steps and batches (see absorbVerdict) —
 	// it only steers which rows the verified-subset check trusts, so it
-	// affects speed, never the result — and primed is the check built for
-	// it, reused while layout and suspicion match. primedIdx/primedSusp
-	// memoize the exact layout NewPrimed last ran for, so an ineligible
-	// layout (primed == nil) is not rebuilt every lock-step tick of a
-	// degraded partially synchronous round, while a genuinely new layout
-	// still gets its priming attempt.
+	// affects speed, never the result — and primed is the check NewPrimed
+	// last built, for the received layout primedIdx and the suspects
+	// primedSusp. That pair is the cache key: primed (nil when the layout
+	// was ineligible) is reused while both match, so an ineligible layout
+	// is not re-tried every lock-step tick of a degraded partially
+	// synchronous round, while a genuinely new layout still gets its
+	// priming attempt.
 	suspects   []int
 	primed     *lcc.Primed[E]
 	primedIdx  []int
@@ -166,11 +167,12 @@ func (s *stepCore[E]) ingest(msgs iter.Seq[transport.Message], round int, tag [3
 }
 
 // absorb decodes the step from whatever was received (absent senders are
-// erasures) and moves the node to the next coded state. The decode first
-// tries the node's primed verified-subset check (trusted rows chosen
-// clear of the sticky suspects); the full noisy-interpolation decoder
-// remains the fallback and the authority on anything the check cannot
-// certify. A decode that succeeds has corrected every in-budget corrupted
+// erasures) and moves the node to the next coded state. The decode is a
+// two-rung ladder: the node's primed verified-subset check (trusted rows
+// chosen clear of the sticky suspects), then, only when that refuses or
+// the layout is ineligible, the full noisy-interpolation decoder —
+// DecodeOutputsSubset, which does not repeat the check — the authority on
+// anything the check cannot certify. A decode that succeeds has corrected every in-budget corrupted
 // result; the senders it caught are in the returned faulty set.
 func (s *stepCore[E]) absorb() (*nodeDecode[E], error) {
 	indices, results := s.idxScratch[:0], s.resScratch[:0]
@@ -181,25 +183,21 @@ func (s *stepCore[E]) absorb() (*nodeDecode[E], error) {
 		}
 	}
 	s.idxScratch, s.resScratch = indices, results
-	var primed *lcc.Primed[E]
-	switch {
-	case s.primed != nil && s.primed.Matches(indices, s.suspects):
-		primed = s.primed
-	case !slices.Equal(s.primedIdx, indices) || !slices.Equal(s.primedSusp, s.suspects):
-		p, err := s.code.NewPrimed(indices, s.suspects, s.tr.Degree(), s.maxFaults)
+	if !slices.Equal(s.primedIdx, indices) || !slices.Equal(s.primedSusp, s.suspects) {
+		// More fresh liars than the received rows' radius are undecodable
+		// anyway, so the spare unsuspected rows asked for never exceed it.
+		spare := min(s.maxFaults, (len(indices)-s.code.ResultDim(s.tr.Degree()))/2)
+		p, err := s.code.NewPrimed(indices, s.suspects, s.tr.Degree(), spare)
 		if err != nil {
 			return nil, fmt.Errorf("csm: node %d priming decode: %w", s.id, err)
 		}
 		s.primed = p // may be nil: layout ineligible for the fast path
 		s.primedIdx = append(s.primedIdx[:0], indices...)
 		s.primedSusp = append(s.primedSusp[:0], s.suspects...)
-		primed = p
-	default:
-		// This exact layout was already found ineligible: skip.
 	}
 	var dec *lcc.DecodeResult[E]
-	if primed != nil {
-		fast, ok, err := primed.Decode(results, 1)
+	if s.primed != nil {
+		fast, ok, err := s.primed.Decode(results, 1)
 		if err != nil {
 			return nil, fmt.Errorf("csm: node %d primed decode: %w", s.id, err)
 		}

@@ -78,8 +78,9 @@ func BenchmarkLCCDecode(b *testing.B) {
 }
 
 // BenchmarkLCCDecodeHonest is the steady-state decode of an execution
-// step — every row clean, the verified-subset check certifies — at the
-// csmload sim-honest shape, bare and over the counting decorator.
+// step — every row clean, the primed verified-subset check certifies — at
+// the csmload sim-honest shape, bare and over the counting decorator.
+// BenchmarkLCCDecode times the full decoder that backs it.
 func BenchmarkLCCDecodeHonest(b *testing.B) {
 	const k, n, l, degree = 22, 64, 2, 1
 	for _, counted := range []bool{false, true} {
@@ -96,11 +97,15 @@ func BenchmarkLCCDecodeHonest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			primed, err := code.NewPrimed(nil, nil, degree, SyncMaxFaults(n, k, degree))
+			if err != nil || primed == nil {
+				b.Fatalf("priming failed: %v", err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := code.DecodeOutputs(results, degree); err != nil {
-					b.Fatal(err)
+				if _, ok, err := primed.Decode(results, 1); err != nil || !ok {
+					b.Fatalf("ok=%v err=%v", ok, err)
 				}
 			}
 		})

@@ -100,7 +100,7 @@ func TestEncodeDecodeBulkMatchesGeneric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decG, err := generic.DecodeOutputsParallel(results, degree, 3)
+	decG, err := generic.DecodeOutputs(results, degree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestEncodeDecodeBulkMatchesGeneric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subG, err := generic.DecodeOutputsSubsetParallel(indices, sub, degree, 2)
+	subG, err := generic.DecodeOutputsSubset(indices, sub, degree)
 	if err != nil {
 		t.Fatal(err)
 	}

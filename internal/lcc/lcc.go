@@ -12,14 +12,20 @@
 // coefficients, X̃_i = v_t(α_i), computes g_i = f(S̃_i, X̃_i) = h(α_i) with
 // h = f(u_t(z), v_t(z)) of degree ≤ d(K-1), and the N results (≤ b wrong)
 // are Reed-Solomon decoded to recover every machine's transition.
+//
+// A step's decode is a two-rung ladder. Primed (primed.go) is the
+// verified-subset check, which certifies a step from dim trusted rows in
+// two bulk kernel calls per component; the DecodeOutputs* entries are the
+// noisy-interpolation decoder a caller runs when the check refuses, and
+// nothing else.
 package lcc
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"codedsm/internal/field"
-	"codedsm/internal/ints"
 	"codedsm/internal/poly"
 	"codedsm/internal/pool"
 	"codedsm/internal/rs"
@@ -96,38 +102,69 @@ func NewWithPoints[E comparable](ring *poly.Ring[E], omegas, alphas []E) (*Code[
 }
 
 // buildCoeffs computes c_ik = prod_{l != k} (α_i - ω_l) / (ω_k - ω_l)
-// (equation (7)).
+// (equation (7)): row i is the omegas' Lagrange basis evaluated at α_i.
 func (c *Code[E]) buildCoeffs() error {
 	k, n := len(c.omegas), len(c.alphas)
-	// denom_k = prod_{l != k} (ω_k - ω_l) = m'(ω_k) where m = prod (z-ω_l).
-	deriv := c.ring.Derivative(c.omegaTree.Master())
-	denoms, err := c.omegaTree.EvalMany(deriv)
+	cols, err := c.lagrangeCols(c.omegas, c.alphas)
 	if err != nil {
-		return err
+		return fmt.Errorf("lcc: coefficient matrix: %w", err)
 	}
-	denomInvs, err := field.BatchInv(c.f, denoms)
-	if err != nil {
-		return fmt.Errorf("lcc: duplicate omegas: %w", err)
-	}
-	// master(α_i) and (α_i - ω_k) give numer_ik = master(α_i)/(α_i - ω_k).
-	masterAtAlphas, err := c.alphaTree.EvalMany(c.omegaTree.Master())
-	if err != nil {
-		return err
-	}
+	flat := make([]E, n*k)
 	c.coeffs = make([][]E, n)
-	diffs := make([]E, k)
-	diffInvs := make([]E, k)
-	for i := 0; i < n; i++ {
-		row := make([]E, k)
-		c.bulk.ScalarSubVec(diffs, c.alphas[i], c.omegas)
-		if err := c.bulk.BatchInvInto(diffInvs, diffs); err != nil {
-			return fmt.Errorf("lcc: alpha equals omega: %w", err)
+	for i := range c.coeffs {
+		row := flat[i*k : (i+1)*k : (i+1)*k]
+		for m, col := range cols {
+			row[m] = col[i]
 		}
-		c.bulk.ScaleVec(row, masterAtAlphas[i], diffInvs)
-		c.bulk.MulVec(row, row, denomInvs)
 		c.coeffs[i] = row
 	}
 	return nil
+}
+
+// lagrangeCols returns cols[t][i] = ℓ_t(zs[i]), the Lagrange basis
+// polynomial of the points xs for xs[t] evaluated at zs[i]:
+// ℓ_t(z) = M(z) / ((z - x_t)·w_t) with M(z) = Π_m (z - x_m) and
+// w_t = Π_{m≠t} (x_t - x_m). It fails with the inversion's error when
+// two xs coincide or some zs[i] equals some xs[t].
+func (c *Code[E]) lagrangeCols(xs, zs []E) ([][]E, error) {
+	dim, z := len(xs), len(zs)
+	diffs := make([]E, dim*z)
+	master := make([]E, z)
+	weights := make([]E, dim)
+	xdiff := make([]E, dim)
+	for t := 0; t < dim; t++ {
+		row := diffs[t*z : (t+1)*z]
+		c.bulk.SubScalarVec(row, zs, xs[t])
+		if t == 0 {
+			copy(master, row)
+		} else {
+			c.bulk.MulVec(master, master, row)
+		}
+		c.bulk.ScalarSubVec(xdiff, xs[t], xs)
+		w := c.f.One()
+		for m, d := range xdiff {
+			if m != t {
+				w = c.f.Mul(w, d)
+			}
+		}
+		weights[t] = w
+	}
+	flat := make([]E, dim*z)
+	weightInvs := make([]E, dim)
+	if err := c.bulk.BatchInvInto(flat, diffs); err != nil {
+		return nil, err
+	}
+	if err := c.bulk.BatchInvInto(weightInvs, weights); err != nil {
+		return nil, err
+	}
+	cols := make([][]E, dim)
+	for t := range cols {
+		col := flat[t*z : (t+1)*z : (t+1)*z]
+		c.bulk.MulVec(col, col, master)
+		c.bulk.ScaleVec(col, weightInvs[t], col)
+		cols[t] = col
+	}
+	return cols, nil
 }
 
 // K returns the number of state machines.
@@ -291,17 +328,11 @@ type DecodeResult[E comparable] struct {
 // DecodeOutputs recovers the K machines' result vectors from the N nodes'
 // coded results (each a vector of length L), tolerating up to
 // (N - d(K-1) - 1)/2 corrupted nodes, where degree is the transition's
-// total degree d.
+// total degree d. It is the noisy-interpolation decoder and nothing else:
+// the verified-subset check that makes an honest step cheap is lcc.Primed,
+// which a caller tries first.
 func (c *Code[E]) DecodeOutputs(results [][]E, degree int) (*DecodeResult[E], error) {
-	return c.decode(results, nil, degree, 1)
-}
-
-// DecodeOutputsParallel is DecodeOutputs with the L independent
-// vector-component decodes — each a Reed-Solomon error-locator solve —
-// fanned across at most workers goroutines (workers <= 0 selects
-// runtime.GOMAXPROCS). The result is identical to DecodeOutputs.
-func (c *Code[E]) DecodeOutputsParallel(results [][]E, degree, workers int) (*DecodeResult[E], error) {
-	return c.decode(results, nil, degree, workers)
+	return c.decode(nil, results, c.ResultDim(degree), c.omegas)
 }
 
 // DecodeOutputsSubset decodes from a subset of nodes (partially synchronous
@@ -311,16 +342,7 @@ func (c *Code[E]) DecodeOutputsSubset(indices []int, results [][]E, degree int) 
 	if indices == nil {
 		return nil, fmt.Errorf("lcc: nil subset indices")
 	}
-	return c.decode(results, indices, degree, 1)
-}
-
-// DecodeOutputsSubsetParallel is DecodeOutputsSubset with the component
-// decodes fanned across at most workers goroutines.
-func (c *Code[E]) DecodeOutputsSubsetParallel(indices []int, results [][]E, degree, workers int) (*DecodeResult[E], error) {
-	if indices == nil {
-		return nil, fmt.Errorf("lcc: nil subset indices")
-	}
-	return c.decode(results, indices, degree, workers)
+	return c.decode(indices, results, c.ResultDim(degree), c.omegas)
 }
 
 // RepairShare reconstructs node i's coded share directly from a subset of
@@ -346,40 +368,70 @@ func (c *Code[E]) RepairShare(indices []int, shares [][]E, node int) ([]E, []int
 	if len(indices) == 0 {
 		return nil, nil, fmt.Errorf("lcc: no repair contributors")
 	}
-	rows := len(indices)
-	l, err := c.vectorLen(shares, rows)
+	res, err := c.decode(indices, shares, len(c.omegas), c.alphas[node:node+1])
 	if err != nil {
 		return nil, nil, err
 	}
-	code, err := c.codeForDim(len(c.omegas))
-	if err != nil {
-		return nil, nil, err
+	return res.Outputs[0], res.FaultyNodes, nil
+}
+
+// decode is the one noisy-interpolation loop under DecodeOutputs* and
+// RepairShare. The received rows (indices names each row's node; nil: all
+// N in order) are, per vector component, a word of the dimension-dim
+// Reed-Solomon code over their alphas; each is Gao-decoded (rs.Code.Decode)
+// and its message evaluated at the points at, so Outputs[p][j] is
+// component j's value at at[p]. FaultyNodes is the ascending union, in
+// node index space, of the rows any component corrected.
+func (c *Code[E]) decode(indices []int, results [][]E, dim int, at []E) (*DecodeResult[E], error) {
+	n := len(c.alphas)
+	rows := n
+	if indices != nil {
+		rows = len(indices)
 	}
-	target := code
-	if !isFullSet(indices, n) {
-		if target, err = code.Subcode(indices); err != nil {
-			return nil, nil, err
+	l, err := c.vectorLen(results, rows)
+	if err != nil {
+		return nil, err
+	}
+	target, err := c.codeForDim(dim)
+	if err != nil {
+		return nil, err
+	}
+	if isFullSet(indices, n) {
+		indices = nil
+	} else if indices != nil {
+		if target, err = target.Subcode(indices); err != nil {
+			return nil, err
 		}
 	}
-	repaired := make([]E, l)
-	colMajor := transposeColMajor(shares, rows, l, nil)
-	faultyByComponent := make([][]int, l)
-	at := c.alphas[node]
+	colMajor := transposeColMajor(results, rows, l, nil)
+	out := flatOutputs[E](len(at), l)
+	vals := make([]E, len(at))
+	corrected := make([]bool, rows)
 	for j := 0; j < l; j++ {
-		res, derr := target.Decode(colMajor[j*rows : (j+1)*rows])
-		if derr != nil {
-			return nil, nil, fmt.Errorf("lcc: repair component %d: %w", j, derr)
+		res, err := target.Decode(colMajor[j*rows : (j+1)*rows])
+		if err != nil {
+			return nil, fmt.Errorf("lcc: component %d: %w", j, err)
 		}
-		repaired[j] = c.ring.Eval(res.Message, at)
-		if len(res.ErrorsAt) > 0 {
-			mapped := make([]int, len(res.ErrorsAt))
-			for i, e := range res.ErrorsAt {
-				mapped[i] = indices[e]
-			}
-			faultyByComponent[j] = mapped
+		c.ring.EvalManyInto(vals, res.Message, at)
+		for p, v := range vals {
+			out[p][j] = v
+		}
+		for _, e := range res.ErrorsAt {
+			corrected[e] = true
 		}
 	}
-	return repaired, mergeFaulty(faultyByComponent), nil
+	faulty := []int{}
+	for r, bad := range corrected {
+		switch {
+		case !bad:
+		case indices != nil:
+			faulty = append(faulty, indices[r])
+		default:
+			faulty = append(faulty, r)
+		}
+	}
+	slices.Sort(faulty) // a caller's indices need not be ascending
+	return &DecodeResult[E]{Outputs: out, FaultyNodes: faulty}, nil
 }
 
 // isFullSet reports whether indices is exactly 0..n-1, i.e. the "subset"
@@ -396,8 +448,8 @@ func isFullSet(indices []int, n int) bool {
 	return true
 }
 
-// flatOutputs allocates the K result vectors of length l over one flat
-// backing array (full slice expressions: append never bleeds across rows).
+// flatOutputs allocates k vectors of length l over one flat backing array
+// (full slice expressions: append never bleeds across rows).
 func flatOutputs[E comparable](k, l int) [][]E {
 	flat := make([]E, k*l)
 	outputs := make([][]E, k)
@@ -420,113 +472,6 @@ func transposeColMajor[E comparable](results [][]E, rows, l int, dst []E) []E {
 		}
 	}
 	return dst
-}
-
-// mergeFaulty unions per-component error positions into one sorted set.
-func mergeFaulty(faultyByComponent [][]int) []int {
-	faulty := make(map[int]bool)
-	for _, errsAt := range faultyByComponent {
-		for _, e := range errsAt {
-			faulty[e] = true
-		}
-	}
-	return ints.SortedKeys(faulty)
-}
-
-// decode is every DecodeOutputs* entry point. The verified-subset check
-// (no suspects: the first dim rows are trusted) runs first; whatever it
-// cannot certify falls through to the noisy-interpolation decoder
-// unchanged, so results and errors are those of the full decoder alone.
-func (c *Code[E]) decode(results [][]E, indices []int, degree, workers int) (*DecodeResult[E], error) {
-	n := len(c.alphas)
-	rows := n
-	if indices != nil {
-		rows = len(indices)
-	}
-	l, err := c.vectorLen(results, rows)
-	if err != nil {
-		return nil, err
-	}
-	if isFullSet(indices, n) {
-		indices = nil
-	}
-	dim := c.ResultDim(degree)
-	colMajor := transposeColMajor(results, rows, l, nil)
-	// An out-of-range or repeated index is the full decoder's to report.
-	if indices == nil || validSubset(indices, n) {
-		check, err := c.checkFor(indices, rows, dim, nil, 0)
-		if err != nil {
-			return nil, err
-		}
-		if check != nil {
-			if res, ok := check.verify(c, colMajor, l, workers, &checkScratch[E]{}); ok {
-				return res, nil
-			}
-		}
-	}
-	code, err := c.codeForDim(dim)
-	if err != nil {
-		return nil, err
-	}
-	// Resolve the decoding code once, not per component: either the full
-	// code (indices nil or the complete 0..N-1 set) or one shared subcode.
-	target := code
-	if indices != nil {
-		if target, err = code.Subcode(indices); err != nil {
-			return nil, err
-		}
-	}
-	k := len(c.omegas)
-	outputs := flatOutputs[E](k, l)
-	// Components are independent codewords; decode them concurrently and
-	// merge the per-component faulty sets afterwards in component order.
-	// Each worker owns one reusable evaluation scratch buffer.
-	faultyByComponent := make([][]int, l)
-	evalScratch := make([][]E, pool.Clamp(workers, l))
-	err = pool.RunIndexed(workers, l, func(worker, j int) error {
-		word := colMajor[j*rows : (j+1)*rows]
-		res, derr := target.Decode(word)
-		if derr != nil {
-			return fmt.Errorf("lcc: component %d: %w", j, derr)
-		}
-		if evalScratch[worker] == nil {
-			evalScratch[worker] = make([]E, k)
-		}
-		vals := evalScratch[worker]
-		c.ring.EvalManyInto(vals, res.Message, c.omegas)
-		for ki := 0; ki < k; ki++ {
-			outputs[ki][j] = vals[ki]
-		}
-		if len(res.ErrorsAt) > 0 {
-			if indices != nil {
-				mapped := make([]int, len(res.ErrorsAt))
-				for i, e := range res.ErrorsAt {
-					mapped[i] = indices[e]
-				}
-				faultyByComponent[j] = mapped
-			} else {
-				faultyByComponent[j] = res.ErrorsAt
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &DecodeResult[E]{Outputs: outputs, FaultyNodes: mergeFaulty(faultyByComponent)}, nil
-}
-
-// validSubset reports whether indices are pairwise distinct node indices
-// in [0, n).
-func validSubset(indices []int, n int) bool {
-	seen := make([]bool, n)
-	for _, idx := range indices {
-		if idx < 0 || idx >= n || seen[idx] {
-			return false
-		}
-		seen[idx] = true
-	}
-	return true
 }
 
 // SyncMaxMachines returns the largest K supported by N nodes with b faults

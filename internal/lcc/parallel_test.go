@@ -79,29 +79,36 @@ func TestEncodeVectorsParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestDecodeOutputsParallelMatchesSequential(t *testing.T) {
+// TestPrimedDecodeParallelMatchesFullDecode: the primed decode is the one
+// decode that fans its components across workers; at every worker count
+// it must return exactly the full decoder's result.
+func TestPrimedDecodeParallelMatchesFullDecode(t *testing.T) {
 	const k, n, d = 4, 31, 2
 	faults := SyncMaxFaults(n, k, d)
 	code, results := buildRound(t, k, n, d, faults)
-	seq, err := code.DecodeOutputs(results, d)
+	full, err := code.DecodeOutputs(results, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq.FaultyNodes) != faults {
-		t.Fatalf("detected %d faulty nodes, injected %d", len(seq.FaultyNodes), faults)
+	if len(full.FaultyNodes) != faults {
+		t.Fatalf("detected %d faulty nodes, injected %d", len(full.FaultyNodes), faults)
 	}
-	for _, workers := range []int{2, 8} {
-		par, err := code.DecodeOutputsParallel(results, d, workers)
-		if err != nil {
-			t.Fatal(err)
+	primed, err := code.NewPrimed(nil, full.FaultyNodes, d, faults)
+	if err != nil || primed == nil {
+		t.Fatalf("priming failed: %v", err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got, ok, err := primed.Decode(results, workers)
+		if err != nil || !ok {
+			t.Fatalf("workers=%d: ok=%v err=%v", workers, ok, err)
 		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("workers=%d: parallel decode diverged", workers)
+		if !reflect.DeepEqual(full, got) {
+			t.Fatalf("workers=%d: primed decode diverged from the full decode", workers)
 		}
 	}
 }
 
-func TestDecodeOutputsSubsetParallelMatchesSequential(t *testing.T) {
+func TestDecodeOutputsSubsetFullIndexMatchesPlain(t *testing.T) {
 	const k, n, d = 3, 24, 1
 	code, results := buildRound(t, k, n, d, 2)
 	// Proper subset: drop the last 4 nodes.
@@ -111,18 +118,14 @@ func TestDecodeOutputsSubsetParallelMatchesSequential(t *testing.T) {
 		indices[i] = i
 		sub[i] = results[i]
 	}
-	seq, err := code.DecodeOutputsSubset(indices, sub, d)
+	dec, err := code.DecodeOutputsSubset(indices, sub, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := code.DecodeOutputsSubsetParallel(indices, sub, d, 8)
-	if err != nil {
-		t.Fatal(err)
+	if len(dec.FaultyNodes) != 2 {
+		t.Fatalf("subset decode located %v, injected 2 faults", dec.FaultyNodes)
 	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("subset parallel decode diverged")
-	}
-	// Full-index "subset" must agree with the plain decode (fast path).
+	// Full-index "subset" must agree with the plain decode.
 	full := make([]int, n)
 	for i := range full {
 		full[i] = i
@@ -131,14 +134,14 @@ func TestDecodeOutputsSubsetParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asSubset, err := code.DecodeOutputsSubsetParallel(full, results, d, 4)
+	asSubset, err := code.DecodeOutputsSubset(full, results, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(whole, asSubset) {
 		t.Fatal("full-index subset decode diverged from plain decode")
 	}
-	if _, err := code.DecodeOutputsSubsetParallel(nil, results, d, 4); err == nil {
+	if _, err := code.DecodeOutputsSubset(nil, results, d); err == nil {
 		t.Fatal("nil indices must fail")
 	}
 }
@@ -172,7 +175,9 @@ func TestConcurrentDecodesShareOneCode(t *testing.T) {
 	}
 }
 
-func BenchmarkDecodeOutputsParallel(b *testing.B) {
+// BenchmarkPrimedDecodeParallel times the primed decode's component
+// fan-out on wide vectors, the suspects being the corrupted nodes.
+func BenchmarkPrimedDecodeParallel(b *testing.B) {
 	const k, n, d = 8, 64, 1
 	gold := field.NewGoldilocks()
 	ring := poly.NewRing[uint64](gold)
@@ -192,15 +197,22 @@ func BenchmarkDecodeOutputsParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < SyncMaxFaults(n, k, 1); i++ {
-		results[(i*3+2)%n][i%l]++
+	faults := SyncMaxFaults(n, k, d)
+	suspects := make([]int, faults)
+	for i := range suspects {
+		suspects[i] = (i*3 + 2) % n
+		results[suspects[i]][i%l]++
 	}
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			primed, err := code.NewPrimed(nil, suspects, d, faults)
+			if err != nil || primed == nil {
+				b.Fatalf("priming failed: %v", err)
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := code.DecodeOutputsParallel(results, 1, workers); err != nil {
-					b.Fatal(err)
+				if _, ok, err := primed.Decode(results, workers); err != nil || !ok {
+					b.Fatalf("ok=%v err=%v", ok, err)
 				}
 			}
 		})

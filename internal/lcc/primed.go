@@ -9,7 +9,9 @@ import (
 )
 
 // The verified-subset check is the steady-state decode of every execution
-// step. The evaluation points are fixed, so for one received-row layout
+// step, and Primed is its only entry: the DecodeOutputs* entries are the
+// full decoder alone, which a caller runs when Primed.Decode refuses, so a
+// word is certified or refused once. The evaluation points are fixed, so for one received-row layout
 // and one choice of exactly dim = d(K-1)+1 "trusted" rows, the values of
 // the degree-< dim polynomial through the trusted rows at every other
 // received row and at the K omegas are a constant matrix times the trusted
@@ -56,12 +58,12 @@ type checkScratch[E comparable] struct {
 	bad   []bool
 }
 
-// checkFor returns the verified-subset check for a received-row layout
-// (indices nil: the full node set) that trusts the first dim rows whose
-// node is not in suspects (sorted ascending), or nil when fewer than
+// checkFor returns NewPrimed's verified-subset check for a received-row
+// layout (indices nil: the full node set) that trusts the first dim rows
+// whose node is not in suspects (sorted ascending), or nil when fewer than
 // dim+spare rows are unsuspected. The one check every honest round needs —
 // full layout, rows 0..dim-1 trusted — is built once per dimension and
-// shared by all nodes decoding against this Code. Any other check is built
+// shared by every Primed built against this Code. Any other check is built
 // for the caller alone: an evicting shared cache would make the number of
 // builds, and with it the counted field operations of a seeded run, depend
 // on worker scheduling.
@@ -100,46 +102,17 @@ func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare i
 			return chk, nil
 		}
 	}
-	// ℓ_t(z) = M(z) / ((z - x_t)·w_t) with M(z) = Π_m (z - x_m) over the
-	// trusted points x and w_t = Π_{m≠t} (x_t - x_m).
-	k := len(c.omegas)
 	xs := make([]E, dim)
 	for t, r := range trusted {
 		xs[t] = c.alphas[nodeOf(r)]
 	}
-	z := len(rest) + k
-	zs := make([]E, 0, z)
+	zs := make([]E, 0, len(rest)+len(c.omegas))
 	for _, r := range rest {
 		zs = append(zs, c.alphas[nodeOf(r)])
 	}
 	zs = append(zs, c.omegas...)
-	diffs := make([]E, dim*z)
-	master := make([]E, z)
-	weights := make([]E, dim)
-	xdiff := make([]E, dim)
-	for t := 0; t < dim; t++ {
-		row := diffs[t*z : (t+1)*z]
-		c.bulk.SubScalarVec(row, zs, xs[t])
-		if t == 0 {
-			copy(master, row)
-		} else {
-			c.bulk.MulVec(master, master, row)
-		}
-		c.bulk.ScalarSubVec(xdiff, xs[t], xs)
-		w := c.f.One()
-		for m, d := range xdiff {
-			if m != t {
-				w = c.f.Mul(w, d)
-			}
-		}
-		weights[t] = w
-	}
-	flat := make([]E, dim*z)
-	weightInvs := make([]E, dim)
-	if err := c.bulk.BatchInvInto(flat, diffs); err != nil {
-		return nil, fmt.Errorf("lcc: verified-subset check: repeated row index: %w", err)
-	}
-	if err := c.bulk.BatchInvInto(weightInvs, weights); err != nil {
+	cols, err := c.lagrangeCols(xs, zs)
+	if err != nil {
 		return nil, fmt.Errorf("lcc: verified-subset check: repeated row index: %w", err)
 	}
 	chk := &subsetCheck[E]{
@@ -148,13 +121,7 @@ func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare i
 		trusted: trusted,
 		rest:    rest,
 		radius:  (rows - dim) / 2,
-		cols:    make([][]E, dim),
-	}
-	for t := range chk.cols {
-		col := flat[t*z : (t+1)*z : (t+1)*z]
-		c.bulk.MulVec(col, col, master)
-		c.bulk.ScaleVec(col, weightInvs[t], col)
-		chk.cols[t] = col
+		cols:    cols,
 	}
 	if shared {
 		c.checksByDim[dim] = chk
@@ -236,9 +203,8 @@ func (s *subsetCheck[E]) verify(c *Code[E], colMajor []E, l, workers int, sc *ch
 // (Section 5.2's decoder runs once; later steps reuse its verdict) — and
 // never enters the soundness argument (see subsetCheck).
 type Primed[E comparable] struct {
-	code     *Code[E]
-	suspects []int // sorted
-	check    *subsetCheck[E]
+	code  *Code[E]
+	check *subsetCheck[E]
 
 	colScratch []E // column-major transpose, reused across Decode calls
 	scratch    checkScratch[E]
@@ -266,28 +232,7 @@ func (c *Code[E]) NewPrimed(indices, suspects []int, degree, maxFaults int) (*Pr
 	if err != nil || check == nil {
 		return nil, err
 	}
-	return &Primed[E]{code: c, suspects: suspects, check: check}, nil
-}
-
-// Matches reports whether this primed decoder was built for exactly the
-// given received-row layout and suspect set (both as NewPrimed received
-// them; suspects in any order).
-func (p *Primed[E]) Matches(indices, suspects []int) bool {
-	if indices != nil && isFullSet(indices, len(p.code.alphas)) {
-		indices = nil
-	}
-	if !slices.Equal(p.check.indices, indices) {
-		return false
-	}
-	if len(suspects) != len(p.suspects) {
-		return false
-	}
-	s := suspects
-	if !slices.IsSorted(s) { // the steady-state caller passes sorted sets
-		s = slices.Clone(s)
-		slices.Sort(s)
-	}
-	return slices.Equal(s, p.suspects)
+	return &Primed[E]{code: c, check: check}, nil
 }
 
 // Decode attempts the verified-subset check on a received results matrix
