@@ -130,8 +130,9 @@ soak-short:
 
 # Short fuzz runs over the TCP framing and message codec, the WAL record
 # reader, the consensus wire codecs, the batch payload parser, the
-# execution result decoder, the delegated-mode message parsers and the
-# Gao decoder's dense path against its tree path (CI smoke): the
+# execution result decoder, the delegated-mode message parsers, the
+# Gao decoder's dense path against its tree path and the primed
+# verified-subset check against the full decoder (CI smoke): the
 # checked-in corpus plus a few seconds of new coverage-guided inputs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalMessage -fuzztime=10s ./internal/transport/
@@ -142,6 +143,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeResult -fuzztime=10s ./internal/csm/
 	$(GO) test -run='^$$' -fuzz=FuzzParseDelegatedMsg -fuzztime=10s ./internal/csm/
 	$(GO) test -run='^$$' -fuzz=FuzzGaoDecode -fuzztime=10s ./internal/rs/
+	$(GO) test -run='^$$' -fuzz=FuzzPrimedDecode -fuzztime=10s ./internal/lcc/
 
 # csmlint: the repo's own analyzer suite (determinism, wire-codec, and
 # crash-safety invariants; see internal/lint/README.md), run through the

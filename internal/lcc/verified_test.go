@@ -206,17 +206,24 @@ type decodeCase struct {
 	indices []int // nil: every row
 	results [][]uint64
 	errors  int
+	// suspects and spare prime the verified-subset check of the Primed leg.
+	suspects []int
+	spare    int
 }
 
 func (c decodeCase) String() string {
-	return fmt.Sprintf("field=%d K=%d N=%d d=%d indices=%v errors=%d results=%v", c.field, c.k, c.n, c.d, c.indices, c.errors, c.results)
+	return fmt.Sprintf("field=%d K=%d N=%d d=%d indices=%v errors=%d suspects=%v spare=%d results=%v",
+		c.field, c.k, c.n, c.d, c.indices, c.errors, c.suspects, c.spare, c.results)
 }
 
-// TestQuickDecodeMatchesGaoOnly is the differential: Code.decode — check
-// first, full decoder behind it — against the Gao-only reference on words
-// with 0..radius+2 errors, full and erasure layouts (some with fewer rows
-// than the dimension), degree 1 and 2, native and adapted bulk kernels.
-// Outputs, FaultyNodes and error-ness must be identical on every word.
+// TestQuickDecodeMatchesGaoOnly is the differential against the Gao-only
+// reference on words with 0..radius+2 errors, full and erasure layouts
+// (some with fewer rows than the dimension), degree 1 and 2, native and
+// adapted bulk kernels. The DecodeOutputs* entries must match it exactly
+// in outputs, FaultyNodes and error-ness on every word. A Primed built for
+// the word's layout with a random suspect set and spare must, whenever it
+// certifies, return exactly the reference's decode, and must never certify
+// a word the reference rejects.
 func TestQuickDecodeMatchesGaoOnly(t *testing.T) {
 	gf, err := field.NewGF2m(8)
 	if err != nil {
@@ -258,6 +265,8 @@ func TestQuickDecodeMatchesGaoOnly(t *testing.T) {
 		for _, row := range r.Perm(rows)[:c.errors] {
 			lie(f, r, c.results[row], int(r.Uint64N(uint64(len(c.results[row])))))
 		}
+		c.suspects = r.Perm(c.n)[:r.Uint64N(uint64(c.n/2+1))]
+		c.spare = int(r.Uint64N(uint64(max(rows-dim, 0)/2 + 1)))
 		return c
 	}
 	cfg := &quick.Config{
@@ -266,7 +275,7 @@ func TestQuickDecodeMatchesGaoOnly(t *testing.T) {
 			args[0] = reflect.ValueOf(gen(randv2.New(randv2.NewPCG(src.Uint64(), src.Uint64()))))
 		},
 	}
-	accepted, rejected := 0, 0
+	accepted, rejected, certified, refused := 0, 0, 0, 0
 	if err := quick.Check(func(c decodeCase) bool {
 		code := codeFor(c)
 		want, wantErr := gaoDecode(code, c.indices, c.results, c.d)
@@ -277,6 +286,23 @@ func TestQuickDecodeMatchesGaoOnly(t *testing.T) {
 		} else {
 			got, gotErr = code.DecodeOutputsSubset(c.indices, c.results, c.d)
 		}
+		primed, err := code.NewPrimed(c.indices, c.suspects, c.d, c.spare)
+		if err != nil {
+			return false
+		}
+		if primed != nil {
+			fast, ok, err := primed.Decode(c.results, 1+int(c.spare%3))
+			switch {
+			case err != nil:
+				return false
+			case !ok:
+				refused++
+			case wantErr != nil || !sameDecode(fields[c.field], fast, want):
+				return false
+			default:
+				certified++
+			}
+		}
 		if wantErr != nil {
 			rejected++
 			return gotErr != nil && errors.Is(gotErr, rs.ErrTooManyErrors) == errors.Is(wantErr, rs.ErrTooManyErrors)
@@ -286,7 +312,9 @@ func TestQuickDecodeMatchesGaoOnly(t *testing.T) {
 	}, cfg); err != nil {
 		t.Error(err)
 	}
-	if accepted == 0 || rejected == 0 {
-		t.Fatalf("generator is lopsided: %d decodable words, %d undecodable", accepted, rejected)
+	if accepted == 0 || rejected == 0 || certified == 0 || refused == 0 {
+		t.Fatalf("generator is lopsided: %d decodable words, %d undecodable; primed check certified %d, refused %d",
+			accepted, rejected, certified, refused)
 	}
+	t.Logf("%d decodable words, %d undecodable; primed check certified %d, refused %d", accepted, rejected, certified, refused)
 }
