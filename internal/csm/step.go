@@ -172,8 +172,9 @@ func (s *stepCore[E]) ingest(msgs iter.Seq[transport.Message], round int, tag [3
 // chosen clear of the sticky suspects), then, only when that refuses or
 // the layout is ineligible, the full noisy-interpolation decoder —
 // DecodeOutputsSubset, which does not repeat the check — the authority on
-// anything the check cannot certify. A decode that succeeds has corrected every in-budget corrupted
-// result; the senders it caught are in the returned faulty set.
+// anything the check cannot certify. A decode that succeeds has corrected
+// every in-budget corrupted result; the senders it caught are in the
+// returned faulty set.
 func (s *stepCore[E]) absorb() (*nodeDecode[E], error) {
 	indices, results := s.idxScratch[:0], s.resScratch[:0]
 	for idx, res := range s.received {

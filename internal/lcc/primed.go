@@ -11,14 +11,15 @@ import (
 // The verified-subset check is the steady-state decode of every execution
 // step, and Primed is its only entry: the DecodeOutputs* entries are the
 // full decoder alone, which a caller runs when Primed.Decode refuses, so a
-// word is certified or refused once. The evaluation points are fixed, so for one received-row layout
-// and one choice of exactly dim = d(K-1)+1 "trusted" rows, the values of
-// the degree-< dim polynomial through the trusted rows at every other
-// received row and at the K omegas are a constant matrix times the trusted
-// values. A decode is then, per vector component, one ScaleVec on the
-// first trusted row's column and one LinCombAccVec over the other dim-1 —
-// no interpolation, no subproduct tree, no error-locator solve — followed
-// by a mismatch count against the rows that were not trusted.
+// word is certified or refused once. The evaluation points are fixed, so
+// for one received-row layout and one choice of exactly dim = d(K-1)+1
+// "trusted" rows, the values of the degree-< dim polynomial through the
+// trusted rows at every other received row and at the K omegas are a
+// constant matrix times the trusted values. A decode is then, per vector
+// component, one ScaleVec on the first trusted row's column and one
+// LinCombAccVec over the other dim-1 — no interpolation, no subproduct
+// tree, no error-locator solve — followed by a mismatch count against the
+// rows that were not trusted.
 //
 // Soundness rests on the unique-decoding radius alone, for every layout
 // the engines produce (all N rows in a synchronous round, the N-b rows of

@@ -4,8 +4,10 @@
 //   - Gao's decoder, built on the extended Euclidean algorithm — the
 //     "efficient noisy polynomial interpolation" the paper invokes for the
 //     execution phase (Section 5.2);
-//   - the Berlekamp-Welch decoder, built on linear algebra — the algorithm
-//     the paper names for the delegated worker (Section 6.2).
+//   - the Berlekamp-Welch decoder, built on linear algebra — no engine
+//     decodes with it (the Section 6.2 worker runs Gao too); it is the
+//     independent oracle the tests hold Gao to, and a decoder ablation
+//     benchmark's second arm.
 //
 // A CSM execution round produces N evaluations g_i = h(α_i) of the composite
 // polynomial h = f(u(z), v(z)) of degree d(K-1); up to b of them are
@@ -339,8 +341,9 @@ func (c *Code[E]) DecodeSubset(indices []int, values []E) (*DecodeResult[E], err
 
 // DecodeBW decodes with the Berlekamp-Welch algorithm: find E(z) monic of
 // degree e and Q(z) of degree < k+e with Q(α_i) = y_i E(α_i) for all i,
-// then message = Q/E. Exposed alongside Decode for the Section 6.2 worker
-// and for the decoder ablation benchmarks.
+// then message = Q/E. No engine decodes with it: it is the independent
+// oracle the tests compare Decode against, and the decoder ablation
+// benchmark's second arm.
 func (c *Code[E]) DecodeBW(received []E) (*DecodeResult[E], error) {
 	n, k := len(c.points), c.dim
 	if len(received) != n {
