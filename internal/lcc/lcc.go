@@ -422,12 +422,8 @@ func (c *Code[E]) decode(indices []int, results [][]E, dim int, at []E) (*Decode
 	}
 	faulty := []int{}
 	for r, bad := range corrected {
-		switch {
-		case !bad:
-		case indices != nil:
-			faulty = append(faulty, indices[r])
-		default:
-			faulty = append(faulty, r)
+		if bad {
+			faulty = append(faulty, nodeOf(indices, r))
 		}
 	}
 	slices.Sort(faulty) // a caller's indices need not be ascending
@@ -446,6 +442,15 @@ func isFullSet(indices []int, n int) bool {
 		}
 	}
 	return true
+}
+
+// nodeOf returns the node behind received row r of a layout (indices nil:
+// all N nodes in order).
+func nodeOf(indices []int, r int) int {
+	if indices != nil {
+		return indices[r]
+	}
+	return r
 }
 
 // flatOutputs allocates k vectors of length l over one flat backing array

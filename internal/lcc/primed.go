@@ -72,17 +72,11 @@ func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare i
 	if rows < dim {
 		return nil, nil
 	}
-	nodeOf := func(r int) int {
-		if indices != nil {
-			return indices[r]
-		}
-		return r
-	}
 	trusted := make([]int, 0, dim)
 	rest := make([]int, 0, rows-dim)
 	unsuspected := 0
 	for r := 0; r < rows; r++ {
-		_, suspected := slices.BinarySearch(suspects, nodeOf(r))
+		_, suspected := slices.BinarySearch(suspects, nodeOf(indices, r))
 		if !suspected {
 			unsuspected++
 		}
@@ -105,11 +99,11 @@ func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare i
 	}
 	xs := make([]E, dim)
 	for t, r := range trusted {
-		xs[t] = c.alphas[nodeOf(r)]
+		xs[t] = c.alphas[nodeOf(indices, r)]
 	}
 	zs := make([]E, 0, len(rest)+len(c.omegas))
 	for _, r := range rest {
-		zs = append(zs, c.alphas[nodeOf(r)])
+		zs = append(zs, c.alphas[nodeOf(indices, r)])
 	}
 	zs = append(zs, c.omegas...)
 	cols, err := c.lagrangeCols(xs, zs)
@@ -184,12 +178,8 @@ func (s *subsetCheck[E]) verify(c *Code[E], colMajor []E, l, workers int, sc *ch
 		for w := 0; w < nw && !missed; w++ {
 			missed = sc.bad[w*nr+i]
 		}
-		switch {
-		case !missed:
-		case s.indices != nil:
-			faulty = append(faulty, s.indices[r])
-		default:
-			faulty = append(faulty, r)
+		if missed {
+			faulty = append(faulty, nodeOf(s.indices, r))
 		}
 	}
 	slices.Sort(faulty) // a caller's indices need not be ascending
