@@ -190,6 +190,56 @@ func TestTCPDeliveryMatchesSimulatedOracle(t *testing.T) {
 	requireSameDeliveries(t, got, want)
 }
 
+// heldSessions waits until the node holds a session with every peer in
+// each direction (a dialer's handshake returns before the acceptor's
+// does) and returns them.
+func heldSessions(t *testing.T, tcp *TCP) []net.Conn {
+	t.Helper()
+	waitFor(t, tcp, "the inbound mesh", func() bool { return len(tcp.inConns) == tcp.cfg.N-1 })
+	tcp.mu.Lock()
+	defer tcp.mu.Unlock()
+	var conns []net.Conn
+	for _, c := range tcp.inConns {
+		conns = append(conns, c)
+	}
+	for _, o := range tcp.out {
+		o.mu.Lock()
+		conns = append(conns, o.conn)
+		o.mu.Unlock()
+	}
+	return conns
+}
+
+// TestTCPMeshSessions counts the TLS sessions a settled N-node mesh
+// established. Both ends of one session export the same keying material
+// and no two sessions do, so the distinct exports are the handshakes the
+// mesh paid for; each one must be held at both of its ends.
+func TestTCPMeshSessions(t *testing.T) {
+	for _, tc := range []struct{ n, sessions int }{{2, 2}, {4, 12}, {7, 42}} {
+		t.Run(fmt.Sprintf("N=%d", tc.n), func(t *testing.T) {
+			ends := map[string]int{}
+			for _, l := range startTCPCluster(t, tc.n, 61) {
+				for _, c := range heldSessions(t, l.(*TCP)) {
+					cs := c.(*tls.Conn).ConnectionState()
+					key, err := cs.ExportKeyingMaterial("codedsm session count", nil, 32)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ends[string(key)]++
+				}
+			}
+			if len(ends) != tc.sessions {
+				t.Errorf("%d TLS sessions in an N=%d mesh, want %d", len(ends), tc.n, tc.sessions)
+			}
+			for _, held := range ends {
+				if held != 2 {
+					t.Fatalf("a session is held at %d ends, want 2", held)
+				}
+			}
+		})
+	}
+}
+
 // TestTCPReconnectMatchesSimulatedOracle kills connections mid-run, from
 // both ends: every node closes its outbound session to its successor
 // before round 1, and node 0 closes its inbound session from node 2
