@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"crypto/ed25519"
 	"crypto/tls"
 	"crypto/x509"
@@ -32,8 +33,9 @@ type TCPConfig struct {
 	// (Peers[Self] is ignored; it may repeat Listen).
 	Peers []string
 	// DialTimeout bounds the total time spent establishing (or
-	// re-establishing) a connection to one peer, backoff included.
-	// Defaults to 30s.
+	// re-establishing) the session with one peer, backoff included, and
+	// how long NewTCP waits for the peers that dial this node. Defaults
+	// to 30s.
 	DialTimeout time.Duration
 	// RetryBackoff is the initial redial backoff; it doubles per attempt
 	// up to 2s. Defaults to 2ms: the nodes of a mesh start together, so a
@@ -56,10 +58,9 @@ type TCPConfig struct {
 	// barrier: once that many peers (excluding self) have ended the round
 	// and SuspectAfter has elapsed, the missing peers are marked suspected
 	// and the round completes without them. Suspected peers are skipped by
-	// later barriers (their frames stay staged, not written, so a crashed
-	// peer cannot stall writes either) and rehabilitated the moment one of
-	// their end-of-round markers arrives. Zero (the default) keeps the
-	// strict all-peers barrier: any dead peer fails Step at StepTimeout.
+	// later barriers and rehabilitated the moment one of their
+	// end-of-round markers arrives. Zero (the default) keeps the strict
+	// all-peers barrier: any dead peer fails Step at StepTimeout.
 	//
 	// This knob trades the synchronous model's full-barrier determinism
 	// for liveness under crash faults; enable it only when the protocol on
@@ -76,36 +77,40 @@ type TCPConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// outConn is the dedicated outbound (send-only) connection to one peer.
-// A round's frames are staged here and reach the socket as one write when
-// Step ends the round; the lock-step contract delivers nothing before
-// the barrier, so nothing is observable earlier. The staged bytes double
-// as the retransmit buffer that makes reconnects lossless: the frames of
-// the current and previous round are replayed after a redial, and the
-// receiving side deduplicates.
-type outConn struct {
-	id   NodeID
-	addr string
-	// mu guards conn and the buffers: staging and writes come from the
-	// driving goroutine, but Close (from a signal handler, say) must also
-	// reach the connection.
+// peer is this node's end of the one session it shares with another
+// node. Both ends write and read it; the lower id dials it and the
+// higher id accepts it. A round's frames are staged here and reach the
+// socket as one write when Step ends the round; the lock-step contract
+// delivers nothing before the barrier, so nothing is observable earlier.
+// The staged bytes double as the retransmit buffer that makes a
+// replaced session lossless: whichever end installs a fresh session
+// first writes the frames of its current and previous round to it, and
+// the receiving side deduplicates.
+type peer struct {
+	id    NodeID
+	dials bool          // this node dials the session (Self < id); otherwise it accepts it
+	up    chan struct{} // closed when the first session is installed
+	// mu guards conn and the buffers: staging and flushes come from the
+	// driving goroutine, installs from the session's read loop or the
+	// accept loop, and Close (from a signal handler, say) must also reach
+	// the connection.
 	mu    sync.Mutex
-	conn  net.Conn
-	round int    // round the frames in cur belong to
-	cur   []byte // this round's frames: data in send order, then the DONE marker
-	prev  []byte // previous round's frames (the peer may not have read them yet)
+	conn  net.Conn // nil while the session is down
+	round int      // round the frames in cur belong to
+	cur   []byte   // this round's frames: data in send order, then the DONE marker
+	prev  []byte   // previous round's frames (the peer may not have read them yet)
 }
 
 // stage appends one frame to the peer's buffer for the given round.
-func (o *outConn) stage(round int, typ byte, body []byte) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if round != o.round {
-		o.prev, o.cur = o.cur, o.prev[:0]
-		o.round = round
+func (p *peer) stage(round int, typ byte, body []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if round != p.round {
+		p.prev, p.cur = p.cur, p.prev[:0]
+		p.round = round
 	}
 	var err error
-	o.cur, err = appendFrame(o.cur, typ, body)
+	p.cur, err = appendFrame(p.cur, typ, body)
 	return err
 }
 
@@ -118,50 +123,62 @@ func (o *outConn) stage(round int, typ byte, body []byte) error {
 // "sent in round r, delivered in round r+1" contract as the simulated
 // synchronous network.
 //
-// What authenticates a frame is its connection. Every connection is a
-// TLS 1.3 session in which both ends present a self-signed certificate
-// over their DeriveKeys ed25519 key and prove possession of it in the
-// handshake; the dialer accepts only the roster key of the peer it
-// dialled, the acceptor only a roster key other than its own. A data
-// frame is then accepted only if its From is the session's peer and its
-// To is this node, and a DONE marker counts for the session's peer — one
-// ed25519 signature and verification per connection, symmetric crypto
-// per frame (PBFT's normal-case trade: Castro & Liskov, OSDI '99).
-// Messages are delivered with an empty Sig: an envelope no longer proves
-// its origin to a third party, which nothing consumes — content that
-// must survive re-broadcast goes through SignBlob/VerifyBlob, still
-// ed25519 and transport-independent. In exchange DONE markers are
-// authenticated, and a captured connection opening cannot be replayed.
+// Every pair of nodes shares one connection, the paper's authenticated
+// channel between each pair (§2.1): the lower id dials it, the higher id
+// accepts it, and both send and receive on it. What authenticates a frame
+// is that connection. It is a TLS 1.3 session in which both ends present
+// a self-signed certificate over their DeriveKeys ed25519 key and prove
+// possession of it in the handshake; the dialer accepts only the roster
+// key of the peer it dialled, the acceptor only the roster key of a lower
+// id (so neither a higher id nor its own key gets in). A data frame is
+// then accepted only if its From is the session's peer and its To is this
+// node, and a DONE marker counts for the session's peer — one ed25519
+// signature and verification per session end, symmetric crypto per frame
+// (PBFT's normal-case trade: Castro & Liskov, OSDI '99). Messages are
+// delivered with an empty Sig: an envelope no longer proves its origin to
+// a third party, which nothing consumes — content that must survive
+// re-broadcast goes through SignBlob/VerifyBlob, still ed25519 and
+// transport-independent. In exchange DONE markers are authenticated, and
+// a captured connection opening cannot be replayed.
+//
+// A session is replaced, never repaired: a break seen by either end — a
+// failed write or a failed read — closes it. The dialer then redials at
+// once, so a break both ends flushed past (a write into a dead socket can
+// succeed) does not leave them waiting at the barrier; the acceptor never
+// dials and keeps its frames staged until the next session arrives.
 //
 // Simulation-only knobs are rejected: SetDown fails with
 // ErrSimulationOnly, and there is no equivalent of the simulator's delay
 // models or equivocation coercion.
 type TCP struct {
-	cfg  TCPConfig
-	pubs []ed25519.PublicKey
-	priv ed25519.PrivateKey
-	cert tls.Certificate // self-signed over priv; see sessionConfig
-	ln   net.Listener
+	cfg   TCPConfig
+	pubs  []ed25519.PublicKey
+	priv  ed25519.PrivateKey
+	cert  tls.Certificate // self-signed over priv; see sessionConfig
+	ln    net.Listener
+	peers []*peer // indexed by node id; nil at Self
+
+	// ctx is cancelled by Close: it ends dials and handshakes in flight,
+	// and the link is closed exactly when ctx.Err() != nil.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu       sync.Mutex
 	cond     *sync.Cond
 	round    int
 	buffered map[int][]Message       // send round -> authenticated messages for Self
-	seen     map[int]map[string]bool // send round -> frame bodies (reconnect dedup)
+	seen     map[int]map[string]bool // send round -> frame bodies (replay dedup)
 	doneMax  map[NodeID]int          // highest round each peer has ended (absent: none)
 	suspect  map[NodeID]bool         // peers presumed crashed (failover mode only)
-	inConns  map[NodeID]net.Conn     // inbound (receive-only) connections
-	out      map[NodeID]*outConn     // outbound (send-only) connections
-	closed   bool
 	stats    Stats
 
 	wg sync.WaitGroup
 }
 
-// NewTCP opens the node's listener, dials every peer (with backoff until
-// DialTimeout), and returns the ready link. Inbound connections from
-// peers are accepted for the life of the link; a peer that reconnects
-// replaces its previous connection.
+// NewTCP opens the node's listener, dials every higher id and waits for
+// every lower id to dial in (retrying with backoff, all within
+// DialTimeout), and returns the ready link. A lower id's later session
+// replaces the one before it for the life of the link.
 func NewTCP(cfg TCPConfig) (*TCP, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("transport: need at least one node, got %d", cfg.N)
@@ -220,39 +237,57 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		priv:     privs[cfg.Self],
 		cert:     cert,
 		ln:       ln,
+		peers:    make([]*peer, cfg.N),
 		buffered: make(map[int][]Message),
 		seen:     make(map[int]map[string]bool),
 		doneMax:  make(map[NodeID]int),
 		suspect:  make(map[NodeID]bool),
-		inConns:  make(map[NodeID]net.Conn),
-		out:      make(map[NodeID]*outConn),
 	}
+	t.ctx, t.cancel = context.WithCancel(context.Background())
 	t.cond = sync.NewCond(&t.mu)
+	for id := range t.peers {
+		if NodeID(id) != cfg.Self {
+			t.peers[id] = &peer{id: NodeID(id), dials: cfg.Self < NodeID(id), up: make(chan struct{})}
+		}
+	}
+	wait, stop := context.WithTimeout(t.ctx, cfg.DialTimeout)
+	defer stop()
 	t.wg.Add(1)
 	go t.acceptLoop()
-	// Dial the full outbound mesh concurrently: peers come up in any
-	// order, so each dial retries with backoff until DialTimeout.
+	// Dial the higher ids concurrently: peers come up in any order, so
+	// each dial retries with backoff until DialTimeout.
 	var dialWG sync.WaitGroup
-	dialErrs := make([]error, cfg.N)
-	for id := 0; id < cfg.N; id++ {
-		if NodeID(id) == cfg.Self {
+	errs := make([]error, cfg.N)
+	for _, p := range t.peers {
+		if p == nil || !p.dials {
 			continue
 		}
 		dialWG.Add(1)
-		go func(id NodeID) {
+		go func(p *peer) {
 			defer dialWG.Done()
-			conn, err := t.dialPeer(id, t.cfg.DialTimeout)
+			conn, err := t.dialPeer(p.id, cfg.DialTimeout)
 			if err != nil {
-				dialErrs[id] = err
+				errs[p.id] = err
 				return
 			}
-			t.mu.Lock()
-			t.out[id] = &outConn{id: id, addr: cfg.Peers[id], conn: conn}
-			t.mu.Unlock()
-		}(NodeID(id))
+			if t.install(p, conn) {
+				t.wg.Add(1)
+				go t.serve(p, conn)
+			}
+		}(p)
+	}
+	for _, p := range t.peers {
+		if p == nil || p.dials {
+			continue
+		}
+		select {
+		case <-p.up:
+		case <-wait.Done():
+			errs[p.id] = fmt.Errorf("transport: node %d: no session from node %d within %v", cfg.Self, p.id, cfg.DialTimeout)
+		}
 	}
 	dialWG.Wait()
-	if err := errors.Join(dialErrs...); err != nil {
+	if err := errors.Join(errs...); err != nil {
 		t.Close()
 		return nil, err
 	}
@@ -323,9 +358,9 @@ func (t *TCP) sessionConfig(admit func(peer NodeID) error) *tls.Config {
 			}
 			return admit(peer)
 		},
-		// The dialer never reads, so the acceptor must not send it tickets
-		// to leave unread; and a round's flush should be one record, not
-		// the MSS-sized ones a fresh connection starts with.
+		// Nothing resumes: every session proves both roster keys afresh,
+		// so no tickets are issued. And a round's flush should be one
+		// record, not the MSS-sized ones a fresh connection starts with.
 		SessionTicketsDisabled:      true,
 		DynamicRecordSizingDisabled: true,
 	}
@@ -333,7 +368,7 @@ func (t *TCP) sessionConfig(admit func(peer NodeID) error) *tls.Config {
 
 // dialPeer connects to one peer with exponential backoff, completes the
 // handshake against that peer's roster key, and returns the session. The
-// timeout bounds the whole attempt, backoff included.
+// timeout bounds the whole attempt, backoff included; Close ends it.
 func (t *TCP) dialPeer(id NodeID, timeout time.Duration) (net.Conn, error) {
 	cfg := t.sessionConfig(func(peer NodeID) error {
 		if peer != id {
@@ -341,25 +376,16 @@ func (t *TCP) dialPeer(id NodeID, timeout time.Duration) (net.Conn, error) {
 		}
 		return nil
 	})
-	deadline := time.Now().Add(timeout) //csmlint:allow detsource(dial deadline on a real socket; I/O pacing, never protocol state)
+	ctx, cancel := context.WithTimeout(t.ctx, timeout)
+	defer cancel()
+	var dialer net.Dialer
 	backoff := t.cfg.RetryBackoff
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if t.isClosed() {
-			return nil, fmt.Errorf("transport: node %d dialing %d: %w", t.cfg.Self, id, ErrClosed)
-		}
-		//csmlint:allow detsource(dial deadline on a real socket; I/O pacing, never protocol state)
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("transport: node %d could not reach node %d at %s within %v: %w",
-				t.cfg.Self, id, t.cfg.Peers[id], timeout, lastErr)
-		}
-		//csmlint:allow detsource(remaining dial budget on a real socket)
-		raw, err := net.DialTimeout("tcp", t.cfg.Peers[id], time.Until(deadline))
+		raw, err := dialer.DialContext(ctx, "tcp", t.cfg.Peers[id])
 		if err == nil {
 			conn := tls.Client(raw, cfg)
-			conn.SetDeadline(deadline)
-			if err = conn.Handshake(); err == nil {
-				conn.SetDeadline(time.Time{})
+			if err = conn.HandshakeContext(ctx); err == nil {
 				if attempt > 0 {
 					t.logf("node %d reconnected to node %d after %d retries", t.cfg.Self, id, attempt)
 				}
@@ -367,21 +393,95 @@ func (t *TCP) dialPeer(id NodeID, timeout time.Duration) (net.Conn, error) {
 			}
 			conn.Close()
 		}
+		if ctx.Err() != nil {
+			if t.isClosed() {
+				return nil, fmt.Errorf("transport: node %d dialing %d: %w", t.cfg.Self, id, ErrClosed)
+			}
+			if lastErr == nil {
+				lastErr = err
+			}
+			return nil, fmt.Errorf("transport: node %d could not reach node %d at %s within %v: %w",
+				t.cfg.Self, id, t.cfg.Peers[id], timeout, lastErr)
+		}
 		lastErr = err
 		t.logf("node %d dialing node %d at %s: %v (retry in %v)", t.cfg.Self, id, t.cfg.Peers[id], err, backoff)
-		time.Sleep(backoff)
+		select {
+		case <-ctx.Done():
+		case <-time.After(backoff):
+		}
 		if backoff *= 2; backoff > 2*time.Second {
 			backoff = 2 * time.Second
 		}
 	}
 }
 
-// acceptLoop registers inbound peer connections for the life of the link.
+// install makes conn the pair's session. A session it replaces is
+// closed, and this node's staged frames — its previous round's and its
+// current one's — go out on the fresh session before anything else. It
+// reports false, with conn closed, once the link is closed.
+func (t *TCP) install(p *peer, conn net.Conn) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if t.isClosed() { // Close cancels before it takes p.mu, so it closes whatever is installed first
+		conn.Close()
+		return false
+	}
+	if p.conn != nil {
+		p.conn.Close() // the peer replaced the session; the old read loop unblocks and exits
+	}
+	p.conn = conn
+	if len(p.prev)+len(p.cur) > 0 {
+		if _, err := conn.Write(slices.Concat(p.prev, p.cur)); err != nil {
+			t.drop(p, conn)
+		}
+	}
+	select {
+	case <-p.up:
+	default:
+		close(p.up)
+	}
+	return true
+}
+
+// drop closes a session that broke. Its read loop sees the end; the
+// peer's frames stay staged until the next session. p.mu must be held.
+func (t *TCP) drop(p *peer, conn net.Conn) {
+	conn.Close()
+	if p.conn == conn {
+		p.conn = nil
+	}
+}
+
+// serve is the dialer's end of the pair's sessions: it reads the session
+// until it ends and, while the link is open, redials at once and reads
+// the next one.
+func (t *TCP) serve(p *peer, conn net.Conn) {
+	defer t.wg.Done()
+	for {
+		t.readLoop(p, conn)
+		if t.isClosed() {
+			return
+		}
+		var err error
+		if conn, err = t.dialPeer(p.id, t.cfg.DialTimeout); err != nil {
+			if !errors.Is(err, ErrClosed) {
+				t.logf("node %d gave up redialling node %d: %v", t.cfg.Self, p.id, err)
+			}
+			return
+		}
+		if !t.install(p, conn) {
+			return
+		}
+	}
+}
+
+// acceptLoop installs the sessions the lower ids dial for the life of
+// the link.
 func (t *TCP) acceptLoop() {
 	defer t.wg.Done()
 	cfg := t.sessionConfig(func(peer NodeID) error {
-		if peer == t.cfg.Self {
-			return fmt.Errorf("transport: node %d was dialled with its own key", peer)
+		if peer >= t.cfg.Self {
+			return fmt.Errorf("transport: node %d accepts sessions from lower ids only, not node %d", t.cfg.Self, peer)
 		}
 		return nil
 	})
@@ -398,48 +498,52 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
-// handleInbound completes the handshake — which refuses anyone but
-// another roster member — and runs the connection's read loop.
+// handleInbound completes the handshake — which refuses anyone but a
+// lower roster id — and installs the session, reading it from before the
+// install until it ends: the dialer replays onto it too, and two ends
+// that both write before they read could fill each other's buffers.
 func (t *TCP) handleInbound(conn *tls.Conn) {
-	conn.SetDeadline(time.Now().Add(10 * time.Second)) //csmlint:allow detsource(handshake deadline on a real socket)
-	if err := conn.Handshake(); err != nil {
+	ctx, cancel := context.WithTimeout(t.ctx, 10*time.Second)
+	err := conn.HandshakeContext(ctx)
+	cancel()
+	if err != nil {
 		t.logf("node %d refused inbound connection from %s: %v", t.cfg.Self, conn.RemoteAddr(), err)
 		conn.Close()
 		return
 	}
-	conn.SetDeadline(time.Time{})
 	id, err := t.sessionPeer(conn.ConnectionState())
 	if err != nil { // unreachable: the handshake admitted this key
 		conn.Close()
 		return
 	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		conn.Close()
-		return
-	}
-	if old := t.inConns[id]; old != nil {
-		old.Close() // the peer reconnected; its old reader unblocks and exits
-	}
-	t.inConns[id] = conn
-	t.mu.Unlock()
-	t.readLoop(id, conn)
+	p := t.peers[id]
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		t.readLoop(p, conn)
+	}()
+	t.install(p, conn)
 }
 
-// readLoop ingests one peer's frames until the connection breaks.
-func (t *TCP) readLoop(id NodeID, conn net.Conn) {
+// readLoop ingests one session's frames until it ends, and then closes
+// it.
+func (t *TCP) readLoop(p *peer, conn net.Conn) {
+	defer func() {
+		p.mu.Lock()
+		t.drop(p, conn)
+		p.mu.Unlock()
+	}()
 	for {
 		typ, body, err := readFrame(conn)
 		if err != nil {
 			if !t.isClosed() && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				t.logf("node %d lost inbound connection from node %d: %v", t.cfg.Self, id, err)
+				t.logf("node %d lost its session with node %d: %v", t.cfg.Self, p.id, err)
 			}
 			return
 		}
 		switch typ {
 		case frameData:
-			t.ingestData(id, body)
+			t.ingestData(p.id, body)
 		case frameDone:
 			round, err := parseDone(body)
 			if err != nil {
@@ -453,12 +557,12 @@ func (t *TCP) readLoop(id NodeID, conn net.Conn) {
 			// feeds the barrier count (never message content), so a peer
 			// lying about a future round can at worst stop us waiting for
 			// itself.
-			if max, ok := t.doneMax[id]; !ok || round > max {
-				t.doneMax[id] = round
+			if max, ok := t.doneMax[p.id]; !ok || round > max {
+				t.doneMax[p.id] = round
 			}
-			if t.suspect[id] && round >= t.round {
-				delete(t.suspect, id)
-				t.logf("node %d rehabilitated node %d (DONE for round %d arrived)", t.cfg.Self, id, round)
+			if t.suspect[p.id] && round >= t.round {
+				delete(t.suspect, p.id)
+				t.logf("node %d rehabilitated node %d (DONE for round %d arrived)", t.cfg.Self, p.id, round)
 			}
 			t.cond.Broadcast()
 			t.mu.Unlock()
@@ -471,8 +575,8 @@ func (t *TCP) readLoop(id NodeID, conn net.Conn) {
 // ingestData buffers one data frame received over from's session (or
 // sent by this node to itself). A frame claiming another sender, or
 // addressed to another node, is a member forging what its session does
-// not cover: counted and dropped. Retransmitted frames (after a peer's
-// reconnect) are deduplicated by their exact bytes.
+// not cover: counted and dropped. Frames replayed onto a fresh session
+// are deduplicated by their exact bytes.
 func (t *TCP) ingestData(from NodeID, body []byte) {
 	m, err := UnmarshalMessage(body)
 	if err != nil {
@@ -498,7 +602,7 @@ func (t *TCP) ingestData(from NodeID, body []byte) {
 		t.seen[m.Round] = set
 	}
 	if set[string(body)] {
-		return // replayed after a reconnect
+		return // replayed onto a fresh session
 	}
 	set[string(body)] = true
 	t.buffered[m.Round] = append(t.buffered[m.Round], m)
@@ -506,11 +610,7 @@ func (t *TCP) ingestData(from NodeID, body []byte) {
 	t.stats.BytesDelivered += uint64(len(m.Payload))
 }
 
-func (t *TCP) isClosed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
-}
+func (t *TCP) isClosed() bool { return t.ctx.Err() != nil }
 
 // Self returns this process's node id.
 func (t *TCP) Self() NodeID { return t.cfg.Self }
@@ -567,76 +667,21 @@ func (t *TCP) Suspected() []NodeID {
 	return ids
 }
 
-// markSuspect flags a peer as presumed crashed and wakes any barrier wait
-// that may now be satisfiable at quorum.
-func (t *TCP) markSuspect(id NodeID, cause string) {
-	t.mu.Lock()
-	if !t.suspect[id] && !t.closed {
-		t.suspect[id] = true
-		t.cond.Broadcast()
-		t.mu.Unlock()
-		t.logf("node %d suspects node %d (%s)", t.cfg.Self, id, cause)
+// flush ends the round on the pair's session: the round's staged data
+// frames and its DONE marker go out as one write. A failed write drops
+// the session, and while it is down the frames stay staged for the next
+// one to replay; the dialer's read loop redials it (see serve). Only the
+// driving goroutine calls flush, and it never dials, so no peer —
+// crashed, unreachable or suspected — stalls the writer.
+func (t *TCP) flush(p *peer) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.conn == nil {
 		return
 	}
-	t.mu.Unlock()
-}
-
-func (t *TCP) isSuspect(id NodeID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.suspect[id]
-}
-
-// flush ends the peer's round on the wire: the round's staged data frames
-// and its DONE marker go out as one write, redialing with backoff if the
-// connection broke. Only the driving goroutine calls it.
-func (t *TCP) flush(o *outConn) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.conn != nil {
-		if _, err := o.conn.Write(o.cur); err == nil {
-			return nil
-		}
-		o.conn.Close()
-		o.conn = nil
+	if _, err := p.conn.Write(p.cur); err != nil {
+		t.drop(p, p.conn)
 	}
-	// With failover enabled a suspected peer must not stall the writer:
-	// skip the blocking redial, keep the frames staged, and let a later
-	// flush (after rehabilitation) replay them.
-	failover := t.cfg.FailoverQuorum > 0
-	if failover && t.isSuspect(o.id) {
-		return nil
-	}
-	// Reconnect — a fresh session, authenticated again — and replay
-	// everything the peer may have missed: the previous round's frames (it
-	// may not have processed our DONE) and the current round's. The
-	// receiver deduplicates byte-identical frames, so over-replay is
-	// harmless. In failover mode the redial budget is SuspectAfter, not the
-	// full DialTimeout — an unreachable peer becomes suspected instead of
-	// an error.
-	dialBudget := t.cfg.DialTimeout
-	if failover && t.cfg.SuspectAfter < dialBudget {
-		dialBudget = t.cfg.SuspectAfter
-	}
-	conn, err := t.dialPeer(o.id, dialBudget)
-	if err != nil {
-		if failover {
-			t.markSuspect(o.id, "unreachable on write")
-			return nil
-		}
-		return err
-	}
-	o.conn = conn
-	if _, err := conn.Write(slices.Concat(o.prev, o.cur)); err != nil {
-		conn.Close()
-		o.conn = nil
-		if failover {
-			t.markSuspect(o.id, "write failed during replay")
-			return nil
-		}
-		return fmt.Errorf("transport: node %d replaying to node %d: %w", t.cfg.Self, o.id, err)
-	}
-	return nil
 }
 
 // send stages one message for its recipient; Step puts it on the wire. A
@@ -651,17 +696,10 @@ func (t *TCP) send(to NodeID, round int, kind string, payload []byte) error {
 		t.ingestData(to, body)
 		return nil
 	}
-	t.mu.Lock()
-	o := t.out[to]
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
+	if t.isClosed() {
 		return fmt.Errorf("transport: node %d send: %w", t.cfg.Self, ErrClosed)
 	}
-	if o == nil {
-		return fmt.Errorf("transport: node %d has no connection to node %d", t.cfg.Self, to)
-	}
-	return o.stage(round, frameData, body)
+	return t.peers[to].stage(round, frameData, body)
 }
 
 // Send transmits a message to a single node. It is unsigned: the
@@ -696,27 +734,19 @@ func (t *TCP) Broadcast(kind string, payload []byte) error {
 // SuspectAfter grace for stragglers has elapsed; stragglers are marked
 // suspected and skipped by later barriers until they reappear.
 func (t *TCP) Step() ([]Message, error) {
-	t.mu.Lock()
-	r := t.round
-	outs := make([]*outConn, 0, len(t.out))
-	//csmlint:allow detmap(per-peer flush fan-out; write order over distinct sockets is I/O scheduling, deliveries are re-sorted deterministically)
-	for _, o := range t.out {
-		outs = append(outs, o)
-	}
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
+	if t.isClosed() {
 		return nil, fmt.Errorf("transport: node %d step: %w", t.cfg.Self, ErrClosed)
 	}
-	sort.Slice(outs, func(i, j int) bool { return outs[i].id < outs[j].id })
+	r := t.Round()
 	done := doneBody(r)
-	for _, o := range outs {
-		if err := o.stage(r, frameDone, done); err != nil {
+	for _, p := range t.peers {
+		if p == nil {
+			continue
+		}
+		if err := p.stage(r, frameDone, done); err != nil {
 			return nil, err
 		}
-		if err := t.flush(o); err != nil {
-			return nil, err
-		}
+		t.flush(p)
 	}
 	// Barrier: peers must end round r before we advance. Timers wake the
 	// wait so a dead peer fails the Step (or, in failover mode, gets
@@ -738,7 +768,7 @@ func (t *TCP) Step() ([]Message, error) {
 	}
 	var newSuspects []NodeID
 	t.mu.Lock()
-	for !t.closed {
+	for !t.isClosed() {
 		arrived := 0
 		lateHealthy := 0 // missing peers not (yet) suspected
 		missing := make([]NodeID, 0, t.cfg.N)
@@ -778,7 +808,7 @@ func (t *TCP) Step() ([]Message, error) {
 		}
 		t.cond.Wait()
 	}
-	if t.closed {
+	if t.isClosed() {
 		t.mu.Unlock()
 		return nil, fmt.Errorf("transport: node %d step: %w", t.cfg.Self, ErrClosed)
 	}
@@ -801,38 +831,27 @@ func (t *TCP) Step() ([]Message, error) {
 	return due, nil
 }
 
-// Close shuts the link down: the listener stops accepting, all
-// connections close, and blocked Steps fail with ErrClosed.
+// Close shuts the link down: dials in flight end, the listener stops
+// accepting, all sessions close, and blocked Steps fail with ErrClosed.
 func (t *TCP) Close() error {
 	t.mu.Lock()
-	if t.closed {
+	if t.isClosed() {
 		t.mu.Unlock()
 		return nil
 	}
-	t.closed = true
+	t.cancel()
 	t.cond.Broadcast()
-	conns := make([]net.Conn, 0, len(t.inConns))
-	//csmlint:allow detmap(teardown: close order of inbound connections is irrelevant)
-	for _, c := range t.inConns {
-		conns = append(conns, c)
-	}
-	outs := make([]*outConn, 0, len(t.out))
-	//csmlint:allow detmap(teardown: close order of outbound connections is irrelevant)
-	for _, o := range t.out {
-		outs = append(outs, o)
-	}
 	t.mu.Unlock()
 	t.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	for _, o := range outs {
-		o.mu.Lock()
-		if o.conn != nil {
-			o.conn.Close()
-			o.conn = nil
+	for _, p := range t.peers {
+		if p == nil {
+			continue
 		}
-		o.mu.Unlock()
+		p.mu.Lock()
+		if p.conn != nil {
+			t.drop(p, p.conn)
+		}
+		p.mu.Unlock()
 	}
 	t.wg.Wait()
 	return nil
