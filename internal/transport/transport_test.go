@@ -2,6 +2,11 @@ package transport
 
 import (
 	"crypto/ed25519"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -535,5 +540,48 @@ func TestDownDropPreservesDelayStream(t *testing.T) {
 		if a[i].Round != b[i].Round || string(a[i].Payload) != string(b[i].Payload) {
 			t.Fatalf("delivery %d differs: round %d vs %d", i, a[i].Round, b[i].Round)
 		}
+	}
+}
+
+// serialDeriveKeys is DeriveKeys as one loop, the reference the
+// concurrent derivation must reproduce.
+func serialDeriveKeys(clusterSeed uint64, n int) ([]ed25519.PublicKey, []ed25519.PrivateKey) {
+	pubs := make([]ed25519.PublicKey, n)
+	privs := make([]ed25519.PrivateKey, n)
+	for i := 0; i < n; i++ {
+		seed := make([]byte, ed25519.SeedSize)
+		binary.LittleEndian.PutUint64(seed, clusterSeed^uint64(i)+0x9e3779b97f4a7c15)
+		binary.LittleEndian.PutUint64(seed[8:], uint64(i)*0xbf58476d1ce4e5b9+1)
+		privs[i] = ed25519.NewKeyFromSeed(seed)
+		pubs[i] = privs[i].Public().(ed25519.PublicKey)
+	}
+	return pubs, privs
+}
+
+// TestDeriveKeysMatchesSerial: the cluster's keys do not depend on how
+// many goroutines derive them — equal to the serial loop at every size
+// and GOMAXPROCS, and at N=64, seed 1711 (sim-honest's cluster) to a
+// digest taken from the serial derivation.
+func TestDeriveKeysMatchesSerial(t *testing.T) {
+	for _, procs := range []int{1, 3, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 4, 64} {
+			pubs, privs := DeriveKeys(1711, n)
+			wantPubs, wantPrivs := serialDeriveKeys(1711, n)
+			if !reflect.DeepEqual(pubs, wantPubs) || !reflect.DeepEqual(privs, wantPrivs) {
+				t.Errorf("GOMAXPROCS=%d n=%d: keys differ from the serial derivation", procs, n)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+	pubs, privs := DeriveKeys(1711, 64)
+	h := sha256.New()
+	for i := range pubs {
+		h.Write(privs[i])
+		h.Write(pubs[i])
+	}
+	const golden = "63a5cd5c115c9b1bbd0a0973a9becf128503c06d30df269255ec63d555086541"
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+		t.Fatalf("DeriveKeys(1711, 64) digest %s, want %s", got, golden)
 	}
 }
