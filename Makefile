@@ -36,7 +36,8 @@ bench-load:
 	$(GO) run ./cmd/csmload -workload $(WORKLOAD) -seconds $(SECONDS)
 
 # Micro-benchmark smoke run: the coding kernels (encode/decode, field),
-# one TCP link barrier tick on an N=4 loopback mesh, one simulated N=64
+# one TCP link barrier tick on an N=4 loopback mesh, that mesh brought up
+# and closed (its handshakes are most of a tcp-* setup_s), one simulated N=64
 # result exchange, the batch payload codec every proposal and decision
 # passes through, and one sim-byz-batched set-up (a new cluster and its
 # first batch, where every honest node runs the full decoder).
@@ -44,6 +45,7 @@ bench-micro:
 	$(GO) test -bench='BenchmarkLCCEncode|BenchmarkLCCDecode' -benchtime=1x -run='^$$' ./internal/lcc/
 	$(GO) test -bench='BenchmarkFieldKernels' -benchtime=1x -run='^$$' ./internal/field/
 	$(GO) test -bench='BenchmarkTCPTick|BenchmarkNetworkTick' -benchtime=100x -benchmem -run='^$$' ./internal/transport/
+	$(GO) test -bench='BenchmarkTCPMeshDial' -benchtime=10x -run='^$$' ./internal/transport/
 	$(GO) test -bench='BenchmarkBatchCodec' -benchtime=1000x -run='^$$' ./internal/csm/
 	$(GO) test -bench='BenchmarkByzantineSetup' -benchtime=1x -run='^$$' ./internal/csm/
 
