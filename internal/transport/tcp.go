@@ -87,9 +87,8 @@ type TCPConfig struct {
 // first writes the frames of its current and previous round to it, and
 // the receiving side deduplicates.
 type peer struct {
-	id    NodeID
-	dials bool          // this node dials the session (Self < id); otherwise it accepts it
-	up    chan struct{} // closed when the first session is installed
+	id NodeID
+	up chan struct{} // closed when the first session is installed
 	// mu guards conn and the buffers: staging and flushes come from the
 	// driving goroutine, installs from the session's read loop or the
 	// accept loop, and Close (from a signal handler, say) must also reach
@@ -247,7 +246,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	t.cond = sync.NewCond(&t.mu)
 	for id := range t.peers {
 		if NodeID(id) != cfg.Self {
-			t.peers[id] = &peer{id: NodeID(id), dials: cfg.Self < NodeID(id), up: make(chan struct{})}
+			t.peers[id] = &peer{id: NodeID(id), up: make(chan struct{})}
 		}
 	}
 	wait, stop := context.WithTimeout(t.ctx, cfg.DialTimeout)
@@ -259,7 +258,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	var dialWG sync.WaitGroup
 	errs := make([]error, cfg.N)
 	for _, p := range t.peers {
-		if p == nil || !p.dials {
+		if p == nil || p.id < cfg.Self {
 			continue
 		}
 		dialWG.Add(1)
@@ -277,7 +276,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		}(p)
 	}
 	for _, p := range t.peers {
-		if p == nil || p.dials {
+		if p == nil || p.id > cfg.Self {
 			continue
 		}
 		select {
@@ -422,7 +421,9 @@ func (t *TCP) dialPeer(id NodeID, timeout time.Duration) (net.Conn, error) {
 func (t *TCP) install(p *peer, conn net.Conn) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if t.isClosed() { // Close cancels before it takes p.mu, so it closes whatever is installed first
+	// Close cancels before it takes p.mu: it closes what was installed
+	// before, and nothing is installed after.
+	if t.isClosed() {
 		conn.Close()
 		return false
 	}
@@ -432,7 +433,7 @@ func (t *TCP) install(p *peer, conn net.Conn) bool {
 	p.conn = conn
 	if len(p.prev)+len(p.cur) > 0 {
 		if _, err := conn.Write(slices.Concat(p.prev, p.cur)); err != nil {
-			t.drop(p, conn)
+			p.drop(conn)
 		}
 	}
 	select {
@@ -445,7 +446,7 @@ func (t *TCP) install(p *peer, conn net.Conn) bool {
 
 // drop closes a session that broke. Its read loop sees the end; the
 // peer's frames stay staged until the next session. p.mu must be held.
-func (t *TCP) drop(p *peer, conn net.Conn) {
+func (p *peer) drop(conn net.Conn) {
 	conn.Close()
 	if p.conn == conn {
 		p.conn = nil
@@ -530,7 +531,7 @@ func (t *TCP) handleInbound(conn *tls.Conn) {
 func (t *TCP) readLoop(p *peer, conn net.Conn) {
 	defer func() {
 		p.mu.Lock()
-		t.drop(p, conn)
+		p.drop(conn)
 		p.mu.Unlock()
 	}()
 	for {
@@ -680,7 +681,7 @@ func (t *TCP) flush(p *peer) {
 		return
 	}
 	if _, err := p.conn.Write(p.cur); err != nil {
-		t.drop(p, p.conn)
+		p.drop(p.conn)
 	}
 }
 
@@ -849,7 +850,7 @@ func (t *TCP) Close() error {
 		}
 		p.mu.Lock()
 		if p.conn != nil {
-			t.drop(p, p.conn)
+			p.drop(p.conn)
 		}
 		p.mu.Unlock()
 	}
