@@ -755,7 +755,8 @@ func (c *countingConn) Write(p []byte) (int, error) {
 
 // TestTCPRoundIsOneWrite pins the coalescing contract: whatever a node
 // sends in round r stays staged until its Step, reaches each peer as one
-// write together with the DONE marker, and is delivered by the Step that
+// write on the pair's session together with the DONE marker (counted at
+// node 0, the dialer), and is delivered by the Step that
 // ends round r — a message to itself included — never earlier.
 func TestTCPRoundIsOneWrite(t *testing.T) {
 	links := startTCPCluster(t, 2, 31)

@@ -7,8 +7,8 @@ import (
 	"io"
 )
 
-// Wire format of the TCP transport. Inside the authenticated session of
-// one connection (see tcp.go) the dialing node sends a sequence of
+// Wire format of the TCP transport. Inside the authenticated session a
+// pair of nodes shares (see tcp.go) each end sends a sequence of
 // length-prefixed frames:
 //
 //	uint32 (LE)  body length
