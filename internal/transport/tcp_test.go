@@ -526,13 +526,12 @@ func oneRound(t *testing.T, links []Link, payload string) [][]delivery {
 	return stepAll(t, links)
 }
 
-// TestTCPImpostorsRefused: whoever cannot prove possession of a lower
-// id's roster key never gets past node 0's handshake — node 0 is the
-// lowest id, so it accepts no one, and node 1 itself dialling in is
-// refused too — so the frames it sends — a message in node 1's name and
-// the end of a far-future round — reach neither the message buffer nor
-// the barrier, the node's sessions stay as they were, and the mesh runs
-// on.
+// TestTCPImpostorsRefused: a node admits only a lower id's roster key,
+// so whoever dials node 0 — a raw client, a key outside the roster, its
+// own key, or node 1's real key — never gets past the handshake. The
+// frames it sends (a message in node 1's name and the end of a far-future
+// round) reach neither the message buffer nor the barrier, the node's
+// sessions stay as they were, and the mesh runs on.
 func TestTCPImpostorsRefused(t *testing.T) {
 	const n, seed = 3, 77
 	links := startTCPCluster(t, n, seed)
@@ -763,8 +762,8 @@ func TestTCPRoundIsOneWrite(t *testing.T) {
 	a := links[0].(*TCP)
 	p := a.peers[1]
 	p.mu.Lock()
-	session := &countingConn{Conn: p.conn}
-	p.conn = session
+	counted := &countingConn{Conn: p.conn}
+	p.conn = counted
 	p.mu.Unlock()
 
 	for _, send := range []func() error{
@@ -776,7 +775,7 @@ func TestTCPRoundIsOneWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := session.writes.Load(); got != 0 {
+	if got := counted.writes.Load(); got != 0 {
 		t.Fatalf("%d writes before Step, want the round staged", got)
 	}
 	got := stepAll(t, links)
@@ -787,13 +786,13 @@ func TestTCPRoundIsOneWrite(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round 0 delivered %v, want %v", got, want)
 	}
-	if got := session.writes.Load(); got != 1 {
+	if got := counted.writes.Load(); got != 1 {
 		t.Fatalf("%d writes for round 0, want 1", got)
 	}
 	if got := stepAll(t, links); len(got[0])+len(got[1]) != 0 {
 		t.Fatalf("idle round 1 delivered %v", got)
 	}
-	if got := session.writes.Load(); got != 2 {
+	if got := counted.writes.Load(); got != 2 {
 		t.Fatalf("%d writes after two rounds, want 2 (an idle round is its DONE marker alone)", got)
 	}
 }
