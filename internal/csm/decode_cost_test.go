@@ -142,6 +142,22 @@ func TestRoundAllocGuard(t *testing.T) {
 	}
 }
 
+// TestRoundTransmissionCount pins the simulated network's transmissions
+// (Stats.Transmissions: Send and Broadcast calls) per honest round of
+// TestRoundOpCountGuard's shape: one result broadcast per node, 64.
+func TestRoundTransmissionCount(t *testing.T) {
+	c := newCluster(t, baseConfig(22, 64, 21))
+	for r, cmds := range RandomWorkload[uint64](gold, 3, c.cfg.K, c.tr.CmdLen(), 7) {
+		before := c.net.Stats().Transmissions
+		if _, err := c.ExecuteRound(cmds); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.net.Stats().Transmissions - before; got != 64 {
+			t.Errorf("round %d: %d transmissions, pinned 64", r, got)
+		}
+	}
+}
+
 // honestRounds returns a function that executes the next honest round of
 // TestRoundOpCountGuard's shape on a cluster with the given Parallelism,
 // after one round that primes every node's decode.

@@ -125,6 +125,10 @@ type Stats struct {
 	// DroppedDown counts messages dropped because the sender or recipient
 	// was marked down (crashed) at send or delivery time.
 	DroppedDown uint64
+	// Transmissions counts Endpoint.Send and Endpoint.Broadcast calls: one
+	// per transmission, however many recipients it has and whether or not
+	// a crash drops it. Inject is not a transmission.
+	Transmissions uint64
 }
 
 // Network is a deterministic lock-step message-passing simulator.
@@ -329,6 +333,9 @@ type envelope struct {
 func (n *Network) enqueue(m Message, trusted bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if trusted {
+		n.stats.Transmissions++
+	}
 	// Crashed endpoints neither send nor receive. The check precedes the
 	// delay draw so a down node's (non-)traffic never consumes the seeded
 	// RNG stream of the surviving nodes.
@@ -351,6 +358,7 @@ func (n *Network) enqueue(m Message, trusted bool) {
 func (n *Network) enqueueBroadcast(m Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.stats.Transmissions++
 	if n.down[m.From] {
 		n.stats.DroppedDown += uint64(n.cfg.N - 1)
 		return
