@@ -130,8 +130,8 @@ soak-short:
 	$(GO) build -race -o bin/csmnode ./cmd/csmnode
 	$(GO) run -race ./examples/soak -csmnode bin/csmnode -duration 15s
 
-# Short fuzz runs over the TCP framing and message codec, the WAL record
-# reader, the consensus wire codecs, the batch payload parser, the
+# Short fuzz runs over the TCP framing and message codec, the simulated
+# network's injection admission rule, the WAL record reader, the consensus wire codecs, the batch payload parser, the
 # execution result decoder, the delegated-mode message parsers, the
 # Gao decoder's dense path against its tree path and the primed
 # verified-subset check against the full decoder (CI smoke): the
@@ -139,6 +139,7 @@ soak-short:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalMessage -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/transport/
+	$(GO) test -run='^$$' -fuzz=FuzzInject -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReader -fuzztime=10s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz=FuzzConsensusMessage -fuzztime=10s ./internal/consensus/
 	$(GO) test -run='^$$' -fuzz=FuzzParseBatchMsg -fuzztime=10s ./internal/csm/

@@ -205,9 +205,8 @@ type Config[E comparable] struct {
 	// MaxTicksPerRound bounds a single round's lock-step ticks (default 200).
 	MaxTicksPerRound int
 	// Parallelism is the number of worker goroutines the execution phase
-	// fans node-level work onto: the N coded transition computes, the
-	// result-broadcast signing whenever the network schedule is RNG-free,
-	// and the honest nodes' Reed-Solomon decodes (in delegated mode, the
+	// fans node-level work onto: the N coded transition computes and the
+	// honest nodes' Reed-Solomon decodes (in delegated mode, the
 	// rotating worker's per-component decodes). Rounds are bit-identical
 	// to the sequential path for any worker count — all randomness and
 	// ordered network interaction stay on the driving goroutine. 1 runs

@@ -193,8 +193,8 @@ func bytesPerRun(runs int, f func()) uint64 {
 // BenchmarkHonestRound times one honest round at csmload's sim-honest
 // shape (N=64, K=22, b=21, Bank, B=1) on the default fan-out, through
 // ExecuteRound rather than the ingress, so a CPU profile of it
-// (`make profile-round`) shows the round's own work: signing, the network
-// tick, the verified-subset decode and re-encode.
+// (`make profile-round`) shows the round's own work: the sends, the
+// network tick, the verified-subset decode and re-encode.
 func BenchmarkHonestRound(b *testing.B) {
 	c, err := New(baseConfig(22, 64, 21))
 	if err != nil {

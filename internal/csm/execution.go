@@ -131,14 +131,13 @@ func (c *Cluster[E]) executeAgreed(agreed [][][]E, steps, ticksConsensus int, st
 }
 
 // runExecutionStep drives the coded execution phase for one micro-step of
-// the current batch: compute (parallel), broadcast (randomness drawn in
-// node order on the driving goroutine, signatures fanned out when the
-// network schedule is RNG-free), then the lock-step loop: the driving
-// goroutine steps the network, and each node still waiting collects and
-// decodes on the workers. On return every honest node has decoded and
-// re-encoded its next coded state — the happens-before boundary the next
-// micro-step's compute phase relies on — and the outcome snapshot is ready
-// for the client stage.
+// the current batch: compute (parallel), broadcast (in node order on the
+// driving goroutine, which draws the liars' randomness), then the
+// lock-step loop: the driving goroutine steps the network, and each node
+// still waiting collects and decodes on the workers. On return every
+// honest node has decoded and re-encoded its next coded state — the
+// happens-before boundary the next micro-step's compute phase relies on —
+// and the outcome snapshot is ready for the client stage.
 func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 	if err := c.broadcastResults(micro); err != nil {
 		return nil, err
@@ -173,7 +172,7 @@ func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 
 // broadcastResults opens a step the way both execution phases do: every
 // live node computes its coded result from the coded command in its batch
-// scratch (parallel), stages it in node order, and transmits.
+// scratch (parallel), then transmits it, in node order.
 func (c *Cluster[E]) broadcastResults(micro int) error {
 	results, err := c.computeAllResults(micro)
 	if err != nil {
@@ -181,9 +180,11 @@ func (c *Cluster[E]) broadcastResults(micro int) error {
 	}
 	for i, n := range c.nodes {
 		n.resetStep()
-		n.planBroadcast(results[i])
+		if err := n.sendResult(results[i]); err != nil {
+			return err
+		}
 	}
-	return c.transmitAllResults()
+	return nil
 }
 
 // newOutcome closes a step whose honest nodes hold their decodes: the

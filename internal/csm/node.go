@@ -10,74 +10,49 @@ const resultKind = "csm-result"
 
 // node is one simulated CSM compute node: the shared coded-step core
 // (step.go) plus what only the simulation has — an endpoint on the
-// lock-step network, an injected behavior and the staged result
-// transmission.
+// lock-step network and an injected behavior.
 type node[E comparable] struct {
 	stepCore[E]
 	cluster  *Cluster[E]
 	ep       *transport.Endpoint
 	behavior Behavior
 	decoded  *nodeDecode[E] // this step's decode, nil until the node has one
-
-	// Staged result transmission: planBroadcast draws all Byzantine
-	// randomness on the driving goroutine (cluster-RNG order matters) and
-	// fills these; transmitResult is then RNG-free, so the signing and
-	// enqueueing of the N nodes' results can fan out across workers
-	// whenever the network delivery schedule is deterministic.
-	txBroadcast []byte   // payload to Broadcast (nil: nothing to broadcast)
-	txSends     [][]byte // per-recipient payloads (Equivocate), nil otherwise
 }
 
-// planBroadcast stages the node's (possibly corrupted) result
-// transmission, drawing any Byzantine randomness from the cluster RNG —
-// this must run on the driving goroutine, in node order.
-func (n *node[E]) planBroadcast(result []E) {
+// sendResult transmits the node's (possibly corrupted) result, drawing any
+// Byzantine randomness from the cluster RNG — this must run on the driving
+// goroutine, in node order. The network's RNG, which pre-GST sends draw
+// delays from, is its own, so the two streams do not interleave.
+func (n *node[E]) sendResult(result []E) error {
 	c := n.cluster
-	n.txBroadcast = nil
-	n.txSends = nil
 	switch n.behavior {
 	case Silent, Crashed, Recovering:
 		// Nothing to transmit: silence is adversarial withholding; a
 		// crashed or recovering node computed no result at all (the
 		// transport would drop a crashed node's traffic anyway).
+		return nil
 	case WrongResult, BadLeader:
 		bad := field.RandVec(c.cfg.BaseField, c.rng, len(result))
 		n.accept(n.id, bad) // a liar is at least self-consistent
-		n.txBroadcast = encodeResult(c.cfg.BaseField, c.round, clusterTag, bad)
+		return n.ep.Broadcast(resultKind, encodeResult(c.cfg.BaseField, c.round, clusterTag, bad))
 	case Equivocate:
 		// A different wrong value to every peer. On a no-equivocation
 		// (broadcast) network the transport coerces these to the first.
-		n.txSends = make([][]byte, c.cfg.N)
 		for to := 0; to < c.cfg.N; to++ {
 			if to == n.id {
 				continue
 			}
 			bad := field.RandVec(c.cfg.BaseField, c.rng, len(result))
-			n.txSends[to] = encodeResult(c.cfg.BaseField, c.round, clusterTag, bad)
+			if err := n.ep.Send(transport.NodeID(to), resultKind, encodeResult(c.cfg.BaseField, c.round, clusterTag, bad)); err != nil {
+				return err
+			}
 		}
 		n.accept(n.id, result)
+		return nil
 	default:
 		n.accept(n.id, result)
-		n.txBroadcast = encodeResult(c.cfg.BaseField, c.round, clusterTag, result)
+		return n.ep.Broadcast(resultKind, encodeResult(c.cfg.BaseField, c.round, clusterTag, result))
 	}
-}
-
-// transmitResult signs and enqueues what planBroadcast staged. It is
-// RNG-free and touches only this node's endpoint, so distinct nodes may
-// transmit concurrently when the network schedule is deterministic.
-func (n *node[E]) transmitResult() error {
-	if n.txBroadcast != nil {
-		return n.ep.Broadcast(resultKind, n.txBroadcast)
-	}
-	for to, payload := range n.txSends {
-		if payload == nil {
-			continue
-		}
-		if err := n.ep.Send(transport.NodeID(to), resultKind, payload); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // resetStep opens a new step: nothing collected, nothing decoded.

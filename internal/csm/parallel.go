@@ -18,14 +18,10 @@ import (
 //   - compute (parallel): stepCore.apply, the coded transition
 //     g_i = f(S̃_i, X̃_i), is a pure function of the node's state and its
 //     coded command slice; results land in index-addressed slots.
-//   - broadcast: Byzantine lies consume the cluster RNG on the driving
-//     goroutine in node order (planBroadcast); the RNG-free signing and
-//     enqueueing (transmitResult) fans out across workers whenever the
-//     transport's delivery schedule is enqueue-order-independent
-//     (synchronous mode or post-GST; pre-GST sends stay in node order —
-//     random delays consume the sequential RNG and a DelayFn may be
-//     stateful) — delivery order is re-sorted deterministically by the
-//     lock-step network, so enqueue order cannot leak into the simulation.
+//   - broadcast (sequential): each node's result, or its Byzantine lie
+//     drawn from the cluster RNG, is enqueued on the driving goroutine in
+//     node order (node.sendResult). An enqueue is a copy and a record
+//     under the network's lock, so workers would only contend for it.
 //   - collect + decode (parallel): the driving goroutine steps the
 //     network; then each honest node still waiting ranges over its own
 //     deliveries, parses the results into its own core (stepCore.ingest)
@@ -74,7 +70,7 @@ func (c *Cluster[E]) computeAllResults(micro int) ([][]E, error) {
 	err := pool.Run(c.workers(), len(c.nodes), func(i int) error {
 		n := c.nodes[i]
 		if n.behavior == Crashed || n.behavior == Recovering {
-			return nil // no state, no compute; planBroadcast sends nothing
+			return nil // no state, no compute; sendResult sends nothing
 		}
 		r, err := n.apply(micro)
 		if err != nil {
@@ -87,26 +83,6 @@ func (c *Cluster[E]) computeAllResults(micro int) ([][]E, error) {
 		return nil, err
 	}
 	return results, nil
-}
-
-// transmitAllResults signs and enqueues every node's staged result
-// broadcast. The fan-out runs in parallel only when the transport's
-// delivery schedule at the current round is enqueue-order-independent:
-// pre-GST sends must stay in node order (random delays draw from the
-// network's sequential RNG at enqueue time, and an installed DelayFn may
-// be stateful).
-func (c *Cluster[E]) transmitAllResults() error {
-	if c.workers() > 1 && c.net.DelayDeterministic(c.net.Round()) {
-		return pool.Run(c.workers(), len(c.nodes), func(i int) error {
-			return c.nodes[i].transmitResult()
-		})
-	}
-	for _, n := range c.nodes {
-		if err := n.transmitResult(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // collectAndDecode runs one tick of the collect/decode loop for the

@@ -17,7 +17,7 @@ import (
 // lyingLink is a Byzantine peer as the deployed engine meets one: the
 // node behind it computes honestly, but every execution result it
 // broadcasts — or, with only set, the result of that one workload round —
-// is corrupted before it is signed.
+// is corrupted before it is sent.
 type lyingLink struct {
 	transport.Link
 	only *int

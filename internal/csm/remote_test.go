@@ -150,7 +150,7 @@ func TestRemoteMatchesClusterOverLocalLinks(t *testing.T) {
 }
 
 // TestRemoteMatchesClusterOverTCP is the full tentpole contract: the same
-// engine over real localhost sockets — framed, signed, reconnecting —
+// engine over real localhost sockets — framed, authenticated, reconnecting —
 // still lands bit-identical to the in-memory oracle.
 func TestRemoteMatchesClusterOverTCP(t *testing.T) {
 	gold := field.NewGoldilocks()

@@ -12,17 +12,17 @@ import (
 )
 
 // sameMessages reports whether two delivered sequences are identical,
-// payload and signature bytes included.
+// payload bytes included.
 func sameMessages(a, b []Message) bool {
 	return slices.EqualFunc(a, b, func(x, y Message) bool {
 		return x.From == y.From && x.To == y.To && x.Round == y.Round && x.Kind == y.Kind &&
-			bytes.Equal(x.Payload, y.Payload) && bytes.Equal(x.Sig, y.Sig)
+			bytes.Equal(x.Payload, y.Payload)
 	})
 }
 
 // TestNetworkConcurrentBroadcastDeterministic: on a synchronous network
-// delivery does not depend on enqueue order, which is what lets the
-// cluster sign and enqueue a round's results from many goroutines. 64
+// delivery does not depend on enqueue order, which is what lets N local
+// links (NewLocalLinks) send from N goroutines. 64
 // endpoints send from 8 goroutines in a shuffled order — two broadcasts
 // each, the second coerced to the first on this no-equivocation network,
 // plus a unicast from every fifth node — and every inbox must equal a
@@ -109,11 +109,10 @@ func TestNetworkConcurrentBroadcastDeterministic(t *testing.T) {
 
 // BenchmarkNetworkTick is one simulated result exchange at csmload's
 // sim-honest shape: 64 nodes each broadcast a result-sized payload (the
-// 48-byte result header and a Bank result's two field elements), fanned
-// out over GOMAXPROCS goroutines as the cluster's transmit phase does, then
-// one Step, and every node ranges over its Deliveries on the same fan-out,
-// as the cluster's collect phase does. The 64 ed25519 signatures are part
-// of it, as they are of every simulated round.
+// 48-byte result header and a Bank result's two field elements) in node
+// order, as the cluster's transmit phase does, then one Step, and every
+// node ranges over its Deliveries fanned out over GOMAXPROCS goroutines,
+// as the cluster's collect phase does.
 func BenchmarkNetworkTick(b *testing.B) {
 	const n = 64
 	net, err := New(Config{N: n, Mode: Sync, Seed: 71})
@@ -129,8 +128,10 @@ func BenchmarkNetworkTick(b *testing.B) {
 	payload := bytes.Repeat([]byte{0xc5}, 48+2*8)
 	b.ReportAllocs()
 	for b.Loop() {
-		if err := pool.Run(0, n, func(i int) error { return eps[i].Broadcast("csm-result", payload) }); err != nil {
-			b.Fatal(err)
+		for _, ep := range eps {
+			if err := ep.Broadcast("csm-result", payload); err != nil {
+				b.Fatal(err)
+			}
 		}
 		net.Step()
 		delivered := make([]int, n)

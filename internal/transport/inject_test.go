@@ -1,6 +1,9 @@
 package transport
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // tap returns what the network filed this round for delivery next round,
 // one message per envelope with To set to its first recipient: what an
@@ -113,4 +116,95 @@ func TestInjectRefusals(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNetworkRecordPruned: the record of what the network carried holds
+// the current round's content and nothing older, before GST and after it.
+// Every node broadcasts two different payloads a round on a
+// no-equivocation network, so the record holds one entry per node (the
+// value the channel coerces to), and Step drops it with the round.
+func TestNetworkRecordPruned(t *testing.T) {
+	const n, rounds = 7, 200
+	net := newNet(t, Config{N: n, Mode: PartialSync, GST: rounds / 2, NoEquivocation: true, Seed: 51})
+	eps := make([]*Endpoint, n)
+	for i := range eps {
+		eps[i] = endpoint(t, net, NodeID(i))
+	}
+	for r := 0; r < rounds; r++ {
+		for i, ep := range eps {
+			for _, b := range []byte{0xb0, 0xb1} {
+				if err := ep.Broadcast("b", []byte{byte(r), byte(i), b}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		net.mu.Lock()
+		held, current := len(net.carried), len(net.carried[net.round])
+		net.mu.Unlock()
+		if held != 1 || current != n {
+			t.Fatalf("round %d: record holds %d rounds and %d entries for the current one, want 1 and %d", r, held, current, n)
+		}
+		net.Step()
+		net.mu.Lock()
+		held = len(net.carried)
+		net.mu.Unlock()
+		if held != 0 {
+			t.Fatalf("round %d: record holds %d rounds after Step, want 0", r, held)
+		}
+	}
+}
+
+// FuzzInject checks the admission rule on arbitrary messages: on an N=4
+// synchronous network in round 1 that carried a fixed set of messages in
+// rounds 0 and 1, an injected message is admitted iff its To is a node,
+// its Round is not past, and the network carried its (From, Round, Kind,
+// Payload) from From. Node 3 equivocates in round 1; on a
+// no-equivocation network only its first payload is carried.
+func FuzzInject(f *testing.F) {
+	type content struct {
+		from    NodeID
+		round   int
+		kind    string
+		payload string
+	}
+	f.Add(0, 2, 1, "b", []byte("x"), false)
+	f.Add(1, 2, 1, "u", []byte("y"), true)
+	f.Add(3, 1, 1, "e", []byte("q"), true)
+	f.Add(3, 1, 1, "e", []byte("q"), false)
+	f.Add(2, 0, 1, "b", []byte{}, false)
+	f.Add(0, 1, 0, "b", []byte("w"), false)
+	f.Add(0, 4, 1, "b", []byte("x"), false)
+	f.Fuzz(func(t *testing.T, from, to, round int, kind string, payload []byte, noEquivocation bool) {
+		const n = 4
+		net := newNet(t, Config{N: n, Mode: Sync, NoEquivocation: noEquivocation, Seed: 81})
+		eps := make([]*Endpoint, n)
+		for i := range eps {
+			eps[i] = endpoint(t, net, NodeID(i))
+		}
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		must(eps[0].Broadcast("b", []byte("w"))) // round 0: stale by the time of the Inject
+		net.Step()
+		must(eps[0].Broadcast("b", []byte("x")))
+		must(eps[1].Send(2, "u", []byte("y")))
+		must(eps[2].Broadcast("b", nil))
+		must(eps[3].Send(0, "e", []byte("p")))
+		must(eps[3].Send(1, "e", []byte("q")))
+		carried := []content{{0, 1, "b", "x"}, {1, 1, "u", "y"}, {2, 1, "b", ""}, {3, 1, "e", "p"}}
+		if !noEquivocation {
+			carried = append(carried, content{3, 1, "e", "q"})
+		}
+		want := to >= 0 && to < n && round >= net.Round() &&
+			slices.Contains(carried, content{NodeID(from), round, kind, string(payload)})
+		before := net.Stats().ForgeriesDropped
+		net.Inject(Message{From: NodeID(from), To: NodeID(to), Round: round, Kind: kind, Payload: payload})
+		if admitted := net.Stats().ForgeriesDropped == before; admitted != want {
+			t.Fatalf("Inject(from %d, to %d, round %d, kind %q, payload %q) admitted %v, want %v",
+				from, to, round, kind, payload, admitted, want)
+		}
+	})
 }

@@ -29,17 +29,15 @@ var ErrClosed = errors.New("transport: link closed")
 // a protocol driven over a Link is bit-identical across the two — the
 // property the remote-engine equivalence tests pin.
 //
-// How From is authenticated differs, and with it what Message.Sig holds.
-// The simulated network signs every envelope with the sender's ed25519
-// key — one signature per broadcast, the paper's authenticated-broadcast
-// cost model — and delivers the signature in Sig. The TCP transport
+// How From is authenticated differs. On the simulated network the network
+// itself is the channel: it stamps From with the sending endpoint, and
+// admits an injected message only if it carried the same content from
+// that sender in a round that has not passed. The TCP transport
 // authenticates each connection once, by roster key, and accepts a frame
-// only from the session of the From it claims (see tcp.go); its messages
-// arrive with Sig empty. What that gives up is third-party verifiability
-// of an envelope: a receiver cannot show a TCP-delivered message to
-// anyone else as proof of who sent it. Nothing above the transport reads
-// Sig, and nothing may start to: content that has to convince a third
-// node goes through SignBlob/VerifyBlob, which are ed25519 on both
+// only from the session of the From it claims (see tcp.go). Neither signs
+// a message, so neither lets a receiver show a delivered message to
+// anyone else as proof of who sent it. Content that has to convince a
+// third node goes through SignBlob/VerifyBlob, which are ed25519 on both
 // transports.
 //
 // Simulation-only knobs (SetDown crash injection; the delay models and

@@ -133,9 +133,9 @@ func (p *peer) stage(round int, typ byte, body []byte) error {
 // then accepted only if its From is the session's peer and its To is this
 // node, and a DONE marker counts for the session's peer — one ed25519
 // signature and verification per session end, symmetric crypto per frame
-// (PBFT's normal-case trade: Castro & Liskov, OSDI '99). Messages are
-// delivered with an empty Sig: an envelope no longer proves its origin to
-// a third party, which nothing consumes — content that must survive
+// (PBFT's normal-case trade: Castro & Liskov, OSDI '99). Messages carry
+// no signature: an envelope does not prove its origin to a third party,
+// which nothing consumes — content that must survive
 // re-broadcast goes through SignBlob/VerifyBlob, still ed25519 and
 // transport-independent. In exchange DONE markers are authenticated, and
 // a captured connection opening cannot be replayed.

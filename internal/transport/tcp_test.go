@@ -711,8 +711,8 @@ func TestTCPReplayedSessionRefused(t *testing.T) {
 // node and nothing else. Node 1 turned Byzantine — a process holding node
 // 1's key, here in place of the real node 1 — gets a session with node 2,
 // but its frame in node 0's name and its frame addressed elsewhere are
-// counted and dropped, exactly like a bad signature on the simulated
-// network's Inject path; its own message goes through.
+// counted and dropped, exactly like content the simulated network never
+// carried on its Inject path; its own message goes through.
 func TestTCPForgeryDropped(t *testing.T) {
 	const n, seed = 3, 21
 	links := startTCPCluster(t, n, seed)

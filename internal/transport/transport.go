@@ -1,24 +1,29 @@
 // Package transport simulates the paper's network model (Section 2.1): a
-// fully connected network of N nodes exchanging cryptographically signed
-// messages, in either a synchronous mode (every message sent in round t is
-// delivered at round t+1) or a partially synchronous mode (adversarially
-// delayed deliveries until an unknown global stabilization time, after
-// which the network is synchronous).
+// fully connected network of N nodes exchanging messages over
+// authenticated channels, in either a synchronous mode (every message sent
+// in round t is delivered at round t+1) or a partially synchronous mode
+// (adversarially delayed deliveries until an unknown global stabilization
+// time, after which the network is synchronous).
 //
 // The simulator is deterministic: a seeded RNG drives pre-GST delays, and
 // all nodes run in lock step, which makes the threshold experiments of
-// Table 2 exactly reproducible. Messages are signed with ed25519
-// ("authenticated Byzantine faults": arbitrary misbehaviour, but forging
-// another node's messages is detectable and dropped).
+// Table 2 exactly reproducible. The channels are authenticated
+// ("authenticated Byzantine faults": arbitrary misbehaviour, but a node
+// cannot forge another node's messages): the network itself is the
+// channel, so a message's From is the endpoint that sent it, and a
+// message injected from outside is admitted only if the network carried
+// that same content from its claimed sender in a round that has not
+// passed (see admit). Content that must convince a third node is signed
+// with ed25519 through SignBlob/VerifyBlob.
 //
-// A transmission travels as one envelope: the signed message and the
-// recipients it goes to. A broadcast is one envelope and one signature
-// for its N-1 copies, so a synchronous round of N broadcasts queues N
-// envelopes, not N(N-1) messages (before GST every copy draws its own
-// delay and is filed alone). A node's inbox is a view over the round's
+// A transmission travels as one envelope: the message and the recipients
+// it goes to. A broadcast is one envelope for its N-1 copies, so a
+// synchronous round of N broadcasts queues N envelopes, not N(N-1)
+// messages (before GST every copy draws its own delay and is filed
+// alone). A node's inbox is a view over the round's
 // sorted envelopes, not a copy. What a node receives, in which round and
 // in which order is the same as if every copy had been queued on its own
-// (see post and Step), and TestNetworkDeliveryGolden pins it.
+// (see post and Step), and TestNetworkDeliveryContentGolden pins it.
 package transport
 
 import (
@@ -72,14 +77,13 @@ func (m Mode) String() string {
 	}
 }
 
-// Message is a signed protocol message.
+// Message is a protocol message.
 type Message struct {
 	From    NodeID
 	To      NodeID
 	Round   int // the round in which it was sent
 	Kind    string
 	Payload []byte
-	Sig     []byte
 }
 
 // Config configures a simulated network.
@@ -112,10 +116,10 @@ type Stats struct {
 	MessagesDelivered uint64
 	BytesDelivered    uint64
 	// ForgeriesDropped counts every injected envelope the network refuses:
-	// on the simulated network, an Inject whose signature does not verify,
-	// whose recipient is out of range or whose round has passed (see
-	// admit); on the TCP transport, a frame claiming a sender or recipient
-	// its session does not cover.
+	// on the simulated network, an Inject whose content the network did not
+	// carry from its claimed sender, whose recipient is out of range or
+	// whose round has passed (see admit); on the TCP transport, a frame
+	// claiming a sender or recipient its session does not cover.
 	ForgeriesDropped uint64
 	// RandomDelays counts pre-GST deliveries scheduled by the seeded RNG.
 	// It stays zero while a DelayFn is installed: the RNG is consumed only
@@ -127,7 +131,8 @@ type Stats struct {
 	DroppedDown uint64
 	// Transmissions counts Endpoint.Send and Endpoint.Broadcast calls: one
 	// per transmission, however many recipients it has and whether or not
-	// a crash drops it. Inject is not a transmission.
+	// a crash drops it. Inject is not a transmission. (A network that
+	// signed every envelope computed one signature per transmission.)
 	Transmissions uint64
 }
 
@@ -141,15 +146,17 @@ type Network struct {
 	privs     []ed25519.PrivateKey
 	pending   map[int][]envelope // delivery round -> envelopes
 	delivered []envelope         // this round's, sorted, live recipients only
-	firstSent map[equivKey][]byte
-	down      []bool // crashed nodes: their traffic drops in both directions
+	carried   map[int][]sent     // send round -> what the network carried, in post order
+	down      []bool             // crashed nodes: their traffic drops in both directions
 	stats     Stats
 }
 
-type equivKey struct {
-	from  NodeID
-	round int
-	kind  string
+// sent is the content of one envelope the network carried: what its
+// sender vouched for. The payload is the envelope's own immutable copy.
+type sent struct {
+	from    NodeID
+	kind    string
+	payload []byte
 }
 
 // New constructs a network of cfg.N nodes with deterministic keys.
@@ -164,11 +171,11 @@ func New(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("transport: negative MaxPreGSTDelay %d", cfg.MaxPreGSTDelay)
 	}
 	n := &Network{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewPCG(cfg.Seed, 0x5eed)),
-		pending:   make(map[int][]envelope),
-		firstSent: make(map[equivKey][]byte),
-		down:      make([]bool, cfg.N),
+		cfg:     cfg,
+		rng:     rand.New(rand.NewPCG(cfg.Seed, 0x5eed)),
+		pending: make(map[int][]envelope),
+		carried: make(map[int][]sent),
+		down:    make([]bool, cfg.N),
 	}
 	n.pubs, n.privs = DeriveKeys(cfg.Seed, cfg.N)
 	return n, nil
@@ -176,7 +183,7 @@ func New(cfg Config) (*Network, error) {
 
 // DeriveKeys deterministically derives the cluster's N ed25519 keypairs
 // from the shared cluster seed. Both the simulated network and the TCP
-// transport use this derivation, so a message signed by node i in one
+// transport use this derivation, so a blob signed by node i in one
 // process verifies against the keys any other process derived from the
 // same seed. (A deployment with real key distribution would instead load
 // per-node private keys and a public-key roster from configuration; the
@@ -227,15 +234,11 @@ func (n *Network) Stats() Stats {
 	return n.stats
 }
 
-// DelayDeterministic reports whether a message enqueued at the given send
-// round is scheduled independently of enqueue order: synchronous networks
-// and post-GST sends, whose delivery is fixed one-round latency. When it
-// returns true, callers may sign and enqueue a round's messages
-// concurrently without perturbing determinism. Pre-GST sends do not
-// qualify: random delays draw from the sequential seeded RNG stream, and
-// an installed DelayFn — whose contract does not require purity — must
-// likewise observe sends in program order.
-func (n *Network) DelayDeterministic(round int) bool {
+// delayDeterministic reports whether a message sent in the given round is
+// delivered at a fixed one-round latency, drawing no delay: synchronous
+// networks and post-GST sends. Pre-GST sends draw from the sequential
+// seeded RNG stream or call the installed DelayFn, in enqueue order.
+func (n *Network) delayDeterministic(round int) bool {
 	return n.cfg.Mode == Sync || round >= n.cfg.GST
 }
 
@@ -261,7 +264,7 @@ func (n *Network) SetDown(id NodeID, down bool) error {
 }
 
 // isDown is the lock-held down lookup, safe for the untrusted ids Inject
-// may carry (out-of-range ids are not down; Verify rejects them later).
+// may carry (out-of-range ids are not down; admit rejects them later).
 func (n *Network) isDown(id NodeID) bool {
 	return int(id) >= 0 && int(id) < n.cfg.N && n.down[id]
 }
@@ -292,29 +295,8 @@ func (n *Network) Endpoint(id NodeID) (*Endpoint, error) {
 	return &Endpoint{net: n, id: id}, nil
 }
 
-// signingBytes is the canonical byte string covered by a signature.
-func signingBytes(from NodeID, round int, kind string, payload []byte) []byte {
-	var buf bytes.Buffer
-	var hdr [20]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(from))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(round))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(kind)))
-	buf.Write(hdr[:])
-	buf.WriteString(kind)
-	buf.Write(payload)
-	return buf.Bytes()
-}
-
-// Verify checks a message's signature against its claimed sender.
-func (n *Network) Verify(m Message) bool {
-	if int(m.From) < 0 || int(m.From) >= n.cfg.N {
-		return false
-	}
-	return ed25519.Verify(n.pubs[m.From], signingBytes(m.From, m.Round, m.Kind, m.Payload), m.Sig)
-}
-
-// An envelope is one transmission: a signed message and the recipients it
-// still has to reach, ascending. A broadcast is one envelope for its N-1
+// An envelope is one transmission: a message and the recipients it still
+// has to reach, ascending. A broadcast is one envelope for its N-1
 // copies, not N-1 messages; Deliveries sets each copy's To as it hands
 // the copy over. The recipient list is read-only once filed: a pre-GST
 // copy's is a window of its transmission's list, and Step copies a list
@@ -324,33 +306,27 @@ type envelope struct {
 	to  []NodeID
 }
 
-// enqueue files a unicast message m.To: one envelope with one recipient. It
-// drops forgeries. trusted marks messages constructed and signed by an
-// Endpoint in this process — their signatures are valid by construction
-// (an endpoint signs with its own key over exactly the bytes it enqueues),
-// so re-verifying them would only burn a redundant ed25519 verification.
-// Messages entering through Inject are never trusted. Callers hold no lock.
-func (n *Network) enqueue(m Message, trusted bool) {
+// enqueue records an Endpoint's unicast message, stamped with the current
+// round, and files it for m.To: one envelope with one recipient. Callers
+// hold no lock.
+func (n *Network) enqueue(m Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if trusted {
-		n.stats.Transmissions++
-	}
+	m.Round = n.round
+	n.stats.Transmissions++
 	// Crashed endpoints neither send nor receive. The check precedes the
 	// delay draw so a down node's (non-)traffic never consumes the seeded
 	// RNG stream of the surviving nodes.
-	if n.isDown(m.From) || n.isDown(m.To) {
+	if n.down[m.From] || n.down[m.To] {
 		n.stats.DroppedDown++
 		return
 	}
-	if !trusted && !n.admit(m) {
-		n.stats.ForgeriesDropped++
-		return
-	}
+	n.record(&m)
 	n.post(m, []NodeID{m.To})
 }
 
-// enqueueBroadcast files m for every other node under one lock: the
+// enqueueBroadcast records an Endpoint's broadcast, stamped with the
+// current round, and files it for every other node under one lock: the
 // envelope carries the live recipients, ascending, and each copy a down
 // sender or a down recipient loses counts in DroppedDown, before any delay
 // is drawn, exactly as if the copies had been enqueued one by one. Callers
@@ -358,6 +334,7 @@ func (n *Network) enqueue(m Message, trusted bool) {
 func (n *Network) enqueueBroadcast(m Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	m.Round = n.round
 	n.stats.Transmissions++
 	if n.down[m.From] {
 		n.stats.DroppedDown += uint64(n.cfg.N - 1)
@@ -374,17 +351,13 @@ func (n *Network) enqueueBroadcast(m Message) {
 		}
 	}
 	if len(to) > 0 {
+		n.record(&m)
 		n.post(m, to)
 	}
 }
 
-// post applies the broadcast channel's coercion to an admitted envelope
-// and files it under its delivery round. Caller holds mu.
-//
-// With NoEquivocation the channel carries one value per (sender, round,
-// kind) and every recipient hears the first: a later, different payload
-// is replaced and re-signed as the sender, once for the whole envelope, so
-// every coerced copy still verifies.
+// post files an admitted envelope under its delivery round. Caller holds
+// mu.
 //
 // Synchronous and post-GST sends all arrive next round, as one envelope.
 // Before GST each recipient's delay is drawn in ascending recipient order
@@ -392,16 +365,7 @@ func (n *Network) enqueueBroadcast(m Message) {
 // RNG stream and a DelayFn see the same calls — and each copy is filed
 // under its own delivery round as a one-recipient envelope.
 func (n *Network) post(m Message, to []NodeID) {
-	if n.cfg.NoEquivocation {
-		key := equivKey{from: m.From, round: m.Round, kind: m.Kind}
-		if first, ok := n.firstSent[key]; !ok {
-			n.firstSent[key] = append([]byte(nil), m.Payload...)
-		} else if !bytes.Equal(first, m.Payload) {
-			m.Payload = append([]byte(nil), first...)
-			m.Sig = ed25519.Sign(n.privs[m.From], signingBytes(m.From, m.Round, m.Kind, m.Payload))
-		}
-	}
-	if n.DelayDeterministic(m.Round) {
+	if n.delayDeterministic(m.Round) {
 		n.pending[m.Round+1] = append(n.pending[m.Round+1], envelope{m, to})
 		return
 	}
@@ -411,15 +375,50 @@ func (n *Network) post(m Message, to []NodeID) {
 	}
 }
 
-// admit is the check an injected envelope must pass; the signature does
-// not cover To, so a validly signed message proves nothing about where it
-// may go. It refuses a recipient outside 0..N-1 (Step would index the
-// down table with it), a round earlier than the current one (a replay: an
-// Endpoint always stamps the current round, and a replay's delivery round
-// may already have passed, which would park it in pending for good), and
-// a signature that does not verify. Caller holds mu.
-func (n *Network) admit(m Message) bool {
-	return int(m.To) >= 0 && int(m.To) < n.cfg.N && m.Round >= n.round && n.Verify(m)
+// record applies the broadcast channel's coercion to a message an
+// Endpoint sends and adds what it carries to its round's record, which is
+// what admit vouches for. The record keeps the payload slice, the
+// endpoint's own copy, which nothing rewrites. Caller holds mu.
+//
+// With NoEquivocation the channel carries one value per (sender, round,
+// kind) and every recipient hears the first: the first payload recorded
+// for them, which a later message of theirs is coerced to, so the record
+// never vouches for a coerced-away payload.
+func (n *Network) record(m *Message) {
+	carried := n.carried[m.Round]
+	if n.cfg.NoEquivocation {
+		i := slices.IndexFunc(carried, func(s sent) bool { return s.from == m.From && s.kind == m.Kind })
+		if i >= 0 {
+			m.Payload = carried[i].payload
+			return
+		}
+	}
+	if carried == nil {
+		carried = make([]sent, 0, n.cfg.N)
+	}
+	n.carried[m.Round] = append(carried, sent{from: m.From, kind: m.Kind, payload: m.Payload})
+}
+
+// admit is the check an injected envelope must pass, and returns the
+// payload the network carried for it. It refuses a recipient outside
+// 0..N-1 (Step would index the down table with it), a round earlier than
+// the current one (a replay: an Endpoint always stamps the current round,
+// and a replay's delivery round may already have passed, which would park
+// it in pending for good; Step has also dropped that round's record), and
+// content — (From, Round, Kind, Payload) —
+// the network did not carry from From in that round, which is what a
+// valid sender signature proved. The content does not cover To: a genuine
+// message re-addressed to another node is admitted. Caller holds mu.
+func (n *Network) admit(m Message) ([]byte, bool) {
+	if int(m.To) < 0 || int(m.To) >= n.cfg.N || m.Round < n.round {
+		return nil, false
+	}
+	for _, s := range n.carried[m.Round] {
+		if s.from == m.From && s.kind == m.Kind && bytes.Equal(s.payload, m.Payload) {
+			return s.payload, true
+		}
+	}
+	return nil, false
 }
 
 // preGSTDelay is the delay of one copy sent before GST. Caller holds mu.
@@ -436,7 +435,9 @@ func (n *Network) preGSTDelay(from, to NodeID, round int) int {
 }
 
 // Step advances the network one round and keeps the envelopes due in it,
-// sorted, as the round's deliveries (see Endpoint.Deliveries).
+// sorted, as the round's deliveries (see Endpoint.Deliveries). The record
+// of the round that just ended goes: admit refuses its messages from now
+// on.
 //
 // Delivery order is deterministic: the due envelopes are sorted stably by
 // (From, Kind) — enqueue order breaks ties — and a node receives its
@@ -448,6 +449,7 @@ func (n *Network) Step() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.round++
+	delete(n.carried, n.round-1)
 	due := n.pending[n.round]
 	delete(n.pending, n.round)
 	slices.SortStableFunc(due, func(a, b envelope) int {
@@ -473,9 +475,24 @@ func (n *Network) Step() {
 
 // Inject delivers a raw message envelope (used by adversarial tests to
 // attempt forgery); it is dropped, and counted in ForgeriesDropped, unless
-// its signature verifies against the claimed sender, its recipient is a
-// node and its round has not passed.
-func (n *Network) Inject(m Message) { n.enqueue(m, false) }
+// the network carried its (From, Round, Kind, Payload) from From, its
+// recipient is a node and its round has not passed (see admit). An
+// admitted message travels with the payload the network carried.
+func (n *Network) Inject(m Message) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.isDown(m.From) || n.isDown(m.To) {
+		n.stats.DroppedDown++
+		return
+	}
+	payload, ok := n.admit(m)
+	if !ok {
+		n.stats.ForgeriesDropped++
+		return
+	}
+	m.Payload = payload
+	n.post(m, []NodeID{m.To})
+}
 
 // Endpoint is a node's handle on the network.
 type Endpoint struct {
@@ -486,38 +503,20 @@ type Endpoint struct {
 // ID returns the node's identifier.
 func (e *Endpoint) ID() NodeID { return e.id }
 
-// sign produces the node's signature for the given content.
-func (e *Endpoint) sign(round int, kind string, payload []byte) []byte {
-	return ed25519.Sign(e.net.privs[e.id], signingBytes(e.id, round, kind, payload))
-}
-
-// Send transmits a signed message to a single node.
+// Send transmits a message to a single node in the current round.
 func (e *Endpoint) Send(to NodeID, kind string, payload []byte) error {
 	if int(to) < 0 || int(to) >= e.net.cfg.N {
 		return fmt.Errorf("transport: recipient %d out of range", to)
 	}
-	round := e.net.Round()
-	e.net.enqueue(Message{
-		From: e.id, To: to, Round: round, Kind: kind,
-		Payload: append([]byte(nil), payload...),
-		Sig:     e.sign(round, kind, payload),
-	}, true)
+	e.net.enqueue(Message{From: e.id, To: to, Kind: kind, Payload: append([]byte(nil), payload...)})
 	return nil
 }
 
-// Broadcast transmits a signed message to every other node. The signature
-// covers (sender, round, kind, payload) but not the recipient, so one
-// ed25519 signature is computed and shared by all N-1 copies — the
-// authenticated-broadcast cost model of Section 2.1, not N-1 times it. The
-// copies travel as one envelope, enqueued under one lock; they are told
-// apart only at delivery, where Step writes each one's To.
+// Broadcast transmits a message to every other node in the current round.
+// The copies travel as one envelope, enqueued under one lock and recorded
+// once; they are told apart only at delivery, where each one's To is set.
 func (e *Endpoint) Broadcast(kind string, payload []byte) error {
-	round := e.net.Round()
-	e.net.enqueueBroadcast(Message{
-		From: e.id, Round: round, Kind: kind,
-		Payload: append([]byte(nil), payload...),
-		Sig:     e.sign(round, kind, payload),
-	})
+	e.net.enqueueBroadcast(Message{From: e.id, Kind: kind, Payload: append([]byte(nil), payload...)})
 	return nil
 }
 
@@ -550,7 +549,7 @@ func blobBytes(context string, data []byte) []byte {
 // current when it is called, in Step's order, each with To set. It walks
 // the round's envelopes, which Step never rewrites, so endpoints may range
 // over their deliveries concurrently. Every recipient's copy shares one
-// payload and signature: callers must not rewrite those bytes.
+// payload: callers must not rewrite those bytes.
 func (e *Endpoint) Deliveries() iter.Seq[Message] {
 	e.net.mu.Lock()
 	round := e.net.delivered
@@ -570,7 +569,7 @@ func (e *Endpoint) Deliveries() iter.Seq[Message] {
 }
 
 // Receive returns Deliveries as a fresh slice of exactly their length,
-// which the caller owns (the payload and signature bytes stay shared).
+// which the caller owns (the payload bytes stay shared).
 func (e *Endpoint) Receive() []Message {
 	deliveries := e.Deliveries()
 	count := 0

@@ -16,13 +16,15 @@ import (
 //	body         type-specific payload
 //
 // A frameData body is a Message in the fixed binary layout produced by
-// AppendMessage — the same envelope the simulated network passes around
-// in memory, Sig included, so a simulated message round-trips through
-// the codec with its signature intact (wire_test.go pins this). The TCP
-// transport itself leaves Sig empty: the session, not the frame, says who
-// sent it. frameDone is the lock-step barrier marker that ends a peer's
-// round. Nothing inside the stream identifies the sender, and frames of
-// any other type are ignored.
+// AppendMessage — every field of the message the simulated network passes
+// around in memory, so a simulated delivery round-trips through the codec
+// unchanged (wire_test.go pins this). A message carries no signature: the
+// session, not the frame, says who sent it. (This is a wire-format change
+// from the layout that ended in a uint8 sigLen and a signature: every
+// message is one byte shorter, and a body in the old layout, even with an
+// empty signature, is refused for its trailing byte.) frameDone is the
+// lock-step barrier marker that ends a peer's round. Nothing inside the
+// stream identifies the sender, and frames of any other type are ignored.
 //
 // All length fields are validated against hard caps before any
 // allocation, so a malformed or adversarial frame (fuzzed in
@@ -41,7 +43,7 @@ const (
 // AppendMessage appends the fixed binary encoding of m to dst:
 //
 //	uint64 from | uint64 to | uint64 round |
-//	uint8 kindLen | kind | uint32 payloadLen | payload | uint8 sigLen | sig
+//	uint8 kindLen | kind | uint32 payloadLen | payload
 //
 // all little-endian. It returns the extended slice.
 func AppendMessage(dst []byte, m Message) ([]byte, error) {
@@ -51,19 +53,13 @@ func AppendMessage(dst []byte, m Message) ([]byte, error) {
 	if len(m.Payload) > maxFrameBody/2 {
 		return dst, fmt.Errorf("transport: payload of %d bytes exceeds the frame cap", len(m.Payload))
 	}
-	if len(m.Sig) > maxWireKind {
-		return dst, fmt.Errorf("transport: signature of %d bytes is malformed", len(m.Sig))
-	}
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.From))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.To))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Round))
 	dst = append(dst, byte(len(m.Kind)))
 	dst = append(dst, m.Kind...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Payload)))
-	dst = append(dst, m.Payload...)
-	dst = append(dst, byte(len(m.Sig)))
-	dst = append(dst, m.Sig...)
-	return dst, nil
+	return append(dst, m.Payload...), nil
 }
 
 // UnmarshalMessage parses the binary encoding produced by AppendMessage.
@@ -85,16 +81,13 @@ func UnmarshalMessage(b []byte) (Message, error) {
 	m.Kind = string(b[:kindLen])
 	payloadLen := int(binary.LittleEndian.Uint32(b[kindLen:]))
 	b = b[kindLen+4:]
-	if payloadLen > maxFrameBody/2 || len(b) < payloadLen+1 {
+	if payloadLen > maxFrameBody/2 || len(b) < payloadLen {
 		return m, fmt.Errorf("transport: message payload truncated")
 	}
-	m.Payload = append([]byte(nil), b[:payloadLen]...)
-	sigLen := int(b[payloadLen])
-	b = b[payloadLen+1:]
-	if len(b) != sigLen {
-		return m, fmt.Errorf("transport: %d trailing bytes after signature", len(b)-sigLen)
+	if len(b) > payloadLen {
+		return m, fmt.Errorf("transport: %d trailing bytes after payload", len(b)-payloadLen)
 	}
-	m.Sig = append([]byte(nil), b...)
+	m.Payload = append([]byte(nil), b...)
 	return m, nil
 }
 

@@ -11,9 +11,9 @@ import (
 func TestMessageCodecRoundTrip(t *testing.T) {
 	msgs := []Message{
 		{},
-		{From: 3, To: 7, Round: 42, Kind: "csm-result", Payload: []byte{1, 2, 3}, Sig: bytes.Repeat([]byte{9}, 64)},
-		{From: 0, To: 0, Round: 0, Kind: "", Payload: nil, Sig: nil},
-		{From: 15, To: 1, Round: 1 << 30, Kind: "k", Payload: bytes.Repeat([]byte{0xff}, 1024), Sig: []byte{1}},
+		{From: 3, To: 7, Round: 42, Kind: "csm-result", Payload: []byte{1, 2, 3}},
+		{From: 0, To: 0, Round: 0, Kind: "", Payload: nil},
+		{From: 15, To: 1, Round: 1 << 30, Kind: "k", Payload: bytes.Repeat([]byte{0xff}, 1024)},
 	}
 	for i, m := range msgs {
 		body, err := AppendMessage(nil, m)
@@ -25,7 +25,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 			t.Fatalf("msg %d: decode: %v", i, err)
 		}
 		if got.From != m.From || got.To != m.To || got.Round != m.Round || got.Kind != m.Kind ||
-			!bytes.Equal(got.Payload, m.Payload) || !bytes.Equal(got.Sig, m.Sig) {
+			!bytes.Equal(got.Payload, m.Payload) {
 			t.Fatalf("msg %d: round-trip mismatch: sent %+v got %+v", i, m, got)
 		}
 	}
@@ -34,7 +34,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 // TestMessageCodecRejectsMalformed exercises the length checks: every
 // truncation of a valid encoding must error, never panic or mis-parse.
 func TestMessageCodecRejectsMalformed(t *testing.T) {
-	m := Message{From: 2, To: 5, Round: 9, Kind: "csm-result", Payload: []byte("payload"), Sig: bytes.Repeat([]byte{7}, 64)}
+	m := Message{From: 2, To: 5, Round: 9, Kind: "csm-result", Payload: []byte("payload")}
 	body, err := AppendMessage(nil, m)
 	if err != nil {
 		t.Fatal(err)
@@ -51,12 +51,13 @@ func TestMessageCodecRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestWireCodecPreservesSimulatedSignatures is the codec-equivalence
-// contract: a message signed inside the simulated network still verifies
-// — against the same deterministic cluster keys — after a round-trip
-// through the TCP wire codec. Every byte the TCP path exchanges therefore
-// carries exactly the signed envelope the simulated oracle uses.
-func TestWireCodecPreservesSimulatedSignatures(t *testing.T) {
+// TestWireCodecRoundTripsSimulatedDelivery is the codec-equivalence
+// contract: a message delivered by the simulated network comes back from
+// a round-trip through the TCP wire codec with the same (From, To, Round,
+// Kind, Payload), so the TCP path exchanges exactly the message the
+// simulated oracle delivers. Blob signatures verify on either transport:
+// both derive the same cluster keys from the seed.
+func TestWireCodecRoundTripsSimulatedDelivery(t *testing.T) {
 	net, err := New(Config{N: 4, Mode: Sync, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
@@ -85,8 +86,10 @@ func TestWireCodecPreservesSimulatedSignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !net.Verify(got) {
-		t.Fatal("simulated-network signature does not verify after wire round-trip")
+	m := msgs[0]
+	if got.From != m.From || got.To != m.To || got.Round != m.Round || got.Kind != m.Kind ||
+		!bytes.Equal(got.Payload, m.Payload) || got.From != 2 || got.To != 0 {
+		t.Fatalf("simulated delivery %+v came back from the wire as %+v", m, got)
 	}
 	// And the TCP side derives the identical keys from the same seed.
 	pubs, _ := DeriveKeys(99, 4)
