@@ -131,8 +131,9 @@ type Stats struct {
 	DroppedDown uint64
 	// Transmissions counts Endpoint.Send and Endpoint.Broadcast calls: one
 	// per transmission, however many recipients it has and whether or not
-	// a crash drops it. Inject is not a transmission. (A network that
-	// signed every envelope computed one signature per transmission.)
+	// a crash drops it. Inject is not a transmission. It is the signature
+	// count of the paper's authenticated-broadcast cost model, one per
+	// transmission, which the simulation charges without computing.
 	Transmissions uint64
 }
 
