@@ -142,6 +142,20 @@ func TestRoundAllocGuard(t *testing.T) {
 	}
 }
 
+// TestByzantineBatchAllocGuard caps the heap allocations of one B=8
+// batch at BenchmarkByzantineBatch's shape (21 WrongResult nodes,
+// pipeline depth 4) once the first batch has learned the liars, on one
+// worker so the count is the engine's and not the fan-out's. The
+// ceiling sits within 10 % above the figure it was set at.
+func TestByzantineBatchAllocGuard(t *testing.T) {
+	const allocCeiling = 39_700
+	allocs := testing.AllocsPerRun(3, byzantineBatches(t, 1))
+	t.Logf("per B=8 batch of 21-liar N=64 K=22 b=21 rounds: %.0f heap allocations (Parallelism 1)", allocs)
+	if allocs > allocCeiling {
+		t.Errorf("%.0f allocations per batch, ceiling %d", allocs, allocCeiling)
+	}
+}
+
 // TestRoundTransmissionCount pins the simulated network's transmissions
 // (Stats.Transmissions: Send and Broadcast calls) per honest round of
 // TestRoundOpCountGuard's shape: one result broadcast per node, 64.
@@ -175,6 +189,31 @@ func honestRounds(t *testing.T, parallelism int) func() {
 	}
 	round()
 	return round
+}
+
+// byzantineBatches returns a function that runs the next B=8 batch of
+// BenchmarkByzantineBatch's shape on a cluster with the given
+// Parallelism, after one batch that learns the liars and primes every
+// node's decode.
+func byzantineBatches(t *testing.T, parallelism int) func() {
+	cfg := baseConfig(22, 64, 21)
+	cfg.Byzantine = map[int]Behavior{}
+	for i := 0; len(cfg.Byzantine) < 21; i++ {
+		cfg.Byzantine[(i*5+2)%64] = WrongResult
+	}
+	cfg.BatchSize, cfg.Pipeline, cfg.Parallelism = 8, 4, parallelism
+	c := newCluster(t, cfg)
+	wl := RandomWorkload[uint64](gold, 4*cfg.BatchSize, cfg.K, c.tr.CmdLen(), 7)
+	i := 0
+	batch := func() {
+		start := (i % 4) * cfg.BatchSize
+		if _, err := c.Run(wl[start : start+cfg.BatchSize]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	batch()
+	return batch
 }
 
 // bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes

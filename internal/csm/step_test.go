@@ -1,6 +1,7 @@
 package csm
 
 import (
+	"encoding/binary"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"codedsm/internal/lcc"
 	"codedsm/internal/poly"
 	"codedsm/internal/sm"
+	"codedsm/internal/transport"
 )
 
 // TestStepCoreAbsorbMatchesReference runs one node's core through a long
@@ -131,5 +133,73 @@ func TestStepCoreAbsorbMatchesReference(t *testing.T) {
 		if !slices.Equal(core.codedState, coded[self]) {
 			t.Fatalf("step %d: core's next coded state %v, reference row %v", step, core.codedState, coded[self])
 		}
+	}
+}
+
+// TestIngestKeepsAcceptedRow drives ingest with one message at a time
+// after sender 3's result for (round 5, tag) has been accepted. Whatever
+// ingest refuses — a malformed payload, another round or tag, the wrong
+// length, a non-canonical element, another kind, a sender outside
+// 0..N-1 — must leave the accepted row and receivedCount untouched; a
+// well-formed repeat overwrites the row without counting twice.
+func TestIngestKeepsAcceptedRow(t *testing.T) {
+	const n, k, from, round = 10, 3, 3, 5
+	tag := [32]byte{7: 1}
+	ring := poly.NewRing[uint64](gold)
+	tr, err := sm.NewPolynomialRegister[uint64](gold, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := lcc.New(ring, k, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(42, 0x1a9e))
+	first := field.RandVec[uint64](gold, rng, tr.ResultLen())
+	second := field.RandVec[uint64](gold, rng, tr.ResultLen())
+	good := encodeResult[uint64](gold, round, tag, first)
+	nonCanonical := encodeResult[uint64](gold, round, tag, second)
+	binary.LittleEndian.PutUint64(nonCanonical[resultHdrLen+8:], field.GoldilocksModulus+1)
+	msg := func(from transport.NodeID, kind string, payload []byte) transport.Message {
+		return transport.Message{From: from, Kind: kind, Payload: payload}
+	}
+	cases := []struct {
+		name string
+		m    transport.Message
+		want []uint64 // sender 3's row after the message
+	}{
+		{"truncated", msg(from, resultKind, good[:len(good)-1]), first},
+		{"header only", msg(from, resultKind, good[:resultHdrLen]), first},
+		{"other round", msg(from, resultKind, encodeResult[uint64](gold, round+1, tag, second)), first},
+		{"other tag", msg(from, resultKind, encodeResult[uint64](gold, round, [32]byte{}, second)), first},
+		{"long", msg(from, resultKind, encodeResult[uint64](gold, round, tag, append(slices.Clone(second), 1))), first},
+		{"short", msg(from, resultKind, encodeResult[uint64](gold, round, tag, second[1:])), first},
+		{"non-canonical", msg(from, resultKind, nonCanonical), first},
+		{"other kind", msg(from, "csm-other", encodeResult[uint64](gold, round, tag, second)), first},
+		{"sender N", msg(n, resultKind, encodeResult[uint64](gold, round, tag, second)), first},
+		{"sender -1", msg(-1, resultKind, encodeResult[uint64](gold, round, tag, second)), first},
+		{"repeat", msg(from, resultKind, encodeResult[uint64](gold, round, tag, second)), second},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			core := newStepCore(code, tr, ring.Bulk(), 0, 2)
+			core.resetStep()
+			core.ingest(slices.Values([]transport.Message{msg(from, resultKind, good)}), round, tag)
+			if core.receivedCount != 1 || !slices.Equal(core.received[from], first) {
+				t.Fatalf("well-formed result not accepted: count %d row %v", core.receivedCount, core.received[from])
+			}
+			core.ingest(slices.Values([]transport.Message{tc.m}), round, tag)
+			if core.receivedCount != 1 {
+				t.Errorf("receivedCount %d after the message, want 1", core.receivedCount)
+			}
+			if !slices.Equal(core.received[from], tc.want) {
+				t.Errorf("row %v after the message, want %v", core.received[from], tc.want)
+			}
+			for i, row := range core.received {
+				if i != from && row != nil {
+					t.Errorf("sender %d has row %v; only sender %d sent a result", i, row, from)
+				}
+			}
+		})
 	}
 }
