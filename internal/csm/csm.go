@@ -576,8 +576,8 @@ func encodeBatchMsg[E comparable](f field.Field[E], round int, batch [][][]E) []
 }
 
 // Execution-phase result broadcasts use a fixed binary layout: every node
-// receives N-1 of them per round, and a reflective decoder would dominate
-// the steady-state allocation profile. Layout (little-endian): u64 round,
+// receives N-1 of them per round, and parses each in place into its
+// receive rows (stepCore.ingest), allocating nothing per message. Layout (little-endian): u64 round,
 // the [32]byte batch tag, u64 element count, then the canonical field
 // representation of each element as a u64. The tag names the batch the
 // result was computed on: a NodeProcess may compute step 0 on a batch
@@ -588,7 +588,7 @@ func encodeBatchMsg[E comparable](f field.Field[E], round int, batch [][][]E) []
 //
 // The codec is package-level because it IS the wire format: the simulated
 // cluster and the multi-process remote engine (remote.go) encode and
-// decode result broadcasts with these exact functions, which is what
+// parse result broadcasts with these exact functions, which is what
 // makes a TCP run's traffic round-trip through the same bytes as the
 // in-memory oracle's.
 const resultHdrLen = 8 + 32 + 8
@@ -599,43 +599,44 @@ var clusterTag [32]byte
 // encodeResult serializes a round's result vector, computed on the batch
 // tag names.
 func encodeResult[E comparable](f field.Field[E], round int, tag [32]byte, result []E) []byte {
-	buf := make([]byte, resultHdrLen+8*len(result))
-	binary.LittleEndian.PutUint64(buf[0:], uint64(round))
-	copy(buf[8:40], tag[:])
-	binary.LittleEndian.PutUint64(buf[40:], uint64(len(result)))
-	for i, e := range result {
-		binary.LittleEndian.PutUint64(buf[resultHdrLen+8*i:], f.Uint64(e))
+	hdr := resultHeader(round, tag, len(result))
+	buf := append(make([]byte, 0, resultHdrLen+8*len(result)), hdr[:]...)
+	for _, e := range result {
+		buf = binary.LittleEndian.AppendUint64(buf, f.Uint64(e))
 	}
 	return buf
 }
 
-// decodeResult parses a result broadcast, converting the wire values
-// straight into field elements. ok is false for malformed payloads (which
-// collect ignores, like any other garbage message). Only canonical
-// elements are accepted, as parseBatchMsg does: FromUint64 would reduce a
-// non-canonical one (Goldilocks subtracts p, GF(2^m) masks high bits), so
-// two payloads would decode to one result. A payload that decodes
-// re-encodes to the same bytes.
-func decodeResult[E comparable](f field.Field[E], data []byte) (round int, tag [32]byte, result []E, ok bool) {
-	if len(data) < resultHdrLen {
-		return 0, [32]byte{}, nil, false
+// resultHeader is the header of a result broadcast for the given round,
+// batch tag and element count.
+func resultHeader(round int, tag [32]byte, count int) (hdr [resultHdrLen]byte) {
+	binary.LittleEndian.PutUint64(hdr[0:], uint64(round))
+	copy(hdr[8:40], tag[:])
+	binary.LittleEndian.PutUint64(hdr[40:], uint64(count))
+	return hdr
+}
+
+// parseResult is the one parser of result broadcasts: it accepts data
+// exactly when its header is hdr, resultHeader(round, tag, len(dst)) of
+// the result expected, and every element is canonical (FromUint64 would
+// reduce a non-canonical one, so two payloads would parse to one result),
+// and only then writes the elements into dst; a refusal leaves dst
+// untouched. An accepted payload re-encodes to the same bytes.
+func parseResult[E comparable](f field.Field[E], data []byte, hdr *[resultHdrLen]byte, dst []E) bool {
+	if len(data) != resultHdrLen+8*len(dst) || [resultHdrLen]byte(data) != *hdr {
+		return false
 	}
-	count := binary.LittleEndian.Uint64(data[40:])
-	body := len(data) - resultHdrLen
-	// Compare counts, not count*8: a huge attacker-chosen count must not
-	// overflow past the length check into make().
-	if body%8 != 0 || count != uint64(body/8) {
-		return 0, [32]byte{}, nil, false
-	}
-	result = make([]E, count)
-	for i := range result {
-		v := binary.LittleEndian.Uint64(data[resultHdrLen+8*i:])
-		result[i] = f.FromUint64(v)
-		if f.Uint64(result[i]) != v {
-			return 0, [32]byte{}, nil, false
+	body := data[resultHdrLen:]
+	for i := 0; i < len(body); i += 8 {
+		v := binary.LittleEndian.Uint64(body[i:])
+		if f.Uint64(f.FromUint64(v)) != v {
+			return false
 		}
 	}
-	return int(binary.LittleEndian.Uint64(data)), [32]byte(data[8:40]), result, true
+	for i := range dst {
+		dst[i] = f.FromUint64(binary.LittleEndian.Uint64(body[8*i:]))
+	}
+	return true
 }
 
 // ExecuteRound agrees on the given commands (one vector per machine) and

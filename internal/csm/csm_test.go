@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"codedsm/internal/field"
@@ -404,21 +405,25 @@ func TestErrRoundStuck(t *testing.T) {
 
 func TestResultPayloadCodec(t *testing.T) {
 	vec := []uint64{5, 0, field.GoldilocksModulus - 1}
-	payload := encodeResult[uint64](gold, 7, [32]byte{3: 9}, vec)
-	round, tag, got, ok := decodeResult[uint64](gold, payload)
-	if !ok || round != 7 || tag != [32]byte{3: 9} || !field.VecEqual[uint64](field.NewGoldilocks(), got, vec) {
-		t.Fatalf("roundtrip failed: ok=%v round=%d tag=%x got=%v", ok, round, tag, got)
+	tag := [32]byte{3: 9}
+	hdr := resultHeader(7, tag, len(vec))
+	payload := encodeResult[uint64](gold, 7, tag, vec)
+	got := make([]uint64, len(vec))
+	if !parseResult[uint64](gold, payload, &hdr, got) || !field.VecEqual[uint64](gold, got, vec) {
+		t.Fatalf("roundtrip failed: got %v", got)
 	}
-	// Malformed payloads must be rejected, never panic: short, truncated,
-	// trailing garbage, and a huge count whose *8 would overflow the int
-	// length comparison.
+	// Malformed or unexpected payloads must be refused, never panic:
+	// short, truncated, trailing garbage, a huge count whose *8 would
+	// overflow an int length comparison, another round, another tag.
 	bad := [][]byte{
 		nil,
 		payload[:8],
 		payload[:len(payload)-3],
 		append(append([]byte(nil), payload...), 1, 2, 3),
+		encodeResult[uint64](gold, 8, tag, vec),
+		encodeResult[uint64](gold, 7, clusterTag, vec),
 	}
-	huge := make([]byte, resultHdrLen)
+	huge := bytes.Clone(payload)
 	binary.LittleEndian.PutUint64(huge[40:], 1<<61)
 	bad = append(bad, huge)
 	// An element at or above the modulus has a smaller canonical twin.
@@ -426,8 +431,12 @@ func TestResultPayloadCodec(t *testing.T) {
 	binary.LittleEndian.PutUint64(nonCanonical[resultHdrLen:], field.GoldilocksModulus+5)
 	bad = append(bad, nonCanonical)
 	for i, p := range bad {
-		if _, _, _, ok := decodeResult[uint64](gold, p); ok {
+		dst := []uint64{1, 2, 3}
+		if parseResult[uint64](gold, p, &hdr, dst) {
 			t.Errorf("malformed payload %d accepted", i)
+		}
+		if !slices.Equal(dst, []uint64{1, 2, 3}) {
+			t.Errorf("malformed payload %d wrote %v", i, dst)
 		}
 	}
 	// GF(2^8) elements are below 256; FromUint64 would mask the high bits.
@@ -435,15 +444,19 @@ func TestResultPayloadCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := decodeResult[uint64](gf, encodeResult[uint64](gold, 7, clusterTag, []uint64{5, 256 + 5})); ok {
+	hdr = resultHeader(7, clusterTag, 2)
+	if parseResult[uint64](gf, encodeResult[uint64](gold, 7, clusterTag, []uint64{5, 256 + 5}), &hdr, make([]uint64, 2)) {
 		t.Error("GF(2^8) payload with a 9-bit element accepted")
 	}
 }
 
-// FuzzDecodeResult throws arbitrary bytes at the result decoder over a
-// prime and a binary field. It must never panic; a refusal returns
-// nothing; and what it accepts has exactly the elements the input
-// carries and re-encodes to the same bytes.
+// FuzzDecodeResult throws arbitrary bytes at parseResult, the one parser
+// of result broadcasts, over a prime and a binary field, expecting the
+// header the bytes carry when they carry one with a modest count (so that
+// acceptance is reachable) and a fixed one otherwise. It must never
+// panic; it must accept exactly when the header matches and every element
+// is canonical; an accepted payload re-encodes to the same bytes, and a
+// refusal leaves the destination row as it was.
 func FuzzDecodeResult(f *testing.F) {
 	f.Add(encodeResult[uint64](gold, 3, [32]byte{1, 2, 3}, []uint64{7, field.GoldilocksModulus - 1}))
 	f.Add(encodeResult[uint64](gold, 41, clusterTag, []uint64{0, 1}))
@@ -452,23 +465,40 @@ func FuzzDecodeResult(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzDecodeResult[uint64](t, gold, data)
-		fuzzDecodeResult[uint64](t, gf, data)
+		fuzzParseResult[uint64](t, gold, data)
+		fuzzParseResult[uint64](t, gf, data)
 	})
 }
 
-func fuzzDecodeResult[E comparable](t *testing.T, f field.Field[E], data []byte) {
-	round, tag, result, ok := decodeResult(f, data)
+func fuzzParseResult[E comparable](t *testing.T, f field.Field[E], data []byte) {
+	round, tag, count := 3, [32]byte{1, 2, 3}, 2
+	if len(data) >= resultHdrLen {
+		if c := binary.LittleEndian.Uint64(data[40:]); c <= 1<<10 {
+			round, tag, count = int(binary.LittleEndian.Uint64(data)), [32]byte(data[8:40]), int(c)
+		}
+	}
+	hdr := resultHeader(round, tag, count)
+	dst := make([]E, count)
+	for i := range dst {
+		dst[i] = f.FromUint64(uint64(i%2 + 1))
+	}
+	before := slices.Clone(dst)
+	ok := parseResult(f, data, &hdr, dst)
+	want := len(data) == resultHdrLen+8*count && bytes.Equal(data[:resultHdrLen], hdr[:])
+	for i := resultHdrLen; want && i < len(data); i += 8 {
+		v := binary.LittleEndian.Uint64(data[i:])
+		want = f.Uint64(f.FromUint64(v)) == v
+	}
+	if ok != want {
+		t.Fatalf("parseResult = %v on %d bytes expecting %d elements; the rule says %v", ok, len(data), count, want)
+	}
 	if !ok {
-		if round != 0 || tag != ([32]byte{}) || result != nil {
-			t.Fatalf("refused, yet returned round %d tag %x and %d elements", round, tag, len(result))
+		if !slices.Equal(dst, before) {
+			t.Fatalf("refused, yet wrote %v", dst)
 		}
 		return
 	}
-	if resultHdrLen+8*len(result) != len(data) {
-		t.Fatalf("accepted %d elements from %d bytes", len(result), len(data))
-	}
-	if again := encodeResult(f, round, tag, result); !bytes.Equal(again, data) {
+	if again := encodeResult(f, round, tag, dst); !bytes.Equal(again, data) {
 		t.Fatalf("re-encoding differs:\n got %x\nwant %x", again, data)
 	}
 }

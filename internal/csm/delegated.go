@@ -196,11 +196,7 @@ func (c *Cluster[E]) runExecutionDelegated(agreed [][]E) (*stepOutcome[E], error
 			if n.behavior != Honest {
 				continue
 			}
-			next, outs, err := c.splitResults(proofs[i].outputs)
-			if err != nil {
-				return nil, err
-			}
-			n.decoded = &nodeDecode[E]{outputs: outs, nextStates: next, faulty: c.tauComplement(proofs[i].Tau)}
+			n.decoded = &nodeDecode[E]{results: proofs[i].outputs, stateLen: c.tr.StateLen(), faulty: c.tauComplement(proofs[i].Tau)}
 			n.codedState = slices.Clone(proofs[i].codedNext[i])
 		}
 		return c.newOutcome(ticks), nil

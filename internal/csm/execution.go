@@ -288,7 +288,7 @@ func (c *Cluster[E]) clientPhase(oracleOutputs [][]E, replies [][][]E, decodes [
 			case replies[k] != nil && replies[k][i] != nil:
 				reply = replies[k][i]
 			case decodes[i] != nil:
-				reply = decodes[i].outputs[k]
+				reply = decodes[i].output(k)
 			default:
 				continue
 			}
@@ -310,7 +310,7 @@ func (c *Cluster[E]) clientPhase(oracleOutputs [][]E, replies [][][]E, decodes [
 			faulty[idx] = true
 		}
 		for k := 0; k < c.cfg.K; k++ {
-			if !field.VecEqual(f, dec.nextStates[k], oracleStates[k]) {
+			if !field.VecEqual(f, dec.nextState(k), oracleStates[k]) {
 				res.Correct = false
 			}
 		}

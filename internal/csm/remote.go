@@ -441,8 +441,12 @@ func (p *NodeProcess[E]) executeSteps(batch [][][]E, tag [32]byte, spec *specula
 		}
 		p.faulty = ints.UnionSorted(p.faulty, dec.faulty)
 		p.round++
-		out = append(out, dec.outputs)
-		wireOuts := matToWire(f, dec.outputs)
+		outputs := make([][]E, len(dec.results))
+		for m := range outputs {
+			outputs[m] = dec.output(m)
+		}
+		out = append(out, outputs)
+		wireOuts := matToWire(f, outputs)
 		p.digest.AddRound(p.round-1, wireOuts)
 		if p.store != nil {
 			dstate, err := p.digest.MarshalBinary()

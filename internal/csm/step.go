@@ -33,9 +33,12 @@ type stepCore[E comparable] struct {
 	codedState []E
 
 	// per-step collection state: received is sender-indexed (nil: nothing
-	// from that sender yet) and receivedCount its non-nil entries.
+	// from that sender yet) and receivedCount its non-nil entries. Rows
+	// are views into recvBuf, the node's flat N x ResultLen receive
+	// buffer, valid until the next resetStep.
 	received      [][]E
 	receivedCount int
+	recvBuf       []E
 
 	// Primed-decode state: suspects is the sorted union of this node's past
 	// decode verdicts, sticky across steps and batches (see absorbVerdict) —
@@ -56,11 +59,13 @@ type stepCore[E comparable] struct {
 	// allocating. cmdScratch holds the node's coded commands for the whole
 	// current batch (BatchSize x CmdLen, flat), stateScratch
 	// double-buffers the re-encoded coded state (it swaps with codedState
-	// each round), and idxScratch/resScratch stage the decode inputs.
+	// each round), idxScratch/resScratch stage the decode inputs and
+	// nextScratch the re-encode's.
 	cmdScratch   []E
 	stateScratch []E
 	idxScratch   []int
 	resScratch   [][]E
+	nextScratch  [][]E
 }
 
 // newStepCore builds node id's core; the caller installs the coded state.
@@ -71,14 +76,21 @@ func newStepCore[E comparable](code *lcc.Code[E], tr *sm.Transition[E], bulk fie
 	}
 }
 
-// nodeDecode is a node's decoded view of one round. Instances are
-// allocated fresh every round and never mutated afterwards, so the
+// nodeDecode is a node's decoded view of one round: the decoder's K
+// result vectors, each [next state | output], split on read. Instances
+// are allocated fresh every round and never mutated afterwards, so the
 // pipelined client stage can hold them across rounds.
 type nodeDecode[E comparable] struct {
-	outputs    [][]E // K output vectors
-	nextStates [][]E // K next-state vectors
-	faulty     []int
+	results  [][]E
+	stateLen int
+	faulty   []int
 }
+
+// nextState is machine m's decoded next state.
+func (d *nodeDecode[E]) nextState(m int) []E { return d.results[m][:d.stateLen] }
+
+// output is machine m's decoded output.
+func (d *nodeDecode[E]) output(m int) []E { return d.results[m][d.stateLen:] }
 
 // lagrangeRowInto accumulates this node's Lagrange encode Σ_k row[k]
 // vecs[k] into dst — (re)allocated at the given length when it does not
@@ -131,38 +143,56 @@ func (s *stepCore[E]) apply(micro int) ([]E, error) {
 }
 
 // resetStep clears the per-step collection state, reusing the
-// sender-indexed slice.
+// sender-indexed slice and the receive buffer: every row received so far
+// is void from here on.
 func (s *stepCore[E]) resetStep() {
 	if len(s.received) != s.n {
 		s.received = make([][]E, s.n)
+	}
+	if size := s.n * s.tr.ResultLen(); len(s.recvBuf) != size {
+		s.recvBuf = make([]E, size)
 	}
 	clear(s.received)
 	s.receivedCount = 0
 }
 
-// accept records sender from's result for the current step; a repeated
-// sender overwrites.
-func (s *stepCore[E]) accept(from int, result []E) {
+// recvRow is sender from's row of the receive buffer.
+func (s *stepCore[E]) recvRow(from int) []E {
+	l := s.tr.ResultLen()
+	return s.recvBuf[from*l : (from+1)*l : (from+1)*l]
+}
+
+// markReceived records that sender from's row holds its result for the
+// current step; a repeated sender is counted once.
+func (s *stepCore[E]) markReceived(from int) {
 	if s.received[from] == nil {
 		s.receivedCount++
+		s.received[from] = s.recvRow(from)
 	}
-	s.received[from] = result
+}
+
+// accept records sender from's result for the current step, copying it
+// into the sender's row; a repeated sender overwrites.
+func (s *stepCore[E]) accept(from int, result []E) {
+	copy(s.recvRow(from), result)
+	s.markReceived(from)
 }
 
 // ingest accepts the well-formed result broadcasts for the given round
-// computed on the batch tag names among msgs; anything else — another
-// kind, a malformed payload, a stale round, another batch, a wrong
-// length, a sender outside 0..N-1 — is ignored.
+// computed on the batch tag names among msgs, parsing each straight into
+// its sender's row; anything else — another kind, a malformed payload, a
+// stale round, another batch, a wrong length, a non-canonical element, a
+// sender outside 0..N-1 — is ignored and leaves the rows as they were.
 func (s *stepCore[E]) ingest(msgs iter.Seq[transport.Message], round int, tag [32]byte) {
+	f := s.tr.Field()
+	hdr := resultHeader(round, tag, s.tr.ResultLen())
 	for m := range msgs {
-		if m.Kind != resultKind {
+		if m.Kind != resultKind || m.From < 0 || int(m.From) >= s.n {
 			continue
 		}
-		r, t, result, ok := decodeResult(s.tr.Field(), m.Payload)
-		if !ok || r != round || t != tag || len(result) != s.tr.ResultLen() || m.From < 0 || int(m.From) >= len(s.received) {
-			continue
+		if parseResult(f, m.Payload, &hdr, s.recvRow(int(m.From))) {
+			s.markReceived(int(m.From))
 		}
-		s.accept(int(m.From), result)
 	}
 }
 
@@ -214,24 +244,19 @@ func (s *stepCore[E]) absorb() (*nodeDecode[E], error) {
 		dec = full
 	}
 	s.absorbVerdict(dec.FaultyNodes)
-	k := s.code.K()
-	outputs := make([][]E, k)
-	nextStates := make([][]E, k)
-	for m := 0; m < k; m++ {
-		next, out, err := s.tr.SplitResult(dec.Outputs[m])
-		if err != nil {
-			return nil, err
-		}
-		nextStates[m] = next
-		outputs[m] = out
+	d := &nodeDecode[E]{results: dec.Outputs, stateLen: s.tr.StateLen(), faulty: dec.FaultyNodes}
+	nextStates := s.nextScratch[:0]
+	for m := range dec.Outputs {
+		nextStates = append(nextStates, d.nextState(m))
 	}
+	s.nextScratch = nextStates
 	// Update the coded state: S̃_i(t+1) = Σ_k c_ik Ŝ_k(t+1), re-encoded into
 	// the state double-buffer (the outgoing coded state becomes next round's
 	// buffer; nothing else retains it — external readers copy).
 	newCoded := s.lagrangeRowInto(s.stateScratch, s.tr.StateLen(), nextStates)
 	s.stateScratch = s.codedState
 	s.codedState = newCoded
-	return &nodeDecode[E]{outputs: outputs, nextStates: nextStates, faulty: dec.FaultyNodes}, nil
+	return d, nil
 }
 
 // absorbVerdict folds one decode's faulty set into the sticky suspects:

@@ -119,8 +119,8 @@ func TestStepCoreAbsorbMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got.outputs[m], out) || !slices.Equal(got.nextStates[m], next) {
-				t.Fatalf("step %d machine %d: core decoded (%v, %v), reference (%v, %v)", step, m, got.nextStates[m], got.outputs[m], next, out)
+			if !slices.Equal(got.output(m), out) || !slices.Equal(got.nextState(m), next) {
+				t.Fatalf("step %d machine %d: core decoded (%v, %v), reference (%v, %v)", step, m, got.nextState(m), got.output(m), next, out)
 			}
 			states[m] = next
 		}

@@ -150,10 +150,8 @@ func TestClientPhaseCollidingReplies(t *testing.T) {
 	high := []uint64{9}  // larger wire key
 	state := []uint64{0} // audit state, matching the fresh oracle
 	mk := func(out []uint64) *nodeDecode[uint64] {
-		return &nodeDecode[uint64]{
-			outputs:    [][]uint64{out, out},
-			nextStates: [][]uint64{state, state},
-		}
+		result := append(append([]uint64(nil), state...), out...) // [next state | output]
+		return &nodeDecode[uint64]{results: [][]uint64{result, result}, stateLen: len(state)}
 	}
 	decodes := make([]*nodeDecode[uint64], cfg.N)
 	decodes[0], decodes[1] = mk(high), mk(high)

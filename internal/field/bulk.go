@@ -40,6 +40,13 @@ type Bulk[E comparable] interface {
 	// coefficients and every vecs[k] at least len(dst) elements. dst may
 	// alias any term: all terms are read at i before dst[i] is written.
 	LinCombAccVec(dst, cs []E, vecs [][]E)
+	// MatVec sets dst[i] = sum_t m[i*len(v)+t]*v[t]: the matrix-vector
+	// product of the row-major len(dst) x len(v) matrix m with v, the
+	// verified-subset check's prediction of every unchecked row at once.
+	// Each element is the ScaleVec-then-LinCombAccVec chain over the row's
+	// terms, in one call. Unlike the other kernels, dst must alias neither
+	// m nor v: v is read whole for every row.
+	MatVec(dst, m, v []E)
 	// SubScaleVec sets dst[i] = dst[i] - c*a[i]: the row-elimination kernel
 	// of Gaussian elimination and schoolbook polynomial division.
 	SubScaleVec(dst []E, c E, a []E)
@@ -119,6 +126,23 @@ func (g genericBulk[E]) LinCombAccVec(dst, cs []E, vecs [][]E) {
 		acc := dst[i]
 		for k, v := range vecs {
 			acc = g.Add(acc, g.Mul(cs[k], v[i]))
+		}
+		dst[i] = acc
+	}
+}
+
+// MatVec makes the ScaleVec-then-LinCombAccVec chain's Field calls, row
+// by row: a multiplication per term and an addition per term after the
+// first.
+func (g genericBulk[E]) MatVec(dst, m, v []E) {
+	for i := range dst {
+		acc := g.Zero()
+		for t, x := range v {
+			if p := g.Mul(m[i*len(v)+t], x); t == 0 {
+				acc = p
+			} else {
+				acc = g.Add(acc, p)
+			}
 		}
 		dst[i] = acc
 	}

@@ -149,8 +149,35 @@ func TestBulkKernelsMatchScalar(t *testing.T) {
 					check(fmt.Sprintf("LinCombAccVec(%d terms, aliased)", terms), alias, ref.linCombAcc(vecs[terms/2], cs, vecs))
 				}
 			}
+			for _, shape := range [][2]int{{1, 1}, {22, 1}, {64, 22}} {
+				rows, cols := shape[0], shape[1]
+				m := RandVec[uint64](bf, rng, rows*cols)
+				v := RandVec[uint64](bf, rng, cols)
+				got := RandVec[uint64](bf, rng, rows) // overwritten, not accumulated
+				bf.MatVec(got, m, v)
+				if want := ref.matVec(m, v, rows); !VecEqual[uint64](bf, got, want) {
+					t.Fatalf("MatVec %dx%d: got %v want %v", rows, cols, got, want)
+				}
+			}
 		})
 	}
+}
+
+// matVec is the row-major rows x len(v) matrix m times v, as the
+// ScaleVec-then-ScaleAccVec chain over m's columns computes it.
+func (r refKernels[E]) matVec(m, v []E, rows int) []E {
+	out := make([]E, rows)
+	for t, x := range v {
+		for i := range out {
+			p := r.f.Mul(m[i*len(v)+t], x)
+			if t == 0 {
+				out[i] = p
+			} else {
+				out[i] = r.f.Add(out[i], p)
+			}
+		}
+	}
+	return out
 }
 
 // linCombAcc is dst + Σ_k cs[k]·vecs[k], out of place, as the ScaleAccVec
@@ -186,6 +213,28 @@ func TestGoldilocksLinCombMaximalCarries(t *testing.T) {
 		gold.LinCombAccVec(got, cs, vecs)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%d terms: got %v want %v", terms, got[:1], want[:1])
+		}
+	}
+}
+
+// TestGoldilocksMatVecMaximalCarries is TestGoldilocksLinCombMaximalCarries
+// for MatVec: every matrix entry and vector element p-1, so every product
+// is maximal, at up to 1000 columns.
+func TestGoldilocksMatVecMaximalCarries(t *testing.T) {
+	gold := NewGoldilocks()
+	const pm1, rows = GoldilocksModulus - 1, 64
+	for _, cols := range []int{1, 2, 22, 64, 1000} {
+		m, v := repeat(pm1, rows*cols), repeat(pm1, cols)
+		col := repeat(pm1, rows)
+		want := make([]uint64, rows)
+		gold.ScaleVec(want, v[0], col)
+		for range cols - 1 {
+			gold.ScaleAccVec(want, pm1, col)
+		}
+		got := make([]uint64, rows)
+		gold.MatVec(got, m, v)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d columns: got %v want %v", cols, got[:1], want[:1])
 		}
 	}
 }
@@ -265,6 +314,7 @@ func TestCountingBulkTotalsMatchScalar(t *testing.T) {
 	dst := make([]uint64, n)
 	terms := [][]uint64{a, b, a, b, a}
 	cs := RandVec[uint64](gold, rng, len(terms))
+	matrix := RandVec[uint64](gold, rng, n*len(terms))
 	run := func(k Bulk[uint64]) {
 		k.AddVec(dst, a, b)
 		k.SubVec(dst, a, b)
@@ -272,6 +322,7 @@ func TestCountingBulkTotalsMatchScalar(t *testing.T) {
 		k.ScaleVec(dst, c, a)
 		k.ScaleAccVec(dst, c, a)
 		k.LinCombAccVec(dst, cs, terms)
+		k.MatVec(dst, matrix, cs)
 		k.SubScaleVec(dst, c, a)
 		k.DotVec(a, b)
 		k.SubScalarVec(dst, a, c)
@@ -305,5 +356,15 @@ func TestCountingBulkTotalsMatchScalar(t *testing.T) {
 	comb.LinCombAccVec(dst, cs, terms)
 	if chain.Counts() != comb.Counts() {
 		t.Fatalf("LinCombAccVec charged %+v, the ScaleAccVec chain %+v", comb.Counts(), chain.Counts())
+	}
+
+	// MatVec's single charge is that of the verified-subset check's old
+	// prediction: ScaleVec on the first column, LinCombAccVec over the rest.
+	chain, mv := NewCounting[uint64](gold), NewCounting[uint64](gold)
+	chain.ScaleVec(dst, cs[0], terms[0])
+	chain.LinCombAccVec(dst, cs[1:], terms[1:])
+	mv.MatVec(dst, matrix, cs)
+	if chain.Counts() != mv.Counts() {
+		t.Fatalf("MatVec charged %+v, ScaleVec + LinCombAccVec %+v", mv.Counts(), chain.Counts())
 	}
 }

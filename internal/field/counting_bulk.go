@@ -51,6 +51,17 @@ func (c *Counting[E]) LinCombAccVec(dst, ks []E, vecs [][]E) {
 	c.innerBulk.LinCombAccVec(dst, ks, vecs)
 }
 
+// MatVec implements Bulk, counting len(dst)·len(v) multiplications and
+// len(dst)·(len(v)-1) additions — the ScaleVec-then-LinCombAccVec
+// chain's totals — in one charge.
+func (c *Counting[E]) MatVec(dst, m, v []E) {
+	if len(v) > 0 {
+		c.muls.Add(uint64(len(dst) * len(v)))
+		c.adds.Add(uint64(len(dst) * (len(v) - 1)))
+	}
+	c.innerBulk.MatVec(dst, m, v)
+}
+
 // SubScaleVec implements Bulk, counting len(a) additions and
 // multiplications.
 func (c *Counting[E]) SubScaleVec(dst []E, k E, a []E) {

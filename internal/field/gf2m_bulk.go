@@ -87,6 +87,19 @@ func (f *GF2m) LinCombAccVec(dst, cs []uint64, vecs [][]uint64) {
 	}
 }
 
+// MatVec implements Bulk.
+func (f *GF2m) MatVec(dst, m, v []uint64) {
+	d := len(v)
+	for i := range dst {
+		row := m[i*d : (i+1)*d]
+		var acc uint64
+		for t, x := range v {
+			acc ^= f.Mul(row[t], x)
+		}
+		dst[i] = acc
+	}
+}
+
 // SubScaleVec implements Bulk; identical to ScaleAccVec in characteristic 2.
 func (f *GF2m) SubScaleVec(dst []uint64, c uint64, a []uint64) {
 	f.ScaleAccVec(dst, c, a)

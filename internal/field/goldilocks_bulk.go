@@ -70,6 +70,24 @@ func (g Goldilocks) LinCombAccVec(dst, cs []uint64, vecs [][]uint64) {
 	}
 }
 
+// MatVec implements Bulk with LinCombAccVec's lazy reduction: each row's
+// products accumulate unreduced in 192 bits and are reduced once.
+func (g Goldilocks) MatVec(dst, m, v []uint64) {
+	d := len(v)
+	for i := range dst {
+		row := m[i*d : (i+1)*d]
+		var lo, hi, top uint64
+		for t, x := range v {
+			ph, pl := bits.Mul64(row[t], x)
+			var carry uint64
+			lo, carry = bits.Add64(lo, pl, 0)
+			hi, carry = bits.Add64(hi, ph, carry)
+			top += carry
+		}
+		dst[i] = g.Sub(goldReduce(hi, lo), goldReduce(top>>32, top<<32))
+	}
+}
+
 // SubScaleVec implements Bulk.
 func (g Goldilocks) SubScaleVec(dst []uint64, c uint64, a []uint64) {
 	for i := range a {

@@ -81,4 +81,19 @@ func BenchmarkFieldKernels(b *testing.B) {
 			}
 		})
 	}
+	// The same prediction as the check now makes it: the row-major
+	// 64 x 22 matrix (the unchecked rows and outputs by the trusted rows)
+	// times one component's 22 trusted values, in one MatVec.
+	const rows, cols = 64, 22
+	m := RandVec[uint64](gold, rng, rows*cols)
+	v := RandVec[uint64](gold, rng, cols)
+	for _, impl := range []string{"native", "generic"} {
+		k := impls[impl]
+		b.Run(fmt.Sprintf("MatVec/%s/rows=%d/cols=%d", impl, rows, cols), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.MatVec(dst, m, v)
+			}
+		})
+	}
 }

@@ -15,7 +15,7 @@
 //
 // A step's decode is a two-rung ladder. Primed (primed.go) is the
 // verified-subset check, which certifies a step from dim trusted rows in
-// two bulk kernel calls per component; the DecodeOutputs* entries are the
+// one bulk kernel call per component; the DecodeOutputs* entries are the
 // noisy-interpolation decoder a caller runs when the check refuses, and
 // nothing else.
 package lcc
@@ -105,28 +105,25 @@ func NewWithPoints[E comparable](ring *poly.Ring[E], omegas, alphas []E) (*Code[
 // (equation (7)): row i is the omegas' Lagrange basis evaluated at α_i.
 func (c *Code[E]) buildCoeffs() error {
 	k, n := len(c.omegas), len(c.alphas)
-	cols, err := c.lagrangeCols(c.omegas, c.alphas)
+	flat, err := c.lagrangeMatrix(c.omegas, c.alphas)
 	if err != nil {
 		return fmt.Errorf("lcc: coefficient matrix: %w", err)
 	}
-	flat := make([]E, n*k)
 	c.coeffs = make([][]E, n)
 	for i := range c.coeffs {
-		row := flat[i*k : (i+1)*k : (i+1)*k]
-		for m, col := range cols {
-			row[m] = col[i]
-		}
-		c.coeffs[i] = row
+		c.coeffs[i] = flat[i*k : (i+1)*k : (i+1)*k]
 	}
 	return nil
 }
 
-// lagrangeCols returns cols[t][i] = ℓ_t(zs[i]), the Lagrange basis
-// polynomial of the points xs for xs[t] evaluated at zs[i]:
+// lagrangeMatrix returns the row-major len(zs) x len(xs) matrix whose
+// entry [i*len(xs)+t] is ℓ_t(zs[i]), the Lagrange basis polynomial of
+// the points xs for xs[t] evaluated at zs[i]:
 // ℓ_t(z) = M(z) / ((z - x_t)·w_t) with M(z) = Π_m (z - x_m) and
-// w_t = Π_{m≠t} (x_t - x_m). It fails with the inversion's error when
-// two xs coincide or some zs[i] equals some xs[t].
-func (c *Code[E]) lagrangeCols(xs, zs []E) ([][]E, error) {
+// w_t = Π_{m≠t} (x_t - x_m). It is computed a column (one t) at a time
+// and laid out by rows at the end. It fails with the inversion's error
+// when two xs coincide or some zs[i] equals some xs[t].
+func (c *Code[E]) lagrangeMatrix(xs, zs []E) ([]E, error) {
 	dim, z := len(xs), len(zs)
 	diffs := make([]E, dim*z)
 	master := make([]E, z)
@@ -149,22 +146,24 @@ func (c *Code[E]) lagrangeCols(xs, zs []E) ([][]E, error) {
 		}
 		weights[t] = w
 	}
-	flat := make([]E, dim*z)
+	cols := make([]E, dim*z)
 	weightInvs := make([]E, dim)
-	if err := c.bulk.BatchInvInto(flat, diffs); err != nil {
+	if err := c.bulk.BatchInvInto(cols, diffs); err != nil {
 		return nil, err
 	}
 	if err := c.bulk.BatchInvInto(weightInvs, weights); err != nil {
 		return nil, err
 	}
-	cols := make([][]E, dim)
-	for t := range cols {
-		col := flat[t*z : (t+1)*z : (t+1)*z]
+	out := diffs // spent: reused for the row-major layout
+	for t := 0; t < dim; t++ {
+		col := cols[t*z : (t+1)*z]
 		c.bulk.MulVec(col, col, master)
 		c.bulk.ScaleVec(col, weightInvs[t], col)
-		cols[t] = col
+		for i, v := range col {
+			out[i*dim+t] = v
+		}
 	}
-	return cols, nil
+	return out, nil
 }
 
 // K returns the number of state machines.
@@ -403,7 +402,7 @@ func (c *Code[E]) decode(indices []int, results [][]E, dim int, at []E) (*Decode
 			return nil, err
 		}
 	}
-	colMajor := transposeColMajor(results, rows, l, nil)
+	colMajor := transposeColMajor(results, rows, l)
 	out := flatOutputs[E](len(at), l)
 	vals := make([]E, len(at))
 	corrected := make([]bool, rows)
@@ -465,12 +464,10 @@ func flatOutputs[E comparable](k, l int) [][]E {
 }
 
 // transposeColMajor lays the results matrix out column-major so component
-// j's received word is a contiguous slice, reusing dst when it fits —
-// this replaces the per-component strided gather (and its allocation).
-func transposeColMajor[E comparable](results [][]E, rows, l int, dst []E) []E {
-	if len(dst) != l*rows {
-		dst = make([]E, l*rows)
-	}
+// j's received word is a contiguous slice — this replaces the
+// per-component strided gather.
+func transposeColMajor[E comparable](results [][]E, rows, l int) []E {
+	dst := make([]E, l*rows)
 	for i, row := range results {
 		for j, v := range row {
 			dst[j*rows+i] = v

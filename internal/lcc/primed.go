@@ -16,10 +16,10 @@ import (
 // "trusted" rows, the values of the degree-< dim polynomial through the
 // trusted rows at every other received row and at the K omegas are a
 // constant matrix times the trusted values. A decode is then, per vector
-// component, one ScaleVec on the first trusted row's column and one
-// LinCombAccVec over the other dim-1 — no interpolation, no subproduct
-// tree, no error-locator solve — followed by a mismatch count against the
-// rows that were not trusted.
+// component, one MatVec of that matrix with the component's trusted
+// values, read in place from the received rows — no interpolation, no
+// subproduct tree, no error-locator solve — followed by a mismatch count
+// against the rows that were not trusted.
 //
 // Soundness rests on the unique-decoding radius alone, for every layout
 // the engines produce (all N rows in a synchronous round, the N-b rows of
@@ -45,9 +45,11 @@ type subsetCheck[E comparable] struct {
 	trusted []int // the dim row positions whose values define the candidate
 	rest    []int // every other row position, ascending
 	radius  int   // (rows-dim)/2, the (sub)code's unique-decoding radius
-	// cols[t][i] is the Lagrange basis polynomial of trusted row t evaluated
-	// at z_i, where z runs over the rest rows' alphas and then the K omegas.
-	cols [][]E
+	// predict is row-major, one row per z_i and one column per trusted
+	// row: predict[i*dim+t] is the Lagrange basis polynomial of trusted row
+	// t evaluated at z_i, where z runs over the rest rows' alphas and then
+	// the K omegas.
+	predict []E
 }
 
 // checkScratch is the reusable working memory of one verify caller:
@@ -106,7 +108,7 @@ func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare i
 		zs = append(zs, c.alphas[nodeOf(indices, r)])
 	}
 	zs = append(zs, c.omegas...)
-	cols, err := c.lagrangeCols(xs, zs)
+	predict, err := c.lagrangeMatrix(xs, zs)
 	if err != nil {
 		return nil, fmt.Errorf("lcc: verified-subset check: repeated row index: %w", err)
 	}
@@ -116,7 +118,7 @@ func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare i
 		trusted: trusted,
 		rest:    rest,
 		radius:  (rows - dim) / 2,
-		cols:    cols,
+		predict: predict,
 	}
 	if shared {
 		c.checksByDim[dim] = chk
@@ -124,11 +126,12 @@ func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare i
 	return chk, nil
 }
 
-// verify decodes the l column-major received words with the check. ok is
-// false when some component's candidate misses more than radius rows; the
-// words are then for the full decoder. On ok the result is exactly the
-// full decoder's (see the soundness argument on subsetCheck).
-func (s *subsetCheck[E]) verify(c *Code[E], colMajor []E, l, workers int, sc *checkScratch[E]) (*DecodeResult[E], bool) {
+// verify decodes the received rows' l components with the check, reading
+// component j's word as results[r][j]. ok is false when some component's
+// candidate misses more than radius rows; the words are then for the full
+// decoder. On ok the result is exactly the full decoder's (see the
+// soundness argument on subsetCheck).
+func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *checkScratch[E]) (*DecodeResult[E], bool) {
 	k, nr, dim := len(c.omegas), len(s.rest), len(s.trusted)
 	z := nr + k
 	nw := pool.Clamp(workers, l)
@@ -144,18 +147,16 @@ func (s *subsetCheck[E]) verify(c *Code[E], colMajor []E, l, workers int, sc *ch
 		if refused.Load() {
 			return nil // some component was already refused: short-circuit
 		}
-		word := colMajor[j*s.rows : (j+1)*s.rows]
 		pred := sc.pred[worker*z : (worker+1)*z]
 		coefs := sc.coefs[worker*dim : (worker+1)*dim]
 		bad := sc.bad[worker*nr : (worker+1)*nr]
 		for t, r := range s.trusted {
-			coefs[t] = word[r]
+			coefs[t] = results[r][j]
 		}
-		c.bulk.ScaleVec(pred, coefs[0], s.cols[0])
-		c.bulk.LinCombAccVec(pred, coefs[1:], s.cols[1:])
+		c.bulk.MatVec(pred, s.predict, coefs)
 		misses := 0
 		for i, r := range s.rest {
-			if !c.f.Equal(pred[i], word[r]) {
+			if !c.f.Equal(pred[i], results[r][j]) {
 				bad[i] = true
 				misses++
 			}
@@ -194,11 +195,9 @@ func (s *subsetCheck[E]) verify(c *Code[E], colMajor []E, l, workers int, sc *ch
 // (Section 5.2's decoder runs once; later steps reuse its verdict) — and
 // never enters the soundness argument (see subsetCheck).
 type Primed[E comparable] struct {
-	code  *Code[E]
-	check *subsetCheck[E]
-
-	colScratch []E // column-major transpose, reused across Decode calls
-	scratch    checkScratch[E]
+	code    *Code[E]
+	check   *subsetCheck[E]
+	scratch checkScratch[E]
 }
 
 // NewPrimed builds a primed decoder for the given received-row layout
@@ -230,7 +229,8 @@ func (c *Code[E]) NewPrimed(indices, suspects []int, degree, maxFaults int) (*Pr
 // shaped exactly like the layout the decoder was primed for. ok=false
 // means some component could not be certified (a trusted row lied, or the
 // word is beyond the code's radius) and the caller must run the full
-// decoder; the returned result is nil in that case. On ok=true the decode
+// decoder; the returned result is nil in that case. The rows are read in
+// place and never written. On ok=true the decode
 // is exactly what the full decoder would have produced, FaultyNodes
 // included (a suspect that sent a clean value this step is not accused).
 //
@@ -243,7 +243,6 @@ func (p *Primed[E]) Decode(results [][]E, workers int) (*DecodeResult[E], bool, 
 	if err != nil {
 		return nil, false, err
 	}
-	p.colScratch = transposeColMajor(results, rows, l, p.colScratch)
-	res, ok := p.check.verify(p.code, p.colScratch, l, workers, &p.scratch)
+	res, ok := p.check.verify(p.code, results, l, workers, &p.scratch)
 	return res, ok, nil
 }

@@ -19,7 +19,8 @@
 // A transmission travels as one envelope: the message and the recipients
 // it goes to. A broadcast is one envelope for its N-1 copies, so a
 // synchronous round of N broadcasts queues N envelopes, not N(N-1)
-// messages (before GST every copy draws its own delay and is filed
+// messages, and one that reaches every other node carries no recipient
+// list at all (before GST every copy draws its own delay and is filed
 // alone). A node's inbox is a view over the round's
 // sorted envelopes, not a copy. What a node receives, in which round and
 // in which order is the same as if every copy had been queued on its own
@@ -297,11 +298,12 @@ func (n *Network) Endpoint(id NodeID) (*Endpoint, error) {
 }
 
 // An envelope is one transmission: a message and the recipients it still
-// has to reach, ascending. A broadcast is one envelope for its N-1
-// copies, not N-1 messages; Deliveries sets each copy's To as it hands
-// the copy over. The recipient list is read-only once filed: a pre-GST
-// copy's is a window of its transmission's list, and Step copies a list
-// before it removes a down recipient from it.
+// has to reach, ascending; a nil list means every node but the sender. A
+// broadcast is one envelope for its N-1 copies, not N-1 messages;
+// Deliveries sets each copy's To as it hands the copy over. The recipient
+// list is read-only once filed: a pre-GST copy's is a window of its
+// transmission's list, and Step copies a list before it removes a down
+// recipient from it.
 type envelope struct {
 	msg Message
 	to  []NodeID
@@ -328,10 +330,11 @@ func (n *Network) enqueue(m Message) {
 
 // enqueueBroadcast records an Endpoint's broadcast, stamped with the
 // current round, and files it for every other node under one lock: the
-// envelope carries the live recipients, ascending, and each copy a down
-// sender or a down recipient loses counts in DroppedDown, before any delay
-// is drawn, exactly as if the copies had been enqueued one by one. Callers
-// hold no lock.
+// envelope carries no recipient list while every other node is up, and
+// the live recipients, ascending, otherwise. Each copy a down sender or a
+// down recipient loses counts in DroppedDown, before any delay is drawn,
+// exactly as if the copies had been enqueued one by one. Callers hold no
+// lock.
 func (n *Network) enqueueBroadcast(m Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -341,20 +344,27 @@ func (n *Network) enqueueBroadcast(m Message) {
 		n.stats.DroppedDown += uint64(n.cfg.N - 1)
 		return
 	}
+	var to []NodeID // nil: every other node
+	if n.cfg.N == 1 || slices.Contains(n.down, true) {
+		to = slices.DeleteFunc(n.others(m.From), func(r NodeID) bool { return n.down[r] })
+		n.stats.DroppedDown += uint64(n.cfg.N - 1 - len(to))
+		if len(to) == 0 {
+			return
+		}
+	}
+	n.record(&m)
+	n.post(m, to)
+}
+
+// others lists every node but from, ascending, in a fresh slice.
+func (n *Network) others(from NodeID) []NodeID {
 	to := make([]NodeID, 0, n.cfg.N-1)
 	for r := range NodeID(n.cfg.N) {
-		switch {
-		case r == m.From:
-		case n.down[r]:
-			n.stats.DroppedDown++
-		default:
+		if r != from {
 			to = append(to, r)
 		}
 	}
-	if len(to) > 0 {
-		n.record(&m)
-		n.post(m, to)
-	}
+	return to
 }
 
 // post files an admitted envelope under its delivery round. Caller holds
@@ -369,6 +379,9 @@ func (n *Network) post(m Message, to []NodeID) {
 	if n.delayDeterministic(m.Round) {
 		n.pending[m.Round+1] = append(n.pending[m.Round+1], envelope{m, to})
 		return
+	}
+	if to == nil {
+		to = n.others(m.From)
 	}
 	for i, r := range to {
 		d := m.Round + n.preGSTDelay(m.From, r, m.Round)
@@ -460,16 +473,24 @@ func (n *Network) Step() {
 		return strings.Compare(a.msg.Kind, b.msg.Kind)
 	})
 	isDown := func(r NodeID) bool { return n.down[r] }
+	anyDown := slices.Contains(n.down, true)
 	for i := range due {
 		e := &due[i]
+		copies := len(e.to)
+		if e.to == nil {
+			copies = n.cfg.N - 1
+			if anyDown {
+				e.to = n.others(e.msg.From)
+			}
+		}
 		if slices.ContainsFunc(e.to, isDown) {
 			// In flight when a recipient crashed: dropped on delivery.
-			sent := len(e.to)
 			e.to = slices.DeleteFunc(slices.Clone(e.to), isDown)
-			n.stats.DroppedDown += uint64(sent - len(e.to))
+			n.stats.DroppedDown += uint64(copies - len(e.to))
+			copies = len(e.to)
 		}
-		n.stats.MessagesDelivered += uint64(len(e.to))
-		n.stats.BytesDelivered += uint64(len(e.to) * len(e.msg.Payload))
+		n.stats.MessagesDelivered += uint64(copies)
+		n.stats.BytesDelivered += uint64(copies * len(e.msg.Payload))
 	}
 	n.delivered = due
 }
@@ -549,15 +570,21 @@ func blobBytes(context string, data []byte) []byte {
 // Deliveries yields the messages delivered to this node in the round
 // current when it is called, in Step's order, each with To set. It walks
 // the round's envelopes, which Step never rewrites, so endpoints may range
-// over their deliveries concurrently. Every recipient's copy shares one
-// payload: callers must not rewrite those bytes.
+// over their deliveries concurrently: an envelope without a recipient list
+// is this node's unless it sent it, and a list is searched. Every
+// recipient's copy shares one payload: callers must not rewrite those
+// bytes.
 func (e *Endpoint) Deliveries() iter.Seq[Message] {
 	e.net.mu.Lock()
 	round := e.net.delivered
 	e.net.mu.Unlock()
 	return func(yield func(Message) bool) {
 		for _, env := range round {
-			if _, ok := slices.BinarySearch(env.to, e.id); !ok {
+			if env.to == nil {
+				if env.msg.From == e.id {
+					continue
+				}
+			} else if _, ok := slices.BinarySearch(env.to, e.id); !ok {
 				continue
 			}
 			m := env.msg
