@@ -622,8 +622,8 @@ func resultHeader(round int, tag [32]byte, count int) (hdr [resultHdrLen]byte) {
 // reduce a non-canonical one, so two payloads would parse to one result),
 // and only then writes the elements into dst; a refusal leaves dst
 // untouched. An accepted payload re-encodes to the same bytes.
-func parseResult[E comparable](f field.Field[E], data []byte, hdr *[resultHdrLen]byte, dst []E) bool {
-	if len(data) != resultHdrLen+8*len(dst) || [resultHdrLen]byte(data) != *hdr {
+func parseResult[E comparable](f field.Field[E], data []byte, hdr [resultHdrLen]byte, dst []E) bool {
+	if len(data) != resultHdrLen+8*len(dst) || [resultHdrLen]byte(data) != hdr {
 		return false
 	}
 	body := data[resultHdrLen:]

@@ -409,7 +409,7 @@ func TestResultPayloadCodec(t *testing.T) {
 	hdr := resultHeader(7, tag, len(vec))
 	payload := encodeResult[uint64](gold, 7, tag, vec)
 	got := make([]uint64, len(vec))
-	if !parseResult[uint64](gold, payload, &hdr, got) || !field.VecEqual[uint64](gold, got, vec) {
+	if !parseResult[uint64](gold, payload, hdr, got) || !field.VecEqual[uint64](gold, got, vec) {
 		t.Fatalf("roundtrip failed: got %v", got)
 	}
 	// Malformed or unexpected payloads must be refused, never panic:
@@ -432,7 +432,7 @@ func TestResultPayloadCodec(t *testing.T) {
 	bad = append(bad, nonCanonical)
 	for i, p := range bad {
 		dst := []uint64{1, 2, 3}
-		if parseResult[uint64](gold, p, &hdr, dst) {
+		if parseResult[uint64](gold, p, hdr, dst) {
 			t.Errorf("malformed payload %d accepted", i)
 		}
 		if !slices.Equal(dst, []uint64{1, 2, 3}) {
@@ -445,7 +445,7 @@ func TestResultPayloadCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	hdr = resultHeader(7, clusterTag, 2)
-	if parseResult[uint64](gf, encodeResult[uint64](gold, 7, clusterTag, []uint64{5, 256 + 5}), &hdr, make([]uint64, 2)) {
+	if parseResult[uint64](gf, encodeResult[uint64](gold, 7, clusterTag, []uint64{5, 256 + 5}), hdr, make([]uint64, 2)) {
 		t.Error("GF(2^8) payload with a 9-bit element accepted")
 	}
 }
@@ -483,7 +483,7 @@ func fuzzParseResult[E comparable](t *testing.T, f field.Field[E], data []byte) 
 		dst[i] = f.FromUint64(uint64(i%2 + 1))
 	}
 	before := slices.Clone(dst)
-	ok := parseResult(f, data, &hdr, dst)
+	ok := parseResult(f, data, hdr, dst)
 	want := len(data) == resultHdrLen+8*count && bytes.Equal(data[:resultHdrLen], hdr[:])
 	for i := resultHdrLen; want && i < len(data); i += 8 {
 		v := binary.LittleEndian.Uint64(data[i:])

@@ -190,7 +190,7 @@ func (s *stepCore[E]) ingest(msgs iter.Seq[transport.Message], round int, tag [3
 		if m.Kind != resultKind || m.From < 0 || int(m.From) >= s.n {
 			continue
 		}
-		if parseResult(f, m.Payload, &hdr, s.recvRow(int(m.From))) {
+		if parseResult(f, m.Payload, hdr, s.recvRow(int(m.From))) {
 			s.markReceived(int(m.From))
 		}
 	}

@@ -173,13 +173,19 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *c
 	if refused.Load() {
 		return nil, false
 	}
-	faulty := []int{}
-	for i, r := range s.rest {
-		missed := false
-		for w := 0; w < nw && !missed; w++ {
-			missed = sc.bad[w*nr+i]
+	// Fold the workers' masks into the first one's, then list its rows.
+	missed, misses := sc.bad[:nr], 0
+	for i := range missed {
+		for w := 1; w < nw && !missed[i]; w++ {
+			missed[i] = sc.bad[w*nr+i]
 		}
-		if missed {
+		if missed[i] {
+			misses++
+		}
+	}
+	faulty := make([]int, 0, misses)
+	for i, r := range s.rest {
+		if missed[i] {
 			faulty = append(faulty, nodeOf(s.indices, r))
 		}
 	}
