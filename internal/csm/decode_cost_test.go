@@ -121,16 +121,17 @@ func TestCrashedBeyondBudgetRoundOpCountGuard(t *testing.T) {
 // TestRoundOpCountGuard's shape, on one worker so the count is the
 // engine's and not the fan-out's, and the heap bytes it allocates on the
 // default fan-out, the engine csmload runs. A round cost 7 189
-// allocations while the network queued one Message per recipient and
+// allocations while the network queued one Message per recipient,
 // 6 730 (711 KB) while Step still copied every copy into per-node inboxes
-// and the client tally keyed two maps per machine by wire-byte strings.
-// With inboxes read as views over the round's envelopes and the tally a
-// short list per machine it costs 5 490 allocations, 4 032 of them the
-// N(N-1) parsed results, and 308 KB. Each ceiling sits within 10 % above
-// today's figure; the byte ceiling is also 45 % of the old 711 KB. The
-// race detector's own allocations are added on top (raceHeapSlack).
+// and the client tally keyed two maps per machine by wire-byte strings,
+// and 5 299 (291 KB) while every node parsed each of the N(N-1) results
+// into a fresh slice and every broadcast carried its own recipient list.
+// With results parsed in place into each node's receive rows it costs
+// 1 075 allocations and 121 KB. Each ceiling sits within 10 % above
+// today's figure. The race detector's own allocations are added on top
+// (raceHeapSlack).
 func TestRoundAllocGuard(t *testing.T) {
-	const allocCeiling, byteCeiling = 6_000, 320_000
+	const allocCeiling, byteCeiling = 1_180, 132_000
 	allocs := testing.AllocsPerRun(5, honestRounds(t, 1))
 	bytes := bytesPerRun(5, honestRounds(t, 0))
 	t.Logf("per honest N=64 K=22 b=21 round: %.0f heap allocations (Parallelism 1), %d heap bytes (Parallelism 0)", allocs, bytes)
@@ -145,10 +146,11 @@ func TestRoundAllocGuard(t *testing.T) {
 // TestByzantineBatchAllocGuard caps the heap allocations of one B=8
 // batch at BenchmarkByzantineBatch's shape (21 WrongResult nodes,
 // pipeline depth 4) once the first batch has learned the liars, on one
-// worker so the count is the engine's and not the fan-out's. The
-// ceiling sits within 10 % above the figure it was set at.
+// worker so the count is the engine's and not the fan-out's. A batch
+// cost 36 141 allocations while results were parsed into fresh slices;
+// it costs 11 548. The ceiling sits within 10 % above today's figure.
 func TestByzantineBatchAllocGuard(t *testing.T) {
-	const allocCeiling = 39_700
+	const allocCeiling = 12_700
 	allocs := testing.AllocsPerRun(3, byzantineBatches(t, 1))
 	t.Logf("per B=8 batch of 21-liar N=64 K=22 b=21 rounds: %.0f heap allocations (Parallelism 1)", allocs)
 	if allocs > allocCeiling {
