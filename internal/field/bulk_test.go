@@ -358,8 +358,9 @@ func TestCountingBulkTotalsMatchScalar(t *testing.T) {
 		t.Fatalf("LinCombAccVec charged %+v, the ScaleAccVec chain %+v", comb.Counts(), chain.Counts())
 	}
 
-	// MatVec's single charge is that of the verified-subset check's old
-	// prediction: ScaleVec on the first column, LinCombAccVec over the rest.
+	// MatVec's single charge is ScaleVec's on the first column plus
+	// LinCombAccVec's over the rest, so the verified-subset check counts
+	// the same operations whichever kernel makes its prediction.
 	chain, mv := NewCounting[uint64](gold), NewCounting[uint64](gold)
 	chain.ScaleVec(dst, cs[0], terms[0])
 	chain.LinCombAccVec(dst, cs[1:], terms[1:])

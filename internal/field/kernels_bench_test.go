@@ -81,9 +81,9 @@ func BenchmarkFieldKernels(b *testing.B) {
 			}
 		})
 	}
-	// The same prediction as the check now makes it: the row-major
-	// 64 x 22 matrix (the unchecked rows and outputs by the trusted rows)
-	// times one component's 22 trusted values, in one MatVec.
+	// The verified-subset check's prediction of one component: the
+	// row-major 64 x 22 matrix (unchecked rows and outputs by trusted
+	// rows) times the component's 22 trusted values, in one MatVec.
 	const rows, cols = 64, 22
 	m := RandVec[uint64](gold, rng, rows*cols)
 	v := RandVec[uint64](gold, rng, cols)
