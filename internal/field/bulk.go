@@ -131,9 +131,7 @@ func (g genericBulk[E]) LinCombAccVec(dst, cs []E, vecs [][]E) {
 	}
 }
 
-// MatVec makes the ScaleVec-then-LinCombAccVec chain's Field calls, row
-// by row: a multiplication per term and an addition per term after the
-// first.
+// MatVec makes the ScaleVec-then-LinCombAccVec chain's Field calls.
 func (g genericBulk[E]) MatVec(dst, m, v []E) {
 	for i := range dst {
 		acc := g.Zero()

@@ -173,7 +173,6 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *c
 	if refused.Load() {
 		return nil, false
 	}
-	// Fold the workers' masks into the first one's, then list its rows.
 	missed, misses := sc.bad[:nr], 0
 	for i := range missed {
 		for w := 1; w < nw && !missed[i]; w++ {
