@@ -464,8 +464,7 @@ func flatOutputs[E comparable](k, l int) [][]E {
 }
 
 // transposeColMajor lays the results matrix out column-major so component
-// j's received word is a contiguous slice — this replaces the
-// per-component strided gather.
+// j's received word is a contiguous slice.
 func transposeColMajor[E comparable](results [][]E, rows, l int) []E {
 	dst := make([]E, l*rows)
 	for i, row := range results {

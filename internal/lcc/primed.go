@@ -234,10 +234,10 @@ func (c *Code[E]) NewPrimed(indices, suspects []int, degree, maxFaults int) (*Pr
 // shaped exactly like the layout the decoder was primed for. ok=false
 // means some component could not be certified (a trusted row lied, or the
 // word is beyond the code's radius) and the caller must run the full
-// decoder; the returned result is nil in that case. The rows are read in
-// place and never written. On ok=true the decode
+// decoder; the returned result is nil in that case. On ok=true the decode
 // is exactly what the full decoder would have produced, FaultyNodes
 // included (a suspect that sent a clean value this step is not accused).
+// The rows are read in place and never written.
 //
 // A Primed belongs to one decoding node: Decode reuses internal scratch
 // and must not be called concurrently on the same instance (the component

@@ -345,7 +345,8 @@ func (n *Network) enqueueBroadcast(m Message) {
 		return
 	}
 	var to []NodeID // nil: every other node
-	if n.cfg.N == 1 || slices.Contains(n.down, true) {
+	// A lone node's broadcast has no recipient, so nothing is carried.
+	if slices.Contains(n.down, true) || n.cfg.N == 1 {
 		to = slices.DeleteFunc(n.others(m.From), func(r NodeID) bool { return n.down[r] })
 		n.stats.DroppedDown += uint64(n.cfg.N - 1 - len(to))
 		if len(to) == 0 {
