@@ -3,6 +3,12 @@ package codedsm
 import (
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -311,4 +317,285 @@ func TestPublicAPIDelegatedMode(t *testing.T) {
 	if _, err := cluster.RunQueue(RandomWorkload[uint64](gold, 1, 3, 1, 23), 0); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// rootSurfaceUnused lists the root names no program names yet; the cut
+// of the root facade deletes them with this list.
+var rootSurfaceUnused = map[string]bool{
+	"AbortError": true, "ChurnOp": true, "ClusterConfig": true,
+	"Colluding": true, "Counting": true, "Crashed": true,
+	"DefaultPipelineDepth": true, "DefaultSubmitQueueDepth": true,
+	"DefaultVirtualNodes": true, "DurabilityConfig": true,
+	"DurabilityOption": true, "FullReplication": true,
+	"NetworkMode": true, "NewAffine": true, "NewCluster": true,
+	"NewCounting": true, "NewFullReplication": true,
+	"NewInnerProduct": true, "NewMultiplicativeAccumulator": true,
+	"NewPartialReplication": true, "NewRing": true, "NewShardRing": true,
+	"OpCounts": true, "OpenFullReplication": true, "PSyncMaxFaults": true,
+	"ParsePolynomial": true, "PhaseCommit": true, "PhasePrepare": true,
+	"Recovering": true, "RepairStats": true, "ReplicaCrash": true,
+	"ReplicationConfig": true, "Scaling": true, "ShardError": true,
+	"ShardMove": true, "ShardRing": true, "SnapshotEvery": true,
+	"SyncAlways": true, "SyncNever": true, "SyncPolicy": true,
+	"TwoPhase": true, "WALSyncPolicy": true, "WithDurability": true,
+	"WithMaxTicksPerRound": true, "WithNoEquivocation": true,
+	"WithPadCommand": true, "WithReplInitialStates": true,
+	"WithReplParallelism": true, "WithReplPartialSync": true,
+	"WithShardClientOptions": true, "WithShardClusterOptionsFor": true,
+	"WithShardInitialStates": true, "WithShardPadCommand": true,
+	"WithShardSlots": true, "WithShardVirtualNodes": true,
+}
+
+// programFiles returns the parsed files that define the root surface: the
+// non-test Go files of cmd/, examples/ and internal/procharness, plus
+// example_test.go.
+func programFiles(t *testing.T, fset *token.FileSet) []*ast.File {
+	t.Helper()
+	var paths []string
+	for _, dir := range []string{"cmd", "examples", filepath.Join("internal", "procharness")} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				paths = append(paths, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	paths = append(paths, "example_test.go")
+	files := make([]*ast.File, 0, len(paths))
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
+// importName returns the name file f refers to the package at path by,
+// or "" when f does not import it.
+func importName(f *ast.File, path string) string {
+	for _, imp := range f.Imports {
+		if strings.Trim(imp.Path.Value, `"`) != path {
+			continue
+		}
+		if imp.Name != nil {
+			return imp.Name.Name
+		}
+		return path[strings.LastIndex(path, "/")+1:]
+	}
+	return ""
+}
+
+// calledName returns the function a call names, unwrapping generic
+// instantiation: pkg.F(...), pkg.F[T](...) and F(...) give ("pkg" or "",
+// "F"); anything else gives ("", "").
+func calledName(call *ast.CallExpr) (qual, name string) {
+	fun := call.Fun
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
+	switch x := fun.(type) {
+	case *ast.Ident:
+		return "", x.Name
+	case *ast.SelectorExpr:
+		if id, ok := x.X.(*ast.Ident); ok {
+			return id.Name, x.Sel.Name
+		}
+	}
+	return "", ""
+}
+
+// TestRootSurface holds the public surface to what programs use. Every
+// exported root name must be named as codedsm.X by a program, or be
+// referred to by the declaration of a name that is (a kept function's
+// parameter or result type); the sentinel errors are exempt, since kept
+// functions wrap them and callers match them with errors.Is. Every
+// exported option constructor of csm, shard and replication must be
+// called from some file other than its own definition.
+func TestRootSurface(t *testing.T) {
+	fset := token.NewFileSet()
+
+	t.Run("root names are named by programs", func(t *testing.T) {
+		root, err := parser.ParseFile(fset, "codedsm.go", nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// decls maps each exported name to the declaration that defines
+		// it, so the surface can follow what a kept declaration refers to.
+		decls := map[string]ast.Node{}
+		for _, decl := range root.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					decls[d.Name.Name] = d
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							decls[s.Name.Name] = s
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.IsExported() && !(d.Tok == token.VAR && strings.HasPrefix(n.Name, "Err")) {
+								decls[n.Name] = s
+							}
+						}
+					}
+				}
+			}
+		}
+		named := map[string]bool{}
+		for _, f := range programFiles(t, fset) {
+			local := importName(f, "codedsm")
+			if local == "" {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if id, ok := sel.X.(*ast.Ident); ok && id.Name == local {
+						named[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		}
+		// A name a kept declaration refers to (a signature's type, say)
+		// is kept with it, to a fixpoint.
+		work := make([]string, 0, len(named))
+		for name := range named {
+			work = append(work, name)
+		}
+		for len(work) > 0 {
+			decl := decls[work[len(work)-1]]
+			work = work[:len(work)-1]
+			if decl == nil {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && decls[id.Name] != nil && !named[id.Name] {
+					named[id.Name] = true
+					work = append(work, id.Name)
+				}
+				return true
+			})
+		}
+		var unused, stale []string
+		for name := range decls {
+			if !named[name] && !rootSurfaceUnused[name] {
+				unused = append(unused, name)
+			}
+		}
+		for name := range rootSurfaceUnused {
+			if named[name] || decls[name] == nil {
+				stale = append(stale, name)
+			}
+		}
+		sort.Strings(unused)
+		sort.Strings(stale)
+		for _, name := range unused {
+			t.Errorf("codedsm.%s is named by no program: delete it", name)
+		}
+		for _, name := range stale {
+			t.Errorf("allowlisted codedsm.%s is named by a program or gone: drop it from the list", name)
+		}
+	})
+
+	t.Run("option constructors are called", func(t *testing.T) {
+		pkgs := map[string]string{
+			"codedsm/internal/csm":         filepath.Join("internal", "csm"),
+			"codedsm/internal/shard":       filepath.Join("internal", "shard"),
+			"codedsm/internal/replication": filepath.Join("internal", "replication"),
+		}
+		optionTypes := map[string]bool{"Option": true, "ClientOption": true, "DurabilityOption": true}
+		type ctor struct{ pkg, name, file string }
+		var ctors []ctor
+		var all []string
+		err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(path, ".go") {
+				all = append(all, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]*ast.File{}
+		for _, path := range all {
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[path] = f
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			for pkg, dir := range pkgs {
+				if filepath.Dir(path) != dir {
+					continue
+				}
+				for _, decl := range f.Decls {
+					fd, ok := decl.(*ast.FuncDecl)
+					if !ok || fd.Recv != nil || !fd.Name.IsExported() || fd.Type.Results == nil || len(fd.Type.Results.List) != 1 {
+						continue
+					}
+					if res, ok := fd.Type.Results.List[0].Type.(*ast.Ident); ok && optionTypes[res.Name] {
+						ctors = append(ctors, ctor{pkg, fd.Name.Name, path})
+					}
+				}
+			}
+		}
+		for _, c := range ctors {
+			called := false
+			for path, f := range files {
+				if path == c.file {
+					continue
+				}
+				quals := map[string]bool{}
+				if filepath.Dir(path) == pkgs[c.pkg] {
+					quals[""] = true
+				}
+				if local := importName(f, c.pkg); local != "" {
+					quals[local] = true
+				}
+				if len(quals) == 0 {
+					continue
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok && !called {
+						if qual, name := calledName(call); quals[qual] && name == c.name {
+							called = true
+						}
+					}
+					return !called
+				})
+				if called {
+					break
+				}
+			}
+			if !called {
+				t.Errorf("%s.%s (%s) is called from no other file: delete it and its settings", c.pkg, c.name, c.file)
+			}
+		}
+	})
 }
