@@ -24,11 +24,13 @@ import (
 	"codedsm/internal/consensus"
 	"codedsm/internal/consensus/dolevstrong"
 	"codedsm/internal/consensus/pbft"
+	"codedsm/internal/csm"
 	"codedsm/internal/delegate"
 	"codedsm/internal/field"
 	"codedsm/internal/intermix"
 	"codedsm/internal/lcc"
 	"codedsm/internal/poly"
+	"codedsm/internal/replication"
 	"codedsm/internal/rs"
 	"codedsm/internal/transport"
 )
@@ -37,7 +39,7 @@ var gold = field.NewGoldilocks()
 
 func bankCluster(b *testing.B, k, n, faults int, byz map[int]Behavior) *Cluster[uint64] {
 	b.Helper()
-	c, err := NewCluster(ClusterConfig[uint64]{
+	c, err := csm.New(csm.Config[uint64]{
 		BaseField:     gold,
 		NewTransition: NewBank[uint64],
 		K:             k, N: n, MaxFaults: faults,
@@ -69,7 +71,7 @@ func runWorkload(b *testing.B, c *Cluster[uint64], k int) {
 // --- Table 1 ---
 
 func BenchmarkTable1_FullReplication(b *testing.B) {
-	c, err := NewFullReplication(ReplicationConfig[uint64]{
+	c, err := replication.NewFull(replication.Config[uint64]{
 		BaseField: gold, NewTransition: NewBank[uint64], K: 8, N: 24, Seed: 1,
 	})
 	if err != nil {
@@ -86,7 +88,7 @@ func BenchmarkTable1_FullReplication(b *testing.B) {
 }
 
 func BenchmarkTable1_PartialReplication(b *testing.B) {
-	c, err := NewPartialReplication(ReplicationConfig[uint64]{
+	c, err := replication.NewPartial(replication.Config[uint64]{
 		BaseField: gold, NewTransition: NewBank[uint64], K: 8, N: 24, Seed: 1,
 	})
 	if err != nil {
@@ -194,7 +196,7 @@ func BenchmarkClusterRoundParallel(b *testing.B) {
 		}
 		for _, workers := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("N=%d/K=%d/workers=%d", n, k, workers), func(b *testing.B) {
-				c, err := NewCluster(ClusterConfig[uint64]{
+				c, err := csm.New(csm.Config[uint64]{
 					BaseField:     gold,
 					NewTransition: NewBank[uint64],
 					K:             k, N: n, MaxFaults: faults,
@@ -241,7 +243,7 @@ func BenchmarkClusterRoundPipelined(b *testing.B) {
 		{"pipelined/B=8", 8, 4},
 	} {
 		b.Run(fmt.Sprintf("N=%d/K=%d/%s/workers=8", n, k, tc.name), func(b *testing.B) {
-			c, err := NewCluster(ClusterConfig[uint64]{
+			c, err := csm.New(csm.Config[uint64]{
 				BaseField:     gold,
 				NewTransition: NewBank[uint64],
 				K:             k, N: n, MaxFaults: faults,
@@ -615,7 +617,7 @@ func BenchmarkElection(b *testing.B) {
 // --- Section 6.2 in the engine: delegated vs decentralized round ---
 
 func BenchmarkDelegatedEngineRound(b *testing.B) {
-	c, err := NewCluster(ClusterConfig[uint64]{
+	c, err := csm.New(csm.Config[uint64]{
 		BaseField:     gold,
 		NewTransition: NewBank[uint64],
 		K:             8, N: 24, MaxFaults: 8,

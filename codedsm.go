@@ -14,16 +14,18 @@
 //
 //   - fields:      NewGoldilocks (GF(2^64-2^32+1), NTT-friendly) and
 //     NewGF2m (GF(2^m), for Boolean machines per Appendix A);
-//   - machines:    NewBank, NewQuadraticTally, NewMultiplicativeAccumulator,
-//     NewInnerProduct, NewPolynomialRegister, NewBooleanMachine, FromExprs;
-//   - the engine:  NewCluster runs consensus + coded execution on a
-//     deterministic simulated network with Byzantine fault injection;
-//   - baselines:   NewFullReplication, NewPartialReplication and the
-//     random-allocation experiment for the Table 1 / Section 7 comparisons;
+//   - machines:    NewBank, NewQuadraticTally, NewPolynomialRegister,
+//     NewBooleanMachine, FromExprs;
+//   - the engine:  Open runs consensus + coded execution on a
+//     deterministic simulated network with Byzantine fault injection, and
+//     Cluster.Open serves it through Submit;
+//   - baselines:   OpenPartialReplication and the random-allocation
+//     experiment for the Table 1 / Section 7 comparisons;
 //   - INTERMIX:    verifiable matrix-vector multiplication (Section 6.1);
-//   - delegation:  centralized verifiable coding (Section 6.2);
-//   - experiments: Table1, Table2, Scaling — the paper's quantitative
-//     content as runnable measurements.
+//   - delegation:  centralized verifiable coding (Section 6.2, WithDelegated);
+//   - sharding:    OpenRouter serves many clusters behind one Submit;
+//   - experiments: Table1, Table2, ScalingSeries, RepairCost — the
+//     paper's quantitative content as runnable measurements.
 //
 // Quickstart: see examples/quickstart/main.go.
 package codedsm
@@ -34,13 +36,10 @@ import (
 	"codedsm/internal/intermix"
 	"codedsm/internal/lcc"
 	"codedsm/internal/metrics"
-	"codedsm/internal/mvpoly"
-	"codedsm/internal/poly"
 	"codedsm/internal/replication"
 	"codedsm/internal/shard"
 	"codedsm/internal/sm"
 	"codedsm/internal/transport"
-	"codedsm/internal/wal"
 )
 
 // ---- Fields ----
@@ -54,21 +53,11 @@ type Goldilocks = field.Goldilocks
 // GF2m is the binary extension field GF(2^m).
 type GF2m = field.GF2m
 
-// OpCounts is a snapshot of counted field operations (the paper's
-// throughput unit).
-type OpCounts = field.OpCounts
-
-// Counting wraps a field and counts operations.
-type Counting[E comparable] = field.Counting[E]
-
 // NewGoldilocks returns the default prime field.
 func NewGoldilocks() Goldilocks { return field.NewGoldilocks() }
 
 // NewGF2m returns GF(2^m) for 2 <= m <= 16 (Appendix A requires 2^m >= N+K).
 func NewGF2m(m uint) (*GF2m, error) { return field.NewGF2m(m) }
-
-// NewCounting wraps a field with operation counters.
-func NewCounting[E comparable](f Field[E]) *Counting[E] { return field.NewCounting(f) }
 
 // ---- State machines ----
 
@@ -89,24 +78,9 @@ func NewQuadraticTally[E comparable](f Field[E]) (*Transition[E], error) {
 	return sm.NewQuadraticTally(f)
 }
 
-// NewMultiplicativeAccumulator returns the bilinear machine s' = s*x.
-func NewMultiplicativeAccumulator[E comparable](f Field[E]) (*Transition[E], error) {
-	return sm.NewMultiplicativeAccumulator(f)
-}
-
-// NewInnerProduct returns a vector machine whose output is <s+x, x>.
-func NewInnerProduct[E comparable](f Field[E], dim int) (*Transition[E], error) {
-	return sm.NewInnerProduct(f, dim)
-}
-
 // NewPolynomialRegister returns a machine of exact degree d.
 func NewPolynomialRegister[E comparable](f Field[E], d int) (*Transition[E], error) {
 	return sm.NewPolynomialRegister(f, d)
-}
-
-// NewAffine returns the linear machine S' = A S + B X.
-func NewAffine[E comparable](f Field[E], a, b [][]E) (*Transition[E], error) {
-	return sm.NewAffine(f, a, b)
 }
 
 // FromExprs builds a transition from polynomial expressions, e.g.
@@ -138,9 +112,6 @@ func NewMachine[E comparable](tr *Transition[E], initial []E) (*Machine[E], erro
 // Cluster is a running CSM deployment.
 type Cluster[E comparable] = csm.Cluster[E]
 
-// ClusterConfig configures a cluster.
-type ClusterConfig[E comparable] = csm.Config[E]
-
 // RoundResult reports one executed round.
 type RoundResult[E comparable] = csm.RoundResult[E]
 
@@ -154,24 +125,14 @@ const (
 	SilentNode  = csm.Silent
 	Equivocate  = csm.Equivocate
 	BadLeader   = csm.BadLeader
-	// Crashed is a fail-stopped node: an erasure, consuming one parity
-	// symbol of the fault budget where an active misbehaviour consumes two
-	// (a cluster sized for b Byzantine faults tolerates up to 2b crashes).
-	Crashed = csm.Crashed
-	// Recovering marks a node between rejoining and completing its
-	// coded-state repair.
-	Recovering = csm.Recovering
 )
 
 // ---- Membership and churn ----
 
 // ChurnEvent is one scheduled membership or adversary change
-// (ClusterConfig.Churn / ClusterConfig.ChurnFn), applied at the boundary
+// (WithChurn / WithChurnFn), applied at the boundary
 // of the consensus instance covering its round.
 type ChurnEvent = csm.ChurnEvent
-
-// ChurnOp selects what a ChurnEvent does to its node.
-type ChurnOp = csm.ChurnOp
 
 // Churn operations.
 const (
@@ -180,10 +141,6 @@ const (
 	ChurnCorrupt = csm.ChurnCorrupt
 	ChurnRelease = csm.ChurnRelease
 )
-
-// RepairStats accounts the cost of coded-state repairs
-// (Cluster.RepairStats).
-type RepairStats = csm.RepairStats
 
 // MovingAdversary returns a ChurnFn implementing the paper's Section 7
 // dynamic adversary: every epochLen rounds the b corruptions release and
@@ -202,23 +159,11 @@ const (
 	PBFT            = csm.PBFT
 )
 
-// NetworkMode selects the timing model.
-type NetworkMode = transport.Mode
-
 // Timing models.
 const (
 	Synchronous          = transport.Sync
 	PartiallySynchronous = transport.PartialSync
 )
-
-// NewCluster builds a CSM cluster from a ClusterConfig literal — the
-// struct-based constructor Open wraps. ClusterConfig.BatchSize groups
-// rounds under one consensus instance and ClusterConfig.Pipeline overlaps
-// a round's client stage with the following rounds' consensus and
-// execution phases; Cluster.Run applies both, and Cluster.RunPipelined
-// forces the pipelined engine (see the csm package documentation for the
-// happens-before contract).
-func NewCluster[E comparable](cfg ClusterConfig[E]) (*Cluster[E], error) { return csm.New(cfg) }
 
 // ---- Functional options (the serving-oriented constructor) ----
 
@@ -262,18 +207,12 @@ func WithByzantineNode(node int, behavior Behavior) Option {
 	return csm.WithByzantineNode(node, behavior)
 }
 
-// WithNoEquivocation models a broadcast network (Section 6 assumption).
-func WithNoEquivocation() Option { return csm.WithNoEquivocation() }
-
 // WithDelegated enables the Section 6.2 delegated execution phase
-// (implies WithNoEquivocation).
+// (implies a broadcast network, on which nobody can equivocate).
 func WithDelegated() Option { return csm.WithDelegated() }
 
 // WithSeed seeds all cluster and network randomness.
 func WithSeed(seed uint64) Option { return csm.WithSeed(seed) }
-
-// WithMaxTicksPerRound bounds a round's lock-step network ticks.
-func WithMaxTicksPerRound(ticks int) Option { return csm.WithMaxTicksPerRound(ticks) }
 
 // WithParallelism sets the execution-phase worker count.
 func WithParallelism(workers int) Option { return csm.WithParallelism(workers) }
@@ -294,41 +233,6 @@ func WithChurnFn(fn func(round int) []ChurnEvent) Option { return csm.WithChurnF
 // WithInitialStates sets the K machines' initial state vectors.
 func WithInitialStates[E comparable](states [][]E) Option { return csm.WithInitialStates(states) }
 
-// ---- Durability (WAL + coded snapshots) ----
-
-// DurabilityConfig enables the durable state layer (ClusterConfig.Durability);
-// WithDurability is the options-based equivalent.
-type DurabilityConfig = csm.DurabilityConfig
-
-// DurabilityOption tunes the durable state layer enabled by WithDurability.
-type DurabilityOption = csm.DurabilityOption
-
-// WALSyncPolicy selects when the write-ahead log fsyncs.
-type WALSyncPolicy = wal.SyncPolicy
-
-// WAL fsync policies.
-const (
-	// SyncAlways fsyncs after every append: durable when Append returns.
-	SyncAlways = wal.SyncAlways
-	// SyncNever leaves syncing to the OS — faster, loses the tail of the
-	// log on a machine (not process) crash.
-	SyncNever = wal.SyncNever
-)
-
-// WithDurability persists the cluster's state under dir: decided batches
-// are write-ahead logged and coded snapshots rotate atomically on a
-// cadence, so an Open over a directory holding prior state resumes at
-// the last durable round bit-identically to the uninterrupted run.
-func WithDurability(dir string, opts ...DurabilityOption) Option {
-	return csm.WithDurability(dir, opts...)
-}
-
-// SnapshotEvery sets the snapshot cadence in executed rounds (default 32).
-func SnapshotEvery(rounds int) DurabilityOption { return csm.SnapshotEvery(rounds) }
-
-// SyncPolicy selects the WAL fsync policy (default SyncAlways).
-func SyncPolicy(policy WALSyncPolicy) DurabilityOption { return csm.SyncPolicy(policy) }
-
 // ---- Ingress (Submit-based serving) ----
 
 // Client is the submission front of an open cluster: Submit enqueues one
@@ -343,10 +247,6 @@ type Future[E comparable] = csm.Future[E]
 // ClientOption configures Cluster.Open.
 type ClientOption = csm.ClientOption
 
-// DefaultSubmitQueueDepth is the per-machine backpressure bound used when
-// WithSubmitQueueDepth is not given.
-const DefaultSubmitQueueDepth = csm.DefaultSubmitQueueDepth
-
 // WithSubmitQueueDepth bounds each machine's pending-submission queue
 // (Submit blocks while the addressed machine's queue is full).
 func WithSubmitQueueDepth(depth int) ClientOption { return csm.WithSubmitQueueDepth(depth) }
@@ -356,14 +256,10 @@ func WithSubmitQueueDepth(depth int) ClientOption { return csm.WithSubmitQueueDe
 // Submit-driven run bit-identical to Run on the equivalent workload.
 func WithDeterministicAdmission() ClientOption { return csm.WithDeterministicAdmission() }
 
-// WithPadCommand sets the identity command submitted for idle machines
-// when a round is admitted (default: the all-zero command).
-func WithPadCommand[E comparable](cmd []E) ClientOption { return csm.WithPadCommand(cmd) }
-
 // ---- Typed errors ----
 
 // BatchError is attached to every mid-workload failure of
-// Run/RunQueue/RunPipelined/Rounds/ExecuteBatch: it carries the completed
+// Run/RunQueue/RunPipelined/Rounds: it carries the completed
 // prefix of round reports and the failed round's index (errors.As).
 type BatchError[E comparable] = csm.BatchError[E]
 
@@ -382,10 +278,6 @@ var (
 	ErrClientClosed = csm.ErrClientClosed
 )
 
-// DefaultPipelineDepth is the client-stage queue depth RunPipelined uses
-// when ClusterConfig.Pipeline is unset.
-const DefaultPipelineDepth = csm.DefaultPipelineDepth
-
 // RandomWorkload generates a reproducible workload.
 func RandomWorkload[E comparable](f Field[E], rounds, k, cmdLen int, seed uint64) [][][]E {
 	return csm.RandomWorkload(f, rounds, k, cmdLen, seed)
@@ -403,41 +295,19 @@ func PSyncMaxMachines(n, b, d int) int { return lcc.PSyncMaxMachines(n, b, d) }
 // SyncMaxFaults returns the largest b tolerated for fixed N, K, d.
 func SyncMaxFaults(n, k, d int) int { return lcc.SyncMaxFaults(n, k, d) }
 
-// PSyncMaxFaults is the partially synchronous bound.
-func PSyncMaxFaults(n, k, d int) int { return lcc.PSyncMaxFaults(n, k, d) }
-
 // ---- Replication baselines ----
-
-// ReplicationConfig configures a baseline cluster.
-type ReplicationConfig[E comparable] = replication.Config[E]
-
-// FullReplication is the γ=1 baseline.
-type FullReplication[E comparable] = replication.FullCluster[E]
 
 // PartialReplication is the β=Θ(N/K) baseline.
 type PartialReplication[E comparable] = replication.PartialCluster[E]
 
-// NewFullReplication builds the full-replication baseline.
-func NewFullReplication[E comparable](cfg ReplicationConfig[E]) (*FullReplication[E], error) {
-	return replication.NewFull(cfg)
-}
-
-// NewPartialReplication builds the partial-replication baseline.
-func NewPartialReplication[E comparable](cfg ReplicationConfig[E]) (*PartialReplication[E], error) {
-	return replication.NewPartial(cfg)
-}
-
 // ReplicationOption configures a baseline cluster built with
-// OpenFullReplication or OpenPartialReplication. The constructors mirror
-// the cluster options under a WithRepl prefix.
+// OpenPartialReplication. The constructors mirror the cluster options
+// under a WithRepl prefix.
 type ReplicationOption = replication.Option
 
-// ReplicationBehavior selects a baseline node's failure mode (Colluding,
-// ReplicaCrash, or honest by default).
+// ReplicationBehavior selects a baseline node's failure mode (colluding,
+// crashed, or honest by default).
 type ReplicationBehavior = replication.Behavior
-
-// ReplicaCrash is the replication baselines' fail-stop behaviour.
-const ReplicaCrash = replication.Crash
 
 // WithReplNodes sets the baseline network size N (required).
 func WithReplNodes(n int) ReplicationOption { return replication.WithNodes(n) }
@@ -453,24 +323,6 @@ func WithReplByzantine(behaviors map[int]ReplicationBehavior) ReplicationOption 
 // WithReplSeed seeds the baseline adversary's lies.
 func WithReplSeed(seed uint64) ReplicationOption { return replication.WithSeed(seed) }
 
-// WithReplParallelism sets the baseline replica-step worker count.
-func WithReplParallelism(workers int) ReplicationOption { return replication.WithParallelism(workers) }
-
-// WithReplPartialSync switches the baseline security-bound formulas to the
-// partially synchronous ones.
-func WithReplPartialSync() ReplicationOption { return replication.WithPartialSync() }
-
-// WithReplInitialStates sets the baseline machines' initial states.
-func WithReplInitialStates[E comparable](states [][]E) ReplicationOption {
-	return replication.WithInitialStates(states)
-}
-
-// OpenFullReplication builds the full-replication baseline from
-// functional options.
-func OpenFullReplication[E comparable](f Field[E], newTransition replication.TransitionFactory[E], opts ...ReplicationOption) (*FullReplication[E], error) {
-	return replication.OpenFull(f, newTransition, opts...)
-}
-
 // OpenPartialReplication builds the partial-replication baseline from
 // functional options.
 func OpenPartialReplication[E comparable](f Field[E], newTransition replication.TransitionFactory[E], opts ...ReplicationOption) (*PartialReplication[E], error) {
@@ -481,9 +333,6 @@ func OpenPartialReplication[E comparable](f Field[E], newTransition replication.
 func ConcentratedAttack(n, k, target int) (map[int]replication.Behavior, error) {
 	return replication.ConcentratedAttack(n, k, target)
 }
-
-// Colluding is the replication baselines' lying behaviour.
-const Colluding = replication.Colluding
 
 // RandomAllocationExperiment models Section 7's random-allocation scheme
 // under static and dynamic adversaries.
@@ -551,13 +400,6 @@ type ScalingRow = metrics.ScalingRow
 // batching, pipelining).
 type ScalingConfig = metrics.ScalingConfig
 
-// Scaling measures the Theorem 1 series over network sizes. parallelism is
-// the worker count the measured clusters execute with (0 selects
-// runtime.GOMAXPROCS); the op-count metrics are worker-count-independent.
-func Scaling(ns []int, mu float64, d, rounds int, seed uint64, parallelism int) ([]ScalingRow, error) {
-	return metrics.Scaling(ns, mu, d, rounds, seed, parallelism)
-}
-
 // ScalingSeries measures the Theorem 1 series under an explicit engine
 // configuration (batching, pipelining, parallelism).
 func ScalingSeries(cfg ScalingConfig) ([]ScalingRow, error) { return metrics.ScalingSeries(cfg) }
@@ -594,33 +436,9 @@ type RouterOption = shard.Option
 // RouterFuture is the pending result of one routed command.
 type RouterFuture[E comparable] = shard.Future[E]
 
-// ShardRing is the consistent-hash ring assigning machines to shards.
-type ShardRing = shard.Ring
-
-// ShardMove records one completed rebalance.
-type ShardMove = shard.Move
-
 // CrossOp is one machine's command inside a cross-shard command set
 // (Router.SubmitCross).
 type CrossOp[E comparable] = shard.Op[E]
-
-// ShardError wraps a failure from one shard, naming it; the underlying
-// csm error chain stays visible to errors.Is.
-type ShardError = shard.ShardError
-
-// AbortError reports an aborted two-phase cross-shard command: the
-// failing phase and shard, and any shards that had already committed.
-// It matches ErrCrossShardAborted via errors.Is.
-type AbortError = shard.AbortError
-
-// TwoPhase names a stage of the cross-shard protocol.
-type TwoPhase = shard.Phase
-
-// Two-phase stages.
-const (
-	PhasePrepare = shard.PhasePrepare
-	PhaseCommit  = shard.PhaseCommit
-)
 
 // Router sentinel errors (errors.Is).
 var (
@@ -629,16 +447,6 @@ var (
 	// ErrCrossShardAborted: a two-phase cross-shard command aborted.
 	ErrCrossShardAborted = shard.ErrAborted
 )
-
-// DefaultVirtualNodes is the per-shard virtual-node count used when
-// WithShardVirtualNodes is not given.
-const DefaultVirtualNodes = shard.DefaultVirtualNodes
-
-// NewShardRing builds a standalone consistent-hash ring (placement is a
-// pure function of the parameters).
-func NewShardRing(shards, vnodes int, seed uint64) (*ShardRing, error) {
-	return shard.NewRing(shards, vnodes, seed)
-}
 
 // OpenRouter builds the ring, opens one CSM cluster per shard via the
 // functional options, scatters the initial states, and starts serving:
@@ -658,13 +466,6 @@ func WithShards(s int) RouterOption { return shard.WithShards(s) }
 // WithShardMachines sets the global machine count (required).
 func WithShardMachines(m int) RouterOption { return shard.WithMachines(m) }
 
-// WithShardSlots sets each shard cluster's machine capacity (default:
-// the ring's maximum shard load plus one migration slot).
-func WithShardSlots(k int) RouterOption { return shard.WithSlots(k) }
-
-// WithShardVirtualNodes sets the ring's per-shard virtual-node count.
-func WithShardVirtualNodes(v int) RouterOption { return shard.WithVirtualNodes(v) }
-
 // WithShardSeed seeds ring placement, per-shard cluster seeds, and
 // coordinator election.
 func WithShardSeed(seed uint64) RouterOption { return shard.WithSeed(seed) }
@@ -672,30 +473,6 @@ func WithShardSeed(seed uint64) RouterOption { return shard.WithSeed(seed) }
 // WithShardClusterOptions appends cluster options applied to every shard.
 func WithShardClusterOptions(opts ...Option) RouterOption {
 	return shard.WithClusterOptions(opts...)
-}
-
-// WithShardClusterOptionsFor appends cluster options applied to one
-// shard only.
-func WithShardClusterOptionsFor(s int, opts ...Option) RouterOption {
-	return shard.WithClusterOptionsFor(s, opts...)
-}
-
-// WithShardClientOptions appends ingress client options applied whenever
-// the router opens a shard's client.
-func WithShardClientOptions(opts ...ClientOption) RouterOption {
-	return shard.WithClientOptions(opts...)
-}
-
-// WithShardPadCommand sets the identity command used as both the shard
-// clients' pad and the two-phase prepare probe.
-func WithShardPadCommand[E comparable](cmd []E) RouterOption {
-	return shard.WithPadCommand(cmd)
-}
-
-// WithShardInitialStates sets the global machines' initial states, in
-// global machine order.
-func WithShardInitialStates[E comparable](states [][]E) RouterOption {
-	return shard.WithInitialStates(states)
 }
 
 // DigestShardState returns the hex SHA-256 digest of a state vector
@@ -711,14 +488,3 @@ func DigestShardState[E comparable](f Field[E], state []E) string {
 func DecodeMachineState[E comparable](c *Cluster[E], k int) ([]E, error) {
 	return c.DecodeMachineState(k)
 }
-
-// ---- Polynomial utilities ----
-
-// ParsePolynomial parses a multivariate polynomial expression.
-func ParsePolynomial[E comparable](f Field[E], expr string, vars []string) (mvpoly.Poly[E], error) {
-	return mvpoly.Parse(f, expr, vars)
-}
-
-// NewRing constructs a univariate polynomial ring (NTT-accelerated when the
-// field supports it).
-func NewRing[E comparable](f Field[E]) *poly.Ring[E] { return poly.NewRing[E](f) }

@@ -11,6 +11,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"codedsm/internal/lcc"
+	"codedsm/internal/replication"
 )
 
 // TestPublicAPIEndToEnd exercises the facade the way a downstream user
@@ -18,14 +21,11 @@ import (
 // workload under faults, and cross-check with the baselines.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	gold := NewGoldilocks()
-	cluster, err := NewCluster(ClusterConfig[uint64]{
-		BaseField:     gold,
-		NewTransition: NewBank[uint64],
-		K:             3, N: 12, MaxFaults: 2,
-		Byzantine:     map[int]Behavior{4: WrongResult, 9: SilentNode},
-		InitialStates: [][]uint64{{100}, {200}, {300}},
-		Seed:          1,
-	})
+	cluster, err := Open(gold, NewBank[uint64],
+		WithMachines(3), WithNodes(12), WithFaults(2),
+		WithByzantine(map[int]Behavior{4: WrongResult, 9: SilentNode}),
+		WithInitialStates([][]uint64{{100}, {200}, {300}}),
+		WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,16 +78,14 @@ func TestPublicAPIBooleanOverGF2m(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewCluster(ClusterConfig[uint64]{
-		BaseField: f,
-		NewTransition: func(ff Field[uint64]) (*Transition[uint64], error) {
+	cluster, err := Open(f,
+		func(ff Field[uint64]) (*Transition[uint64], error) {
 			return NewBooleanMachine(ff, "xor", 1, 1, 1,
 				func(s, c uint64) (uint64, uint64) { return (s ^ c) & 1, s & c & 1 })
 		},
-		K: 2, N: 8, MaxFaults: 1,
-		Byzantine: map[int]Behavior{3: WrongResult},
-		Seed:      5,
-	})
+		WithMachines(2), WithNodes(8), WithFaults(1),
+		WithByzantine(map[int]Behavior{3: WrongResult}),
+		WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +186,7 @@ func TestPublicAPIRoundsStreaming(t *testing.T) {
 
 func TestPublicAPIBaselinesAndExperiments(t *testing.T) {
 	gold := NewGoldilocks()
-	full, err := OpenFullReplication(gold, NewBank[uint64],
+	full, err := replication.OpenFull(gold, NewBank[uint64],
 		WithReplNodes(6), WithReplMachines(2), WithReplSeed(1))
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +216,7 @@ func TestPublicAPIBaselinesAndExperiments(t *testing.T) {
 	if SyncMaxMachines(31, 5, 2) != 11 {
 		t.Error("capacity helper")
 	}
-	if PSyncMaxFaults(31, 11, 2) < 0 {
+	if lcc.PSyncMaxFaults(31, 11, 2) < 0 {
 		t.Error("psync helper")
 	}
 }
@@ -244,33 +242,14 @@ func TestPublicAPIIntermix(t *testing.T) {
 	}
 }
 
-func TestPublicAPIPolynomialUtilities(t *testing.T) {
-	gold := NewGoldilocks()
-	p, err := ParsePolynomial[uint64](gold, "a^2 + 2*b", []string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := p.Eval(gold, []uint64{3, 4})
-	if err != nil || v != 17 {
-		t.Errorf("eval = %d, %v", v, err)
-	}
-	ring := NewRing[uint64](gold)
-	if !ring.HasNTT() {
-		t.Error("Goldilocks ring should be NTT-capable")
-	}
-}
-
 func TestPublicAPIPartiallySynchronousPBFT(t *testing.T) {
 	gold := NewGoldilocks()
-	cluster, err := NewCluster(ClusterConfig[uint64]{
-		BaseField:     gold,
-		NewTransition: NewQuadraticTally[uint64],
-		K:             2, N: 13, MaxFaults: 3,
-		Mode: PartiallySynchronous, GST: 0,
-		Consensus: PBFT,
-		Byzantine: map[int]Behavior{6: WrongResult},
-		Seed:      9,
-	})
+	cluster, err := Open(gold, NewQuadraticTally[uint64],
+		WithMachines(2), WithNodes(13), WithFaults(3),
+		WithPartialSync(0),
+		WithConsensus(PBFT),
+		WithByzantine(map[int]Behavior{6: WrongResult}),
+		WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,15 +267,11 @@ func TestPublicAPIPartiallySynchronousPBFT(t *testing.T) {
 
 func TestPublicAPIDelegatedMode(t *testing.T) {
 	gold := NewGoldilocks()
-	cluster, err := NewCluster(ClusterConfig[uint64]{
-		BaseField:     gold,
-		NewTransition: NewBank[uint64],
-		K:             3, N: 12, MaxFaults: 2,
-		NoEquivocation: true,
-		Delegated:      true,
-		Byzantine:      map[int]Behavior{4: WrongResult},
-		Seed:           21,
-	})
+	cluster, err := Open(gold, NewBank[uint64],
+		WithMachines(3), WithNodes(12), WithFaults(2),
+		WithDelegated(),
+		WithByzantine(map[int]Behavior{4: WrongResult}),
+		WithSeed(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,33 +292,6 @@ func TestPublicAPIDelegatedMode(t *testing.T) {
 	if _, err := cluster.RunQueue(RandomWorkload[uint64](gold, 1, 3, 1, 23), 0); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// rootSurfaceUnused lists the root names no program names yet; the cut
-// of the root facade deletes them with this list.
-var rootSurfaceUnused = map[string]bool{
-	"AbortError": true, "ChurnOp": true, "ClusterConfig": true,
-	"Colluding": true, "Counting": true, "Crashed": true,
-	"DefaultPipelineDepth": true, "DefaultSubmitQueueDepth": true,
-	"DefaultVirtualNodes": true, "DurabilityConfig": true,
-	"DurabilityOption": true, "FullReplication": true,
-	"NetworkMode": true, "NewAffine": true, "NewCluster": true,
-	"NewCounting": true, "NewFullReplication": true,
-	"NewInnerProduct": true, "NewMultiplicativeAccumulator": true,
-	"NewPartialReplication": true, "NewRing": true, "NewShardRing": true,
-	"OpCounts": true, "OpenFullReplication": true, "PSyncMaxFaults": true,
-	"ParsePolynomial": true, "PhaseCommit": true, "PhasePrepare": true,
-	"Recovering": true, "RepairStats": true, "ReplicaCrash": true,
-	"ReplicationConfig": true, "Scaling": true, "ShardError": true,
-	"ShardMove": true, "ShardRing": true, "SnapshotEvery": true,
-	"SyncAlways": true, "SyncNever": true, "SyncPolicy": true,
-	"TwoPhase": true, "WALSyncPolicy": true, "WithDurability": true,
-	"WithMaxTicksPerRound": true, "WithNoEquivocation": true,
-	"WithPadCommand": true, "WithReplInitialStates": true,
-	"WithReplParallelism": true, "WithReplPartialSync": true,
-	"WithShardClientOptions": true, "WithShardClusterOptionsFor": true,
-	"WithShardInitialStates": true, "WithShardPadCommand": true,
-	"WithShardSlots": true, "WithShardVirtualNodes": true,
 }
 
 // programFiles returns the parsed files that define the root surface: the
@@ -494,24 +442,15 @@ func TestRootSurface(t *testing.T) {
 				return true
 			})
 		}
-		var unused, stale []string
+		var unused []string
 		for name := range decls {
-			if !named[name] && !rootSurfaceUnused[name] {
+			if !named[name] {
 				unused = append(unused, name)
 			}
 		}
-		for name := range rootSurfaceUnused {
-			if named[name] || decls[name] == nil {
-				stale = append(stale, name)
-			}
-		}
 		sort.Strings(unused)
-		sort.Strings(stale)
 		for _, name := range unused {
 			t.Errorf("codedsm.%s is named by no program: delete it", name)
-		}
-		for _, name := range stale {
-			t.Errorf("allowlisted codedsm.%s is named by a program or gone: drop it from the list", name)
 		}
 	})
 

@@ -654,24 +654,6 @@ func (c *Cluster[E]) ExecuteRound(cmds [][]E) (*RoundResult[E], error) {
 	return out[0], nil
 }
 
-// ExecuteBatch agrees on a batch of consecutive command rounds under a
-// single consensus instance and executes them as micro-steps (batch[j][k]
-// is machine k's command vector in the batch's j-th round). It returns one
-// report per round; on a mid-batch error the reports of the rounds that
-// fully completed are returned alongside a *BatchError whose Round is the
-// batch-relative index of the failed round. The whole batch is validated
-// before consensus: a malformed round fails the batch up front (the error
-// names that round) and none of its rounds execute, just as a
-// leader-corrupted batch is skipped as a whole (every report carries
-// Skipped).
-func (c *Cluster[E]) ExecuteBatch(batch [][][]E) ([]*RoundResult[E], error) {
-	out, err := c.executeBatch(batch, nil)
-	if err != nil {
-		return out, newBatchError(err, out, 0, len(out))
-	}
-	return out, nil
-}
-
 // runConsensus agrees on the command batch. It returns the agreed
 // commands (per batch step), or nil if the decided batch failed validation
 // (Byzantine leader).

@@ -402,9 +402,6 @@ type clusterStore struct {
 	appendBuf bwriter
 }
 
-// Durable returns whether the cluster persists state.
-func (c *Cluster[E]) Durable() bool { return c.dur != nil }
-
 // Close releases the cluster's durable store, syncing any buffered WAL
 // appends. It is a no-op for clusters built without durability.
 func (c *Cluster[E]) Close() error {

@@ -6,9 +6,9 @@ import (
 )
 
 // The package's error taxonomy. Workload runners (Run, RunQueue,
-// RunPipelined, Rounds, ExecuteBatch) attach a *BatchError to every
-// mid-workload failure, so callers recover the completed prefix and the
-// failed round with errors.As instead of string inspection; the sentinels
+// RunPipelined, Rounds) attach a *BatchError to every mid-workload
+// failure, so callers recover the completed prefix and the failed round
+// with errors.As instead of string inspection; the sentinels
 // below classify *why* a run, a membership change, or a submission failed
 // and are matched with errors.Is.
 var (

@@ -25,8 +25,8 @@ type stepOutcome[E comparable] struct {
 	skip    bool // consensus decided garbage: nothing to tally
 }
 
-// executeBatch is the round engine shared by ExecuteRound, ExecuteBatch,
-// Run and RunPipelined: one consensus instance over len(batch) rounds,
+// executeBatch is the round engine shared by ExecuteRound, Run and
+// RunPipelined: one consensus instance over len(batch) rounds,
 // then one execution micro-step per round. With a nil stage the client
 // phase completes inline before the next micro-step starts; otherwise each
 // outcome is enqueued on the stage and only the execution phases run here.

@@ -5,7 +5,7 @@
 // it returns a Client whose Submit enqueues a single command for one
 // machine and returns a Future, while a scheduler goroutine coalesces
 // pending submissions into full rounds (padding idle machines with the
-// pad command), groups them into consensus batches of Config.BatchSize,
+// all-zero command, the identity of the additive machines), groups them into consensus batches of Config.BatchSize,
 // drives the existing engines underneath, and resolves each Future with
 // its machine's decoded output.
 //
@@ -48,7 +48,6 @@ type ClientOption func(*clientSettings) error
 type clientSettings struct {
 	queueDepth    int
 	deterministic bool
-	pad           any // []E, asserted in Open
 }
 
 // clientOptionErr builds a ClientOption that fails Open with the message.
@@ -78,15 +77,6 @@ func WithSubmitQueueDepth(depth int) ClientOption {
 // complete its batch.
 func WithDeterministicAdmission() ClientOption {
 	return func(s *clientSettings) error { s.deterministic = true; return nil }
-}
-
-// WithPadCommand sets the identity command the scheduler submits on
-// behalf of machines with nothing pending when a round is admitted
-// (defaults to the all-zero command vector — the identity of the additive
-// machines; multiplicative machines need an explicit pad). The element
-// type must match the cluster's field element.
-func WithPadCommand[E comparable](cmd []E) ClientOption {
-	return func(s *clientSettings) error { s.pad = cmd; return nil }
 }
 
 // Future is the pending result of one submitted command. It resolves when
@@ -202,25 +192,12 @@ func (c *Cluster[E]) Open(opts ...ClientOption) (*Client[E], error) {
 			return nil, fmt.Errorf("csm: Open: %w", err)
 		}
 	}
-	pad := field.ZeroVec(c.cfg.BaseField, c.tr.CmdLen())
-	if s.pad != nil {
-		p, ok := s.pad.([]E)
-		if !ok {
-			release()
-			return nil, fmt.Errorf("csm: Open: WithPadCommand element type %T does not match the cluster's field element %T", s.pad, *new(E))
-		}
-		if len(p) != c.tr.CmdLen() {
-			release()
-			return nil, fmt.Errorf("csm: Open: WithPadCommand length %d, want %d", len(p), c.tr.CmdLen())
-		}
-		pad = append([]E(nil), p...)
-	}
 	cl := &Client[E]{
 		c:      c,
 		k:      c.cfg.K,
 		cmdLen: c.tr.CmdLen(),
 		batch:  c.batchSize(),
-		pad:    pad,
+		pad:    field.ZeroVec(c.cfg.BaseField, c.tr.CmdLen()),
 		determ: s.deterministic,
 		queues: make([]chan *submission[E], c.cfg.K),
 		notify: make(chan struct{}, 1),

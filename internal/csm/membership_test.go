@@ -48,7 +48,7 @@ func TestRecoveringConfigRejected(t *testing.T) {
 }
 
 // TestRunQueueBatchedLiveness pins the RunQueue liveness fix: with
-// BatchSize > 1 retries must go through ExecuteBatch (one consensus
+// BatchSize > 1 retries must go through executeBatch (one consensus
 // instance per batch), re-submitting the BadLeader-skipped suffix until
 // an honest leader decides it.
 func TestRunQueueBatchedLiveness(t *testing.T) {

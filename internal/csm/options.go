@@ -6,7 +6,6 @@ import (
 	"codedsm/internal/field"
 	"codedsm/internal/lcc"
 	"codedsm/internal/transport"
-	"codedsm/internal/wal"
 )
 
 // Option configures a cluster built with Open. Options validate eagerly:
@@ -28,22 +27,20 @@ type Option func(*settings) error
 // opaque value and is type-checked against the cluster's field element in
 // Open.
 type settings struct {
-	n, k, maxFaults  int
-	mode             transport.Mode
-	gst              int
-	consensus        ConsensusKind
-	byzantine        map[int]Behavior
-	noEquivocation   bool
-	delegated        bool
-	seed             uint64
-	maxTicksPerRound int
-	parallelism      int
-	batchSize        int
-	pipeline         int
-	churn            []ChurnEvent
-	churnFn          func(round int) []ChurnEvent
-	durability       *DurabilityConfig
-	initialStates    any // [][]E, asserted in Open
+	n, k, maxFaults int
+	mode            transport.Mode
+	gst             int
+	consensus       ConsensusKind
+	byzantine       map[int]Behavior
+	delegated       bool
+	seed            uint64
+	parallelism     int
+	batchSize       int
+	pipeline        int
+	churn           []ChurnEvent
+	churnFn         func(round int) []ChurnEvent
+	durability      *DurabilityConfig
+	initialStates   any // [][]E, asserted in Open
 }
 
 // optionErr builds an Option that fails Open with the given message.
@@ -133,37 +130,19 @@ func WithByzantineNode(node int, behavior Behavior) Option {
 	}
 }
 
-// WithNoEquivocation models a broadcast network (the Section 6
-// assumption): equivocating senders are coerced to a single payload.
-func WithNoEquivocation() Option {
-	return func(s *settings) error { s.noEquivocation = true; return nil }
-}
-
 // WithDelegated enables the Section 6.2 delegated execution phase (a
 // rotating verified worker performs all coding). Delegation requires a
-// synchronous broadcast network, so this option implies WithNoEquivocation.
+// synchronous broadcast network (the Section 6 assumption: equivocating
+// senders are coerced to a single payload), which this option implies.
 // It composes with WithBatching and WithPipeline; WithChurn, WithChurnFn
 // and WithDurability are refused with it.
 func WithDelegated() Option {
-	return func(s *settings) error {
-		s.delegated = true
-		s.noEquivocation = true
-		return nil
-	}
+	return func(s *settings) error { s.delegated = true; return nil }
 }
 
 // WithSeed seeds all cluster and network randomness.
 func WithSeed(seed uint64) Option {
 	return func(s *settings) error { s.seed = seed; return nil }
-}
-
-// WithMaxTicksPerRound bounds a single round's lock-step network ticks
-// (default 200).
-func WithMaxTicksPerRound(ticks int) Option {
-	if ticks < 1 {
-		return optionErr("WithMaxTicksPerRound(%d): need a positive tick budget", ticks)
-	}
-	return func(s *settings) error { s.maxTicksPerRound = ticks; return nil }
 }
 
 // WithParallelism sets the execution-phase worker count (rounds are
@@ -217,11 +196,6 @@ type DurabilityOption func(*DurabilityConfig)
 // (default 32).
 func SnapshotEvery(rounds int) DurabilityOption {
 	return func(d *DurabilityConfig) { d.SnapshotEvery = rounds }
-}
-
-// SyncPolicy selects the WAL fsync policy (default wal.SyncAlways).
-func SyncPolicy(policy wal.SyncPolicy) DurabilityOption {
-	return func(d *DurabilityConfig) { d.Sync = policy }
 }
 
 // WithDurability persists the cluster's state under dir: decided
@@ -295,25 +269,24 @@ func Open[E comparable](f field.Field[E], newTransition TransitionFactory[E], op
 		}
 	}
 	cfg := Config[E]{
-		BaseField:        f,
-		NewTransition:    newTransition,
-		K:                s.k,
-		N:                s.n,
-		MaxFaults:        s.maxFaults,
-		Mode:             s.mode,
-		GST:              s.gst,
-		Consensus:        s.consensus,
-		Byzantine:        s.byzantine,
-		NoEquivocation:   s.noEquivocation,
-		Delegated:        s.delegated,
-		Seed:             s.seed,
-		MaxTicksPerRound: s.maxTicksPerRound,
-		Parallelism:      s.parallelism,
-		BatchSize:        s.batchSize,
-		Pipeline:         s.pipeline,
-		Churn:            s.churn,
-		ChurnFn:          s.churnFn,
-		Durability:       s.durability,
+		BaseField:      f,
+		NewTransition:  newTransition,
+		K:              s.k,
+		N:              s.n,
+		MaxFaults:      s.maxFaults,
+		Mode:           s.mode,
+		GST:            s.gst,
+		Consensus:      s.consensus,
+		Byzantine:      s.byzantine,
+		NoEquivocation: s.delegated,
+		Delegated:      s.delegated,
+		Seed:           s.seed,
+		Parallelism:    s.parallelism,
+		BatchSize:      s.batchSize,
+		Pipeline:       s.pipeline,
+		Churn:          s.churn,
+		ChurnFn:        s.churnFn,
+		Durability:     s.durability,
 	}
 	if s.initialStates != nil {
 		states, ok := s.initialStates.([][]E)

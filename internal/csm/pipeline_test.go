@@ -191,7 +191,7 @@ func TestPipelineConfigValidation(t *testing.T) {
 		t.Error("negative BatchSize must be rejected")
 	}
 	c := newCluster(t, baseConfig(2, 12, 2))
-	if _, err := c.ExecuteBatch(nil); err == nil {
+	if _, err := c.executeBatch(nil, nil); err == nil {
 		t.Error("empty batch must fail")
 	}
 }

@@ -218,9 +218,6 @@ func NewNodeProcess[E comparable](cfg RemoteConfig[E], link transport.Link) (*No
 	return p, nil
 }
 
-// Self returns this process's node id.
-func (p *NodeProcess[E]) Self() int { return p.self }
-
 // IsSequencer reports whether this node sequences batches.
 func (p *NodeProcess[E]) IsSequencer() bool { return p.self == SequencerID }
 

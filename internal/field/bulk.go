@@ -184,8 +184,7 @@ func (g genericBulk[E]) BatchInvInto(dst, xs []E) error {
 
 // batchInvInto is the shared Montgomery-trick implementation: dst first
 // accumulates the prefix products, then the backward sweep rewrites it with
-// the inverses (which is why dst must not alias xs). The multiplication
-// sequence is identical to BatchInv's.
+// the inverses (which is why dst must not alias xs).
 func batchInvInto[E comparable](f Field[E], dst, xs []E) error {
 	n := len(xs)
 	if len(dst) < n {

@@ -100,7 +100,7 @@ func (c *Counting[E]) HornerVec(acc, xs []E, k E) {
 // BatchInvInto implements Bulk. The success path charges Montgomery's-trick
 // cost — 3n multiplications and one inversion — and the error path charges
 // the i prefix multiplications performed before the zero at index i, exactly
-// matching the scalar BatchInv sequence.
+// matching batchInvInto's multiplication sequence.
 func (c *Counting[E]) BatchInvInto(dst, xs []E) error {
 	if i := zeroIndex[E](c.inner, xs); i >= 0 {
 		c.muls.Add(uint64(i))

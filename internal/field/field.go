@@ -67,16 +67,6 @@ type NTTField[E comparable] interface {
 	RootOfUnity(order uint64) (E, error)
 }
 
-// Div returns a/b in f, or ErrDivisionByZero.
-func Div[E comparable](f Field[E], a, b E) (E, error) {
-	bi, err := f.Inv(b)
-	if err != nil {
-		var zero E
-		return zero, err
-	}
-	return f.Mul(a, bi), nil
-}
-
 // Exp returns base^e by square-and-multiply.
 func Exp[E comparable](f Field[E], base E, e uint64) E {
 	result := f.One()
@@ -90,22 +80,6 @@ func Exp[E comparable](f Field[E], base E, e uint64) E {
 	return result
 }
 
-// BatchInv inverts every element of xs using Montgomery's trick: one field
-// inversion plus 3(n-1) multiplications. It returns ErrDivisionByZero if any
-// element is zero (identifying the first offending index in the error).
-// Allocation-sensitive callers should resolve AsBulk once and use
-// Bulk.BatchInvInto directly.
-func BatchInv[E comparable](f Field[E], xs []E) ([]E, error) {
-	if len(xs) == 0 {
-		return nil, nil
-	}
-	out := make([]E, len(xs))
-	if err := AsBulk(f).BatchInvInto(out, xs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Dot returns the inner product of two equal-length vectors over f.
 func Dot[E comparable](f Field[E], a, b []E) (E, error) {
 	if len(a) != len(b) {
@@ -113,23 +87,6 @@ func Dot[E comparable](f Field[E], a, b []E) (E, error) {
 		return zero, fmt.Errorf("field: dot product length mismatch %d != %d", len(a), len(b))
 	}
 	return AsBulk(f).DotVec(a, b), nil
-}
-
-// VecAdd returns a + b componentwise.
-func VecAdd[E comparable](f Field[E], a, b []E) ([]E, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("field: vector add length mismatch %d != %d", len(a), len(b))
-	}
-	out := make([]E, len(a))
-	AsBulk(f).AddVec(out, a, b)
-	return out, nil
-}
-
-// VecScale returns c * v componentwise.
-func VecScale[E comparable](f Field[E], c E, v []E) []E {
-	out := make([]E, len(v))
-	AsBulk(f).ScaleVec(out, c, v)
-	return out
 }
 
 // VecEqual reports componentwise equality of a and b.

@@ -15,8 +15,8 @@ func TestBatchInv(t *testing.T) {
 			xs[i] = g.Rand(r)
 		}
 	}
-	invs, err := BatchInv[uint64](g, xs)
-	if err != nil {
+	invs := make([]uint64, len(xs))
+	if err := AsBulk[uint64](g).BatchInvInto(invs, xs); err != nil {
 		t.Fatal(err)
 	}
 	for i := range xs {
@@ -28,26 +28,25 @@ func TestBatchInv(t *testing.T) {
 
 func TestBatchInvZero(t *testing.T) {
 	g := NewGoldilocks()
-	if _, err := BatchInv[uint64](g, []uint64{1, 2, 0, 4}); !errors.Is(err, ErrDivisionByZero) {
+	if err := AsBulk[uint64](g).BatchInvInto(make([]uint64, 4), []uint64{1, 2, 0, 4}); !errors.Is(err, ErrDivisionByZero) {
 		t.Fatalf("expected ErrDivisionByZero, got %v", err)
 	}
-	out, err := BatchInv[uint64](g, nil)
-	if err != nil || out != nil {
-		t.Fatalf("BatchInv(nil) = %v, %v", out, err)
+	if err := AsBulk[uint64](g).BatchInvInto(nil, nil); err != nil {
+		t.Fatalf("BatchInvInto(nil) = %v", err)
 	}
 }
 
 func TestDivAndExp(t *testing.T) {
 	g := NewGoldilocks()
-	q, err := Div[uint64](g, 10, 5)
+	inv5, err := g.Inv(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Mul(q, 5) != 10 {
+	if q := g.Mul(10, inv5); g.Mul(q, 5) != 10 {
 		t.Fatalf("10/5 * 5 != 10 (got q=%d)", q)
 	}
-	if _, err := Div[uint64](g, 1, 0); !errors.Is(err, ErrDivisionByZero) {
-		t.Fatal("Div by zero should fail")
+	if _, err := g.Inv(0); !errors.Is(err, ErrDivisionByZero) {
+		t.Fatal("Inv(0) should fail")
 	}
 	if got := Exp[uint64](g, 3, 0); got != 1 {
 		t.Errorf("3^0 = %d, want 1", got)
@@ -65,19 +64,15 @@ func TestVectorOps(t *testing.T) {
 	g := NewGoldilocks()
 	a := []uint64{1, 2, 3}
 	b := []uint64{10, 20, 30}
-	sum, err := VecAdd[uint64](g, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := make([]uint64, len(a))
+	AsBulk[uint64](g).AddVec(sum, a, b)
 	if !VecEqual[uint64](g, sum, []uint64{11, 22, 33}) {
-		t.Errorf("VecAdd = %v", sum)
+		t.Errorf("AddVec = %v", sum)
 	}
-	if _, err := VecAdd[uint64](g, a, b[:2]); err == nil {
-		t.Error("VecAdd length mismatch should fail")
-	}
-	scaled := VecScale[uint64](g, 2, a)
+	scaled := make([]uint64, len(a))
+	AsBulk[uint64](g).ScaleVec(scaled, 2, a)
 	if !VecEqual[uint64](g, scaled, []uint64{2, 4, 6}) {
-		t.Errorf("VecScale = %v", scaled)
+		t.Errorf("ScaleVec = %v", scaled)
 	}
 	d, err := Dot[uint64](g, a, b)
 	if err != nil {

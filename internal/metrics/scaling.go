@@ -63,14 +63,6 @@ type ScalingConfig struct {
 	Pipeline int
 }
 
-// Scaling measures the series for the given network sizes at fraction mu.
-// It is the unbatched, sequential-engine form of ScalingSeries.
-func Scaling(ns []int, mu float64, d int, rounds int, seed uint64, parallelism int) ([]ScalingRow, error) {
-	return ScalingSeries(ScalingConfig{
-		Ns: ns, Mu: mu, D: d, Rounds: rounds, Seed: seed, Parallelism: parallelism,
-	})
-}
-
 // ScalingSeries measures the Theorem 1 series under the given engine
 // configuration.
 func ScalingSeries(cfg ScalingConfig) ([]ScalingRow, error) {

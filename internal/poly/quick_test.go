@@ -115,11 +115,11 @@ func TestQuickInterpolationRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p, err := ring.FastInterpolate(xs, ys)
+		p, err := NewSubproductTree(ring, xs).Interpolate(ys)
 		if err != nil {
 			return false
 		}
-		got, err := ring.FastEvalMany(p, xs)
+		got, err := NewSubproductTree(ring, xs).EvalMany(p)
 		if err != nil {
 			return false
 		}

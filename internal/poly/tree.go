@@ -171,14 +171,3 @@ func (t *SubproductTree[E]) combine(n *treeNode[E], weights []E) Poly[E] {
 	r := t.combine(n.right, weights)
 	return t.ring.Add(t.ring.Mul(l, n.right.prod), t.ring.Mul(r, n.left.prod))
 }
-
-// FastEvalMany is a convenience wrapper: build a tree over xs and evaluate.
-func (r *Ring[E]) FastEvalMany(p Poly[E], xs []E) ([]E, error) {
-	return NewSubproductTree(r, xs).EvalMany(p)
-}
-
-// FastInterpolate is a convenience wrapper: build a tree over xs and
-// interpolate ys.
-func (r *Ring[E]) FastInterpolate(xs, ys []E) (Poly[E], error) {
-	return NewSubproductTree(r, xs).Interpolate(ys)
-}

@@ -34,7 +34,7 @@ func TestFastEvalManyMatchesHorner(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := randPoly(ring, rng, n+5)
-			fast, err := ring.FastEvalMany(p, xs)
+			fast, err := NewSubproductTree(ring, xs).EvalMany(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func TestFastEvalLowDegreePoly(t *testing.T) {
 	xs, _ := r.f.Elements(10)
 	// Degree < number of points, including the zero polynomial.
 	for _, p := range []Poly[uint64]{nil, {7}, {1, 2}} {
-		fast, err := r.FastEvalMany(p, xs)
+		fast, err := NewSubproductTree(r, xs).EvalMany(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestFastInterpolateMatchesNaive(t *testing.T) {
 				t.Fatal(err)
 			}
 			ys := field.RandVec(ring.f, rng, n)
-			fast, err := ring.FastInterpolate(xs, ys)
+			fast, err := NewSubproductTree(ring, xs).Interpolate(ys)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +87,7 @@ func TestFastInterpolateMatchesNaive(t *testing.T) {
 
 func TestFastInterpolateDuplicates(t *testing.T) {
 	r := newGoldRing()
-	if _, err := r.FastInterpolate([]uint64{3, 3}, []uint64{1, 2}); err == nil {
+	if _, err := NewSubproductTree(r, []uint64{3, 3}).Interpolate([]uint64{1, 2}); err == nil {
 		t.Error("duplicate points should fail")
 	}
 	if _, err := NewSubproductTree(r, []uint64{1, 2}).Interpolate([]uint64{1}); err == nil {
@@ -120,17 +120,17 @@ func TestEncodeDecodeRoundTripViaTree(t *testing.T) {
 	}
 	omegas, alphas := pts[:k], pts[k:]
 	ys := field.RandVec[uint64](r.f, rng, k)
-	v, err := r.FastInterpolate(omegas, ys)
+	v, err := NewSubproductTree(r, omegas).Interpolate(ys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coded, err := r.FastEvalMany(v, alphas)
+	coded, err := NewSubproductTree(r, alphas).EvalMany(v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Decode: interpolate any k of the coded values together with their
 	// alphas must reproduce v.
-	v2, err := r.FastInterpolate(alphas[:k], coded[:k])
+	v2, err := NewSubproductTree(r, alphas[:k]).Interpolate(coded[:k])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestFastEvalIsSubquadratic(t *testing.T) {
 		}
 		p := randPoly(ring, rng, n-1)
 		counter.Reset()
-		if _, err := ring.FastEvalMany(p, xs); err != nil {
+		if _, err := NewSubproductTree(ring, xs).EvalMany(p); err != nil {
 			t.Fatal(err)
 		}
 		return counter.Counts().Total()

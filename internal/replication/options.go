@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"codedsm/internal/field"
-	"codedsm/internal/transport"
 )
 
 // Option configures a baseline cluster built with OpenFull or OpenPartial.
@@ -13,15 +12,12 @@ import (
 // open call with a message naming the option.
 type Option func(*settings) error
 
-// settings accumulates the non-generic baseline knobs; the generic initial
-// states travel as an opaque value, type-checked in the open calls.
+// settings accumulates the baseline knobs an Option can set.
 type settings struct {
-	n, k          int
-	mode          transport.Mode
-	byzantine     map[int]Behavior
-	seed          uint64
-	parallelism   int
-	initialStates any // [][]E
+	n, k        int
+	byzantine   map[int]Behavior
+	seed        uint64
+	parallelism int
 }
 
 func optionErr(format string, args ...any) Option {
@@ -43,12 +39,6 @@ func WithMachines(k int) Option {
 		return optionErr("WithMachines(%d): need at least one machine", k)
 	}
 	return func(s *settings) error { s.k = k; return nil }
-}
-
-// WithPartialSync switches the security-bound formulas to the partially
-// synchronous ones ((N-1)/3-style instead of (N-1)/2).
-func WithPartialSync() Option {
-	return func(s *settings) error { s.mode = transport.PartialSync; return nil }
 }
 
 // WithByzantine assigns failure modes to nodes (merged over previous
@@ -76,12 +66,6 @@ func WithParallelism(workers int) Option {
 	return func(s *settings) error { s.parallelism = workers; return nil }
 }
 
-// WithInitialStates sets the K machines' initial state vectors. The
-// element type must match the cluster's field element.
-func WithInitialStates[E comparable](states [][]E) Option {
-	return func(s *settings) error { s.initialStates = states; return nil }
-}
-
 // buildConfig assembles the generic Config from applied options.
 func buildConfig[E comparable](f field.Field[E], tf TransitionFactory[E], opts []Option) (Config[E], error) {
 	var s settings
@@ -93,25 +77,15 @@ func buildConfig[E comparable](f field.Field[E], tf TransitionFactory[E], opts [
 			return Config[E]{}, fmt.Errorf("replication: %w", err)
 		}
 	}
-	cfg := Config[E]{
+	return Config[E]{
 		BaseField:     f,
 		NewTransition: tf,
 		K:             s.k,
 		N:             s.n,
-		Mode:          s.mode,
 		Byzantine:     s.byzantine,
 		Seed:          s.seed,
 		Parallelism:   s.parallelism,
-	}
-	if s.initialStates != nil {
-		states, ok := s.initialStates.([][]E)
-		if !ok {
-			return Config[E]{}, fmt.Errorf("replication: WithInitialStates element type %T does not match the cluster's field element %T",
-				s.initialStates, *new(E))
-		}
-		cfg.InitialStates = states
-	}
-	return cfg, nil
+	}, nil
 }
 
 // OpenFull builds the full-replication baseline from functional options —

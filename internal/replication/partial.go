@@ -84,8 +84,8 @@ func (c *PartialCluster[E]) OpCounts() field.OpCounts { return c.counting.Counts
 // OracleStates returns the ground-truth machine states.
 func (c *PartialCluster[E]) OracleStates() [][]E { return states(c.oracle) }
 
-// ExecuteBatch runs a batch of consecutive rounds, mirroring
-// csm.Cluster.ExecuteBatch for like-for-like harnesses.
+// ExecuteBatch runs a batch of consecutive rounds, mirroring a csm
+// consensus batch for like-for-like harnesses.
 func (c *PartialCluster[E]) ExecuteBatch(batch [][][]E) ([]*RoundResult[E], error) {
 	return batchRounds(batch, c.ExecuteRound)
 }

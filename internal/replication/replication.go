@@ -22,15 +22,14 @@ import (
 	"codedsm/internal/transport"
 )
 
-// Behavior selects a node's failure mode.
+// Behavior selects a node's failure mode; the zero value follows the
+// protocol.
 type Behavior int
 
 const (
-	// Honest follows the protocol.
-	Honest Behavior = iota
 	// Colluding reports the adversary's agreed-upon wrong output — the
 	// worst case for majority voting, since all liars match each other.
-	Colluding
+	Colluding Behavior = iota + 1
 	// Crash reports nothing.
 	Crash
 )
@@ -62,9 +61,9 @@ type Config[E comparable] struct {
 	Parallelism int
 }
 
-// batchRounds is the shared ExecuteBatch implementation, mirroring
-// csm.Cluster.ExecuteBatch so the Table 1 harness drives every scheme
-// with the same workload grouping: replication rounds are consensus-free
+// batchRounds is the shared ExecuteBatch implementation, mirroring the
+// rounds csm.Config.BatchSize groups under one consensus instance, so the
+// Table 1 harness drives every scheme with the same workload grouping: replication rounds are consensus-free
 // (the paper's metric already excludes consensus, Section 2.2), so a
 // batch is simply executed in order, with completed results returned
 // alongside a mid-batch error.
@@ -199,7 +198,7 @@ func (c *FullCluster[E]) ExecuteRound(cmds [][]E) (*RoundResult[E], error) {
 }
 
 // ExecuteBatch runs a batch of consecutive rounds (one command set per
-// round), mirroring csm.Cluster.ExecuteBatch for like-for-like harnesses.
+// round), mirroring a csm consensus batch for like-for-like harnesses.
 func (c *FullCluster[E]) ExecuteBatch(batch [][][]E) ([]*RoundResult[E], error) {
 	return batchRounds(batch, c.ExecuteRound)
 }

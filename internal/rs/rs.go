@@ -161,9 +161,6 @@ func (c *Code[E]) Length() int { return len(c.points) }
 // Dim returns the code dimension k.
 func (c *Code[E]) Dim() int { return c.dim }
 
-// Points returns the evaluation points (do not modify).
-func (c *Code[E]) Points() []E { return c.points }
-
 // MaxErrors returns the unique-decoding radius (n-k)/2.
 func (c *Code[E]) MaxErrors() int { return (len(c.points) - c.dim) / 2 }
 

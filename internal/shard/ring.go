@@ -22,9 +22,9 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the per-shard virtual-node count used when
-// WithVirtualNodes is not given. Spreading each shard over many ring
-// points keeps the per-shard key load within a few percent of uniform.
+// DefaultVirtualNodes is the per-shard virtual-node count of a router's
+// ring. Spreading each shard over many ring points keeps the per-shard
+// key load within a few percent of uniform.
 const DefaultVirtualNodes = 64
 
 // mix64 is the splitmix64 finalizer: a fixed, seedless bijection used
@@ -68,7 +68,6 @@ type ringPoint struct {
 // process, under any GOMAXPROCS.
 type Ring struct {
 	shards int
-	vnodes int
 	seed   uint64
 	points []ringPoint // sorted by (hash, shard, vnode)
 }
@@ -100,17 +99,11 @@ func NewRing(shards, vnodes int, seed uint64) (*Ring, error) {
 		}
 		return a.vnode < b.vnode
 	})
-	return &Ring{shards: shards, vnodes: vnodes, seed: seed, points: points}, nil
+	return &Ring{shards: shards, seed: seed, points: points}, nil
 }
 
 // Shards returns the shard count S.
 func (r *Ring) Shards() int { return r.shards }
-
-// VirtualNodes returns the per-shard virtual-node count.
-func (r *Ring) VirtualNodes() int { return r.vnodes }
-
-// Seed returns the placement seed.
-func (r *Ring) Seed() uint64 { return r.seed }
 
 // Lookup maps an arbitrary key to its shard: the key's successor point
 // on the ring (clockwise, wrapping past the top).

@@ -27,13 +27,9 @@ type settings struct {
 	shards      int
 	machines    int
 	slots       int
-	vnodes      int
 	seed        uint64
 	clusterOpts []csm.Option
 	shardOpts   []perShardOpts
-	clientOpts  []csm.ClientOption
-	pad         any // []E, asserted in Open
-	initial     any // [][]E, asserted in Open
 }
 
 // optionErr builds an Option that fails Open with the given message.
@@ -72,15 +68,6 @@ func WithSlots(k int) Option {
 	return func(st *settings) error { st.slots = k; return nil }
 }
 
-// WithVirtualNodes sets the per-shard virtual-node count of the ring
-// (default DefaultVirtualNodes).
-func WithVirtualNodes(v int) Option {
-	if v < 1 {
-		return optionErr("WithVirtualNodes(%d): need at least one virtual node", v)
-	}
-	return func(st *settings) error { st.vnodes = v; return nil }
-}
-
 // WithSeed seeds the ring placement, the per-shard cluster seeds (each
 // shard derives its own by a fixed mix), and the two-phase coordinator
 // election. Fixed seed ⇒ bit-identical runs.
@@ -110,30 +97,6 @@ func WithClusterOptionsFor(shard int, opts ...csm.Option) Option {
 		st.shardOpts = append(st.shardOpts, perShardOpts{shard: shard, opts: opts})
 		return nil
 	}
-}
-
-// WithClientOptions appends csm client options applied every time the
-// router opens a shard's ingress client (admission policy, queue depth).
-func WithClientOptions(opts ...csm.ClientOption) Option {
-	return func(st *settings) error {
-		st.clientOpts = append(st.clientOpts, opts...)
-		return nil
-	}
-}
-
-// WithPadCommand sets the identity command used both as the shard
-// clients' pad and as the two-phase prepare probe (defaults to the
-// all-zero command vector). The element type must match the router's
-// field element.
-func WithPadCommand[E comparable](cmd []E) Option {
-	return func(st *settings) error { st.pad = cmd; return nil }
-}
-
-// WithInitialStates sets the global machines' initial state vectors, in
-// global machine order (default all-zero). The router scatters them to
-// each machine's assigned shard slot.
-func WithInitialStates[E comparable](states [][]E) Option {
-	return func(st *settings) error { st.initial = states; return nil }
 }
 
 // placeEntry locates a global machine inside the shard fleet.
@@ -167,8 +130,7 @@ type Router[E comparable] struct {
 	pad      []E
 	sessions atomic.Uint64 // two-phase session counter (coordinator beacon)
 
-	clientOpts []csm.ClientOption
-	clusters   []*csm.Cluster[E]
+	clusters []*csm.Cluster[E]
 
 	// mu guards the routing state. Submit holds it shared for the whole
 	// enqueue (so a rebalance never closes a client mid-Submit); Rebalance
@@ -204,7 +166,7 @@ func Open[E comparable](f field.Field[E], newTransition csm.TransitionFactory[E]
 	if f == nil || newTransition == nil {
 		return nil, fmt.Errorf("shard: Open: the field and transition factory are required")
 	}
-	s := settings{vnodes: DefaultVirtualNodes}
+	var s settings
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, fmt.Errorf("shard: Open: nil Option")
@@ -219,7 +181,7 @@ func Open[E comparable](f field.Field[E], newTransition csm.TransitionFactory[E]
 	if s.machines == 0 {
 		return nil, fmt.Errorf("shard: Open: WithMachines is required")
 	}
-	ring, err := NewRing(s.shards, s.vnodes, s.seed)
+	ring, err := NewRing(s.shards, DefaultVirtualNodes, s.seed)
 	if err != nil {
 		return nil, fmt.Errorf("shard: Open: %w", err)
 	}
@@ -242,44 +204,21 @@ func Open[E comparable](f field.Field[E], newTransition csm.TransitionFactory[E]
 		return nil, fmt.Errorf("shard: Open: WithSlots(%d) below the ring's maximum shard load %d", slots, maxLoad)
 	}
 	rt := &Router[E]{
-		f:          f,
-		ring:       ring,
-		machines:   s.machines,
-		slots:      slots,
-		seed:       s.seed,
-		cmdLen:     tr.CmdLen(),
-		stateLen:   tr.StateLen(),
-		clientOpts: s.clientOpts,
-		clusters:   make([]*csm.Cluster[E], s.shards),
-		clients:    make([]*csm.Client[E], s.shards),
-		place:      make([]placeEntry, s.machines),
-		slotOf:     make([][]int, s.shards),
+		f:        f,
+		ring:     ring,
+		machines: s.machines,
+		slots:    slots,
+		seed:     s.seed,
+		cmdLen:   tr.CmdLen(),
+		stateLen: tr.StateLen(),
+		clusters: make([]*csm.Cluster[E], s.shards),
+		clients:  make([]*csm.Client[E], s.shards),
+		place:    make([]placeEntry, s.machines),
+		slotOf:   make([][]int, s.shards),
 	}
 	rt.logCond = sync.NewCond(&rt.logMu)
 
 	rt.pad = field.ZeroVec(f, rt.cmdLen)
-	if s.pad != nil {
-		p, ok := s.pad.([]E)
-		if !ok {
-			return nil, fmt.Errorf("shard: Open: WithPadCommand element type %T does not match the router's field element %T", s.pad, *new(E))
-		}
-		if len(p) != rt.cmdLen {
-			return nil, fmt.Errorf("shard: Open: WithPadCommand length %d, want %d", len(p), rt.cmdLen)
-		}
-		rt.pad = append([]E(nil), p...)
-	}
-
-	var initial [][]E
-	if s.initial != nil {
-		states, ok := s.initial.([][]E)
-		if !ok {
-			return nil, fmt.Errorf("shard: Open: WithInitialStates element type %T does not match the router's field element %T", s.initial, *new(E))
-		}
-		if len(states) != s.machines {
-			return nil, fmt.Errorf("shard: Open: WithInitialStates has %d states for %d machines", len(states), s.machines)
-		}
-		initial = states
-	}
 
 	// Deterministic placement: machines fill their home shard's slots in
 	// global machine order.
@@ -298,20 +237,12 @@ func Open[E comparable](f field.Field[E], newTransition csm.TransitionFactory[E]
 		rt.slotOf[sh][slot] = m
 	}
 
-	// Per-shard initial states, scattered to assigned slots (free slots
-	// hold the all-zero state, the additive identity a vacated slot also
-	// resets to).
 	for sh := 0; sh < s.shards; sh++ {
-		shardStates := make([][]E, slots)
-		for slot := range shardStates {
-			if m := rt.slotOf[sh][slot]; m >= 0 && initial != nil {
-				if len(initial[m]) != rt.stateLen {
-					return nil, fmt.Errorf("shard: Open: WithInitialStates machine %d length %d, want %d", m, len(initial[m]), rt.stateLen)
-				}
-				shardStates[slot] = initial[m]
-			} else {
-				shardStates[slot] = field.ZeroVec(f, rt.stateLen)
-			}
+		// Every slot starts at the all-zero state, the additive identity
+		// a vacated slot also resets to.
+		zeroStates := make([][]E, slots)
+		for slot := range zeroStates {
+			zeroStates[slot] = field.ZeroVec(f, rt.stateLen)
 		}
 		clusterOpts := append([]csm.Option(nil), s.clusterOpts...)
 		for _, pso := range s.shardOpts {
@@ -326,7 +257,7 @@ func Open[E comparable](f field.Field[E], newTransition csm.TransitionFactory[E]
 		clusterOpts = append(clusterOpts,
 			csm.WithMachines(slots),
 			csm.WithSeed(shardSeed(s.seed, sh)),
-			csm.WithInitialStates(shardStates),
+			csm.WithInitialStates(zeroStates),
 		)
 		c, err := csm.Open(f, newTransition, clusterOpts...)
 		if err != nil {
@@ -345,12 +276,9 @@ func Open[E comparable](f field.Field[E], newTransition csm.TransitionFactory[E]
 	return rt, nil
 }
 
-// openClient (re)opens shard sh's ingress client with the router's
-// client options plus its pad command.
+// openClient (re)opens shard sh's ingress client.
 func (rt *Router[E]) openClient(sh int) error {
-	opts := append([]csm.ClientOption(nil), rt.clientOpts...)
-	opts = append(opts, csm.WithPadCommand(rt.pad))
-	cl, err := rt.clusters[sh].Open(opts...)
+	cl, err := rt.clusters[sh].Open()
 	if err != nil {
 		return &ShardError{Shard: sh, Err: fmt.Errorf("open client: %w", err)}
 	}
@@ -358,17 +286,8 @@ func (rt *Router[E]) openClient(sh int) error {
 	return nil
 }
 
-// Ring returns the router's consistent-hash ring.
-func (rt *Router[E]) Ring() *Ring { return rt.ring }
-
 // Shards returns the shard count S.
 func (rt *Router[E]) Shards() int { return rt.ring.Shards() }
-
-// Machines returns the global machine count.
-func (rt *Router[E]) Machines() int { return rt.machines }
-
-// Slots returns each shard cluster's machine capacity.
-func (rt *Router[E]) Slots() int { return rt.slots }
 
 // ShardOf returns the shard currently serving global machine m (its ring
 // home unless a Rebalance moved it).
@@ -397,15 +316,6 @@ func (rt *Router[E]) Moves() []Move {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
 	return append([]Move(nil), rt.moves...)
-}
-
-// Cluster exposes shard sh's underlying cluster (read-only inspection;
-// the router's clients own the clusters while the router is open).
-func (rt *Router[E]) Cluster(sh int) (*csm.Cluster[E], error) {
-	if sh < 0 || sh >= len(rt.clusters) {
-		return nil, fmt.Errorf("shard: Cluster: shard %d out of range [0,%d)", sh, len(rt.clusters))
-	}
-	return rt.clusters[sh], nil
 }
 
 // Future is the pending result of one routed command: a csm future plus

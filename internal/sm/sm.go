@@ -180,9 +180,6 @@ func NewMachine[E comparable](tr *Transition[E], initial []E) (*Machine[E], erro
 	return &Machine[E]{tr: tr, state: append([]E(nil), initial...)}, nil
 }
 
-// Transition returns the machine's transition function.
-func (m *Machine[E]) Transition() *Transition[E] { return m.tr }
-
 // State returns a copy of the current state.
 func (m *Machine[E]) State() []E { return append([]E(nil), m.state...) }
 
