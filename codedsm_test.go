@@ -294,37 +294,39 @@ func TestPublicAPIDelegatedMode(t *testing.T) {
 	}
 }
 
-// programFiles returns the parsed files that define the root surface: the
-// non-test Go files of cmd/, examples/ and internal/procharness, plus
-// example_test.go.
-func programFiles(t *testing.T, fset *token.FileSet) []*ast.File {
+// goFile is one parsed Go source file.
+type goFile struct {
+	path string
+	ast  *ast.File
+}
+
+// parseGoFiles parses the Go files under dir in lexical order, skipping
+// testdata and hidden directories, and the _test.go files unless tests.
+func parseGoFiles(t *testing.T, fset *token.FileSet, dir string, tests bool) []goFile {
 	t.Helper()
-	var paths []string
-	for _, dir := range []string{"cmd", "examples", filepath.Join("internal", "procharness")} {
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() && d.Name() == "testdata" {
+	var files []goFile
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != dir && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
 				return filepath.SkipDir
 			}
-			if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-				paths = append(paths, path)
-			}
 			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-	}
-	paths = append(paths, "example_test.go")
-	files := make([]*ast.File, 0, len(paths))
-	for _, path := range paths {
+		if !strings.HasSuffix(path, ".go") || !tests && strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		files = append(files, f)
+		files = append(files, goFile{path, f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return files
 }
@@ -367,12 +369,14 @@ func calledName(call *ast.CallExpr) (qual, name string) {
 }
 
 // TestRootSurface holds the public surface to what programs use. Every
-// exported root name must be named as codedsm.X by a program, or be
-// referred to by the declaration of a name that is (a kept function's
-// parameter or result type); the sentinel errors are exempt, since kept
-// functions wrap them and callers match them with errors.Is. Every
-// exported option constructor of csm, shard and replication must be
-// called from some file other than its own definition.
+// exported root name must be named as codedsm.X by a program (the
+// non-test files of cmd/, examples/ and internal/procharness, plus
+// example_test.go), or be referred to by the declaration of a name that
+// is (a kept function's parameter or result type); the sentinel errors
+// are exempt, since kept functions wrap them and callers match them with
+// errors.Is. Every exported option constructor of csm, shard and
+// replication must be called from some file other than its own
+// definition.
 func TestRootSurface(t *testing.T) {
 	fset := token.NewFileSet()
 
@@ -407,27 +411,30 @@ func TestRootSurface(t *testing.T) {
 				}
 			}
 		}
+		var programs []goFile
+		for _, dir := range []string{"cmd", "examples", filepath.Join("internal", "procharness")} {
+			programs = append(programs, parseGoFiles(t, fset, dir, false)...)
+		}
+		programs = append(programs, parseGoFiles(t, fset, "example_test.go", true)...)
 		named := map[string]bool{}
-		for _, f := range programFiles(t, fset) {
-			local := importName(f, "codedsm")
+		var work []string
+		for _, f := range programs {
+			local := importName(f.ast, "codedsm")
 			if local == "" {
 				continue
 			}
-			ast.Inspect(f, func(n ast.Node) bool {
+			ast.Inspect(f.ast, func(n ast.Node) bool {
 				if sel, ok := n.(*ast.SelectorExpr); ok {
-					if id, ok := sel.X.(*ast.Ident); ok && id.Name == local {
+					if id, ok := sel.X.(*ast.Ident); ok && id.Name == local && !named[sel.Sel.Name] {
 						named[sel.Sel.Name] = true
+						work = append(work, sel.Sel.Name)
 					}
 				}
 				return true
 			})
 		}
-		// A name a kept declaration refers to (a signature's type, say)
-		// is kept with it, to a fixpoint.
-		work := make([]string, 0, len(named))
-		for name := range named {
-			work = append(work, name)
-		}
+		// A name a kept declaration refers to is kept with it, to a
+		// fixpoint.
 		for len(work) > 0 {
 			decl := decls[work[len(work)-1]]
 			work = work[:len(work)-1]
@@ -455,85 +462,56 @@ func TestRootSurface(t *testing.T) {
 	})
 
 	t.Run("option constructors are called", func(t *testing.T) {
-		pkgs := map[string]string{
-			"codedsm/internal/csm":         filepath.Join("internal", "csm"),
-			"codedsm/internal/shard":       filepath.Join("internal", "shard"),
-			"codedsm/internal/replication": filepath.Join("internal", "replication"),
-		}
 		optionTypes := map[string]bool{"Option": true, "ClientOption": true, "DurabilityOption": true}
-		type ctor struct{ pkg, name, file string }
-		var ctors []ctor
-		var all []string
-		err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != ".") {
-				return filepath.SkipDir
-			}
-			if !d.IsDir() && strings.HasSuffix(path, ".go") {
-				all = append(all, path)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+		optionDirs := map[string]bool{
+			filepath.Join("internal", "csm"):         true,
+			filepath.Join("internal", "shard"):       true,
+			filepath.Join("internal", "replication"): true,
 		}
-		files := map[string]*ast.File{}
-		for _, path := range all {
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[path] = f
-			if strings.HasSuffix(path, "_test.go") {
+		all := parseGoFiles(t, fset, ".", true)
+		for _, def := range all {
+			dir := filepath.Dir(def.path)
+			if !optionDirs[dir] || strings.HasSuffix(def.path, "_test.go") {
 				continue
 			}
-			for pkg, dir := range pkgs {
-				if filepath.Dir(path) != dir {
+			pkg := "codedsm/" + filepath.ToSlash(dir)
+			for _, decl := range def.ast.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Recv != nil || !fd.Name.IsExported() || fd.Type.Results == nil || len(fd.Type.Results.List) != 1 {
 					continue
 				}
-				for _, decl := range f.Decls {
-					fd, ok := decl.(*ast.FuncDecl)
-					if !ok || fd.Recv != nil || !fd.Name.IsExported() || fd.Type.Results == nil || len(fd.Type.Results.List) != 1 {
+				if res, ok := fd.Type.Results.List[0].Type.(*ast.Ident); !ok || !optionTypes[res.Name] {
+					continue
+				}
+				called := false
+				for _, f := range all {
+					if f.path == def.path {
 						continue
 					}
-					if res, ok := fd.Type.Results.List[0].Type.(*ast.Ident); ok && optionTypes[res.Name] {
-						ctors = append(ctors, ctor{pkg, fd.Name.Name, path})
+					// A call is unqualified inside the package's own
+					// directory and qualified by the import name elsewhere.
+					quals := map[string]bool{}
+					if filepath.Dir(f.path) == dir {
+						quals[""] = true
 					}
-				}
-			}
-		}
-		for _, c := range ctors {
-			called := false
-			for path, f := range files {
-				if path == c.file {
-					continue
-				}
-				quals := map[string]bool{}
-				if filepath.Dir(path) == pkgs[c.pkg] {
-					quals[""] = true
-				}
-				if local := importName(f, c.pkg); local != "" {
-					quals[local] = true
-				}
-				if len(quals) == 0 {
-					continue
-				}
-				ast.Inspect(f, func(n ast.Node) bool {
-					if call, ok := n.(*ast.CallExpr); ok && !called {
-						if qual, name := calledName(call); quals[qual] && name == c.name {
-							called = true
+					if local := importName(f.ast, pkg); local != "" {
+						quals[local] = true
+					}
+					ast.Inspect(f.ast, func(n ast.Node) bool {
+						if call, ok := n.(*ast.CallExpr); ok {
+							if qual, name := calledName(call); quals[qual] && name == fd.Name.Name {
+								called = true
+							}
 						}
+						return !called
+					})
+					if called {
+						break
 					}
-					return !called
-				})
-				if called {
-					break
 				}
-			}
-			if !called {
-				t.Errorf("%s.%s (%s) is called from no other file: delete it and its settings", c.pkg, c.name, c.file)
+				if !called {
+					t.Errorf("%s.%s (%s) is called from no other file: delete it and its settings", pkg, fd.Name.Name, def.path)
+				}
 			}
 		}
 	})
