@@ -5,9 +5,9 @@
 // it returns a Client whose Submit enqueues a single command for one
 // machine and returns a Future, while a scheduler goroutine coalesces
 // pending submissions into full rounds (padding idle machines with the
-// all-zero command, the identity of the additive machines), groups them into consensus batches of Config.BatchSize,
-// drives the existing engines underneath, and resolves each Future with
-// its machine's decoded output.
+// all-zero command, the identity of the additive machines), groups them
+// into consensus batches of Config.BatchSize, drives the existing engines
+// underneath, and resolves each Future with its machine's decoded output.
 //
 // Two admission policies are offered:
 //
