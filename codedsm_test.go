@@ -294,17 +294,11 @@ func TestPublicAPIDelegatedMode(t *testing.T) {
 	}
 }
 
-// goFile is one parsed Go source file.
-type goFile struct {
-	path string
-	ast  *ast.File
-}
-
 // parseGoFiles parses the Go files under dir in lexical order, skipping
 // testdata and hidden directories, and the _test.go files unless tests.
-func parseGoFiles(t *testing.T, fset *token.FileSet, dir string, tests bool) []goFile {
+func parseGoFiles(t *testing.T, fset *token.FileSet, dir string, tests bool) []*ast.File {
 	t.Helper()
-	var files []goFile
+	var files []*ast.File
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -322,7 +316,7 @@ func parseGoFiles(t *testing.T, fset *token.FileSet, dir string, tests bool) []g
 		if err != nil {
 			return err
 		}
-		files = append(files, goFile{path, f})
+		files = append(files, f)
 		return nil
 	})
 	if err != nil {
@@ -411,7 +405,7 @@ func TestRootSurface(t *testing.T) {
 				}
 			}
 		}
-		var programs []goFile
+		var programs []*ast.File
 		for _, dir := range []string{"cmd", "examples", filepath.Join("internal", "procharness")} {
 			programs = append(programs, parseGoFiles(t, fset, dir, false)...)
 		}
@@ -419,11 +413,11 @@ func TestRootSurface(t *testing.T) {
 		named := map[string]bool{}
 		var work []string
 		for _, f := range programs {
-			local := importName(f.ast, "codedsm")
+			local := importName(f, "codedsm")
 			if local == "" {
 				continue
 			}
-			ast.Inspect(f.ast, func(n ast.Node) bool {
+			ast.Inspect(f, func(n ast.Node) bool {
 				if sel, ok := n.(*ast.SelectorExpr); ok {
 					if id, ok := sel.X.(*ast.Ident); ok && id.Name == local && !named[sel.Sel.Name] {
 						named[sel.Sel.Name] = true
@@ -468,14 +462,15 @@ func TestRootSurface(t *testing.T) {
 			filepath.Join("internal", "shard"):       true,
 			filepath.Join("internal", "replication"): true,
 		}
+		path := func(f *ast.File) string { return fset.File(f.Pos()).Name() }
 		all := parseGoFiles(t, fset, ".", true)
 		for _, def := range all {
-			dir := filepath.Dir(def.path)
-			if !optionDirs[dir] || strings.HasSuffix(def.path, "_test.go") {
+			dir := filepath.Dir(path(def))
+			if !optionDirs[dir] || strings.HasSuffix(path(def), "_test.go") {
 				continue
 			}
 			pkg := "codedsm/" + filepath.ToSlash(dir)
-			for _, decl := range def.ast.Decls {
+			for _, decl := range def.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Recv != nil || !fd.Name.IsExported() || fd.Type.Results == nil || len(fd.Type.Results.List) != 1 {
 					continue
@@ -485,19 +480,19 @@ func TestRootSurface(t *testing.T) {
 				}
 				called := false
 				for _, f := range all {
-					if f.path == def.path {
+					if f == def {
 						continue
 					}
 					// A call is unqualified inside the package's own
 					// directory and qualified by the import name elsewhere.
 					quals := map[string]bool{}
-					if filepath.Dir(f.path) == dir {
+					if filepath.Dir(path(f)) == dir {
 						quals[""] = true
 					}
-					if local := importName(f.ast, pkg); local != "" {
+					if local := importName(f, pkg); local != "" {
 						quals[local] = true
 					}
-					ast.Inspect(f.ast, func(n ast.Node) bool {
+					ast.Inspect(f, func(n ast.Node) bool {
 						if call, ok := n.(*ast.CallExpr); ok {
 							if qual, name := calledName(call); quals[qual] && name == fd.Name.Name {
 								called = true
@@ -510,7 +505,7 @@ func TestRootSurface(t *testing.T) {
 					}
 				}
 				if !called {
-					t.Errorf("%s.%s (%s) is called from no other file: delete it and its settings", pkg, fd.Name.Name, def.path)
+					t.Errorf("%s.%s (%s) is called from no other file: delete it and its settings", pkg, fd.Name.Name, path(def))
 				}
 			}
 		}
