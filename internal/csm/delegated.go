@@ -30,8 +30,9 @@ import (
 //  5. (no tick) a confirmed dec alert aborts, otherwise every honest node
 //     adopts the outputs and its own refreshed coded state.
 //
-// An aborted attempt, or a worker nobody heard from after two ticks, hands
-// the step to the next worker. The attempt owns its protocol state: what
+// An aborted attempt, a worker nobody heard from after two ticks, or a
+// lying worker whose own decode fails (it sends no proof, one tick later)
+// hands the step to the next worker. The attempt owns its protocol state: what
 // node i received from the worker is a local indexed by i, and no node
 // reads another's copy. The paper's commoners settle an alert in O(1)
 // from the INTERMIX transcript; the simulation keeps none, so one node
@@ -146,6 +147,13 @@ func (c *Cluster[E]) runExecutionDelegated(agreed [][]E) (*stepOutcome[E], error
 			continue
 		}
 		dec, dproof, err := d.DecodeWithProof(c.receivedOrZero(w), c.tr.Degree())
+		if err != nil && w.behavior != Honest {
+			// A lying worker's own word can hold more errors than b (an
+			// honest node computed on its corrupted command unaudited): it
+			// sends no proof, and the next worker retries.
+			tick()
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}

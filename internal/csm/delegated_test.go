@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"codedsm/internal/field"
+	"codedsm/internal/sm"
 	"codedsm/internal/transport"
 )
 
@@ -98,6 +99,35 @@ func TestDelegatedSilentWorkerRetried(t *testing.T) {
 	}
 	if !res.Correct {
 		t.Fatal("round incorrect after silent worker")
+	}
+}
+
+// TestDelegatedLyingWorkerUndecodableRetried: round 2's first worker,
+// node 2, lies and is elected its own one-member committee, so its
+// corrupted coded command goes unaudited and honest node 0 computes on
+// it. The liar's word then holds b+1 wrong results and its decode fails;
+// it sends no proof, and the next worker must retry the step instead of
+// the round failing.
+func TestDelegatedLyingWorkerUndecodableRetried(t *testing.T) {
+	const k, n, b = 8, 24, 8
+	cfg := delegatedConfig(k, n, b)
+	cfg.NewTransition = func(f field.Field[uint64]) (*sm.Transition[uint64], error) {
+		return sm.NewPolynomialRegister(f, 1)
+	}
+	cfg.Seed = 2019
+	cfg.Byzantine = map[int]Behavior{}
+	for i := 0; i < b; i++ {
+		cfg.Byzantine[(5*i+2)%n] = WrongResult
+	}
+	c := newCluster(t, cfg)
+	results, err := c.Run(RandomWorkload[uint64](gold, 3, k, 1, 2019))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, res := range results {
+		if !res.Correct {
+			t.Fatalf("round %d incorrect", r)
+		}
 	}
 }
 
