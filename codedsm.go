@@ -258,9 +258,9 @@ func WithDeterministicAdmission() ClientOption { return csm.WithDeterministicAdm
 
 // ---- Typed errors ----
 
-// BatchError is attached to every mid-workload failure of
-// Run/RunQueue/RunPipelined/Rounds: it carries the completed
-// prefix of round reports and the failed round's index (errors.As).
+// BatchError is attached to every mid-workload failure of Run: it
+// carries the completed prefix of round reports and the failed round's
+// index (errors.As).
 type BatchError[E comparable] = csm.BatchError[E]
 
 // Sentinel errors (errors.Is).

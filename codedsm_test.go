@@ -160,30 +160,6 @@ func TestPublicAPIOpenAndSubmit(t *testing.T) {
 	}
 }
 
-// TestPublicAPIRoundsStreaming consumes a workload through the streaming
-// iterator.
-func TestPublicAPIRoundsStreaming(t *testing.T) {
-	gold := NewGoldilocks()
-	cluster, err := Open(gold, NewBank[uint64],
-		WithNodes(12), WithMachines(3), WithFaults(2), WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := 0
-	for res, err := range cluster.Rounds(RandomWorkload[uint64](gold, 3, 3, 1, 4)) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Correct {
-			t.Fatalf("round %d incorrect", rounds)
-		}
-		rounds++
-	}
-	if rounds != 3 {
-		t.Fatalf("streamed %d rounds, want 3", rounds)
-	}
-}
-
 func TestPublicAPIBaselinesAndExperiments(t *testing.T) {
 	gold := NewGoldilocks()
 	full, err := replication.OpenFull(gold, NewBank[uint64],
@@ -285,11 +261,11 @@ func TestPublicAPIDelegatedMode(t *testing.T) {
 			t.Fatalf("delegated round %d incorrect", r)
 		}
 	}
-	// Liveness and repair are part of the public surface too.
+	// Repair is part of the public surface too.
 	if err := cluster.RepairNode(7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cluster.RunQueue(RandomWorkload[uint64](gold, 1, 3, 1, 23), 0); err != nil {
+	if _, err := cluster.Run(RandomWorkload[uint64](gold, 1, 3, 1, 23)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -456,7 +432,7 @@ func TestRootSurface(t *testing.T) {
 	})
 
 	t.Run("option constructors are called", func(t *testing.T) {
-		optionTypes := map[string]bool{"Option": true, "ClientOption": true, "DurabilityOption": true}
+		optionTypes := map[string]bool{"Option": true, "ClientOption": true}
 		optionDirs := map[string]bool{
 			filepath.Join("internal", "csm"):         true,
 			filepath.Join("internal", "shard"):       true,

@@ -39,7 +39,7 @@
 //     so every node still leads eventually) and a corrupted proposal
 //     skips the whole batch rather than a single round.
 //
-//   - Config.Pipeline (and RunPipelined) overlaps rounds: a background
+//   - Config.Pipeline overlaps rounds in Run: a background
 //     client stage performs the oracle advance, client tally, and audit of
 //     a decided round while the driving goroutine already runs the
 //     consensus and execution phases of the following rounds.
@@ -195,8 +195,8 @@ type Config[E comparable] struct {
 	// performs all coding, verified by a random auditor committee; fraud,
 	// or a worker that sends nothing, aborts the attempt and the next
 	// worker retries. Requires a synchronous broadcast network (Mode ==
-	// Sync and NoEquivocation); excludes Churn, Durability and Crashed
-	// entries in Byzantine (a node crashed at run time is tolerated).
+	// Sync and NoEquivocation); excludes Churn and Crashed entries in
+	// Byzantine (a node crashed at run time is tolerated).
 	Delegated bool
 	// InitialStates holds K state vectors; nil means all-zero states.
 	InitialStates [][]E
@@ -213,32 +213,31 @@ type Config[E comparable] struct {
 	// sequentially; <= 0 selects runtime.GOMAXPROCS(0).
 	Parallelism int
 	// BatchSize is the number of consecutive workload rounds each
-	// consensus instance decides (Run/RunPipelined group the workload
-	// accordingly). The B micro-steps share one amortized command encode;
+	// consensus instance decides (Run groups the workload accordingly). The B micro-steps share one amortized command encode;
 	// see the package documentation.
 	// 0 and 1 both mean one round per consensus instance; negative
 	// values are rejected.
 	BatchSize int
 	// Pipeline enables the pipelined engine in Run and sets its depth: up
 	// to Pipeline decided rounds may have their client/audit stage still
-	// outstanding while the driving goroutine executes later rounds.
-	// 0 disables pipelining in Run (RunPipelined then uses
-	// DefaultPipelineDepth); negative values are rejected. Both execution
-	// phases pipeline: a delegated step hands the client stage the same
-	// immutable snapshot a decentralised one does.
+	// outstanding while the driving goroutine executes later rounds. 0
+	// runs the sequential engine; negative values are rejected. Both
+	// execution phases pipeline: a delegated step hands the client stage
+	// the same immutable snapshot a decentralised one does.
 	Pipeline int
 	// Churn schedules membership and adversary changes: an event with
 	// Round r is applied at the boundary of the consensus instance that
 	// covers engine round r (Cluster.Round), before that instance runs
 	// (with BatchSize B events land at instance boundaries — an instance
 	// is the atomic unit of agreement, so membership cannot change inside
-	// one). Engine rounds advance for skipped instances too, so under
-	// RunQueue retries events are keyed to protocol time, not workload
-	// position: a crash scheduled for round r fires at round r even if a
-	// Byzantine leader forced earlier rounds to be re-attempted. Events
-	// are applied in schedule order for equal rounds. Every application is
-	// checked against the fault-budget rules (see ChurnEvent); a violating
-	// event fails the run. Incompatible with Delegated.
+	// one). Engine rounds advance for skipped instances too, so under the
+	// ingress client's retries events are keyed to protocol time, not
+	// workload position: a crash scheduled for round r fires at round r
+	// even if a Byzantine leader forced earlier rounds to be re-attempted.
+	// Events are applied in schedule order for equal rounds. Every
+	// application is checked against the fault-budget rules (see
+	// ChurnEvent); a violating event fails the run. Incompatible with
+	// Delegated.
 	Churn []ChurnEvent
 	// ChurnFn optionally generates churn events dynamically: it is called
 	// once per workload round at the covering instance boundary and its
@@ -248,14 +247,6 @@ type Config[E comparable] struct {
 	// Delegated. See MovingAdversary for the paper's Section 7 dynamic
 	// adversary as a ChurnFn.
 	ChurnFn func(round int) []ChurnEvent
-	// Durability enables the durable state layer (see durability.go):
-	// decided batches are logged write-ahead to a CRC-framed WAL and the
-	// full cluster state is snapshotted on a cadence; New recovers from
-	// the newest valid snapshot plus WAL replay when the directory holds
-	// prior state. Incompatible with Delegated. Durability never touches
-	// the cluster RNG, so a durable run's outputs are bit-identical to
-	// the same seed without it.
-	Durability *DurabilityConfig
 }
 
 // Cluster is a running CSM deployment.
@@ -296,8 +287,6 @@ type Cluster[E comparable] struct {
 	// legitimately contend on).
 	clientMu   sync.Mutex
 	clientOpen bool
-	// dur is the durable store (nil without Config.Durability).
-	dur *clusterStore
 }
 
 // New builds and initializes a cluster, distributing coded initial states.
@@ -455,14 +444,6 @@ func New[E comparable](cfg Config[E]) (*Cluster[E], error) {
 	}
 	// Encoding the initial states is setup, not steady-state work.
 	counting.Reset()
-	if cfg.Durability != nil {
-		// Recover (or cold-start) from the data directory. This runs last:
-		// WAL replay drives the fully-built cluster through the ordinary
-		// execution engine.
-		if err := c.openDurability(); err != nil {
-			return nil, err
-		}
-	}
 	return c, nil
 }
 

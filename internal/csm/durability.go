@@ -1,28 +1,16 @@
 // Durable coded state: the csm side of the internal/wal layer.
 //
-// The two engines log different things, because they recover differently:
-//
-//   - The in-process Cluster logs every decided batch write-ahead, before
-//     execution (including skipped ones, so the round/instance counters
-//     replay identically), and snapshots the full cluster state — every
-//     node's coded share, the oracle machines, membership behaviors, and
-//     the churn cursor. Recovery loads the newest valid snapshot and
-//     re-executes the logged batches: the log entry IS the consensus
-//     decision, so replay bypasses the consensus phase and feeds the
-//     agreed commands straight to the execution engine.
-//
-//   - A NodeProcess cannot re-execute commands alone: recovering the
-//     next coded share requires decoding all N results, which one
-//     process cannot do offline (f∘u has degree d(K-1), not K-1). A
-//     logged batch would therefore have no reader, and none is written:
-//     the node's log is applied records only, one per executed round,
-//     fsynced after the decode and before the outputs are returned. Each
-//     carries the node's own next share — one coded state, the size of a
-//     single machine's — the marshaled run-digest state, and the decoded
-//     outputs; replay is a pure state restore. Whatever round skew a
-//     crash leaves between nodes is reconciled by NodeProcess.Recover
-//     (recover.go): stale-but-present shares catch up via
-//     lcc.RepairShare from peers, only for the missing delta.
+// A NodeProcess cannot re-execute commands alone: recovering the next
+// coded share requires decoding all N results, which one process cannot
+// do offline (f∘u has degree d(K-1), not K-1). A logged batch would
+// therefore have no reader, and none is written: the node's log is
+// applied records only, one per executed round, fsynced after the decode
+// and before the outputs are returned. Each carries the node's own next
+// share — one coded state, the size of a single machine's — the marshaled
+// run-digest state, and the decoded outputs; replay is a pure state
+// restore. Whatever round skew a crash leaves between nodes is reconciled
+// by NodeProcess.Recover (recover.go): stale-but-present shares catch up
+// via lcc.RepairShare from peers, only for the missing delta.
 package csm
 
 import (
@@ -33,15 +21,13 @@ import (
 	"path/filepath"
 
 	"codedsm/internal/field"
-	"codedsm/internal/sm"
-	"codedsm/internal/transport"
 	"codedsm/internal/wal"
 )
 
 // DurabilityConfig enables the durable state layer rooted at Dir.
 type DurabilityConfig struct {
 	// Dir is the data directory (created if missing). One directory
-	// belongs to one node (remote engine) or one cluster (in-process).
+	// belongs to one NodeProcess.
 	Dir string
 	// Sync selects the WAL fsync policy (default wal.SyncAlways).
 	Sync wal.SyncPolicy
@@ -59,14 +45,13 @@ func (d DurabilityConfig) normalized() DurabilityConfig {
 	return d
 }
 
-// WAL record types (the type byte of each wal record). Type 1 was the
-// remote engine's write-ahead batch record; nothing ever read it and it is
-// no longer written, but older data directories hold it, so the value
-// stays reserved — never reuse it — and absorbRecord skips it.
-const (
-	recNodeApplied  byte = 2 // remote: post-round share + digest + outputs + deciding protocol
-	recClusterBatch byte = 3 // in-process: decided batch, write-ahead
-)
+// recNodeApplied is the one WAL record type written (the type byte of
+// each wal record): post-round share + digest + outputs + deciding
+// protocol. Type 1 was the remote engine's write-ahead batch record and
+// type 3 the in-process cluster's; neither is written any more, but older
+// data directories may hold them, so both values stay reserved — never
+// reuse them — and absorbRecord skips them.
+const recNodeApplied byte = 2
 
 // ---- fixed binary payload codec ----
 //
@@ -243,11 +228,8 @@ func openNodeStore(cfg DurabilityConfig, proto ConsensusKind) (*nodeStore, error
 	case err != nil:
 		return nil, err
 	default:
-		r := &breader{b: payload}
-		round := int(r.u64())
-		share := r.vec()
-		digest := r.bytes()
-		if !r.done() {
+		round, share, digest, ok := parseNodeSnapshot(payload)
+		if !ok {
 			return nil, fmt.Errorf("csm: durability: corrupt node snapshot payload in %s", cfg.Dir)
 		}
 		s.seq = seq
@@ -294,15 +276,17 @@ func (s *nodeStore) scanSegment(path string, advance bool) {
 // otherwise they only populate the retained window.
 func (s *nodeStore) absorbRecord(rec wal.Record, advance bool) {
 	if rec.Type != recNodeApplied {
-		return // a legacy batch record (type 1): never state
+		return // a legacy batch record (type 1 or 3): never state
 	}
 	r := &breader{b: rec.Payload}
 	round := int(r.u64())
 	proto := ConsensusKind(r.u8())
 	share := r.vec()
 	digest := r.bytes()
+	// Each output carries at least its 4-byte length: a count the rest of
+	// the record cannot hold is refused before it sizes an allocation.
 	k := int(r.u32())
-	if r.fail || k < 0 || k > maxDurVec {
+	if r.fail || k > (len(r.b)-r.off)/4 {
 		return
 	}
 	outputs := make([][]uint64, k)
@@ -340,6 +324,15 @@ func (s *nodeStore) appendApplied(round int, share []uint64, digest []byte, outp
 	}
 	s.applied[round] = appliedState{share: share, digest: digest, outputs: outputs}
 	return s.log.Append(recNodeApplied, w.b)
+}
+
+// parseNodeSnapshot decodes a node snapshot payload (snapshot's layout).
+func parseNodeSnapshot(payload []byte) (round int, share []uint64, digest []byte, ok bool) {
+	r := &breader{b: payload}
+	round = int(r.u64())
+	share = r.vec()
+	digest = r.bytes()
+	return round, share, digest, r.done()
 }
 
 // snapshotDue reports whether the snapshot cadence has come round.
@@ -388,252 +381,4 @@ func (s *nodeStore) close() error {
 		return nil
 	}
 	return s.log.Close()
-}
-
-// ---- in-process cluster durable store ----
-
-type clusterStore struct {
-	sync      wal.SyncPolicy
-	dir       string
-	log       *wal.Log
-	seq       uint64
-	snapEvery int
-	lastSnap  int
-	appendBuf bwriter
-}
-
-// Close releases the cluster's durable store, syncing any buffered WAL
-// appends. It is a no-op for clusters built without durability.
-func (c *Cluster[E]) Close() error {
-	if c.dur == nil {
-		return nil
-	}
-	err := c.dur.log.Close()
-	c.dur = nil
-	return err
-}
-
-// openDurability loads (or cold-starts) the cluster's durable state:
-// newest valid snapshot, then WAL batch replay through the execution
-// engine, then a fresh snapshot generation so new appends never mix
-// with replayed segments. Called at the end of New, after the cluster
-// is fully built in its initial state.
-func (c *Cluster[E]) openDurability() error {
-	dcfg := c.cfg.Durability.normalized()
-	if dcfg.Dir == "" {
-		return errors.New("csm: durability: empty data directory")
-	}
-	if c.cfg.Delegated {
-		return errors.New("csm: durability is incompatible with delegated mode")
-	}
-	if err := os.MkdirAll(dcfg.Dir, 0o755); err != nil {
-		return err
-	}
-	seq, payload, err := wal.LoadSnapshot(dcfg.Dir)
-	cold := errors.Is(err, wal.ErrNoSnapshot)
-	if err != nil && !cold {
-		return err
-	}
-	if !cold {
-		if err := c.restoreSnapshot(payload); err != nil {
-			return err
-		}
-	}
-	log, recs, err := wal.Open(filepath.Join(dcfg.Dir, wal.SegmentName(seq)), dcfg.Sync)
-	if err != nil {
-		return err
-	}
-	c.dur = &clusterStore{
-		sync: dcfg.Sync, dir: dcfg.Dir, log: log, seq: seq,
-		snapEvery: dcfg.SnapshotEvery, lastSnap: c.round,
-	}
-	replayed := 0
-	for _, rec := range recs {
-		if rec.Type != recClusterBatch {
-			continue
-		}
-		if err := c.replayBatch(rec.Payload); err != nil {
-			return fmt.Errorf("csm: durability: WAL replay: %w", err)
-		}
-		replayed++
-	}
-	if !cold || replayed > 0 {
-		// Recovery changed (or re-derived) state: cut a fresh generation
-		// so the replayed segment is never appended to again.
-		if err := c.snapshotDur(); err != nil {
-			return err
-		}
-	}
-	// Recovery work is setup, not steady-state measurement.
-	c.counting.Reset()
-	return nil
-}
-
-// snapshotPayload serializes the full cluster state: counters, per-node
-// behavior + coded share, and the oracle machine states.
-func (c *Cluster[E]) snapshotPayload() []byte {
-	f := c.cfg.BaseField
-	var w bwriter
-	w.u64(uint64(c.round))
-	w.u64(uint64(c.epoch))
-	w.u64(uint64(c.instances))
-	w.u64(uint64(c.churnAt))
-	w.u32(uint32(len(c.nodes)))
-	for _, n := range c.nodes {
-		w.u8(byte(n.behavior))
-		w.vec(vecToWire(f, n.codedState))
-	}
-	w.u32(uint32(len(c.oracle)))
-	for _, m := range c.oracle {
-		w.vec(vecToWire(f, m.State()))
-	}
-	return w.b
-}
-
-func (c *Cluster[E]) restoreSnapshot(payload []byte) error {
-	f := c.cfg.BaseField
-	r := &breader{b: payload}
-	round := int(r.u64())
-	epoch := int(r.u64())
-	instances := int(r.u64())
-	churnAt := int(r.u64())
-	n := int(r.u32())
-	if r.fail || n != len(c.nodes) {
-		return fmt.Errorf("csm: durability: snapshot is for N=%d, cluster has N=%d", n, len(c.nodes))
-	}
-	behaviors := make([]Behavior, n)
-	shares := make([][]E, n)
-	for i := 0; i < n; i++ {
-		behaviors[i] = Behavior(r.u8())
-		shares[i] = vecFromWire(f, r.vec())
-	}
-	k := int(r.u32())
-	if r.fail || k != len(c.oracle) {
-		return fmt.Errorf("csm: durability: snapshot is for K=%d, cluster has K=%d", k, len(c.oracle))
-	}
-	states := make([][]E, k)
-	for i := 0; i < k; i++ {
-		states[i] = vecFromWire(f, r.vec())
-	}
-	if !r.done() {
-		return errors.New("csm: durability: corrupt cluster snapshot payload")
-	}
-	for i, st := range states {
-		if len(st) != c.tr.StateLen() {
-			return fmt.Errorf("csm: durability: snapshot state %d has length %d, want %d", i, len(st), c.tr.StateLen())
-		}
-		m, err := sm.NewMachine(c.oracleTr, st)
-		if err != nil {
-			return err
-		}
-		c.oracle[i] = m
-	}
-	for i, nd := range c.nodes {
-		c.setBehavior(i, behaviors[i])
-		nd.adoptShare(shares[i])
-		nd.received, nd.decoded = nil, nil
-		down := behaviors[i] == Crashed || behaviors[i] == Recovering
-		if err := c.net.SetDown(transport.NodeID(i), down); err != nil {
-			return err
-		}
-	}
-	c.round, c.epoch, c.instances, c.churnAt = round, epoch, instances, churnAt
-	return nil
-}
-
-// logBatch appends a decided batch (write-ahead, after consensus and
-// the churn boundary, before execution). A nil agreed batch records a
-// skipped instance so replay advances the counters identically.
-func (c *Cluster[E]) logBatch(steps int, agreed [][][]E) error {
-	st := c.dur
-	w := &st.appendBuf
-	w.b = w.b[:0]
-	w.u64(uint64(c.round))
-	w.u32(uint32(steps))
-	if agreed == nil {
-		w.u8(1)
-	} else {
-		w.u8(0)
-		w.u32(uint32(steps * c.cfg.K))
-		for _, cmds := range agreed {
-			for _, cmd := range cmds {
-				w.vec(vecToWire(c.cfg.BaseField, cmd))
-			}
-		}
-	}
-	return st.log.Append(recClusterBatch, w.b)
-}
-
-// maybeSnapshotDur rotates the snapshot generation at batch boundaries.
-func (c *Cluster[E]) maybeSnapshotDur() error {
-	if c.round-c.dur.lastSnap < c.dur.snapEvery {
-		return nil
-	}
-	return c.snapshotDur()
-}
-
-// snapshotDur writes a cluster snapshot and rolls the WAL segment to
-// the new generation.
-func (c *Cluster[E]) snapshotDur() error {
-	st := c.dur
-	seq := st.seq + 1
-	if err := wal.WriteSnapshot(st.dir, seq, c.snapshotPayload()); err != nil {
-		return err
-	}
-	if err := st.log.Close(); err != nil {
-		return err
-	}
-	log, _, err := wal.Open(filepath.Join(st.dir, wal.SegmentName(seq)), st.sync)
-	if err != nil {
-		return err
-	}
-	st.log = log
-	st.seq = seq
-	st.lastSnap = c.round
-	return nil
-}
-
-// replayBatch re-executes one logged batch. The record is the decided
-// batch, so consensus is bypassed; the churn boundary, the skipped-
-// instance bookkeeping, and the execution micro-steps run exactly as
-// they did originally.
-func (c *Cluster[E]) replayBatch(payload []byte) error {
-	f := c.cfg.BaseField
-	r := &breader{b: payload}
-	round := int(r.u64())
-	steps := int(r.u32())
-	skipped := r.u8() == 1
-	if r.fail || steps < 1 || steps > maxDurVec {
-		return errors.New("corrupt batch record")
-	}
-	if round != c.round {
-		return fmt.Errorf("batch record for round %d, cluster at round %d", round, c.round)
-	}
-	var agreed [][][]E
-	if !skipped {
-		count := int(r.u32())
-		if r.fail || count != steps*c.cfg.K {
-			return errors.New("corrupt batch record: command count")
-		}
-		agreed = make([][][]E, steps)
-		for j := range agreed {
-			agreed[j] = make([][]E, c.cfg.K)
-			for k := 0; k < c.cfg.K; k++ {
-				cmd := vecFromWire(f, r.vec())
-				if len(cmd) != c.tr.CmdLen() {
-					return errors.New("corrupt batch record: command length")
-				}
-				agreed[j][k] = cmd
-			}
-		}
-	}
-	if !r.done() {
-		return errors.New("corrupt batch record: trailing bytes")
-	}
-	if err := c.applyChurn(c.round, steps); err != nil {
-		return err
-	}
-	c.instances++ // normally runConsensus counts the instance
-	_, err := c.executeAgreed(agreed, steps, 0, nil, true)
-	return err
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -15,195 +16,6 @@ import (
 	"codedsm/internal/transport"
 	"codedsm/internal/wal"
 )
-
-// runDurableCluster opens a cluster over dir, runs the given workload
-// slice, closes it, and returns the per-round outputs.
-func runDurableCluster(t *testing.T, dir string, workload [][][]uint64, opts ...Option) [][][]uint64 {
-	t.Helper()
-	gold := field.NewGoldilocks()
-	all := append([]Option{
-		WithNodes(remoteN), WithMachines(remoteK), WithSeed(remoteSeed),
-		WithDurability(dir, SnapshotEvery(2)),
-	}, opts...)
-	c, err := Open(gold, remoteTransition, all...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	results, err := c.Run(workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([][][]uint64, len(results))
-	for r, res := range results {
-		if !res.Correct {
-			t.Fatalf("round %d not correct", r)
-		}
-		out[r] = res.Outputs
-	}
-	return out
-}
-
-// TestClusterDurableRestartContinues is the in-process restart contract:
-// a cluster closed after R1 rounds and reopened over the same directory
-// resumes at round R1 and its continued outputs are bit-identical to an
-// uninterrupted run — including under a Byzantine node, whose garbage
-// draws differ after a restart but never reach the decoded outputs.
-func TestClusterDurableRestartContinues(t *testing.T) {
-	gold := field.NewGoldilocks()
-	workload := RandomWorkload[uint64](gold, remoteRounds, remoteK, 1, remoteSeed)
-	// One lying node, budgeted: N=5, b=1 keeps K=2 within capacity.
-	byz := []Option{WithNodes(5), WithFaults(1), WithByzantineNode(2, WrongResult)}
-
-	want := runDurableCluster(t, t.TempDir(), workload, byz...)
-
-	dir := t.TempDir()
-	first := runDurableCluster(t, dir, workload[:3], byz...)
-
-	c, err := Open(gold, remoteTransition,
-		append([]Option{WithNodes(remoteN), WithMachines(remoteK), WithSeed(remoteSeed),
-			WithDurability(dir, SnapshotEvery(2))}, byz...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Round() != 3 {
-		t.Fatalf("reopened cluster at round %d, want 3", c.Round())
-	}
-	results, err := c.Run(workload[3:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := append([][][]uint64{}, first...)
-	for _, res := range results {
-		got = append(got, res.Outputs)
-	}
-	requireIdentical(t, 0, got, want)
-
-	// The oracle machines must have been restored too: their states
-	// after the full workload match an uninterrupted run's.
-	ref, err := Open(gold, remoteTransition,
-		append([]Option{WithNodes(remoteN), WithMachines(remoteK), WithSeed(remoteSeed)}, byz...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.Run(workload); err != nil {
-		t.Fatal(err)
-	}
-	gotStates, wantStates := c.OracleStates(), ref.OracleStates()
-	for k := range wantStates {
-		for j := range wantStates[k] {
-			if gotStates[k][j] != wantStates[k][j] {
-				t.Fatalf("restored oracle machine %d state diverged at %d", k, j)
-			}
-		}
-	}
-}
-
-// TestClusterDurabilityOffBitIdentical pins the zero-interference
-// contract: the same seeded run with and without durability produces
-// bit-identical outputs (durability never touches the cluster RNG).
-func TestClusterDurabilityOffBitIdentical(t *testing.T) {
-	gold := field.NewGoldilocks()
-	workload := RandomWorkload[uint64](gold, remoteRounds, remoteK, 1, remoteSeed)
-	byz := []Option{WithNodes(5), WithFaults(1), WithByzantineNode(1, Equivocate)}
-
-	plain, err := Open(gold, remoteTransition,
-		append([]Option{WithNodes(remoteN), WithMachines(remoteK), WithSeed(remoteSeed)}, byz...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRes, err := plain.Run(workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][][]uint64, len(wantRes))
-	for r, res := range wantRes {
-		want[r] = res.Outputs
-	}
-	got := runDurableCluster(t, t.TempDir(), workload, byz...)
-	requireIdentical(t, 0, got, want)
-}
-
-// TestClusterDurableCrashMidAppendRecovers drives the fault-injection
-// hook through the in-process engine: a crash torn mid-WAL-append
-// unwinds the run, and a reopen over the directory truncates the torn
-// record, replays the durable prefix, and finishes the workload with
-// outputs bit-identical to an uninterrupted run.
-func TestClusterDurableCrashMidAppendRecovers(t *testing.T) {
-	gold := field.NewGoldilocks()
-	workload := RandomWorkload[uint64](gold, remoteRounds, remoteK, 1, remoteSeed)
-	want := runDurableCluster(t, t.TempDir(), workload)
-
-	dir := t.TempDir()
-	open := func() *Cluster[uint64] {
-		c, err := Open(gold, remoteTransition,
-			WithNodes(remoteN), WithMachines(remoteK), WithSeed(remoteSeed),
-			WithDurability(dir, SnapshotEvery(2)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	c := open()
-	if _, err := c.Run(workload[:2]); err != nil {
-		t.Fatal(err)
-	}
-	// Crash the next batch's write-ahead append mid-record.
-	wal.SetCrashHook(func(p wal.CrashPoint) {
-		if p == wal.CrashMidRecord {
-			panic("injected crash")
-		}
-	})
-	func() {
-		defer func() {
-			wal.SetCrashHook(nil)
-			if recover() == nil {
-				t.Fatal("crash hook never fired")
-			}
-		}()
-		c.Run(workload[2:3])
-	}()
-	c.Close() // the dying process's fd goes away; the torn tail stays
-
-	c2 := open()
-	defer c2.Close()
-	if c2.Round() != 2 {
-		t.Fatalf("recovered at round %d, want 2 (torn batch must not count)", c2.Round())
-	}
-	results, err := c2.Run(workload[2:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := append([][][]uint64{}, want[:2]...)
-	for _, res := range results {
-		got = append(got, res.Outputs)
-	}
-	requireIdentical(t, 0, got, want)
-}
-
-// TestClusterDurabilityRejections pins the layer's config errors.
-func TestClusterDurabilityRejections(t *testing.T) {
-	gold := field.NewGoldilocks()
-	if _, err := Open(gold, remoteTransition,
-		WithNodes(remoteN), WithMachines(remoteK), WithDurability(t.TempDir()), WithDelegated(),
-	); err == nil {
-		t.Error("durability + delegated accepted")
-	}
-	if _, err := Open(gold, remoteTransition,
-		WithNodes(remoteN), WithMachines(remoteK), WithDurability(""),
-	); err == nil {
-		t.Error("empty data dir accepted")
-	}
-	// A directory holding another cluster shape is refused, not misread.
-	dir := t.TempDir()
-	runDurableCluster(t, dir, RandomWorkload[uint64](gold, 2, remoteK, 1, 1))
-	if _, err := Open(gold, remoteTransition,
-		WithNodes(remoteN+2), WithMachines(remoteK), WithSeed(1), WithDurability(dir),
-	); err == nil {
-		t.Error("snapshot for N=4 accepted by an N=6 cluster")
-	}
-}
 
 // ---- multi-process (NodeProcess) durability over local links ----
 
@@ -482,4 +294,53 @@ func TestNodeStoreIgnoresLegacyBatchRecords(t *testing.T) {
 		t.Errorf("legacy directory reopened at round %d share %v digest %v (%d applied), want round %d share %v digest %v (%d applied)",
 			got.round, got.share, got.digest, len(got.applied), want.round, want.share, want.digest, len(want.applied))
 	}
+}
+
+// FuzzNodeStoreRecord feeds arbitrary bytes to the node store's two disk
+// parsers, an applied record (absorbRecord) and a node snapshot
+// (parseNodeSnapshot). Neither may panic; neither may allocate more than
+// a small multiple of the input, whatever counts it claims; and an
+// absorbed record re-encodes to the bytes it was read from.
+func FuzzNodeStoreRecord(f *testing.F) {
+	var w bwriter
+	w.u64(7)
+	w.u8(byte(PBFT))
+	w.vec([]uint64{1, 2})
+	w.bytes([]byte("digest"))
+	w.u32(2)
+	w.vec([]uint64{3})
+	w.vec([]uint64{4, 5})
+	f.Add(w.b)
+	f.Add(w.b[:len(w.b)-1])
+	// A 21-byte record claiming 2^24 outputs.
+	f.Add(append(make([]byte, 17), 0, 0, 0, 1))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := &nodeStore{proto: PBFT, applied: make(map[int]appliedState)}
+		s.absorbRecord(wal.Record{Type: recNodeApplied, Payload: data}, true)
+		parseNodeSnapshot(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(64*len(data)+1<<12) {
+			t.Fatalf("parsing %d bytes allocated %d", len(data), grew)
+		}
+		if len(s.applied) == 0 {
+			return
+		}
+		var re bwriter
+		for round, st := range s.applied {
+			re.u64(uint64(round))
+			re.u8(byte(s.proto))
+			re.vec(st.share)
+			re.bytes(st.digest)
+			re.u32(uint32(len(st.outputs)))
+			for _, out := range st.outputs {
+				re.vec(out)
+			}
+		}
+		if !bytes.Equal(re.b, data) {
+			t.Fatalf("absorbed record re-encodes to %x, read from %x", re.b, data)
+		}
+	})
 }

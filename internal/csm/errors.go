@@ -5,10 +5,9 @@ import (
 	"fmt"
 )
 
-// The package's error taxonomy. Workload runners (Run, RunQueue,
-// RunPipelined, Rounds) attach a *BatchError to every mid-workload
-// failure, so callers recover the completed prefix and the failed round
-// with errors.As instead of string inspection; the sentinels
+// The package's error taxonomy. Run attaches a *BatchError to every
+// mid-workload failure, so callers recover the completed prefix and the
+// failed round with errors.As instead of string inspection; the sentinels
 // below classify *why* a run, a membership change, or a submission failed
 // and are matched with errors.Is.
 var (
@@ -17,9 +16,9 @@ var (
 	ErrRoundStuck = errors.New("csm: round did not complete within tick budget")
 
 	// ErrRoundLimit reports a workload round that could not be executed
-	// within its retry budget: every attempted consensus instance decided a
-	// garbage batch (RunQueue's maxAttempts, or an ingress client's leader
-	// rotation) and the commands are still pending.
+	// within its retry budget: every consensus instance of an ingress
+	// client's leader rotation decided a garbage batch and the commands are
+	// still pending.
 	ErrRoundLimit = errors.New("csm: round retry limit reached")
 
 	// ErrFaultBudgetExceeded reports a fault pattern whose Reed-Solomon
@@ -65,10 +64,8 @@ var (
 // the underlying cause, Round the workload index of the round it is
 // attributed to, and Completed the reports of every round that fully
 // completed before the failure — always a prefix of the workload, and the
-// same slice the failing runner returned alongside the error. (The
-// streaming Rounds iterator is the exception: it leaves Completed nil
-// because the completed reports were already yielded.) Callers unwrap it
-// with errors.As:
+// same slice Run returned alongside the error. Callers unwrap it with
+// errors.As:
 //
 //	results, err := cluster.Run(workload)
 //	var batchErr *csm.BatchError[uint64]

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"iter"
 
 	"codedsm/internal/field"
 	"codedsm/internal/ints"
@@ -25,13 +24,13 @@ type stepOutcome[E comparable] struct {
 	skip    bool // consensus decided garbage: nothing to tally
 }
 
-// executeBatch is the round engine shared by ExecuteRound, Run and
-// RunPipelined: one consensus instance over len(batch) rounds,
-// then one execution micro-step per round. With a nil stage the client
-// phase completes inline before the next micro-step starts; otherwise each
-// outcome is enqueued on the stage and only the execution phases run here.
-// The returned slice covers exactly the rounds whose execution completed
-// (all of them when err is nil).
+// executeBatch is the round engine under ExecuteRound and Run: one
+// consensus instance over len(batch) rounds, then one execution
+// micro-step per round. With a nil stage the client phase completes
+// inline before the next micro-step starts; otherwise each outcome is
+// enqueued on the stage and only the execution phases run here. The
+// returned slice covers exactly the rounds whose execution completed (all
+// of them when err is nil).
 func (c *Cluster[E]) executeBatch(batch [][][]E, stage *clientStage[E]) ([]*RoundResult[E], error) {
 	if err := validateBatchShape(batch, c.cfg.K, c.tr.CmdLen()); err != nil {
 		return nil, err
@@ -48,23 +47,6 @@ func (c *Cluster[E]) executeBatch(batch [][][]E, stage *clientStage[E]) ([]*Roun
 	if err != nil {
 		return nil, err
 	}
-	if c.dur != nil {
-		// Write-ahead: the decided batch (or the skipped instance) is on
-		// disk before execution mutates any state, so a crash mid-batch
-		// replays the whole decision on restart.
-		if err := c.logBatch(steps, agreed); err != nil {
-			return nil, err
-		}
-	}
-	return c.executeAgreed(agreed, steps, ticksConsensus, stage, false)
-}
-
-// executeAgreed runs the post-consensus phases of executeBatch for an
-// already-decided batch: the skipped-instance path or the coded execution
-// micro-steps. WAL replay calls it directly with replay set — the logged
-// record is the decision, so consensus is bypassed and no durability
-// records are written while re-executing.
-func (c *Cluster[E]) executeAgreed(agreed [][][]E, steps, ticksConsensus int, stage *clientStage[E], replay bool) ([]*RoundResult[E], error) {
 	if agreed == nil {
 		// Byzantine leader: the whole batch is skipped (commands stay
 		// pending with the clients), consensus ticks charged to its first
@@ -78,11 +60,6 @@ func (c *Cluster[E]) executeAgreed(agreed [][][]E, steps, ticksConsensus int, st
 			c.round++
 			if stage != nil {
 				stage.enqueue(&stepOutcome[E]{res: out[j], skip: true})
-			}
-		}
-		if c.dur != nil && !replay && stage == nil {
-			if err := c.maybeSnapshotDur(); err != nil {
-				return out, err
 			}
 		}
 		return out, nil
@@ -117,15 +94,6 @@ func (c *Cluster[E]) executeAgreed(agreed [][][]E, steps, ticksConsensus int, st
 		}
 		c.round++
 		out = append(out, outcome.res)
-	}
-	// Snapshot at batch boundaries only when the client phase completed
-	// inline: under a pipelined stage the oracle state lags the execution
-	// rounds, so pipelined runs log batches but defer snapshots (recovery
-	// replays from the last non-pipelined snapshot).
-	if c.dur != nil && !replay && stage == nil {
-		if err := c.maybeSnapshotDur(); err != nil {
-			return out, err
-		}
 	}
 	return out, nil
 }
@@ -358,7 +326,7 @@ func acceptReply[E comparable](f field.Field[E], tally []replyCount[E], threshol
 
 // batchRoundError marks a pre-execution batch failure attributable to one
 // specific round of the batch, identified by its offset within the batch.
-// The workload runners translate the offset into the workload round index.
+// Run translates the offset into the workload round index.
 type batchRoundError struct {
 	offset int
 	err    error
@@ -377,65 +345,63 @@ func (c *Cluster[E]) batchSize() int {
 	return 1
 }
 
-// BatchSize reports the effective rounds-per-consensus-instance the
-// workload runners group by.
+// BatchSize reports the effective rounds-per-consensus-instance Run
+// groups by.
 func (c *Cluster[E]) BatchSize() int { return c.batchSize() }
 
 // Run executes a whole workload: rounds[r][k] is machine k's command vector
 // in round r. Rounds are grouped into consensus batches of
-// Config.BatchSize; with Config.Pipeline > 0 the pipelined engine is used.
+// Config.BatchSize. With Config.Pipeline > 0 a client stage runs the
+// client phase up to Config.Pipeline rounds behind the driving goroutine;
+// the reports are bit-identical to the sequential engine's (see the
+// package documentation for the happens-before contract that makes the
+// overlap safe).
 //
 // Error contract: on a mid-workload error Run returns the reports of every
 // round that fully completed — always a prefix of the workload — together
 // with a *BatchError carrying that same prefix and the index of the failed
 // round (recover both with errors.As; no string inspection needed).
 func (c *Cluster[E]) Run(rounds [][][]E) ([]*RoundResult[E], error) {
+	var stage *clientStage[E]
 	if c.cfg.Pipeline > 0 {
-		return c.RunPipelined(rounds)
+		stage = newClientStage(c, c.cfg.Pipeline)
 	}
 	out := make([]*RoundResult[E], 0, len(rounds))
+	var cause error
+	var base, failed int
 	bs := c.batchSize()
 	for start := 0; start < len(rounds); start += bs {
-		end := min(start+bs, len(rounds))
-		res, err := c.executeBatch(rounds[start:end], nil)
+		res, err := c.executeBatch(rounds[start:min(start+bs, len(rounds))], stage)
 		out = append(out, res...)
 		if err != nil {
-			return out, newBatchError(err, out, start, start+len(res))
+			cause, base, failed = err, start, start+len(res)
+			break
 		}
+		if stage != nil && stage.failed() != nil {
+			break
+		}
+	}
+	if stage != nil {
+		completed, stageErr := stage.drain()
+		if stageErr != nil {
+			// A stage failure happened at round `completed` — before any
+			// driver error, which can only strike a later round (the
+			// driver runs ahead of the stage). Report the first failure
+			// so the error names the round right after the returned prefix.
+			cause, base, failed = stageErr, completed, completed
+		}
+		if completed < len(out) {
+			// Keep Round() consistent with the returned prefix, exactly as
+			// the sequential engine does when a client phase fails: rounds
+			// the driver executed ahead of the failed stage job don't count.
+			c.round -= len(out) - completed
+			out = out[:completed]
+		}
+	}
+	if cause != nil {
+		return out, newBatchError(cause, out, base, failed)
 	}
 	return out, nil
-}
-
-// Rounds executes a whole workload like Run but streams the reports: the
-// returned iterator yields each round's report as soon as its client phase
-// completes, so experiment harnesses consume rounds without materializing
-// the result slice. On a mid-workload failure the final yield carries a
-// nil report and the *BatchError naming the failed round, after which the
-// iteration ends. Unlike Run's error, the streamed BatchError leaves
-// Completed nil — the completed reports were already yielded, and
-// retaining them would defeat the no-materialization point of streaming
-// (the failed round's index tells the consumer how many preceded it).
-//
-// Rounds drives the sequential engine regardless of Config.Pipeline —
-// streaming consumers need each report finished before it is yielded — and
-// the reports are bit-identical to Run's for any engine configuration.
-func (c *Cluster[E]) Rounds(rounds [][][]E) iter.Seq2[*RoundResult[E], error] {
-	return func(yield func(*RoundResult[E], error) bool) {
-		bs := c.batchSize()
-		for start := 0; start < len(rounds); start += bs {
-			end := min(start+bs, len(rounds))
-			res, err := c.executeBatch(rounds[start:end], nil)
-			for _, r := range res {
-				if !yield(r, nil) {
-					return
-				}
-			}
-			if err != nil {
-				yield(nil, newBatchError[E](err, nil, start, start+len(res)))
-				return
-			}
-		}
-	}
 }
 
 // RandomWorkload generates a reproducible workload: rounds x K command

@@ -454,9 +454,9 @@ func (cl *Client[E]) nextRound(draining *bool) (cmds [][]E, futs []*Future[E], f
 // cluster's configured engine applies — including the pipelined one when
 // Config.Pipeline is set. A chunk is exactly one consensus instance, so a
 // Byzantine leader skips it atomically (every report carries Skipped);
-// like RunQueue, the scheduler then retries the chunk under the next
-// instances' rotated leaders, failing with ErrRoundLimit after a full
-// rotation. After a run error the client is sticky-failed: the unexecuted
+// the scheduler then retries the chunk under the next instances' rotated
+// leaders, so every admitted command is eventually executed (Section 2.1,
+// Liveness), failing with ErrRoundLimit after a full rotation. After a run error the client is sticky-failed: the unexecuted
 // rounds' futures resolve with the error, as does everything admitted
 // afterwards.
 func (cl *Client[E]) runChunk(chunk [][][]E, futs [][]*Future[E]) {

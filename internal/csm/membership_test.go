@@ -47,39 +47,6 @@ func TestRecoveringConfigRejected(t *testing.T) {
 	}
 }
 
-// TestRunQueueBatchedLiveness pins the RunQueue liveness fix: with
-// BatchSize > 1 retries must go through executeBatch (one consensus
-// instance per batch), re-submitting the BadLeader-skipped suffix until
-// an honest leader decides it.
-func TestRunQueueBatchedLiveness(t *testing.T) {
-	cfg := baseConfig(2, 10, 2)
-	cfg.Consensus = DolevStrong
-	cfg.BatchSize = 3
-	cfg.Byzantine = map[int]Behavior{0: BadLeader} // leads instance 0
-	c := newCluster(t, cfg)
-	rounds := RandomWorkload[uint64](gold, 6, 2, 1, 5)
-	results, err := c.RunQueue(rounds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 6 {
-		t.Fatalf("executed %d of 6 rounds", len(results))
-	}
-	for i, res := range results {
-		if res.Skipped || !res.Correct {
-			t.Fatalf("round %d: skipped=%v correct=%v", i, res.Skipped, res.Correct)
-		}
-	}
-	// The first 3-round batch was skipped once and retried whole: the
-	// oracle advanced exactly 6 times, over 3 consensus instances.
-	if c.oracle[0].Round() != 6 {
-		t.Fatalf("oracle at round %d, want 6", c.oracle[0].Round())
-	}
-	if c.instances != 3 {
-		t.Fatalf("%d consensus instances, want 3 (1 skipped + 2 decided)", c.instances)
-	}
-}
-
 // ---- Weighted fault budget ----
 
 // TestCrashesAreCheaperThanErrors: a cluster sized for b Byzantine faults

@@ -39,7 +39,6 @@ type settings struct {
 	pipeline        int
 	churn           []ChurnEvent
 	churnFn         func(round int) []ChurnEvent
-	durability      *DurabilityConfig
 	initialStates   any // [][]E, asserted in Open
 }
 
@@ -134,8 +133,8 @@ func WithByzantineNode(node int, behavior Behavior) Option {
 // rotating verified worker performs all coding). Delegation requires a
 // synchronous broadcast network (the Section 6 assumption: equivocating
 // senders are coerced to a single payload), which this option implies.
-// It composes with WithBatching and WithPipeline; WithChurn, WithChurnFn
-// and WithDurability are refused with it.
+// It composes with WithBatching and WithPipeline; WithChurn and
+// WithChurnFn are refused with it.
 func WithDelegated() Option {
 	return func(s *settings) error { s.delegated = true; return nil }
 }
@@ -186,40 +185,6 @@ func WithChurnFn(fn func(round int) []ChurnEvent) Option {
 		return optionErr("WithChurnFn(nil): need a generator (omit the option for no churn)")
 	}
 	return func(s *settings) error { s.churnFn = fn; return nil }
-}
-
-// DurabilityOption tunes the durable state layer enabled by
-// WithDurability.
-type DurabilityOption func(*DurabilityConfig)
-
-// SnapshotEvery sets the snapshot cadence in executed rounds
-// (default 32).
-func SnapshotEvery(rounds int) DurabilityOption {
-	return func(d *DurabilityConfig) { d.SnapshotEvery = rounds }
-}
-
-// WithDurability persists the cluster's state under dir: decided
-// batches are logged write-ahead and full cluster snapshots rotate on a
-// cadence. Open recovers from the directory's newest valid snapshot
-// plus WAL replay when it holds prior state, so an Open after a crash
-// resumes at the last durable round. Incompatible with WithDelegated.
-func WithDurability(dir string, opts ...DurabilityOption) Option {
-	if dir == "" {
-		return optionErr("WithDurability(%q): need a data directory", dir)
-	}
-	return func(s *settings) error {
-		d := &DurabilityConfig{Dir: dir}
-		for _, opt := range opts {
-			if opt != nil {
-				opt(d)
-			}
-		}
-		if d.SnapshotEvery < 0 {
-			return fmt.Errorf("WithDurability(%q): negative snapshot cadence %d", dir, d.SnapshotEvery)
-		}
-		s.durability = d
-		return nil
-	}
 }
 
 // WithInitialStates sets the K machines' initial state vectors (the
@@ -286,7 +251,6 @@ func Open[E comparable](f field.Field[E], newTransition TransitionFactory[E], op
 		Pipeline:       s.pipeline,
 		Churn:          s.churn,
 		ChurnFn:        s.churnFn,
-		Durability:     s.durability,
 	}
 	if s.initialStates != nil {
 		states, ok := s.initialStates.([][]E)

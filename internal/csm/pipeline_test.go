@@ -69,29 +69,6 @@ func TestPipelinedBitIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// TestRunPipelinedForcesPipelining pins that RunPipelined works without
-// the config knob (DefaultPipelineDepth) and matches Run.
-func TestRunPipelinedForcesPipelining(t *testing.T) {
-	cfg := baseConfig(2, 12, 3)
-	cfg.Byzantine = map[int]Behavior{1: WrongResult, 5: Silent}
-	seq := newCluster(t, cfg)
-	pipe := newCluster(t, cfg)
-	wl := RandomWorkload[uint64](gold, 4, 2, seq.tr.CmdLen(), 11)
-	seqRes, err := seq.Run(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipeRes, err := pipe.RunPipelined(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range seqRes {
-		if !bytes.Equal(encodeRound(seqRes[r]), encodeRound(pipeRes[r])) {
-			t.Fatalf("round %d diverged", r)
-		}
-	}
-}
-
 // TestPipelinedPartialSyncByzantineMixRace is the race-detector workout:
 // a partially synchronous network that stabilizes mid-workload, a
 // Byzantine mix at the fault budget, command batching, and a pipeline

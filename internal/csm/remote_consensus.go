@@ -221,10 +221,10 @@ func (p *NodeProcess[E]) runConsensusBatch(batch [][][]E) ([][][]E, error) {
 	}
 	agreed, round, ok := parseBatchMsg(p.cfg.BaseField, decided, len(batch), p.cfg.K, p.tr.CmdLen())
 	if !ok {
-		// Unlike the simulated cluster (which skips a garbage batch and
-		// retries under a rotated leader), the multi-process driver has no
-		// retry queue yet; surface the decision instead of silently
-		// diverging from the workload.
+		// Unlike the simulated cluster (which skips a garbage batch, and
+		// whose ingress client retries it under a rotated leader), the
+		// multi-process driver has no retry queue yet; surface the
+		// decision instead of silently diverging from the workload.
 		return nil, fmt.Errorf("csm: node %d round %d: %v decided an unusable batch (%d bytes)",
 			p.self, p.round, p.cfg.Consensus, len(decided))
 	}

@@ -434,60 +434,3 @@ func (c *Cluster[E]) RepairNode(i int) error {
 	c.nodes[i].adoptShare(repaired)
 	return nil
 }
-
-// ---- Liveness ----
-
-// RunQueue executes a queue of command rounds with liveness: rounds are
-// grouped into consensus batches of Config.BatchSize, and a batch whose
-// consensus instance was skipped (a Byzantine leader pushed a garbage
-// proposal through) is retried under the next instance's leader, so every
-// client command is eventually executed — the paper's Liveness requirement
-// (Section 2.1). Only the skipped suffix is retried: rounds that already
-// executed are never re-submitted. maxAttempts bounds consecutive skipped
-// attempts; <1 selects a full leader rotation (N attempts). Exhausting the
-// budget fails with ErrRoundLimit; every failure carries a *BatchError
-// with the executed prefix and the index of the first unexecuted round.
-func (c *Cluster[E]) RunQueue(rounds [][][]E, maxAttempts int) ([]*RoundResult[E], error) {
-	if maxAttempts < 1 {
-		maxAttempts = c.cfg.N // a full leader rotation
-	}
-	bs := c.batchSize()
-	out := make([]*RoundResult[E], 0, len(rounds))
-	pending := rounds
-	attempts := 0
-	for len(pending) > 0 {
-		base := len(rounds) - len(pending)
-		end := min(bs, len(pending))
-		res, err := c.executeBatch(pending[:end], nil)
-		if err != nil {
-			// Run's error contract: rounds in res fully completed (oracle
-			// advanced, clients tallied) — report them, or a caller that
-			// re-submits everything past len(out) would double-execute.
-			out = append(out, res...)
-			return out, newBatchError(err, out, base, base+len(res))
-		}
-		executed := 0
-		for _, r := range res {
-			if r.Skipped {
-				break
-			}
-			executed++
-		}
-		out = append(out, res[:executed]...)
-		pending = pending[executed:]
-		if executed == end {
-			attempts = 0
-			continue
-		}
-		attempts++
-		if attempts >= maxAttempts {
-			return out, &BatchError[E]{
-				Completed: out,
-				Round:     len(rounds) - len(pending),
-				Err: fmt.Errorf("%w: %d queued rounds not executed within %d attempts",
-					ErrRoundLimit, len(pending), maxAttempts),
-			}
-		}
-	}
-	return out, nil
-}

@@ -8,75 +8,6 @@ import (
 	"codedsm/internal/transport"
 )
 
-func TestRunQueueLiveness(t *testing.T) {
-	// Node 0 (round-0 leader) proposes garbage; the batch must be retried
-	// and executed under round 1's honest leader. Every batch in the queue
-	// eventually executes — the paper's Liveness requirement.
-	cfg := baseConfig(2, 10, 2)
-	cfg.Consensus = DolevStrong
-	cfg.Byzantine = map[int]Behavior{0: BadLeader}
-	c := newCluster(t, cfg)
-	batches := RandomWorkload[uint64](gold, 3, 2, 1, 5)
-	results, err := c.RunQueue(batches, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("executed %d of 3 batches", len(results))
-	}
-	for i, res := range results {
-		if res.Skipped || !res.Correct {
-			t.Fatalf("batch %d: skipped=%v correct=%v", i, res.Skipped, res.Correct)
-		}
-	}
-	// The oracle advanced exactly 3 times despite the retries.
-	if c.oracle[0].Round() != 3 {
-		t.Fatalf("oracle at round %d", c.oracle[0].Round())
-	}
-}
-
-// TestPBFTBadLeaderViewChangesOnce: under PBFT a garbage-proposing
-// view-0 leader gets nothing prepared — the honest backups prepared the
-// valid batch at the start view — so the instance view-changes to an
-// honest leader and executes the valid batch, and later instances start
-// in that view. Every instance used to start in view 0, honest backups
-// prepared the garbage, and RunQueue gave up with no round executed.
-func TestPBFTBadLeaderViewChangesOnce(t *testing.T) {
-	cfg := baseConfig(2, 10, 2)
-	cfg.Consensus = PBFT
-	cfg.Byzantine = map[int]Behavior{0: BadLeader}
-	c := newCluster(t, cfg)
-	results, err := c.RunQueue(RandomWorkload[uint64](gold, 3, 2, 1, 5), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, res := range results {
-		if res.Skipped || !res.Correct {
-			t.Fatalf("round %d: skipped=%v correct=%v", r, res.Skipped, res.Correct)
-		}
-		if r == 0 && res.Ticks <= 4 || r > 0 && res.Ticks != 4 {
-			t.Errorf("round %d took %d ticks; want the view change in round 0 only, then 4", r, res.Ticks)
-		}
-	}
-	if len(results) != 3 || c.oracle[0].Round() != 3 || c.instances != 3 {
-		t.Fatalf("%d rounds executed, oracle at round %d, %d instances; want 3, 3, 3", len(results), c.oracle[0].Round(), c.instances)
-	}
-}
-
-func TestRunQueueExhaustsAttempts(t *testing.T) {
-	// With every node a BadLeader... not configurable (budget); instead use
-	// maxAttempts=1 and a Byzantine round-0 leader: the first batch cannot
-	// execute within one attempt.
-	cfg := baseConfig(2, 10, 2)
-	cfg.Consensus = DolevStrong
-	cfg.Byzantine = map[int]Behavior{0: BadLeader}
-	c := newCluster(t, cfg)
-	batches := RandomWorkload[uint64](gold, 1, 2, 1, 5)
-	if _, err := c.RunQueue(batches, 1); err == nil {
-		t.Fatal("single attempt under a bad leader should fail")
-	}
-}
-
 func TestRepairNode(t *testing.T) {
 	cfg := baseConfig(3, 12, 2)
 	cfg.Byzantine = map[int]Behavior{5: WrongResult}

@@ -60,10 +60,7 @@ func (c *Cluster[E]) DecodeMachineState(k int) ([]E, error) {
 // Crashed and recovering nodes are skipped — their share is already
 // lost, and a later Rejoin repairs it from the updated survivors via
 // lcc.RepairShare, so the churn machinery composes with adoption
-// unchanged. On a durable cluster a forced snapshot records the adopted
-// state (the adoption is not a consensus decision, so it must not hide
-// between WAL batches). The cluster must not have an open ingress
-// client.
+// unchanged. The cluster must not have an open ingress client.
 func (c *Cluster[E]) AdoptMachineState(k int, state []E) error {
 	if k < 0 || k >= c.cfg.K {
 		return fmt.Errorf("csm: adopt machine state: machine %d out of range [0,%d)", k, c.cfg.K)
@@ -86,11 +83,6 @@ func (c *Cluster[E]) AdoptMachineState(k int, state []E) error {
 			continue
 		}
 		c.bulk.ScaleAccVec(n.codedState, coeffs[i][k], delta)
-	}
-	if c.dur != nil {
-		if err := c.snapshotDur(); err != nil {
-			return fmt.Errorf("csm: adopt machine %d state: snapshot: %w", k, err)
-		}
 	}
 	return nil
 }

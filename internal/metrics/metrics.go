@@ -9,7 +9,6 @@
 package metrics
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"text/tabwriter"
@@ -164,7 +163,7 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	correct, err = runCorrect(cluster, workload, cfg.Pipeline > 0, "table1 csm")
+	correct, err = runCorrect(cluster, workload, "table1 csm")
 	if err != nil {
 		return nil, err
 	}
@@ -174,39 +173,17 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 }
 
 // runCorrect folds per-round correctness over a workload without dropping
-// any completed round's report on a mid-workload failure: rounds are
-// consumed through the streaming Rounds iterator (or Run when the cluster
-// is configured for the pipelined engine, whose overlap a streaming
-// consumer would serialize), and the returned error names the failed round
-// and the number of rounds that did complete — recovered with errors.As,
-// not string inspection.
-func runCorrect(cluster *csm.Cluster[uint64], workload [][][]uint64, pipelined bool, what string) (bool, error) {
-	wrap := func(correct bool, completed int, err error) (bool, error) {
-		var batchErr *csm.BatchError[uint64]
-		if errors.As(err, &batchErr) {
-			return correct, fmt.Errorf("metrics: %s: %d/%d rounds completed: %w",
-				what, completed, len(workload), err)
-		}
-		return correct, fmt.Errorf("metrics: %s: %w", what, err)
-	}
+// any completed round's report on a mid-workload failure: Run returns the
+// completed prefix with the error, and the returned error names the
+// failed round and the number of rounds that did complete.
+func runCorrect(cluster *csm.Cluster[uint64], workload [][][]uint64, what string) (bool, error) {
+	results, err := cluster.Run(workload)
 	correct := true
-	if pipelined {
-		results, err := cluster.Run(workload)
-		for _, res := range results {
-			correct = correct && res.Correct
-		}
-		if err != nil {
-			return wrap(correct, len(results), err)
-		}
-		return correct, nil
-	}
-	completed := 0
-	for res, err := range cluster.Rounds(workload) {
-		if err != nil {
-			return wrap(correct, completed, err)
-		}
+	for _, res := range results {
 		correct = correct && res.Correct
-		completed++
+	}
+	if err != nil {
+		return correct, fmt.Errorf("metrics: %s: %d/%d rounds completed: %w", what, len(results), len(workload), err)
 	}
 	return correct, nil
 }

@@ -79,15 +79,9 @@ func RepairCost(ns []int, mu float64, d, rounds int, seed uint64) ([]RepairRow, 
 			return nil, err
 		}
 		wl := csm.RandomWorkload[uint64](gold, 2*half+1, k, cluster.Transition().CmdLen(), seed)
-		completed := 0
-		correct := true
-		for res, err := range cluster.Rounds(wl) {
-			if err != nil {
-				return nil, fmt.Errorf("metrics: repair run N=%d: %d/%d rounds completed: %w",
-					n, completed, len(wl), err)
-			}
-			correct = correct && res.Correct
-			completed++
+		correct, err := runCorrect(cluster, wl, fmt.Sprintf("repair run N=%d", n))
+		if err != nil {
+			return nil, err
 		}
 		stats := cluster.RepairStats()
 		if stats.Repairs != 1 {
@@ -101,7 +95,7 @@ func RepairCost(ns []int, mu float64, d, rounds int, seed uint64) ([]RepairRow, 
 		out = append(out, RepairRow{
 			N: n, K: k, B: b,
 			RepairOps:       stats.Ops.Total(),
-			RoundOpsPerNode: float64(total-stats.Ops.Total()) / float64(n*completed),
+			RoundOpsPerNode: float64(total-stats.Ops.Total()) / float64(n*len(wl)),
 			FullDecodeOps:   fullOps,
 			Correct:         correct,
 		})

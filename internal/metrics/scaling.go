@@ -87,7 +87,7 @@ func ScalingSeries(cfg ScalingConfig) ([]ScalingRow, error) {
 			return nil, err
 		}
 		workload := csm.RandomWorkload[uint64](gold, cfg.Rounds, k, 1, cfg.Seed)
-		correct, err := runCorrect(cluster, workload, cfg.Pipeline > 0, fmt.Sprintf("scaling N=%d", n))
+		correct, err := runCorrect(cluster, workload, fmt.Sprintf("scaling N=%d", n))
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +99,7 @@ func ScalingSeries(cfg ScalingConfig) ([]ScalingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		delegatedCorrect, err := runCorrect(delegatedCluster, workload, false, fmt.Sprintf("scaling delegated N=%d", n))
+		delegatedCorrect, err := runCorrect(delegatedCluster, workload, fmt.Sprintf("scaling delegated N=%d", n))
 		if err != nil {
 			return nil, err
 		}
