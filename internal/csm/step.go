@@ -54,6 +54,9 @@ type stepCore[E comparable] struct {
 	primed     *lcc.Primed[E]
 	primedIdx  []int
 	primedSusp []int
+	// fallbacks counts the decodes that ran the full decoder: the primed
+	// check refused, or the layout was ineligible for one.
+	fallbacks int
 
 	// Round-to-round scratch: steady-state rounds reuse these instead of
 	// allocating. cmdScratch holds the node's coded commands for the whole
@@ -237,6 +240,7 @@ func (s *stepCore[E]) absorb() (*nodeDecode[E], error) {
 		}
 	}
 	if dec == nil {
+		s.fallbacks++
 		full, err := s.code.DecodeOutputsSubset(indices, results, s.tr.Degree())
 		if err != nil {
 			return nil, fmt.Errorf("csm: node %d decode: %w", s.id, err)
