@@ -434,6 +434,10 @@ func New[E comparable](cfg Config[E]) (*Cluster[E], error) {
 			behavior: cfg.Byzantine[i],
 		}
 		c.nodes[i].codedState = codedStates[i]
+		// Each node's randomized decode check draws from its own stream of
+		// Config.Seed (see stepCore.absorb), so seeded runs repeat exactly;
+		// the liars' draws from c.rng are left alone.
+		c.nodes[i].randomized, c.nodes[i].secret = true, cfg.Seed
 		if c.nodes[i].behavior == Crashed {
 			// Born crashed: unreachable and without a share until repaired.
 			if err := net.SetDown(transport.NodeID(i), true); err != nil {

@@ -36,23 +36,27 @@ func roundOps(t *testing.T, c *Cluster[uint64], rounds int) []uint64 {
 
 // TestRoundOpCountGuard is the exact-count guard on the decode path at the
 // csmload sim-honest shape (N=64, K=22, b=21, Bank, B=1). Counts are exact
-// on any host, so every round is pinned: the steady honest round (358 912;
-// round 0 also builds the shared verified-subset check) and the 21-liar
-// round once suspects are learned (242 404; rounds 0 and 1 pay the
-// first detection's full decode and the re-priming). Round 0 of the
-// 21-liar run cost 2 114 802 while the full decoder re-ran the refused
-// verified-subset check before Gao. Before the
-// verified-subset check an honest round cost 2.02 M operations (one
-// 64-point interpolation and re-evaluation per node per component). Round
-// 1 of the 21-liar run, where every honest node first meets the liars,
-// cost 2 524 548 while the full decoder interpolated and re-evaluated on
-// the subproduct tree and carried the EEA's unused cofactor u. A
-// kernel change that only regroups the same arithmetic — a K-term linear
-// combination charged in one call instead of K — must leave every figure
-// where it is.
+// on any host, so every round is pinned. Honest: round 0 builds the shared
+// verified-subset check and decodes with it exactly; round 1, each node's
+// second decode on that check, forms its randomized rule (42 × 22
+// multiply-adds per node) and uses it; from round 2 each component costs
+// two dot products and the K outputs' prediction (144 128). 21 liars:
+// rounds 0 and 1 pay the first detection's full decode and the exact
+// re-primed check, round 2 forms the rule, and the steady round predicts
+// only the 21 suspected rows one by one (172 142). While every rest row
+// was predicted one by one the steady rounds cost 358 912 and 242 404.
+// Round 0 of the 21-liar run cost 2 114 802 while the full decoder re-ran
+// the refused verified-subset check before Gao. Before the verified-subset
+// check an honest round cost 2.02 M operations (one 64-point
+// interpolation and re-evaluation per node per component). Round 1 of the
+// 21-liar run, where every honest node first meets the liars, cost
+// 2 524 548 while the full decoder interpolated and re-evaluated on the
+// subproduct tree and carried the EEA's unused cofactor u. A kernel change
+// that only regroups the same arithmetic — a K-term linear combination
+// charged in one call instead of K — must leave every figure where it is.
 func TestRoundOpCountGuard(t *testing.T) {
-	pinnedHonest := []uint64{369_908, 358_912, 358_912}
-	pinnedByz := []uint64{1_996_466, 715_232, 242_404, 242_404}
+	pinnedHonest := []uint64{369_908, 262_400, 144_128}
+	pinnedByz := []uint64{1_996_466, 715_232, 211_874, 172_142}
 	honest := roundOps(t, newCluster(t, baseConfig(22, 64, 21)), 3)
 	cfg := baseConfig(22, 64, 21)
 	cfg.Byzantine = map[int]Behavior{}
@@ -79,9 +83,10 @@ func TestRoundOpCountGuard(t *testing.T) {
 // which this round builds but does not decode on, gained its dense tables
 // (+28 321), and 3 819 412 while the full decoder built and ran the
 // erasure layout's verified-subset check a second time after the primed
-// one had refused.
+// one had refused. Round 2, which forms each node's randomized rule, cost
+// 231 130 while every rest row was predicted one by one.
 func TestErasureRoundOpCountGuard(t *testing.T) {
-	pinned := []uint64{3_253_532, 684_221, 231_130}
+	pinned := []uint64{3_253_532, 684_221, 200_600}
 	cfg := baseConfig(22, 64, 21)
 	cfg.Byzantine = map[int]Behavior{}
 	for i := 0; len(cfg.Byzantine) < 21; i++ {
@@ -101,11 +106,13 @@ func TestErasureRoundOpCountGuard(t *testing.T) {
 // crashed and nobody lies: every node decodes the 42 results it received,
 // an erasure layout whose radius is 10 < b. A node primes its check with
 // only as many spare unsuspected rows as that radius, so round 0 builds
-// the check and later rounds reuse it. While priming asked for b spare
-// rows the layout was ineligible and every round cost 476 532: the full
-// decoder built a check of its own each time.
+// the check and later rounds reuse it, round 1 forming the randomized
+// rule. While priming asked for b spare rows the layout was ineligible and
+// every round cost 476 532: the full decoder built a check of its own each
+// time. Rounds 1 and 2 cost 156 072 each while every rest row was
+// predicted one by one.
 func TestCrashedBeyondBudgetRoundOpCountGuard(t *testing.T) {
-	pinned := []uint64{476_532, 156_072, 156_072}
+	pinned := []uint64{476_532, 127_848, 90_888}
 	cfg := baseConfig(22, 64, 21)
 	cfg.Byzantine = map[int]Behavior{}
 	for i := 0; len(cfg.Byzantine) < 22; i++ {
@@ -325,7 +332,7 @@ func BenchmarkByzantineSetup(b *testing.B) {
 // [136170 119676 93276] and [144942 133112 124304]; it now decodes on the
 // result code the cluster builds at construction.
 func TestDelegatedRoundCountGuard(t *testing.T) {
-	const decentralised = 358_912 // TestRoundOpCountGuard's honest round
+	const decentralised = 144_128 // TestRoundOpCountGuard's steady honest round
 	liars := map[int]Behavior{}
 	for i := 0; len(liars) < 21; i++ {
 		liars[(i*5+2)%64] = WrongResult

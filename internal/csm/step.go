@@ -57,6 +57,13 @@ type stepCore[E comparable] struct {
 	// fallbacks counts the decodes that ran the full decoder: the primed
 	// check refused, or the layout was ineligible for one.
 	fallbacks int
+	// randomized says this node holds a private secret to seed each
+	// check it primes (lcc.Primed.Randomize) with; primings counts those
+	// checks, so each draws its coefficients from a stream of its own. A
+	// core without a secret keeps the exact check.
+	randomized bool
+	secret     uint64
+	primings   uint64
 
 	// Round-to-round scratch: steady-state rounds reuse these instead of
 	// allocating. cmdScratch holds the node's coded commands for the whole
@@ -224,6 +231,12 @@ func (s *stepCore[E]) absorb() (*nodeDecode[E], error) {
 		p, err := s.code.NewPrimed(indices, s.suspects, s.tr.Degree(), spare)
 		if err != nil {
 			return nil, fmt.Errorf("csm: node %d priming decode: %w", s.id, err)
+		}
+		if p != nil && s.randomized {
+			// The stream's top bit keeps it apart from the small stream
+			// constants the cluster's other generators use.
+			s.primings++
+			p.Randomize(s.secret, 1<<63|uint64(s.id)<<32|s.primings&(1<<32-1))
 		}
 		s.primed = p // may be nil: layout ineligible for the fast path
 		s.primedIdx = append(s.primedIdx[:0], indices...)

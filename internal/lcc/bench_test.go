@@ -79,35 +79,47 @@ func BenchmarkLCCDecode(b *testing.B) {
 
 // BenchmarkLCCDecodeHonest is the steady-state decode of an execution
 // step — every row clean, the primed verified-subset check certifies — at
-// the csmload sim-honest shape, bare and over the counting decorator.
-// BenchmarkLCCDecode times the full decoder that backs it.
+// the csmload sim-honest shape, bare and over the counting decorator, with
+// the exact check (seeded=false) and with the randomized accept rule a
+// seeded Primed forms on its second decode (seeded=true). BenchmarkLCCDecode
+// times the full decoder that backs it.
 func BenchmarkLCCDecodeHonest(b *testing.B) {
 	const k, n, l, degree = 22, 64, 2, 1
 	for _, counted := range []bool{false, true} {
-		b.Run(fmt.Sprintf("K=%d/N=%d/L=%d/counted=%v", k, n, l, counted), func(b *testing.B) {
-			var f field.Field[uint64] = field.NewGoldilocks()
-			if counted {
-				f = field.NewCounting(f)
-			}
-			code, err := New(poly.NewRing(f), k, n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results, err := code.EncodeVectors(benchValues(k, l))
-			if err != nil {
-				b.Fatal(err)
-			}
-			primed, err := code.NewPrimed(nil, nil, degree, SyncMaxFaults(n, k, degree))
-			if err != nil || primed == nil {
-				b.Fatalf("priming failed: %v", err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok, err := primed.Decode(results, 1); err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
+		for _, seeded := range []bool{false, true} {
+			b.Run(fmt.Sprintf("K=%d/N=%d/L=%d/counted=%v/seeded=%v", k, n, l, counted, seeded), func(b *testing.B) {
+				var f field.Field[uint64] = field.NewGoldilocks()
+				if counted {
+					f = field.NewCounting(f)
 				}
-			}
-		})
+				code, err := New(poly.NewRing(f), k, n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				results, err := code.EncodeVectors(benchValues(k, l))
+				if err != nil {
+					b.Fatal(err)
+				}
+				primed, err := code.NewPrimed(nil, nil, degree, SyncMaxFaults(n, k, degree))
+				if err != nil || primed == nil {
+					b.Fatalf("priming failed: %v", err)
+				}
+				if seeded {
+					primed.Randomize(1, 2)
+				}
+				for range 2 { // the second decode forms the randomized rule
+					if _, ok, err := primed.Decode(results, 1); err != nil || !ok {
+						b.Fatalf("ok=%v err=%v", ok, err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, ok, err := primed.Decode(results, 1); err != nil || !ok {
+						b.Fatalf("ok=%v err=%v", ok, err)
+					}
+				}
+			})
+		}
 	}
 }

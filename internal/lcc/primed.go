@@ -2,9 +2,11 @@ package lcc
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sync/atomic"
 
+	"codedsm/internal/field"
 	"codedsm/internal/pool"
 )
 
@@ -39,6 +41,21 @@ import (
 // only ever make the count exceed the radius, in which case the check
 // refuses and the caller runs the full decoder, which stays the authority
 // on everything the check cannot certify (including ErrTooManyErrors).
+//
+// A Primed seeded by Randomize trades that certainty for speed on its
+// unsuspected rest rows (see freivalds): it compares one secret random
+// combination of them with the same combination of their predictions, and
+// counts them as matching when the two agree. Where they do not all match,
+// the combinations agree for at most one r in |F|, so the decode's
+// outputs and FaultyNodes differ from the full decoder's only with
+// probability at most 1/|F| per component per Decode (2^-63 or less: the
+// rule runs only over fields of more than 2^63 elements). The bound needs
+// r to be secret: senders that learned it could aim an error at its
+// hyperplane. r is reused across a Primed's decodes, and a sender that
+// sees which of its errors were refused learns only that r avoids those
+// errors' hyperplanes, one hyperplane per refusal, which leaves the
+// bound at 1/(|F|-q) after q refusals. Every disagreement falls back to
+// the exact check above, which keeps its guarantee unchanged.
 type subsetCheck[E comparable] struct {
 	indices []int // node index per received row; nil means the full 0..N-1
 	rows    int
@@ -54,11 +71,13 @@ type subsetCheck[E comparable] struct {
 
 // checkScratch is the reusable working memory of one verify caller:
 // per-worker prediction vectors, gathered trusted values and mismatch
-// masks.
+// masks, and the randomized rule's row views and its two combinations.
 type checkScratch[E comparable] struct {
-	pred  []E
-	coefs []E
-	bad   []bool
+	pred     []E
+	coefs    []E
+	bad      []bool
+	terms    [][]E
+	lhs, rhs []E
 }
 
 // checkFor returns NewPrimed's verified-subset check for a received-row
@@ -127,20 +146,25 @@ func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare i
 }
 
 // verify decodes the received rows' l components with the check, reading
-// component j's word as results[r][j]. ok is false when some component's
-// candidate misses more than radius rows; the words are then for the full
-// decoder. On ok the result is exactly the full decoder's (see the
-// soundness argument on subsetCheck).
-func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *checkScratch[E]) (*DecodeResult[E], bool) {
-	k, nr, dim := len(c.omegas), len(s.rest), len(s.trusted)
+// component j's word as results[r][j]. It predicts the rest rows named by
+// rows (row positions, ascending) and then the K outputs with m, their
+// (len(rows)+K) x dim matrix of predictions: s.rest and s.predict for the
+// exact check, the suspected rows alone once the randomized rule has
+// vouched for the others. ok is false when some component's
+// candidate misses more than radius of those rows; the words are then for
+// the full decoder. On ok with every rest row predicted the result is
+// exactly the full decoder's (see the soundness argument on subsetCheck).
+func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *checkScratch[E], rows []int, m []E) (*DecodeResult[E], bool) {
+	k, nr, dim := len(c.omegas), len(rows), len(s.trusted)
 	z := nr + k
 	nw := pool.Clamp(workers, l)
-	if len(sc.pred) != nw*z || len(sc.coefs) != nw*dim {
+	if cap(sc.pred) < nw*z || cap(sc.coefs) < nw*dim || cap(sc.bad) < nw*nr {
 		sc.pred = make([]E, nw*z)
 		sc.coefs = make([]E, nw*dim)
 		sc.bad = make([]bool, nw*nr)
 	}
-	clear(sc.bad)
+	bads := sc.bad[:nw*nr]
+	clear(bads)
 	outputs := flatOutputs[E](k, l)
 	var refused atomic.Bool
 	_ = pool.RunIndexed(workers, l, func(worker, j int) error {
@@ -149,13 +173,13 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *c
 		}
 		pred := sc.pred[worker*z : (worker+1)*z]
 		coefs := sc.coefs[worker*dim : (worker+1)*dim]
-		bad := sc.bad[worker*nr : (worker+1)*nr]
+		bad := bads[worker*nr : (worker+1)*nr]
 		for t, r := range s.trusted {
 			coefs[t] = results[r][j]
 		}
-		c.bulk.MatVec(pred, s.predict, coefs)
+		c.bulk.MatVec(pred, m, coefs)
 		misses := 0
-		for i, r := range s.rest {
+		for i, r := range rows {
 			if !c.f.Equal(pred[i], results[r][j]) {
 				bad[i] = true
 				misses++
@@ -173,23 +197,127 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *c
 	if refused.Load() {
 		return nil, false
 	}
-	missed, misses := sc.bad[:nr], 0
+	missed, misses := bads[:nr], 0
 	for i := range missed {
 		for w := 1; w < nw && !missed[i]; w++ {
-			missed[i] = sc.bad[w*nr+i]
+			missed[i] = bads[w*nr+i]
 		}
 		if missed[i] {
 			misses++
 		}
 	}
 	faulty := make([]int, 0, misses)
-	for i, r := range s.rest {
+	for i, r := range rows {
 		if missed[i] {
 			faulty = append(faulty, nodeOf(s.indices, r))
 		}
 	}
 	slices.Sort(faulty) // a caller's indices need not be ascending
 	return &DecodeResult[E]{Outputs: outputs, FaultyNodes: faulty}, true
+}
+
+// freivalds is a Primed's randomized accept rule for its unsuspected rest
+// rows (Freivalds, IFIP 1977). Instead of predicting each of those clean
+// rows from the trusted values, it checks one secret random combination
+// of them: with r uniform over the clean rows and w = rᵀ·P_clean (P_clean
+// the clean rows' slice of the check's predictions), every clean row of
+// component j matches its prediction iff the error vector e_j = y_clean −
+// P_clean·coefs_j is zero, and w·coefs_j == r·y_clean iff r·e_j = 0. A
+// nonzero e_j passes for at most one r in |F| (a hyperplane). So the rule
+// costs dim + clean multiply-adds per component instead of clean × dim,
+// and the suspected rows, which the radius lets mismatch, are still
+// predicted one by one, so the faulty list stays exact.
+type freivalds[E comparable] struct {
+	clean   []int // the unsuspected rest rows
+	r       []E   // the secret coefficients, one per clean row
+	w       []E   // rᵀ·P_clean, one per trusted row
+	suspect []int // the suspected rest rows, ascending
+	predict []E   // their rows of the check's predictions, then the K outputs'
+}
+
+// largeField reports whether f has more than 2^63 elements, read off its
+// canonical representation without a field operation: 2^63 is a canonical
+// value only in such a field.
+func largeField[E comparable](f field.Field[E]) bool {
+	return f.Uint64(f.FromUint64(1<<63)) == 1<<63
+}
+
+// newFreivalds builds the randomized rule for check s and the sorted
+// suspects, drawing r from a PCG seeded with seed. It returns nil, and the
+// Primed keeps the exact check, over a field of at most 2^63 elements,
+// where one draw would miss an error with probability above 2^-63, and
+// where the rule saves nothing: clean + dim ≥ clean × dim. Forming w is
+// its one counted cost, clean × dim multiply-adds, paid once.
+func newFreivalds[E comparable](c *Code[E], s *subsetCheck[E], suspects []int, seed [2]uint64) *freivalds[E] {
+	var cleanAt, suspectAt []int // positions in s.rest
+	for i, r := range s.rest {
+		if _, suspected := slices.BinarySearch(suspects, nodeOf(s.indices, r)); suspected {
+			suspectAt = append(suspectAt, i)
+		} else {
+			cleanAt = append(cleanAt, i)
+		}
+	}
+	nc, dim := len(cleanAt), len(s.trusted)
+	if !largeField(c.f) || nc+dim >= nc*dim {
+		return nil
+	}
+	rng := rand.New(rand.NewPCG(seed[0], seed[1]))
+	fr := &freivalds[E]{clean: make([]int, nc), r: make([]E, nc), w: make([]E, dim)}
+	cleanRows := make([][]E, nc)
+	for x, i := range cleanAt {
+		fr.clean[x] = s.rest[i]
+		fr.r[x] = c.f.Rand(rng)
+		cleanRows[x] = s.predict[i*dim : (i+1)*dim]
+	}
+	for t := range fr.w {
+		fr.w[t] = c.f.Zero()
+	}
+	c.bulk.LinCombAccVec(fr.w, fr.r, cleanRows)
+	tail := s.predict[len(s.rest)*dim:]
+	if len(suspectAt) == 0 {
+		fr.predict = tail // nothing to copy: the K output rows alone
+		return fr
+	}
+	fr.predict = make([]E, 0, len(suspectAt)*dim+len(tail))
+	for _, i := range suspectAt {
+		fr.suspect = append(fr.suspect, s.rest[i])
+		fr.predict = append(fr.predict, s.predict[i*dim:(i+1)*dim]...)
+	}
+	fr.predict = append(fr.predict, tail...)
+	return fr
+}
+
+// accepts reports whether, in every one of the l components, the trusted
+// values combined by w equal the clean rows combined by r. Both sides are
+// formed for all components at once, one LinCombAccVec over the rows
+// each: per component that is exactly the two dot products w·coefs and
+// r·y_clean.
+func (fr *freivalds[E]) accepts(c *Code[E], s *subsetCheck[E], results [][]E, l int, sc *checkScratch[E]) bool {
+	if cap(sc.lhs) < l {
+		sc.lhs, sc.rhs = make([]E, l), make([]E, l)
+	}
+	lhs, rhs := sc.lhs[:l], sc.rhs[:l]
+	zero := c.f.Zero()
+	for j := range lhs {
+		lhs[j], rhs[j] = zero, zero
+	}
+	terms := sc.terms[:0]
+	for _, r := range s.trusted {
+		terms = append(terms, results[r])
+	}
+	c.bulk.LinCombAccVec(lhs, fr.w, terms)
+	terms = terms[:0]
+	for _, r := range fr.clean {
+		terms = append(terms, results[r])
+	}
+	c.bulk.LinCombAccVec(rhs, fr.r, terms)
+	sc.terms = terms
+	for j := range lhs {
+		if !c.f.Equal(lhs[j], rhs[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Primed is the verified-subset check bound to one decoding node: a
@@ -200,9 +328,18 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *c
 // (Section 5.2's decoder runs once; later steps reuse its verdict) — and
 // never enters the soundness argument (see subsetCheck).
 type Primed[E comparable] struct {
-	code    *Code[E]
-	check   *subsetCheck[E]
-	scratch checkScratch[E]
+	code     *Code[E]
+	check    *subsetCheck[E]
+	suspects []int // sorted
+	scratch  checkScratch[E]
+	// The randomized accept rule (freivalds): seeded says Randomize
+	// supplied seed, decodes counts Decode calls, and rnd is the rule,
+	// built on the second Decode so that a layout used once pays exactly
+	// the exact check; it stays nil where the rule does not pay.
+	seeded  bool
+	seed    [2]uint64
+	decodes int
+	rnd     *freivalds[E]
 }
 
 // NewPrimed builds a primed decoder for the given received-row layout
@@ -227,7 +364,20 @@ func (c *Code[E]) NewPrimed(indices, suspects []int, degree, maxFaults int) (*Pr
 	if err != nil || check == nil {
 		return nil, err
 	}
-	return &Primed[E]{code: c, check: check}, nil
+	return &Primed[E]{code: c, check: check, suspects: suspects}, nil
+}
+
+// Randomize gives the decoder a secret seed for the randomized accept rule
+// (see freivalds): from its second Decode on, over a field of more than
+// 2^63 elements and where it saves work, the unsuspected rest rows are
+// accepted by one secret random combination per component instead of a
+// prediction each. A refused combination runs the exact check, so a
+// randomized Primed returns what an unseeded one returns except with
+// probability at most 1/|F| per component per Decode. The seed must be
+// private to the decoding node: senders that learn r can aim an error at
+// its hyperplane. An unseeded Primed is the exact check.
+func (p *Primed[E]) Randomize(seed1, seed2 uint64) {
+	p.seeded, p.seed = true, [2]uint64{seed1, seed2}
 }
 
 // Decode attempts the verified-subset check on a received results matrix
@@ -235,19 +385,29 @@ func (c *Code[E]) NewPrimed(indices, suspects []int, degree, maxFaults int) (*Pr
 // means some component could not be certified (a trusted row lied, or the
 // word is beyond the code's radius) and the caller must run the full
 // decoder; the returned result is nil in that case. On ok=true the decode
-// is exactly what the full decoder would have produced, FaultyNodes
-// included (a suspect that sent a clean value this step is not accused).
-// The rows are read in place and never written.
+// is what the full decoder would have produced, FaultyNodes included (a
+// suspect that sent a clean value this step is not accused) — exactly so
+// for an unseeded Primed, and but for the randomized rule's error
+// probability for a seeded one (see Randomize). The rows are read in
+// place and never written.
 //
 // A Primed belongs to one decoding node: Decode reuses internal scratch
 // and must not be called concurrently on the same instance (the component
 // fan-out inside one call is fine).
 func (p *Primed[E]) Decode(results [][]E, workers int) (*DecodeResult[E], bool, error) {
-	rows := p.check.rows
-	l, err := p.code.vectorLen(results, rows)
+	s := p.check
+	l, err := p.code.vectorLen(results, s.rows)
 	if err != nil {
 		return nil, false, err
 	}
-	res, ok := p.check.verify(p.code, results, l, workers, &p.scratch)
+	if p.decodes++; p.decodes == 2 && p.seeded {
+		p.rnd = newFreivalds(p.code, s, p.suspects, p.seed)
+	}
+	if p.rnd != nil && p.rnd.accepts(p.code, s, results, l, &p.scratch) {
+		if res, ok := s.verify(p.code, results, l, workers, &p.scratch, p.rnd.suspect, p.rnd.predict); ok {
+			return res, true, nil
+		}
+	}
+	res, ok := s.verify(p.code, results, l, workers, &p.scratch, s.rest, s.predict)
 	return res, ok, nil
 }

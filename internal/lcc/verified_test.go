@@ -199,6 +199,72 @@ func TestVerifiedCheckIntermittentLiarKeepsCertifying(t *testing.T) {
 	}
 }
 
+// TestRandomizedRuleCatchesEveryLie holds a seeded Primed's randomized
+// accept rule to its soundness claim over 1 000 secrets each: a lie the
+// exact check sees is never accepted by the secret random combination. The
+// code is K=4, N=20, d=1 (dim 4, radius 8); node 19 is suspected and lies
+// every step, so the rule vouches for the other 15 rest rows and the
+// suspect is predicted one by one. A lone corrupted unsuspected rest row
+// must make the combination disagree, so the exact check runs and names
+// it; a lying trusted row must make it disagree too, and the exact check
+// then refuses the word.
+func TestRandomizedRuleCatchesEveryLie(t *testing.T) {
+	const k, n, d, l, suspect, secrets = 4, 20, 1, 2, 19, 1000
+	code := newTestCode(t, k, n)
+	gold := field.NewGoldilocks()
+	dim := code.ResultDim(d)
+	for _, tc := range []struct {
+		name  string
+		liar  func(secret uint64) int
+		names bool // the exact check certifies the word and names the liar
+	}{
+		{"lone unsuspected rest row", func(secret uint64) int { return dim + int(secret%uint64(n-dim-1)) }, true},
+		{"lying trusted row", func(secret uint64) int { return int(secret % uint64(dim)) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := randv2.New(randv2.NewPCG(9, 10))
+			for secret := uint64(0); secret < secrets; secret++ {
+				primed, err := code.NewPrimed(nil, []int{suspect}, d, 0)
+				if err != nil || primed == nil {
+					t.Fatalf("priming failed: %v", err)
+				}
+				primed.Randomize(secret, 11)
+				clean := codeword(code, r, dim, l)
+				lie(gold, r, clean[suspect], 0)
+				for range 2 { // the second decode forms the rule
+					if _, ok, err := primed.Decode(clean, 1); err != nil || !ok {
+						t.Fatalf("secret %d: clean word refused: ok=%v err=%v", secret, ok, err)
+					}
+				}
+				if primed.rnd == nil || len(primed.rnd.suspect) != 1 {
+					t.Fatalf("secret %d: no randomized rule over the 15 unsuspected rest rows", secret)
+				}
+				liar := tc.liar(secret)
+				results := codeword(code, r, dim, l)
+				lie(gold, r, results[suspect], 1)
+				lie(gold, r, results[liar], int(secret%l))
+				if primed.rnd.accepts(code, primed.check, results, l, &primed.scratch) {
+					t.Fatalf("secret %d: the random combination accepted row %d's lie", secret, liar)
+				}
+				got, ok, err := primed.Decode(results, 1)
+				if err != nil || ok != tc.names {
+					t.Fatalf("secret %d, liar %d: ok=%v err=%v, want ok=%v", secret, liar, ok, err, tc.names)
+				}
+				if !ok {
+					continue
+				}
+				want, err := gaoDecode(code, nil, results, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameDecode(gold, got, want) || !slices.Equal(got.FaultyNodes, []int{liar, suspect}) {
+					t.Fatalf("secret %d, liar %d: decode %+v, rs.Decode gives %+v", secret, liar, got, want)
+				}
+			}
+		})
+	}
+}
+
 // decodeCase is one random received word for the differential test.
 type decodeCase struct {
 	field   int // 0 Goldilocks, 1 GF(2^8), 2 GF(2^8) behind the generic bulk adapter
