@@ -395,12 +395,15 @@ func TestIntermittentLiarForcesOneFallback(t *testing.T) {
 		return nil
 	}
 	c := newCluster(t, cfg)
+	total := func() (sum int) {
+		for _, n := range c.nodes {
+			sum += n.fallbacks
+		}
+		return sum
+	}
 	fallbacks := make([]int, rounds)
 	for r, cmds := range RandomWorkload[uint64](gold, rounds, c.cfg.K, c.tr.CmdLen(), 7) {
-		before := 0
-		for _, n := range c.nodes {
-			before += n.fallbacks
-		}
+		before := total()
 		res, err := c.ExecuteRound(cmds)
 		if err != nil {
 			t.Fatal(err)
@@ -408,10 +411,7 @@ func TestIntermittentLiarForcesOneFallback(t *testing.T) {
 		if !res.Correct {
 			t.Fatalf("round %d incorrect", r)
 		}
-		for _, n := range c.nodes {
-			fallbacks[r] += n.fallbacks
-		}
-		fallbacks[r] -= before
+		fallbacks[r] = total() - before
 	}
 	t.Logf("full-decoder fallbacks per round: %v", fallbacks)
 	if !slices.Equal(fallbacks[:len(pinned)], pinned) {

@@ -375,7 +375,8 @@ func (c *Code[E]) NewPrimed(indices, suspects []int, degree, maxFaults int) (*Pr
 // randomized Primed returns what an unseeded one returns except with
 // probability at most 1/|F| per component per Decode. The seed must be
 // private to the decoding node: senders that learn r can aim an error at
-// its hyperplane. An unseeded Primed is the exact check.
+// its hyperplane. Call it before the second Decode; an unseeded Primed is
+// the exact check.
 func (p *Primed[E]) Randomize(seed1, seed2 uint64) {
 	p.seeded, p.seed = true, [2]uint64{seed1, seed2}
 }
