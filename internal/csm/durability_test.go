@@ -296,6 +296,45 @@ func TestNodeStoreIgnoresLegacyBatchRecords(t *testing.T) {
 	}
 }
 
+// TestNodeStoreRefusesOldVersion: a data directory written under format
+// version 1 holds shares of the pre-systematic code, which would restore
+// as wrong machine states. Opening a node store over its segment, or over
+// its snapshot, must fail with wal.ErrBadHeader.
+func TestNodeStoreRefusesOldVersion(t *testing.T) {
+	downgrade := func(path string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[6] = '1' // the version byte of wal.Magic and of the snapshot magic
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segDir, snapDir := t.TempDir(), t.TempDir()
+	s, err := openNodeStore(DurabilityConfig{Dir: segDir}, PBFT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.appendApplied(0, []uint64{10}, []byte{0}, [][]uint64{{1}, {2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.close(); err != nil {
+		t.Fatal(err)
+	}
+	downgrade(filepath.Join(segDir, wal.SegmentName(0)))
+	if err := wal.WriteSnapshot(snapDir, 1, []byte("a node snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	downgrade(filepath.Join(snapDir, wal.SnapshotName(1)))
+	for _, dir := range []string{segDir, snapDir} {
+		if _, err := openNodeStore(DurabilityConfig{Dir: dir}, PBFT); !errors.Is(err, wal.ErrBadHeader) {
+			t.Errorf("version-1 %s: openNodeStore err = %v, want wal.ErrBadHeader", dir, err)
+		}
+	}
+}
+
 // FuzzNodeStoreRecord feeds arbitrary bytes to the node store's two disk
 // parsers, an applied record (absorbRecord) and a node snapshot
 // (parseNodeSnapshot). Neither may panic; neither may allocate more than

@@ -24,8 +24,12 @@ import (
 // A snapshot is written to a .tmp sibling, fsynced, renamed into place,
 // and the directory fsynced — so a crash leaves either the old set or
 // the old set plus one complete new file, never a half-written .snap.
-
-var snapMagic = [8]byte{'C', 'S', 'M', 'S', 'N', 'P', '1', '\n'}
+//
+// snapMagic's byte before the newline versions the format with Magic's.
+// A snapshot of another version is refused with ErrBadHeader rather than
+// skipped: skipping it would cold-start the node over state it cannot
+// read.
+var snapMagic = [8]byte{'C', 'S', 'M', 'S', 'N', 'P', '2', '\n'}
 
 const snapHdrLen = 8 + 8 + 4 + 4
 
@@ -111,7 +115,8 @@ func WriteSnapshot(dir string, seq uint64, payload []byte) error {
 
 // LoadSnapshot returns the newest valid snapshot in dir. Torn, corrupt,
 // or foreign files are skipped so a crash mid-rotation falls back to
-// the previous generation; ErrNoSnapshot means a cold start.
+// the previous generation; ErrNoSnapshot means a cold start. Reaching a
+// snapshot of another format version returns ErrBadHeader.
 func LoadSnapshot(dir string) (seq uint64, payload []byte, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -125,33 +130,39 @@ func LoadSnapshot(dir string) (seq uint64, payload []byte, err error) {
 	}
 	sort.Strings(names) // fixed-width hex: lexical == numeric
 	for i := len(names) - 1; i >= 0; i-- {
-		s, p, ok := readSnapshot(filepath.Join(dir, names[i]))
-		if ok {
-			return s, p, nil
+		s, p, ok, err := readSnapshot(filepath.Join(dir, names[i]))
+		if ok || err != nil {
+			return s, p, err
 		}
 	}
 	return 0, nil, ErrNoSnapshot
 }
 
-func readSnapshot(path string) (seq uint64, payload []byte, ok bool) {
+// readSnapshot parses one snapshot file. ok=false with a nil error means
+// a torn, corrupt or foreign file; ErrBadHeader an intact header of
+// another format version.
+func readSnapshot(path string) (seq uint64, payload []byte, ok bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil || len(data) < snapHdrLen {
-		return 0, nil, false
+		return 0, nil, false, nil
 	}
-	if [8]byte(data[:8]) != snapMagic {
-		return 0, nil, false
+	if hdr := [8]byte(data[:8]); hdr != snapMagic {
+		if [6]byte(hdr[:6]) == [6]byte(snapMagic[:6]) && hdr[7] == snapMagic[7] {
+			return 0, nil, false, fmt.Errorf("%w: snapshot %s has format version %q, want %q", ErrBadHeader, path, hdr[6], snapMagic[6])
+		}
+		return 0, nil, false, nil
 	}
 	seq = binary.LittleEndian.Uint64(data[8:16])
 	n := binary.LittleEndian.Uint32(data[16:20])
 	sum := binary.LittleEndian.Uint32(data[20:24])
 	if n > MaxSnapshot || int64(len(data)) != int64(snapHdrLen)+int64(n) {
-		return 0, nil, false
+		return 0, nil, false, nil
 	}
 	payload = data[snapHdrLen:]
 	if crc32.Checksum(payload, castagnoli) != sum {
-		return 0, nil, false
+		return 0, nil, false, nil
 	}
-	return seq, payload, true
+	return seq, payload, true, nil
 }
 
 // pruneGenerations removes snapshots and WAL segments older than

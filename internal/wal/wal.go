@@ -30,9 +30,12 @@ import (
 	"path/filepath"
 )
 
-// Magic prefixes a WAL segment file. The trailing byte versions the
-// format; bumping it invalidates old segments.
-var Magic = [8]byte{'C', 'S', 'M', 'W', 'A', 'L', '1', '\n'}
+// Magic prefixes a WAL segment file. The byte before the newline
+// versions the format; bumping it invalidates old segments. Version 2
+// marks shares coded over lcc.New's systematic points: a version-1
+// share of node i is the coded state at what is now node i+K's point,
+// so it would restore as wrong machine states instead of failing.
+var Magic = [8]byte{'C', 'S', 'M', 'W', 'A', 'L', '2', '\n'}
 
 const (
 	headerLen    = 8 // len(Magic)

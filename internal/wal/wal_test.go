@@ -113,6 +113,38 @@ func TestForeignFileRejected(t *testing.T) {
 	}
 }
 
+// TestOldVersionRefused: a segment and a snapshot written under format
+// version 1 (shares coded over the pre-systematic points) must not be
+// read. Open and LoadSnapshot both refuse them with ErrBadHeader; a
+// version-1 snapshot is not skipped as a corrupt one would be.
+func TestOldVersionRefused(t *testing.T) {
+	dir := t.TempDir()
+	old := Magic
+	old[6] = '1'
+	seg := filepath.Join(dir, SegmentName(0))
+	if err := os.WriteFile(seg, append(old[:], encRecord(1, []byte("old share"))...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(seg, SyncAlways); !errors.Is(err, ErrBadHeader) {
+		t.Fatalf("Open on a version-1 segment: err = %v, want ErrBadHeader", err)
+	}
+	if err := WriteSnapshot(dir, 1, []byte("gen-one")); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, SnapshotName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[6] = '1'
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadSnapshot(dir); !errors.Is(err, ErrBadHeader) {
+		t.Fatalf("LoadSnapshot over a version-1 snapshot: err = %v, want ErrBadHeader", err)
+	}
+}
+
 func TestRecordSizeCap(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := mustOpen(t, path)
