@@ -40,11 +40,15 @@ func roundOps(t *testing.T, c *Cluster[uint64], rounds int) []uint64 {
 // verified-subset check and decodes with it exactly; round 1, each node's
 // second decode on that check, forms its randomized rule (42 × 22
 // multiply-adds per node) and uses it; from round 2 each component costs
-// two dot products and the K outputs' prediction (144 128). 21 liars:
-// rounds 0 and 1 pay the first detection's full decode and the exact
-// re-primed check, round 2 forms the rule, and the steady round predicts
-// only the 21 suspected rows one by one (172 142). While every rest row
-// was predicted one by one the steady rounds cost 358 912 and 242 404.
+// two dot products, and the K outputs are the trusted systematic rows
+// themselves (23 040). 21 liars: rounds 0 and 1 pay the first detection's
+// full decode and the exact re-primed check, round 2 forms the rule, and
+// the steady round predicts only the 21 suspected rows one by one, four
+// of which (nodes 2, 7, 12, 17) are the outputs of their machines
+// (90 786). While the K outputs were predicted from disjoint points the
+// rounds cost [369 908, 262 400, 144 128] and [1 996 466, 715 232,
+// 211 874, 172 142]; while every rest row was predicted one by one the
+// steady rounds cost 358 912 and 242 404.
 // Round 0 of the 21-liar run cost 2 114 802 while the full decoder re-ran
 // the refused verified-subset check before Gao. Before the verified-subset
 // check an honest round cost 2.02 M operations (one 64-point
@@ -55,8 +59,8 @@ func roundOps(t *testing.T, c *Cluster[uint64], rounds int) []uint64 {
 // that only regroups the same arithmetic — a K-term linear combination
 // charged in one call instead of K — must leave every figure where it is.
 func TestRoundOpCountGuard(t *testing.T) {
-	pinnedHonest := []uint64{369_908, 262_400, 144_128}
-	pinnedByz := []uint64{1_996_466, 715_232, 211_874, 172_142}
+	pinnedHonest := []uint64{245_454, 141_312, 23_040}
+	pinnedByz := []uint64{1_952_350, 489_138, 130_518, 90_786}
 	honest := roundOps(t, newCluster(t, baseConfig(22, 64, 21)), 3)
 	cfg := baseConfig(22, 64, 21)
 	cfg.Byzantine = map[int]Behavior{}
@@ -84,9 +88,11 @@ func TestRoundOpCountGuard(t *testing.T) {
 // (+28 321), and 3 819 412 while the full decoder built and ran the
 // erasure layout's verified-subset check a second time after the primed
 // one had refused. Round 2, which forms each node's randomized rule, cost
-// 231 130 while every rest row was predicted one by one.
+// 231 130 while every rest row was predicted one by one. While the K
+// outputs were predicted from disjoint points the rounds cost
+// [3 253 532, 684 221, 200 600].
 func TestErasureRoundOpCountGuard(t *testing.T) {
-	pinned := []uint64{3_253_532, 684_221, 200_600}
+	pinned := []uint64{3_087_738, 488_958, 130_338}
 	cfg := baseConfig(22, 64, 21)
 	cfg.Byzantine = map[int]Behavior{}
 	for i := 0; len(cfg.Byzantine) < 21; i++ {
@@ -110,9 +116,10 @@ func TestErasureRoundOpCountGuard(t *testing.T) {
 // rule. While priming asked for b spare rows the layout was ineligible and
 // every round cost 476 532: the full decoder built a check of its own each
 // time. Rounds 1 and 2 cost 156 072 each while every rest row was
-// predicted one by one.
+// predicted one by one, and the rounds [476 532, 127 848, 90 888] while
+// the K outputs were predicted from disjoint points.
 func TestCrashedBeyondBudgetRoundOpCountGuard(t *testing.T) {
-	pinned := []uint64{476_532, 127_848, 90_888}
+	pinned := []uint64{336_000, 77_280, 40_320}
 	cfg := baseConfig(22, 64, 21)
 	cfg.Byzantine = map[int]Behavior{}
 	for i := 0; len(cfg.Byzantine) < 22; i++ {
@@ -332,7 +339,7 @@ func BenchmarkByzantineSetup(b *testing.B) {
 // [136170 119676 93276] and [144942 133112 124304]; it now decodes on the
 // result code the cluster builds at construction.
 func TestDelegatedRoundCountGuard(t *testing.T) {
-	const decentralised = 144_128 // TestRoundOpCountGuard's steady honest round
+	const decentralised = 23_040 // TestRoundOpCountGuard's steady honest round
 	liars := map[int]Behavior{}
 	for i := 0; len(liars) < 21; i++ {
 		liars[(i*5+2)%64] = WrongResult
@@ -615,7 +622,9 @@ func consDigest(t *testing.T, workload [][][]uint64) string {
 // and under PBFT with the WAL on — next to the digests every node must
 // share with Cluster.Run. Node 0 is the sequencer, and PBFT's view-0
 // leader: every round it sends one message of each phase and receives
-// the other three nodes' prepares, commits and results.
+// the other three nodes' prepares, commits and results. While the K=2
+// outputs were predicted from disjoint points node 0 counted
+// [304 48 48 48 48 48].
 func TestProcessRoundCountGuard(t *testing.T) {
 	workload := RandomWorkload[uint64](gold, 6, consK, 1, consSeed)
 	want := consDigest(t, workload)
@@ -626,9 +635,9 @@ func TestProcessRoundCountGuard(t *testing.T) {
 		msgs       msgCounts // every round
 		walRecords int
 	}{
-		{run: processRun{kind: Oracle}, ops: []uint64{304, 48, 48, 48, 48, 48}, ticks: []int{2, 2, 2, 2, 2, 2},
+		{run: processRun{kind: Oracle}, ops: []uint64{266, 36, 36, 36, 36, 36}, ticks: []int{2, 2, 2, 2, 2, 2},
 			msgs: msgCounts{sent: [4]int{0, 0, 0, 1}, recv: [4]int{0, 0, 0, 3}}},
-		{run: processRun{kind: PBFT, durable: true}, ops: []uint64{304, 48, 48, 48, 48, 48}, ticks: []int{2, 2, 2, 2, 2, 2},
+		{run: processRun{kind: PBFT, durable: true}, ops: []uint64{266, 36, 36, 36, 36, 36}, ticks: []int{2, 2, 2, 2, 2, 2},
 			msgs: msgCounts{sent: [4]int{1, 1, 1, 1}, recv: [4]int{0, 3, 3, 3}}, walRecords: 6},
 	} {
 		got := runProcesses(t, tc.run, workload)

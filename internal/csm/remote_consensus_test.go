@@ -32,10 +32,9 @@ func consTransition(f field.Field[uint64]) (*sm.Transition[uint64], error) {
 	return sm.NewPolynomialRegister(f, 1)
 }
 
-// consOracleOutputs runs the consensus fixture's workload on the
-// simulated Oracle cluster — the deterministic reference every
-// consensus mode must reproduce bit-identically.
-func consOracleOutputs(t *testing.T, workload [][][]uint64) [][][]uint64 {
+// consOracleCluster builds the consensus fixture as a simulated Oracle
+// cluster.
+func consOracleCluster(t *testing.T) *Cluster[uint64] {
 	t.Helper()
 	c, err := New(Config[uint64]{
 		BaseField:     field.NewGoldilocks(),
@@ -50,7 +49,15 @@ func consOracleOutputs(t *testing.T, workload [][][]uint64) [][][]uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := c.Run(workload)
+	return c
+}
+
+// consOracleOutputs runs the consensus fixture's workload on the
+// simulated Oracle cluster — the deterministic reference every
+// consensus mode must reproduce bit-identically.
+func consOracleOutputs(t *testing.T, workload [][][]uint64) [][][]uint64 {
+	t.Helper()
+	results, err := consOracleCluster(t).Run(workload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package csm
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"codedsm/internal/field"
@@ -138,5 +139,36 @@ func TestStateHandoffValidation(t *testing.T) {
 	}
 	if err := c.AdoptMachineState(-1, []uint64{1}); err == nil {
 		t.Error("negative machine index should fail")
+	}
+}
+
+// TestSystematicShares: lcc.New's points are systematic (ω_k = α_k for
+// k < K), so after any number of rounds node k's coded state is machine
+// k's plain state, on the simulated Cluster (a K=3 N=10 bank and the
+// consensus fixture) and on NodeProcess over local links.
+func TestSystematicShares(t *testing.T) {
+	bank := newCluster(t, baseConfig(3, 10, 3))
+	runRounds(t, bank, 4)
+	workload := RandomWorkload[uint64](gold, 4, consK, 1, consSeed)
+	fixture := consOracleCluster(t)
+	if _, err := fixture.Run(workload); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Cluster[uint64]{bank, fixture} {
+		for k, want := range c.OracleStates() {
+			got, err := c.NodeCodedState(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("K=%d N=%d Cluster node %d holds %v, machine %d's state is %v", c.cfg.K, c.cfg.N, k, got, k, want)
+			}
+		}
+	}
+	procs := runProcesses(t, processRun{kind: Oracle}, workload).procs
+	for k, want := range fixture.OracleStates() {
+		if got := procs[k].core.codedState; !slices.Equal(got, want) {
+			t.Errorf("NodeProcess %d holds %v, machine %d's state is %v", k, got, k, want)
+		}
 	}
 }

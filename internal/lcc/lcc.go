@@ -6,7 +6,11 @@
 // u_t(ω_k) = S_k(t) is evaluated at α_i to produce node i's coded state
 // S̃_i(t) = u_t(α_i) = Σ_k c_ik S_k(t) — a single state's worth of storage,
 // so γ_CSM = K (equation (7), Remark 4: the coefficients c_ik depend only on
-// the points, not on f or t).
+// the points, not on f or t). New picks systematic points, ω_k = α_k for
+// k < K (Yu et al., "Lagrange Coded Computing", AISTATS 2019): node k's
+// coefficient row is the unit row e_k, so it holds machine k's state in
+// the clear and its result h(α_k) is machine k's output. The code protects
+// integrity under Byzantine faults, not confidentiality.
 //
 // Coded Execution: each node encodes the agreed commands with the same
 // coefficients, X̃_i = v_t(α_i), computes g_i = f(S̃_i, X̃_i) = h(α_i) with
@@ -42,15 +46,19 @@ type Code[E comparable] struct {
 	omegaTree *poly.SubproductTree[E]
 	alphaTree *poly.SubproductTree[E]
 	coeffs    [][]E // N x K Lagrange coefficient matrix C = [c_ik]
+	omegaNode []int // per machine k, the node i with α_i = ω_k, or -1
 
 	mu          sync.Mutex // guards the two maps (nodes decode concurrently)
 	codesByDim  map[int]*rs.Code[E]
 	checksByDim map[int]*subsetCheck[E] // see checkFor
 }
 
-// New constructs the code for K machines on N nodes, choosing
-// ω_1..ω_K, α_1..α_N as the first K+N distinct field elements. It fails if
-// the field is too small (Appendix A: over GF(2^m) one needs 2^m ≥ N+K).
+// New constructs the systematic code for K machines on N nodes: node i's
+// point α_i is the i-th distinct field element and machine k's point is
+// ω_k = α_k (k < K), so nodes 0..K-1 hold their machines' states and
+// results in the clear and the verified-subset check reads those outputs
+// off their rows. It fails if the field is too small (Appendix A: over
+// GF(2^m) one needs 2^m ≥ N).
 func New[E comparable](ring *poly.Ring[E], k, n int) (*Code[E], error) {
 	if k < 1 {
 		return nil, fmt.Errorf("lcc: need at least one state machine, got K=%d", k)
@@ -58,31 +66,40 @@ func New[E comparable](ring *poly.Ring[E], k, n int) (*Code[E], error) {
 	if n < k {
 		return nil, fmt.Errorf("lcc: need N >= K, got N=%d < K=%d", n, k)
 	}
-	pts, err := ring.Field().Elements(k + n)
+	pts, err := ring.Field().Elements(n)
 	if err != nil {
-		return nil, fmt.Errorf("lcc: field too small for K+N=%d points: %w", k+n, err)
+		return nil, fmt.Errorf("lcc: field too small for N=%d points: %w", n, err)
 	}
-	return NewWithPoints(ring, pts[:k], pts[k:])
+	return NewWithPoints(ring, pts[:k], pts)
 }
 
-// NewWithPoints constructs the code over explicit points. All K+N points
-// must be pairwise distinct.
+// NewWithPoints constructs the code over explicit points. The omegas must
+// be pairwise distinct, and so must the alphas; an omega may equal an
+// alpha, and that node then holds its machine's value in the clear.
 func NewWithPoints[E comparable](ring *poly.Ring[E], omegas, alphas []E) (*Code[E], error) {
 	if len(omegas) == 0 || len(alphas) < len(omegas) {
 		return nil, fmt.Errorf("lcc: need 1 <= K <= N, got K=%d N=%d", len(omegas), len(alphas))
 	}
-	seen := make(map[E]bool, len(omegas)+len(alphas))
-	for _, p := range omegas {
-		if seen[p] {
+	machine := make(map[E]int, len(omegas))
+	for k, p := range omegas {
+		if _, dup := machine[p]; dup {
 			return nil, fmt.Errorf("lcc: duplicate interpolation point %v", p)
 		}
-		seen[p] = true
+		machine[p] = k
 	}
-	for _, p := range alphas {
+	omegaNode := make([]int, len(omegas))
+	for k := range omegaNode {
+		omegaNode[k] = -1
+	}
+	seen := make(map[E]bool, len(alphas))
+	for i, p := range alphas {
 		if seen[p] {
 			return nil, fmt.Errorf("lcc: duplicate interpolation point %v", p)
 		}
 		seen[p] = true
+		if k, ok := machine[p]; ok {
+			omegaNode[k] = i
+		}
 	}
 	c := &Code[E]{
 		ring:        ring,
@@ -90,6 +107,7 @@ func NewWithPoints[E comparable](ring *poly.Ring[E], omegas, alphas []E) (*Code[
 		bulk:        ring.Bulk(),
 		omegas:      append([]E(nil), omegas...),
 		alphas:      append([]E(nil), alphas...),
+		omegaNode:   omegaNode,
 		codesByDim:  make(map[int]*rs.Code[E]),
 		checksByDim: make(map[int]*subsetCheck[E]),
 	}
@@ -102,16 +120,40 @@ func NewWithPoints[E comparable](ring *poly.Ring[E], omegas, alphas []E) (*Code[
 }
 
 // buildCoeffs computes c_ik = prod_{l != k} (α_i - ω_l) / (ω_k - ω_l)
-// (equation (7)): row i is the omegas' Lagrange basis evaluated at α_i.
+// (equation (7)): row i is the omegas' Lagrange basis evaluated at α_i,
+// which at α_i = ω_k is the unit row e_k.
 func (c *Code[E]) buildCoeffs() error {
 	k, n := len(c.omegas), len(c.alphas)
-	flat, err := c.lagrangeMatrix(c.omegas, c.alphas)
+	unit := make([]int, n) // per node, 1 + the machine whose omega is its alpha
+	for m, i := range c.omegaNode {
+		if i >= 0 {
+			unit[i] = m + 1
+		}
+	}
+	var zs []E
+	for i, a := range c.alphas {
+		if unit[i] == 0 {
+			zs = append(zs, a)
+		}
+	}
+	basis, err := c.lagrangeMatrix(c.omegas, zs)
 	if err != nil {
 		return fmt.Errorf("lcc: coefficient matrix: %w", err)
 	}
+	flat := make([]E, n*k)
 	c.coeffs = make([][]E, n)
 	for i := range c.coeffs {
-		c.coeffs[i] = flat[i*k : (i+1)*k : (i+1)*k]
+		row := flat[i*k : (i+1)*k : (i+1)*k]
+		if unit[i] == 0 {
+			copy(row, basis[:k])
+			basis = basis[k:]
+		} else {
+			for m := range row {
+				row[m] = c.f.Zero()
+			}
+			row[unit[i]-1] = c.f.One()
+		}
+		c.coeffs[i] = row
 	}
 	return nil
 }

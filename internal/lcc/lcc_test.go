@@ -2,6 +2,7 @@ package lcc
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"codedsm/internal/field"
@@ -28,8 +29,17 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(ring, 6, 5); err == nil {
 		t.Error("N<K should fail")
 	}
-	if _, err := NewWithPoints(ring, []uint64{1, 2}, []uint64{2, 3, 4}); err == nil {
-		t.Error("alpha colliding with omega should fail")
+	// An alpha may equal an omega: node 0 sits at ω_1 = 2, so its
+	// coefficient row is e_1 and it encodes machine 1's value as is.
+	shared, err := NewWithPoints(ring, []uint64{1, 2}, []uint64{2, 3, 4})
+	if err != nil {
+		t.Fatalf("alpha equal to an omega: %v", err)
+	}
+	if row := shared.Coeffs()[0]; !slices.Equal(row, []uint64{0, 1}) {
+		t.Errorf("node at ω_1 has coefficient row %v, want e_1 = [0 1]", row)
+	}
+	if v, err := shared.EncodeAt([]uint64{7, 9}, 0); err != nil || v != 9 {
+		t.Errorf("EncodeAt at ω_1 = %d (%v), want machine 1's value 9", v, err)
 	}
 	if _, err := NewWithPoints(ring, []uint64{1, 1}, []uint64{3, 4, 5}); err == nil {
 		t.Error("duplicate omegas should fail")
@@ -49,11 +59,11 @@ func TestGF2mFieldTooSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := poly.NewRing[uint64](f)
-	if _, err := New(ring, 8, 10); err == nil {
-		t.Error("K+N=18 > 16 should fail — Appendix A requires 2^m >= N (+K here)")
+	if _, err := New(ring, 8, 17); err == nil {
+		t.Error("N=17 > 16 should fail — Appendix A requires 2^m >= N")
 	}
-	if _, err := New(ring, 4, 12); err != nil {
-		t.Errorf("K+N=16 should fit exactly: %v", err)
+	if _, err := New(ring, 8, 16); err != nil {
+		t.Errorf("N=16 should fit exactly (the omegas are the first K alphas): %v", err)
 	}
 }
 

@@ -16,12 +16,17 @@ import (
 // word is certified or refused once. The evaluation points are fixed, so
 // for one received-row layout and one choice of exactly dim = d(K-1)+1
 // "trusted" rows, the values of the degree-< dim polynomial through the
-// trusted rows at every other received row and at the K omegas are a
-// constant matrix times the trusted values. A decode is then, per vector
-// component, one MatVec of that matrix with the component's trusted
-// values, read in place from the received rows — no interpolation, no
-// subproduct tree, no error-locator solve — followed by a mismatch count
-// against the rows that were not trusted.
+// trusted rows at every other received row are a constant matrix times
+// the trusted values. A decode is then, per vector component, one MatVec
+// of that matrix with the component's trusted values, read in place from
+// the received rows — no interpolation, no subproduct tree, no
+// error-locator solve — followed by a mismatch count against the rows that
+// were not trusted. Each of the K outputs is the candidate's value at ω_k,
+// read where the check already holds it: a trusted row at ω_k is the value
+// itself, a predicted rest row at ω_k its prediction, and only an ω_k that
+// no received row sits at costs a prediction row of its own (see
+// prediction). Under New's systematic points an honest round's outputs are
+// all trusted rows.
 //
 // Soundness rests on the unique-decoding radius alone, for every layout
 // the engines produce (all N rows in a synchronous round, the N-b rows of
@@ -60,21 +65,60 @@ type subsetCheck[E comparable] struct {
 	indices []int // node index per received row; nil means the full 0..N-1
 	rows    int
 	trusted []int // the dim row positions whose values define the candidate
-	rest    []int // every other row position, ascending
 	radius  int   // (rows-dim)/2, the (sub)code's unique-decoding radius
-	// predict is row-major, one row per z_i and one column per trusted
-	// row: predict[i*dim+t] is the Lagrange basis polynomial of trusted row
-	// t evaluated at z_i, where z runs over the rest rows' alphas and then
-	// the K omegas.
-	predict []E
+	// exact predicts every other row position (its rows, ascending): the
+	// rest rows.
+	exact prediction[E]
+}
+
+// prediction is what verify computes from a component's trusted values:
+// the rows it compares (row positions, ascending), the row-major matrix m
+// of their predictions followed by one extra row per output no trusted or
+// compared row sits at (m[i*dim+t] is the Lagrange basis polynomial of
+// trusted row t evaluated at the i-th point), and per output k the index
+// from[k] of its value in pred ++ coefs, the MatVec's len(m)/dim values
+// followed by the dim trusted ones. The exact check compares every rest
+// row; the randomized rule only the suspected ones.
+type prediction[E comparable] struct {
+	rows []int
+	m    []E
+	from []int
+}
+
+// narrow returns the prediction that compares only the rows p.rows[i] for
+// i in keep (ascending): each output read off a dropped row gets that
+// row's prediction as an extra row of its own.
+func (p *prediction[E]) narrow(keep []int, dim int) prediction[E] {
+	z := len(p.m) / dim
+	at := make([]int, z) // per row of p.m, 1 + its row in the narrowed m
+	q := prediction[E]{rows: make([]int, len(keep)), from: make([]int, len(p.from))}
+	for x, i := range keep {
+		q.rows[x] = p.rows[i]
+		q.m = append(q.m, p.m[i*dim:(i+1)*dim]...)
+		at[i] = x + 1
+	}
+	for _, f := range p.from {
+		if f < z && at[f] == 0 {
+			q.m = append(q.m, p.m[f*dim:(f+1)*dim]...)
+			at[f] = len(q.m) / dim
+		}
+	}
+	nz := len(q.m) / dim
+	for k, f := range p.from {
+		if f < z {
+			q.from[k] = at[f] - 1
+		} else {
+			q.from[k] = nz + f - z
+		}
+	}
+	return q
 }
 
 // checkScratch is the reusable working memory of one verify caller:
-// per-worker prediction vectors, gathered trusted values and mismatch
-// masks, and the randomized rule's row views and its two combinations.
+// per-worker predicted and trusted values and mismatch masks, and the
+// randomized rule's row views and its two combinations.
 type checkScratch[E comparable] struct {
-	pred     []E
-	coefs    []E
+	vals     []E
 	bad      []bool
 	terms    [][]E
 	lhs, rhs []E
@@ -118,15 +162,35 @@ func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare i
 			return chk, nil
 		}
 	}
-	xs := make([]E, dim)
-	for t, r := range trusted {
-		xs[t] = c.alphas[nodeOf(indices, r)]
-	}
+	// Each output's source, as an index into pred ++ coefs once the extra
+	// rows are counted: -1-t for trusted row t, i for rest row i, and
+	// len(rest)+x for the x-th omega that no received row sits at.
+	from := make([]int, len(c.omegas))
 	zs := make([]E, 0, len(rest)+len(c.omegas))
 	for _, r := range rest {
 		zs = append(zs, c.alphas[nodeOf(indices, r)])
 	}
-	zs = append(zs, c.omegas...)
+	for k, node := range c.omegaNode {
+		r := rowOf(indices, rows, node)
+		switch t, isTrusted := slices.BinarySearch(trusted, r); {
+		case r < 0:
+			from[k] = len(zs)
+			zs = append(zs, c.omegas[k])
+		case isTrusted:
+			from[k] = -1 - t
+		default:
+			from[k], _ = slices.BinarySearch(rest, r)
+		}
+	}
+	for k, f := range from {
+		if f < 0 {
+			from[k] = len(zs) - 1 - f
+		}
+	}
+	xs := make([]E, dim)
+	for t, r := range trusted {
+		xs[t] = c.alphas[nodeOf(indices, r)]
+	}
 	predict, err := c.lagrangeMatrix(xs, zs)
 	if err != nil {
 		return nil, fmt.Errorf("lcc: verified-subset check: repeated row index: %w", err)
@@ -135,9 +199,8 @@ func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare i
 		indices: indices,
 		rows:    rows,
 		trusted: trusted,
-		rest:    rest,
 		radius:  (rows - dim) / 2,
-		predict: predict,
+		exact:   prediction[E]{rows: rest, m: predict, from: from},
 	}
 	if shared {
 		c.checksByDim[dim] = chk
@@ -145,22 +208,33 @@ func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare i
 	return chk, nil
 }
 
+// rowOf returns the received row position of node in a layout of rows
+// rows (indices nil: all N nodes in order), or -1 when it was not
+// received (node -1 included).
+func rowOf(indices []int, rows, node int) int {
+	if indices == nil {
+		if node >= rows {
+			return -1
+		}
+		return node
+	}
+	return slices.Index(indices, node)
+}
+
 // verify decodes the received rows' l components with the check, reading
-// component j's word as results[r][j]. It predicts the rest rows named by
-// rows (row positions, ascending) and then the K outputs with m, their
-// (len(rows)+K) x dim matrix of predictions: s.rest and s.predict for the
-// exact check, the suspected rows alone once the randomized rule has
-// vouched for the others. ok is false when some component's
-// candidate misses more than radius of those rows; the words are then for
-// the full decoder. On ok with every rest row predicted the result is
-// exactly the full decoder's (see the soundness argument on subsetCheck).
-func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *checkScratch[E], rows []int, m []E) (*DecodeResult[E], bool) {
-	k, nr, dim := len(c.omegas), len(rows), len(s.trusted)
-	z := nr + k
+// component j's word as results[r][j]: it predicts p's rows (every rest
+// row for the exact check, the suspected ones alone once the randomized
+// rule has vouched for the others) and reads the outputs where p says.
+// ok is false when some component's candidate misses more than radius of
+// those rows; the words are then for the full decoder. On ok with every
+// rest row predicted the result is exactly the full decoder's (see the
+// soundness argument on subsetCheck).
+func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *checkScratch[E], p *prediction[E]) (*DecodeResult[E], bool) {
+	k, nr, dim := len(c.omegas), len(p.rows), len(s.trusted)
+	z := len(p.m) / dim
 	nw := pool.Clamp(workers, l)
-	if cap(sc.pred) < nw*z || cap(sc.coefs) < nw*dim || cap(sc.bad) < nw*nr {
-		sc.pred = make([]E, nw*z)
-		sc.coefs = make([]E, nw*dim)
+	if cap(sc.vals) < nw*(z+dim) || cap(sc.bad) < nw*nr {
+		sc.vals = make([]E, nw*(z+dim))
 		sc.bad = make([]bool, nw*nr)
 	}
 	bads := sc.bad[:nw*nr]
@@ -171,15 +245,17 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *c
 		if refused.Load() {
 			return nil // some component was already refused: short-circuit
 		}
-		pred := sc.pred[worker*z : (worker+1)*z]
-		coefs := sc.coefs[worker*dim : (worker+1)*dim]
+		vals := sc.vals[worker*(z+dim) : (worker+1)*(z+dim)]
+		pred, coefs := vals[:z], vals[z:]
 		bad := bads[worker*nr : (worker+1)*nr]
 		for t, r := range s.trusted {
 			coefs[t] = results[r][j]
 		}
-		c.bulk.MatVec(pred, m, coefs)
+		if z > 0 {
+			c.bulk.MatVec(pred, p.m, coefs)
+		}
 		misses := 0
-		for i, r := range rows {
+		for i, r := range p.rows {
 			if !c.f.Equal(pred[i], results[r][j]) {
 				bad[i] = true
 				misses++
@@ -189,8 +265,8 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *c
 			refused.Store(true)
 			return nil
 		}
-		for ki, v := range pred[nr:] {
-			outputs[ki][j] = v
+		for ki, f := range p.from {
+			outputs[ki][j] = vals[f]
 		}
 		return nil
 	})
@@ -207,7 +283,7 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *c
 		}
 	}
 	faulty := make([]int, 0, misses)
-	for i, r := range rows {
+	for i, r := range p.rows {
 		if missed[i] {
 			faulty = append(faulty, nodeOf(s.indices, r))
 		}
@@ -228,11 +304,10 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *c
 // and the suspected rows, which the radius lets mismatch, are still
 // predicted one by one, so the faulty list stays exact.
 type freivalds[E comparable] struct {
-	clean   []int // the unsuspected rest rows
-	r       []E   // the secret coefficients, one per clean row
-	w       []E   // rᵀ·P_clean, one per trusted row
-	suspect []int // the suspected rest rows, ascending
-	predict []E   // their rows of the check's predictions, then the K outputs'
+	clean   []int         // the unsuspected rest rows
+	r       []E           // the secret coefficients, one per clean row
+	w       []E           // rᵀ·P_clean, one per trusted row
+	predict prediction[E] // the check's exact prediction narrowed to the suspected rest rows
 }
 
 // largeField reports whether f has more than 2^63 elements, read off its
@@ -249,8 +324,9 @@ func largeField[E comparable](f field.Field[E]) bool {
 // where the rule saves nothing: clean + dim ≥ clean × dim. Forming w is
 // its one counted cost, clean × dim multiply-adds, paid once.
 func newFreivalds[E comparable](c *Code[E], s *subsetCheck[E], suspects []int, seed [2]uint64) *freivalds[E] {
-	var cleanAt, suspectAt []int // positions in s.rest
-	for i, r := range s.rest {
+	rest := s.exact.rows
+	var cleanAt, suspectAt []int // positions in rest
+	for i, r := range rest {
 		if _, suspected := slices.BinarySearch(suspects, nodeOf(s.indices, r)); suspected {
 			suspectAt = append(suspectAt, i)
 		} else {
@@ -265,25 +341,15 @@ func newFreivalds[E comparable](c *Code[E], s *subsetCheck[E], suspects []int, s
 	fr := &freivalds[E]{clean: make([]int, nc), r: make([]E, nc), w: make([]E, dim)}
 	cleanRows := make([][]E, nc)
 	for x, i := range cleanAt {
-		fr.clean[x] = s.rest[i]
+		fr.clean[x] = rest[i]
 		fr.r[x] = c.f.Rand(rng)
-		cleanRows[x] = s.predict[i*dim : (i+1)*dim]
+		cleanRows[x] = s.exact.m[i*dim : (i+1)*dim]
 	}
 	for t := range fr.w {
 		fr.w[t] = c.f.Zero()
 	}
 	c.bulk.LinCombAccVec(fr.w, fr.r, cleanRows)
-	tail := s.predict[len(s.rest)*dim:]
-	if len(suspectAt) == 0 {
-		fr.predict = tail // nothing to copy: the K output rows alone
-		return fr
-	}
-	fr.predict = make([]E, 0, len(suspectAt)*dim+len(tail))
-	for _, i := range suspectAt {
-		fr.suspect = append(fr.suspect, s.rest[i])
-		fr.predict = append(fr.predict, s.predict[i*dim:(i+1)*dim]...)
-	}
-	fr.predict = append(fr.predict, tail...)
+	fr.predict = s.exact.narrow(suspectAt, dim)
 	return fr
 }
 
@@ -405,10 +471,10 @@ func (p *Primed[E]) Decode(results [][]E, workers int) (*DecodeResult[E], bool, 
 		p.rnd = newFreivalds(p.code, s, p.suspects, p.seed)
 	}
 	if p.rnd != nil && p.rnd.accepts(p.code, s, results, l, &p.scratch) {
-		if res, ok := s.verify(p.code, results, l, workers, &p.scratch, p.rnd.suspect, p.rnd.predict); ok {
+		if res, ok := s.verify(p.code, results, l, workers, &p.scratch, &p.rnd.predict); ok {
 			return res, true, nil
 		}
 	}
-	res, ok := s.verify(p.code, results, l, workers, &p.scratch, s.rest, s.predict)
+	res, ok := s.verify(p.code, results, l, workers, &p.scratch, &s.exact)
 	return res, ok, nil
 }

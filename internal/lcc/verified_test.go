@@ -236,7 +236,7 @@ func TestRandomizedRuleCatchesEveryLie(t *testing.T) {
 						t.Fatalf("secret %d: clean word refused: ok=%v err=%v", secret, ok, err)
 					}
 				}
-				if primed.rnd == nil || len(primed.rnd.suspect) != 1 {
+				if primed.rnd == nil || len(primed.rnd.predict.rows) != 1 {
 					t.Fatalf("secret %d: no randomized rule over the 15 unsuspected rest rows", secret)
 				}
 				liar := tc.liar(secret)
