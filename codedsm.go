@@ -56,7 +56,8 @@ type GF2m = field.GF2m
 // NewGoldilocks returns the default prime field.
 func NewGoldilocks() Goldilocks { return field.NewGoldilocks() }
 
-// NewGF2m returns GF(2^m) for 2 <= m <= 16 (Appendix A requires 2^m >= N+K).
+// NewGF2m returns GF(2^m) for 2 <= m <= 16 (Appendix A requires 2^m >= N:
+// the systematic machine points are the first K node points).
 func NewGF2m(m uint) (*GF2m, error) { return field.NewGF2m(m) }
 
 // ---- State machines ----

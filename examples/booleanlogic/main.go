@@ -27,7 +27,7 @@ func counterFn(state, cmd uint64) (next, out uint64) {
 }
 
 func main() {
-	f, err := codedsm.NewGF2m(16) // 2^16 >= N+K as Appendix A requires
+	f, err := codedsm.NewGF2m(16) // 2^16 >= N as Appendix A requires
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,8 +28,9 @@ type BoolFunc func(state, cmd uint64) (next, out uint64)
 // (the "degree <= n" bound of Section 4), and n is limited to 12 to keep
 // the 2^n-term expansion tractable.
 //
-// The field must satisfy 2^m >= N + K for the Lagrange coding points to
-// exist; that check happens when the lcc.Code is constructed.
+// The field must satisfy 2^m >= N for the Lagrange coding points to
+// exist (the K machine points are the first K node points); that check
+// happens when the lcc.Code is constructed.
 func NewBoolean(f field.Field[uint64], name string, stateBits, cmdBits, outBits int, fn BoolFunc) (*Transition[uint64], error) {
 	if stateBits < 1 || cmdBits < 1 || outBits < 1 {
 		return nil, fmt.Errorf("sm: boolean machine needs positive bit widths (got %d, %d, %d)",
