@@ -41,11 +41,14 @@ func roundOps(t *testing.T, c *Cluster[uint64], rounds int) []uint64 {
 // second decode on that check, forms its randomized rule (42 × 22
 // multiply-adds per node) and uses it; from round 2 each component costs
 // two dot products, and the K outputs are the trusted systematic rows
-// themselves (23 040). 21 liars: rounds 0 and 1 pay the first detection's
+// themselves (21 104). 21 liars: rounds 0 and 1 pay the first detection's
 // full decode and the exact re-primed check, round 2 forms the rule, and
 // the steady round predicts only the 21 suspected rows one by one, four
 // of which (nodes 2, 7, 12, 17) are the outputs of their machines
-// (90 786). While the K outputs were predicted from disjoint points the
+// (89 202). A systematic node's unit row makes its command encode and
+// state re-encode a copy; while they ran a K-term combination the rounds
+// cost [245 454, 141 312, 23 040] and [1 952 350, 489 138, 130 518,
+// 90 786]. While the K outputs were predicted from disjoint points the
 // rounds cost [369 908, 262 400, 144 128] and [1 996 466, 715 232,
 // 211 874, 172 142]; while every rest row was predicted one by one the
 // steady rounds cost 358 912 and 242 404.
@@ -59,8 +62,8 @@ func roundOps(t *testing.T, c *Cluster[uint64], rounds int) []uint64 {
 // that only regroups the same arithmetic — a K-term linear combination
 // charged in one call instead of K — must leave every figure where it is.
 func TestRoundOpCountGuard(t *testing.T) {
-	pinnedHonest := []uint64{245_454, 141_312, 23_040}
-	pinnedByz := []uint64{1_952_350, 489_138, 130_518, 90_786}
+	pinnedHonest := []uint64{243_518, 139_376, 21_104}
+	pinnedByz := []uint64{1_950_766, 487_554, 128_934, 89_202}
 	honest := roundOps(t, newCluster(t, baseConfig(22, 64, 21)), 3)
 	cfg := baseConfig(22, 64, 21)
 	cfg.Byzantine = map[int]Behavior{}
@@ -90,9 +93,10 @@ func TestRoundOpCountGuard(t *testing.T) {
 // one had refused. Round 2, which forms each node's randomized rule, cost
 // 231 130 while every rest row was predicted one by one. While the K
 // outputs were predicted from disjoint points the rounds cost
-// [3 253 532, 684 221, 200 600].
+// [3 253 532, 684 221, 200 600], and [3 087 738, 488 958, 130 338]
+// while a systematic node's encode and re-encode ran on its unit row.
 func TestErasureRoundOpCountGuard(t *testing.T) {
-	pinned := []uint64{3_087_738, 488_958, 130_338}
+	pinned := []uint64{3_086_286, 487_506, 128_886}
 	cfg := baseConfig(22, 64, 21)
 	cfg.Byzantine = map[int]Behavior{}
 	for i := 0; len(cfg.Byzantine) < 21; i++ {
@@ -116,10 +120,12 @@ func TestErasureRoundOpCountGuard(t *testing.T) {
 // rule. While priming asked for b spare rows the layout was ineligible and
 // every round cost 476 532: the full decoder built a check of its own each
 // time. Rounds 1 and 2 cost 156 072 each while every rest row was
-// predicted one by one, and the rounds [476 532, 127 848, 90 888] while
-// the K outputs were predicted from disjoint points.
+// predicted one by one, the rounds [476 532, 127 848, 90 888] while
+// the K outputs were predicted from disjoint points, and [336 000,
+// 77 280, 40 320] while a systematic node's encode and re-encode ran on
+// its unit row.
 func TestCrashedBeyondBudgetRoundOpCountGuard(t *testing.T) {
-	pinned := []uint64{336_000, 77_280, 40_320}
+	pinned := []uint64{334_768, 76_048, 39_088}
 	cfg := baseConfig(22, 64, 21)
 	cfg.Byzantine = map[int]Behavior{}
 	for i := 0; len(cfg.Byzantine) < 22; i++ {
@@ -339,7 +345,7 @@ func BenchmarkByzantineSetup(b *testing.B) {
 // [136170 119676 93276] and [144942 133112 124304]; it now decodes on the
 // result code the cluster builds at construction.
 func TestDelegatedRoundCountGuard(t *testing.T) {
-	const decentralised = 23_040 // TestRoundOpCountGuard's steady honest round
+	const decentralised = 21_104 // TestRoundOpCountGuard's steady honest round
 	liars := map[int]Behavior{}
 	for i := 0; len(liars) < 21; i++ {
 		liars[(i*5+2)%64] = WrongResult
@@ -624,7 +630,8 @@ func consDigest(t *testing.T, workload [][][]uint64) string {
 // leader: every round it sends one message of each phase and receives
 // the other three nodes' prepares, commits and results. While the K=2
 // outputs were predicted from disjoint points node 0 counted
-// [304 48 48 48 48 48].
+// [304 48 48 48 48 48], and [266 36 36 36 36 36] while its encode and
+// re-encode ran on its unit row.
 func TestProcessRoundCountGuard(t *testing.T) {
 	workload := RandomWorkload[uint64](gold, 6, consK, 1, consSeed)
 	want := consDigest(t, workload)
@@ -635,9 +642,9 @@ func TestProcessRoundCountGuard(t *testing.T) {
 		msgs       msgCounts // every round
 		walRecords int
 	}{
-		{run: processRun{kind: Oracle}, ops: []uint64{266, 36, 36, 36, 36, 36}, ticks: []int{2, 2, 2, 2, 2, 2},
+		{run: processRun{kind: Oracle}, ops: []uint64{258, 28, 28, 28, 28, 28}, ticks: []int{2, 2, 2, 2, 2, 2},
 			msgs: msgCounts{sent: [4]int{0, 0, 0, 1}, recv: [4]int{0, 0, 0, 3}}},
-		{run: processRun{kind: PBFT, durable: true}, ops: []uint64{266, 36, 36, 36, 36, 36}, ticks: []int{2, 2, 2, 2, 2, 2},
+		{run: processRun{kind: PBFT, durable: true}, ops: []uint64{258, 28, 28, 28, 28, 28}, ticks: []int{2, 2, 2, 2, 2, 2},
 			msgs: msgCounts{sent: [4]int{1, 1, 1, 1}, recv: [4]int{0, 3, 3, 3}}, walRecords: 6},
 	} {
 		got := runProcesses(t, tc.run, workload)

@@ -29,6 +29,9 @@ type stepCore[E comparable] struct {
 	id, n     int
 	maxFaults int
 	row       []E // this node's Lagrange coefficients, code.Coeffs()[id]
+	// unit is k when row is the unit row e_k (a systematic node, ω_k = α_k),
+	// else -1: that node's encode of any K vectors is a copy of the k-th.
+	unit int
 
 	codedState []E
 
@@ -80,9 +83,21 @@ type stepCore[E comparable] struct {
 
 // newStepCore builds node id's core; the caller installs the coded state.
 func newStepCore[E comparable](code *lcc.Code[E], tr *sm.Transition[E], bulk field.Bulk[E], id, maxFaults int) stepCore[E] {
+	f, row := tr.Field(), code.Coeffs()[id]
+	unit := -1
+	for k, c := range row {
+		if f.IsZero(c) {
+			continue
+		}
+		if unit >= 0 || !f.Equal(c, f.One()) {
+			unit = -1
+			break
+		}
+		unit = k
+	}
 	return stepCore[E]{
-		code: code, tr: tr, bulk: bulk, zero: tr.Field().Zero(),
-		id: id, n: code.N(), maxFaults: maxFaults, row: code.Coeffs()[id],
+		code: code, tr: tr, bulk: bulk, zero: f.Zero(),
+		id: id, n: code.N(), maxFaults: maxFaults, row: row, unit: unit,
 	}
 }
 
@@ -104,10 +119,15 @@ func (d *nodeDecode[E]) output(m int) []E { return d.results[m][d.stateLen:] }
 
 // lagrangeRowInto accumulates this node's Lagrange encode Σ_k row[k]
 // vecs[k] into dst — (re)allocated at the given length when it does not
-// match — as one K-term LinCombAccVec. It returns dst.
+// match — as one K-term LinCombAccVec, or copies vecs[unit] when the row
+// is a unit row. It returns dst.
 func (s *stepCore[E]) lagrangeRowInto(dst []E, length int, vecs [][]E) []E {
 	if len(dst) != length {
 		dst = make([]E, length)
+	}
+	if s.unit >= 0 {
+		copy(dst, vecs[s.unit])
+		return dst
 	}
 	for j := range dst {
 		dst[j] = s.zero
