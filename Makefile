@@ -9,7 +9,7 @@ STATICCHECK_VERSION := $(shell sed -n 's/.*StaticcheckVersion = "\(.*\)".*/\1/p'
 GOVULNCHECK_MODULE  := $(shell sed -n 's/.*GovulncheckModule  = "\(.*\)".*/\1/p' tools.go)
 GOVULNCHECK_VERSION := $(shell sed -n 's/.*GovulncheckVersion = "\(.*\)".*/\1/p' tools.go)
 
-.PHONY: all build test race bench bench-load bench-micro profile-round loc smoke-examples smoke-pipeline smoke-churn smoke-service smoke-shard smoke-processes smoke-restart soak soak-short fuzz-smoke csmlint staticcheck govulncheck lint fmt fmt-check vet ci
+.PHONY: all build test race bench bench-load bench-micro profile-round loc smoke-pipeline smoke-churn smoke-processes smoke-restart soak soak-short fuzz-smoke csmlint staticcheck govulncheck lint fmt fmt-check vet ci
 
 all: build test
 
@@ -68,17 +68,13 @@ profile-round:
 	$(GO) tool pprof -top -cum bin/csm.test bin/round.pprof
 
 # The design aim's tracked number: non-test Go lines, repo-wide and in
-# the engine package. Test fixtures under testdata/ are not counted.
+# the engine package. Test fixtures under testdata/ are not counted. The
+# single-process examples' stdout is checked by go test ./examples/...
+# (each example's main_test.go pins it), which make test and make race
+# run.
 loc:
 	@echo "non-test Go lines, repo:         $$(find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@echo "non-test Go lines, internal/csm: $$(find internal/csm -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
-
-# The single-process examples end to end (CI smoke). With example_test.go
-# they are the programs that define the root package's public surface.
-smoke-examples:
-	@for ex in quickstart bank booleanlogic delegated intermix churn shardedledger; do \
-		echo "== examples/$$ex"; $(GO) run ./examples/$$ex || exit 1; \
-	done
 
 # One pipelined + batched end-to-end configuration (CI smoke): Byzantine
 # nodes, Dolev-Strong consensus, pipeline depth 4, 4-round batches.
@@ -91,19 +87,6 @@ smoke-pipeline:
 smoke-churn:
 	$(GO) run -race ./cmd/csmsim -n 16 -b 3 -rounds 8 -consensus dolev-strong \
 		-churn "1:crash:2,3:rejoin:2,4:corrupt:5:wrong,6:release:5"
-
-# The Submit-based ingress end to end under the race detector (CI smoke):
-# concurrent tellers, futures, backpressure, consensus batching.
-smoke-service:
-	$(GO) run -race ./examples/service
-
-# The sharded multi-cluster router end to end under the race detector
-# (CI smoke): per-tenant shards behind the consistent-hash ingress,
-# skewed traffic, one cross-shard two-phase transfer, one forced
-# rebalance, and final per-machine digests checked bit-identical against
-# an unsharded single-cluster oracle run.
-smoke-shard:
-	$(GO) run -race ./examples/multitenant
 
 # The multi-process deployment end to end (CI smoke), once per consensus
 # mode: bootstrap a 4-node localhost cluster of csmnode OS processes over
@@ -192,4 +175,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: fmt-check vet lint build race bench bench-micro smoke-examples smoke-pipeline smoke-churn smoke-service smoke-shard smoke-processes smoke-restart soak-short fuzz-smoke
+ci: fmt-check vet lint build race bench bench-micro smoke-pipeline smoke-churn smoke-processes smoke-restart soak-short fuzz-smoke

@@ -27,7 +27,7 @@
 //   - experiments: Table1, Table2, ScalingSeries, RepairCost — the
 //     paper's quantitative content as runnable measurements.
 //
-// Quickstart: see examples/quickstart/main.go.
+// Quickstart: see Example in example_test.go.
 package codedsm
 
 import (
@@ -433,9 +433,6 @@ type Router[E comparable] = shard.Router[E]
 
 // RouterOption configures OpenRouter.
 type RouterOption = shard.Option
-
-// RouterFuture is the pending result of one routed command.
-type RouterFuture[E comparable] = shard.Future[E]
 
 // CrossOp is one machine's command inside a cross-shard command set
 // (Router.SubmitCross).

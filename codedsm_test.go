@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"go/ast"
+	"go/doc"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -270,8 +272,9 @@ func TestPublicAPIDelegatedMode(t *testing.T) {
 	}
 }
 
-// parseGoFiles parses the Go files under dir in lexical order, skipping
-// testdata and hidden directories, and the _test.go files unless tests.
+// parseGoFiles parses the Go files under dir in lexical order, with
+// their comments, skipping testdata and hidden directories, and the
+// _test.go files unless tests.
 func parseGoFiles(t *testing.T, fset *token.FileSet, dir string, tests bool) []*ast.File {
 	t.Helper()
 	var files []*ast.File
@@ -288,7 +291,7 @@ func parseGoFiles(t *testing.T, fset *token.FileSet, dir string, tests bool) []*
 		if !strings.HasSuffix(path, ".go") || !tests && strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			return err
 		}
@@ -486,4 +489,30 @@ func TestRootSurface(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestExamplesHaveGoldenOutput keeps every single-process example under
+// a golden check: each examples/* package that does not drive csmnode
+// processes (those import internal/procharness) must have an Example
+// with a non-empty // Output: block, so go test fails when the program
+// prints anything else.
+func TestExamplesHaveGoldenOutput(t *testing.T) {
+	dirs, err := filepath.Glob(filepath.Join("examples", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) == 0 {
+		t.Fatal("no examples found")
+	}
+	for _, dir := range dirs {
+		files := parseGoFiles(t, token.NewFileSet(), dir, true)
+		if slices.ContainsFunc(files, func(f *ast.File) bool {
+			return importName(f, "codedsm/internal/procharness") != ""
+		}) {
+			continue
+		}
+		if !slices.ContainsFunc(doc.Examples(files...), func(ex *doc.Example) bool { return ex.Output != "" }) {
+			t.Errorf("%s has no Example with an // Output: block: add a main_test.go whose Example runs main and pins its stdout", dir)
+		}
+	}
 }

@@ -5,8 +5,7 @@
 // the two-phase cross-shard protocol; the hot tenant's busiest account
 // is migrated to the least-loaded shard mid-run through the coded-state
 // handoff; and the final per-account digests must be bit-identical to
-// an unsharded single-cluster oracle fed the same commands — the
-// acceptance check `make smoke-shard` enforces under the race detector.
+// an unsharded single-cluster oracle fed the same commands.
 //
 //	go run ./examples/multitenant
 package main

@@ -2,17 +2,12 @@
 // sharded ledger assigns each shard (state machine) to a small group of
 // nodes — exactly partial replication. A dynamic adversary who sees the
 // assignment captures one group with a handful of corruptions. CSM runs the
-// same shards on the same nodes and survives Θ(N) corruptions. The final
-// act serves the same ledger through the shard router (internal/shard):
-// when the ledger outgrows one cluster's Table 2 capacity, the
-// consistent-hash ingress spreads its shards over independent coded
-// clusters behind the same client surface.
+// same shards on the same nodes and survives Θ(N) corruptions.
 //
 //	go run ./examples/shardedledger
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 
@@ -86,52 +81,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("random re-allocation of shards: static adversary captures a shard in %.1f%% of epochs,\n", 100*fs)
-	fmt.Printf("a dynamic (post-facto) adversary in %.1f%% — CSM needs %d corruptions either way.\n\n",
+	fmt.Printf("a dynamic (post-facto) adversary in %.1f%% — CSM needs %d corruptions either way.\n",
 		100*fd, codedsm.SyncMaxFaults(nodes, shards, 1)+1)
-
-	// --- Scaling out: the same ledger behind the shard router ---
-	// One cluster caps its machine count at Table 2's K ≤ (N-2b-1)/d + 1.
-	// Past that, the routing ingress serves the ledger's shards from
-	// independent coded clusters picked by consistent hashing, with the
-	// same Submit/Future surface (and each serving cluster still tolerates
-	// the full budget of corruptions anywhere among its nodes).
-	ctx := context.Background()
-	router, err := codedsm.OpenRouter(gold, codedsm.NewBank[uint64],
-		codedsm.WithShards(2), codedsm.WithShardMachines(shards),
-		codedsm.WithShardSeed(8),
-		codedsm.WithShardClusterOptions(
-			codedsm.WithNodes(nodes), codedsm.WithFaults(budget),
-			codedsm.WithByzantineNode(2, codedsm.WrongResult)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	var futs []*codedsm.RouterFuture[uint64]
-	for m, cmd := range cmds {
-		fut, err := router.Submit(ctx, m, cmd)
-		if err != nil {
-			log.Fatal(err)
-		}
-		futs = append(futs, fut)
-	}
-	for _, fut := range futs {
-		if _, err := fut.Wait(ctx); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := router.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("shard router: the %d ledger shards served by %d coded clusters (loads %v, Byzantine node in each):\n",
-		shards, router.Shards(), router.Loads())
-	for m := range cmds {
-		state, err := router.MachineState(m)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cl, err := router.ShardOf(m)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  ledger shard %d (cluster %d): balance %d\n", m, cl, state[0])
-	}
 }

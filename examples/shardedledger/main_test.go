@@ -12,10 +12,4 @@ func Example() {
 	//
 	// random re-allocation of shards: static adversary captures a shard in 3.0% of epochs,
 	// a dynamic (post-facto) adversary in 100.0% — CSM needs 7 corruptions either way.
-	//
-	// shard router: the 4 ledger shards served by 2 coded clusters (loads [2 2], Byzantine node in each):
-	//   ledger shard 0 (cluster 1): balance 100
-	//   ledger shard 1 (cluster 0): balance 200
-	//   ledger shard 2 (cluster 0): balance 300
-	//   ledger shard 3 (cluster 1): balance 400
 }
