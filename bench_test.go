@@ -1,7 +1,9 @@
-// Benchmarks regenerating the paper's quantitative content. Each paper
-// table/figure has a benchmark (wall-clock) counterpart here; the absolute
-// *measurements* (operation counts, thresholds, tables) are printed by
-// cmd/csmbench, which shares the same harness code in internal/metrics.
+// Wall-clock benchmarks for the paper's quantitative content. Each paper
+// table/figure has a benchmark counterpart here; the exact *measurements*
+// (operation counts, thresholds, tables) and a verdict per claim are in
+// RESULTS.md, which TestPaperArtifacts (results_test.go) regenerates and
+// checks. §5.2's decoder comparison below is this repository's ablation,
+// not a paper claim.
 //
 //	Table 1  -> BenchmarkTable1_*        (scheme round cost at fixed N)
 //	Table 2  -> BenchmarkTable2_*        (decoding at the fault threshold)
@@ -32,6 +34,7 @@ import (
 	"codedsm/internal/poly"
 	"codedsm/internal/replication"
 	"codedsm/internal/rs"
+	"codedsm/internal/sm"
 	"codedsm/internal/transport"
 )
 
@@ -470,8 +473,8 @@ func BenchmarkFig4DelegatedRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := delegate.New(ring, code, delegate.HonestDelegate)
-	tr, err := NewQuadraticTally[uint64](gold)
+	d := delegate.New(ring, code)
+	tr, err := sm.NewQuadraticTally[uint64](gold)
 	if err != nil {
 		b.Fatal(err)
 	}

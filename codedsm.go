@@ -14,8 +14,8 @@
 //
 //   - fields:      NewGoldilocks (GF(2^64-2^32+1), NTT-friendly) and
 //     NewGF2m (GF(2^m), for Boolean machines per Appendix A);
-//   - machines:    NewBank, NewQuadraticTally, NewPolynomialRegister,
-//     NewBooleanMachine, FromExprs;
+//   - machines:    NewBank, NewPolynomialRegister, NewBooleanMachine,
+//     FromExprs;
 //   - the engine:  Open runs consensus + coded execution on a
 //     deterministic simulated network with Byzantine fault injection, and
 //     Cluster.Open serves it through Submit;
@@ -24,8 +24,9 @@
 //   - INTERMIX:    verifiable matrix-vector multiplication (Section 6.1);
 //   - delegation:  centralized verifiable coding (Section 6.2, WithDelegated);
 //   - sharding:    OpenRouter serves many clusters behind one Submit;
-//   - experiments: Table1, Table2, ScalingSeries, RepairCost — the
-//     paper's quantitative content as runnable measurements.
+//   - experiments: RepairCost (Section 7, Remark 5); the paper's tables
+//     and figures are measured in RESULTS.md, which TestPaperArtifacts
+//     regenerates.
 //
 // Quickstart: see Example in example_test.go.
 package codedsm
@@ -73,11 +74,6 @@ type BoolFunc = sm.BoolFunc
 
 // NewBank returns the paper's bank-balance machine (degree 1).
 func NewBank[E comparable](f Field[E]) (*Transition[E], error) { return sm.NewBank(f) }
-
-// NewQuadraticTally returns a degree-2 accumulator of squared commands.
-func NewQuadraticTally[E comparable](f Field[E]) (*Transition[E], error) {
-	return sm.NewQuadraticTally(f)
-}
 
 // NewPolynomialRegister returns a machine of exact degree d.
 func NewPolynomialRegister[E comparable](f Field[E], d int) (*Transition[E], error) {
@@ -371,42 +367,7 @@ func RunIntermix[E comparable](cfg IntermixSession[E]) (*IntermixOutcome[E], err
 // CommitteeSize returns J = ceil(log ε / log µ).
 func CommitteeSize(epsilon, mu float64) (int, error) { return intermix.CommitteeSize(epsilon, mu) }
 
-// ---- Experiments (the paper's tables and figures) ----
-
-// Table1Row is one measured row of the paper's Table 1.
-type Table1Row = metrics.Table1Row
-
-// Table1Config parameterizes the Table 1 experiment.
-type Table1Config = metrics.Table1Config
-
-// Table1 measures security, storage and throughput for every scheme.
-func Table1(cfg Table1Config) ([]Table1Row, error) { return metrics.Table1(cfg) }
-
-// RenderTable1 renders rows as text.
-func RenderTable1(rows []Table1Row) string { return metrics.RenderTable1(rows) }
-
-// Table2Row is one threshold row of the paper's Table 2.
-type Table2Row = metrics.Table2Row
-
-// Table2 sweeps fault counts around every threshold.
-func Table2(n, k, d int, seed uint64) ([]Table2Row, error) { return metrics.Table2(n, k, d, seed) }
-
-// RenderTable2 renders rows as text.
-func RenderTable2(rows []Table2Row) string { return metrics.RenderTable2(rows) }
-
-// ScalingRow is one point of the Theorem 1 scaling series.
-type ScalingRow = metrics.ScalingRow
-
-// ScalingConfig parameterizes the Theorem 1 series (worker count,
-// batching, pipelining).
-type ScalingConfig = metrics.ScalingConfig
-
-// ScalingSeries measures the Theorem 1 series under an explicit engine
-// configuration (batching, pipelining, parallelism).
-func ScalingSeries(cfg ScalingConfig) ([]ScalingRow, error) { return metrics.ScalingSeries(cfg) }
-
-// RenderScaling renders the series as text.
-func RenderScaling(rows []ScalingRow) string { return metrics.RenderScaling(rows) }
+// ---- Experiments ----
 
 // RepairRow is one measured point of the repair-cost experiment
 // (Section 7, Remark 5).

@@ -15,7 +15,9 @@ import (
 	"testing"
 
 	"codedsm/internal/lcc"
+	"codedsm/internal/metrics"
 	"codedsm/internal/replication"
+	"codedsm/internal/sm"
 )
 
 // TestPublicAPIEndToEnd exercises the facade the way a downstream user
@@ -179,7 +181,7 @@ func TestPublicAPIBaselinesAndExperiments(t *testing.T) {
 	if len(attack) != 2 {
 		t.Errorf("attack size %d", len(attack))
 	}
-	rows, err := Table2(15, 2, 1, 3)
+	rows, err := metrics.Table2(15, 2, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestPublicAPIBaselinesAndExperiments(t *testing.T) {
 			t.Errorf("threshold mismatch: %+v", r)
 		}
 	}
-	if !strings.Contains(RenderTable2(rows), "decoding") {
+	if !strings.Contains(metrics.RenderTable2(rows), "decoding") {
 		t.Error("render")
 	}
 	if SyncMaxMachines(31, 5, 2) != 11 {
@@ -222,7 +224,7 @@ func TestPublicAPIIntermix(t *testing.T) {
 
 func TestPublicAPIPartiallySynchronousPBFT(t *testing.T) {
 	gold := NewGoldilocks()
-	cluster, err := Open(gold, NewQuadraticTally[uint64],
+	cluster, err := Open(gold, sm.NewQuadraticTally[uint64],
 		WithMachines(2), WithNodes(13), WithFaults(3),
 		WithPartialSync(0),
 		WithConsensus(PBFT),

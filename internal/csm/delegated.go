@@ -73,11 +73,11 @@ type dlgProof[E comparable] struct {
 
 // runExecutionDelegated is the Section 6.2 execution step: a rotating
 // worker performs all coding, a random auditor committee (re-elected per
-// attempt) verifies it, and fraud aborts the attempt so the next worker
-// retries. Requires the broadcast (no-equivocation) network, as the paper
-// does.
+// attempt; a beacon that elects nobody is redrawn) verifies it, and fraud
+// aborts the attempt so the next worker retries. Requires the broadcast
+// (no-equivocation) network, as the paper does.
 func (c *Cluster[E]) runExecutionDelegated(agreed [][]E) (*stepOutcome[E], error) {
-	d := delegate.New(c.ring, c.code, delegate.HonestDelegate)
+	d := delegate.New(c.ring, c.code)
 	d.Parallelism = c.workers()
 	size, err := intermix.CommitteeSize(delegationEpsilon, float64(c.cfg.MaxFaults)/float64(c.cfg.N))
 	if err != nil || size < 1 {
@@ -87,7 +87,10 @@ func (c *Cluster[E]) runExecutionDelegated(agreed [][]E) (*stepOutcome[E], error
 	tick := func() { c.net.Step(); ticks++ }
 	for attempt := 0; attempt < c.cfg.N; attempt++ {
 		w := c.nodes[(c.round+attempt)%c.cfg.N]
-		auditors := intermix.ElectCommittee(c.cfg.Seed^(uint64(c.round)<<16)^uint64(attempt), c.cfg.N, size)
+		auditors, _, err := intermix.ElectNonEmpty(c.cfg.Seed^(uint64(c.round)<<16)^uint64(attempt), c.cfg.N, size)
+		if err != nil {
+			return nil, err
+		}
 		// What node i holds from the worker (the worker: what it sent).
 		cmds := make([][][]E, c.cfg.N)
 		proofs := make([]*dlgProof[E], c.cfg.N)

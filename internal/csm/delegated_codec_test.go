@@ -293,7 +293,7 @@ func FuzzParseDelegatedMsg(f *testing.F) {
 		} else {
 			// Whatever parses is safe to verify, whatever the verdict.
 			c.nodes[0].resetStep()
-			_ = c.verifyDelegationProof(delegate.New(c.ring, c.code, delegate.HonestDelegate), c.nodes[0], p)
+			_ = c.verifyDelegationProof(delegate.New(c.ring, c.code), c.nodes[0], p)
 		}
 		for _, phase := range []byte{dlgAlertEnc, dlgAlertDec} {
 			if parseDlgAlert(data, dlgFixtureRound, dlgFixtureAttempt, phase) &&

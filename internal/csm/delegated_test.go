@@ -110,15 +110,7 @@ func TestDelegatedSilentWorkerRetried(t *testing.T) {
 // the round failing.
 func TestDelegatedLyingWorkerUndecodableRetried(t *testing.T) {
 	const k, n, b = 8, 24, 8
-	cfg := delegatedConfig(k, n, b)
-	cfg.NewTransition = func(f field.Field[uint64]) (*sm.Transition[uint64], error) {
-		return sm.NewPolynomialRegister(f, 1)
-	}
-	cfg.Seed = 2019
-	cfg.Byzantine = map[int]Behavior{}
-	for i := 0; i < b; i++ {
-		cfg.Byzantine[(5*i+2)%n] = WrongResult
-	}
+	cfg := delegatedLiarsConfig(k, n, b, 2, 2019)
 	c := newCluster(t, cfg)
 	results, err := c.Run(RandomWorkload[uint64](gold, 3, k, 1, 2019))
 	if err != nil {
@@ -128,6 +120,57 @@ func TestDelegatedLyingWorkerUndecodableRetried(t *testing.T) {
 		if !res.Correct {
 			t.Fatalf("round %d incorrect", r)
 		}
+	}
+}
+
+// delegatedLiarsConfig is a delegated N-node cluster of degree-1 registers
+// whose b WrongResult liars sit at (5i+offset) mod N.
+func delegatedLiarsConfig(k, n, b, offset int, seed uint64) Config[uint64] {
+	cfg := delegatedConfig(k, n, b)
+	cfg.NewTransition = func(f field.Field[uint64]) (*sm.Transition[uint64], error) {
+		return sm.NewPolynomialRegister(f, 1)
+	}
+	cfg.Seed = seed
+	cfg.Byzantine = map[int]Behavior{}
+	for i := 0; i < b; i++ {
+		cfg.Byzantine[(5*i+offset)%n] = WrongResult
+	}
+	return cfg
+}
+
+// TestDelegatedOpsIndependentOfWorkers: the shape above counts the same
+// field ops at one worker as at four. The lying worker's own DecodeMany
+// fails there, and its per-component decodes must all run at any worker
+// count.
+func TestDelegatedOpsIndependentOfWorkers(t *testing.T) {
+	const k, n, b = 8, 24, 8
+	ops := map[int]uint64{}
+	for _, workers := range []int{1, 4} {
+		cfg := delegatedLiarsConfig(k, n, b, 2, 2019)
+		cfg.Parallelism = workers
+		c := newCluster(t, cfg)
+		if _, err := c.Run(RandomWorkload[uint64](gold, 3, k, 1, 2019)); err != nil {
+			t.Fatal(err)
+		}
+		ops[workers] = c.OpCounts().Total()
+	}
+	if ops[1] != ops[4] {
+		t.Fatalf("field ops depend on the worker count: %d at 1, %d at 4", ops[1], ops[4])
+	}
+}
+
+// TestDelegatedWrongAdoption: seed 26's round-0 beacon elects nobody at
+// N=24. An empty committee audits nothing, so round 0's lying worker
+// would be adopted; the round must draw the next beacon instead.
+func TestDelegatedWrongAdoption(t *testing.T) {
+	const k, n, b = 8, 24, 8
+	c := newCluster(t, delegatedLiarsConfig(k, n, b, 0, 26))
+	res, err := c.ExecuteRound(RandomWorkload[uint64](gold, 1, k, 1, 26)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Correct {
+		t.Fatal("round 0 adopted a lying worker's outputs")
 	}
 }
 

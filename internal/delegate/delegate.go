@@ -29,36 +29,6 @@ import (
 	"codedsm/internal/poly"
 )
 
-// CorruptMode selects how a Byzantine delegate misbehaves.
-type CorruptMode int
-
-const (
-	// HonestDelegate performs all coding correctly.
-	HonestDelegate CorruptMode = iota
-	// CorruptEncoding returns a wrong coded command for one node.
-	CorruptEncoding
-	// CorruptDecoding returns wrong polynomial coefficients.
-	CorruptDecoding
-	// CorruptOutputs returns wrong final outputs for one machine.
-	CorruptOutputs
-)
-
-// String implements fmt.Stringer.
-func (m CorruptMode) String() string {
-	switch m {
-	case HonestDelegate:
-		return "honest"
-	case CorruptEncoding:
-		return "corrupt-encoding"
-	case CorruptDecoding:
-		return "corrupt-decoding"
-	case CorruptOutputs:
-		return "corrupt-outputs"
-	default:
-		return fmt.Sprintf("CorruptMode(%d)", int(m))
-	}
-}
-
 // ErrProofInvalid reports a delegate proof the auditors rejected.
 var ErrProofInvalid = errors.New("delegate: proof rejected")
 
@@ -68,7 +38,6 @@ type Delegation[E comparable] struct {
 	code *lcc.Code[E]
 	ring *poly.Ring[E]
 	f    field.Field[E]
-	mode CorruptMode
 
 	// Parallelism fans the worker's per-component Reed-Solomon decodes
 	// across goroutines (the worker is the only node doing coding work in
@@ -79,26 +48,16 @@ type Delegation[E comparable] struct {
 }
 
 // New creates a delegation layer over the given code.
-func New[E comparable](ring *poly.Ring[E], code *lcc.Code[E], mode CorruptMode) *Delegation[E] {
-	return &Delegation[E]{code: code, ring: ring, f: ring.Field(), mode: mode, Parallelism: 1}
+func New[E comparable](ring *poly.Ring[E], code *lcc.Code[E]) *Delegation[E] {
+	return &Delegation[E]{code: code, ring: ring, f: ring.Field(), Parallelism: 1}
 }
-
-// Mode returns the delegate's corruption mode.
-func (d *Delegation[E]) Mode() CorruptMode { return d.mode }
 
 // EncodeCommands is the worker's fast path: interpolation over the omegas
 // plus multi-point evaluation at the alphas per vector component,
 // O((N+K) log^2) with NTT — versus O(N*K) for the distributed inner-product
 // encoding it replaces.
 func (d *Delegation[E]) EncodeCommands(cmds [][]E) ([][]E, error) {
-	coded, err := d.code.EncodeVectorsFast(cmds)
-	if err != nil {
-		return nil, err
-	}
-	if d.mode == CorruptEncoding && len(coded) > 0 && len(coded[0]) > 0 {
-		coded[0][0] = d.f.Add(coded[0][0], d.f.One())
-	}
-	return coded, nil
+	return d.code.EncodeVectorsFast(cmds)
 }
 
 // AuditEncoding verifies the claimed coded commands against X̃ = C X using
@@ -214,12 +173,6 @@ func (d *Delegation[E]) DecodeWithProof(results [][]E, degree int) (*lcc.DecodeR
 		for k := 0; k < d.code.K(); k++ {
 			outputs[k][j] = vals[k]
 		}
-	}
-	if d.mode == CorruptDecoding && comps > 0 {
-		proof.Coeffs[0] = d.ring.Add(proof.Coeffs[0], poly.Poly[E]{d.f.One()})
-	}
-	if d.mode == CorruptOutputs && comps > 0 {
-		outputs[0][0] = d.f.Add(outputs[0][0], d.f.One())
 	}
 	dec := &lcc.DecodeResult[E]{Outputs: outputs, FaultyNodes: ints.SortedKeys(faulty)}
 	return dec, proof, nil

@@ -69,7 +69,7 @@ func (fx *fixture) simulateRound(t *testing.T, liars int) (results [][]uint64, c
 
 func TestHonestDelegateEncoding(t *testing.T) {
 	fx := newFixture(t, 3, 12)
-	d := New(fx.ring, fx.code, HonestDelegate)
+	d := New(fx.ring, fx.code)
 	cmds := make([][]uint64, 3)
 	for i := range cmds {
 		cmds[i] = field.RandVec[uint64](gold, fx.rng, 2)
@@ -94,7 +94,7 @@ func TestHonestDelegateEncoding(t *testing.T) {
 
 func TestCorruptEncodingCaught(t *testing.T) {
 	fx := newFixture(t, 3, 12)
-	d := New(fx.ring, fx.code, CorruptEncoding)
+	d := New(fx.ring, fx.code)
 	cmds := make([][]uint64, 3)
 	for i := range cmds {
 		cmds[i] = field.RandVec[uint64](gold, fx.rng, 2)
@@ -103,6 +103,7 @@ func TestCorruptEncodingCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	coded[0][0] = gold.Add(coded[0][0], gold.One()) // one wrong coded command
 	if err := d.AuditEncoding(cmds, coded); !errors.Is(err, ErrProofInvalid) {
 		t.Fatalf("corrupt encoding not caught: %v", err)
 	}
@@ -111,7 +112,7 @@ func TestCorruptEncodingCaught(t *testing.T) {
 func TestDecodeWithProofHonest(t *testing.T) {
 	const k, n = 3, 20
 	fx := newFixture(t, k, n)
-	d := New(fx.ring, fx.code, HonestDelegate)
+	d := New(fx.ring, fx.code)
 	b := lcc.SyncMaxFaults(n, k, fx.tr.Degree())
 	results, _ := fx.simulateRound(t, b)
 	dec, proof, err := d.DecodeWithProof(results, fx.tr.Degree())
@@ -129,12 +130,14 @@ func TestDecodeWithProofHonest(t *testing.T) {
 func TestCorruptDecodingCaught(t *testing.T) {
 	const k, n = 2, 16
 	fx := newFixture(t, k, n)
-	d := New(fx.ring, fx.code, CorruptDecoding)
+	d := New(fx.ring, fx.code)
 	results, _ := fx.simulateRound(t, 0)
 	dec, proof, err := d.DecodeWithProof(results, fx.tr.Degree())
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Wrong polynomial coefficients.
+	proof.Coeffs[0] = fx.ring.Add(proof.Coeffs[0], poly.Poly[uint64]{gold.One()})
 	if err := d.VerifyDecodeProof(results, fx.tr.Degree(), proof, dec.Outputs); !errors.Is(err, ErrProofInvalid) {
 		t.Fatalf("corrupt decoding not caught: %v", err)
 	}
@@ -143,12 +146,13 @@ func TestCorruptDecodingCaught(t *testing.T) {
 func TestCorruptOutputsCaught(t *testing.T) {
 	const k, n = 2, 16
 	fx := newFixture(t, k, n)
-	d := New(fx.ring, fx.code, CorruptOutputs)
+	d := New(fx.ring, fx.code)
 	results, _ := fx.simulateRound(t, 0)
 	dec, proof, err := d.DecodeWithProof(results, fx.tr.Degree())
 	if err != nil {
 		t.Fatal(err)
 	}
+	dec.Outputs[0][0] = gold.Add(dec.Outputs[0][0], gold.One()) // one wrong output
 	if err := d.VerifyDecodeProof(results, fx.tr.Degree(), proof, dec.Outputs); !errors.Is(err, ErrProofInvalid) {
 		t.Fatalf("corrupt outputs not caught: %v", err)
 	}
@@ -157,7 +161,7 @@ func TestCorruptOutputsCaught(t *testing.T) {
 func TestProofValidationEdgeCases(t *testing.T) {
 	const k, n = 2, 16
 	fx := newFixture(t, k, n)
-	d := New(fx.ring, fx.code, HonestDelegate)
+	d := New(fx.ring, fx.code)
 	results, _ := fx.simulateRound(t, 0)
 	deg := fx.tr.Degree()
 	dec, proof, err := d.DecodeWithProof(results, deg)
@@ -210,7 +214,7 @@ func TestDelegateRoundMatchesDecentralized(t *testing.T) {
 	// uncoded execution.
 	const k, n = 2, 16
 	fx := newFixture(t, k, n)
-	d := New(fx.ring, fx.code, HonestDelegate)
+	d := New(fx.ring, fx.code)
 	states := make([][]uint64, k)
 	cmds := make([][]uint64, k)
 	for i := 0; i < k; i++ {
@@ -274,21 +278,9 @@ func TestDelegateRoundMatchesDecentralized(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	for _, m := range []CorruptMode{HonestDelegate, CorruptEncoding, CorruptDecoding, CorruptOutputs, CorruptMode(9)} {
-		if m.String() == "" {
-			t.Error("empty mode string")
-		}
-	}
-	fx := newFixture(t, 2, 8)
-	if New(fx.ring, fx.code, CorruptOutputs).Mode() != CorruptOutputs {
-		t.Error("Mode accessor")
-	}
-}
-
 func TestDelegateInputValidation(t *testing.T) {
 	fx := newFixture(t, 2, 8)
-	d := New(fx.ring, fx.code, HonestDelegate)
+	d := New(fx.ring, fx.code)
 	if _, _, err := d.DecodeWithProof(make([][]uint64, 3), 2); err == nil {
 		t.Error("wrong result count should fail")
 	}

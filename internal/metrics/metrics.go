@@ -41,40 +41,19 @@ type Table1Config struct {
 	D      int
 	Rounds int
 	Seed   uint64
-	// Parallelism is the worker count every measured scheme executes with
-	// (csm.Config.Parallelism / replication.Config.Parallelism). Measured
-	// op counts are worker-count-independent; wall-clock is not.
-	Parallelism int
-	// BatchSize groups the measured rounds into consensus batches
-	// (csm.Config.BatchSize). Decode cost no longer depends on it — every
-	// step's decode is primed, batched or not — so only the consensus
-	// phase amortizes. The replication baselines run the same grouping
-	// through their consensus-free ExecuteBatch purely for a uniform
-	// harness; their rows are measurement-identical for any value.
-	BatchSize int
-	// Pipeline sets the CSM row's pipelined-engine depth
-	// (csm.Config.Pipeline); 0 measures the sequential engine. Outputs and
-	// op counts are pipeline-independent — only wall-clock changes.
-	Pipeline int
 }
 
-// runBatched drives a workload through a scheme's ExecuteBatch in groups
-// of batch rounds and reports whether every round stayed correct.
-func runBatched[E comparable](workload [][][]E, batch int,
-	exec func([][][]E) ([]*replication.RoundResult[E], error)) (bool, error) {
-	if batch < 1 {
-		batch = 1
-	}
+// runRounds drives a workload through a baseline's ExecuteRound and
+// reports whether every round stayed correct.
+func runRounds(workload [][][]uint64,
+	exec func([][]uint64) (*replication.RoundResult[uint64], error)) (bool, error) {
 	correct := true
-	for start := 0; start < len(workload); start += batch {
-		end := min(start+batch, len(workload))
-		results, err := exec(workload[start:end])
+	for _, cmds := range workload {
+		res, err := exec(cmds)
 		if err != nil {
 			return false, err
 		}
-		for _, res := range results {
-			correct = correct && res.Correct
-		}
+		correct = correct && res.Correct
 	}
 	return correct, nil
 }
@@ -115,11 +94,11 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 	// Full replication.
 	full, err := replication.OpenFull(gold, replFactory(cfg.D),
 		replication.WithNodes(cfg.N), replication.WithMachines(k),
-		replication.WithSeed(cfg.Seed), replication.WithParallelism(cfg.Parallelism))
+		replication.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
-	correct, err := runBatched(workload, cfg.BatchSize, full.ExecuteBatch)
+	correct, err := runRounds(workload, full.ExecuteRound)
 	if err != nil {
 		return nil, err
 	}
@@ -129,11 +108,11 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 	// Partial replication.
 	part, err := replication.OpenPartial(gold, replFactory(cfg.D),
 		replication.WithNodes(cfg.N), replication.WithMachines(k),
-		replication.WithSeed(cfg.Seed), replication.WithParallelism(cfg.Parallelism))
+		replication.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
-	correct, err = runBatched(workload, cfg.BatchSize, part.ExecuteBatch)
+	correct, err = runRounds(workload, part.ExecuteRound)
 	if err != nil {
 		return nil, err
 	}
@@ -157,9 +136,7 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 	}
 	cluster, err := csm.Open(gold, bankLike(cfg.D),
 		csm.WithNodes(cfg.N), csm.WithMachines(k), csm.WithFaults(b),
-		csm.WithByzantine(byz), csm.WithSeed(cfg.Seed),
-		csm.WithParallelism(cfg.Parallelism),
-		csm.WithBatching(cfg.BatchSize), csm.WithPipeline(cfg.Pipeline))
+		csm.WithByzantine(byz), csm.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}

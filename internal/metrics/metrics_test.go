@@ -97,7 +97,7 @@ func TestTable2OtherShapes(t *testing.T) {
 }
 
 func TestScalingSeries(t *testing.T) {
-	rows, err := ScalingSeries(ScalingConfig{Ns: []int{12, 24}, Mu: 1.0 / 3.0, D: 1, Rounds: 2, Seed: 3, Parallelism: 4})
+	rows, err := ScalingSeries(ScalingConfig{Ns: []int{12, 24}, Mu: 1.0 / 3.0, D: 1, Rounds: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,23 +48,9 @@ type ScalingConfig struct {
 	D      int
 	Rounds int
 	Seed   uint64
-	// Parallelism is the worker count the measured clusters execute with
-	// (csm.Config.Parallelism); op-count metrics are
-	// worker-count-independent.
-	Parallelism int
-	// BatchSize groups rounds under one consensus instance
-	// (csm.Config.BatchSize); in both series only consensus amortizes
-	// (decentralized decodes are primed on every step, batched or not,
-	// and the delegated worker does the coding).
-	BatchSize int
-	// Pipeline sets the decentralized cluster's pipelined-engine depth;
-	// the delegated cluster always runs sequentially (the Section 6.2
-	// round interleaves client work with network phases).
-	Pipeline int
 }
 
-// ScalingSeries measures the Theorem 1 series under the given engine
-// configuration.
+// ScalingSeries measures the Theorem 1 series.
 func ScalingSeries(cfg ScalingConfig) ([]ScalingRow, error) {
 	out := make([]ScalingRow, 0, len(cfg.Ns))
 	gold := field.NewGoldilocks()
@@ -80,9 +66,7 @@ func ScalingSeries(cfg ScalingConfig) ([]ScalingRow, error) {
 		}
 		cluster, err := csm.Open(gold, bankLike(cfg.D),
 			csm.WithNodes(n), csm.WithMachines(k), csm.WithFaults(b),
-			csm.WithByzantine(byz), csm.WithSeed(cfg.Seed),
-			csm.WithParallelism(cfg.Parallelism),
-			csm.WithBatching(cfg.BatchSize), csm.WithPipeline(cfg.Pipeline))
+			csm.WithByzantine(byz), csm.WithSeed(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
@@ -91,11 +75,10 @@ func ScalingSeries(cfg ScalingConfig) ([]ScalingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Same cluster, delegated execution phase (never pipelined).
+		// Same cluster, delegated execution phase.
 		delegatedCluster, err := csm.Open(gold, bankLike(cfg.D),
 			csm.WithNodes(n), csm.WithMachines(k), csm.WithFaults(b),
-			csm.WithDelegated(), csm.WithByzantine(byz), csm.WithSeed(cfg.Seed),
-			csm.WithParallelism(cfg.Parallelism), csm.WithBatching(cfg.BatchSize))
+			csm.WithDelegated(), csm.WithByzantine(byz), csm.WithSeed(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}

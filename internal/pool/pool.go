@@ -42,12 +42,12 @@ func Clamp(workers, n int) int {
 
 // Run executes fn(i) for every i in [0, n) on at most workers goroutines
 // (workers <= 0 selects DefaultWorkers). With one worker — or n < 2 — it
-// degenerates to the plain sequential loop, stopping at the first error.
+// degenerates to the plain sequential loop.
 //
-// In the parallel regime every index is attempted even if an earlier index
-// fails (workers race ahead), so fn must be safe to run for all indices;
-// the error reported is the one with the lowest index, matching what the
-// sequential loop would have surfaced first.
+// Every index is attempted even if another index fails, whatever the
+// worker count, so fn must be safe to run for all indices and the work
+// done (field ops counted inside fn, say) does not depend on workers; the
+// error reported is the one with the lowest index.
 func Run(workers, n int, fn func(i int) error) error {
 	return RunIndexed(workers, n, func(_, i int) error { return fn(i) })
 }
@@ -63,12 +63,13 @@ func RunIndexed(workers, n int, fn func(worker, i int) error) error {
 	}
 	workers = Clamp(workers, n)
 	if workers == 1 {
+		var firstErr error
 		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil {
-				return err
+			if err := fn(0, i); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
-		return nil
+		return firstErr
 	}
 	var (
 		next atomic.Int64

@@ -76,21 +76,29 @@ func TestRunReportsLowestIndexError(t *testing.T) {
 	}
 }
 
-func TestRunSequentialStopsAtFirstError(t *testing.T) {
-	boom := errors.New("boom")
-	ran := 0
-	err := Run(1, 10, func(i int) error {
-		ran++
-		if i == 3 {
-			return boom
+// TestRunAttemptsEveryIndexOnError: an error stops no worker count early,
+// so the work fn does is the same at one worker as at many.
+func TestRunAttemptsEveryIndexOnError(t *testing.T) {
+	errA := errors.New("a")
+	errB := errors.New("b")
+	for _, workers := range []int{1, 8} {
+		var ran atomic.Int32
+		err := Run(workers, 10, func(i int) error {
+			ran.Add(1)
+			switch i {
+			case 3:
+				return errA
+			case 7:
+				return errB
+			}
+			return nil
+		})
+		if !errors.Is(err, errA) {
+			t.Fatalf("workers=%d: want index 3's error, got %v", workers, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatal(err)
-	}
-	if ran != 4 {
-		t.Fatalf("sequential path ran %d calls after error, want 4", ran)
+		if ran.Load() != 10 {
+			t.Fatalf("workers=%d: ran %d calls, want all 10", workers, ran.Load())
+		}
 	}
 }
 

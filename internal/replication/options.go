@@ -14,10 +14,9 @@ type Option func(*settings) error
 
 // settings accumulates the baseline knobs an Option can set.
 type settings struct {
-	n, k        int
-	byzantine   map[int]Behavior
-	seed        uint64
-	parallelism int
+	n, k      int
+	byzantine map[int]Behavior
+	seed      uint64
 }
 
 func optionErr(format string, args ...any) Option {
@@ -60,12 +59,6 @@ func WithSeed(seed uint64) Option {
 	return func(s *settings) error { s.seed = seed; return nil }
 }
 
-// WithParallelism sets the replica-step worker count (rounds are
-// bit-identical for any value).
-func WithParallelism(workers int) Option {
-	return func(s *settings) error { s.parallelism = workers; return nil }
-}
-
 // buildConfig assembles the generic Config from applied options.
 func buildConfig[E comparable](f field.Field[E], tf TransitionFactory[E], opts []Option) (Config[E], error) {
 	var s settings
@@ -84,7 +77,6 @@ func buildConfig[E comparable](f field.Field[E], tf TransitionFactory[E], opts [
 		N:             s.n,
 		Byzantine:     s.byzantine,
 		Seed:          s.seed,
-		Parallelism:   s.parallelism,
 	}, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 
 	"codedsm/internal/field"
-	"codedsm/internal/pool"
 	"codedsm/internal/sm"
 )
 
@@ -84,12 +83,6 @@ func (c *PartialCluster[E]) OpCounts() field.OpCounts { return c.counting.Counts
 // OracleStates returns the ground-truth machine states.
 func (c *PartialCluster[E]) OracleStates() [][]E { return states(c.oracle) }
 
-// ExecuteBatch runs a batch of consecutive rounds, mirroring a csm
-// consensus batch for like-for-like harnesses.
-func (c *PartialCluster[E]) ExecuteBatch(batch [][][]E) ([]*RoundResult[E], error) {
-	return batchRounds(batch, c.ExecuteRound)
-}
-
 // ExecuteRound executes one command per machine within its group and
 // applies the majority rule per group: acceptance threshold is a majority
 // of the group, (q+2)/2 rounded down... precisely floor(q/2)+1.
@@ -102,23 +95,16 @@ func (c *PartialCluster[E]) ExecuteRound(cmds [][]E) (*RoundResult[E], error) {
 		return nil, err
 	}
 	lies := lieVectors(c.cfg.BaseField, c.rng, c.cfg.K, len(oracleOut[0]))
-	// Compute phase (parallel): each honest node steps its group's machine;
-	// vote casting stays in node order for determinism.
+	// Compute phase: each honest node steps its group's machine.
 	nodeOuts := make([][]E, c.cfg.N)
-	err = pool.Run(c.cfg.Parallelism, c.cfg.N, func(i int) error {
+	for i := range nodeOuts {
 		switch c.cfg.Byzantine[i] {
 		case Crash, Colluding:
-			return nil
+			continue
 		}
-		out, serr := c.replicas[i].Step(cmds[c.group[i]])
-		if serr != nil {
-			return serr
+		if nodeOuts[i], err = c.replicas[i].Step(cmds[c.group[i]]); err != nil {
+			return nil, err
 		}
-		nodeOuts[i] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	votes := make([]map[string]*vote[E], c.cfg.K)
 	for k := range votes {

@@ -17,7 +17,6 @@ import (
 	"math/rand/v2"
 
 	"codedsm/internal/field"
-	"codedsm/internal/pool"
 	"codedsm/internal/sm"
 	"codedsm/internal/transport"
 )
@@ -53,30 +52,6 @@ type Config[E comparable] struct {
 	InitialStates [][]E
 	// Seed drives the adversary's lies.
 	Seed uint64
-	// Parallelism fans the honest replicas' machine steps across worker
-	// goroutines, mirroring csm.Config.Parallelism so Table 1 compares
-	// schemes like-for-like at any worker count. Rounds are bit-identical
-	// for any value. 1 runs sequentially; <= 0 selects
-	// runtime.GOMAXPROCS(0).
-	Parallelism int
-}
-
-// batchRounds is the shared ExecuteBatch implementation, mirroring the
-// rounds csm.Config.BatchSize groups under one consensus instance, so the
-// Table 1 harness drives every scheme with the same workload grouping: replication rounds are consensus-free
-// (the paper's metric already excludes consensus, Section 2.2), so a
-// batch is simply executed in order, with completed results returned
-// alongside a mid-batch error.
-func batchRounds[E comparable](batch [][][]E, exec func([][]E) (*RoundResult[E], error)) ([]*RoundResult[E], error) {
-	out := make([]*RoundResult[E], 0, len(batch))
-	for _, cmds := range batch {
-		res, err := exec(cmds)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }
 
 // RoundResult reports one replication round.
@@ -145,8 +120,6 @@ func (c *FullCluster[E]) OracleStates() [][]E { return states(c.oracle) }
 
 // ExecuteRound runs one command per machine at every node and simulates
 // client acceptance with the b+1 matching-responses rule, b = Security().
-// Honest replicas step in parallel on cfg.Parallelism workers; vote
-// casting stays in node order so rounds are deterministic.
 func (c *FullCluster[E]) ExecuteRound(cmds [][]E) (*RoundResult[E], error) {
 	if len(cmds) != c.cfg.K {
 		return nil, fmt.Errorf("replication: %d commands for K=%d", len(cmds), c.cfg.K)
@@ -157,22 +130,16 @@ func (c *FullCluster[E]) ExecuteRound(cmds [][]E) (*RoundResult[E], error) {
 	}
 	// One colluding lie per machine per round.
 	lies := lieVectors(c.cfg.BaseField, c.rng, c.cfg.K, len(oracleOut[0]))
-	// Compute phase (parallel): honest nodes step all K replicas.
+	// Compute phase: honest nodes step all K replicas.
 	nodeOuts := make([][][]E, c.cfg.N)
-	err = pool.Run(c.cfg.Parallelism, c.cfg.N, func(i int) error {
+	for i := range nodeOuts {
 		switch c.cfg.Byzantine[i] {
 		case Crash, Colluding:
-			return nil
+			continue
 		}
-		outs, serr := step(c.replicas[i], cmds)
-		if serr != nil {
-			return serr
+		if nodeOuts[i], err = step(c.replicas[i], cmds); err != nil {
+			return nil, err
 		}
-		nodeOuts[i] = outs
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	votes := make([]map[string]*vote[E], c.cfg.K)
 	for k := range votes {
@@ -195,12 +162,6 @@ func (c *FullCluster[E]) ExecuteRound(cmds [][]E) (*RoundResult[E], error) {
 	// A client needs b+1 matching replies where b is the tolerated fault
 	// count for the scheme.
 	return tally(c.cfg.BaseField, votes, oracleOut, c.Security()+1), nil
-}
-
-// ExecuteBatch runs a batch of consecutive rounds (one command set per
-// round), mirroring a csm consensus batch for like-for-like harnesses.
-func (c *FullCluster[E]) ExecuteBatch(batch [][][]E) ([]*RoundResult[E], error) {
-	return batchRounds(batch, c.ExecuteRound)
 }
 
 // vote groups identical replies.
