@@ -151,20 +151,13 @@ func TestPaperArtifacts(t *testing.T) {
 	}
 	if got != string(want) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) || i < len(wl); i++ {
-			if i >= len(gl) || i >= len(wl) || gl[i] != wl[i] {
-				t.Fatalf("RESULTS.md differs from the measurement at line %d:\nfile:     %q\nmeasured: %q\n(go test -run '^TestPaperArtifacts$' -update . rewrites it)",
-					i+1, lineAt(wl, i), lineAt(gl, i))
-			}
+		i := 0
+		for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
+			i++
 		}
+		t.Fatalf("RESULTS.md differs from the measurement at line %d:\nfile:     %q\nmeasured: %q\n(go test -run '^TestPaperArtifacts$' -update . rewrites it)",
+			i+1, wl[min(i, len(wl)-1)], gl[min(i, len(gl)-1)])
 	}
-}
-
-func lineAt(lines []string, i int) string {
-	if i < len(lines) {
-		return lines[i]
-	}
-	return "<end of file>"
 }
 
 func measureTable1(w io.Writer) (string, error) {
