@@ -13,7 +13,7 @@
 //	Fig. 4   -> BenchmarkFig4DelegatedRound
 //	Fig. 5   -> BenchmarkFig5IntermixAudit
 //	§6.2     -> BenchmarkCoding* (naive vs fast encode/decode ablation)
-//	§5.2     -> BenchmarkRSDecoder* (Gao vs Berlekamp-Welch ablation)
+//	§5.2     -> BenchmarkRSDecoderGao (the execution-phase decode)
 //	§3       -> BenchmarkConsensus* (consensus-phase protocols)
 package codedsm
 
@@ -378,18 +378,9 @@ func benchEncode(b *testing.B, fast bool) {
 	}
 }
 
-// --- Section 5.2 decoder ablation: Gao vs Berlekamp-Welch ---
+// --- Section 5.2: the execution-phase decode at its radius ---
 
 func BenchmarkRSDecoderGao(b *testing.B) {
-	benchDecoder(b, true)
-}
-
-func BenchmarkRSDecoderBerlekampWelch(b *testing.B) {
-	benchDecoder(b, false)
-}
-
-func benchDecoder(b *testing.B, gao bool) {
-	b.Helper()
 	for _, n := range []int{32, 64} {
 		k := n / 4
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
@@ -416,12 +407,7 @@ func benchDecoder(b *testing.B, gao bool) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if gao {
-					_, err = code.Decode(word)
-				} else {
-					_, err = code.DecodeBW(word)
-				}
-				if err != nil {
+				if _, err = code.Decode(word); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -118,9 +118,8 @@ type DecodeProof[E comparable] struct {
 // DecodeWithProof is the worker's decode, producing outputs and a proof.
 // The paper offhandedly names Berlekamp-Welch for this step while claiming
 // quasilinear cost; BW's linear-algebra formulation is cubic, so the worker
-// uses the Gao extended-Euclidean decoder (the quasilinear-capable one);
-// DecodeBW remains available and is compared in the decoder ablation
-// benchmarks. It decodes on the lcc.Code's shared result code, so the RS
+// uses Gao's extended-Euclidean decoder (the quasilinear-capable one), the
+// repository's only decoder. It decodes on the lcc.Code's shared result code, so the RS
 // code is built once per Code, not once per round.
 func (d *Delegation[E]) DecodeWithProof(results [][]E, degree int) (*lcc.DecodeResult[E], *DecodeProof[E], error) {
 	if len(results) != d.code.N() {

@@ -77,41 +77,6 @@ func TestQuickDecodeWithinRadius(t *testing.T) {
 	}
 }
 
-// TestQuickDecodersAgree: Gao and Berlekamp-Welch are interchangeable.
-func TestQuickDecodersAgree(t *testing.T) {
-	ring := goldRing()
-	cfg := quickDecodeConfig(ring)
-	cfg.MaxCount = 40
-	if err := quick.Check(func(c decodeCase) bool {
-		if c.n > 28 { // keep the O(n^3) BW solver quick
-			return true
-		}
-		pts, err := ring.Field().Elements(c.n)
-		if err != nil {
-			return false
-		}
-		code, err := NewCode(ring, pts, c.k)
-		if err != nil {
-			return false
-		}
-		word, err := code.Encode(c.msg)
-		if err != nil {
-			return false
-		}
-		for _, pos := range c.errorsAt {
-			word[pos] = ring.Field().Add(word[pos], 3)
-		}
-		gao, errG := code.Decode(word)
-		bw, errB := code.DecodeBW(word)
-		if errG != nil || errB != nil {
-			return false
-		}
-		return ring.Equal(gao.Message, bw.Message)
-	}, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickEncodeIsLinear: the code is linear — encode(a+b) = encode(a) +
 // encode(b) componentwise. CSM's state update step (re-encoding decoded
 // states) relies on this.

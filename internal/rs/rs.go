@@ -1,13 +1,12 @@
 // Package rs implements Reed-Solomon codes over arbitrary evaluation
-// points, with two noisy-interpolation decoders:
-//
-//   - Gao's decoder, built on the extended Euclidean algorithm — the
-//     "efficient noisy polynomial interpolation" the paper invokes for the
-//     execution phase (Section 5.2);
-//   - the Berlekamp-Welch decoder, built on linear algebra — no engine
-//     decodes with it (the Section 6.2 worker runs Gao too); it is the
-//     independent oracle the tests hold Gao to, and a decoder ablation
-//     benchmark's second arm.
+// points with one noisy-interpolation decoder: Gao's, built on the
+// extended Euclidean algorithm (Gao, "A new algorithm for decoding
+// Reed-Solomon codes", 2003) — the "efficient noisy polynomial
+// interpolation" the paper invokes for the execution phase (Section 5.2,
+// which names Berlekamp-Welch). Every engine and the Section 6.2 worker
+// decode with it. Its truth is checked exhaustively over a small field
+// (TestDecodeExhaustive): a word within the radius of a codeword decodes
+// to it, and any other word is refused.
 //
 // A CSM execution round produces N evaluations g_i = h(α_i) of the composite
 // polynomial h = f(u(z), v(z)) of degree d(K-1); up to b of them are
@@ -172,22 +171,6 @@ func (c *Code[E]) Encode(msg poly.Poly[E]) ([]E, error) {
 	return c.evaluate(msg)
 }
 
-// IsCodeword reports whether word is a noiseless codeword and, if so,
-// returns the message polynomial.
-func (c *Code[E]) IsCodeword(word []E) (poly.Poly[E], bool) {
-	if len(word) != len(c.points) {
-		return nil, false
-	}
-	p, err := c.interpolate(word)
-	if err != nil {
-		return nil, false
-	}
-	if c.ring.Deg(p) >= c.dim {
-		return nil, false
-	}
-	return p, true
-}
-
 // DecodeResult carries a successful decode: the recovered message
 // polynomial and the indices at which the received word was corrupted.
 type DecodeResult[E comparable] struct {
@@ -334,62 +317,4 @@ func (c *Code[E]) DecodeSubset(indices []int, values []E) (*DecodeResult[E], err
 	}
 	res.ErrorsAt = mapped
 	return res, nil
-}
-
-// DecodeBW decodes with the Berlekamp-Welch algorithm: find E(z) monic of
-// degree e and Q(z) of degree < k+e with Q(α_i) = y_i E(α_i) for all i,
-// then message = Q/E. No engine decodes with it: it is the independent
-// oracle the tests compare Decode against, and the decoder ablation
-// benchmark's second arm.
-func (c *Code[E]) DecodeBW(received []E) (*DecodeResult[E], error) {
-	n, k := len(c.points), c.dim
-	if len(received) != n {
-		return nil, fmt.Errorf("rs: received word length %d, want %d", len(received), n)
-	}
-	f := c.ring.Field()
-	e := c.MaxErrors()
-	if e == 0 {
-		p, ok := c.IsCodeword(received)
-		if !ok {
-			return nil, fmt.Errorf("rs: %w (no redundancy)", ErrTooManyErrors)
-		}
-		return c.finish(p, received)
-	}
-	// Unknowns: q_0..q_{k+e-1}, eps_0..eps_{e-1} with E = z^e + sum eps_j z^j.
-	// Row i: sum_j q_j α_i^j - y_i sum_j eps_j α_i^j = y_i α_i^e.
-	cols := k + 2*e
-	mat := make([][]E, n)
-	flat := make([]E, n*cols) // one backing array for all rows
-	rhs := make([]E, n)
-	for i := 0; i < n; i++ {
-		row := flat[i*cols : (i+1)*cols]
-		pow := f.One()
-		for j := 0; j < k+e; j++ {
-			row[j] = pow
-			pow = f.Mul(pow, c.points[i])
-		}
-		pow = f.One()
-		for j := 0; j < e; j++ {
-			row[k+e+j] = f.Neg(f.Mul(received[i], pow))
-			pow = f.Mul(pow, c.points[i])
-		}
-		mat[i] = row
-		rhs[i] = f.Mul(received[i], field.Exp(f, c.points[i], uint64(e)))
-	}
-	sol, err := solveLinear(f, mat, rhs)
-	if err != nil {
-		return nil, fmt.Errorf("rs: %w: %v", ErrTooManyErrors, err)
-	}
-	q := c.ring.Normalize(poly.Poly[E](sol[:k+e]))
-	locator := make(poly.Poly[E], e+1)
-	copy(locator, sol[k+e:])
-	locator[e] = f.One()
-	msg, rem, err := c.ring.DivMod(q, locator)
-	if err != nil {
-		return nil, err
-	}
-	if !c.ring.IsZero(rem) || c.ring.Deg(msg) >= k {
-		return nil, fmt.Errorf("rs: %w (Berlekamp-Welch division not exact)", ErrTooManyErrors)
-	}
-	return c.finish(msg, received)
 }

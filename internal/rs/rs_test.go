@@ -98,33 +98,6 @@ func TestDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeBWMatchesGao(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	ring := goldRing()
-	for _, tc := range []struct{ n, k int }{{7, 3}, {15, 5}, {20, 8}} {
-		c := newTestCode(t, ring, tc.n, tc.k)
-		for e := 0; e <= c.MaxErrors(); e++ {
-			msg := randMsg(ring, rng, tc.k)
-			word, err := c.Encode(msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			corrupt(ring.Field(), rng, word, e)
-			gao, err := c.Decode(word)
-			if err != nil {
-				t.Fatalf("Gao n=%d k=%d e=%d: %v", tc.n, tc.k, e, err)
-			}
-			bw, err := c.DecodeBW(word)
-			if err != nil {
-				t.Fatalf("BW n=%d k=%d e=%d: %v", tc.n, tc.k, e, err)
-			}
-			if !ring.Equal(gao.Message, bw.Message) {
-				t.Fatalf("n=%d k=%d e=%d: decoders disagree", tc.n, tc.k, e)
-			}
-		}
-	}
-}
-
 func TestDecodeBeyondRadiusFails(t *testing.T) {
 	// The paper's Table 2 boundary: decoding succeeds iff
 	// 2b ≤ N - (K'-1) - 1 where K' is the code dimension. One error past the
@@ -147,28 +120,6 @@ func TestDecodeBeyondRadiusFails(t *testing.T) {
 		if err == nil && ring.Equal(res.Message, msg) {
 			t.Fatal("decoded correctly beyond the unique-decoding radius?")
 		}
-	}
-}
-
-func TestIsCodeword(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 8))
-	ring := goldRing()
-	c := newTestCode(t, ring, 10, 4)
-	msg := randMsg(ring, rng, 4)
-	word, err := c.Encode(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.IsCodeword(word)
-	if !ok || !ring.Equal(got, msg) {
-		t.Fatal("clean codeword not recognized")
-	}
-	word[3] = ring.Field().Add(word[3], 1)
-	if _, ok := c.IsCodeword(word); ok {
-		t.Fatal("corrupted word recognized as codeword")
-	}
-	if _, ok := c.IsCodeword(word[:5]); ok {
-		t.Fatal("short word recognized as codeword")
 	}
 }
 
@@ -227,9 +178,6 @@ func TestDecodeWrongLength(t *testing.T) {
 	if _, err := c.Decode(make([]uint64, 7)); err == nil {
 		t.Error("wrong-length word should fail")
 	}
-	if _, err := c.DecodeBW(make([]uint64, 7)); err == nil {
-		t.Error("wrong-length word should fail (BW)")
-	}
 }
 
 func TestDecodeGF2m(t *testing.T) {
@@ -270,89 +218,9 @@ func TestErrTooManyErrorsWrapped(t *testing.T) {
 	}
 }
 
-func TestZeroRedundancyBW(t *testing.T) {
-	rng := rand.New(rand.NewPCG(15, 16))
-	ring := goldRing()
-	c := newTestCode(t, ring, 5, 5) // e = 0
-	msg := randMsg(ring, rng, 5)
-	word, err := c.Encode(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.DecodeBW(word)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ring.Equal(res.Message, msg) {
-		t.Fatal("BW with zero redundancy failed on clean word")
-	}
-	// With zero redundancy every word is a codeword: corruption cannot be
-	// detected, only decoded to a *different* message. This is why CSM
-	// needs N > d(K-1) strictly (Table 2).
-	word[0] = ring.Field().Add(word[0], 1)
-	res2, err := c.DecodeBW(word)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ring.Equal(res2.Message, msg) {
-		t.Fatal("corrupted word decoded to the original message")
-	}
-}
-
-func TestSolveLinear(t *testing.T) {
-	g := field.NewGoldilocks()
-	// 2x + y = 5; x + 3y = 5  =>  x = 2, y = 1.
-	mat := [][]uint64{{2, 1}, {1, 3}}
-	rhs := []uint64{5, 5}
-	x, err := solveLinear[uint64](g, mat, rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x[0] != 2 || x[1] != 1 {
-		t.Errorf("solution = %v", x)
-	}
-	// Inconsistent: x + y = 1; x + y = 2.
-	if _, err := solveLinear[uint64](g, [][]uint64{{1, 1}, {1, 1}}, []uint64{1, 2}); err == nil {
-		t.Error("inconsistent system should fail")
-	}
-	// Underdetermined: one equation, two unknowns; free var set to 0.
-	x, err = solveLinear[uint64](g, [][]uint64{{0, 2}}, []uint64{6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x[0] != 0 || x[1] != 3 {
-		t.Errorf("underdetermined solution = %v", x)
-	}
-	if _, err := solveLinear[uint64](g, [][]uint64{{1}}, []uint64{1, 2}); err == nil {
-		t.Error("row/rhs mismatch should fail")
-	}
-	out, err := solveLinear[uint64](g, nil, nil)
-	if err != nil || out != nil {
-		t.Errorf("empty system: %v %v", out, err)
-	}
-}
-
-func TestMatVec(t *testing.T) {
-	g := field.NewGoldilocks()
-	mat := [][]uint64{{1, 2}, {3, 4}, {5, 6}}
-	got, err := MatVec[uint64](g, mat, []uint64{10, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{210, 430, 650}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("row %d: %d, want %d", i, got[i], want[i])
-		}
-	}
-	if _, err := MatVec[uint64](g, mat, []uint64{1}); err == nil {
-		t.Error("dimension mismatch should fail")
-	}
-}
-
 func TestDecodePropertyRandom(t *testing.T) {
-	// Property: for random (n, k, e <= radius, msg, error pattern), both
-	// decoders recover the message and the exact error set.
+	// Property: for random (n, k, e <= radius, msg, error pattern), the
+	// decoder recovers the message and the exact error set.
 	rng := rand.New(rand.NewPCG(17, 18))
 	ring := goldRing()
 	for trial := 0; trial < 60; trial++ {
