@@ -405,7 +405,7 @@ func New[E comparable](cfg Config[E]) (*Cluster[E], error) {
 		}
 		oracle[k] = m
 	}
-	codedStates, err := code.EncodeVectorsParallel(initial, cfg.Parallelism)
+	codedStates, err := code.EncodeVectors(initial)
 	if err != nil {
 		return nil, err
 	}

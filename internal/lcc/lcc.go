@@ -31,7 +31,6 @@ import (
 
 	"codedsm/internal/field"
 	"codedsm/internal/poly"
-	"codedsm/internal/pool"
 	"codedsm/internal/rs"
 )
 
@@ -240,39 +239,21 @@ func (c *Code[E]) EncodeAt(values []E, node int) (E, error) {
 
 // EncodeVectors encodes K machine vectors (each of length L) into N coded
 // vectors by the naive matrix product, O(N*K*L) operations. This is the
-// per-node encoding cost the delegated mode eliminates.
+// per-node encoding cost the delegated mode eliminates. Each row's K x L
+// inner product is one K-term LinCombAccVec kernel over a single flat
+// backing array — no per-row allocation and no per-element interface
+// dispatch.
 func (c *Code[E]) EncodeVectors(values [][]E) ([][]E, error) {
-	return c.EncodeVectorsParallel(values, 1)
-}
-
-// EncodeVectorsParallel is EncodeVectors with the N output rows fanned
-// across at most workers goroutines (workers <= 0 selects
-// runtime.GOMAXPROCS). Each row i = Σ_k c_ik values[k] is independent, so
-// the result is identical to the sequential product.
-//
-// Each row's K x L inner product is one K-term LinCombAccVec kernel over a
-// single flat backing array — no per-row allocation and no per-element
-// interface dispatch.
-func (c *Code[E]) EncodeVectorsParallel(values [][]E, workers int) ([][]E, error) {
 	l, err := c.vectorLen(values, len(c.omegas))
 	if err != nil {
 		return nil, err
 	}
 	n := len(c.alphas)
-	flat := make([]E, n*l)
+	flat := field.ZeroVec(c.f, n*l)
 	out := make([][]E, n)
-	zero := c.f.Zero()
-	encErr := pool.Run(workers, n, func(i int) error {
-		vec := flat[i*l : (i+1)*l : (i+1)*l] // full slice: append never bleeds across rows
-		for j := range vec {
-			vec[j] = zero
-		}
-		c.bulk.LinCombAccVec(vec, c.coeffs[i], values)
-		out[i] = vec
-		return nil
-	})
-	if encErr != nil {
-		return nil, encErr
+	for i := range out {
+		out[i] = flat[i*l : (i+1)*l : (i+1)*l] // full slice: append never bleeds across rows
+		c.bulk.LinCombAccVec(out[i], c.coeffs[i], values)
 	}
 	return out, nil
 }

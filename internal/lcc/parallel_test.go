@@ -53,32 +53,6 @@ func buildRound(t *testing.T, k, n, d, faults int) (*Code[uint64], [][]uint64) {
 	return code, results
 }
 
-func TestEncodeVectorsParallelMatchesSequential(t *testing.T) {
-	gold := field.NewGoldilocks()
-	ring := poly.NewRing[uint64](gold)
-	code, err := New(ring, 8, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	values := make([][]uint64, 8)
-	for i := range values {
-		values[i] = []uint64{uint64(i + 1), uint64(3 * i), uint64(i * i)}
-	}
-	seq, err := code.EncodeVectors(values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8, 100} {
-		par, err := code.EncodeVectorsParallel(values, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("workers=%d: parallel encode diverged", workers)
-		}
-	}
-}
-
 // TestPrimedDecodeParallelMatchesFullDecode: the primed decode is the one
 // decode that fans its components across workers; at every worker count
 // it must return exactly the full decoder's result.
