@@ -129,11 +129,9 @@ func TestDecodeExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			disagree := func(what string, msg string) {
+			disagree := func(what, msg string) {
 				t.Helper()
-				if msg != "" {
-					t.Errorf("n=%d dim=%d %s: %s", n, dim, what, msg)
-				}
+				t.Errorf("n=%d dim=%d %s: %s", n, dim, what, msg)
 			}
 			words := make([][]uint64, len(truth.owner))
 			var owned [][]uint64
