@@ -126,7 +126,7 @@ soak-short:
 # Short fuzz runs over the TCP framing and message codec, the simulated
 # network's injection admission rule, the WAL record reader, the consensus wire codecs, the batch payload parser, the
 # execution result decoder, the delegated-mode message parsers, the node
-# store's applied-record and snapshot parsers, the Gao decoder's dense path against its tree path and the primed
+# store's applied-record and snapshot parsers, the recovery-delta parser, the Gao decoder's dense path against its tree path and the primed
 # verified-subset check against the full decoder (CI smoke): the
 # checked-in corpus plus a few seconds of new coverage-guided inputs.
 fuzz-smoke:
@@ -139,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeResult -fuzztime=10s ./internal/csm/
 	$(GO) test -run='^$$' -fuzz=FuzzParseDelegatedMsg -fuzztime=10s ./internal/csm/
 	$(GO) test -run='^$$' -fuzz=FuzzNodeStoreRecord -fuzztime=10s ./internal/csm/
+	$(GO) test -run='^$$' -fuzz=FuzzParseDelta -fuzztime=10s ./internal/csm/
 	$(GO) test -run='^$$' -fuzz=FuzzGaoDecode -fuzztime=10s ./internal/rs/
 	$(GO) test -run='^$$' -fuzz=FuzzPrimedDecode -fuzztime=10s ./internal/lcc/
 

@@ -611,7 +611,7 @@ func BenchmarkDelegatedEngineRound(b *testing.B) {
 		NewTransition: NewBank[uint64],
 		K:             8, N: 24, MaxFaults: 8,
 		Mode: Synchronous, Consensus: OracleConsensus,
-		NoEquivocation: true, Delegated: true,
+		Delegated: true,
 		Byzantine: map[int]Behavior{1: WrongResult, 5: WrongResult, 9: WrongResult},
 		Seed:      1,
 	})

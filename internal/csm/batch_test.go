@@ -30,7 +30,6 @@ func batchScenarios() map[string]Config[uint64] {
 	scenarios["silent-erasures"] = cfg
 
 	cfg = baseConfig(2, 16, 4)
-	cfg.NoEquivocation = false
 	cfg.Byzantine = map[int]Behavior{0: WrongResult, 3: Silent, 8: Equivocate, 13: WrongResult}
 	scenarios["mixed-at-budget"] = cfg
 

@@ -70,8 +70,6 @@ import (
 	"sync"
 
 	"codedsm/internal/consensus"
-	"codedsm/internal/consensus/dolevstrong"
-	"codedsm/internal/consensus/pbft"
 	"codedsm/internal/field"
 	"codedsm/internal/ints"
 	"codedsm/internal/lcc"
@@ -189,21 +187,18 @@ type Config[E comparable] struct {
 	Consensus ConsensusKind
 	// Byzantine maps node index to misbehaviour.
 	Byzantine map[int]Behavior
-	// NoEquivocation models a broadcast network (Section 6 assumption).
-	NoEquivocation bool
 	// Delegated enables the Section 6.2 execution phase: a rotating worker
 	// performs all coding, verified by a random auditor committee; fraud,
 	// or a worker that sends nothing, aborts the attempt and the next
-	// worker retries. Requires a synchronous broadcast network (Mode ==
-	// Sync and NoEquivocation); excludes Churn and Crashed entries in
+	// worker retries. It requires Mode == Sync and runs on a broadcast
+	// network, the Section 6 no-equivocation assumption; without it the
+	// network is point-to-point. It excludes Churn and Crashed entries in
 	// Byzantine (a node crashed at run time is tolerated).
 	Delegated bool
 	// InitialStates holds K state vectors; nil means all-zero states.
 	InitialStates [][]E
 	// Seed drives all randomness.
 	Seed uint64
-	// MaxTicksPerRound bounds a single round's lock-step ticks (default 200).
-	MaxTicksPerRound int
 	// Parallelism is the number of worker goroutines the execution phase
 	// fans node-level work onto: the N coded transition computes and the
 	// honest nodes' Reed-Solomon decodes (in delegated mode, the
@@ -270,9 +265,10 @@ type Cluster[E comparable] struct {
 	// BadLeader adversaries from batched runs. For B=1 the two coincide.
 	instances int
 	// pbftView is the view the last PBFT instance decided in; the next
-	// instance starts there, so a faulty low-view leader costs one view
-	// change per run, not one per instance (NodeProcess.startView).
+	// instance starts there (nextView).
 	pbftView int
+	// maxTicks bounds a step's lock-step ticks (maxTicksPerRound).
+	maxTicks int
 	// epoch counts membership epochs: it advances whenever a churn
 	// boundary applies at least one event, so rounds between two
 	// increments share one static fault pattern.
@@ -289,14 +285,83 @@ type Cluster[E comparable] struct {
 	clientOpen bool
 }
 
+// maxTicksPerRound bounds the lock-step ticks a node spends waiting on one
+// round's results or recovery messages, and a PBFT instance's ticks.
+const maxTicksPerRound = 200
+
+// engine is what both engines build from their configuration the same
+// way: the transition over the engine's field, the Lagrange code over a
+// ring on that field, and the K initial states.
+type engine[E comparable] struct {
+	tr      *sm.Transition[E]
+	ring    *poly.Ring[E]
+	code    *lcc.Code[E]
+	initial [][]E
+}
+
+// newEngine is the set-up New and NewNodeProcess share. It checks the fault
+// budget and the consensus shape (ValidateRemoteConsensus), builds the
+// transition over f, checks K against the Table 2 capacity of the network
+// mode, builds the code, and checks the initial states (nil: all zero).
+func newEngine[E comparable](f field.Field[E], newTransition TransitionFactory[E], kind ConsensusKind,
+	mode transport.Mode, k, n, b int, initial [][]E) (engine[E], error) {
+	var e engine[E]
+	if b < 0 {
+		return e, fmt.Errorf("csm: negative MaxFaults %d", b)
+	}
+	if err := ValidateRemoteConsensus(kind, n, b); err != nil {
+		return e, err
+	}
+	tr, err := newTransition(f)
+	if err != nil {
+		return e, fmt.Errorf("csm: building transition: %w", err)
+	}
+	d := tr.Degree()
+	if maxK := maxMachines(mode, n, b, d); k > maxK {
+		return e, fmt.Errorf("csm: K=%d exceeds capacity %d for N=%d b=%d d=%d (%s)", k, maxK, n, b, d, mode)
+	}
+	ring := poly.NewRing[E](f)
+	code, err := lcc.New(ring, k, n)
+	if err != nil {
+		return e, err
+	}
+	if initial == nil {
+		initial = make([][]E, k)
+		for i := range initial {
+			initial[i] = field.ZeroVec(f, tr.StateLen())
+		}
+	}
+	if len(initial) != k {
+		return e, fmt.Errorf("csm: %d initial states for K=%d machines", len(initial), k)
+	}
+	for i, st := range initial {
+		if len(st) != tr.StateLen() {
+			return e, fmt.Errorf("csm: initial state %d has length %d, want %d", i, len(st), tr.StateLen())
+		}
+	}
+	return engine[E]{tr: tr, ring: ring, code: code, initial: initial}, nil
+}
+
+// maxMachines is the Table 2 capacity: the most machines N nodes can run
+// at degree d while decoding through b faults in the given network mode.
+func maxMachines(mode transport.Mode, n, b, d int) int {
+	if mode == transport.Sync {
+		return lcc.SyncMaxMachines(n, b, d)
+	}
+	return lcc.PSyncMaxMachines(n, b, d)
+}
+
 // New builds and initializes a cluster, distributing coded initial states.
 func New[E comparable](cfg Config[E]) (*Cluster[E], error) {
 	if cfg.BaseField == nil || cfg.NewTransition == nil {
 		return nil, errors.New("csm: BaseField and NewTransition are required")
 	}
-	if cfg.MaxFaults < 0 {
-		return nil, fmt.Errorf("csm: negative MaxFaults %d", cfg.MaxFaults)
+	counting := field.NewCounting(cfg.BaseField)
+	eng, err := newEngine(counting, cfg.NewTransition, cfg.Consensus, cfg.Mode, cfg.K, cfg.N, cfg.MaxFaults, cfg.InitialStates)
+	if err != nil {
+		return nil, err
 	}
+	tr, code := eng.tr, eng.code
 	// Only misbehaving entries count against the budget: a map entry whose
 	// value is Honest is a (redundant) statement of the default, not a
 	// fault. Keys must name real nodes — nodes are built for 0..N-1 only,
@@ -319,11 +384,8 @@ func New[E comparable](cfg Config[E]) (*Cluster[E], error) {
 	if err := budgetCheck(cfg.N, cfg.MaxFaults, cfg.Mode, cfg.Consensus, cfg.Byzantine); err != nil {
 		return nil, err // budgetCheck errors wrap the csm-prefixed sentinels
 	}
-	if cfg.MaxTicksPerRound == 0 {
-		cfg.MaxTicksPerRound = 200
-	}
-	if cfg.Delegated && (cfg.Mode != transport.Sync || !cfg.NoEquivocation) {
-		return nil, errors.New("csm: delegated mode requires a synchronous broadcast network (Mode=Sync, NoEquivocation=true) — Section 6 assumption")
+	if cfg.Delegated && cfg.Mode != transport.Sync {
+		return nil, errors.New("csm: delegated mode requires a synchronous broadcast network (Mode=Sync) — Section 6 assumption")
 	}
 	if cfg.Delegated && (len(cfg.Churn) > 0 || cfg.ChurnFn != nil) {
 		return nil, errors.New("csm: churn is incompatible with delegated mode: the rotating worker re-reads the static fault pattern")
@@ -346,80 +408,48 @@ func New[E comparable](cfg Config[E]) (*Cluster[E], error) {
 	if cfg.Pipeline < 0 {
 		return nil, fmt.Errorf("csm: negative Pipeline depth %d", cfg.Pipeline)
 	}
-	counting := field.NewCounting(cfg.BaseField)
-	ring := poly.NewRing[E](counting)
-	tr, err := cfg.NewTransition(counting)
-	if err != nil {
-		return nil, fmt.Errorf("csm: building transition: %w", err)
-	}
 	oracleTr, err := cfg.NewTransition(cfg.BaseField)
-	if err != nil {
-		return nil, err
-	}
-	d := tr.Degree()
-	// Capacity check (Table 2): the cluster must be able to decode with b
-	// faults.
-	var maxK int
-	if cfg.Mode == transport.Sync {
-		maxK = lcc.SyncMaxMachines(cfg.N, cfg.MaxFaults, d)
-	} else {
-		maxK = lcc.PSyncMaxMachines(cfg.N, cfg.MaxFaults, d)
-	}
-	if cfg.K > maxK {
-		return nil, fmt.Errorf("csm: K=%d exceeds capacity %d for N=%d b=%d d=%d (%s)",
-			cfg.K, maxK, cfg.N, cfg.MaxFaults, d, cfg.Mode)
-	}
-	code, err := lcc.New(ring, cfg.K, cfg.N)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Delegated {
 		// The worker decodes every round on the shared result code: build
 		// it, dense tables and all, as set-up rather than in round 0.
-		if _, err := code.ResultCode(d); err != nil {
+		if _, err := code.ResultCode(tr.Degree()); err != nil {
 			return nil, err
 		}
 	}
 	net, err := transport.New(transport.Config{
 		N: cfg.N, Mode: cfg.Mode, GST: cfg.GST,
-		NoEquivocation: cfg.NoEquivocation, Seed: cfg.Seed,
+		NoEquivocation: cfg.Delegated, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	initial := cfg.InitialStates
-	if initial == nil {
-		initial = make([][]E, cfg.K)
-		for k := range initial {
-			initial[k] = field.ZeroVec(cfg.BaseField, tr.StateLen())
-		}
-	}
-	if len(initial) != cfg.K {
-		return nil, fmt.Errorf("csm: %d initial states for K=%d machines", len(initial), cfg.K)
-	}
 	oracle := make([]*sm.Machine[E], cfg.K)
 	for k := range oracle {
-		m, err := sm.NewMachine(oracleTr, initial[k])
+		m, err := sm.NewMachine(oracleTr, eng.initial[k])
 		if err != nil {
 			return nil, err
 		}
 		oracle[k] = m
 	}
-	codedStates, err := code.EncodeVectors(initial)
+	codedStates, err := code.EncodeVectors(eng.initial)
 	if err != nil {
 		return nil, err
 	}
 	c := &Cluster[E]{
 		cfg:      cfg,
 		counting: counting,
-		bulk:     ring.Bulk(),
-		ring:     ring,
+		bulk:     eng.ring.Bulk(),
+		ring:     eng.ring,
 		code:     code,
 		tr:       tr,
 		oracleTr: oracleTr,
 		oracle:   oracle,
 		net:      net,
 		rng:      rand.New(rand.NewPCG(cfg.Seed, 0xc5a)),
+		maxTicks: maxTicksPerRound,
 	}
 	c.nodes = make([]*node[E], cfg.N)
 	for i := 0; i < cfg.N; i++ {
@@ -639,9 +669,10 @@ func (c *Cluster[E]) ExecuteRound(cmds [][]E) (*RoundResult[E], error) {
 	return out[0], nil
 }
 
-// runConsensus agrees on the command batch. It returns the agreed
-// commands (per batch step), or nil if the decided batch failed validation
-// (Byzantine leader).
+// runConsensus agrees on the command batch: every node runs its consensus
+// instance (newInstance) on the simulated network, a BadLeader proposing
+// garbage. It returns the agreed commands (per batch step), or nil if the
+// decided batch failed validation (Byzantine leader).
 func (c *Cluster[E]) runConsensus(batch [][][]E) ([][][]E, int, error) {
 	defer func() { c.instances++ }()
 	if c.cfg.Consensus == Oracle {
@@ -649,23 +680,40 @@ func (c *Cluster[E]) runConsensus(batch [][][]E) ([][][]E, int, error) {
 		return batch, 0, nil
 	}
 	valid := encodeBatchMsg(c.cfg.BaseField, c.round, batch)
-	start := c.net.Round()
-	var decided []byte
-	var err error
-	switch c.cfg.Consensus {
-	case DolevStrong:
-		decided, err = c.runDolevStrong(valid)
-	case PBFT:
-		decided, err = c.runPBFT(valid)
-	default:
-		return nil, 0, fmt.Errorf("csm: unknown consensus kind %d", c.cfg.Consensus)
+	sender := transport.NodeID(c.leaderFor(c.instances))
+	nodes := make([]consensus.Node, c.cfg.N)
+	waitFor := make([]int, 0, c.cfg.N)
+	maxTicks := 0
+	for i := range nodes {
+		proposal := valid
+		if c.cfg.Byzantine[i] == BadLeader {
+			proposal = []byte("garbage-batch")
+		}
+		tr, err := consensus.NewNetTransport(c.net, transport.NodeID(i))
+		if err != nil {
+			return nil, 0, err
+		}
+		nodes[i], maxTicks, err = newInstance(c.cfg.Consensus, tr, sender, c.pbftView, c.round, c.cfg.MaxFaults, proposal)
+		if err != nil {
+			return nil, 0, err
+		}
+		if c.cfg.Byzantine[i] == Honest {
+			waitFor = append(waitFor, i)
+		}
 	}
+	start := c.net.Round()
+	err := consensus.Run(c.net, nodes, waitFor, maxTicks)
 	// The instance's ticks are the rounds the network stepped, not its
 	// budget.
 	ticks := c.net.Round() - start
 	if err != nil {
 		return nil, ticks, err
 	}
+	// Every honest node decided the same value; the first one's view
+	// starts the next instance.
+	first := nodes[waitFor[0]]
+	c.pbftView = nextView(first, c.pbftView)
+	decided, _ := first.Decided()
 	return c.agreedCommands(decided, len(batch)), ticks, nil
 }
 
@@ -682,75 +730,6 @@ func (c *Cluster[E]) agreedCommands(decided []byte, steps int) [][][]E {
 
 // leaderFor rotates leadership across consensus instances.
 func (c *Cluster[E]) leaderFor(instance int) int { return instance % c.cfg.N }
-
-func (c *Cluster[E]) runDolevStrong(valid []byte) ([]byte, error) {
-	leader := c.leaderFor(c.instances)
-	proposal := valid
-	if b := c.cfg.Byzantine[leader]; b == BadLeader {
-		proposal = []byte("garbage-batch")
-	}
-	nodes := make([]consensus.Node, c.cfg.N)
-	waitFor := make([]int, 0, c.cfg.N)
-	for i := 0; i < c.cfg.N; i++ {
-		tr, err := consensus.NewNetTransport(c.net, transport.NodeID(i))
-		if err != nil {
-			return nil, err
-		}
-		nd, err := dolevstrong.New(dolevstrong.Config{
-			Transport: tr, Sender: transport.NodeID(leader),
-			Slot: uint64(c.round), MaxFaults: c.cfg.MaxFaults,
-			Value: proposal, Default: nil,
-		})
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = nd
-		if c.cfg.Byzantine[i] == Honest {
-			waitFor = append(waitFor, i)
-		}
-	}
-	if err := consensus.Run(c.net, nodes, waitFor, dolevstrong.Rounds(c.cfg.MaxFaults)+1); err != nil {
-		return nil, err
-	}
-	decided, _ := nodes[waitFor[0]].Decided()
-	return decided, nil
-}
-
-func (c *Cluster[E]) runPBFT(valid []byte) ([]byte, error) {
-	nodes := make([]consensus.Node, c.cfg.N)
-	waitFor := make([]int, 0, c.cfg.N)
-	for i := 0; i < c.cfg.N; i++ {
-		proposal := valid
-		if c.cfg.Byzantine[i] == BadLeader {
-			proposal = []byte("garbage-batch")
-		}
-		tr, err := consensus.NewNetTransport(c.net, transport.NodeID(i))
-		if err != nil {
-			return nil, err
-		}
-		nd, err := pbft.New(pbft.Config{
-			Transport: tr, Slot: uint64(c.round),
-			MaxFaults: c.cfg.MaxFaults, Value: proposal,
-			StartView: c.pbftView,
-		})
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = nd
-		if c.cfg.Byzantine[i] == Honest {
-			waitFor = append(waitFor, i)
-		}
-	}
-	if err := consensus.Run(c.net, nodes, waitFor, c.cfg.MaxTicksPerRound); err != nil {
-		return nil, err
-	}
-	// Every honest node decided the same value; the first one's view
-	// starts the next instance.
-	first := nodes[waitFor[0]].(*pbft.Node)
-	c.pbftView = first.View()
-	decided, _ := first.Decided()
-	return decided, nil
-}
 
 // parseBatchMsg decodes a batch payload (encodeBatchMsg's bytes) into the
 // round it was proposed for and its per-step command vectors. steps < 0

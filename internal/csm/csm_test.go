@@ -81,6 +81,21 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNewRefusesConsensusShape: New refuses a consensus selection the
+// cluster's shape cannot run with ErrConsensusConfig, as NewNodeProcess
+// does, rather than failing at the first round.
+func TestNewRefusesConsensusShape(t *testing.T) {
+	pbft := baseConfig(1, 7, 3) // N < 3b+1
+	pbft.Consensus = PBFT
+	unknown := baseConfig(2, 9, 2)
+	unknown.Consensus = ConsensusKind(7)
+	for _, cfg := range []Config[uint64]{pbft, unknown} {
+		if _, err := New(cfg); !errors.Is(err, ErrConsensusConfig) {
+			t.Errorf("%v at N=%d b=%d: New returned %v, want ErrConsensusConfig", cfg.Consensus, cfg.N, cfg.MaxFaults, err)
+		}
+	}
+}
+
 func TestAllHonestMatchesOracle(t *testing.T) {
 	for _, factory := range []TransitionFactory[uint64]{bankFactory, quadFactory} {
 		cfg := baseConfig(3, 12, 2)
@@ -137,7 +152,6 @@ func TestEquivocationStillConsistent(t *testing.T) {
 	// (Section 5.2: "reconstructed polynomials at all honest nodes are
 	// identical even ... in presence of equivocation").
 	cfg := baseConfig(2, 12, 3)
-	cfg.NoEquivocation = false
 	cfg.Byzantine = map[int]Behavior{2: Equivocate, 7: Equivocate, 11: Equivocate}
 	c := newCluster(t, cfg)
 	for _, res := range runRounds(t, c, 3) {
@@ -161,7 +175,6 @@ func TestMixedByzantineAtBudget(t *testing.T) {
 	cfg.Byzantine = map[int]Behavior{
 		0: WrongResult, 3: Silent, 8: Equivocate, 13: WrongResult,
 	}
-	cfg.NoEquivocation = false
 	c := newCluster(t, cfg)
 	for r, res := range runRounds(t, c, 5) {
 		if !res.Correct {
@@ -276,7 +289,7 @@ func TestPBFTConsensusIntegration(t *testing.T) {
 
 // TestPBFTRoundReportsSteppedTicks: a simulated PBFT round reports the
 // lock-step ticks it took — three for the instance, one for the result
-// exchange — not the instance's tick budget (MaxTicksPerRound, which it
+// exchange — not the instance's tick budget (maxTicksPerRound, which it
 // used to report: ticks=201 per round).
 func TestPBFTRoundReportsSteppedTicks(t *testing.T) {
 	cfg := baseConfig(2, 7, 2)
@@ -390,14 +403,11 @@ func TestErrRoundStuck(t *testing.T) {
 	cfg := baseConfig(2, 16, 4)
 	cfg.Mode = transport.PartialSync
 	cfg.GST = 1 << 30 // never stabilizes
-	cfg.MaxTicksPerRound = 1
 	cfg.Byzantine = map[int]Behavior{3: Silent}
 	c := newCluster(t, cfg)
+	c.maxTicks = 1
 	wl := RandomWorkload[uint64](gold, 1, 2, 1, 3)
 	_, err := c.ExecuteRound(wl[0])
-	if err == nil {
-		return // delays may have cooperated; nothing to assert
-	}
 	if !errors.Is(err, ErrRoundStuck) {
 		t.Fatalf("want ErrRoundStuck, got %v", err)
 	}

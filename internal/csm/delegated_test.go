@@ -10,18 +10,12 @@ import (
 
 func delegatedConfig(k, n, b int) Config[uint64] {
 	cfg := baseConfig(k, n, b)
-	cfg.NoEquivocation = true
 	cfg.Delegated = true
 	return cfg
 }
 
 func TestDelegatedRequiresBroadcastSync(t *testing.T) {
-	cfg := baseConfig(2, 12, 2)
-	cfg.Delegated = true // but NoEquivocation false
-	if _, err := New(cfg); err == nil {
-		t.Fatal("delegated mode without broadcast network must be rejected")
-	}
-	cfg = delegatedConfig(2, 12, 2)
+	cfg := delegatedConfig(2, 12, 2)
 	cfg.Mode = transport.PartialSync
 	if _, err := New(cfg); err == nil {
 		t.Fatal("delegated mode in partial synchrony must be rejected")
@@ -194,10 +188,7 @@ func TestDelegatedThroughputAdvantage(t *testing.T) {
 	const k, n, b, rounds = 8, 24, 8, 2
 	run := func(delegated bool) uint64 {
 		cfg := baseConfig(k, n, b)
-		if delegated {
-			cfg.NoEquivocation = true
-			cfg.Delegated = true
-		}
+		cfg.Delegated = delegated
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

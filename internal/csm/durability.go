@@ -140,6 +140,17 @@ func (r *breader) vec() []uint64 {
 
 func (r *breader) done() bool { return !r.fail && r.off == len(r.b) }
 
+// count returns n, a count of items of at least minSize > 0 bytes each,
+// or fails the reader when the rest of the payload cannot hold them: a
+// count is checked before it sizes an allocation.
+func (r *breader) count(n, minSize int) int {
+	if r.fail || n < 0 || n > (len(r.b)-r.off)/minSize {
+		r.fail = true
+		return 0
+	}
+	return n
+}
+
 // vecToWire converts a field vector to its canonical uint64 form.
 func vecToWire[E comparable](f field.Field[E], vec []E) []uint64 {
 	out := make([]uint64, len(vec))
@@ -283,13 +294,8 @@ func (s *nodeStore) absorbRecord(rec wal.Record, advance bool) {
 	proto := ConsensusKind(r.u8())
 	share := r.vec()
 	digest := r.bytes()
-	// Each output carries at least its 4-byte length: a count the rest of
-	// the record cannot hold is refused before it sizes an allocation.
-	k := int(r.u32())
-	if r.fail || k > (len(r.b)-r.off)/4 {
-		return
-	}
-	outputs := make([][]uint64, k)
+	// Each output carries at least its 4-byte length.
+	outputs := make([][]uint64, r.count(int(r.u32()), 4))
 	for i := range outputs {
 		outputs[i] = r.vec()
 	}

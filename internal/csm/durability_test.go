@@ -2,6 +2,7 @@ package csm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -380,6 +381,55 @@ func FuzzNodeStoreRecord(f *testing.F) {
 		}
 		if !bytes.Equal(re.b, data) {
 			t.Fatalf("absorbed record re-encodes to %x, read from %x", re.b, data)
+		}
+	})
+}
+
+// FuzzParseDelta feeds arbitrary bytes to the recovery-delta parser, at
+// the target the payload itself names (the only one it can match). It may
+// not panic, may not allocate more than a small multiple of the input,
+// whatever round span it claims, and an accepted delta re-encodes to the
+// bytes it was read from.
+func FuzzParseDelta(f *testing.F) {
+	tr, err := remoteTransition(field.NewGoldilocks())
+	if err != nil {
+		f.Fatal(err)
+	}
+	p := &NodeProcess[uint64]{cfg: RemoteConfig[uint64]{K: 2}, tr: tr}
+	encode := func(target, from int, share []uint64, rounds [][][]uint64) []byte {
+		var w bwriter
+		w.u64(uint64(target))
+		w.u64(uint64(from))
+		w.vec(share)
+		w.u32(uint32(p.cfg.K))
+		for _, outs := range rounds {
+			for _, out := range outs {
+				w.vec(out)
+			}
+		}
+		return w.b
+	}
+	f.Add(encode(3, 1, []uint64{7}, [][][]uint64{{{1}, {2}}, {{3}, {4}}}))
+	// 32 bytes claiming the 2^62 rounds up to target 2^62.
+	f.Add(encode(1<<62, 0, []uint64{0}, nil))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		target := 0
+		if len(data) >= 8 {
+			target = int(binary.LittleEndian.Uint64(data))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, ok := p.parseDelta(data, target)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(64*len(data)+1<<12) {
+			t.Fatalf("parsing %d bytes allocated %d", len(data), grew)
+		}
+		if !ok {
+			return
+		}
+		if re := encode(target, d.from, d.share, d.rounds); !bytes.Equal(re, data) {
+			t.Fatalf("accepted delta re-encodes to %x, read from %x", re, data)
 		}
 	})
 }

@@ -49,8 +49,8 @@ var (
 	// for the cluster shape — PBFT with N < 3b+1, an unknown kind, or a
 	// driver entry point that does not match the configured protocol
 	// (RunWorkload under Oracle, LeadBatch under BFT). It is raised
-	// eagerly, by ValidateRemoteConsensus and csmnode bootstrap, before
-	// any socket is opened.
+	// eagerly, by ValidateRemoteConsensus (which New and NewNodeProcess
+	// run) and csmnode bootstrap, before any round or socket.
 	ErrConsensusConfig = errors.New("csm: invalid consensus configuration")
 
 	// ErrConsensusMismatch reports a durable data directory whose applied

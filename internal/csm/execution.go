@@ -131,7 +131,7 @@ func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 		if allDecoded {
 			break
 		}
-		if ticks >= c.cfg.MaxTicksPerRound {
+		if ticks >= c.maxTicks {
 			return nil, fmt.Errorf("%w (after %d ticks)", ErrRoundStuck, ticks)
 		}
 	}

@@ -289,7 +289,6 @@ func TestChurnValidation(t *testing.T) {
 	}
 	cfg = baseConfig(2, 10, 2)
 	cfg.Mode = transport.Sync
-	cfg.NoEquivocation = true
 	cfg.Delegated = true
 	cfg.Churn = []ChurnEvent{{Round: 0, Node: 1, Op: ChurnCrash}}
 	if _, err := New(cfg); err == nil {

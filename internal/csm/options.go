@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"codedsm/internal/field"
-	"codedsm/internal/lcc"
 	"codedsm/internal/transport"
 )
 
@@ -223,34 +222,29 @@ func Open[E comparable](f field.Field[E], newTransition TransitionFactory[E], op
 		if err != nil {
 			return nil, fmt.Errorf("csm: Open: building transition: %w", err)
 		}
-		if s.mode == transport.Sync {
-			s.k = lcc.SyncMaxMachines(s.n, s.maxFaults, tr.Degree())
-		} else {
-			s.k = lcc.PSyncMaxMachines(s.n, s.maxFaults, tr.Degree())
-		}
+		s.k = maxMachines(s.mode, s.n, s.maxFaults, tr.Degree())
 		if s.k < 1 {
 			return nil, fmt.Errorf("csm: Open: no machine capacity at N=%d b=%d d=%d (%s); lower WithFaults or raise WithNodes",
 				s.n, s.maxFaults, tr.Degree(), s.mode)
 		}
 	}
 	cfg := Config[E]{
-		BaseField:      f,
-		NewTransition:  newTransition,
-		K:              s.k,
-		N:              s.n,
-		MaxFaults:      s.maxFaults,
-		Mode:           s.mode,
-		GST:            s.gst,
-		Consensus:      s.consensus,
-		Byzantine:      s.byzantine,
-		NoEquivocation: s.delegated,
-		Delegated:      s.delegated,
-		Seed:           s.seed,
-		Parallelism:    s.parallelism,
-		BatchSize:      s.batchSize,
-		Pipeline:       s.pipeline,
-		Churn:          s.churn,
-		ChurnFn:        s.churnFn,
+		BaseField:     f,
+		NewTransition: newTransition,
+		K:             s.k,
+		N:             s.n,
+		MaxFaults:     s.maxFaults,
+		Mode:          s.mode,
+		GST:           s.gst,
+		Consensus:     s.consensus,
+		Byzantine:     s.byzantine,
+		Delegated:     s.delegated,
+		Seed:          s.seed,
+		Parallelism:   s.parallelism,
+		BatchSize:     s.batchSize,
+		Pipeline:      s.pipeline,
+		Churn:         s.churn,
+		ChurnFn:       s.churnFn,
 	}
 	if s.initialStates != nil {
 		states, ok := s.initialStates.([][]E)

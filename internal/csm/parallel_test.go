@@ -32,12 +32,10 @@ func parallelScenarios() map[string]Config[uint64] {
 	scenarios["silent-erasures"] = cfg
 
 	cfg = baseConfig(2, 12, 3)
-	cfg.NoEquivocation = false
 	cfg.Byzantine = map[int]Behavior{2: Equivocate, 7: Equivocate, 11: Equivocate}
 	scenarios["equivocation"] = cfg
 
 	cfg = baseConfig(2, 16, 4)
-	cfg.NoEquivocation = false
 	cfg.Byzantine = map[int]Behavior{0: WrongResult, 3: Silent, 8: Equivocate, 13: WrongResult}
 	scenarios["mixed-at-budget"] = cfg
 

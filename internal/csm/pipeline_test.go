@@ -78,7 +78,6 @@ func TestPipelinedPartialSyncByzantineMixRace(t *testing.T) {
 	cfg := baseConfig(2, 16, 4)
 	cfg.Mode = transport.PartialSync
 	cfg.GST = 3 // pre-GST rounds exercise the sequential-transmit path too
-	cfg.NoEquivocation = false
 	cfg.Byzantine = map[int]Behavior{0: WrongResult, 3: Silent, 8: Equivocate, 13: WrongResult}
 	cfg.Pipeline = 4
 	cfg.BatchSize = 3

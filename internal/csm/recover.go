@@ -60,7 +60,7 @@ func (p *NodeProcess[E]) Recover() error {
 	}
 	rounds := map[int]int{p.self: p.round}
 	for ticks := 0; len(rounds) < p.n; ticks++ {
-		if ticks >= p.cfg.MaxTicksPerRound {
+		if ticks >= maxTicksPerRound {
 			missing := make([]int, 0, p.n)
 			for i := 0; i < p.n; i++ {
 				if _, ok := rounds[i]; !ok {
@@ -186,7 +186,8 @@ func (p *NodeProcess[E]) parseDelta(payload []byte, target int) (recoveryDelta, 
 		k != p.cfg.K || len(share) != p.tr.StateLen() {
 		return recoveryDelta{}, false
 	}
-	rounds := make([][][]uint64, target-from)
+	// Each round carries K outputs of at least their 4-byte length.
+	rounds := make([][][]uint64, r.count(target-from, 4*k))
 	for i := range rounds {
 		outs := make([][]uint64, k)
 		for j := range outs {
@@ -206,7 +207,7 @@ func (p *NodeProcess[E]) parseDelta(payload []byte, target int) (recoveryDelta, 
 func (p *NodeProcess[E]) catchUp(target int, ahead []int) error {
 	deltas := make(map[int]recoveryDelta, len(ahead))
 	for ticks := 0; len(deltas) < len(ahead); ticks++ {
-		if ticks >= p.cfg.MaxTicksPerRound {
+		if ticks >= maxTicksPerRound {
 			missing := make([]int, 0, len(ahead))
 			for _, i := range ahead {
 				if _, ok := deltas[i]; !ok {

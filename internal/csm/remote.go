@@ -16,23 +16,24 @@
 //     verified-subset check first, sticky suspects and all — and
 //     re-encode its state.
 //
-// The process engine owns only what differs from the simulation: results
-// travel over the link's lock-step ticks, step 0 of a PBFT-decided batch
-// starts on the prepared batch before the decision (remote_consensus.go;
-// the tag keeps a result computed on any other batch from being counted),
-// a consensus-mode node stops waiting for stragglers after a grace
-// period, and each round ends in the run digest and the WAL. One core and one pair of codecs is why a
+// Both engines are set up by newEngine (fault budget, consensus shape,
+// transition, Table 2 capacity, code, initial states) and decide batches
+// with newInstance's consensus instances. The process engine owns only
+// what differs from the simulation: results travel over the link's
+// lock-step ticks, step 0 of a PBFT-decided batch starts on the prepared
+// batch before the decision (remote_consensus.go; the tag keeps a result
+// computed on any other batch from being counted), a consensus-mode node
+// stops waiting for stragglers after a grace period, and each round ends
+// in the run digest and the WAL. One core and one pair of codecs is why a
 // multi-process run's outputs are bit-identical to Cluster.Run on the
 // same workload — TestRemoteMatchesCluster pins this over local links and
 // over real TCP.
 //
-// Scope: how a batch is decided is pluggable (RemoteConfig.Consensus).
-// Oracle keeps the trusted-sequencer split above; DolevStrong and PBFT
-// replace it with the real BFT protocols running over the same link —
-// see remote_consensus.go and RunWorkload — with PBFT's view change
-// providing real leader failover for the multi-process engine.
-// Byzantine behaviour *injection* and churn remain simulation-only
-// knobs (see transport.ErrSimulationOnly).
+// How a batch is decided is RemoteConfig.Consensus: Oracle keeps the
+// trusted-sequencer split above; DolevStrong and PBFT run over the same
+// link (remote_consensus.go, RunWorkload), PBFT's view change giving the
+// multi-process engine real leader failover. Byzantine behaviour
+// injection and churn remain simulation-only (transport.ErrSimulationOnly).
 package csm
 
 import (
@@ -43,9 +44,7 @@ import (
 
 	"codedsm/internal/field"
 	"codedsm/internal/ints"
-	"codedsm/internal/lcc"
 	"codedsm/internal/nodeapi"
-	"codedsm/internal/poly"
 	"codedsm/internal/sm"
 	"codedsm/internal/transport"
 )
@@ -91,13 +90,9 @@ type RemoteConfig[E comparable] struct {
 	// is the trusted sequencer: node 0 leads, everyone else follows.
 	// DolevStrong and PBFT run the real BFT protocols over the link —
 	// every node drives the symmetric RunWorkload instead of the
-	// Lead/Follow split (see remote_consensus.go).
+	// Lead/Follow split (see remote_consensus.go). The machines start
+	// from all-zero states.
 	Consensus ConsensusKind
-	// InitialStates holds K state vectors; nil means all-zero states.
-	InitialStates [][]E
-	// MaxTicksPerRound bounds the lock-step ticks a node waits for the
-	// round's results before giving up (default 200).
-	MaxTicksPerRound int
 	// Durability persists this node's coded share, run digest, and
 	// decoded outputs under a data directory (see durability.go). A
 	// restarted process resumes from its last durable round; Recover
@@ -118,9 +113,8 @@ type NodeProcess[E comparable] struct {
 	n       int
 	round   int // workload round (not the link's lock-step round)
 	stopped bool
-	// startView is the PBFT view the previous instance decided in; new
-	// instances start there so a dead leader costs one view change per
-	// run, not one per batch.
+	// startView is the view the last PBFT instance decided in; the next
+	// instance starts there (nextView).
 	startView int
 
 	// digest is the canonical run digest over all decoded outputs; with
@@ -146,54 +140,21 @@ func NewNodeProcess[E comparable](cfg RemoteConfig[E], link transport.Link) (*No
 		return nil, errors.New("csm: remote node needs a transport link")
 	}
 	n := link.N()
-	if cfg.MaxFaults < 0 {
-		return nil, fmt.Errorf("csm: negative MaxFaults %d", cfg.MaxFaults)
-	}
-	if err := ValidateRemoteConsensus(cfg.Consensus, n, cfg.MaxFaults); err != nil {
-		return nil, err
-	}
-	if cfg.MaxTicksPerRound == 0 {
-		cfg.MaxTicksPerRound = 200
-	}
-	tr, err := cfg.NewTransition(cfg.BaseField)
-	if err != nil {
-		return nil, fmt.Errorf("csm: building transition: %w", err)
-	}
-	d := tr.Degree()
-	if maxK := lcc.SyncMaxMachines(n, cfg.MaxFaults, d); cfg.K > maxK {
-		return nil, fmt.Errorf("csm: K=%d exceeds capacity %d for N=%d b=%d d=%d (synchronous)",
-			cfg.K, maxK, n, cfg.MaxFaults, d)
-	}
-	ring := poly.NewRing[E](cfg.BaseField)
-	code, err := lcc.New(ring, cfg.K, n)
+	eng, err := newEngine(cfg.BaseField, cfg.NewTransition, cfg.Consensus, transport.Sync, cfg.K, n, cfg.MaxFaults, nil)
 	if err != nil {
 		return nil, err
 	}
-	initial := cfg.InitialStates
-	if initial == nil {
-		initial = make([][]E, cfg.K)
-		for k := range initial {
-			initial[k] = field.ZeroVec(cfg.BaseField, tr.StateLen())
-		}
-	}
-	if len(initial) != cfg.K {
-		return nil, fmt.Errorf("csm: %d initial states for K=%d machines", len(initial), cfg.K)
-	}
-	for k, st := range initial {
-		if len(st) != tr.StateLen() {
-			return nil, fmt.Errorf("csm: initial state %d has length %d, want %d", k, len(st), tr.StateLen())
-		}
-	}
+	tr := eng.tr
 	self := int(link.Self())
 	p := &NodeProcess[E]{
 		cfg:  cfg,
 		link: link,
 		tr:   tr,
-		core: newStepCore(code, tr, ring.Bulk(), self, cfg.MaxFaults),
+		core: newStepCore(eng.code, tr, eng.ring.Bulk(), self, cfg.MaxFaults),
 		self: self,
 		n:    n,
 	}
-	p.initialCoded = p.core.lagrangeRowInto(nil, tr.StateLen(), initial)
+	p.initialCoded = p.core.lagrangeRowInto(nil, tr.StateLen(), eng.initial)
 	p.core.codedState = slices.Clone(p.initialCoded)
 	p.digest = nodeapi.NewDigest()
 	if cfg.Durability != nil {
@@ -415,7 +376,7 @@ func (p *NodeProcess[E]) executeSteps(batch [][][]E, tag [32]byte, spec *specula
 				// recovers every output exactly from what arrived.
 				break
 			}
-			if ticks >= p.cfg.MaxTicksPerRound {
+			if ticks >= maxTicksPerRound {
 				missing := make([]int, 0, p.n)
 				for i, res := range s.received {
 					if res == nil {

@@ -5,10 +5,11 @@
 // consensus modes below remove that asymmetry. Every node derives the
 // same seeded workload, serializes each batch into the identical
 // canonical payload (encodeBatchMsg, the bytes the simulated consensus
-// phase proposes), and runs a real BFT instance over its transport.Link
-// to decide it — Dolev-Strong under synchrony, PBFT under partial
-// synchrony. The decided payload, not the local proposal, is what gets
-// parsed and executed, so a node that somehow proposed stale bytes
+// phase proposes), and decides it over its transport.Link with the
+// instance the simulated Cluster builds (newInstance): Dolev-Strong under
+// synchrony, PBFT under partial synchrony, whose view nextView carries
+// across instances. The decided payload, not the local proposal, is what
+// gets parsed and executed, so a node that somehow proposed stale bytes
 // still executes the agreed batch.
 //
 // Under PBFT a round is two lock-step ticks, as under the sequencer.
@@ -90,6 +91,41 @@ func ValidateRemoteConsensus(kind ConsensusKind, n, maxFaults int) error {
 	return nil
 }
 
+// newInstance builds one node's consensus instance over t, the simulated
+// network (consensus.NetTransport) or a transport.Link, and returns it with
+// its tick budget. The slot is the workload round, so instances never
+// alias across batches. Dolev-Strong runs Rounds(b)+1 ticks from the
+// caller's sender; PBFT starts in the caller's view (nextView) and runs at
+// most maxTicksPerRound ticks.
+func newInstance(kind ConsensusKind, t consensus.Transport, sender transport.NodeID, view, round, b int, value []byte) (consensus.Node, int, error) {
+	switch kind {
+	case DolevStrong:
+		nd, err := dolevstrong.New(dolevstrong.Config{Transport: t, Sender: sender, Slot: uint64(round), MaxFaults: b, Value: value})
+		if err != nil {
+			return nil, 0, err
+		}
+		return nd, dolevstrong.Rounds(b) + 1, nil
+	case PBFT:
+		nd, err := pbft.New(pbft.Config{Transport: t, Slot: uint64(round), MaxFaults: b, Value: value, StartView: view})
+		if err != nil {
+			return nil, 0, err
+		}
+		return nd, maxTicksPerRound, nil
+	}
+	return nil, 0, fmt.Errorf("%w: no consensus instance for %v", ErrConsensusConfig, kind)
+}
+
+// nextView is the view the next PBFT instance starts in: the one nd
+// decided in. Every honest node agrees on it, so a dead or faulty
+// low-view leader costs one view change per run, not one per instance.
+// A protocol without views leaves view as it is.
+func nextView(nd consensus.Node, view int) int {
+	if v, ok := nd.(*pbft.Node); ok {
+		return v.View()
+	}
+	return view
+}
+
 // preparer is a consensus node that names the value it has prepared
 // before deciding it (pbft.Node).
 type preparer interface {
@@ -144,37 +180,9 @@ func (p *NodeProcess[E]) collect(spec *speculation[E], pr preparer, steps int, i
 
 // decideBatch runs one consensus instance over the link, collecting
 // step 0 into spec as it goes, and returns the decided payload bytes. The
-// slot is the workload round, so instances never alias across batches;
-// the Dolev-Strong sender rotates with the round, and PBFT instances start
-// in the view the previous instance decided in — all survivors agree on
-// it, so a dead low-view leader costs one view change for the whole run,
-// not one per batch.
+// Dolev-Strong sender rotates with the round (Cluster rotates by instance).
 func (p *NodeProcess[E]) decideBatch(proposal []byte, steps int, spec *speculation[E]) ([]byte, error) {
-	var nd consensus.Node
-	var err error
-	maxTicks := p.cfg.MaxTicksPerRound
-	switch p.cfg.Consensus {
-	case DolevStrong:
-		maxTicks = dolevstrong.Rounds(p.cfg.MaxFaults) + 1
-		nd, err = dolevstrong.New(dolevstrong.Config{
-			Transport: p.link,
-			Sender:    transport.NodeID(p.round % p.n),
-			Slot:      uint64(p.round),
-			MaxFaults: p.cfg.MaxFaults,
-			Value:     proposal,
-			Default:   nil,
-		})
-	case PBFT:
-		nd, err = pbft.New(pbft.Config{
-			Transport: p.link,
-			Slot:      uint64(p.round),
-			MaxFaults: p.cfg.MaxFaults,
-			Value:     proposal,
-			StartView: p.startView,
-		})
-	default:
-		return nil, fmt.Errorf("%w: decideBatch under %v", ErrConsensusConfig, p.cfg.Consensus)
-	}
+	nd, maxTicks, err := newInstance(p.cfg.Consensus, p.link, transport.NodeID(p.round%p.n), p.startView, p.round, p.cfg.MaxFaults, proposal)
 	if err != nil {
 		return nil, err
 	}
@@ -185,9 +193,7 @@ func (p *NodeProcess[E]) decideBatch(proposal []byte, steps int, spec *speculati
 	if err != nil {
 		return nil, err
 	}
-	if v, ok := nd.(*pbft.Node); ok {
-		p.startView = v.View()
-	}
+	p.startView = nextView(nd, p.startView)
 	return decided, nil
 }
 

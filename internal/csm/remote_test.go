@@ -223,7 +223,6 @@ func TestRemoteConfigValidation(t *testing.T) {
 		{"missing field", func(c *RemoteConfig[uint64]) { c.BaseField = nil }},
 		{"negative faults", func(c *RemoteConfig[uint64]) { c.MaxFaults = -1 }},
 		{"over capacity", func(c *RemoteConfig[uint64]) { c.K = 100 }},
-		{"bad initial state count", func(c *RemoteConfig[uint64]) { c.InitialStates = [][]uint64{{0}} }},
 	} {
 		cfg := base
 		tc.mut(&cfg)

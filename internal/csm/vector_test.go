@@ -45,7 +45,6 @@ func TestVectorCommandMachine(t *testing.T) {
 // state — the paper's consistency claim under equivocation (Section 5.2).
 func TestHonestNodesAgree(t *testing.T) {
 	cfg := baseConfig(3, 15, 3)
-	cfg.NoEquivocation = false
 	cfg.Byzantine = map[int]Behavior{1: Equivocate, 7: Equivocate, 13: WrongResult}
 	c := newCluster(t, cfg)
 	runRounds(t, c, 3)
@@ -72,11 +71,10 @@ func TestDelegatedVectorMachine(t *testing.T) {
 		BaseField:     gold,
 		NewTransition: factory,
 		K:             2, N: 14, MaxFaults: 3,
-		Consensus:      Oracle,
-		NoEquivocation: true,
-		Delegated:      true,
-		Byzantine:      map[int]Behavior{6: WrongResult},
-		Seed:           12,
+		Consensus: Oracle,
+		Delegated: true,
+		Byzantine: map[int]Behavior{6: WrongResult},
+		Seed:      12,
 	}
 	c := newCluster(t, cfg)
 	wl := RandomWorkload[uint64](gold, 2, 2, 2, 13)
