@@ -242,3 +242,59 @@ func TestGarbagePayloadIgnored(t *testing.T) {
 		t.Errorf("decided %q", got)
 	}
 }
+
+// countingTransport counts the signature checks a participant hands its
+// transport.
+type countingTransport struct {
+	consensus.Transport
+	verifies *int
+}
+
+func (c countingTransport) VerifyBlob(id transport.NodeID, context string, data, sig []byte) bool {
+	*c.verifies++
+	return c.Transport.VerifyBlob(id, context, data, sig)
+}
+
+// verifyCount runs one honest instance of n nodes tolerating b faults,
+// sender 0, and returns the VerifyBlob calls its participants made.
+func verifyCount(t *testing.T, n, b int) int {
+	t.Helper()
+	net := setup(t, n, 8)
+	verifies := 0
+	nodes := make([]consensus.Node, n)
+	waitFor := make([]int, n)
+	for i := range nodes {
+		tr, err := consensus.NewNetTransport(net, transport.NodeID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd, err := New(Config{
+			Transport: countingTransport{tr, &verifies}, Sender: 0,
+			Slot: 1, MaxFaults: b, Value: []byte("VALUE"), Default: []byte("DEFAULT"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i], waitFor[i] = nd, i
+	}
+	if err := consensus.Run(net, nodes, waitFor, Rounds(b)+1); err != nil {
+		t.Fatal(err)
+	}
+	for i, nd := range nodes {
+		if got, ok := nd.Decided(); !ok || string(got) != "VALUE" {
+			t.Fatalf("node %d decided %q ok=%v", i, got, ok)
+		}
+	}
+	return verifies
+}
+
+// TestVerifyCount pins the signature checks of one honest N=7, b=2
+// instance: the sender's chain reaches six nodes (six checks), and each
+// of their six relays carries two signatures to the five or six nodes
+// that did not send it (6 × 5 + 6 = 36 chains, 72 checks).
+func TestVerifyCount(t *testing.T) {
+	const pinned = 78
+	if got := verifyCount(t, 7, 2); got != pinned {
+		t.Errorf("%d VerifyBlob calls, pinned %d", got, pinned)
+	}
+}
