@@ -269,6 +269,9 @@ type Cluster[E comparable] struct {
 	pbftView int
 	// maxTicks bounds a step's lock-step ticks (maxTicksPerRound).
 	maxTicks int
+	// parsed is parseResults' table: one entry per envelope of the
+	// largest tick so far, each with its own row, reused every tick.
+	parsed []parsedResult[E]
 	// epoch counts membership epochs: it advances whenever a churn
 	// boundary applies at least one event, so rounds between two
 	// increments share one static fault pattern.
@@ -591,8 +594,10 @@ func encodeBatchMsg[E comparable](f field.Field[E], round int, batch [][][]E) []
 }
 
 // Execution-phase result broadcasts use a fixed binary layout: every node
-// receives N-1 of them per round, and parses each in place into its
-// receive rows (stepCore.ingest), allocating nothing per message. Layout (little-endian): u64 round,
+// receives N-1 of them per round, each parsed in place, allocating nothing
+// per message — once per envelope for all its recipients in the simulated
+// Cluster (parseResults), into a node's receive rows in a NodeProcess
+// (stepCore.ingest). Layout (little-endian): u64 round,
 // the [32]byte batch tag, u64 element count, then the canonical field
 // representation of each element as a u64. The tag names the batch the
 // result was computed on: a NodeProcess may compute step 0 on a batch

@@ -137,8 +137,9 @@ func (c *Cluster[E]) runExecutionDelegated(agreed [][]E) (*stepOutcome[E], error
 
 		// Phase 3.
 		abort := false
+		tab := c.parseResults()
 		for i, n := range c.nodes {
-			n.ingest(n.ep.Deliveries(), c.round, clusterTag)
+			n.collect(tab)
 			if i != first {
 				continue
 			}

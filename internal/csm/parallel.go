@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"codedsm/internal/pool"
+	"codedsm/internal/transport"
 )
 
 // The parallel execution engine fans a round's node-level work across
@@ -23,12 +24,13 @@ import (
 //     node order (node.sendResult). An enqueue is a copy and a record
 //     under the network's lock, so workers would only contend for it.
 //   - collect + decode (parallel): the driving goroutine steps the
-//     network; then each honest node still waiting ranges over its own
-//     deliveries, parses the results into its own core (stepCore.ingest)
-//     and, once it holds enough, decodes (stepCore.absorb), as one task
-//     that writes only that node's core. The round's sorted envelopes
-//     are fixed once Step has filed them, so when a node reads them
-//     cannot matter.
+//     network and parses each delivered envelope once, for all its
+//     recipients (parseResults); then each honest node still waiting
+//     copies the accepted results addressed to it into its own core
+//     (node.collect) and, once it holds enough, decodes
+//     (stepCore.absorb), as one task that writes only that node's core.
+//     The parsed table is fixed before any task starts, so when a node
+//     reads it cannot matter.
 //   - client/audit (sequential or pipelined): draws from the cluster RNG
 //     on the driving goroutine; the tally itself may run on the
 //     background client stage.
@@ -86,19 +88,21 @@ func (c *Cluster[E]) computeAllResults(micro int) ([][]E, error) {
 }
 
 // collectAndDecode runs one tick of the collect/decode loop for the
-// pending honest nodes, one task per node: ingest the results among its
-// deliveries, and decode once enough have arrived (tryDecode returns at once
-// for a node below the threshold). It reports whether every one of them
-// now holds a decode. Every node is attempted even if one fails — a
-// parallel pool races ahead of an error anyway, so the sequential path
-// does the same and the cluster is left in an identical state for any
-// worker count, error or not; the lowest-index error is reported.
+// pending honest nodes: parse the tick's results once, then one task per
+// node copies the ones addressed to it, and decodes once enough have
+// arrived (tryDecode returns at once for a node below the threshold). It
+// reports whether every one of them now holds a decode. Every node is
+// attempted even if one fails — a parallel pool races ahead of an error
+// anyway, so the sequential path does the same and the cluster is left in
+// an identical state for any worker count, error or not; the lowest-index
+// error is reported.
 func (c *Cluster[E]) collectAndDecode(pending []*node[E], force bool, need int) (bool, error) {
+	tab := c.parseResults()
 	oks := make([]bool, len(pending))
 	errs := make([]error, len(pending))
 	_ = pool.Run(c.workers(), len(pending), func(i int) error {
 		n := pending[i]
-		n.ingest(n.ep.Deliveries(), c.round, clusterTag)
+		n.collect(tab)
 		oks[i], errs[i] = n.tryDecode(force, need)
 		return nil
 	})
@@ -108,4 +112,58 @@ func (c *Cluster[E]) collectAndDecode(pending []*node[E], force bool, need int) 
 		}
 	}
 	return !slices.Contains(oks, false), nil
+}
+
+// parsedResult is one envelope of the current network round, parsed once
+// for all its recipients: its sender, its recipients (nil: every node but
+// the sender, as Network.Envelopes yields them), whether the accept rule
+// took it, and the parsed row when it did.
+type parsedResult[E comparable] struct {
+	from int
+	to   []transport.NodeID
+	ok   bool
+	row  []E
+}
+
+// parseResults applies the accept rule (acceptResult) once to each
+// envelope the current network round delivers, in Step's order, and
+// returns the table, valid until the next call. The table and its rows are
+// the cluster's, reused from tick to tick. It runs on the driving
+// goroutine, before any node reads the table.
+func (c *Cluster[E]) parseResults() []parsedResult[E] {
+	f, l := c.tr.Field(), c.tr.ResultLen()
+	hdr := resultHeader(c.round, clusterTag, l)
+	count := 0
+	for m, to := range c.net.Envelopes() {
+		if count == len(c.parsed) {
+			c.parsed = append(c.parsed, parsedResult[E]{row: make([]E, l)})
+		}
+		r := &c.parsed[count]
+		r.from, r.ok = acceptResult(f, c.cfg.N, hdr, m, func(int) []E { return r.row })
+		r.to = to
+		count++
+	}
+	return c.parsed[:count]
+}
+
+// collect copies into n's receive rows, in envelope order, each result of
+// tab that reaches n and that the accept rule took: what ingest over n's
+// own deliveries parses, without parsing it again. A later copy from the
+// same sender overwrites.
+func (n *node[E]) collect(tab []parsedResult[E]) {
+	for i := range tab {
+		r := &tab[i]
+		if !r.ok {
+			continue
+		}
+		if r.to == nil {
+			if r.from == n.id {
+				continue
+			}
+		} else if _, ok := slices.BinarySearch(r.to, transport.NodeID(n.id)); !ok {
+			continue
+		}
+		copy(n.recvRow(r.from), r.row)
+		n.markReceived(r.from)
+	}
 }

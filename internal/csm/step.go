@@ -210,20 +210,31 @@ func (s *stepCore[E]) accept(from int, result []E) {
 
 // ingest accepts the well-formed result broadcasts for the given round
 // computed on the batch tag names among msgs, parsing each straight into
-// its sender's row; anything else — another kind, a malformed payload, a
-// stale round, another batch, a wrong length, a non-canonical element, a
-// sender outside 0..N-1 — is ignored and leaves the rows as they were.
+// its sender's row (acceptResult); anything else is ignored and leaves the
+// rows as they were. A NodeProcess, the one receiver of its process, calls
+// it on what it received; the simulated Cluster parses each envelope once
+// for all its nodes instead (Cluster.parseResults).
 func (s *stepCore[E]) ingest(msgs iter.Seq[transport.Message], round int, tag [32]byte) {
-	f := s.tr.Field()
-	hdr := resultHeader(round, tag, s.tr.ResultLen())
+	f, hdr := s.tr.Field(), resultHeader(round, tag, s.tr.ResultLen())
 	for m := range msgs {
-		if m.Kind != resultKind || m.From < 0 || int(m.From) >= s.n {
-			continue
-		}
-		if parseResult(f, m.Payload, hdr, s.recvRow(int(m.From))) {
-			s.markReceived(int(m.From))
+		if from, ok := acceptResult(f, s.n, hdr, m, s.recvRow); ok {
+			s.markReceived(from)
 		}
 	}
+}
+
+// acceptResult is the accept rule for one delivered message, the one
+// both collection paths apply: m counts when it is a result broadcast
+// (kind resultKind) from a sender in 0..n-1 whose payload parseResult
+// accepts against hdr — so another kind, a malformed payload, a stale
+// round, another batch, a wrong length or a non-canonical element does
+// not. The parse goes into row(from), which a refusal leaves untouched.
+// It returns the sender and whether m counts.
+func acceptResult[E comparable](f field.Field[E], n int, hdr [resultHdrLen]byte, m transport.Message, row func(from int) []E) (int, bool) {
+	if m.Kind != resultKind || m.From < 0 || int(m.From) >= n {
+		return 0, false
+	}
+	return int(m.From), parseResult(f, m.Payload, hdr, row(int(m.From)))
 }
 
 // absorb decodes the step from whatever was received (absent senders are

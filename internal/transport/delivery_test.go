@@ -12,14 +12,40 @@ import (
 // goldenN is the cluster size of the pinned delivery schedule.
 const goldenN = 7
 
-// deliveryReads are the two ways of reading an inbox the goldens must
-// agree on: Receive and ranging over Deliveries.
+// deliveryReads are the three ways of reading an inbox the goldens must
+// agree on: Receive, ranging over Deliveries, and expanding the network's
+// per-envelope walk into the node's inbox.
 var deliveryReads = []struct {
 	name string
 	read func(*Endpoint) []Message
 }{
 	{"Receive", (*Endpoint).Receive},
 	{"Deliveries", func(ep *Endpoint) []Message { return slices.Collect(ep.Deliveries()) }},
+	{"Envelopes", envelopeInbox},
+}
+
+// envelopeInbox expands Network.Envelopes into ep's inbox: every envelope
+// whose recipients (every node but the sender, when it lists none)
+// include ep, with To set, in the walk's order.
+func envelopeInbox(ep *Endpoint) []Message {
+	var inbox []Message
+	for m, to := range ep.net.Envelopes() {
+		if m.To != 0 {
+			panic("Envelopes yielded a message with To set")
+		}
+		if to == nil {
+			for r := range NodeID(ep.net.N()) {
+				if r != m.From {
+					to = append(to, r)
+				}
+			}
+		}
+		if slices.Contains(to, ep.ID()) {
+			m.To = ep.ID()
+			inbox = append(inbox, m)
+		}
+	}
+	return inbox
 }
 
 // goldenSchedule drives one network through a fixed schedule, reading
@@ -173,7 +199,7 @@ func hashContent(h hash.Hash, round int, msgs []Message) {
 // equivocating sends, no-equivocation coercion, seeded and DelayFn-chosen
 // pre-GST delays, crashes at enqueue and in flight, and a refused forgery.
 // How the network authenticates a sender is not part of what it delivers.
-// Both ways of reading an inbox must reproduce it.
+// Every way of reading an inbox must reproduce it.
 func TestNetworkDeliveryContentGolden(t *testing.T) {
 	for _, g := range contentGoldens {
 		t.Run(g.name, func(t *testing.T) {

@@ -21,8 +21,9 @@
 // synchronous round of N broadcasts queues N envelopes, not N(N-1)
 // messages, and one that reaches every other node carries no recipient
 // list at all (before GST every copy draws its own delay and is filed
-// alone). A node's inbox is a view over the round's
-// sorted envelopes, not a copy. What a node receives, in which round and
+// alone). Network.Envelopes walks the round's sorted envelopes once each,
+// and a node's inbox (Endpoint.Deliveries) is a filter over that walk,
+// not a copy. What a node receives, in which round and
 // in which order is the same as if every copy had been queued on its own
 // (see post and Step), and TestNetworkDeliveryContentGolden pins it.
 package transport
@@ -568,27 +569,45 @@ func blobBytes(context string, data []byte) []byte {
 	return buf.Bytes()
 }
 
+// Envelopes yields each envelope the round current when it is called
+// delivers, once, in Step's order: its message, with To zero, and its
+// recipients, ascending, of whom Step has already removed the down ones
+// (nil: every node but the sender). It walks the round's envelopes, which
+// Step never rewrites, so callers may range over them concurrently. The
+// payload and the recipient list are shared by every reader: callers must
+// not rewrite them.
+func (n *Network) Envelopes() iter.Seq2[Message, []NodeID] {
+	n.mu.Lock()
+	round := n.delivered
+	n.mu.Unlock()
+	return func(yield func(Message, []NodeID) bool) {
+		for _, env := range round {
+			m := env.msg
+			m.To = 0 // a unicast keeps its recipient in the list
+			if !yield(m, env.to) {
+				return
+			}
+		}
+	}
+}
+
 // Deliveries yields the messages delivered to this node in the round
-// current when it is called, in Step's order, each with To set. It walks
-// the round's envelopes, which Step never rewrites, so endpoints may range
-// over their deliveries concurrently: an envelope without a recipient list
-// is this node's unless it sent it, and a list is searched. Every
+// current when it is called, in Step's order, each with To set: the
+// envelopes that reach it, which is every one without a recipient list
+// that it did not send, and every one whose list holds it. Every
 // recipient's copy shares one payload: callers must not rewrite those
 // bytes.
 func (e *Endpoint) Deliveries() iter.Seq[Message] {
-	e.net.mu.Lock()
-	round := e.net.delivered
-	e.net.mu.Unlock()
+	envelopes := e.net.Envelopes()
 	return func(yield func(Message) bool) {
-		for _, env := range round {
-			if env.to == nil {
-				if env.msg.From == e.id {
+		for m, to := range envelopes {
+			if to == nil {
+				if m.From == e.id {
 					continue
 				}
-			} else if _, ok := slices.BinarySearch(env.to, e.id); !ok {
+			} else if _, ok := slices.BinarySearch(to, e.id); !ok {
 				continue
 			}
-			m := env.msg
 			m.To = e.id
 			if !yield(m) {
 				return
