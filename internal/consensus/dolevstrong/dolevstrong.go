@@ -25,6 +25,7 @@
 package dolevstrong
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 
@@ -61,8 +62,21 @@ type Node struct {
 	tick      int
 	extracted map[string][]byte // key: string(value)
 	relayed   map[string]bool
-	decided   []byte
-	done      bool
+	// verified holds the chain signatures this node has checked and found
+	// valid: VerifyBlob is a pure function of the key, so a signature
+	// relayed again in another chain is not checked again.
+	verified map[verifiedSig]bool
+	decided  []byte
+	done     bool
+}
+
+// verifiedSig names one successful signature check: the signer, the
+// signing context, the SHA-256 of the signed value and the signature.
+type verifiedSig struct {
+	signer  uint64
+	context string
+	value   [sha256.Size]byte
+	sig     string
 }
 
 var _ consensus.Node = (*Node)(nil)
@@ -84,6 +98,7 @@ func New(cfg Config) (*Node, error) {
 		id:        cfg.Transport.Self(),
 		extracted: make(map[string][]byte),
 		relayed:   make(map[string]bool),
+		verified:  make(map[verifiedSig]bool),
 	}, nil
 }
 
@@ -119,6 +134,11 @@ func (n *Node) Tick(inbox []transport.Message) error {
 			continue // malformed: Byzantine garbage
 		}
 		if cm.Slot != n.cfg.Slot {
+			continue
+		}
+		if _, ok := n.extracted[string(cm.Value)]; ok {
+			// Extracting a value twice does nothing, so its chain is not
+			// worth checking.
 			continue
 		}
 		if !n.validChain(cm, round) {
@@ -158,7 +178,8 @@ func (n *Node) extract(value []byte) bool {
 }
 
 // validChain checks a signature chain received in the given round: at least
-// `round` distinct valid signers, the first being the designated sender.
+// `round` distinct valid signers, the first being the designated sender. A
+// signature this node has already found valid is not checked again.
 func (n *Node) validChain(cm consensus.ChainMsg, round int) bool {
 	if len(cm.Signers) != len(cm.Sigs) || len(cm.Signers) < round {
 		return false
@@ -167,15 +188,20 @@ func (n *Node) validChain(cm consensus.ChainMsg, round int) bool {
 		return false
 	}
 	seen := make(map[uint64]bool, len(cm.Signers))
-	ctx := signContext(cm.Slot)
+	key := verifiedSig{context: signContext(cm.Slot), value: sha256.Sum256(cm.Value)}
 	for i, signer := range cm.Signers {
 		if seen[signer] {
 			return false
 		}
 		seen[signer] = true
-		if !n.tr.VerifyBlob(transport.NodeID(signer), ctx, cm.Value, cm.Sigs[i]) {
+		key.signer, key.sig = signer, string(cm.Sigs[i])
+		if n.verified[key] {
+			continue
+		}
+		if !n.tr.VerifyBlob(transport.NodeID(signer), key.context, cm.Value, cm.Sigs[i]) {
 			return false
 		}
+		n.verified[key] = true
 	}
 	return true
 }

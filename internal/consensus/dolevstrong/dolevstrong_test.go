@@ -289,12 +289,66 @@ func verifyCount(t *testing.T, n, b int) int {
 }
 
 // TestVerifyCount pins the signature checks of one honest N=7, b=2
-// instance: the sender's chain reaches six nodes (six checks), and each
-// of their six relays carries two signatures to the five or six nodes
-// that did not send it (6 × 5 + 6 = 36 chains, 72 checks).
+// instance: the sender's chain reaches six nodes, six checks. Each of
+// their six relays reaches the five or six nodes that did not send it,
+// 36 chains of two signatures, and was 72 more checks while every
+// signature of every chain was checked (78 in all); checking each
+// signature once per node made those 37 (43 in all). Every one of those
+// chains carries the value its receiver has already extracted, so none is
+// checked now.
 func TestVerifyCount(t *testing.T) {
-	const pinned = 78
+	const pinned = 6
 	if got := verifyCount(t, 7, 2); got != pinned {
 		t.Errorf("%d VerifyBlob calls, pinned %d", got, pinned)
+	}
+}
+
+// TestChainSignatureCheckedOnce feeds one node chains directly: a
+// signature found valid is not checked again, in a later chain or the
+// same one, and one found invalid is checked every time.
+func TestChainSignatureCheckedOnce(t *testing.T) {
+	const n, b = 4, 2
+	net := setup(t, n, 9)
+	value := []byte("V")
+	sig := func(id int) []byte {
+		ep, err := net.Endpoint(transport.NodeID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep.SignBlob(signContext(1), value)
+	}
+	tr, err := consensus.NewNetTransport(net, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifies := 0
+	nd, err := New(Config{Transport: countingTransport{tr, &verifies}, Sender: 0, Slot: 1, MaxFaults: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := func(signers ...uint64) consensus.ChainMsg {
+		cm := consensus.ChainMsg{Slot: 1, Value: value, Signers: signers}
+		for _, s := range signers {
+			cm.Sigs = append(cm.Sigs, sig(int(s)))
+		}
+		return cm
+	}
+	forged := chain(0, 1)
+	forged.Sigs[1] = sig(2) // node 2's signature claimed as node 1's
+	for i, step := range []struct {
+		cm       consensus.ChainMsg
+		valid    bool
+		verifies int
+	}{
+		{forged, false, 2},     // the sender's signature is new, the forged one fails
+		{forged, false, 1},     // only the forged one is checked again
+		{chain(0, 2), true, 1}, // node 2's own signature is new
+		{chain(0, 2), true, 0},
+		{chain(0, 1), true, 1},
+	} {
+		verifies = 0
+		if got := nd.validChain(step.cm, 2); got != step.valid || verifies != step.verifies {
+			t.Errorf("chain %d: valid %v with %d checks, want %v with %d", i, got, verifies, step.valid, step.verifies)
+		}
 	}
 }
