@@ -40,9 +40,10 @@ bench-load:
 # and closed (its handshakes are most of a tcp-* setup_s), one simulated N=64
 # result exchange, the batch payload codec every proposal and decision
 # passes through, one sim-byz-batched set-up (a new cluster and its
-# first batch, where every honest node runs the full decoder), and the
-# two simulated shapes' steady state with their allocations per op: an
-# honest N=64 round and a B=8 batch with 21 liars.
+# first batch, where every honest node runs the full decoder), the
+# two simulated shapes' steady state with their allocations per op (an
+# honest N=64 round and a B=8 batch with 21 liars), and one simulated
+# Dolev-Strong instance at N=10, b=2, whose signature checks dominate it.
 bench-micro:
 	$(GO) test -bench='BenchmarkLCCEncode|BenchmarkLCCDecode' -benchtime=1x -run='^$$' ./internal/lcc/
 	$(GO) test -bench='BenchmarkFieldKernels' -benchtime=1x -run='^$$' ./internal/field/
@@ -51,6 +52,7 @@ bench-micro:
 	$(GO) test -bench='BenchmarkBatchCodec' -benchtime=1000x -run='^$$' ./internal/csm/
 	$(GO) test -bench='BenchmarkByzantineSetup' -benchtime=1x -run='^$$' ./internal/csm/
 	$(GO) test -bench='^(BenchmarkHonestRound|BenchmarkByzantineBatch)$$' -benchtime=20x -benchmem -run='^$$' ./internal/csm/
+	$(GO) test -bench='^BenchmarkConsensusDolevStrong$$' -benchtime=10x -benchmem -run='^$$' .
 
 # CPU profile of one internal/csm benchmark for PROFILE_TIME, written to
 # bin/round.pprof with its test binary beside it, then printed by

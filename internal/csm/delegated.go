@@ -22,7 +22,7 @@ import (
 //  2. every node that heard it installs its row where encodeCommands would
 //     have written it, honest auditors check the encoding (an enc alert on
 //     fraud), and the ordinary result exchange runs (broadcastResults);
-//  3. nodes ingest the results as the core does; a confirmed enc alert
+//  3. nodes collect the results as the core does; a confirmed enc alert
 //     aborts; the worker decodes with a proof, refreshes all N coded
 //     states and broadcasts both;
 //  4. auditors verify the proof against the results they received (a dec
