@@ -577,11 +577,9 @@ func blobBytes(context string, data []byte) []byte {
 // payload and the recipient list are shared by every reader: callers must
 // not rewrite them.
 func (n *Network) Envelopes() iter.Seq2[Message, []NodeID] {
-	n.mu.Lock()
-	round := n.delivered
-	n.mu.Unlock()
+	round := n.deliveries()
 	return func(yield func(Message, []NodeID) bool) {
-		for _, env := range round {
+		for env := range walk(round) {
 			m := env.msg
 			m.To = 0 // a unicast keeps its recipient in the list
 			if !yield(m, env.to) {
@@ -591,23 +589,43 @@ func (n *Network) Envelopes() iter.Seq2[Message, []NodeID] {
 	}
 }
 
+// deliveries is the current round's envelopes.
+func (n *Network) deliveries() []envelope {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.delivered
+}
+
+// walk is the one walk over a round's envelopes, Envelopes' and
+// Deliveries': it yields each in place, for reading only.
+func walk(round []envelope) iter.Seq[*envelope] {
+	return func(yield func(*envelope) bool) {
+		for i := range round {
+			if !yield(&round[i]) {
+				return
+			}
+		}
+	}
+}
+
 // Deliveries yields the messages delivered to this node in the round
 // current when it is called, in Step's order, each with To set: the
-// envelopes that reach it, which is every one without a recipient list
-// that it did not send, and every one whose list holds it. Every
-// recipient's copy shares one payload: callers must not rewrite those
-// bytes.
+// envelopes of Envelopes' walk that reach it, which is every one without
+// a recipient list that it did not send, and every one whose list holds
+// it. Every recipient's copy shares one payload: callers must not rewrite
+// those bytes.
 func (e *Endpoint) Deliveries() iter.Seq[Message] {
-	envelopes := e.net.Envelopes()
+	round := e.net.deliveries()
 	return func(yield func(Message) bool) {
-		for m, to := range envelopes {
-			if to == nil {
-				if m.From == e.id {
+		for env := range walk(round) {
+			if env.to == nil {
+				if env.msg.From == e.id {
 					continue
 				}
-			} else if _, ok := slices.BinarySearch(to, e.id); !ok {
+			} else if _, ok := slices.BinarySearch(env.to, e.id); !ok {
 				continue
 			}
+			m := env.msg
 			m.To = e.id
 			if !yield(m) {
 				return
