@@ -182,6 +182,65 @@ func TestByzantineBatchAllocGuard(t *testing.T) {
 	}
 }
 
+// TestProcessRoundAllocGuard caps the heap allocations of one round of
+// the deployed engine at TestProcessRoundCountGuard's Oracle shape: four
+// NodeProcess (N=4, K=2, b=1) over local links, one round per batch,
+// counted over all four processes until each has returned the round. A
+// round costs 164 allocations. The ceiling sits within 10 % above
+// today's figure.
+func TestProcessRoundAllocGuard(t *testing.T) {
+	const allocCeiling = 180
+	net, err := transport.New(transport.Config{N: consN, Mode: transport.Sync, Seed: consSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	links, err := transport.NewLocalLinks(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := make([]*NodeProcess[uint64], consN)
+	for i, l := range links {
+		procs[i] = consProcess(t, Oracle, l)
+	}
+	// Each follower reports every batch it returns, and its stop.
+	followed := make(chan error, consN)
+	for _, p := range procs[1:] {
+		go func() {
+			for {
+				_, stop, err := p.FollowBatch()
+				followed <- err
+				if stop || err != nil {
+					return
+				}
+			}
+		}()
+	}
+	waitFollowers := func() {
+		for range consN - 1 {
+			if err := <-followed; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wl := RandomWorkload[uint64](gold, 16, consK, 1, consSeed)
+	r := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := procs[0].LeadBatch(wl[r%len(wl) : r%len(wl)+1]); err != nil {
+			t.Fatal(err)
+		}
+		waitFollowers()
+		r++
+	})
+	if err := procs[0].Stop(); err != nil {
+		t.Fatal(err)
+	}
+	waitFollowers()
+	t.Logf("per N=4 K=2 NodeProcess round over local links: %.0f heap allocations (all four processes)", allocs)
+	if allocs > allocCeiling {
+		t.Errorf("%.0f allocations per round, ceiling %d", allocs, allocCeiling)
+	}
+}
+
 // TestRoundTransmissionCount pins the simulated network's transmissions
 // (Stats.Transmissions: Send and Broadcast calls) per honest round of
 // TestRoundOpCountGuard's shape: one result broadcast per node, 64.
