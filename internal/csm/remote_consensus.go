@@ -180,9 +180,13 @@ func (p *NodeProcess[E]) collect(spec *speculation[E], pr preparer, steps int, i
 
 // decideBatch runs one consensus instance over the link, collecting
 // step 0 into spec as it goes, and returns the decided payload bytes. The
-// Dolev-Strong sender rotates with the round (Cluster rotates by instance).
-func (p *NodeProcess[E]) decideBatch(proposal []byte, steps int, spec *speculation[E]) ([]byte, error) {
-	nd, maxTicks, err := newInstance(p.cfg.Consensus, p.link, transport.NodeID(p.round%p.n), p.startView, p.round, p.cfg.MaxFaults, proposal)
+// Dolev-Strong sender rotates over instances, as Cluster.leaderFor does:
+// every batch but the workload's last holds batchSize rounds, so the
+// instance is round / batchSize, which a restarted process derives from
+// its durable round alone.
+func (p *NodeProcess[E]) decideBatch(proposal []byte, steps, batchSize int, spec *speculation[E]) ([]byte, error) {
+	sender := transport.NodeID(p.round / batchSize % p.n)
+	nd, maxTicks, err := newInstance(p.cfg.Consensus, p.link, sender, p.startView, p.round, p.cfg.MaxFaults, proposal)
 	if err != nil {
 		return nil, err
 	}
@@ -209,19 +213,22 @@ func (p *NodeProcess[E]) RunWorkload(rounds [][][]E, batchSize int) ([][][]E, er
 	if p.cfg.Consensus == Oracle {
 		return nil, fmt.Errorf("%w: RunWorkload needs a BFT protocol; Oracle clusters use Lead/Follow", ErrConsensusConfig)
 	}
-	return runBatches(rounds, batchSize, p.runConsensusBatch)
+	batchSize = max(batchSize, 1)
+	return runBatches(rounds, batchSize, func(batch [][][]E) ([][][]E, error) {
+		return p.runConsensusBatch(batch, batchSize)
+	})
 }
 
-// runConsensusBatch decides and executes one batch: propose the
-// canonical payload, run the consensus instance, parse and validate the
-// decided bytes, commit them.
-func (p *NodeProcess[E]) runConsensusBatch(batch [][][]E) ([][][]E, error) {
+// runConsensusBatch decides and executes one batch of a workload run in
+// batches of batchSize: propose the canonical payload, run the consensus
+// instance, parse and validate the decided bytes, commit them.
+func (p *NodeProcess[E]) runConsensusBatch(batch [][][]E, batchSize int) ([][][]E, error) {
 	proposal, err := p.encodeBatchProposal(batch)
 	if err != nil {
 		return nil, err
 	}
 	spec := &speculation[E]{early: make([]transport.Message, p.n)}
-	decided, err := p.decideBatch(proposal, len(batch), spec)
+	decided, err := p.decideBatch(proposal, len(batch), batchSize, spec)
 	if err != nil {
 		return nil, fmt.Errorf("csm: node %d round %d: %v consensus: %w", p.self, p.round, p.cfg.Consensus, err)
 	}

@@ -459,3 +459,45 @@ func TestDurableConsensusProtocolMismatch(t *testing.T) {
 		t.Fatalf("recovered round %d, want 1", s2.round)
 	}
 }
+
+// senderLink records the slot of every Dolev-Strong chain its node opens
+// as an instance's designated sender: a chain it alone has signed.
+type senderLink struct {
+	transport.Link
+	slots []uint64
+}
+
+func (l *senderLink) Broadcast(kind string, payload []byte) error {
+	if kind == "dolev-strong" {
+		if cm, err := consensus.DecodeChainMsg(payload); err == nil && len(cm.Signers) == 1 {
+			l.slots = append(l.slots, cm.Slot)
+		}
+	}
+	return l.Link.Broadcast(kind, payload)
+}
+
+// TestDolevStrongSenderRotatesByInstance: a Dolev-Strong NodeProcess
+// cluster rotates the designated sender over consensus instances, as the
+// simulated Cluster does, so with B=2 on N=4 every node sends one of the
+// first four batches. Rotating with the round instead would pick nodes 0
+// and 2 alone whenever gcd(B, N) = 2.
+func TestDolevStrongSenderRotatesByInstance(t *testing.T) {
+	const batch = 2
+	links := make([]*senderLink, consN)
+	got := runProcesses(t, processRun{kind: DolevStrong, batch: batch, wrap: func(i int, l transport.Link) transport.Link {
+		links[i] = &senderLink{Link: l}
+		return links[i]
+	}}, RandomWorkload[uint64](gold, consN*batch, consK, 1, consSeed))
+	for i, l := range links {
+		want := []uint64{uint64(i * batch)}
+		if !slices.Equal(l.slots, want) {
+			t.Errorf("node %d opened the chains of slots %v, want %v (slot = the batch's first round)", i, l.slots, want)
+		}
+	}
+	want := consDigest(t, RandomWorkload[uint64](gold, consN*batch, consK, 1, consSeed))
+	for i, p := range got.procs {
+		if p.DigestSum() != want {
+			t.Errorf("node %d digest %s, Cluster.Run's %s", i, p.DigestSum(), want)
+		}
+	}
+}
