@@ -104,9 +104,9 @@ func collectStepMatchingIngest(t *testing.T, c *Cluster[uint64]) int {
 	// Node 0 is honest in every case: its own row holds the result it
 	// broadcast, which the network carried.
 	forgeries := c.net.Stats().ForgeriesDropped
-	genuine := encodeResult(gold, c.round, clusterTag, c.nodes[0].recvRow(0))
+	genuine := appendResult(nil, gold, c.round, clusterTag, c.nodes[0].recvRow(0))
 	c.net.Inject(transport.Message{From: 0, To: 0, Round: c.net.Round(), Kind: resultKind, Payload: genuine})
-	forged := encodeResult(gold, c.round, clusterTag, make([]uint64, c.tr.ResultLen()))
+	forged := appendResult(nil, gold, c.round, clusterTag, make([]uint64, c.tr.ResultLen()))
 	c.net.Inject(transport.Message{From: 2, To: 4, Round: c.net.Round(), Kind: resultKind, Payload: forged})
 	for _, m := range []struct {
 		kind    string
@@ -133,8 +133,8 @@ func collectStepMatchingIngest(t *testing.T, c *Cluster[uint64]) int {
 				core := newStepCore(c.code, c.tr, c.bulk, n.id, c.cfg.MaxFaults)
 				sh = &core
 				sh.resetStep()
-				for from, row := range n.received {
-					if row != nil {
+				for from := range n.n {
+					if row := n.received(from); row != nil {
 						sh.accept(from, row)
 					}
 				}
@@ -153,10 +153,10 @@ func collectStepMatchingIngest(t *testing.T, c *Cluster[uint64]) int {
 				t.Fatalf("round %d tick %d node %d: received %d results, per-receiver ingest %d",
 					c.round, ticks, n.id, n.receivedCount, sh.receivedCount)
 			}
-			for from := range n.received {
-				if !slices.Equal(n.received[from], sh.received[from]) || (n.received[from] == nil) != (sh.received[from] == nil) {
+			for from := range n.n {
+				if !slices.Equal(n.received(from), sh.received(from)) || (n.received(from) == nil) != (sh.received(from) == nil) {
 					t.Fatalf("round %d tick %d node %d: row from %d is %v, per-receiver ingest %v",
-						c.round, ticks, n.id, from, n.received[from], sh.received[from])
+						c.round, ticks, n.id, from, n.received(from), sh.received(from))
 				}
 			}
 		}

@@ -66,6 +66,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 
@@ -253,7 +254,7 @@ type Cluster[E comparable] struct {
 	code     *lcc.Code[E]
 	tr       *sm.Transition[E] // over the counting field
 	oracleTr *sm.Transition[E] // over the base field
-	oracle   []*sm.Machine[E]
+	oracle   [][]E             // the uncoded ground truth; see oracleArgs
 	net      *transport.Network
 	nodes    []*node[E]
 	rng      *rand.Rand
@@ -272,6 +273,24 @@ type Cluster[E comparable] struct {
 	// parsed is parseResults' table: one entry per envelope of the
 	// largest tick so far, each with its own row, reused every tick.
 	parsed []parsedResult[E]
+	// Step scratch, reused from step to step: computeAllResults' result
+	// table, runExecutionStep's pending nodes and collectAndDecode's
+	// verdicts on the driving goroutine, clientPhase's tally on whichever
+	// goroutine runs finishStep.
+	results [][]E
+	pending []*node[E]
+	oks     []bool
+	errs    []error
+	tally   []replyCount[E]
+	// outcomes is the free list of tallied step outcomes newOutcome
+	// reuses; the client stage returns to it, hence outcomeMu.
+	outcomeMu sync.Mutex
+	outcomes  []*stepOutcome[E]
+	// Machine k's oracle row holds its state followed by its last output;
+	// finishStep advances it in place, with oracleArgs as the transition's
+	// scratch, and tallied counts the advances.
+	oracleArgs []E
+	tallied    int
 	// epoch counts membership epochs: it advances whenever a churn
 	// boundary applies at least one event, so rounds between two
 	// increments share one static fault pattern.
@@ -429,13 +448,12 @@ func New[E comparable](cfg Config[E]) (*Cluster[E], error) {
 	if err != nil {
 		return nil, err
 	}
-	oracle := make([]*sm.Machine[E], cfg.K)
+	oracle := make([][]E, cfg.K)
+	rl := oracleTr.ResultLen()
+	flat := make([]E, cfg.K*rl)
 	for k := range oracle {
-		m, err := sm.NewMachine(oracleTr, eng.initial[k])
-		if err != nil {
-			return nil, err
-		}
-		oracle[k] = m
+		oracle[k] = flat[k*rl : (k+1)*rl : (k+1)*rl]
+		copy(oracle[k], eng.initial[k])
 	}
 	codedStates, err := code.EncodeVectors(eng.initial)
 	if err != nil {
@@ -454,6 +472,7 @@ func New[E comparable](cfg Config[E]) (*Cluster[E], error) {
 		rng:      rand.New(rand.NewPCG(cfg.Seed, 0xc5a)),
 		maxTicks: maxTicksPerRound,
 	}
+	c.oracleArgs = make([]E, oracleTr.StateLen()+oracleTr.CmdLen())
 	c.nodes = make([]*node[E], cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		ep, err := net.Endpoint(transport.NodeID(i))
@@ -512,8 +531,8 @@ func (c *Cluster[E]) OpCounts() field.OpCounts { return c.counting.Counts() }
 // OracleStates returns the ground-truth states of all K machines.
 func (c *Cluster[E]) OracleStates() [][]E {
 	out := make([][]E, len(c.oracle))
-	for k, m := range c.oracle {
-		out[k] = m.State()
+	for k, row := range c.oracle {
+		out[k] = slices.Clone(row[:c.oracleTr.StateLen()])
 	}
 	return out
 }
@@ -570,7 +589,7 @@ var batchMagic = [4]byte{'C', 'S', 'M', 'B'}
 const batchHdrLen = 4 + 8 + 4 + 4
 
 // encodeBatchMsg serializes a shape-checked batch as the canonical payload
-// for the given round, a fixed little-endian layout like encodeResult's and
+// for the given round, a fixed little-endian layout like appendResult's and
 // internal/consensus/wire.go's: batchMagic, u64 round, u32 vector count
 // (steps*K, step-major: step j, machine k at index j*K+k), u32 cmdLen, then
 // count*cmdLen canonical u64 elements. Every engine and consensus mode
@@ -616,15 +635,15 @@ const resultHdrLen = 8 + 32 + 8
 // clusterTag is the batch tag of the simulated Cluster's results.
 var clusterTag [32]byte
 
-// encodeResult serializes a round's result vector, computed on the batch
-// tag names.
-func encodeResult[E comparable](f field.Field[E], round int, tag [32]byte, result []E) []byte {
+// appendResult appends the serialization of a round's result vector,
+// computed on the batch tag names, to dst and returns the extended slice.
+func appendResult[E comparable](dst []byte, f field.Field[E], round int, tag [32]byte, result []E) []byte {
 	hdr := resultHeader(round, tag, len(result))
-	buf := append(make([]byte, 0, resultHdrLen+8*len(result)), hdr[:]...)
+	dst = append(slices.Grow(dst, resultHdrLen+8*len(result)), hdr[:]...)
 	for _, e := range result {
-		buf = binary.LittleEndian.AppendUint64(buf, f.Uint64(e))
+		dst = binary.LittleEndian.AppendUint64(dst, f.Uint64(e))
 	}
-	return buf
+	return dst
 }
 
 // resultHeader is the header of a result broadcast for the given round,

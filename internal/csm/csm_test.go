@@ -417,7 +417,7 @@ func TestResultPayloadCodec(t *testing.T) {
 	vec := []uint64{5, 0, field.GoldilocksModulus - 1}
 	tag := [32]byte{3: 9}
 	hdr := resultHeader(7, tag, len(vec))
-	payload := encodeResult[uint64](gold, 7, tag, vec)
+	payload := appendResult[uint64](nil, gold, 7, tag, vec)
 	got := make([]uint64, len(vec))
 	if !parseResult[uint64](gold, payload, hdr, got) || !field.VecEqual[uint64](gold, got, vec) {
 		t.Fatalf("roundtrip failed: got %v", got)
@@ -430,8 +430,8 @@ func TestResultPayloadCodec(t *testing.T) {
 		payload[:8],
 		payload[:len(payload)-3],
 		append(append([]byte(nil), payload...), 1, 2, 3),
-		encodeResult[uint64](gold, 8, tag, vec),
-		encodeResult[uint64](gold, 7, clusterTag, vec),
+		appendResult[uint64](nil, gold, 8, tag, vec),
+		appendResult[uint64](nil, gold, 7, clusterTag, vec),
 	}
 	huge := bytes.Clone(payload)
 	binary.LittleEndian.PutUint64(huge[40:], 1<<61)
@@ -455,7 +455,7 @@ func TestResultPayloadCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	hdr = resultHeader(7, clusterTag, 2)
-	if parseResult[uint64](gf, encodeResult[uint64](gold, 7, clusterTag, []uint64{5, 256 + 5}), hdr, make([]uint64, 2)) {
+	if parseResult[uint64](gf, appendResult[uint64](nil, gold, 7, clusterTag, []uint64{5, 256 + 5}), hdr, make([]uint64, 2)) {
 		t.Error("GF(2^8) payload with a 9-bit element accepted")
 	}
 }
@@ -468,8 +468,8 @@ func TestResultPayloadCodec(t *testing.T) {
 // is canonical; an accepted payload re-encodes to the same bytes, and a
 // refusal leaves the destination row as it was.
 func FuzzDecodeResult(f *testing.F) {
-	f.Add(encodeResult[uint64](gold, 3, [32]byte{1, 2, 3}, []uint64{7, field.GoldilocksModulus - 1}))
-	f.Add(encodeResult[uint64](gold, 41, clusterTag, []uint64{0, 1}))
+	f.Add(appendResult[uint64](nil, gold, 3, [32]byte{1, 2, 3}, []uint64{7, field.GoldilocksModulus - 1}))
+	f.Add(appendResult[uint64](nil, gold, 41, clusterTag, []uint64{0, 1}))
 	gf, err := field.NewGF2m(8)
 	if err != nil {
 		f.Fatal(err)
@@ -508,7 +508,7 @@ func fuzzParseResult[E comparable](t *testing.T, f field.Field[E], data []byte) 
 		}
 		return
 	}
-	if again := encodeResult(f, round, tag, dst); !bytes.Equal(again, data) {
+	if again := appendResult(nil, f, round, tag, dst); !bytes.Equal(again, data) {
 		t.Fatalf("re-encoding differs:\n got %x\nwant %x", again, data)
 	}
 }

@@ -148,12 +148,17 @@ func TestCrashedBeyondBudgetRoundOpCountGuard(t *testing.T) {
 // into a fresh slice and every broadcast carried its own recipient list,
 // and 1 075 (122 KB) while every node parsed each result in place into
 // its receive rows through its own Deliveries closure and ingest's range
-// body. With each envelope parsed once per tick for all its recipients it
-// costs 883 allocations and 112 KB. Each ceiling sits within 10 % above
-// today's figure. The race detector's own allocations are added on top
-// (raceHeapSlack).
+// body, and 883 (112 KB) once each envelope was parsed once per tick for
+// all its recipients. With every node's apply, payload, received-row and
+// decode buffers reused from round to round, and each decode released only
+// after the client tally, it costs 82 allocations: 64 are the network's
+// copies of the broadcast payloads. The heap bytes, 21 KB, grow with the
+// fan-out's goroutines (20.6 KB at GOMAXPROCS 1, 23.6 KB at 4). The
+// allocation ceiling sits within 10 % above today's figure, the byte
+// ceiling within 10 % above the figure at GOMAXPROCS 4. The race
+// detector's own allocations are added on top (raceHeapSlack).
 func TestRoundAllocGuard(t *testing.T) {
-	const allocCeiling, byteCeiling = 970, 123_000
+	const allocCeiling, byteCeiling = 90, 26_000
 	allocs := testing.AllocsPerRun(5, honestRounds(t, 1))
 	bytes := bytesPerRun(5, honestRounds(t, 0))
 	t.Logf("per honest N=64 K=22 b=21 round: %.0f heap allocations (Parallelism 1), %d heap bytes (Parallelism 0)", allocs, bytes)
@@ -170,11 +175,15 @@ func TestRoundAllocGuard(t *testing.T) {
 // pipeline depth 4) once the first batch has learned the liars, on one
 // worker so the count is the engine's and not the fan-out's. A batch
 // cost 36 141 allocations while results were parsed into fresh slices,
-// and 11 548 while every node parsed each result into its own rows; with
-// each envelope parsed once per tick it costs 10 516. The ceiling sits
-// within 10 % above today's figure.
+// 11 548 while every node parsed each result into its own rows, and
+// 10 516 once each envelope was parsed once per tick, about 4 000 of them
+// the liars' wrong results and client replies drawn into fresh vectors.
+// With those drawn into reused buffers, and the nodes' step buffers and
+// the step outcomes reused too, it costs 691 (724 under the race
+// detector): 512 are the network's copies of the broadcast payloads. The
+// ceiling sits within 10 % above today's figure.
 func TestByzantineBatchAllocGuard(t *testing.T) {
-	const allocCeiling = 11_550
+	const allocCeiling = 760
 	allocs := testing.AllocsPerRun(3, byzantineBatches(t, 1))
 	t.Logf("per B=8 batch of 21-liar N=64 K=22 b=21 rounds: %.0f heap allocations (Parallelism 1)", allocs)
 	if allocs > allocCeiling {
@@ -186,10 +195,12 @@ func TestByzantineBatchAllocGuard(t *testing.T) {
 // the deployed engine at TestProcessRoundCountGuard's Oracle shape: four
 // NodeProcess (N=4, K=2, b=1) over local links, one round per batch,
 // counted over all four processes until each has returned the round. A
-// round costs 164 allocations. The ceiling sits within 10 % above
-// today's figure.
+// round cost 164 allocations while every apply, payload and decode was a
+// fresh allocation; with the step core's buffers reused it costs 124,
+// mostly the links' message copies and the outputs each process returns.
+// The ceiling sits within 10 % above today's figure.
 func TestProcessRoundAllocGuard(t *testing.T) {
-	const allocCeiling = 180
+	const allocCeiling = 136
 	net, err := transport.New(transport.Config{N: consN, Mode: transport.Sync, Seed: consSeed})
 	if err != nil {
 		t.Fatal(err)

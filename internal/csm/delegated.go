@@ -8,6 +8,7 @@ import (
 	"codedsm/internal/delegate"
 	"codedsm/internal/field"
 	"codedsm/internal/intermix"
+	"codedsm/internal/lcc"
 	"codedsm/internal/poly"
 	"codedsm/internal/transport"
 )
@@ -208,7 +209,10 @@ func (c *Cluster[E]) runExecutionDelegated(agreed [][]E) (*stepOutcome[E], error
 			if n.behavior != Honest {
 				continue
 			}
-			n.decoded = &nodeDecode[E]{results: proofs[i].outputs, stateLen: c.tr.StateLen(), faulty: c.tauComplement(proofs[i].Tau)}
+			n.decoded = &nodeDecode[E]{
+				DecodeResult: lcc.DecodeResult[E]{Outputs: proofs[i].outputs, FaultyNodes: c.tauComplement(proofs[i].Tau)},
+				stateLen:     c.tr.StateLen(),
+			}
 			n.codedState = slices.Clone(proofs[i].codedNext[i])
 		}
 		return c.newOutcome(ticks), nil
@@ -241,9 +245,9 @@ func (c *Cluster[E]) dlgAlerts(msgs iter.Seq[transport.Message], attempt int, ph
 // zero-filled: the worker's decoder and its proof take no erasures, so a
 // missing result costs the budget an error.
 func (c *Cluster[E]) receivedOrZero(n *node[E]) [][]E {
-	out := slices.Clone(n.received)
-	for i, v := range out {
-		if v == nil {
+	out := make([][]E, n.n)
+	for i := range out {
+		if out[i] = n.received(i); out[i] == nil {
 			out[i] = field.ZeroVec[E](c.counting, c.tr.ResultLen())
 		}
 	}

@@ -12,16 +12,22 @@ import (
 
 // stepOutcome carries everything one executed micro-step hands to the
 // client stage: the agreed commands (for the oracle advance), the
-// pre-drawn Byzantine client replies, and an immutable snapshot of every
-// honest node's decode. The driving goroutine never mutates any of it
-// after handing the outcome off, which is what lets the pipelined engine
-// run the client stage concurrently with later rounds.
+// pre-drawn Byzantine client replies, and every honest node's decode.
+// The driving goroutine writes none of it after handing the outcome off,
+// and the decodes' buffers go back to their nodes only once finishStep has
+// tallied the step (see nodeDecode), which is what lets the pipelined
+// engine run the client stage concurrently with later rounds at any
+// depth. A tallied outcome returns to the cluster's free list, replies
+// buffers and all (releaseOutcome).
 type stepOutcome[E comparable] struct {
-	cmds    [][]E
-	replies [][][]E
-	decodes []*nodeDecode[E]
-	res     *RoundResult[E]
-	skip    bool // consensus decided garbage: nothing to tally
+	cmds [][]E
+	// replies[k*N+i] is node i's reply for machine k, a view into
+	// replyVals (nil: the node sends none of its own).
+	replies   [][]E
+	replyVals []E
+	decodes   []*nodeDecode[E]
+	res       *RoundResult[E]
+	skip      bool // consensus decided garbage: nothing to tally
 }
 
 // executeBatch is the round engine under ExecuteRound and Run: one
@@ -83,9 +89,10 @@ func (c *Cluster[E]) executeBatch(batch [][][]E, stage *clientStage[E]) ([]*Roun
 		if j == 0 {
 			outcome.res.Ticks += ticksConsensus
 		}
+		res := outcome.res // finishStep releases the outcome itself
 		if stage != nil {
 			c.round++
-			out = append(out, outcome.res)
+			out = append(out, res)
 			stage.enqueue(outcome)
 			continue
 		}
@@ -93,7 +100,7 @@ func (c *Cluster[E]) executeBatch(batch [][][]E, stage *clientStage[E]) ([]*Roun
 			return out, err
 		}
 		c.round++
-		out = append(out, outcome.res)
+		out = append(out, res)
 	}
 	return out, nil
 }
@@ -105,7 +112,7 @@ func (c *Cluster[E]) executeBatch(batch [][][]E, stage *clientStage[E]) ([]*Roun
 // still waiting collects and decodes on the workers. On return every
 // honest node has decoded and re-encoded its next coded state — the
 // happens-before boundary the next micro-step's compute phase relies on —
-// and the outcome snapshot is ready for the client stage.
+// and the outcome is ready for the client stage.
 func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 	if err := c.broadcastResults(micro); err != nil {
 		return nil, err
@@ -113,18 +120,17 @@ func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 	ticks := 0
 	deadline := 1 // synchronous networks: results arrive in exactly one tick
 	need := c.decodeNeed()
-	pending := make([]*node[E], 0, len(c.nodes))
 	for {
 		c.net.Step()
 		ticks++
-		pending = pending[:0]
+		c.pending = c.pending[:0]
 		for _, n := range c.nodes {
 			if n.behavior == Honest && n.decoded == nil {
-				pending = append(pending, n)
+				c.pending = append(c.pending, n)
 			}
 		}
 		force := c.cfg.Mode == transport.PartialSync || ticks >= deadline
-		allDecoded, err := c.collectAndDecode(pending, force, need)
+		allDecoded, err := c.collectAndDecode(c.pending, force, need)
 		if err != nil {
 			return nil, err
 		}
@@ -156,14 +162,41 @@ func (c *Cluster[E]) broadcastResults(micro int) error {
 }
 
 // newOutcome closes a step whose honest nodes hold their decodes: the
-// Byzantine client replies are drawn and the decodes snapshotted here, on
-// the driving goroutine, for whichever goroutine runs finishStep.
+// Byzantine client replies are drawn and the decodes collected here, on
+// the driving goroutine, for whichever goroutine runs finishStep, into an
+// outcome the client stage has released (or a new one).
 func (c *Cluster[E]) newOutcome(ticks int) *stepOutcome[E] {
-	return &stepOutcome[E]{
-		replies: c.drawClientReplies(),
-		decodes: c.snapshotDecodes(),
-		res:     &RoundResult[E]{Ticks: ticks},
+	c.outcomeMu.Lock()
+	var o *stepOutcome[E]
+	if last := len(c.outcomes) - 1; last >= 0 {
+		o, c.outcomes = c.outcomes[last], c.outcomes[:last]
+	} else {
+		o = new(stepOutcome[E])
 	}
+	c.outcomeMu.Unlock()
+	c.drawClientReplies(o)
+	o.decodes = o.decodes[:0]
+	for _, n := range c.nodes {
+		o.decodes = append(o.decodes, n.decoded) // nil for Byzantine or undecoded nodes
+	}
+	o.res = &RoundResult[E]{Ticks: ticks}
+	return o
+}
+
+// releaseOutcome hands a tallied outcome's decode buffers back to their
+// nodes and the outcome to the cluster's free list; nothing may read it
+// afterwards.
+func (c *Cluster[E]) releaseOutcome(o *stepOutcome[E]) {
+	for _, d := range o.decodes {
+		if d != nil {
+			d.release()
+		}
+	}
+	clear(o.decodes)
+	o.cmds, o.res = nil, nil
+	c.outcomeMu.Lock()
+	c.outcomes = append(c.outcomes, o)
+	c.outcomeMu.Unlock()
 }
 
 // decodeNeed is the result count a node waits for before decoding. In the
@@ -188,102 +221,94 @@ func (c *Cluster[E]) decodeNeed() int {
 }
 
 // finishStep runs the sequential tail of a micro-step: advance the
-// ground-truth oracle and run the client tally/audit. In pipelined runs
-// this executes on the client-stage goroutine.
+// ground-truth oracle, run the client tally/audit and release the
+// outcome. In pipelined runs this executes on the client-stage goroutine.
 func (c *Cluster[E]) finishStep(o *stepOutcome[E]) error {
-	oracleOutputs := make([][]E, c.cfg.K)
-	for k, m := range c.oracle {
-		out, err := m.Step(o.cmds[k])
-		if err != nil {
+	stateLen := c.oracleTr.StateLen()
+	for k, row := range c.oracle {
+		if err := c.oracleTr.ApplyResultInto(row, c.oracleArgs, row[:stateLen], o.cmds[k]); err != nil {
 			return err
 		}
-		oracleOutputs[k] = out
 	}
-	c.clientPhase(oracleOutputs, o.replies, o.decodes, o.res)
+	c.tallied++
+	c.clientPhase(o)
+	c.releaseOutcome(o)
 	return nil
 }
 
 // drawClientReplies draws the Byzantine nodes' garbage client replies for
-// one round, in the exact (machine-major, node-minor) order the
+// one round into o, in the exact (machine-major, node-minor) order the
 // sequential client phase consumed the cluster RNG; honest slots are nil,
 // and so are crashed/recovering ones — a down node sends the clients
-// nothing at all, where an active liar sends garbage — and so is a whole
-// row nobody lies in. Pre-drawing keeps pipelined runs on the same random
-// stream as sequential ones.
-func (c *Cluster[E]) drawClientReplies() [][][]E {
-	f := c.cfg.BaseField
-	out := make([][][]E, c.cfg.K)
-	for k := 0; k < c.cfg.K; k++ {
-		for i, n := range c.nodes {
-			if n.behavior != Honest && n.behavior != Crashed && n.behavior != Recovering {
-				if out[k] == nil {
-					out[k] = make([][]E, len(c.nodes))
-				}
-				out[k][i] = field.RandVec(f, c.rng, c.tr.OutLen())
-			}
+// nothing at all, where an active liar sends garbage. Pre-drawing keeps
+// pipelined runs on the same random stream as sequential ones.
+func (c *Cluster[E]) drawClientReplies(o *stepOutcome[E]) {
+	n, l := len(c.nodes), c.tr.OutLen()
+	if size := c.cfg.K * n; len(o.replies) != size {
+		o.replies, o.replyVals = make([][]E, size), make([]E, size*l)
+	}
+	for j := range o.replies {
+		o.replies[j] = nil
+		if repliesGarbage(c.nodes[j%n].behavior) {
+			o.replies[j] = field.RandVecInto(c.cfg.BaseField, c.rng, o.replyVals[j*l:(j+1)*l:(j+1)*l])
 		}
 	}
-	return out
 }
 
-// snapshotDecodes captures each node's decode for the client stage (nil
-// for Byzantine or still-undecoded nodes). The pointed-to decode is
-// immutable: every round allocates a fresh one.
-func (c *Cluster[E]) snapshotDecodes() []*nodeDecode[E] {
-	out := make([]*nodeDecode[E], len(c.nodes))
-	for i, n := range c.nodes {
-		out[i] = n.decoded
-	}
-	return out
+// repliesGarbage reports whether a node of behavior b sends the clients
+// garbage: an active liar does, an honest or down node does not.
+func repliesGarbage(b Behavior) bool {
+	return b != Honest && b != Crashed && b != Recovering
 }
 
 // clientPhase simulates the M clients collecting per-node replies: a client
 // accepts an output once b+1 nodes report the same value (Table 2, output
 // delivery: 2b+1 <= N). Byzantine nodes report the pre-drawn garbage.
 // Each machine's tally is a short list of distinct replies (one in an
-// honest round). The result is then audited against the oracle execution.
-func (c *Cluster[E]) clientPhase(oracleOutputs [][]E, replies [][][]E, decodes []*nodeDecode[E], res *RoundResult[E]) {
-	f := c.cfg.BaseField
+// honest round). The result is then audited against the oracle execution,
+// which finishStep has advanced past the round. The accepted outputs are
+// copied into one fresh allocation: the round's report outlives the
+// decode buffers they were read from.
+func (c *Cluster[E]) clientPhase(o *stepOutcome[E]) {
+	f, l, stateLen := c.cfg.BaseField, c.tr.OutLen(), c.tr.StateLen()
+	res := o.res
 	res.Outputs = make([][]E, c.cfg.K)
+	flat := make([]E, c.cfg.K*l)
 	res.Correct = true
-	faulty := make(map[int]bool)
-	var tally []replyCount[E]
 	for k := 0; k < c.cfg.K; k++ {
-		tally = tally[:0]
-		for i := range decodes {
-			var reply []E
-			switch {
-			case replies[k] != nil && replies[k][i] != nil:
-				reply = replies[k][i]
-			case decodes[i] != nil:
-				reply = decodes[i].output(k)
-			default:
-				continue
+		c.tally = c.tally[:0]
+		for i, dec := range o.decodes {
+			reply := o.replies[k*len(o.decodes)+i]
+			if reply == nil && dec != nil {
+				reply = dec.output(k)
 			}
-			tally = countReply(f, tally, reply)
+			if reply != nil {
+				c.tally = countReply(f, c.tally, reply)
+			}
 		}
-		res.Outputs[k] = acceptReply(f, tally, c.cfg.MaxFaults+1)
-		if res.Outputs[k] == nil || !field.VecEqual(f, res.Outputs[k], oracleOutputs[k]) {
+		if out := acceptReply(f, c.tally, c.cfg.MaxFaults+1); out != nil {
+			res.Outputs[k] = flat[k*l : (k+1)*l : (k+1)*l]
+			copy(res.Outputs[k], out)
+		}
+		if res.Outputs[k] == nil || !field.VecEqual(f, res.Outputs[k], c.oracle[k][stateLen:]) {
 			res.Correct = false
 		}
 	}
 	// Consistency audit: every honest node must hold the same decoded next
 	// states, matching the oracle.
-	oracleStates := c.OracleStates()
-	for _, dec := range decodes {
+	faulty := []int{}
+	for _, dec := range o.decodes {
 		if dec == nil {
 			continue
 		}
-		for _, idx := range dec.faulty {
-			faulty[idx] = true
-		}
+		faulty = ints.UnionSorted(faulty, dec.FaultyNodes)
 		for k := 0; k < c.cfg.K; k++ {
-			if !field.VecEqual(f, dec.nextState(k), oracleStates[k]) {
+			if !field.VecEqual(f, dec.nextState(k), c.oracle[k][:stateLen]) {
 				res.Correct = false
 			}
 		}
 	}
-	res.FaultyDetected = ints.SortedKeys(faulty)
+	res.FaultyDetected = faulty
 }
 
 // replyCount is a distinct reply a client heard and how many nodes sent it.

@@ -17,6 +17,7 @@ type node[E comparable] struct {
 	ep       *transport.Endpoint
 	behavior Behavior
 	decoded  *nodeDecode[E] // this step's decode, nil until the node has one
+	lies     []E            // sendResult's wrong results (lie)
 }
 
 // sendResult transmits the node's (possibly corrupted) result, drawing any
@@ -32,9 +33,9 @@ func (n *node[E]) sendResult(result []E) error {
 		// transport would drop a crashed node's traffic anyway).
 		return nil
 	case WrongResult, BadLeader:
-		bad := field.RandVec(c.cfg.BaseField, c.rng, len(result))
+		bad := field.RandVecInto(c.cfg.BaseField, c.rng, n.lie(len(result)))
 		n.accept(n.id, bad) // a liar is at least self-consistent
-		return n.ep.Broadcast(resultKind, encodeResult(c.cfg.BaseField, c.round, clusterTag, bad))
+		return n.ep.Broadcast(resultKind, n.resultPayload(c.round, clusterTag, bad))
 	case Equivocate:
 		// A different wrong value to every peer. On a no-equivocation
 		// (broadcast) network the transport coerces these to the first.
@@ -42,8 +43,8 @@ func (n *node[E]) sendResult(result []E) error {
 			if to == n.id {
 				continue
 			}
-			bad := field.RandVec(c.cfg.BaseField, c.rng, len(result))
-			if err := n.ep.Send(transport.NodeID(to), resultKind, encodeResult(c.cfg.BaseField, c.round, clusterTag, bad)); err != nil {
+			bad := field.RandVecInto(c.cfg.BaseField, c.rng, n.lie(len(result)))
+			if err := n.ep.Send(transport.NodeID(to), resultKind, n.resultPayload(c.round, clusterTag, bad)); err != nil {
 				return err
 			}
 		}
@@ -51,8 +52,17 @@ func (n *node[E]) sendResult(result []E) error {
 		return nil
 	default:
 		n.accept(n.id, result)
-		return n.ep.Broadcast(resultKind, encodeResult(c.cfg.BaseField, c.round, clusterTag, result))
+		return n.ep.Broadcast(resultKind, n.resultPayload(c.round, clusterTag, result))
 	}
+}
+
+// lie is the node's buffer for a wrong result of length l, drawn afresh
+// for each send and copied by whatever reads it.
+func (n *node[E]) lie(l int) []E {
+	if len(n.lies) != l {
+		n.lies = make([]E, l)
+	}
+	return n.lies
 }
 
 // resetStep opens a new step: nothing collected, nothing decoded.

@@ -18,22 +18,30 @@ import (
 //     once so one K-term LinCombAccVec per node covers every micro-step.
 //   - compute (parallel): stepCore.apply, the coded transition
 //     g_i = f(S̃_i, X̃_i), is a pure function of the node's state and its
-//     coded command slice; results land in index-addressed slots.
+//     coded command slice; each result lands in the node's own apply
+//     buffer, indexed by node in the cluster's result table.
 //   - broadcast (sequential): each node's result, or its Byzantine lie
-//     drawn from the cluster RNG, is enqueued on the driving goroutine in
-//     node order (node.sendResult). An enqueue is a copy and a record
-//     under the network's lock, so workers would only contend for it.
+//     drawn from the cluster RNG into the node's lie buffer, is encoded
+//     into the node's payload buffer and enqueued on the driving
+//     goroutine in node order (node.sendResult). An enqueue copies the
+//     payload and records it under the network's lock, so workers would
+//     only contend for it.
 //   - collect + decode (parallel): the driving goroutine steps the
 //     network and parses each delivered envelope once, for all its
 //     recipients (parseResults); then each honest node still waiting
 //     copies the accepted results addressed to it into its own core
 //     (node.collect) and, once it holds enough, decodes
-//     (stepCore.absorb), as one task that writes only that node's core.
-//     The parsed table is fixed before any task starts, so when a node
-//     reads it cannot matter.
-//   - client/audit (sequential or pipelined): draws from the cluster RNG
-//     on the driving goroutine; the tally itself may run on the
-//     background client stage.
+//     (stepCore.absorb) into a buffer from its own free list, as one task
+//     that writes only that node's core. The parsed table is fixed before
+//     any task starts, so when a node reads it cannot matter.
+//   - client/audit (sequential or pipelined): the Byzantine replies are
+//     drawn from the cluster RNG on the driving goroutine into the step's
+//     outcome; the tally itself may run on the background client stage.
+//     The ownership rule makes the overlap safe at any Pipeline depth: a
+//     decode buffer returns to its node's free list only after the stage
+//     has tallied its step (releaseOutcome), so a node running ahead
+//     decodes into another buffer, and the round's report copies the
+//     outputs it accepts instead of pointing into a decode.
 //
 // Shared structures reached from worker goroutines are safe by
 // construction: field.Counting uses atomic counters, charged once per
@@ -66,9 +74,15 @@ func (c *Cluster[E]) encodeBatchCommands(steps [][][]E) error {
 }
 
 // computeAllResults runs the compute phase: every node's true coded result
-// for the batch's micro-th step, in parallel, index-aligned with c.nodes.
+// for the batch's micro-th step, in parallel, index-aligned with c.nodes
+// (nil for a down node). The table is the cluster's and each result its
+// node's apply buffer, both valid until the next step.
 func (c *Cluster[E]) computeAllResults(micro int) ([][]E, error) {
-	results := make([][]E, len(c.nodes))
+	if len(c.results) != len(c.nodes) {
+		c.results = make([][]E, len(c.nodes))
+	}
+	results := c.results
+	clear(results)
 	err := pool.Run(c.workers(), len(c.nodes), func(i int) error {
 		n := c.nodes[i]
 		if n.behavior == Crashed || n.behavior == Recovering {
@@ -98,8 +112,10 @@ func (c *Cluster[E]) computeAllResults(micro int) ([][]E, error) {
 // error is reported.
 func (c *Cluster[E]) collectAndDecode(pending []*node[E], force bool, need int) (bool, error) {
 	tab := c.parseResults()
-	oks := make([]bool, len(pending))
-	errs := make([]error, len(pending))
+	if cap(c.oks) < len(pending) {
+		c.oks, c.errs = make([]bool, len(pending)), make([]error, len(pending))
+	}
+	oks, errs := c.oks[:len(pending)], c.errs[:len(pending)]
 	_ = pool.Run(c.workers(), len(pending), func(i int) error {
 		n := pending[i]
 		n.collect(tab)

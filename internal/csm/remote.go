@@ -10,7 +10,7 @@
 //     simulated consensus phase proposes;
 //   - every node runs the coded step on the same stepCore (step.go) the
 //     simulated node embeds: encode its coded command row, apply the
-//     transition to its coded state, broadcast the result (encodeResult,
+//     transition to its coded state, broadcast the result (appendResult,
 //     tagged with the SHA-256 of the batch payload it was computed on),
 //     collect the peers' results for that batch, decode — the primed
 //     verified-subset check first, sticky suspects and all — and
@@ -362,7 +362,7 @@ func (p *NodeProcess[E]) executeSteps(batch [][][]E, tag [32]byte, spec *specula
 			if result, err = s.apply(j); err != nil {
 				return out, err
 			}
-			if err := p.link.Broadcast(resultKind, encodeResult(f, p.round, tag, result)); err != nil {
+			if err := p.link.Broadcast(resultKind, s.resultPayload(p.round, tag, result)); err != nil {
 				return out, err
 			}
 		}
@@ -378,8 +378,8 @@ func (p *NodeProcess[E]) executeSteps(batch [][][]E, tag [32]byte, spec *specula
 			}
 			if ticks >= maxTicksPerRound {
 				missing := make([]int, 0, p.n)
-				for i, res := range s.received {
-					if res == nil {
+				for i, ok := range s.got {
+					if !ok {
 						missing = append(missing, i)
 					}
 				}
@@ -397,12 +397,18 @@ func (p *NodeProcess[E]) executeSteps(batch [][][]E, tag [32]byte, spec *specula
 		if err != nil {
 			return out, err
 		}
-		p.faulty = ints.UnionSorted(p.faulty, dec.faulty)
+		p.faulty = ints.UnionSorted(p.faulty, dec.FaultyNodes)
 		p.round++
-		outputs := make([][]E, len(dec.results))
+		// The outputs leave the engine, so they are copied out of the
+		// decode, which goes back to the core's free list.
+		outputs := make([][]E, len(dec.Outputs))
+		outLen := p.tr.OutLen()
+		flat := make([]E, len(outputs)*outLen)
 		for m := range outputs {
-			outputs[m] = dec.output(m)
+			outputs[m] = flat[m*outLen : (m+1)*outLen : (m+1)*outLen]
+			copy(outputs[m], dec.output(m))
 		}
+		dec.release()
 		out = append(out, outputs)
 		wireOuts := matToWire(f, outputs)
 		p.digest.AddRound(p.round-1, wireOuts)

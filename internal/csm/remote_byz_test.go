@@ -238,8 +238,8 @@ func (l *forgingLink) Broadcast(kind string, payload []byte) error {
 
 func (l *forgingLink) Step() ([]transport.Message, error) {
 	msgs, err := l.Link.Step()
-	ok := encodeResult[uint64](gold, l.round, l.tag, []uint64{1, 2})
-	long := encodeResult[uint64](gold, l.round, l.tag, []uint64{1, 2, 3})
+	ok := appendResult[uint64](nil, gold, l.round, l.tag, []uint64{1, 2})
+	long := appendResult[uint64](nil, gold, l.round, l.tag, []uint64{1, 2, 3})
 	return append(msgs,
 		transport.Message{From: consN + 3, Kind: resultKind, Payload: ok},
 		transport.Message{From: -1, Kind: resultKind, Payload: ok},

@@ -46,6 +46,7 @@ package csm
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 
 	"codedsm/internal/consensus"
 	"codedsm/internal/consensus/dolevstrong"
@@ -174,8 +175,10 @@ func (p *NodeProcess[E]) collect(spec *speculation[E], pr preparer, steps int, i
 	if err != nil {
 		return err
 	}
-	spec.tag, spec.result = sha256.Sum256(value), result
-	return p.link.Broadcast(resultKind, encodeResult(p.cfg.BaseField, p.round, spec.tag, result))
+	// The speculation is held past this apply, so it keeps a copy of the
+	// core's apply buffer.
+	spec.tag, spec.result = sha256.Sum256(value), slices.Clone(result)
+	return p.link.Broadcast(resultKind, p.core.resultPayload(p.round, spec.tag, result))
 }
 
 // decideBatch runs one consensus instance over the link, collecting

@@ -348,7 +348,7 @@ func (c *Cluster[E]) Crash(node int) error {
 	c.setBehavior(node, Crashed)
 	n := c.nodes[node]
 	n.codedState = field.ZeroVec(c.cfg.BaseField, c.tr.StateLen()) // the share is gone
-	n.received, n.decoded = nil, nil
+	n.resetStep()
 	return nil
 }
 

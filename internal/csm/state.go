@@ -71,12 +71,10 @@ func (c *Cluster[E]) AdoptMachineState(k int, state []E) error {
 	if err := c.requireNoClient("adopt machine state"); err != nil {
 		return err
 	}
-	old := c.oracle[k].State()
-	if err := c.oracle[k].SetState(state); err != nil {
-		return fmt.Errorf("csm: adopt machine %d state: %w", k, err)
-	}
+	cur := c.oracle[k][:len(state)]
 	delta := make([]E, len(state))
-	c.bulk.SubVec(delta, state, old)
+	c.bulk.SubVec(delta, state, cur)
+	copy(cur, state)
 	coeffs := c.code.Coeffs()
 	for i, n := range c.nodes {
 		if n.behavior == Crashed || n.behavior == Recovering {

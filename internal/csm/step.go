@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"iter"
 	"slices"
+	"sync"
 
 	"codedsm/internal/field"
 	"codedsm/internal/ints"
@@ -35,13 +36,17 @@ type stepCore[E comparable] struct {
 
 	codedState []E
 
-	// per-step collection state: received is sender-indexed (nil: nothing
-	// from that sender yet) and receivedCount its non-nil entries. Rows
-	// are views into recvBuf, the node's flat N x ResultLen receive
-	// buffer, valid until the next resetStep.
-	received      [][]E
+	// per-step collection state: got is the sender-indexed received
+	// bitmap and receivedCount its set entries; sender i's row is
+	// recvRow(i), a view into recvBuf, the node's flat N x ResultLen
+	// receive buffer, valid until the next resetStep. recvBuf is allocated
+	// once, before the first decode, so rows, the received rows of the
+	// layout primedIdx in sender order, is rebuilt only when that layout
+	// changes (absorb).
+	got           []bool
 	receivedCount int
 	recvBuf       []E
+	rows          [][]E
 
 	// Primed-decode state: suspects is the sorted union of this node's past
 	// decode verdicts, sticky across steps and batches (see absorbVerdict) —
@@ -72,13 +77,20 @@ type stepCore[E comparable] struct {
 	// allocating. cmdScratch holds the node's coded commands for the whole
 	// current batch (BatchSize x CmdLen, flat), stateScratch
 	// double-buffers the re-encoded coded state (it swaps with codedState
-	// each round), idxScratch/resScratch stage the decode inputs and
-	// nextScratch the re-encode's.
+	// each round), result and args are apply's output and its
+	// transition's argument scratch, payload is resultPayload's wire
+	// buffer, idxScratch stages the decode's received layout and
+	// nextScratch the re-encode's inputs.
 	cmdScratch   []E
 	stateScratch []E
+	result, args []E
+	payload      []byte
 	idxScratch   []int
-	resScratch   [][]E
 	nextScratch  [][]E
+
+	// free holds the decode buffers absorb decodes into (see nodeDecode
+	// for the ownership rule).
+	free *decodeFreeList[E]
 }
 
 // newStepCore builds node id's core; the caller installs the coded state.
@@ -98,24 +110,69 @@ func newStepCore[E comparable](code *lcc.Code[E], tr *sm.Transition[E], bulk fie
 	return stepCore[E]{
 		code: code, tr: tr, bulk: bulk, zero: f.Zero(),
 		id: id, n: code.N(), maxFaults: maxFaults, row: row, unit: unit,
+		free: new(decodeFreeList[E]),
 	}
 }
 
-// nodeDecode is a node's decoded view of one round: the decoder's K
-// result vectors, each [next state | output], split on read. Instances
-// are allocated fresh every round and never mutated afterwards, so the
-// pipelined client stage can hold them across rounds.
+// nodeDecode is a node's decoded view of one step: the decoder's K
+// result vectors, each [next state | output], split on read, and the
+// senders it caught (FaultyNodes).
+//
+// The ownership rule: a core decodes into a buffer it takes from its free
+// list, and the buffer goes back (release) only once nothing reads it any
+// more — a NodeProcess once it has copied the step's outputs out, the
+// Cluster once the client stage has tallied the step
+// (Cluster.releaseOutcome), so a decode handed to the pipelined stage stays intact however many
+// steps the driving goroutine runs ahead. Nothing that leaves an engine
+// aliases a decode: RoundResult.Outputs, the futures' values and a
+// NodeProcess's outputs are copied into one fresh allocation per round.
 type nodeDecode[E comparable] struct {
-	results  [][]E
+	lcc.DecodeResult[E]
 	stateLen int
-	faulty   []int
+	// free is the free list release returns the buffer to; nil for a
+	// decode no core owns (a delegated round's adopted proof).
+	free *decodeFreeList[E]
 }
 
 // nextState is machine m's decoded next state.
-func (d *nodeDecode[E]) nextState(m int) []E { return d.results[m][:d.stateLen] }
+func (d *nodeDecode[E]) nextState(m int) []E { return d.Outputs[m][:d.stateLen] }
 
 // output is machine m's decoded output.
-func (d *nodeDecode[E]) output(m int) []E { return d.results[m][d.stateLen:] }
+func (d *nodeDecode[E]) output(m int) []E { return d.Outputs[m][d.stateLen:] }
+
+// release returns the buffer to its core's free list; the caller must
+// not read it afterwards.
+func (d *nodeDecode[E]) release() {
+	if d.free != nil {
+		d.free.put(d)
+	}
+}
+
+// decodeFreeList is a core's released decode buffers. The core takes
+// from it on whichever goroutine runs its decode while the Cluster's
+// client stage returns to it, hence the lock.
+type decodeFreeList[E comparable] struct {
+	mu   sync.Mutex
+	bufs []*nodeDecode[E]
+}
+
+// get takes a released buffer, nil when there is none.
+func (l *decodeFreeList[E]) get() *nodeDecode[E] {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.bufs) == 0 {
+		return nil
+	}
+	d := l.bufs[len(l.bufs)-1]
+	l.bufs = l.bufs[:len(l.bufs)-1]
+	return d
+}
+
+func (l *decodeFreeList[E]) put(d *nodeDecode[E]) {
+	l.mu.Lock()
+	l.bufs = append(l.bufs, d)
+	l.mu.Unlock()
+}
 
 // lagrangeRowInto accumulates this node's Lagrange encode Σ_k row[k]
 // vecs[k] into dst — (re)allocated at the given length when it does not
@@ -166,23 +223,39 @@ func (s *stepCore[E]) encodeCommands(flat [][]E) {
 
 // apply runs the coded transition g_i = f(S̃_i, X̃_i) for the batch's
 // micro-th step on the coded command encodeCommands left in the scratch.
-// ApplyResult copies its inputs, so the scratch never escapes the round.
+// The result is the core's own buffer, valid until its next apply: every
+// consumer copies it (accept into the sender's row, resultPayload onto
+// the wire).
 func (s *stepCore[E]) apply(micro int) ([]E, error) {
-	cmdLen := s.tr.CmdLen()
-	return s.tr.ApplyResult(s.codedState, s.cmdScratch[micro*cmdLen:(micro+1)*cmdLen])
+	cmdLen, stateLen := s.tr.CmdLen(), s.tr.StateLen()
+	if s.result == nil {
+		s.result, s.args = make([]E, s.tr.ResultLen()), make([]E, stateLen+cmdLen)
+	}
+	if err := s.tr.ApplyResultInto(s.result, s.args, s.codedState, s.cmdScratch[micro*cmdLen:(micro+1)*cmdLen]); err != nil {
+		return nil, err
+	}
+	return s.result, nil
 }
 
-// resetStep clears the per-step collection state, reusing the
-// sender-indexed slice and the receive buffer: every row received so far
-// is void from here on.
+// resultPayload serializes result for the given round and batch tag
+// (appendResult) into the core's payload buffer and returns it, valid
+// until its next resultPayload; every transport copies what it sends
+// before returning.
+func (s *stepCore[E]) resultPayload(round int, tag [32]byte, result []E) []byte {
+	s.payload = appendResult(s.payload[:0], s.tr.Field(), round, tag, result)
+	return s.payload
+}
+
+// resetStep clears the per-step collection state, reusing the bitmap and
+// the receive buffer: every row received so far is void from here on.
 func (s *stepCore[E]) resetStep() {
-	if len(s.received) != s.n {
-		s.received = make([][]E, s.n)
+	if len(s.got) != s.n {
+		s.got = make([]bool, s.n)
 	}
 	if size := s.n * s.tr.ResultLen(); len(s.recvBuf) != size {
 		s.recvBuf = make([]E, size)
 	}
-	clear(s.received)
+	clear(s.got)
 	s.receivedCount = 0
 }
 
@@ -192,12 +265,21 @@ func (s *stepCore[E]) recvRow(from int) []E {
 	return s.recvBuf[from*l : (from+1)*l : (from+1)*l]
 }
 
+// received is sender from's result for the current step, nil when none
+// has been accepted.
+func (s *stepCore[E]) received(from int) []E {
+	if !s.got[from] {
+		return nil
+	}
+	return s.recvRow(from)
+}
+
 // markReceived records that sender from's row holds its result for the
 // current step; a repeated sender is counted once.
 func (s *stepCore[E]) markReceived(from int) {
-	if s.received[from] == nil {
+	if !s.got[from] {
+		s.got[from] = true
 		s.receivedCount++
-		s.received[from] = s.recvRow(from)
 	}
 }
 
@@ -245,16 +327,16 @@ func acceptResult[E comparable](f field.Field[E], n int, hdr [resultHdrLen]byte,
 // DecodeOutputsSubset, which does not repeat the check — the authority on
 // anything the check cannot certify. A decode that succeeds has corrected
 // every in-budget corrupted result; the senders it caught are in the
-// returned faulty set.
+// returned FaultyNodes. The decode is a buffer from the core's free list,
+// the caller's until it releases it (see nodeDecode).
 func (s *stepCore[E]) absorb() (*nodeDecode[E], error) {
-	indices, results := s.idxScratch[:0], s.resScratch[:0]
-	for idx, res := range s.received {
-		if res != nil {
+	indices := s.idxScratch[:0]
+	for idx, ok := range s.got {
+		if ok {
 			indices = append(indices, idx)
-			results = append(results, res)
 		}
 	}
-	s.idxScratch, s.resScratch = indices, results
+	s.idxScratch = indices
 	if !slices.Equal(s.primedIdx, indices) || !slices.Equal(s.primedSusp, s.suspects) {
 		// More fresh liars than the received rows' radius are undecodable
 		// anyway, so the spare unsuspected rows asked for never exceed it.
@@ -272,29 +354,33 @@ func (s *stepCore[E]) absorb() (*nodeDecode[E], error) {
 		s.primed = p // may be nil: layout ineligible for the fast path
 		s.primedIdx = append(s.primedIdx[:0], indices...)
 		s.primedSusp = append(s.primedSusp[:0], s.suspects...)
+		s.rows = s.rows[:0]
+		for _, idx := range indices {
+			s.rows = append(s.rows, s.recvRow(idx))
+		}
 	}
-	var dec *lcc.DecodeResult[E]
+	d := s.free.get()
+	if d == nil {
+		d = &nodeDecode[E]{stateLen: s.tr.StateLen(), free: s.free}
+	}
+	ok := false
 	if s.primed != nil {
-		fast, ok, err := s.primed.Decode(results, 1)
-		if err != nil {
+		var err error
+		if ok, err = s.primed.DecodeInto(&d.DecodeResult, s.rows); err != nil {
 			return nil, fmt.Errorf("csm: node %d primed decode: %w", s.id, err)
 		}
-		if ok {
-			dec = fast
-		}
 	}
-	if dec == nil {
+	if !ok {
 		s.fallbacks++
-		full, err := s.code.DecodeOutputsSubset(indices, results, s.tr.Degree())
+		full, err := s.code.DecodeOutputsSubset(indices, s.rows, s.tr.Degree())
 		if err != nil {
 			return nil, fmt.Errorf("csm: node %d decode: %w", s.id, err)
 		}
-		dec = full
+		d.DecodeResult = *full // the buffer adopts the full decoder's vectors
 	}
-	s.absorbVerdict(dec.FaultyNodes)
-	d := &nodeDecode[E]{results: dec.Outputs, stateLen: s.tr.StateLen(), faulty: dec.FaultyNodes}
+	s.absorbVerdict(d.FaultyNodes)
 	nextStates := s.nextScratch[:0]
-	for m := range dec.Outputs {
+	for m := range d.Outputs {
 		nextStates = append(nextStates, d.nextState(m))
 	}
 	s.nextScratch = nextStates

@@ -124,8 +124,8 @@ func TestStepCoreAbsorbMatchesReference(t *testing.T) {
 			}
 			states[m] = next
 		}
-		if !slices.Equal(got.faulty, ref.FaultyNodes) {
-			t.Fatalf("step %d: core accuses %v, reference %v", step, got.faulty, ref.FaultyNodes)
+		if !slices.Equal(got.FaultyNodes, ref.FaultyNodes) {
+			t.Fatalf("step %d: core accuses %v, reference %v", step, got.FaultyNodes, ref.FaultyNodes)
 		}
 		if coded, err = code.EncodeVectors(states); err != nil {
 			t.Fatal(err)
@@ -157,8 +157,8 @@ func TestIngestKeepsAcceptedRow(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 0x1a9e))
 	first := field.RandVec[uint64](gold, rng, tr.ResultLen())
 	second := field.RandVec[uint64](gold, rng, tr.ResultLen())
-	good := encodeResult[uint64](gold, round, tag, first)
-	nonCanonical := encodeResult[uint64](gold, round, tag, second)
+	good := appendResult[uint64](nil, gold, round, tag, first)
+	nonCanonical := appendResult[uint64](nil, gold, round, tag, second)
 	binary.LittleEndian.PutUint64(nonCanonical[resultHdrLen+8:], field.GoldilocksModulus+1)
 	msg := func(from transport.NodeID, kind string, payload []byte) transport.Message {
 		return transport.Message{From: from, Kind: kind, Payload: payload}
@@ -170,33 +170,33 @@ func TestIngestKeepsAcceptedRow(t *testing.T) {
 	}{
 		{"truncated", msg(from, resultKind, good[:len(good)-1]), first},
 		{"header only", msg(from, resultKind, good[:resultHdrLen]), first},
-		{"other round", msg(from, resultKind, encodeResult[uint64](gold, round+1, tag, second)), first},
-		{"other tag", msg(from, resultKind, encodeResult[uint64](gold, round, [32]byte{}, second)), first},
-		{"long", msg(from, resultKind, encodeResult[uint64](gold, round, tag, append(slices.Clone(second), 1))), first},
-		{"short", msg(from, resultKind, encodeResult[uint64](gold, round, tag, second[1:])), first},
+		{"other round", msg(from, resultKind, appendResult[uint64](nil, gold, round+1, tag, second)), first},
+		{"other tag", msg(from, resultKind, appendResult[uint64](nil, gold, round, [32]byte{}, second)), first},
+		{"long", msg(from, resultKind, appendResult[uint64](nil, gold, round, tag, append(slices.Clone(second), 1))), first},
+		{"short", msg(from, resultKind, appendResult[uint64](nil, gold, round, tag, second[1:])), first},
 		{"non-canonical", msg(from, resultKind, nonCanonical), first},
-		{"other kind", msg(from, "csm-other", encodeResult[uint64](gold, round, tag, second)), first},
-		{"sender N", msg(n, resultKind, encodeResult[uint64](gold, round, tag, second)), first},
-		{"sender -1", msg(-1, resultKind, encodeResult[uint64](gold, round, tag, second)), first},
-		{"repeat", msg(from, resultKind, encodeResult[uint64](gold, round, tag, second)), second},
+		{"other kind", msg(from, "csm-other", appendResult[uint64](nil, gold, round, tag, second)), first},
+		{"sender N", msg(n, resultKind, appendResult[uint64](nil, gold, round, tag, second)), first},
+		{"sender -1", msg(-1, resultKind, appendResult[uint64](nil, gold, round, tag, second)), first},
+		{"repeat", msg(from, resultKind, appendResult[uint64](nil, gold, round, tag, second)), second},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			core := newStepCore(code, tr, ring.Bulk(), 0, 2)
 			core.resetStep()
 			core.ingest(slices.Values([]transport.Message{msg(from, resultKind, good)}), round, tag)
-			if core.receivedCount != 1 || !slices.Equal(core.received[from], first) {
-				t.Fatalf("well-formed result not accepted: count %d row %v", core.receivedCount, core.received[from])
+			if core.receivedCount != 1 || !slices.Equal(core.received(from), first) {
+				t.Fatalf("well-formed result not accepted: count %d row %v", core.receivedCount, core.received(from))
 			}
 			core.ingest(slices.Values([]transport.Message{tc.m}), round, tag)
 			if core.receivedCount != 1 {
 				t.Errorf("receivedCount %d after the message, want 1", core.receivedCount)
 			}
-			if !slices.Equal(core.received[from], tc.want) {
-				t.Errorf("row %v after the message, want %v", core.received[from], tc.want)
+			if !slices.Equal(core.received(from), tc.want) {
+				t.Errorf("row %v after the message, want %v", core.received(from), tc.want)
 			}
-			for i, row := range core.received {
-				if i != from && row != nil {
+			for i := range core.n {
+				if row := core.received(i); i != from && row != nil {
 					t.Errorf("sender %d has row %v; only sender %d sent a result", i, row, from)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"codedsm/internal/field"
+	"codedsm/internal/lcc"
 )
 
 // tallyOf folds replies into a tally the way clientPhase does.
@@ -151,16 +152,18 @@ func TestClientPhaseCollidingReplies(t *testing.T) {
 	state := []uint64{0} // audit state, matching the fresh oracle
 	mk := func(out []uint64) *nodeDecode[uint64] {
 		result := append(append([]uint64(nil), state...), out...) // [next state | output]
-		return &nodeDecode[uint64]{results: [][]uint64{result, result}, stateLen: len(state)}
+		return &nodeDecode[uint64]{DecodeResult: lcc.DecodeResult[uint64]{Outputs: [][]uint64{result, result}}, stateLen: len(state)}
 	}
 	decodes := make([]*nodeDecode[uint64], cfg.N)
 	decodes[0], decodes[1] = mk(high), mk(high)
 	decodes[2], decodes[3] = mk(low), mk(low)
-	replies := make([][][]uint64, cfg.K) // no liar: every machine's row is nil
-	oracle := [][]uint64{{7}, {9}}
+	replies := make([][]uint64, cfg.K*cfg.N) // no liar: every slot is nil
+	// The oracle's rows after its advance: [state | output].
+	copy(c.oracle[0], []uint64{0, 7})
+	copy(c.oracle[1], []uint64{0, 9})
 	for i := 0; i < 64; i++ {
 		res := &RoundResult[uint64]{}
-		c.clientPhase(oracle, replies, decodes, res)
+		c.clientPhase(&stepOutcome[uint64]{replies: replies, decodes: decodes, res: res})
 		for k := 0; k < cfg.K; k++ {
 			if res.Outputs[k] == nil || res.Outputs[k][0] != low[0] {
 				t.Fatalf("iteration %d machine %d: accepted %v, want deterministic %v", i, k, res.Outputs[k], low)

@@ -104,11 +104,16 @@ func VecEqual[E comparable](f Field[E], a, b []E) bool {
 
 // RandVec returns a vector of n uniformly random elements.
 func RandVec[E comparable](f Field[E], r *rand.Rand, n int) []E {
-	out := make([]E, n)
-	for i := range out {
-		out[i] = f.Rand(r)
+	return RandVecInto(f, r, make([]E, n))
+}
+
+// RandVecInto fills dst with uniformly random elements, drawn in index
+// order exactly as RandVec draws a vector of len(dst), and returns dst.
+func RandVecInto[E comparable](f Field[E], r *rand.Rand, dst []E) []E {
+	for i := range dst {
+		dst[i] = f.Rand(r)
 	}
-	return out
+	return dst
 }
 
 // ZeroVec returns a vector of n zero elements.

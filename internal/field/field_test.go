@@ -26,6 +26,20 @@ func TestBatchInv(t *testing.T) {
 	}
 }
 
+// TestRandVecIntoDrawsAsRandVec: filling a buffer consumes the stream
+// exactly as drawing a fresh vector of its length does.
+func TestRandVecIntoDrawsAsRandVec(t *testing.T) {
+	g := NewGoldilocks()
+	a, b := rand.New(rand.NewPCG(1, 2)), rand.New(rand.NewPCG(1, 2))
+	dst := make([]uint64, 9)
+	for range 3 {
+		want := RandVec[uint64](g, a, len(dst))
+		if got := RandVecInto[uint64](g, b, dst); !VecEqual[uint64](g, got, want) {
+			t.Fatalf("RandVecInto drew %v, RandVec %v", got, want)
+		}
+	}
+}
+
 func TestBatchInvZero(t *testing.T) {
 	g := NewGoldilocks()
 	if err := AsBulk[uint64](g).BatchInvInto(make([]uint64, 4), []uint64{1, 2, 0, 4}); !errors.Is(err, ErrDivisionByZero) {

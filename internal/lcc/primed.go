@@ -221,75 +221,97 @@ func rowOf(indices []int, rows, node int) int {
 	return slices.Index(indices, node)
 }
 
-// verify decodes the received rows' l components with the check, reading
-// component j's word as results[r][j]: it predicts p's rows (every rest
-// row for the exact check, the suspected ones alone once the randomized
-// rule has vouched for the others) and reads the outputs where p says.
-// ok is false when some component's candidate misses more than radius of
-// those rows; the words are then for the full decoder. On ok with every
+// verify decodes the received rows' l components with the check into
+// dst, reading component j's word as results[r][j]: it predicts p's rows
+// (every rest row for the exact check, the suspected ones alone once the
+// randomized rule has vouched for the others) and reads the outputs where
+// p says. dst.Outputs must be K vectors of length l; the faulty rows are
+// appended to dst.FaultyNodes[:0]. It returns false when some component's
+// candidate misses more than radius of those rows, leaving dst partly
+// written; the words are then for the full decoder. On true with every
 // rest row predicted the result is exactly the full decoder's (see the
-// soundness argument on subsetCheck).
-func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *checkScratch[E], p *prediction[E]) (*DecodeResult[E], bool) {
-	k, nr, dim := len(c.omegas), len(p.rows), len(s.trusted)
-	z := len(p.m) / dim
+// soundness argument on subsetCheck). One worker runs the components in
+// a plain loop, allocating nothing.
+func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *checkScratch[E], p *prediction[E], dst *DecodeResult[E]) bool {
+	nr, dim := len(p.rows), len(s.trusted)
+	width := len(p.m)/dim + dim // one worker's predicted and trusted values
 	nw := pool.Clamp(workers, l)
-	if cap(sc.vals) < nw*(z+dim) || cap(sc.bad) < nw*nr {
-		sc.vals = make([]E, nw*(z+dim))
+	if cap(sc.vals) < nw*width || cap(sc.bad) < nw*nr {
+		sc.vals = make([]E, nw*width)
 		sc.bad = make([]bool, nw*nr)
 	}
 	bads := sc.bad[:nw*nr]
 	clear(bads)
-	outputs := flatOutputs[E](k, l)
-	var refused atomic.Bool
-	_ = pool.RunIndexed(workers, l, func(worker, j int) error {
-		if refused.Load() {
-			return nil // some component was already refused: short-circuit
-		}
-		vals := sc.vals[worker*(z+dim) : (worker+1)*(z+dim)]
-		pred, coefs := vals[:z], vals[z:]
-		bad := bads[worker*nr : (worker+1)*nr]
-		for t, r := range s.trusted {
-			coefs[t] = results[r][j]
-		}
-		if z > 0 {
-			c.bulk.MatVec(pred, p.m, coefs)
-		}
-		misses := 0
-		for i, r := range p.rows {
-			if !c.f.Equal(pred[i], results[r][j]) {
-				bad[i] = true
-				misses++
+	if nw == 1 {
+		for j := range l {
+			if !s.component(c, results, p, sc.vals[:width], bads, dst.Outputs, j) {
+				return false
 			}
 		}
-		if misses > s.radius {
-			refused.Store(true)
-			return nil
-		}
-		for ki, f := range p.from {
-			outputs[ki][j] = vals[f]
-		}
-		return nil
-	})
-	if refused.Load() {
-		return nil, false
+	} else if !s.components(c, results, p, sc.vals, bads, dst.Outputs, l, nw) {
+		return false
 	}
-	missed, misses := bads[:nr], 0
+	missed := bads[:nr]
 	for i := range missed {
 		for w := 1; w < nw && !missed[i]; w++ {
 			missed[i] = bads[w*nr+i]
 		}
-		if missed[i] {
-			misses++
-		}
 	}
-	faulty := make([]int, 0, misses)
+	faulty := dst.FaultyNodes[:0]
 	for i, r := range p.rows {
 		if missed[i] {
 			faulty = append(faulty, nodeOf(s.indices, r))
 		}
 	}
 	slices.Sort(faulty) // a caller's indices need not be ascending
-	return &DecodeResult[E]{Outputs: outputs, FaultyNodes: faulty}, true
+	dst.FaultyNodes = faulty
+	return true
+}
+
+// components runs component over the l components on nw workers, each
+// with its own slice of vals and bads, and reports whether none refused;
+// a refusal stops the others from starting new components.
+func (s *subsetCheck[E]) components(c *Code[E], results [][]E, p *prediction[E], vals []E, bads []bool, outputs [][]E, l, nw int) bool {
+	width, nr := len(vals)/nw, len(bads)/nw
+	var refused atomic.Bool
+	_ = pool.RunIndexed(nw, l, func(worker, j int) error {
+		if !refused.Load() && !s.component(c, results, p, vals[worker*width:(worker+1)*width], bads[worker*nr:(worker+1)*nr], outputs, j) {
+			refused.Store(true)
+		}
+		return nil
+	})
+	return !refused.Load()
+}
+
+// component checks component j on one worker's scratch: vals holds the
+// MatVec's predictions followed by the dim trusted values, and bad marks
+// the rows of p whose received value misses its prediction. It writes the
+// outputs' j-th elements and reports true, or false when more rows miss
+// than the radius allows.
+func (s *subsetCheck[E]) component(c *Code[E], results [][]E, p *prediction[E], vals []E, bad []bool, outputs [][]E, j int) bool {
+	dim := len(s.trusted)
+	z := len(vals) - dim
+	pred, coefs := vals[:z], vals[z:]
+	for t, r := range s.trusted {
+		coefs[t] = results[r][j]
+	}
+	if z > 0 {
+		c.bulk.MatVec(pred, p.m, coefs)
+	}
+	misses := 0
+	for i, r := range p.rows {
+		if !c.f.Equal(pred[i], results[r][j]) {
+			bad[i] = true
+			misses++
+		}
+	}
+	if misses > s.radius {
+		return false
+	}
+	for ki, f := range p.from {
+		outputs[ki][j] = vals[f]
+	}
+	return true
 }
 
 // freivalds is a Primed's randomized accept rule for its unsuspected rest
@@ -456,25 +478,45 @@ func (p *Primed[E]) Randomize(seed1, seed2 uint64) {
 // suspect that sent a clean value this step is not accused) — exactly so
 // for an unseeded Primed, and but for the randomized rule's error
 // probability for a seeded one (see Randomize). The rows are read in
-// place and never written.
+// place and never written, and the result is the caller's.
 //
 // A Primed belongs to one decoding node: Decode reuses internal scratch
 // and must not be called concurrently on the same instance (the component
 // fan-out inside one call is fine).
 func (p *Primed[E]) Decode(results [][]E, workers int) (*DecodeResult[E], bool, error) {
+	res := new(DecodeResult[E])
+	if ok, err := p.decode(res, results, workers); !ok {
+		return nil, false, err
+	}
+	return res, true, nil
+}
+
+// DecodeInto is Decode on one worker into dst, which the caller owns and
+// reuses: Outputs keeps its backing array while it holds K vectors of the
+// results' length (it is reallocated otherwise) and FaultyNodes its
+// capacity, so a steady caller allocates nothing. On ok=false dst's
+// contents are unspecified.
+func (p *Primed[E]) DecodeInto(dst *DecodeResult[E], results [][]E) (bool, error) {
+	return p.decode(dst, results, 1)
+}
+
+// decode is Decode and DecodeInto: the randomized rule's check where it
+// is armed and vouches, else the exact check, into dst.
+func (p *Primed[E]) decode(dst *DecodeResult[E], results [][]E, workers int) (bool, error) {
 	s := p.check
 	l, err := p.code.vectorLen(results, s.rows)
 	if err != nil {
-		return nil, false, err
+		return false, err
+	}
+	if len(dst.Outputs) != len(p.code.omegas) || slices.ContainsFunc(dst.Outputs, func(v []E) bool { return len(v) != l }) {
+		dst.Outputs = flatOutputs[E](len(p.code.omegas), l)
 	}
 	if p.decodes++; p.decodes == 2 && p.seeded {
 		p.rnd = newFreivalds(p.code, s, p.suspects, p.seed)
 	}
-	if p.rnd != nil && p.rnd.accepts(p.code, s, results, l, &p.scratch) {
-		if res, ok := s.verify(p.code, results, l, workers, &p.scratch, &p.rnd.predict); ok {
-			return res, true, nil
-		}
+	if p.rnd != nil && p.rnd.accepts(p.code, s, results, l, &p.scratch) &&
+		s.verify(p.code, results, l, workers, &p.scratch, &p.rnd.predict, dst) {
+		return true, nil
 	}
-	res, ok := s.verify(p.code, results, l, workers, &p.scratch, &s.exact)
-	return res, ok, nil
+	return s.verify(p.code, results, l, workers, &p.scratch, &s.exact, dst), nil
 }

@@ -131,6 +131,47 @@ func TestPrimedMatchesFullDecodeStableLiars(t *testing.T) {
 	assertSameDecode(t, gotPar, full)
 }
 
+// TestPrimedDecodeIntoReusesCallerBuffers: decoding into a caller-owned
+// result matches Decode's, refused words included, keeps the caller's
+// buffers from call to call, and allocates nothing once they are shaped.
+func TestPrimedDecodeIntoReusesCallerBuffers(t *testing.T) {
+	const k, n, d, b = 4, 20, 1, 5
+	fx := newPrimedFixture(t, k, n, d, 2)
+	liars := []int{1, 6, 11, 17}
+	primed, err := fx.code.NewPrimed(nil, liars, d, b)
+	if err != nil || primed == nil {
+		t.Fatalf("priming: %v, %v", primed, err)
+	}
+	var dst DecodeResult[uint64]
+	for r, round := range fx.rounds {
+		word := corrupt(round, liars...)
+		want, wantOK, err := primed.Decode(word, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := dst.Outputs
+		ok, err := primed.DecodeInto(&dst, word)
+		if err != nil || ok != wantOK || !ok {
+			t.Fatalf("round %d: DecodeInto ok=%v err=%v, Decode ok=%v", r, ok, err, wantOK)
+		}
+		assertSameDecode(t, &dst, want)
+		if r > 0 && &dst.Outputs[0][0] != &before[0][0] {
+			t.Errorf("round %d: DecodeInto replaced the caller's outputs", r)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = primed.DecodeInto(&dst, word) }); allocs != 0 {
+			t.Errorf("round %d: DecodeInto allocated %.0f times per call, want 0", r, allocs)
+		}
+	}
+	// A new liar among the trusted rows: both entries refuse.
+	word := corrupt(fx.rounds[1], 0, 1, 6, 11, 17)
+	if _, ok, _ := primed.Decode(word, 1); ok {
+		t.Fatal("Decode certified a word with a lying trusted row")
+	}
+	if ok, err := primed.DecodeInto(&dst, word); ok || err != nil {
+		t.Fatalf("DecodeInto on a lying trusted row: ok=%v err=%v, want a refusal", ok, err)
+	}
+}
+
 func TestPrimedRecoveredSuspectNotAccused(t *testing.T) {
 	// A node that lied in the priming round but is clean now must not
 	// appear in FaultyNodes: detection is recomputed per decode.

@@ -121,38 +121,56 @@ func (t *Transition[E]) Degree() int { return t.degree }
 // It works identically on uncoded and Lagrange-coded inputs — that is the
 // key property CSM exploits (coded execution, Section 5.2).
 func (t *Transition[E]) Apply(state, cmd []E) (next, out []E, err error) {
-	if len(state) != t.stateLen {
-		return nil, nil, fmt.Errorf("sm: state length %d, want %d: %w", len(state), t.stateLen, ErrDimension)
+	res, err := t.ApplyResult(state, cmd)
+	if err != nil {
+		return nil, nil, err
 	}
-	if len(cmd) != t.cmdLen {
-		return nil, nil, fmt.Errorf("sm: command length %d, want %d: %w", len(cmd), t.cmdLen, ErrDimension)
-	}
-	args := make([]E, 0, t.stateLen+t.cmdLen)
-	args = append(args, state...)
-	args = append(args, cmd...)
-	next = make([]E, t.stateLen)
-	for i, p := range t.nextState {
-		if next[i], err = p.Eval(t.f, args); err != nil {
-			return nil, nil, err
-		}
-	}
-	out = make([]E, len(t.output))
-	for i, p := range t.output {
-		if out[i], err = p.Eval(t.f, args); err != nil {
-			return nil, nil, err
-		}
-	}
-	return next, out, nil
+	return res[:t.stateLen:t.stateLen], res[t.stateLen:], nil
 }
 
 // ApplyResult executes the transition and returns the combined result
-// vector [next state | output] — the vector a CSM node broadcasts.
+// vector [next state | output] — the vector a CSM node broadcasts — in a
+// fresh allocation of its own.
 func (t *Transition[E]) ApplyResult(state, cmd []E) ([]E, error) {
-	next, out, err := t.Apply(state, cmd)
-	if err != nil {
+	l := t.ResultLen()
+	buf := make([]E, l+t.stateLen+t.cmdLen)
+	if err := t.ApplyResultInto(buf[:l:l], buf[l:], state, cmd); err != nil {
 		return nil, err
 	}
-	return append(next, out...), nil
+	return buf[:l:l], nil
+}
+
+// ApplyResultInto is ApplyResult into caller scratch: it writes the
+// result [next state | output] to dst, of length ResultLen, and holds the
+// inputs in args, of length StateLen+CmdLen, while the polynomials are
+// evaluated, allocating nothing. state and cmd are copied into args before
+// dst is written, so dst may overlap them.
+func (t *Transition[E]) ApplyResultInto(dst, args, state, cmd []E) error {
+	if len(state) != t.stateLen {
+		return fmt.Errorf("sm: state length %d, want %d: %w", len(state), t.stateLen, ErrDimension)
+	}
+	if len(cmd) != t.cmdLen {
+		return fmt.Errorf("sm: command length %d, want %d: %w", len(cmd), t.cmdLen, ErrDimension)
+	}
+	if len(dst) != t.ResultLen() || len(args) != t.stateLen+t.cmdLen {
+		return fmt.Errorf("sm: result and argument buffers of length %d and %d, want %d and %d: %w",
+			len(dst), len(args), t.ResultLen(), t.stateLen+t.cmdLen, ErrDimension)
+	}
+	copy(args, state)
+	copy(args[t.stateLen:], cmd)
+	var err error
+	for i, p := range t.nextState {
+		if dst[i], err = p.Eval(t.f, args); err != nil {
+			return err
+		}
+	}
+	out := dst[t.stateLen:]
+	for i, p := range t.output {
+		if out[i], err = p.Eval(t.f, args); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SplitResult splits a combined result vector back into next state and

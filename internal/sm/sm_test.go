@@ -224,6 +224,44 @@ func TestApplyResultAndSplit(t *testing.T) {
 	}
 }
 
+// TestApplyResultIntoMatchesApplyResult: the scratch entry point writes
+// ApplyResult's vector, allocates nothing, may write over its own state,
+// and refuses buffers of the wrong length.
+func TestApplyResultIntoMatchesApplyResult(t *testing.T) {
+	tr, err := NewInnerProduct[uint64](gold, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	state, cmd := field.RandVec[uint64](gold, rng, 3), field.RandVec[uint64](gold, rng, 3)
+	want, err := tr.ApplyResult(state, cmd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, args := make([]uint64, tr.ResultLen()), make([]uint64, tr.StateLen()+tr.CmdLen())
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := tr.ApplyResultInto(dst, args, state, cmd); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ApplyResultInto allocated %.0f times per call, want 0", allocs)
+	}
+	if !field.VecEqual[uint64](gold, dst, want) {
+		t.Fatalf("ApplyResultInto wrote %v, ApplyResult returned %v", dst, want)
+	}
+	// In place: the state is the head of the result buffer.
+	inPlace := append(append([]uint64(nil), state...), make([]uint64, tr.OutLen())...)
+	if err := tr.ApplyResultInto(inPlace, args, inPlace[:tr.StateLen()], cmd); err != nil || !field.VecEqual[uint64](gold, inPlace, want) {
+		t.Fatalf("in place: %v, err %v; want %v", inPlace, err, want)
+	}
+	if err := tr.ApplyResultInto(dst[1:], args, state, cmd); !errors.Is(err, ErrDimension) {
+		t.Errorf("short result buffer: err %v, want ErrDimension", err)
+	}
+	if err := tr.ApplyResultInto(dst, args[1:], state, cmd); !errors.Is(err, ErrDimension) {
+		t.Errorf("short argument buffer: err %v, want ErrDimension", err)
+	}
+}
+
 func TestFromExprsErrors(t *testing.T) {
 	if _, err := FromExprs[uint64](gold, "t", []string{"s"}, []string{"x"},
 		[]string{"s + y"}, []string{"s"}); err == nil {
