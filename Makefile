@@ -54,20 +54,29 @@ bench-micro:
 	$(GO) test -bench='^(BenchmarkHonestRound|BenchmarkByzantineBatch)$$' -benchtime=20x -benchmem -run='^$$' ./internal/csm/
 	$(GO) test -bench='^BenchmarkConsensusDolevStrong$$' -benchtime=10x -benchmem -run='^$$' .
 
-# CPU profile of one internal/csm benchmark for PROFILE_TIME, written to
-# bin/round.pprof with its test binary beside it, then printed by
-# cumulative share. PROFILE_BENCH picks the benchmark: BenchmarkHonestRound
-# (default; one honest round at sim-honest's shape, N=64, K=22, b=21,
-# default fan-out), BenchmarkByzantineBatch (one B=8 batch at
-# sim-byz-batched's shape) or BenchmarkByzantineSetup (a new cluster of
-# that shape and its first batch: the first detection's full decodes).
+# Profile of one internal/csm benchmark for PROFILE_TIME, written to
+# bin/round.pprof with its test binary beside it, then printed.
+# PROFILE_KIND picks the profile: cpu (default; printed by cumulative
+# share) or allocs (every allocation sampled, -memprofilerate=1; printed
+# by alloc_objects, flat). PROFILE_BENCH picks the benchmark:
+# BenchmarkHonestRound (default; one honest round at sim-honest's shape,
+# N=64, K=22, b=21, default fan-out), BenchmarkByzantineBatch (one B=8
+# batch at sim-byz-batched's shape) or BenchmarkByzantineSetup (a new
+# cluster of that shape and its first batch: the first detection's full
+# decodes).
 PROFILE_TIME ?= 8s
 PROFILE_BENCH ?= BenchmarkHonestRound
+PROFILE_KIND ?= cpu
+PROFILE_FLAGS_cpu := -cpuprofile round.pprof
+PROFILE_FLAGS_allocs := -memprofile round.pprof -memprofilerate=1
+PROFILE_TOP_cpu := -top -cum
+PROFILE_TOP_allocs := -sample_index=alloc_objects -top
 profile-round:
+	@case '$(PROFILE_KIND)' in cpu|allocs) ;; *) echo "PROFILE_KIND must be cpu or allocs" >&2; exit 2;; esac
 	@mkdir -p bin
 	$(GO) test -run='^$$' -bench='^$(PROFILE_BENCH)$$' -benchtime=$(PROFILE_TIME) \
-		-o bin/csm.test -outputdir $(abspath bin) -cpuprofile round.pprof ./internal/csm/
-	$(GO) tool pprof -top -cum bin/csm.test bin/round.pprof
+		-o bin/csm.test -outputdir $(abspath bin) $(PROFILE_FLAGS_$(PROFILE_KIND)) ./internal/csm/
+	$(GO) tool pprof $(PROFILE_TOP_$(PROFILE_KIND)) bin/csm.test bin/round.pprof
 
 # The design aim's tracked number: non-test Go lines, repo-wide and in
 # the engine package. Test fixtures under testdata/ are not counted. The

@@ -118,6 +118,8 @@ func collectStepMatchingIngest(t *testing.T, c *Cluster[uint64]) int {
 	}
 	shadows := map[int]*stepCore[uint64]{}
 	need := c.decodeNeed()
+	o := c.takeOutcome()
+	defer c.releaseOutcome(o)
 	for ticks := 1; ; ticks++ {
 		c.net.Step()
 		var pending []*node[uint64]
@@ -143,7 +145,7 @@ func collectStepMatchingIngest(t *testing.T, c *Cluster[uint64]) int {
 			sh.ingest(n.ep.Deliveries(), c.round, clusterTag)
 		}
 		// runExecutionStep's deadline is one tick: every tick may decode.
-		allDecoded, err := c.collectAndDecode(pending, true, need)
+		allDecoded, err := c.collectAndDecode(o, pending, true, need)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -282,10 +282,13 @@ type Cluster[E comparable] struct {
 	oks     []bool
 	errs    []error
 	tally   []replyCount[E]
-	// outcomes is the free list of tallied step outcomes newOutcome
-	// reuses; the client stage returns to it, hence outcomeMu.
-	outcomeMu sync.Mutex
-	outcomes  []*stepOutcome[E]
+	// outcomes is the FIFO free list of step outcomes (takeOutcome,
+	// releaseOutcome). At most Pipeline+2 are out of it at once — the
+	// stage's queue, the one it tallies and the one a step decodes into —
+	// so New fills it with that many, and taking the oldest first warms
+	// every one in the first Pipeline+2 steps: after that no step
+	// allocates an outcome or a decode buffer, whatever the scheduling.
+	outcomes chan *stepOutcome[E]
 	// Machine k's oracle row holds its state followed by its last output;
 	// finishStep advances it in place, with oracleArgs as the transition's
 	// scratch, and tallied counts the advances.
@@ -473,6 +476,10 @@ func New[E comparable](cfg Config[E]) (*Cluster[E], error) {
 		maxTicks: maxTicksPerRound,
 	}
 	c.oracleArgs = make([]E, oracleTr.StateLen()+oracleTr.CmdLen())
+	c.outcomes = make(chan *stepOutcome[E], cfg.Pipeline+2)
+	for range cap(c.outcomes) {
+		c.outcomes <- new(stepOutcome[E])
+	}
 	c.nodes = make([]*node[E], cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		ep, err := net.Endpoint(transport.NodeID(i))
@@ -484,6 +491,7 @@ func New[E comparable](cfg Config[E]) (*Cluster[E], error) {
 			cluster:  c,
 			ep:       ep,
 			behavior: cfg.Byzantine[i],
+			lies:     make([]E, tr.ResultLen()),
 		}
 		c.nodes[i].codedState = codedStates[i]
 		// Each node's randomized decode check draws from its own stream of

@@ -215,7 +215,7 @@ func (c *Cluster[E]) runExecutionDelegated(agreed [][]E) (*stepOutcome[E], error
 			}
 			n.codedState = slices.Clone(proofs[i].codedNext[i])
 		}
-		return c.newOutcome(ticks), nil
+		return c.closeOutcome(c.takeOutcome(), ticks), nil
 	}
 	return nil, fmt.Errorf("csm: delegated round found no honest worker: %w", ErrRoundStuck)
 }

@@ -14,20 +14,22 @@ import (
 // client stage: the agreed commands (for the oracle advance), the
 // pre-drawn Byzantine client replies, and every honest node's decode.
 // The driving goroutine writes none of it after handing the outcome off,
-// and the decodes' buffers go back to their nodes only once finishStep has
-// tallied the step (see nodeDecode), which is what lets the pipelined
-// engine run the client stage concurrently with later rounds at any
-// depth. A tallied outcome returns to the cluster's free list, replies
-// buffers and all (releaseOutcome).
+// and the outcome returns to the cluster's free list, with the buffers
+// its step's nodes decoded into, only once finishStep has tallied the
+// step (see nodeDecode). That is what lets the pipelined engine run the
+// client stage concurrently with later rounds at any depth.
 type stepOutcome[E comparable] struct {
 	cmds [][]E
 	// replies[k*N+i] is node i's reply for machine k, a view into
 	// replyVals (nil: the node sends none of its own).
 	replies   [][]E
 	replyVals []E
-	decodes   []*nodeDecode[E]
-	res       *RoundResult[E]
-	skip      bool // consensus decided garbage: nothing to tally
+	// decodes[i] is node i's decode (nil: none), in bufs[i] unless a
+	// delegated step handed the node its worker's.
+	decodes []*nodeDecode[E]
+	bufs    []nodeDecode[E]
+	res     *RoundResult[E]
+	skip    bool // consensus decided garbage: nothing to tally
 }
 
 // executeBatch is the round engine under ExecuteRound and Run: one
@@ -117,6 +119,7 @@ func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 	if err := c.broadcastResults(micro); err != nil {
 		return nil, err
 	}
+	o := c.takeOutcome()
 	ticks := 0
 	deadline := 1 // synchronous networks: results arrive in exactly one tick
 	need := c.decodeNeed()
@@ -130,7 +133,7 @@ func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 			}
 		}
 		force := c.cfg.Mode == transport.PartialSync || ticks >= deadline
-		allDecoded, err := c.collectAndDecode(c.pending, force, need)
+		allDecoded, err := c.collectAndDecode(o, c.pending, force, need)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +144,7 @@ func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 			return nil, fmt.Errorf("%w (after %d ticks)", ErrRoundStuck, ticks)
 		}
 	}
-	return c.newOutcome(ticks), nil
+	return c.closeOutcome(o, ticks), nil
 }
 
 // broadcastResults opens a step the way both execution phases do: every
@@ -161,19 +164,27 @@ func (c *Cluster[E]) broadcastResults(micro int) error {
 	return nil
 }
 
-// newOutcome closes a step whose honest nodes hold their decodes: the
-// Byzantine client replies are drawn and the decodes collected here, on
-// the driving goroutine, for whichever goroutine runs finishStep, into an
-// outcome the client stage has released (or a new one).
-func (c *Cluster[E]) newOutcome(ticks int) *stepOutcome[E] {
-	c.outcomeMu.Lock()
+// takeOutcome takes the oldest outcome off the cluster's free list for
+// the step about to decode into its buffers. The list is pre-filled with
+// the most outcomes that can be out at once (see Cluster.outcomes), so it
+// is empty only after a failed client stage dropped some.
+func (c *Cluster[E]) takeOutcome() *stepOutcome[E] {
 	var o *stepOutcome[E]
-	if last := len(c.outcomes) - 1; last >= 0 {
-		o, c.outcomes = c.outcomes[last], c.outcomes[:last]
-	} else {
+	select {
+	case o = <-c.outcomes:
+	default:
 		o = new(stepOutcome[E])
 	}
-	c.outcomeMu.Unlock()
+	if len(o.bufs) != len(c.nodes) {
+		o.bufs = make([]nodeDecode[E], len(c.nodes))
+	}
+	return o
+}
+
+// closeOutcome closes a step whose honest nodes hold their decodes: the
+// Byzantine client replies are drawn and the decodes collected into o
+// here, on the driving goroutine, for whichever goroutine runs finishStep.
+func (c *Cluster[E]) closeOutcome(o *stepOutcome[E], ticks int) *stepOutcome[E] {
 	c.drawClientReplies(o)
 	o.decodes = o.decodes[:0]
 	for _, n := range c.nodes {
@@ -183,20 +194,15 @@ func (c *Cluster[E]) newOutcome(ticks int) *stepOutcome[E] {
 	return o
 }
 
-// releaseOutcome hands a tallied outcome's decode buffers back to their
-// nodes and the outcome to the cluster's free list; nothing may read it
-// afterwards.
+// releaseOutcome returns a tallied outcome, decode buffers and all, to the
+// back of the cluster's free list; nothing may read it afterwards.
 func (c *Cluster[E]) releaseOutcome(o *stepOutcome[E]) {
-	for _, d := range o.decodes {
-		if d != nil {
-			d.release()
-		}
-	}
 	clear(o.decodes)
 	o.cmds, o.res = nil, nil
-	c.outcomeMu.Lock()
-	c.outcomes = append(c.outcomes, o)
-	c.outcomeMu.Unlock()
+	select {
+	case c.outcomes <- o:
+	default: // full: an outcome made while a failed stage held others
+	}
 }
 
 // decodeNeed is the result count a node waits for before decoding. In the
@@ -249,16 +255,10 @@ func (c *Cluster[E]) drawClientReplies(o *stepOutcome[E]) {
 	}
 	for j := range o.replies {
 		o.replies[j] = nil
-		if repliesGarbage(c.nodes[j%n].behavior) {
+		if b := c.nodes[j%n].behavior; b != Honest && b != Crashed && b != Recovering {
 			o.replies[j] = field.RandVecInto(c.cfg.BaseField, c.rng, o.replyVals[j*l:(j+1)*l:(j+1)*l])
 		}
 	}
-}
-
-// repliesGarbage reports whether a node of behavior b sends the clients
-// garbage: an active liar does, an honest or down node does not.
-func repliesGarbage(b Behavior) bool {
-	return b != Honest && b != Crashed && b != Recovering
 }
 
 // clientPhase simulates the M clients collecting per-node replies: a client

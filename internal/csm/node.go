@@ -17,7 +17,7 @@ type node[E comparable] struct {
 	ep       *transport.Endpoint
 	behavior Behavior
 	decoded  *nodeDecode[E] // this step's decode, nil until the node has one
-	lies     []E            // sendResult's wrong results (lie)
+	lies     []E            // a wrong result, drawn afresh for each send
 }
 
 // sendResult transmits the node's (possibly corrupted) result, drawing any
@@ -33,7 +33,7 @@ func (n *node[E]) sendResult(result []E) error {
 		// transport would drop a crashed node's traffic anyway).
 		return nil
 	case WrongResult, BadLeader:
-		bad := field.RandVecInto(c.cfg.BaseField, c.rng, n.lie(len(result)))
+		bad := field.RandVecInto(c.cfg.BaseField, c.rng, n.lies)
 		n.accept(n.id, bad) // a liar is at least self-consistent
 		return n.ep.Broadcast(resultKind, n.resultPayload(c.round, clusterTag, bad))
 	case Equivocate:
@@ -43,7 +43,7 @@ func (n *node[E]) sendResult(result []E) error {
 			if to == n.id {
 				continue
 			}
-			bad := field.RandVecInto(c.cfg.BaseField, c.rng, n.lie(len(result)))
+			bad := field.RandVecInto(c.cfg.BaseField, c.rng, n.lies)
 			if err := n.ep.Send(transport.NodeID(to), resultKind, n.resultPayload(c.round, clusterTag, bad)); err != nil {
 				return err
 			}
@@ -56,28 +56,19 @@ func (n *node[E]) sendResult(result []E) error {
 	}
 }
 
-// lie is the node's buffer for a wrong result of length l, drawn afresh
-// for each send and copied by whatever reads it.
-func (n *node[E]) lie(l int) []E {
-	if len(n.lies) != l {
-		n.lies = make([]E, l)
-	}
-	return n.lies
-}
-
 // resetStep opens a new step: nothing collected, nothing decoded.
 func (n *node[E]) resetStep() {
 	n.stepCore.resetStep()
 	n.decoded = nil
 }
 
-// tryDecode decodes once enough results are available — the simulator's
-// policy on top of the core's absorb. Synchronous mode decodes whatever
-// arrived after the fixed interval (missing results are erasures);
-// partially synchronous mode requires at least N-b results. need is the
-// step-constant decode threshold (Cluster.decodeNeed), computed once per
-// micro-step by the caller.
-func (n *node[E]) tryDecode(force bool, need int) (bool, error) {
+// tryDecode decodes into d once enough results are available — the
+// simulator's policy on top of the core's absorb. Synchronous mode
+// decodes whatever arrived after the fixed interval (missing results are
+// erasures); partially synchronous mode requires at least N-b results.
+// need is the step-constant decode threshold (Cluster.decodeNeed),
+// computed once per micro-step by the caller.
+func (n *node[E]) tryDecode(force bool, need int, d *nodeDecode[E]) (bool, error) {
 	if n.receivedCount < need {
 		return false, nil
 	}
@@ -85,10 +76,9 @@ func (n *node[E]) tryDecode(force bool, need int) (bool, error) {
 		// Wait for more stragglers unless the deadline passed.
 		return false, nil
 	}
-	dec, err := n.absorb()
-	if err != nil {
+	if err := n.absorb(d); err != nil {
 		return false, err
 	}
-	n.decoded = dec
+	n.decoded = d
 	return true, nil
 }

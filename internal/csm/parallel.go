@@ -31,17 +31,18 @@ import (
 //     recipients (parseResults); then each honest node still waiting
 //     copies the accepted results addressed to it into its own core
 //     (node.collect) and, once it holds enough, decodes
-//     (stepCore.absorb) into a buffer from its own free list, as one task
-//     that writes only that node's core. The parsed table is fixed before
-//     any task starts, so when a node reads it cannot matter.
+//     (stepCore.absorb) into its buffer of the step's outcome, as one task
+//     that writes only that node's core and buffer. The parsed table is
+//     fixed before any task starts, so when a node reads it cannot matter.
 //   - client/audit (sequential or pipelined): the Byzantine replies are
 //     drawn from the cluster RNG on the driving goroutine into the step's
 //     outcome; the tally itself may run on the background client stage.
-//     The ownership rule makes the overlap safe at any Pipeline depth: a
-//     decode buffer returns to its node's free list only after the stage
-//     has tallied its step (releaseOutcome), so a node running ahead
-//     decodes into another buffer, and the round's report copies the
-//     outputs it accepts instead of pointing into a decode.
+//     The ownership rule makes the overlap safe at any Pipeline depth: an
+//     outcome, decode buffers and all, returns to the cluster's free list
+//     only after the stage has tallied its step (releaseOutcome), so a
+//     step the driver runs ahead decodes into another outcome's buffers,
+//     and the round's report copies the outputs it accepts instead of
+//     pointing into a decode.
 //
 // Shared structures reached from worker goroutines are safe by
 // construction: field.Counting uses atomic counters, charged once per
@@ -103,14 +104,15 @@ func (c *Cluster[E]) computeAllResults(micro int) ([][]E, error) {
 
 // collectAndDecode runs one tick of the collect/decode loop for the
 // pending honest nodes: parse the tick's results once, then one task per
-// node copies the ones addressed to it, and decodes once enough have
-// arrived (tryDecode returns at once for a node below the threshold). It
+// node copies the ones addressed to it, and decodes into its buffer of the
+// step's outcome once enough have arrived (tryDecode returns at once for
+// a node below the threshold). It
 // reports whether every one of them now holds a decode. Every node is
 // attempted even if one fails — a parallel pool races ahead of an error
 // anyway, so the sequential path does the same and the cluster is left in
 // an identical state for any worker count, error or not; the lowest-index
 // error is reported.
-func (c *Cluster[E]) collectAndDecode(pending []*node[E], force bool, need int) (bool, error) {
+func (c *Cluster[E]) collectAndDecode(o *stepOutcome[E], pending []*node[E], force bool, need int) (bool, error) {
 	tab := c.parseResults()
 	if cap(c.oks) < len(pending) {
 		c.oks, c.errs = make([]bool, len(pending)), make([]error, len(pending))
@@ -119,7 +121,7 @@ func (c *Cluster[E]) collectAndDecode(pending []*node[E], force bool, need int) 
 	_ = pool.Run(c.workers(), len(pending), func(i int) error {
 		n := pending[i]
 		n.collect(tab)
-		oks[i], errs[i] = n.tryDecode(force, need)
+		oks[i], errs[i] = n.tryDecode(force, need, &o.bufs[n.id])
 		return nil
 	})
 	for _, err := range errs {

@@ -106,8 +106,9 @@ type NodeProcess[E comparable] struct {
 	link transport.Link
 	tr   *sm.Transition[E]
 	// core is the node's coded step (shared with the simulated node),
-	// built over the plain field.
+	// built over the plain field, and dec the buffer it decodes into.
 	core stepCore[E]
+	dec  nodeDecode[E]
 
 	self    int
 	n       int
@@ -393,14 +394,14 @@ func (p *NodeProcess[E]) executeSteps(batch [][][]E, tag [32]byte, spec *specula
 			delivered = true
 			s.ingest(slices.Values(msgs), p.round, tag)
 		}
-		dec, err := s.absorb()
-		if err != nil {
+		dec := &p.dec
+		if err := s.absorb(dec); err != nil {
 			return out, err
 		}
 		p.faulty = ints.UnionSorted(p.faulty, dec.FaultyNodes)
 		p.round++
 		// The outputs leave the engine, so they are copied out of the
-		// decode, which goes back to the core's free list.
+		// decode buffer the next step reuses.
 		outputs := make([][]E, len(dec.Outputs))
 		outLen := p.tr.OutLen()
 		flat := make([]E, len(outputs)*outLen)
@@ -408,7 +409,6 @@ func (p *NodeProcess[E]) executeSteps(batch [][][]E, tag [32]byte, spec *specula
 			outputs[m] = flat[m*outLen : (m+1)*outLen : (m+1)*outLen]
 			copy(outputs[m], dec.output(m))
 		}
-		dec.release()
 		out = append(out, outputs)
 		wireOuts := matToWire(f, outputs)
 		p.digest.AddRound(p.round-1, wireOuts)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"iter"
 	"slices"
-	"sync"
 
 	"codedsm/internal/field"
 	"codedsm/internal/ints"
@@ -87,10 +86,6 @@ type stepCore[E comparable] struct {
 	payload      []byte
 	idxScratch   []int
 	nextScratch  [][]E
-
-	// free holds the decode buffers absorb decodes into (see nodeDecode
-	// for the ownership rule).
-	free *decodeFreeList[E]
 }
 
 // newStepCore builds node id's core; the caller installs the coded state.
@@ -110,7 +105,6 @@ func newStepCore[E comparable](code *lcc.Code[E], tr *sm.Transition[E], bulk fie
 	return stepCore[E]{
 		code: code, tr: tr, bulk: bulk, zero: f.Zero(),
 		id: id, n: code.N(), maxFaults: maxFaults, row: row, unit: unit,
-		free: new(decodeFreeList[E]),
 	}
 }
 
@@ -118,20 +112,20 @@ func newStepCore[E comparable](code *lcc.Code[E], tr *sm.Transition[E], bulk fie
 // result vectors, each [next state | output], split on read, and the
 // senders it caught (FaultyNodes).
 //
-// The ownership rule: a core decodes into a buffer it takes from its free
-// list, and the buffer goes back (release) only once nothing reads it any
-// more — a NodeProcess once it has copied the step's outputs out, the
-// Cluster once the client stage has tallied the step
-// (Cluster.releaseOutcome), so a decode handed to the pipelined stage stays intact however many
-// steps the driving goroutine runs ahead. Nothing that leaves an engine
-// aliases a decode: RoundResult.Outputs, the futures' values and a
-// NodeProcess's outputs are copied into one fresh allocation per round.
+// The ownership rule: absorb decodes into a buffer its caller owns, and
+// the caller reuses the buffer only once nothing reads the decode. A
+// NodeProcess has one, reused after it has copied the step's outputs out.
+// The Cluster decodes each node into that node's buffer of the step's
+// outcome, which goes back to the cluster's free list only after the
+// client stage has tallied the step (Cluster.releaseOutcome), so a decode
+// handed to the pipelined stage stays intact however many steps the
+// driving goroutine runs ahead.
+// Nothing that leaves an engine aliases a decode: RoundResult.Outputs,
+// the futures' values and a NodeProcess's outputs are copied into one
+// fresh allocation per round.
 type nodeDecode[E comparable] struct {
 	lcc.DecodeResult[E]
 	stateLen int
-	// free is the free list release returns the buffer to; nil for a
-	// decode no core owns (a delegated round's adopted proof).
-	free *decodeFreeList[E]
 }
 
 // nextState is machine m's decoded next state.
@@ -139,40 +133,6 @@ func (d *nodeDecode[E]) nextState(m int) []E { return d.Outputs[m][:d.stateLen] 
 
 // output is machine m's decoded output.
 func (d *nodeDecode[E]) output(m int) []E { return d.Outputs[m][d.stateLen:] }
-
-// release returns the buffer to its core's free list; the caller must
-// not read it afterwards.
-func (d *nodeDecode[E]) release() {
-	if d.free != nil {
-		d.free.put(d)
-	}
-}
-
-// decodeFreeList is a core's released decode buffers. The core takes
-// from it on whichever goroutine runs its decode while the Cluster's
-// client stage returns to it, hence the lock.
-type decodeFreeList[E comparable] struct {
-	mu   sync.Mutex
-	bufs []*nodeDecode[E]
-}
-
-// get takes a released buffer, nil when there is none.
-func (l *decodeFreeList[E]) get() *nodeDecode[E] {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.bufs) == 0 {
-		return nil
-	}
-	d := l.bufs[len(l.bufs)-1]
-	l.bufs = l.bufs[:len(l.bufs)-1]
-	return d
-}
-
-func (l *decodeFreeList[E]) put(d *nodeDecode[E]) {
-	l.mu.Lock()
-	l.bufs = append(l.bufs, d)
-	l.mu.Unlock()
-}
 
 // lagrangeRowInto accumulates this node's Lagrange encode Σ_k row[k]
 // vecs[k] into dst — (re)allocated at the given length when it does not
@@ -326,10 +286,10 @@ func acceptResult[E comparable](f field.Field[E], n int, hdr [resultHdrLen]byte,
 // the layout is ineligible, the full noisy-interpolation decoder —
 // DecodeOutputsSubset, which does not repeat the check — the authority on
 // anything the check cannot certify. A decode that succeeds has corrected
-// every in-budget corrupted result; the senders it caught are in the
-// returned FaultyNodes. The decode is a buffer from the core's free list,
-// the caller's until it releases it (see nodeDecode).
-func (s *stepCore[E]) absorb() (*nodeDecode[E], error) {
+// every in-budget corrupted result; the senders it caught are in
+// d.FaultyNodes. The decode goes into d, the caller's buffer (see
+// nodeDecode).
+func (s *stepCore[E]) absorb(d *nodeDecode[E]) error {
 	indices := s.idxScratch[:0]
 	for idx, ok := range s.got {
 		if ok {
@@ -343,7 +303,7 @@ func (s *stepCore[E]) absorb() (*nodeDecode[E], error) {
 		spare := min(s.maxFaults, (len(indices)-s.code.ResultDim(s.tr.Degree()))/2)
 		p, err := s.code.NewPrimed(indices, s.suspects, s.tr.Degree(), spare)
 		if err != nil {
-			return nil, fmt.Errorf("csm: node %d priming decode: %w", s.id, err)
+			return fmt.Errorf("csm: node %d priming decode: %w", s.id, err)
 		}
 		if p != nil && s.randomized {
 			// The stream's top bit keeps it apart from the small stream
@@ -359,22 +319,19 @@ func (s *stepCore[E]) absorb() (*nodeDecode[E], error) {
 			s.rows = append(s.rows, s.recvRow(idx))
 		}
 	}
-	d := s.free.get()
-	if d == nil {
-		d = &nodeDecode[E]{stateLen: s.tr.StateLen(), free: s.free}
-	}
+	d.stateLen = s.tr.StateLen()
 	ok := false
 	if s.primed != nil {
 		var err error
 		if ok, err = s.primed.DecodeInto(&d.DecodeResult, s.rows); err != nil {
-			return nil, fmt.Errorf("csm: node %d primed decode: %w", s.id, err)
+			return fmt.Errorf("csm: node %d primed decode: %w", s.id, err)
 		}
 	}
 	if !ok {
 		s.fallbacks++
 		full, err := s.code.DecodeOutputsSubset(indices, s.rows, s.tr.Degree())
 		if err != nil {
-			return nil, fmt.Errorf("csm: node %d decode: %w", s.id, err)
+			return fmt.Errorf("csm: node %d decode: %w", s.id, err)
 		}
 		d.DecodeResult = *full // the buffer adopts the full decoder's vectors
 	}
@@ -390,7 +347,7 @@ func (s *stepCore[E]) absorb() (*nodeDecode[E], error) {
 	newCoded := s.lagrangeRowInto(s.stateScratch, s.tr.StateLen(), nextStates)
 	s.stateScratch = s.codedState
 	s.codedState = newCoded
-	return d, nil
+	return nil
 }
 
 // absorbVerdict folds one decode's faulty set into the sticky suspects:

@@ -44,6 +44,7 @@ func TestStepCoreAbsorbMatchesReference(t *testing.T) {
 	core := newStepCore(code, tr, ring.Bulk(), self, b)
 	core.codedState = slices.Clone(coded[self])
 	liars := []int{}
+	got := new(nodeDecode[uint64]) // one buffer, reused by every step
 	for step := 0; step < steps; step++ {
 		cmds := make([][]uint64, k)
 		for m := range cmds {
@@ -106,8 +107,7 @@ func TestStepCoreAbsorbMatchesReference(t *testing.T) {
 			indices = append(indices, i)
 			results = append(results, res)
 		}
-		got, err := core.absorb()
-		if err != nil {
+		if err := core.absorb(got); err != nil {
 			t.Fatalf("step %d (rows %v liars %v): %v", step, indices, liars, err)
 		}
 		ref, err := code.DecodeOutputsSubset(indices, results, tr.Degree())

@@ -51,6 +51,8 @@ type Link interface {
 	// Round is the current lock-step round.
 	Round() int
 	// Send transmits a message to one node, authenticated as this node's.
+	// Neither Send nor Broadcast keeps payload once it returns, so the
+	// caller may reuse the buffer.
 	Send(to NodeID, kind string, payload []byte) error
 	// Broadcast transmits a message to every other node, authenticated as
 	// this node's.
