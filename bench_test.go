@@ -184,11 +184,13 @@ func BenchmarkScalingCSM(b *testing.B) {
 
 // BenchmarkClusterRoundParallel quantifies the execution-phase speedup of
 // the worker-pool engine: identical clusters (µ = 1/3 wrong-result nodes
-// injected) swept over N and worker counts. Rounds are bit-identical across
-// worker counts (see internal/csm TestParallelRoundsBitIdenticalToSequential),
-// so the only difference is wall-clock. On a single-core machine all worker
-// counts collapse to sequential speed; on >= 4 cores the 8-worker N=32
-// configuration runs >= 2x faster than 1 worker.
+// injected) swept over N; -cpu sweeps the worker count, which is
+// GOMAXPROCS (go test -bench ClusterRoundParallel -cpu 1,4,8). Rounds are
+// bit-identical across worker counts (see internal/csm
+// TestParallelRoundsBitIdenticalToSequential), so the only difference is
+// wall-clock. On a single-core machine all worker counts collapse to
+// sequential speed; on >= 4 cores the 8-worker N=32 configuration runs
+// >= 2x faster than 1 worker.
 func BenchmarkClusterRoundParallel(b *testing.B) {
 	for _, n := range []int{16, 32, 64} {
 		faults := n / 3
@@ -197,22 +199,19 @@ func BenchmarkClusterRoundParallel(b *testing.B) {
 		for i := 0; len(byz) < faults; i++ {
 			byz[(i*5+2)%n] = WrongResult
 		}
-		for _, workers := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("N=%d/K=%d/workers=%d", n, k, workers), func(b *testing.B) {
-				c, err := csm.New(csm.Config[uint64]{
-					BaseField:     gold,
-					NewTransition: NewBank[uint64],
-					K:             k, N: n, MaxFaults: faults,
-					Mode: Synchronous, Consensus: OracleConsensus,
-					Byzantine: byz, Seed: 1,
-					Parallelism: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				runWorkload(b, c, k)
+		b.Run(fmt.Sprintf("N=%d/K=%d", n, k), func(b *testing.B) {
+			c, err := csm.New(csm.Config[uint64]{
+				BaseField:     gold,
+				NewTransition: NewBank[uint64],
+				K:             k, N: n, MaxFaults: faults,
+				Mode: Synchronous, Consensus: OracleConsensus,
+				Byzantine: byz, Seed: 1,
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			runWorkload(b, c, k)
+		})
 	}
 }
 
@@ -245,15 +244,14 @@ func BenchmarkClusterRoundPipelined(b *testing.B) {
 		{"pipelined/B=4", 4, 4},
 		{"pipelined/B=8", 8, 4},
 	} {
-		b.Run(fmt.Sprintf("N=%d/K=%d/%s/workers=8", n, k, tc.name), func(b *testing.B) {
+		b.Run(fmt.Sprintf("N=%d/K=%d/%s", n, k, tc.name), func(b *testing.B) {
 			c, err := csm.New(csm.Config[uint64]{
 				BaseField:     gold,
 				NewTransition: NewBank[uint64],
 				K:             k, N: n, MaxFaults: faults,
 				Mode: Synchronous, Consensus: OracleConsensus,
 				Byzantine: byz, Seed: 1,
-				Parallelism: 8,
-				BatchSize:   tc.batch, Pipeline: tc.pipeline,
+				BatchSize: tc.batch, Pipeline: tc.pipeline,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -302,7 +300,7 @@ func BenchmarkClientThroughput(b *testing.B) {
 					c, err := Open(gold, NewBank[uint64],
 						WithNodes(n), WithMachines(k), WithFaults(faults),
 						WithByzantine(byz), WithSeed(1),
-						WithParallelism(8), WithBatching(batch))
+						WithBatching(batch))
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -6,6 +6,9 @@
 //
 //	csmsim -n 16 -k 3 -b 3 -d 2 -rounds 5 -byz 1,5,9 -behavior wrong \
 //	       -consensus dolev-strong
+//
+// The execution phase fans out over GOMAXPROCS workers (the first output
+// line echoes the count as workers=); rounds are identical at any count.
 package main
 
 import (
@@ -13,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -42,7 +44,6 @@ func run(args []string) error {
 		delegated = fs.Bool("delegated", false, "delegate coding to a rotating verified worker (Section 6.2; requires synchronous broadcast)")
 		gst       = fs.Int("gst", 0, "global stabilization round (psync)")
 		seed      = fs.Uint64("seed", 1, "random seed")
-		workers   = fs.Int("workers", runtime.GOMAXPROCS(0), "execution-phase worker goroutines (rounds are identical for any value)")
 		pipeline  = fs.Int("pipeline", 0, "pipelined-engine depth: overlap up to this many rounds' client stages with later rounds (0: sequential engine)")
 		batch     = fs.Int("batch", 1, "rounds per consensus instance (command batching)")
 		churn     = fs.String("churn", "", "churn schedule: comma-separated round:op:node[:behavior] events, op one of crash|rejoin|corrupt|release (e.g. \"1:crash:2,3:rejoin:2,4:corrupt:5:wrong\")")
@@ -85,7 +86,6 @@ func run(args []string) error {
 	opts := []codedsm.Option{
 		codedsm.WithNodes(*n), codedsm.WithMachines(*k), codedsm.WithFaults(*b),
 		codedsm.WithConsensus(ck), codedsm.WithByzantine(byz), codedsm.WithSeed(*seed),
-		codedsm.WithParallelism(*workers),
 		codedsm.WithBatching(*batch), codedsm.WithPipeline(*pipeline),
 		codedsm.WithChurn(schedule...),
 	}

@@ -211,9 +211,6 @@ func WithDelegated() Option { return csm.WithDelegated() }
 // WithSeed seeds all cluster and network randomness.
 func WithSeed(seed uint64) Option { return csm.WithSeed(seed) }
 
-// WithParallelism sets the execution-phase worker count.
-func WithParallelism(workers int) Option { return csm.WithParallelism(workers) }
-
 // WithBatching groups consecutive workload rounds under one consensus
 // instance (command batching).
 func WithBatching(rounds int) Option { return csm.WithBatching(rounds) }

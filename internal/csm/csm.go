@@ -20,8 +20,8 @@
 //
 // # Batching and pipelining
 //
-// Two throughput knobs compose with the per-round parallelism of
-// Config.Parallelism:
+// Two throughput knobs compose with the per-round fan-out (parallel.go),
+// which GOMAXPROCS sizes:
 //
 //   - Config.BatchSize B groups B consecutive workload rounds under one
 //     consensus instance. The agreed B*K commands are Lagrange-encoded in
@@ -200,14 +200,6 @@ type Config[E comparable] struct {
 	InitialStates [][]E
 	// Seed drives all randomness.
 	Seed uint64
-	// Parallelism is the number of worker goroutines the execution phase
-	// fans node-level work onto: the N coded transition computes and the
-	// honest nodes' Reed-Solomon decodes (in delegated mode, the
-	// rotating worker's per-component decodes). Rounds are bit-identical
-	// to the sequential path for any worker count — all randomness and
-	// ordered network interaction stay on the driving goroutine. 1 runs
-	// sequentially; <= 0 selects runtime.GOMAXPROCS(0).
-	Parallelism int
 	// BatchSize is the number of consecutive workload rounds each
 	// consensus instance decides (Run groups the workload accordingly). The B micro-steps share one amortized command encode;
 	// see the package documentation.

@@ -79,7 +79,6 @@ type dlgProof[E comparable] struct {
 // (no-equivocation) network, as the paper does.
 func (c *Cluster[E]) runExecutionDelegated(agreed [][]E) (*stepOutcome[E], error) {
 	d := delegate.New(c.ring, c.code)
-	d.Parallelism = c.workers()
 	size, err := intermix.CommitteeSize(delegationEpsilon, float64(c.cfg.MaxFaults)/float64(c.cfg.N))
 	if err != nil || size < 1 {
 		size = 1

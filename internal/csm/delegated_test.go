@@ -1,6 +1,7 @@
 package csm
 
 import (
+	"runtime"
 	"testing"
 
 	"codedsm/internal/field"
@@ -133,16 +134,16 @@ func delegatedLiarsConfig(k, n, b, offset int, seed uint64) Config[uint64] {
 }
 
 // TestDelegatedOpsIndependentOfWorkers: the shape above counts the same
-// field ops at one worker as at four. The lying worker's own DecodeMany
+// field ops at GOMAXPROCS 1 as at 4. The lying worker's own DecodeMany
 // fails there, and its per-component decodes must all run at any worker
 // count.
 func TestDelegatedOpsIndependentOfWorkers(t *testing.T) {
 	const k, n, b = 8, 24, 8
 	ops := map[int]uint64{}
+	setGOMAXPROCS(t, 1)
 	for _, workers := range []int{1, 4} {
-		cfg := delegatedLiarsConfig(k, n, b, 2, 2019)
-		cfg.Parallelism = workers
-		c := newCluster(t, cfg)
+		runtime.GOMAXPROCS(workers)
+		c := newCluster(t, delegatedLiarsConfig(k, n, b, 2, 2019))
 		if _, err := c.Run(RandomWorkload[uint64](gold, 3, k, 1, 2019)); err != nil {
 			t.Fatal(err)
 		}

@@ -39,10 +39,10 @@ var (
 	// closed (or whose scheduler already failed; the failure is attached).
 	ErrClientClosed = errors.New("csm: client closed")
 
-	// ErrClientOpen reports a direct cluster-state operation
-	// (DecodeMachineState, AdoptMachineState) attempted while an ingress
-	// client is open — between Open and Close the scheduler goroutine owns
-	// the cluster.
+	// ErrClientOpen reports a second Open, or a direct cluster-state
+	// operation (DecodeMachineState, AdoptMachineState), attempted while an
+	// ingress client is open — between Open and Close the scheduler
+	// goroutine owns the cluster.
 	ErrClientOpen = errors.New("csm: the cluster has an open client (Close it first)")
 
 	// ErrConsensusConfig reports a consensus selection that can never work

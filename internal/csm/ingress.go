@@ -172,7 +172,7 @@ func (c *Cluster[E]) Open(opts ...ClientOption) (*Client[E], error) {
 	c.clientMu.Lock()
 	if c.clientOpen {
 		c.clientMu.Unlock()
-		return nil, fmt.Errorf("csm: Open: the cluster already has an open client")
+		return nil, fmt.Errorf("csm: Open: %w", ErrClientOpen)
 	}
 	c.clientOpen = true
 	c.clientMu.Unlock()

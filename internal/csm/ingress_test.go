@@ -91,25 +91,24 @@ func TestSubmitBitIdenticalToRun(t *testing.T) {
 		Byzantine: map[int]Behavior{4: WrongResult, 9: Silent},
 		Seed:      77,
 	}
-	engines := map[string]func(Config[uint64]) Config[uint64]{
-		"sequential": func(c Config[uint64]) Config[uint64] { return c },
-		"parallel": func(c Config[uint64]) Config[uint64] {
-			c.Parallelism = 4
-			return c
-		},
-		"pipelined": func(c Config[uint64]) Config[uint64] {
-			c.Pipeline = 2
-			c.BatchSize = 2
-			c.Parallelism = 2
-			return c
-		},
+	// Each engine runs at its own GOMAXPROCS, the worker count.
+	pipelined := base
+	pipelined.Pipeline, pipelined.BatchSize = 2, 2
+	engines := map[string]struct {
+		cfg     Config[uint64]
+		workers int
+	}{
+		"sequential": {base, 1},
+		"parallel":   {base, 4},
+		"pipelined":  {pipelined, 2},
 	}
 	// 7 rounds with BatchSize 2 exercises a partial final batch too.
 	const rounds = 7
 	wl := RandomWorkload[uint64](gold, rounds, base.K, 1, 5)
-	for name, mutate := range engines {
+	for name, e := range engines {
 		t.Run(name, func(t *testing.T) {
-			cfg := mutate(base)
+			setGOMAXPROCS(t, e.workers)
+			cfg := e.cfg
 			ref, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -275,8 +274,8 @@ func TestSubmitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Open(); err == nil {
-		t.Fatal("second Open should fail while a client is open")
+	if _, err := c.Open(); !errors.Is(err, ErrClientOpen) {
+		t.Fatalf("second Open while a client is open: %v, want ErrClientOpen", err)
 	}
 	if _, err := cl.Submit(context.Background(), 5, []uint64{1}); err == nil {
 		t.Fatal("out-of-range machine should fail")

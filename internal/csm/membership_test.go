@@ -1,6 +1,7 @@
 package csm
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -372,12 +373,14 @@ func requireSameResults(t *testing.T, label string, a, b []*RoundResult[uint64])
 // TestChurnDeterministicAcrossEngines is the acceptance determinism
 // contract: same seed + churn schedule ⇒ bit-identical outputs, ticks and
 // op counts, sequential vs parallel vs pipelined, unbatched and batched.
+// Each engine runs at its own GOMAXPROCS, the worker count.
 func TestChurnDeterministicAcrossEngines(t *testing.T) {
+	setGOMAXPROCS(t, 1)
 	for _, batch := range []int{1, 2} {
-		run := func(parallelism, pipeline int) (*Cluster[uint64], []*RoundResult[uint64]) {
+		run := func(workers, pipeline int) (*Cluster[uint64], []*RoundResult[uint64]) {
+			runtime.GOMAXPROCS(workers)
 			cfg := churnBaseConfig()
 			cfg.BatchSize = batch
-			cfg.Parallelism = parallelism
 			cfg.Pipeline = pipeline
 			c := newCluster(t, cfg)
 			wl := RandomWorkload[uint64](gold, 8, c.cfg.K, c.tr.CmdLen(), 7)

@@ -33,7 +33,6 @@ type settings struct {
 	byzantine       map[int]Behavior
 	delegated       bool
 	seed            uint64
-	parallelism     int
 	batchSize       int
 	pipeline        int
 	churn           []ChurnEvent
@@ -143,12 +142,6 @@ func WithSeed(seed uint64) Option {
 	return func(s *settings) error { s.seed = seed; return nil }
 }
 
-// WithParallelism sets the execution-phase worker count (rounds are
-// bit-identical for any value; <= 0 selects runtime.GOMAXPROCS).
-func WithParallelism(workers int) Option {
-	return func(s *settings) error { s.parallelism = workers; return nil }
-}
-
 // WithBatching groups the given number of consecutive workload rounds
 // under one consensus instance (command batching; see Config.BatchSize).
 func WithBatching(rounds int) Option {
@@ -240,7 +233,6 @@ func Open[E comparable](f field.Field[E], newTransition TransitionFactory[E], op
 		Byzantine:     s.byzantine,
 		Delegated:     s.delegated,
 		Seed:          s.seed,
-		Parallelism:   s.parallelism,
 		BatchSize:     s.batchSize,
 		Pipeline:      s.pipeline,
 		Churn:         s.churn,

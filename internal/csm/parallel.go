@@ -8,10 +8,11 @@ import (
 )
 
 // The parallel execution engine fans a round's node-level work across
-// worker goroutines while keeping the simulation bit-identical to the
-// sequential path. The per-node work is the stepCore every node embeds
-// (step.go — the same core a NodeProcess runs); this file only schedules
-// it. The round is split into phases by what they touch:
+// worker goroutines, as many as GOMAXPROCS (pool.Run), while keeping the
+// simulation bit-identical to the sequential path. The per-node work is
+// the stepCore every node embeds (step.go — the same core a NodeProcess
+// runs); this file only schedules it. The round is split into phases by
+// what they touch:
 //
 //   - command encode (parallel): stepCore.encodeCommands is a pure
 //     function of the node's coefficients and the agreed batch, flattened
@@ -50,21 +51,17 @@ import (
 // guards its lazy RS-code cache with a mutex, and poly rings/trees are
 // immutable after construction.
 
-// workers returns the effective worker count for node-level fan-out:
-// cfg.Parallelism, defaulted and clamped to the cluster size.
-func (c *Cluster[E]) workers() int {
-	return pool.Clamp(c.cfg.Parallelism, c.cfg.N)
-}
-
-// Parallelism reports the effective worker count rounds execute with.
-func (c *Cluster[E]) Parallelism() int { return c.workers() }
+// Parallelism reports the worker count rounds execute with now:
+// GOMAXPROCS, capped at the cluster size. Nothing else sets it, and rounds
+// are bit-identical at every value.
+func (c *Cluster[E]) Parallelism() int { return pool.Workers(c.cfg.N) }
 
 // encodeBatchCommands Lagrange-encodes the agreed batch once per node:
 // the batch is flattened once, and every live node's core encodes its
 // coded commands for all micro-steps from the shared flat rows.
 func (c *Cluster[E]) encodeBatchCommands(steps [][][]E) error {
 	flat := flattenBatch(steps, c.tr.CmdLen())
-	return pool.Run(c.workers(), len(c.nodes), func(i int) error {
+	return pool.Run(len(c.nodes), func(i int) error {
 		n := c.nodes[i]
 		if n.behavior == Crashed || n.behavior == Recovering {
 			return nil // down nodes hold no share and encode nothing
@@ -84,7 +81,7 @@ func (c *Cluster[E]) computeAllResults(micro int) ([][]E, error) {
 	}
 	results := c.results
 	clear(results)
-	err := pool.Run(c.workers(), len(c.nodes), func(i int) error {
+	err := pool.Run(len(c.nodes), func(i int) error {
 		n := c.nodes[i]
 		if n.behavior == Crashed || n.behavior == Recovering {
 			return nil // no state, no compute; sendResult sends nothing
@@ -118,7 +115,7 @@ func (c *Cluster[E]) collectAndDecode(o *stepOutcome[E], pending []*node[E], for
 		c.oks, c.errs = make([]bool, len(pending)), make([]error, len(pending))
 	}
 	oks, errs := c.oks[:len(pending)], c.errs[:len(pending)]
-	_ = pool.Run(c.workers(), len(pending), func(i int) error {
+	_ = pool.Run(len(pending), func(i int) error {
 		n := pending[i]
 		n.collect(tab)
 		oks[i], errs[i] = n.tryDecode(force, need, &o.bufs[n.id])

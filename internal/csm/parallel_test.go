@@ -3,16 +3,26 @@ package csm
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"codedsm/internal/field"
 	"codedsm/internal/transport"
 )
 
+// setGOMAXPROCS sets GOMAXPROCS, the one control over the engine's worker
+// count, until the test ends. It is read at every fan-out, so a cluster
+// built before a call runs its later rounds at the new count. No test in
+// this package runs in parallel with another, so none sees the change.
+func setGOMAXPROCS(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // parallelScenarios reuses the csm_test.go Byzantine scenarios: each one is
-// run with Parallelism 1 and Parallelism 8 and every observable — round
-// results, decoded states, detected-fault sets, coded states, op counts —
-// must be byte-identical.
+// run at GOMAXPROCS 1 and 8 and every observable — round results, decoded
+// states, detected-fault sets, coded states, op counts — must be
+// byte-identical.
 func parallelScenarios() map[string]Config[uint64] {
 	scenarios := map[string]Config[uint64]{}
 
@@ -75,20 +85,20 @@ func TestParallelRoundsBitIdenticalToSequential(t *testing.T) {
 	const rounds = 4
 	for name, cfg := range parallelScenarios() {
 		t.Run(name, func(t *testing.T) {
-			seqCfg, parCfg := cfg, cfg
-			seqCfg.Parallelism = 1
-			parCfg.Parallelism = 8
-			seq := newCluster(t, seqCfg)
-			par := newCluster(t, parCfg)
+			seq := newCluster(t, cfg)
+			par := newCluster(t, cfg)
+			setGOMAXPROCS(t, 8)
 			if par.Parallelism() < 2 {
 				t.Fatalf("parallel cluster runs with %d workers", par.Parallelism())
 			}
 			wl := RandomWorkload[uint64](gold, rounds, cfg.K, seq.tr.CmdLen(), 7)
 			for r, cmds := range wl {
+				runtime.GOMAXPROCS(1)
 				seqRes, err := seq.ExecuteRound(cmds)
 				if err != nil {
 					t.Fatal(err)
 				}
+				runtime.GOMAXPROCS(8)
 				parRes, err := par.ExecuteRound(cmds)
 				if err != nil {
 					t.Fatal(err)
@@ -129,25 +139,28 @@ func TestParallelRoundsBitIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// TestParallelismWorkerSweep pins the knob semantics: explicit counts are
-// clamped to N, and any worker count yields the same rounds.
+// TestParallelismWorkerSweep pins how the worker count is chosen: it is
+// GOMAXPROCS capped at N, read when the round runs, and any count yields
+// the same rounds.
 func TestParallelismWorkerSweep(t *testing.T) {
 	cfg := baseConfig(2, 12, 3)
 	cfg.Byzantine = map[int]Behavior{1: WrongResult, 5: Silent}
 	var ref []byte
 	for _, workers := range []int{1, 2, 3, 5, 12, 64} {
-		wCfg := cfg
-		wCfg.Parallelism = workers
-		c := newCluster(t, wCfg)
-		if workers > cfg.N && c.Parallelism() != cfg.N {
-			t.Fatalf("workers=%d not clamped to N=%d: %d", workers, cfg.N, c.Parallelism())
+		c := newCluster(t, cfg)
+		setGOMAXPROCS(t, workers)
+		if want := min(workers, cfg.N); c.Parallelism() != want {
+			t.Fatalf("GOMAXPROCS %d: Parallelism() = %d, want %d", workers, c.Parallelism(), want)
 		}
 		wl := RandomWorkload[uint64](gold, 3, 2, c.tr.CmdLen(), 11)
 		var trace bytes.Buffer
 		for _, cmds := range wl {
 			res, err := c.ExecuteRound(cmds)
 			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
+				t.Fatalf("GOMAXPROCS %d: %v", workers, err)
+			}
+			if !res.Correct {
+				t.Fatalf("GOMAXPROCS %d: round incorrect", workers)
 			}
 			trace.Write(encodeRound(res))
 		}
@@ -156,20 +169,7 @@ func TestParallelismWorkerSweep(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(ref, trace.Bytes()) {
-			t.Fatalf("workers=%d produced a different round trace", workers)
-		}
-	}
-}
-
-// TestParallelismDefaultsToGOMAXPROCS pins the <= 0 default.
-func TestParallelismDefaultsToGOMAXPROCS(t *testing.T) {
-	c := newCluster(t, baseConfig(2, 12, 3))
-	if c.Parallelism() < 1 {
-		t.Fatalf("default parallelism %d", c.Parallelism())
-	}
-	for _, res := range runRounds(t, c, 2) {
-		if !res.Correct {
-			t.Fatal("default-parallelism round incorrect")
+			t.Fatalf("GOMAXPROCS %d produced a different round trace", workers)
 		}
 	}
 }
@@ -177,25 +177,21 @@ func TestParallelismDefaultsToGOMAXPROCS(t *testing.T) {
 func BenchmarkEngineDecodePhase(b *testing.B) {
 	// Micro-benchmark of the decode fan-out alone: N=32, b=10, all results
 	// in, every honest node decodes. Used to sanity-check the
-	// BenchmarkClusterRoundParallel speedups at the root.
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := baseConfig(0, 32, 10)
-			cfg.K = 11 // SyncMaxMachines(32, 10, 1)
-			cfg.Parallelism = workers
-			cfg.Byzantine = map[int]Behavior{3: WrongResult, 17: WrongResult}
-			c, err := New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wl := RandomWorkload[uint64](gold, 1, cfg.K, c.tr.CmdLen(), 5)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.ExecuteRound(wl[0]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	// BenchmarkClusterRoundParallel speedups at the root. Sweep the worker
+	// count with -cpu.
+	cfg := baseConfig(0, 32, 10)
+	cfg.K = 11 // SyncMaxMachines(32, 10, 1)
+	cfg.Byzantine = map[int]Behavior{3: WrongResult, 17: WrongResult}
+	c, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wl := RandomWorkload[uint64](gold, 1, cfg.K, c.tr.CmdLen(), 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.ExecuteRound(wl[0]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -81,7 +81,7 @@ func TestPipelinedPartialSyncByzantineMixRace(t *testing.T) {
 	cfg.Byzantine = map[int]Behavior{0: WrongResult, 3: Silent, 8: Equivocate, 13: WrongResult}
 	cfg.Pipeline = 4
 	cfg.BatchSize = 3
-	cfg.Parallelism = 8
+	setGOMAXPROCS(t, 8)
 	c := newCluster(t, cfg)
 	wl := RandomWorkload[uint64](gold, 12, 2, c.tr.CmdLen(), 13)
 	results, err := c.Run(wl)

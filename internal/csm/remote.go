@@ -216,13 +216,6 @@ func (p *NodeProcess[E]) Close() error {
 	return err
 }
 
-// PadCommand returns the identity command the sequencer submits for
-// machines with nothing pending (the all-zero vector, matching the
-// ingress scheduler's default pad).
-func (p *NodeProcess[E]) PadCommand() []E {
-	return field.ZeroVec(p.cfg.BaseField, p.tr.CmdLen())
-}
-
 // LeadBatch sequences and executes one batch: the sequencer broadcasts
 // the agreed commands (batch[j][k] is machine k's command in the batch's
 // j-th round) and every node — this one included — runs the coded

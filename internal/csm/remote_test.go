@@ -251,9 +251,6 @@ func TestRemoteConfigValidation(t *testing.T) {
 	if err := p1.Stop(); err == nil {
 		t.Error("follower was allowed to stop the cluster")
 	}
-	if cmd := p0.PadCommand(); len(cmd) != p0.Transition().CmdLen() {
-		t.Errorf("PadCommand length %d, want %d", len(cmd), p0.Transition().CmdLen())
-	}
 }
 
 // TestRemoteStopIsIdempotent: Lead already stops the cluster; a second

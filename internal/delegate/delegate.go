@@ -38,18 +38,11 @@ type Delegation[E comparable] struct {
 	code *lcc.Code[E]
 	ring *poly.Ring[E]
 	f    field.Field[E]
-
-	// Parallelism fans the worker's per-component Reed-Solomon decodes
-	// across goroutines (the worker is the only node doing coding work in
-	// this mode, so across-node fan-out does not apply). Results are
-	// identical for any value. 1 decodes sequentially; <= 0 selects
-	// runtime.GOMAXPROCS(0).
-	Parallelism int
 }
 
 // New creates a delegation layer over the given code.
 func New[E comparable](ring *poly.Ring[E], code *lcc.Code[E]) *Delegation[E] {
-	return &Delegation[E]{code: code, ring: ring, f: ring.Field(), Parallelism: 1}
+	return &Delegation[E]{code: code, ring: ring, f: ring.Field()}
 }
 
 // EncodeCommands is the worker's fast path: interpolation over the omegas
@@ -149,7 +142,7 @@ func (d *Delegation[E]) DecodeWithProof(results [][]E, degree int) (*lcc.DecodeR
 		}
 		words[j] = word
 	}
-	decs, err := code.DecodeMany(words, d.Parallelism)
+	decs, err := code.DecodeMany(words)
 	if err != nil {
 		return nil, nil, err
 	}

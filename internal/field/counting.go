@@ -69,9 +69,6 @@ func (c *Counting[E]) Reset() {
 	c.invs.Store(0)
 }
 
-// Inner returns the wrapped field.
-func (c *Counting[E]) Inner() Field[E] { return c.inner }
-
 // Name implements Field.
 func (c *Counting[E]) Name() string { return c.inner.Name() }
 

@@ -1,7 +1,6 @@
 package lcc
 
 import (
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -51,35 +50,6 @@ func buildRound(t *testing.T, k, n, d, faults int) (*Code[uint64], [][]uint64) {
 		results[(i*3+1)%n][0]++
 	}
 	return code, results
-}
-
-// TestPrimedDecodeParallelMatchesFullDecode: the primed decode is the one
-// decode that fans its components across workers; at every worker count
-// it must return exactly the full decoder's result.
-func TestPrimedDecodeParallelMatchesFullDecode(t *testing.T) {
-	const k, n, d = 4, 31, 2
-	faults := SyncMaxFaults(n, k, d)
-	code, results := buildRound(t, k, n, d, faults)
-	full, err := code.DecodeOutputs(results, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.FaultyNodes) != faults {
-		t.Fatalf("detected %d faulty nodes, injected %d", len(full.FaultyNodes), faults)
-	}
-	primed, err := code.NewPrimed(nil, full.FaultyNodes, d, faults)
-	if err != nil || primed == nil {
-		t.Fatalf("priming failed: %v", err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got, ok, err := primed.Decode(results, workers)
-		if err != nil || !ok {
-			t.Fatalf("workers=%d: ok=%v err=%v", workers, ok, err)
-		}
-		if !reflect.DeepEqual(full, got) {
-			t.Fatalf("workers=%d: primed decode diverged from the full decode", workers)
-		}
-	}
 }
 
 func TestDecodeOutputsSubsetFullIndexMatchesPlain(t *testing.T) {
@@ -146,49 +116,5 @@ func TestConcurrentDecodesShareOneCode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
-	}
-}
-
-// BenchmarkPrimedDecodeParallel times the primed decode's component
-// fan-out on wide vectors, the suspects being the corrupted nodes.
-func BenchmarkPrimedDecodeParallel(b *testing.B) {
-	const k, n, d = 8, 64, 1
-	gold := field.NewGoldilocks()
-	ring := poly.NewRing[uint64](gold)
-	code, err := New(ring, k, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const l = 16 // wide vectors: 16 component codewords to decode
-	values := make([][]uint64, k)
-	for i := range values {
-		values[i] = make([]uint64, l)
-		for j := range values[i] {
-			values[i][j] = uint64(i*l + j + 1)
-		}
-	}
-	results, err := code.EncodeVectors(values)
-	if err != nil {
-		b.Fatal(err)
-	}
-	faults := SyncMaxFaults(n, k, d)
-	suspects := make([]int, faults)
-	for i := range suspects {
-		suspects[i] = (i*3 + 2) % n
-		results[suspects[i]][i%l]++
-	}
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			primed, err := code.NewPrimed(nil, suspects, d, faults)
-			if err != nil || primed == nil {
-				b.Fatalf("priming failed: %v", err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, ok, err := primed.Decode(results, workers); err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
-			}
-		})
 	}
 }

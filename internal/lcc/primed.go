@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"sync/atomic"
 
 	"codedsm/internal/field"
-	"codedsm/internal/pool"
 )
 
 // The verified-subset check is the steady-state decode of every execution
@@ -114,9 +112,9 @@ func (p *prediction[E]) narrow(keep []int, dim int) prediction[E] {
 	return q
 }
 
-// checkScratch is the reusable working memory of one verify caller:
-// per-worker predicted and trusted values and mismatch masks, and the
-// randomized rule's row views and its two combinations.
+// checkScratch is the reusable working memory of one verify caller: the
+// predicted and trusted values, the mismatch mask, and the randomized
+// rule's row views and its two combinations.
 type checkScratch[E comparable] struct {
 	vals     []E
 	bad      []bool
@@ -230,31 +228,20 @@ func rowOf(indices []int, rows, node int) int {
 // candidate misses more than radius of those rows, leaving dst partly
 // written; the words are then for the full decoder. On true with every
 // rest row predicted the result is exactly the full decoder's (see the
-// soundness argument on subsetCheck). One worker runs the components in
-// a plain loop, allocating nothing.
-func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *checkScratch[E], p *prediction[E], dst *DecodeResult[E]) bool {
+// soundness argument on subsetCheck). The components run in a plain loop
+// that allocates nothing once sc is sized.
+func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l int, sc *checkScratch[E], p *prediction[E], dst *DecodeResult[E]) bool {
 	nr, dim := len(p.rows), len(s.trusted)
-	width := len(p.m)/dim + dim // one worker's predicted and trusted values
-	nw := pool.Clamp(workers, l)
-	if cap(sc.vals) < nw*width || cap(sc.bad) < nw*nr {
-		sc.vals = make([]E, nw*width)
-		sc.bad = make([]bool, nw*nr)
+	width := len(p.m)/dim + dim // the predicted and trusted values
+	if cap(sc.vals) < width || cap(sc.bad) < nr {
+		sc.vals = make([]E, width)
+		sc.bad = make([]bool, nr)
 	}
-	bads := sc.bad[:nw*nr]
-	clear(bads)
-	if nw == 1 {
-		for j := range l {
-			if !s.component(c, results, p, sc.vals[:width], bads, dst.Outputs, j) {
-				return false
-			}
-		}
-	} else if !s.components(c, results, p, sc.vals, bads, dst.Outputs, l, nw) {
-		return false
-	}
-	missed := bads[:nr]
-	for i := range missed {
-		for w := 1; w < nw && !missed[i]; w++ {
-			missed[i] = bads[w*nr+i]
+	vals, missed := sc.vals[:width], sc.bad[:nr]
+	clear(missed)
+	for j := range l {
+		if !s.component(c, results, p, vals, missed, dst.Outputs, j) {
+			return false
 		}
 	}
 	faulty := dst.FaultyNodes[:0]
@@ -268,24 +255,9 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l, workers int, sc *c
 	return true
 }
 
-// components runs component over the l components on nw workers, each
-// with its own slice of vals and bads, and reports whether none refused;
-// a refusal stops the others from starting new components.
-func (s *subsetCheck[E]) components(c *Code[E], results [][]E, p *prediction[E], vals []E, bads []bool, outputs [][]E, l, nw int) bool {
-	width, nr := len(vals)/nw, len(bads)/nw
-	var refused atomic.Bool
-	_ = pool.RunIndexed(nw, l, func(worker, j int) error {
-		if !refused.Load() && !s.component(c, results, p, vals[worker*width:(worker+1)*width], bads[worker*nr:(worker+1)*nr], outputs, j) {
-			refused.Store(true)
-		}
-		return nil
-	})
-	return !refused.Load()
-}
-
-// component checks component j on one worker's scratch: vals holds the
-// MatVec's predictions followed by the dim trusted values, and bad marks
-// the rows of p whose received value misses its prediction. It writes the
+// component checks component j: vals holds the MatVec's predictions
+// followed by the dim trusted values, and bad marks the rows of p whose
+// received value misses its prediction in any component so far. It writes the
 // outputs' j-th elements and reports true, or false when more rows miss
 // than the radius allows.
 func (s *subsetCheck[E]) component(c *Code[E], results [][]E, p *prediction[E], vals []E, bad []bool, outputs [][]E, j int) bool {
@@ -481,28 +453,23 @@ func (p *Primed[E]) Randomize(seed1, seed2 uint64) {
 // place and never written, and the result is the caller's.
 //
 // A Primed belongs to one decoding node: Decode reuses internal scratch
-// and must not be called concurrently on the same instance (the component
-// fan-out inside one call is fine).
-func (p *Primed[E]) Decode(results [][]E, workers int) (*DecodeResult[E], bool, error) {
+// and must not be called concurrently on the same instance. The second
+// argument is unused: the components are checked in one plain loop.
+func (p *Primed[E]) Decode(results [][]E, _ int) (*DecodeResult[E], bool, error) {
 	res := new(DecodeResult[E])
-	if ok, err := p.decode(res, results, workers); !ok {
+	if ok, err := p.DecodeInto(res, results); !ok {
 		return nil, false, err
 	}
 	return res, true, nil
 }
 
-// DecodeInto is Decode on one worker into dst, which the caller owns and
-// reuses: Outputs keeps its backing array while it holds K vectors of the
+// DecodeInto is Decode into dst, which the caller owns and reuses:
+// Outputs keeps its backing array while it holds K vectors of the
 // results' length (it is reallocated otherwise) and FaultyNodes its
-// capacity, so a steady caller allocates nothing. On ok=false dst's
-// contents are unspecified.
+// capacity, so a steady caller allocates nothing. It runs the randomized
+// rule's check where that is armed and vouches, else the exact check. On
+// ok=false dst's contents are unspecified.
 func (p *Primed[E]) DecodeInto(dst *DecodeResult[E], results [][]E) (bool, error) {
-	return p.decode(dst, results, 1)
-}
-
-// decode is Decode and DecodeInto: the randomized rule's check where it
-// is armed and vouches, else the exact check, into dst.
-func (p *Primed[E]) decode(dst *DecodeResult[E], results [][]E, workers int) (bool, error) {
 	s := p.check
 	l, err := p.code.vectorLen(results, s.rows)
 	if err != nil {
@@ -515,8 +482,8 @@ func (p *Primed[E]) decode(dst *DecodeResult[E], results [][]E, workers int) (bo
 		p.rnd = newFreivalds(p.code, s, p.suspects, p.seed)
 	}
 	if p.rnd != nil && p.rnd.accepts(p.code, s, results, l, &p.scratch) &&
-		s.verify(p.code, results, l, workers, &p.scratch, &p.rnd.predict, dst) {
+		s.verify(p.code, results, l, &p.scratch, &p.rnd.predict, dst) {
 		return true, nil
 	}
-	return s.verify(p.code, results, l, workers, &p.scratch, &s.exact, dst), nil
+	return s.verify(p.code, results, l, &p.scratch, &s.exact, dst), nil
 }

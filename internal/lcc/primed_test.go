@@ -123,12 +123,6 @@ func TestPrimedMatchesFullDecodeStableLiars(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameDecode(t, got, full)
-	// Parallel component fan-out must match too.
-	gotPar, ok, err := primed.Decode(second, 4)
-	if err != nil || !ok {
-		t.Fatalf("parallel primed decode failed: ok=%v err=%v", ok, err)
-	}
-	assertSameDecode(t, gotPar, full)
 }
 
 // TestPrimedDecodeIntoReusesCallerBuffers: decoding into a caller-owned

@@ -2,9 +2,10 @@
 // parallel execution engine is built on. The paper's Theorem 1 claims
 // throughput λ that scales linearly in N; realizing that on real hardware
 // requires fanning the per-node work of a round — coded transition
-// computes, per-dimension encode/decode columns, and the Reed-Solomon
-// error-locator solves — across CPU cores without perturbing the simulated
-// protocol.
+// computes, command encodes, and the Reed-Solomon decodes — across CPU
+// cores without perturbing the simulated protocol. The host sizes the
+// fan-out: the worker count is runtime.GOMAXPROCS, read at every call,
+// and nothing else sets it.
 //
 // Determinism contract: Run partitions the index space [0, n) across
 // workers, and callers write each index's result into a caller-owned,
@@ -21,51 +22,24 @@ import (
 	"sync/atomic"
 )
 
-// DefaultWorkers returns the default worker count: runtime.GOMAXPROCS(0).
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
+// Workers returns the number of goroutines Run uses for n work items:
+// runtime.GOMAXPROCS(0), capped at n (a worker with no work is never
+// spawned).
+func Workers(n int) int { return min(runtime.GOMAXPROCS(0), n) }
 
-// Clamp normalizes a requested worker count for n independent work items:
-// workers <= 0 selects DefaultWorkers, and the result never exceeds n (a
-// worker with no work is never spawned) nor drops below 1.
-func Clamp(workers, n int) int {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// Run executes fn(i) for every i in [0, n) on at most workers goroutines
-// (workers <= 0 selects DefaultWorkers). With one worker — or n < 2 — it
-// degenerates to the plain sequential loop.
+// Run executes fn(i) for every i in [0, n) on Workers(n) goroutines. With
+// one worker it degenerates to the plain sequential loop.
 //
 // Every index is attempted even if another index fails, whatever the
 // worker count, so fn must be safe to run for all indices and the work
-// done (field ops counted inside fn, say) does not depend on workers; the
-// error reported is the one with the lowest index.
-func Run(workers, n int, fn func(i int) error) error {
-	return RunIndexed(workers, n, func(_, i int) error { return fn(i) })
-}
-
-// RunIndexed is Run with the executing worker's index passed alongside the
-// work index: fn(worker, i) with worker in [0, Clamp(workers, n)). A worker
-// index is held by exactly one goroutine at a time, so fn may use it to
-// address per-worker scratch buffers (the allocation-free decode path's
-// per-worker codeword and evaluation scratch) without synchronization.
-func RunIndexed(workers, n int, fn func(worker, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers = Clamp(workers, n)
-	if workers == 1 {
+// done (field ops counted inside fn, say) does not depend on GOMAXPROCS;
+// the error reported is the one with the lowest index.
+func Run(n int, fn func(i int) error) error {
+	workers := Workers(n)
+	if workers <= 1 {
 		var firstErr error
 		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil && firstErr == nil {
+			if err := fn(i); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -80,15 +54,15 @@ func RunIndexed(workers, n int, fn func(worker, i int) error) error {
 		errIdx   = n
 	)
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
+	for range workers {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				if err := fn(worker, i); err != nil {
+				if err := fn(i); err != nil {
 					mu.Lock()
 					if i < errIdx {
 						firstErr, errIdx = err, i
@@ -96,7 +70,7 @@ func RunIndexed(workers, n int, fn func(worker, i int) error) error {
 					mu.Unlock()
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return firstErr

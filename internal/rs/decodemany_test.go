@@ -3,6 +3,7 @@ package rs
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"codedsm/internal/field"
@@ -10,6 +11,7 @@ import (
 )
 
 func TestDecodeManyMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	gold := field.NewGoldilocks()
 	ring := poly.NewRing[uint64](gold)
 	pts, err := gold.Elements(32)
@@ -41,7 +43,8 @@ func TestDecodeManyMatchesSequential(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4, 32} {
-		got, err := code.DecodeMany(batch, workers)
+		runtime.GOMAXPROCS(workers)
+		got, err := code.DecodeMany(batch)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -73,7 +76,7 @@ func TestDecodeManyReportsLowestFailingWord(t *testing.T) {
 	ruined[0] = gold.Add(ruined[0], 11)
 	ruined[3] = gold.Add(ruined[3], 29)
 	batch := [][]uint64{clean, ruined, ruined}
-	_, err = code.DecodeMany(batch, 4)
+	_, err = code.DecodeMany(batch)
 	if err == nil {
 		t.Fatal("undecodable words must fail")
 	}

@@ -104,7 +104,7 @@ func (b *balls) check(w int, indices []int, res *DecodeResult[uint64], err error
 // word within the radius of a codeword decodes to it, any other word is
 // refused. Decode runs on NewCode's dense tables and on the tree
 // (newCode(…, false)); DecodeMany takes the dimension's words as one batch
-// on the default worker count; DecodeSubset runs every word of every
+// on GOMAXPROCS workers; DecodeSubset runs every word of every
 // proper index subset of at least dim positions, against the subcode's own
 // balls. This is the truth Gao's decoder is held to: over a small field it
 // is cheap to state exactly, so no second decoder is needed as an oracle.
@@ -164,7 +164,7 @@ func TestDecodeExhaustive(t *testing.T) {
 
 			// DecodeMany: the owned words decode as Decode does, and the
 			// whole batch fails at its lowest unowned word.
-			got, err := dense.DecodeMany(owned, 0)
+			got, err := dense.DecodeMany(owned)
 			if err != nil {
 				disagree("DecodeMany", fmt.Sprintf("batch of owned words: %v", err))
 			} else {
@@ -182,7 +182,7 @@ func TestDecodeExhaustive(t *testing.T) {
 					disagree("DecodeMany", fmt.Sprintf("%d owned words decoded wrongly", bad))
 				}
 			}
-			_, err = dense.DecodeMany(words, 0)
+			_, err = dense.DecodeMany(words)
 			var werr *WordError
 			switch {
 			case firstRefused < 0 && err != nil:

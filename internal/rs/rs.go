@@ -256,17 +256,17 @@ func (e *WordError) Unwrap() error { return e.Err }
 
 // DecodeMany decodes len(words) received words against the same code,
 // fanning the independent Gao decodes — each an extended-Euclidean
-// error-locator solve — across at most workers goroutines (workers <= 0
-// selects runtime.GOMAXPROCS). Results are index-aligned with words and
-// identical to decoding each word sequentially; the error reported is the
-// lowest-index failure, wrapped as a *WordError.
+// error-locator solve — across the worker pool (pool.Run, sized by
+// GOMAXPROCS). Results are index-aligned with words and identical to
+// decoding each word sequentially; the error reported is the lowest-index
+// failure, wrapped as a *WordError.
 //
 // A Code is immutable after construction, so concurrent decodes against it
 // are safe; an execution round's L vector components are exactly such a
 // batch (Section 5.2).
-func (c *Code[E]) DecodeMany(words [][]E, workers int) ([]*DecodeResult[E], error) {
+func (c *Code[E]) DecodeMany(words [][]E) ([]*DecodeResult[E], error) {
 	out := make([]*DecodeResult[E], len(words))
-	err := pool.Run(workers, len(words), func(j int) error {
+	err := pool.Run(len(words), func(j int) error {
 		res, err := c.Decode(words[j])
 		if err != nil {
 			return &WordError{Word: j, Err: err}

@@ -55,7 +55,7 @@ func BenchmarkShardedThroughput(b *testing.B) {
 					WithClusterOptions(
 						csm.WithNodes(nodes), csm.WithFaults(faults),
 						csm.WithByzantineNode(3, csm.WrongResult),
-						csm.WithParallelism(2), csm.WithBatching(4)))
+						csm.WithBatching(4)))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"codedsm/internal/csm"
@@ -67,13 +68,16 @@ func TestShardedDigestsMatchUnshardedOracle(t *testing.T) {
 	credit := gold.FromUint64(amount)
 	schedule = append(schedule, cmd{machine: src, delta: debit}, cmd{machine: dst, delta: credit})
 
-	runSharded := func(parallelism int) []string {
+	// The shards' rounds fan out over GOMAXPROCS workers.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runSharded := func(workers int) []string {
+		runtime.GOMAXPROCS(workers)
 		rt, err := Open(gold, sm.NewBank[uint64],
 			WithShards(shards), WithMachines(machines), WithSeed(seed),
 			WithClusterOptions(
 				csm.WithNodes(nodes), csm.WithFaults(faults),
 				csm.WithByzantineNode(3, csm.WrongResult),
-				csm.WithBatching(2), csm.WithParallelism(parallelism)))
+				csm.WithBatching(2)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,12 +179,12 @@ func TestShardedDigestsMatchUnshardedOracle(t *testing.T) {
 		return digests
 	}()
 
-	for _, parallelism := range []int{1, 8} {
-		digests := runSharded(parallelism)
+	for _, workers := range []int{1, 8} {
+		digests := runSharded(workers)
 		for m := range digests {
 			if digests[m] != oracle[m] {
-				t.Errorf("parallelism %d: machine %d digest %s != oracle %s",
-					parallelism, m, digests[m], oracle[m])
+				t.Errorf("GOMAXPROCS %d: machine %d digest %s != oracle %s",
+					workers, m, digests[m], oracle[m])
 			}
 		}
 	}

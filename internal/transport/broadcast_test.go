@@ -137,7 +137,7 @@ func BenchmarkNetworkTick(b *testing.B) {
 		}
 		net.Step()
 		delivered := make([]int, n)
-		_ = pool.Run(0, n, func(i int) error {
+		_ = pool.Run(n, func(i int) error {
 			for range eps[i].Deliveries() {
 				delivered[i]++
 			}

@@ -37,10 +37,11 @@ import (
 	"fmt"
 	"iter"
 	"math/rand/v2"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
+
+	"codedsm/internal/pool"
 )
 
 // ErrSimulationOnly is returned by non-simulated transports (the TCP
@@ -196,24 +197,15 @@ func DeriveKeys(clusterSeed uint64, n int) ([]ed25519.PublicKey, []ed25519.Priva
 	pubs := make([]ed25519.PublicKey, n)
 	privs := make([]ed25519.PrivateKey, n)
 	// Each keypair is one scalar multiplication, independent of the
-	// others: derive them on up to GOMAXPROCS goroutines, each over its
-	// own stride of ids.
-	workers := min(runtime.GOMAXPROCS(0), n)
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			seed := make([]byte, ed25519.SeedSize)
-			for i := w; i < n; i += workers {
-				binary.LittleEndian.PutUint64(seed, clusterSeed^uint64(i)+0x9e3779b97f4a7c15)
-				binary.LittleEndian.PutUint64(seed[8:], uint64(i)*0xbf58476d1ce4e5b9+1)
-				privs[i] = ed25519.NewKeyFromSeed(seed)
-				pubs[i] = privs[i].Public().(ed25519.PublicKey)
-			}
-		}()
-	}
-	wg.Wait()
+	// others: derive them on the worker pool.
+	_ = pool.Run(n, func(i int) error {
+		var seed [ed25519.SeedSize]byte
+		binary.LittleEndian.PutUint64(seed[:], clusterSeed^uint64(i)+0x9e3779b97f4a7c15)
+		binary.LittleEndian.PutUint64(seed[8:], uint64(i)*0xbf58476d1ce4e5b9+1)
+		privs[i] = ed25519.NewKeyFromSeed(seed[:])
+		pubs[i] = privs[i].Public().(ed25519.PublicKey)
+		return nil
+	})
 	return pubs, privs
 }
 
