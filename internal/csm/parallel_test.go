@@ -174,6 +174,21 @@ func TestParallelismWorkerSweep(t *testing.T) {
 	}
 }
 
+// TestParallelismDefaultsToGOMAXPROCS pins the default worker count: a
+// cluster built with no setting of its own runs on the process's
+// GOMAXPROCS, capped at N, and its rounds come out correct.
+func TestParallelismDefaultsToGOMAXPROCS(t *testing.T) {
+	c := newCluster(t, baseConfig(2, 12, 3))
+	if want := min(runtime.GOMAXPROCS(0), 12); c.Parallelism() != want {
+		t.Fatalf("default parallelism %d, want %d", c.Parallelism(), want)
+	}
+	for _, res := range runRounds(t, c, 2) {
+		if !res.Correct {
+			t.Fatal("default-parallelism round incorrect")
+		}
+	}
+}
+
 func BenchmarkEngineDecodePhase(b *testing.B) {
 	// Micro-benchmark of the decode fan-out alone: N=32, b=10, all results
 	// in, every honest node decodes. Used to sanity-check the
