@@ -40,6 +40,12 @@ type Bulk[E comparable] interface {
 	// coefficients and every vecs[k] at least len(dst) elements. dst may
 	// alias any term: all terms are read at i before dst[i] is written.
 	LinCombAccVec(dst, cs []E, vecs [][]E)
+	// LinCombAccRows sets dst[i] = dst[i] + sum_k cs[k]*rows[idx[k]][i]
+	// over the len(idx) terms: LinCombAccVec over the rows idx names, read
+	// in place, so a caller that picks a subset of a table's rows builds no
+	// slice of them. cs must hold at least len(idx) coefficients and every
+	// named row at least len(dst) elements; dst may alias any of them.
+	LinCombAccRows(dst, cs []E, rows [][]E, idx []int)
 	// MatVec sets dst[i] = sum_t m[i*len(v)+t]*v[t]: the matrix-vector
 	// product of the row-major len(dst) x len(v) matrix m with v, the
 	// verified-subset check's prediction of every unchecked row at once.
@@ -126,6 +132,17 @@ func (g genericBulk[E]) LinCombAccVec(dst, cs []E, vecs [][]E) {
 		acc := dst[i]
 		for k, v := range vecs {
 			acc = g.Add(acc, g.Mul(cs[k], v[i]))
+		}
+		dst[i] = acc
+	}
+}
+
+// LinCombAccRows makes LinCombAccVec's Field calls over the named rows.
+func (g genericBulk[E]) LinCombAccRows(dst, cs []E, rows [][]E, idx []int) {
+	for i := range dst {
+		acc := dst[i]
+		for k, r := range idx {
+			acc = g.Add(acc, g.Mul(cs[k], rows[r][i]))
 		}
 		dst[i] = acc
 	}

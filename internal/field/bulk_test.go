@@ -76,7 +76,7 @@ func TestBulkKernelsMatchScalar(t *testing.T) {
 				c := bf.Rand(rng)
 				check := func(kernel string, got, want []uint64) {
 					t.Helper()
-					if !VecEqual[uint64](bf, got, want) {
+					if !slices.Equal(got, want) {
 						t.Fatalf("n=%d %s: got %v want %v", n, kernel, got, want)
 					}
 				}
@@ -148,6 +148,23 @@ func TestBulkKernelsMatchScalar(t *testing.T) {
 					bf.LinCombAccVec(alias, cs, aliased)
 					check(fmt.Sprintf("LinCombAccVec(%d terms, aliased)", terms), alias, ref.linCombAcc(vecs[terms/2], cs, vecs))
 				}
+				// LinCombAccRows over a table's rows named by index, in an
+				// order of their own and with a repeat, is LinCombAccVec
+				// over the rows it names.
+				table := make([][]uint64, 8)
+				for r := range table {
+					table[r] = RandVec[uint64](bf, rng, n)
+				}
+				for _, idx := range [][]int{nil, {3}, {6, 0, 3, 3, 7}, {0, 1, 2, 3, 4, 5, 6, 7}} {
+					cs := RandVec[uint64](bf, rng, len(idx))
+					named := make([][]uint64, len(idx))
+					for k, r := range idx {
+						named[k] = table[r]
+					}
+					acc = append([]uint64(nil), b...)
+					bf.LinCombAccRows(acc, cs, table, idx)
+					check(fmt.Sprintf("LinCombAccRows(%v)", idx), acc, ref.linCombAcc(b, cs, named))
+				}
 			}
 			for _, shape := range [][2]int{{1, 1}, {22, 1}, {64, 22}} {
 				rows, cols := shape[0], shape[1]
@@ -155,7 +172,7 @@ func TestBulkKernelsMatchScalar(t *testing.T) {
 				v := RandVec[uint64](bf, rng, cols)
 				got := RandVec[uint64](bf, rng, rows) // overwritten, not accumulated
 				bf.MatVec(got, m, v)
-				if want := ref.matVec(m, v, rows); !VecEqual[uint64](bf, got, want) {
+				if want := ref.matVec(m, v, rows); !slices.Equal(got, want) {
 					t.Fatalf("MatVec %dx%d: got %v want %v", rows, cols, got, want)
 				}
 			}
@@ -272,7 +289,7 @@ func TestBatchInvIntoMatchesBatchInv(t *testing.T) {
 				if err := bf.BatchInvInto(dst, xs); err != nil {
 					t.Fatalf("n=%d: %v", n, err)
 				}
-				if !VecEqual[uint64](bf, dst, want) {
+				if !slices.Equal(dst, want) {
 					t.Fatalf("n=%d: BatchInvInto %v want %v", n, dst, want)
 				}
 				if n > 0 {
@@ -322,6 +339,7 @@ func TestCountingBulkTotalsMatchScalar(t *testing.T) {
 		k.ScaleVec(dst, c, a)
 		k.ScaleAccVec(dst, c, a)
 		k.LinCombAccVec(dst, cs, terms)
+		k.LinCombAccRows(dst, cs, terms, []int{4, 0, 2})
 		k.MatVec(dst, matrix, cs)
 		k.SubScaleVec(dst, c, a)
 		k.DotVec(a, b)
@@ -356,6 +374,15 @@ func TestCountingBulkTotalsMatchScalar(t *testing.T) {
 	comb.LinCombAccVec(dst, cs, terms)
 	if chain.Counts() != comb.Counts() {
 		t.Fatalf("LinCombAccVec charged %+v, the ScaleAccVec chain %+v", comb.Counts(), chain.Counts())
+	}
+
+	// LinCombAccRows charges exactly what LinCombAccVec charges for the
+	// rows it names.
+	named, rows := NewCounting[uint64](gold), NewCounting[uint64](gold)
+	named.LinCombAccVec(dst, cs, [][]uint64{terms[4], terms[0], terms[2]})
+	rows.LinCombAccRows(dst, cs, terms, []int{4, 0, 2})
+	if named.Counts() != rows.Counts() {
+		t.Fatalf("LinCombAccRows charged %+v, LinCombAccVec %+v", rows.Counts(), named.Counts())
 	}
 
 	// MatVec's single charge is ScaleVec's on the first column plus

@@ -51,6 +51,15 @@ func (c *Counting[E]) LinCombAccVec(dst, ks []E, vecs [][]E) {
 	c.innerBulk.LinCombAccVec(dst, ks, vecs)
 }
 
+// LinCombAccRows implements Bulk, counting len(idx)·len(dst) additions
+// and multiplications — what LinCombAccVec charges for the same terms.
+func (c *Counting[E]) LinCombAccRows(dst, ks []E, rows [][]E, idx []int) {
+	n := uint64(len(idx) * len(dst))
+	c.adds.Add(n)
+	c.muls.Add(n)
+	c.innerBulk.LinCombAccRows(dst, ks, rows, idx)
+}
+
 // MatVec implements Bulk, counting len(dst)·len(v) multiplications and
 // len(dst)·(len(v)-1) additions — the ScaleVec-then-LinCombAccVec
 // chain's totals — in one charge.

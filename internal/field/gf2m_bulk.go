@@ -87,6 +87,19 @@ func (f *GF2m) LinCombAccVec(dst, cs []uint64, vecs [][]uint64) {
 	}
 }
 
+// LinCombAccRows implements Bulk, finishing each element before writing
+// it so a named row may alias dst.
+func (f *GF2m) LinCombAccRows(dst, cs []uint64, rows [][]uint64, idx []int) {
+	cs = cs[:len(idx)]
+	for i := range dst {
+		acc := dst[i]
+		for k, r := range idx {
+			acc ^= f.Mul(cs[k], rows[r][i])
+		}
+		dst[i] = acc
+	}
+}
+
 // MatVec implements Bulk.
 func (f *GF2m) MatVec(dst, m, v []uint64) {
 	d := len(v)

@@ -70,6 +70,22 @@ func (g Goldilocks) LinCombAccVec(dst, cs []uint64, vecs [][]uint64) {
 	}
 }
 
+// LinCombAccRows implements Bulk with LinCombAccVec's lazy reduction.
+func (g Goldilocks) LinCombAccRows(dst, cs []uint64, rows [][]uint64, idx []int) {
+	cs = cs[:len(idx)]
+	for i := range dst {
+		lo, hi, top := dst[i], uint64(0), uint64(0)
+		for k, r := range idx {
+			ph, pl := bits.Mul64(cs[k], rows[r][i])
+			var carry uint64
+			lo, carry = bits.Add64(lo, pl, 0)
+			hi, carry = bits.Add64(hi, ph, carry)
+			top += carry
+		}
+		dst[i] = g.Sub(goldReduce(hi, lo), goldReduce(top>>32, top<<32))
+	}
+}
+
 // MatVec implements Bulk with LinCombAccVec's lazy reduction: each row's
 // products accumulate unreduced in 192 bits and are reduced once.
 func (g Goldilocks) MatVec(dst, m, v []uint64) {

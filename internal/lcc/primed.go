@@ -114,11 +114,10 @@ func (p *prediction[E]) narrow(keep []int, dim int) prediction[E] {
 
 // checkScratch is the reusable working memory of one verify caller: the
 // predicted and trusted values, the mismatch mask, and the randomized
-// rule's row views and its two combinations.
+// rule's two combinations.
 type checkScratch[E comparable] struct {
 	vals     []E
 	bad      []bool
-	terms    [][]E
 	lhs, rhs []E
 }
 
@@ -272,7 +271,7 @@ func (s *subsetCheck[E]) component(c *Code[E], results [][]E, p *prediction[E], 
 	}
 	misses := 0
 	for i, r := range p.rows {
-		if !c.f.Equal(pred[i], results[r][j]) {
+		if pred[i] != results[r][j] {
 			bad[i] = true
 			misses++
 		}
@@ -349,9 +348,9 @@ func newFreivalds[E comparable](c *Code[E], s *subsetCheck[E], suspects []int, s
 
 // accepts reports whether, in every one of the l components, the trusted
 // values combined by w equal the clean rows combined by r. Both sides are
-// formed for all components at once, one LinCombAccVec over the rows
-// each: per component that is exactly the two dot products w·coefs and
-// r·y_clean.
+// formed for all components at once, one LinCombAccRows over the rows
+// each, read in place by their positions: per component that is exactly
+// the two dot products w·coefs and r·y_clean.
 func (fr *freivalds[E]) accepts(c *Code[E], s *subsetCheck[E], results [][]E, l int, sc *checkScratch[E]) bool {
 	if cap(sc.lhs) < l {
 		sc.lhs, sc.rhs = make([]E, l), make([]E, l)
@@ -361,23 +360,9 @@ func (fr *freivalds[E]) accepts(c *Code[E], s *subsetCheck[E], results [][]E, l 
 	for j := range lhs {
 		lhs[j], rhs[j] = zero, zero
 	}
-	terms := sc.terms[:0]
-	for _, r := range s.trusted {
-		terms = append(terms, results[r])
-	}
-	c.bulk.LinCombAccVec(lhs, fr.w, terms)
-	terms = terms[:0]
-	for _, r := range fr.clean {
-		terms = append(terms, results[r])
-	}
-	c.bulk.LinCombAccVec(rhs, fr.r, terms)
-	sc.terms = terms
-	for j := range lhs {
-		if !c.f.Equal(lhs[j], rhs[j]) {
-			return false
-		}
-	}
-	return true
+	c.bulk.LinCombAccRows(lhs, fr.w, results, s.trusted)
+	c.bulk.LinCombAccRows(rhs, fr.r, results, fr.clean)
+	return slices.Equal(lhs, rhs)
 }
 
 // Primed is the verified-subset check bound to one decoding node: a
