@@ -152,8 +152,22 @@ type Network struct {
 	delivered []envelope         // this round's, sorted, live recipients only
 	carried   map[int][]sent     // send round -> what the network carried, in post order
 	down      []bool             // crashed nodes: their traffic drops in both directions
+	downCount int                // the set entries of down
 	stats     Stats
+	// Storage Step hands back for later rounds: the drained delivery
+	// queues (spare), which post reuses for a round it opens, and the
+	// record of the round Step leaves (spareSent), which record reuses.
+	spare     [][]envelope
+	spareSent []sent
+	// arena is what is left of the block Send and Broadcast carve their
+	// payload copies from (copyPayload).
+	arena []byte
 }
+
+// arenaBlock is the size of the blocks payload copies are carved from,
+// and arenaBlock/8 the largest payload carved; a larger one is allocated
+// on its own.
+const arenaBlock = 8 << 10
 
 // sent is the content of one envelope the network carried: what its
 // sender vouched for. The payload is the envelope's own immutable copy.
@@ -254,7 +268,14 @@ func (n *Network) SetDown(id NodeID, down bool) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.down[id] = down
+	if n.down[id] != down {
+		n.down[id] = down
+		if down {
+			n.downCount++
+		} else {
+			n.downCount--
+		}
+	}
 	return nil
 }
 
@@ -303,8 +324,8 @@ type envelope struct {
 }
 
 // enqueue records an Endpoint's unicast message, stamped with the current
-// round, and files it for m.To: one envelope with one recipient. Callers
-// hold no lock.
+// round and carrying the network's copy of its payload, and files it for
+// m.To: one envelope with one recipient. Callers hold no lock.
 func (n *Network) enqueue(m Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -317,14 +338,36 @@ func (n *Network) enqueue(m Message) {
 		n.stats.DroppedDown++
 		return
 	}
+	m.Payload = n.copyPayload(m.Payload)
 	n.record(&m)
 	n.post(m, []NodeID{m.To})
 }
 
+// copyPayload is the network's own copy of an Endpoint's payload, carved
+// from the current arena block: the endpoint may reuse its buffer as
+// soon as Send or Broadcast returns. The network never writes a byte of
+// a block again, and a block goes when no payload carved from it is
+// referenced any more: receivers may keep a payload for as long as they
+// like (a consensus instance on the simulated network keeps what
+// Receive returned across ticks). Caller holds mu.
+func (n *Network) copyPayload(p []byte) []byte {
+	if len(p) == 0 || len(p) > arenaBlock/8 {
+		return append([]byte(nil), p...)
+	}
+	if len(n.arena) < len(p) {
+		n.arena = make([]byte, arenaBlock)
+	}
+	c := n.arena[:len(p):len(p)]
+	copy(c, p)
+	n.arena = n.arena[len(p):]
+	return c
+}
+
 // enqueueBroadcast records an Endpoint's broadcast, stamped with the
-// current round, and files it for every other node under one lock: the
-// envelope carries no recipient list while every other node is up, and
-// the live recipients, ascending, otherwise. Each copy a down sender or a
+// current round and carrying the network's copy of its payload, and files
+// it for every other node under one lock: the envelope carries no
+// recipient list while every other node is up, and the live recipients,
+// ascending, otherwise. Each copy a down sender or a
 // down recipient loses counts in DroppedDown, before any delay is drawn,
 // exactly as if the copies had been enqueued one by one. Callers hold no
 // lock.
@@ -339,13 +382,14 @@ func (n *Network) enqueueBroadcast(m Message) {
 	}
 	var to []NodeID // nil: every other node
 	// A lone node's broadcast has no recipient, so nothing is carried.
-	if slices.Contains(n.down, true) || n.cfg.N == 1 {
+	if n.downCount > 0 || n.cfg.N == 1 {
 		to = slices.DeleteFunc(n.others(m.From), func(r NodeID) bool { return n.down[r] })
 		n.stats.DroppedDown += uint64(n.cfg.N - 1 - len(to))
 		if len(to) == 0 {
 			return
 		}
 	}
+	m.Payload = n.copyPayload(m.Payload)
 	n.record(&m)
 	n.post(m, to)
 }
@@ -371,22 +415,31 @@ func (n *Network) others(from NodeID) []NodeID {
 // under its own delivery round as a one-recipient envelope.
 func (n *Network) post(m Message, to []NodeID) {
 	if n.delayDeterministic(m.Round) {
-		n.pending[m.Round+1] = append(n.pending[m.Round+1], envelope{m, to})
+		n.file(m.Round+1, envelope{m, to})
 		return
 	}
 	if to == nil {
 		to = n.others(m.From)
 	}
 	for i, r := range to {
-		d := m.Round + n.preGSTDelay(m.From, r, m.Round)
-		n.pending[d] = append(n.pending[d], envelope{m, to[i : i+1 : i+1]})
+		n.file(m.Round+n.preGSTDelay(m.From, r, m.Round), envelope{m, to[i : i+1 : i+1]})
 	}
+}
+
+// file appends env to the queue of delivery round d, opening the queue
+// on a spare one Step handed back when there is one. Caller holds mu.
+func (n *Network) file(d int, env envelope) {
+	q, ok := n.pending[d]
+	if !ok && len(n.spare) > 0 {
+		q, n.spare = n.spare[len(n.spare)-1], n.spare[:len(n.spare)-1]
+	}
+	n.pending[d] = append(q, env)
 }
 
 // record applies the broadcast channel's coercion to a message an
 // Endpoint sends and adds what it carries to its round's record, which is
 // what admit vouches for. The record keeps the payload slice, the
-// endpoint's own copy, which nothing rewrites. Caller holds mu.
+// network's own copy (copyPayload), which nothing rewrites. Caller holds mu.
 //
 // With NoEquivocation the channel carries one value per (sender, round,
 // kind) and every recipient hears the first: the first payload recorded
@@ -402,7 +455,10 @@ func (n *Network) record(m *Message) {
 		}
 	}
 	if carried == nil {
-		carried = make([]sent, 0, n.cfg.N)
+		carried, n.spareSent = n.spareSent, nil
+		if carried == nil {
+			carried = make([]sent, 0, n.cfg.N)
+		}
 	}
 	n.carried[m.Round] = append(carried, sent{from: m.From, kind: m.Kind, payload: m.Payload})
 }
@@ -445,7 +501,9 @@ func (n *Network) preGSTDelay(from, to NodeID, round int) int {
 // Step advances the network one round and keeps the envelopes due in it,
 // sorted, as the round's deliveries (see Endpoint.Deliveries). The record
 // of the round that just ended goes: admit refuses its messages from now
-// on.
+// on. The previous round's deliveries and that record are emptied and
+// kept for later rounds, so a walk over the previous round's deliveries
+// must end before Step.
 //
 // Delivery order is deterministic: the due envelopes are sorted stably by
 // (From, Kind) — enqueue order breaks ties — and a node receives its
@@ -457,7 +515,15 @@ func (n *Network) Step() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.round++
-	delete(n.carried, n.round-1)
+	if old, ok := n.carried[n.round-1]; ok {
+		clear(old)
+		n.spareSent = old[:0]
+		delete(n.carried, n.round-1)
+	}
+	if n.delivered != nil {
+		clear(n.delivered)
+		n.spare = append(n.spare, n.delivered[:0])
+	}
 	due := n.pending[n.round]
 	delete(n.pending, n.round)
 	slices.SortStableFunc(due, func(a, b envelope) int {
@@ -467,7 +533,7 @@ func (n *Network) Step() {
 		return strings.Compare(a.msg.Kind, b.msg.Kind)
 	})
 	isDown := func(r NodeID) bool { return n.down[r] }
-	anyDown := slices.Contains(n.down, true)
+	anyDown := n.downCount > 0
 	for i := range due {
 		e := &due[i]
 		copies := len(e.to)
@@ -519,20 +585,22 @@ type Endpoint struct {
 // ID returns the node's identifier.
 func (e *Endpoint) ID() NodeID { return e.id }
 
-// Send transmits a message to a single node in the current round.
+// Send transmits a message to a single node in the current round. The
+// network carries its own copy of the payload.
 func (e *Endpoint) Send(to NodeID, kind string, payload []byte) error {
 	if int(to) < 0 || int(to) >= e.net.cfg.N {
 		return fmt.Errorf("transport: recipient %d out of range", to)
 	}
-	e.net.enqueue(Message{From: e.id, To: to, Kind: kind, Payload: append([]byte(nil), payload...)})
+	e.net.enqueue(Message{From: e.id, To: to, Kind: kind, Payload: payload})
 	return nil
 }
 
 // Broadcast transmits a message to every other node in the current round.
 // The copies travel as one envelope, enqueued under one lock and recorded
-// once; they are told apart only at delivery, where each one's To is set.
+// once, with one copy of the payload; they are told apart only at
+// delivery, where each one's To is set.
 func (e *Endpoint) Broadcast(kind string, payload []byte) error {
-	e.net.enqueueBroadcast(Message{From: e.id, Kind: kind, Payload: append([]byte(nil), payload...)})
+	e.net.enqueueBroadcast(Message{From: e.id, Kind: kind, Payload: payload})
 	return nil
 }
 
