@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"codedsm/internal/field"
 	"codedsm/internal/transport"
 )
 
@@ -79,7 +78,7 @@ func TestBatchedMatchesSequentialOutputs(t *testing.T) {
 					}
 					for k := range s.Outputs {
 						if (s.Outputs[k] == nil) != (b.Outputs[k] == nil) ||
-							(s.Outputs[k] != nil && !field.VecEqual[uint64](gold, s.Outputs[k], b.Outputs[k])) {
+							(s.Outputs[k] != nil && !slices.Equal(s.Outputs[k], b.Outputs[k])) {
 							t.Fatalf("round %d machine %d outputs diverged", r, k)
 						}
 					}
@@ -96,7 +95,7 @@ func TestBatchedMatchesSequentialOutputs(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !field.VecEqual[uint64](gold, seqState, batState) {
+					if !slices.Equal(seqState, batState) {
 						t.Fatalf("node %d coded state diverged", i)
 					}
 				}

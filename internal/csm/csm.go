@@ -262,9 +262,17 @@ type Cluster[E comparable] struct {
 	pbftView int
 	// maxTicks bounds a step's lock-step ticks (maxTicksPerRound).
 	maxTicks int
-	// parsed is parseResults' table: one entry per envelope of the
-	// largest tick so far, each with its own row, reused every tick.
-	parsed []parsedResult[E]
+	// shared is the step's row table, one flat N x ResultLen allocation
+	// viewed as sender-indexed rows: sender i's row holds the result it
+	// sent this step once sharedSet[i] (see shareResult), and every node
+	// that received that result reads it there in place. It is allocated
+	// once, so its rows keep their addresses from step to step, and
+	// broadcastResults voids it.
+	shared    [][]E
+	sharedSet []bool
+	// tick is parseResults' table: one entry per envelope of the largest
+	// tick so far, each with a scratch row, reused every tick.
+	tick parsedTick[E]
 	// Step scratch, reused from step to step: computeAllResults' result
 	// table, runExecutionStep's pending nodes and collectAndDecode's
 	// verdicts on the driving goroutine, clientPhase's tally on whichever
@@ -472,6 +480,11 @@ func New[E comparable](cfg Config[E]) (*Cluster[E], error) {
 	for range cap(c.outcomes) {
 		c.outcomes <- new(stepOutcome[E])
 	}
+	c.shared, c.sharedSet = make([][]E, cfg.N), make([]bool, cfg.N)
+	table, rl := make([]E, cfg.N*tr.ResultLen()), tr.ResultLen()
+	for i := range c.shared {
+		c.shared[i] = table[i*rl : (i+1)*rl : (i+1)*rl]
+	}
 	c.nodes = make([]*node[E], cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		ep, err := net.Endpoint(transport.NodeID(i))
@@ -485,7 +498,7 @@ func New[E comparable](cfg Config[E]) (*Cluster[E], error) {
 			behavior: cfg.Byzantine[i],
 			lies:     make([]E, tr.ResultLen()),
 		}
-		c.nodes[i].codedState = codedStates[i]
+		c.nodes[i].codedState, c.nodes[i].shared = codedStates[i], c.shared
 		// Each node's randomized decode check draws from its own stream of
 		// Config.Seed (see stepCore.absorb), so seeded runs repeat exactly;
 		// the liars' draws from c.rng are left alone.

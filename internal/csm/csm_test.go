@@ -203,7 +203,7 @@ func TestStateEvolutionOverManyRounds(t *testing.T) {
 		if n.behavior != Honest {
 			continue
 		}
-		if !field.VecEqual[uint64](gold, n.codedState, enc[i]) {
+		if !slices.Equal(n.codedState, enc[i]) {
 			t.Fatalf("node %d coded state diverged after 10 rounds", i)
 		}
 	}
@@ -419,7 +419,7 @@ func TestResultPayloadCodec(t *testing.T) {
 	hdr := resultHeader(7, tag, len(vec))
 	payload := appendResult[uint64](nil, gold, 7, tag, vec)
 	got := make([]uint64, len(vec))
-	if !parseResult[uint64](gold, payload, hdr, got) || !field.VecEqual[uint64](gold, got, vec) {
+	if !parseResult[uint64](gold, payload, hdr, got) || !slices.Equal(got, vec) {
 		t.Fatalf("roundtrip failed: got %v", got)
 	}
 	// Malformed or unexpected payloads must be refused, never panic:

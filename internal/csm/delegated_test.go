@@ -2,6 +2,7 @@ package csm
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"codedsm/internal/field"
@@ -41,7 +42,7 @@ func TestDelegatedHonestRound(t *testing.T) {
 		if n.behavior != Honest {
 			continue
 		}
-		if !field.VecEqual[uint64](gold, n.codedState, enc[i]) {
+		if !slices.Equal(n.codedState, enc[i]) {
 			t.Fatalf("node %d coded state diverged", i)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"codedsm/internal/field"
 	"codedsm/internal/ints"
@@ -20,9 +21,10 @@ import (
 // client stage concurrently with later rounds at any depth.
 type stepOutcome[E comparable] struct {
 	cmds [][]E
-	// replies[k*N+i] is node i's reply for machine k, a view into
-	// replyVals (nil: the node sends none of its own).
-	replies   [][]E
+	// liars lists, ascending, the nodes that send the clients pre-drawn
+	// garbage instead of their decode's outputs; Cluster.liarReply(o, k, x)
+	// is liar x's reply for machine k, a view into replyVals.
+	liars     []int
 	replyVals []E
 	// decodes[i] is node i's decode (nil: none), in bufs[i] unless a
 	// delegated step handed the node its worker's.
@@ -149,12 +151,14 @@ func (c *Cluster[E]) runExecutionStep(micro int) (*stepOutcome[E], error) {
 
 // broadcastResults opens a step the way both execution phases do: every
 // live node computes its coded result from the coded command in its batch
-// scratch (parallel), then transmits it, in node order.
+// scratch (parallel), then, the shared table voided, transmits it, in
+// node order.
 func (c *Cluster[E]) broadcastResults(micro int) error {
 	results, err := c.computeAllResults(micro)
 	if err != nil {
 		return err
 	}
+	clear(c.sharedSet)
 	for i, n := range c.nodes {
 		n.resetStep()
 		if err := n.sendResult(results[i]); err != nil {
@@ -244,21 +248,30 @@ func (c *Cluster[E]) finishStep(o *stepOutcome[E]) error {
 
 // drawClientReplies draws the Byzantine nodes' garbage client replies for
 // one round into o, in the exact (machine-major, node-minor) order the
-// sequential client phase consumed the cluster RNG; honest slots are nil,
-// and so are crashed/recovering ones — a down node sends the clients
-// nothing at all, where an active liar sends garbage. Pre-drawing keeps
+// sequential client phase consumed the cluster RNG. Only active liars
+// draw: an honest node replies with its decode, and a crashed or
+// recovering one sends the clients nothing at all. Pre-drawing keeps
 // pipelined runs on the same random stream as sequential ones.
 func (c *Cluster[E]) drawClientReplies(o *stepOutcome[E]) {
-	n, l := len(c.nodes), c.tr.OutLen()
-	if size := c.cfg.K * n; len(o.replies) != size {
-		o.replies, o.replyVals = make([][]E, size), make([]E, size*l)
-	}
-	for j := range o.replies {
-		o.replies[j] = nil
-		if b := c.nodes[j%n].behavior; b != Honest && b != Crashed && b != Recovering {
-			o.replies[j] = field.RandVecInto(c.cfg.BaseField, c.rng, o.replyVals[j*l:(j+1)*l:(j+1)*l])
+	o.liars = o.liars[:0]
+	for i, n := range c.nodes {
+		if b := n.behavior; b != Honest && b != Crashed && b != Recovering {
+			o.liars = append(o.liars, i)
 		}
 	}
+	size := c.cfg.K * len(o.liars) * c.tr.OutLen()
+	o.replyVals = slices.Grow(o.replyVals[:0], size)[:size]
+	for k := range c.cfg.K {
+		for x := range o.liars {
+			field.RandVecInto(c.cfg.BaseField, c.rng, c.liarReply(o, k, x))
+		}
+	}
+}
+
+// liarReply is liar x's (o.liars[x]'s) pre-drawn reply for machine k.
+func (c *Cluster[E]) liarReply(o *stepOutcome[E], k, x int) []E {
+	l, j := c.tr.OutLen(), k*len(o.liars)+x
+	return o.replyVals[j*l : (j+1)*l : (j+1)*l]
 }
 
 // clientPhase simulates the M clients collecting per-node replies: a client
@@ -277,20 +290,24 @@ func (c *Cluster[E]) clientPhase(o *stepOutcome[E]) {
 	res.Correct = true
 	for k := 0; k < c.cfg.K; k++ {
 		c.tally = c.tally[:0]
+		x := 0 // the next liar
 		for i, dec := range o.decodes {
-			reply := o.replies[k*len(o.decodes)+i]
-			if reply == nil && dec != nil {
+			var reply []E
+			if x < len(o.liars) && o.liars[x] == i {
+				reply = c.liarReply(o, k, x)
+				x++
+			} else if dec != nil {
 				reply = dec.output(k)
 			}
 			if reply != nil {
-				c.tally = countReply(f, c.tally, reply)
+				c.tally = countReply(c.tally, reply)
 			}
 		}
 		if out := acceptReply(f, c.tally, c.cfg.MaxFaults+1); out != nil {
 			res.Outputs[k] = flat[k*l : (k+1)*l : (k+1)*l]
 			copy(res.Outputs[k], out)
 		}
-		if res.Outputs[k] == nil || !field.VecEqual(f, res.Outputs[k], c.oracle[k][stateLen:]) {
+		if res.Outputs[k] == nil || !slices.Equal(res.Outputs[k], c.oracle[k][stateLen:]) {
 			res.Correct = false
 		}
 	}
@@ -303,7 +320,7 @@ func (c *Cluster[E]) clientPhase(o *stepOutcome[E]) {
 		}
 		faulty = ints.UnionSorted(faulty, dec.FaultyNodes)
 		for k := 0; k < c.cfg.K; k++ {
-			if !field.VecEqual(f, dec.nextState(k), c.oracle[k][:stateLen]) {
+			if !slices.Equal(dec.nextState(k), c.oracle[k][:stateLen]) {
 				res.Correct = false
 			}
 		}
@@ -318,9 +335,9 @@ type replyCount[E comparable] struct {
 }
 
 // countReply adds one node's reply to a machine's tally.
-func countReply[E comparable](f field.Field[E], tally []replyCount[E], reply []E) []replyCount[E] {
+func countReply[E comparable](tally []replyCount[E], reply []E) []replyCount[E] {
 	for i := range tally {
-		if field.VecEqual(f, tally[i].value, reply) {
+		if slices.Equal(tally[i].value, reply) {
 			tally[i].count++
 			return tally
 		}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"codedsm/internal/field"
 	"codedsm/internal/transport"
 )
 
@@ -168,7 +167,7 @@ func TestCrashRejoinRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := c.NodeCodedState(7)
-	if !field.VecEqual[uint64](gold, got, enc[7]) {
+	if !slices.Equal(got, enc[7]) {
 		t.Fatalf("repaired share %v, fresh encode %v", got, enc[7])
 	}
 	stats := c.RepairStats()

@@ -34,7 +34,7 @@ func (n *node[E]) sendResult(result []E) error {
 		return nil
 	case WrongResult, BadLeader:
 		bad := field.RandVecInto(c.cfg.BaseField, c.rng, n.lies)
-		n.accept(n.id, bad) // a liar is at least self-consistent
+		n.keep(bad) // a liar is at least self-consistent
 		return n.ep.Broadcast(resultKind, n.resultPayload(c.round, clusterTag, bad))
 	case Equivocate:
 		// A different wrong value to every peer. On a no-equivocation
@@ -48,12 +48,21 @@ func (n *node[E]) sendResult(result []E) error {
 				return err
 			}
 		}
-		n.accept(n.id, result)
+		n.keep(result)
 		return nil
 	default:
-		n.accept(n.id, result)
+		n.keep(result)
 		return n.ep.Broadcast(resultKind, n.resultPayload(c.round, clusterTag, result))
 	}
+}
+
+// keep counts the result n sends as its own for the step: it opens n's
+// row of the cluster's shared table, where n and every node that receives
+// the same result read it.
+func (n *node[E]) keep(result []E) {
+	n.cluster.shareResult(n.id, result)
+	n.setOwn(n.id, false)
+	n.markReceived(n.id)
 }
 
 // resetStep opens a new step: nothing collected, nothing decoded.

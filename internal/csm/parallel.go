@@ -27,14 +27,20 @@ import (
 //     goroutine in node order (node.sendResult). An enqueue copies the
 //     payload and records it under the network's lock, so workers would
 //     only contend for it.
-//   - collect + decode (parallel): the driving goroutine steps the
-//     network and parses each delivered envelope once, for all its
-//     recipients (parseResults); then each honest node still waiting
-//     copies the accepted results addressed to it into its own core
-//     (node.collect) and, once it holds enough, decodes
-//     (stepCore.absorb) into its buffer of the step's outcome, as one task
-//     that writes only that node's core and buffer. The parsed table is
-//     fixed before any task starts, so when a node reads it cannot matter.
+//   - collect + decode (parallel): the step's results live in one
+//     sender-indexed row table, the cluster's (Cluster.shared): each
+//     sender's row is written once per step, when it sends
+//     (shareResult), and read in place by every node that receives it.
+//     Each tick the driving goroutine steps the network and parses each
+//     delivered envelope once, for all its recipients (parseResults),
+//     comparing it with its sender's row; then each honest node still
+//     waiting marks the senders whose results reach it (node.collect) and,
+//     once it holds enough, decodes (stepCore.absorb) into its buffer of
+//     the step's outcome, as one task that writes only that node's core
+//     and buffer. Only a result that differs from its sender's row (an
+//     equivocation, say) is copied, into the recipient's own row. Nothing
+//     writes a row a node may read until the next step opens, so when a
+//     node reads cannot matter.
 //   - client/audit (sequential or pipelined): the Byzantine replies are
 //     drawn from the cluster RNG on the driving goroutine into the step's
 //     outcome; the tally itself may run on the background client stage.
@@ -101,14 +107,13 @@ func (c *Cluster[E]) computeAllResults(micro int) ([][]E, error) {
 
 // collectAndDecode runs one tick of the collect/decode loop for the
 // pending honest nodes: parse the tick's results once, then one task per
-// node copies the ones addressed to it, and decodes into its buffer of the
+// node takes the ones addressed to it, and decodes into its buffer of the
 // step's outcome once enough have arrived (tryDecode returns at once for
-// a node below the threshold). It
-// reports whether every one of them now holds a decode. Every node is
-// attempted even if one fails — a parallel pool races ahead of an error
-// anyway, so the sequential path does the same and the cluster is left in
-// an identical state for any worker count, error or not; the lowest-index
-// error is reported.
+// a node below the threshold). It reports whether every one of them now
+// holds a decode. Every node is attempted even if one fails — a parallel
+// pool races ahead of an error anyway, so the sequential path does the
+// same and the cluster is left in an identical state for any worker
+// count, error or not; the lowest-index error is reported.
 func (c *Cluster[E]) collectAndDecode(o *stepOutcome[E], pending []*node[E], force bool, need int) (bool, error) {
 	tab := c.parseResults()
 	if cap(c.oks) < len(pending) {
@@ -129,45 +134,107 @@ func (c *Cluster[E]) collectAndDecode(o *stepOutcome[E], pending []*node[E], for
 	return !slices.Contains(oks, false), nil
 }
 
+// shareResult opens sender from's row of the step's table with the result
+// it sends this step (the one its own decode counts), on the driving
+// goroutine before anything is delivered: a sender's shared row is the
+// one parseResults compares that sender's envelopes with.
+func (c *Cluster[E]) shareResult(from int, result []E) {
+	copy(c.shared[from], result)
+	c.sharedSet[from] = true
+}
+
 // parsedResult is one envelope of the current network round, parsed once
 // for all its recipients: its sender, its recipients (nil: every node but
 // the sender, as Network.Envelopes yields them), whether the accept rule
-// took it, and the parsed row when it did.
+// took it, and whether its content differs from the sender's shared row,
+// in which case row holds it.
 type parsedResult[E comparable] struct {
 	from int
 	to   []transport.NodeID
 	ok   bool
+	own  bool
 	row  []E
+}
+
+// parsedTick is one network round as parseResults leaves it: every
+// envelope, parsed (results), and whether each one the accept rule took
+// is a broadcast to every other node equal to its sender's shared row —
+// a synchronous round's tick — in which case senders marks, and count
+// counts, their senders.
+type parsedTick[E comparable] struct {
+	results   []parsedResult[E]
+	broadcast bool
+	senders   []bool
+	count     int
 }
 
 // parseResults applies the accept rule (acceptResult) once to each
 // envelope the current network round delivers, in Step's order, and
-// returns the table, valid until the next call. The table and its rows are
-// the cluster's, reused from tick to tick. It runs on the driving
-// goroutine, before any node reads the table.
-func (c *Cluster[E]) parseResults() []parsedResult[E] {
+// returns the tick, valid until the next call. An accepted result from a
+// sender whose shared row is not open yet is parsed into that row; any
+// other is parsed into the entry's scratch row and compared with it, and
+// a shared row is never rewritten within a step. The tick and its rows
+// are the cluster's, reused from tick to tick. It runs on the driving
+// goroutine, before any node reads the tick.
+func (c *Cluster[E]) parseResults() *parsedTick[E] {
 	f, l := c.tr.Field(), c.tr.ResultLen()
 	hdr := resultHeader(c.round, clusterTag, l)
+	t := &c.tick
+	if len(t.senders) != c.cfg.N {
+		t.senders = make([]bool, c.cfg.N)
+	}
+	clear(t.senders)
+	t.broadcast, t.count = true, 0
 	count := 0
 	for m, to := range c.net.Envelopes() {
-		if count == len(c.parsed) {
-			c.parsed = append(c.parsed, parsedResult[E]{row: make([]E, l)})
+		if count == len(t.results) {
+			t.results = append(t.results, parsedResult[E]{row: make([]E, l)})
 		}
-		r := &c.parsed[count]
-		r.from, r.ok = acceptResult(f, c.cfg.N, hdr, m, func(int) []E { return r.row })
-		r.to = to
+		r := &t.results[count]
 		count++
+		var opened bool
+		r.from, r.ok = acceptResult(f, c.cfg.N, hdr, m, func(from int) []E {
+			if opened = !c.sharedSet[from]; opened {
+				return c.shared[from]
+			}
+			return r.row
+		})
+		r.to, r.own = to, false
+		if !r.ok {
+			continue
+		}
+		c.sharedSet[r.from] = true
+		r.own = !opened && !slices.Equal(r.row, c.shared[r.from])
+		if r.own || r.to != nil {
+			t.broadcast = false
+		} else if !t.senders[r.from] {
+			t.senders[r.from] = true
+			t.count++
+		}
 	}
-	return c.parsed[:count]
+	t.results = t.results[:count]
+	return t
 }
 
-// collect copies into n's receive rows, in envelope order, each result of
-// tab that reaches n and that the accept rule took: what ingest over n's
-// own deliveries parses, without parsing it again. A later copy from the
-// same sender overwrites.
-func (n *node[E]) collect(tab []parsedResult[E]) {
-	for i := range tab {
-		r := &tab[i]
+// collect takes, in envelope order, each result of t that reaches n and
+// that the accept rule took: what ingest over n's own deliveries parses,
+// without parsing it again. A result equal to its sender's shared row is
+// only marked received, and n reads it there; one that differs is copied
+// into n's own row. A later copy from the same sender overwrites. When n
+// holds only its own result and reads every row shared, a broadcast tick
+// is one copy of its senders.
+func (n *node[E]) collect(t *parsedTick[E]) {
+	if t.broadcast && n.owned == 0 && n.receivedCount == 1 && n.got[n.id] {
+		copy(n.got, t.senders)
+		n.got[n.id] = true
+		n.receivedCount = t.count
+		if !t.senders[n.id] {
+			n.receivedCount++
+		}
+		return
+	}
+	for i := range t.results {
+		r := &t.results[i]
 		if !r.ok {
 			continue
 		}
@@ -178,7 +245,10 @@ func (n *node[E]) collect(tab []parsedResult[E]) {
 		} else if _, ok := slices.BinarySearch(r.to, transport.NodeID(n.id)); !ok {
 			continue
 		}
-		copy(n.recvRow(r.from), r.row)
+		if r.own {
+			copy(n.ownRow(r.from), r.row)
+		}
+		n.setOwn(r.from, r.own)
 		n.markReceived(r.from)
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
-	"codedsm/internal/field"
 	"codedsm/internal/transport"
 )
 
@@ -121,12 +121,12 @@ func TestParallelRoundsBitIdenticalToSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !field.VecEqual[uint64](gold, seqState, parState) {
+				if !slices.Equal(seqState, parState) {
 					t.Fatalf("node %d coded state diverged", i)
 				}
 			}
 			for k, seqState := range seq.OracleStates() {
-				if !field.VecEqual[uint64](gold, seqState, par.OracleStates()[k]) {
+				if !slices.Equal(seqState, par.OracleStates()[k]) {
 					t.Fatalf("oracle state %d diverged", k)
 				}
 			}

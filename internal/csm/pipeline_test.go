@@ -3,9 +3,9 @@ package csm
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
-	"codedsm/internal/field"
 	"codedsm/internal/transport"
 )
 
@@ -53,12 +53,12 @@ func TestPipelinedBitIdenticalToSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !field.VecEqual[uint64](gold, seqState, pipeState) {
+				if !slices.Equal(seqState, pipeState) {
 					t.Fatalf("node %d coded state diverged", i)
 				}
 			}
 			for k, seqState := range seq.OracleStates() {
-				if !field.VecEqual[uint64](gold, seqState, pipe.OracleStates()[k]) {
+				if !slices.Equal(seqState, pipe.OracleStates()[k]) {
 					t.Fatalf("oracle state %d diverged", k)
 				}
 			}

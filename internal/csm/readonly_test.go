@@ -3,6 +3,7 @@ package csm
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"codedsm/internal/transport"
@@ -105,14 +106,14 @@ func decodeStepReadOnly(t *testing.T, c *Cluster[uint64]) int {
 	}
 }
 
-// receivedStorage is every row a node's decode can read: each node's own
-// receive rows and the cluster's parsed rows.
+// receivedStorage is every row a node's decode can read: the cluster's
+// shared table, each node's own receive rows and the parsed rows.
 func receivedStorage(c *Cluster[uint64]) [][]uint64 {
-	var out [][]uint64
+	out := slices.Clone(c.shared)
 	for _, n := range c.nodes {
 		out = append(out, n.recvBuf)
 	}
-	for _, r := range c.parsed {
+	for _, r := range c.tick.results {
 		out = append(out, r.row)
 	}
 	return out

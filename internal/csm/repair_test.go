@@ -1,6 +1,7 @@
 package csm
 
 import (
+	"slices"
 	"testing"
 
 	"codedsm/internal/field"
@@ -29,7 +30,7 @@ func TestRepairNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !field.VecEqual[uint64](gold, got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("repaired state %v, want %v", got, want)
 	}
 	// The repaired node participates correctly in subsequent rounds.
@@ -72,7 +73,7 @@ func TestRepairNodeVectorState(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := c.NodeCodedState(3)
-	if !field.VecEqual[uint64](gold, got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("vector repair %v, want %v", got, want)
 	}
 }

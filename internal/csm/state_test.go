@@ -4,8 +4,6 @@ import (
 	"errors"
 	"slices"
 	"testing"
-
-	"codedsm/internal/field"
 )
 
 // The coded read: DecodeMachineState reconstructs exactly the oracle's
@@ -26,7 +24,7 @@ func TestDecodeMachineStateMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("machine %d: %v", k, err)
 		}
-		if !field.VecEqual(gold, got, want[k]) {
+		if !slices.Equal(got, want[k]) {
 			t.Fatalf("machine %d: decoded %v, oracle %v", k, got, want[k])
 		}
 	}
@@ -51,7 +49,7 @@ func TestAdoptMachineStateRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !field.VecEqual(gold, got, adopted) {
+	if !slices.Equal(got, adopted) {
 		t.Fatalf("decoded %v after adoption, want %v", got, adopted)
 	}
 	// The other machines' shares must be untouched by the rank-1 update.
@@ -61,7 +59,7 @@ func TestAdoptMachineStateRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatalf("machine %d: %v", k, err)
 		}
-		if !field.VecEqual(gold, got, want[k]) {
+		if !slices.Equal(got, want[k]) {
 			t.Fatalf("machine %d: decoded %v, oracle %v", k, got, want[k])
 		}
 	}
@@ -95,7 +93,7 @@ func TestAdoptThenRejoinRepairsFromUpdatedShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !field.VecEqual(gold, got, []uint64{4242}) {
+	if !slices.Equal(got, []uint64{4242}) {
 		t.Fatalf("decoded %v after adopt+rejoin, want [4242]", got)
 	}
 	for _, res := range runRounds(t, c, 2) {

@@ -37,15 +37,25 @@ type stepCore[E comparable] struct {
 
 	// per-step collection state: got is the sender-indexed received
 	// bitmap and receivedCount its set entries; sender i's row is
-	// recvRow(i), a view into recvBuf, the node's flat N x ResultLen
-	// receive buffer, valid until the next resetStep. recvBuf is allocated
-	// once, before the first decode, so rows, the received rows of the
-	// layout primedIdx in sender order, is rebuilt only when that layout
-	// changes (absorb).
+	// recvRow(i), valid until the next resetStep. In a NodeProcess that is
+	// ownRow(i), a view into recvBuf, the node's flat N x ResultLen receive
+	// buffer. A simulated node reads its rows in the cluster's step table,
+	// shared, and its own ownRow(i) only where own[i] says the result it
+	// took from sender i differs from the sender's shared row; owned counts
+	// the set own flags. Both tables are allocated once, so rows, the
+	// received rows of the layout primedIdx in sender order, is rebuilt
+	// only when that layout changes or an own flag flips (rowsStale; see
+	// absorb): it is shared itself when the layout is every node and no
+	// flag is set, and otherwise built in rowsBuf. No row is written while
+	// it is read.
 	got           []bool
 	receivedCount int
 	recvBuf       []E
-	rows          [][]E
+	shared        [][]E
+	own           []bool
+	owned         int
+	rowsStale     bool
+	rows, rowsBuf [][]E
 
 	// Primed-decode state: suspects is the sorted union of this node's past
 	// decode verdicts, sticky across steps and batches (see absorbVerdict) —
@@ -78,14 +88,12 @@ type stepCore[E comparable] struct {
 	// double-buffers the re-encoded coded state (it swaps with codedState
 	// each round), result and args are apply's output and its
 	// transition's argument scratch, payload is resultPayload's wire
-	// buffer, idxScratch stages the decode's received layout and
-	// nextScratch the re-encode's inputs.
+	// buffer and idxScratch stages the decode's received layout.
 	cmdScratch   []E
 	stateScratch []E
 	result, args []E
 	payload      []byte
 	idxScratch   []int
-	nextScratch  [][]E
 }
 
 // newStepCore builds node id's core; the caller installs the coded state.
@@ -137,7 +145,8 @@ func (d *nodeDecode[E]) output(m int) []E { return d.Outputs[m][d.stateLen:] }
 // lagrangeRowInto accumulates this node's Lagrange encode Σ_k row[k]
 // vecs[k] into dst — (re)allocated at the given length when it does not
 // match — as one K-term LinCombAccVec, or copies vecs[unit] when the row
-// is a unit row. It returns dst.
+// is a unit row. Only the first length elements of each vecs[k] are read.
+// It returns dst.
 func (s *stepCore[E]) lagrangeRowInto(dst []E, length int, vecs [][]E) []E {
 	if len(dst) != length {
 		dst = make([]E, length)
@@ -210,19 +219,43 @@ func (s *stepCore[E]) resultPayload(round int, tag [32]byte, result []E) []byte 
 // the receive buffer: every row received so far is void from here on.
 func (s *stepCore[E]) resetStep() {
 	if len(s.got) != s.n {
-		s.got = make([]bool, s.n)
+		s.got, s.own = make([]bool, s.n), make([]bool, s.n)
 	}
 	if size := s.n * s.tr.ResultLen(); len(s.recvBuf) != size {
-		s.recvBuf = make([]E, size)
+		s.recvBuf, s.rowsStale = make([]E, size), true
 	}
 	clear(s.got)
 	s.receivedCount = 0
 }
 
-// recvRow is sender from's row of the receive buffer.
-func (s *stepCore[E]) recvRow(from int) []E {
+// ownRow is sender from's row of the receive buffer.
+func (s *stepCore[E]) ownRow(from int) []E {
 	l := s.tr.ResultLen()
 	return s.recvBuf[from*l : (from+1)*l : (from+1)*l]
+}
+
+// recvRow is where sender from's row is read: the node's own ownRow when
+// it has no shared table or own[from] is set, the shared table's row
+// otherwise.
+func (s *stepCore[E]) recvRow(from int) []E {
+	if s.shared == nil || s.own[from] {
+		return s.ownRow(from)
+	}
+	return s.shared[from]
+}
+
+// setOwn says whether sender from's row is read from the node's own
+// receive buffer (own) or from the shared table.
+func (s *stepCore[E]) setOwn(from int, own bool) {
+	if s.own[from] == own {
+		return
+	}
+	s.own[from], s.rowsStale = own, true
+	if own {
+		s.owned++
+	} else {
+		s.owned--
+	}
 }
 
 // received is sender from's result for the current step, nil when none
@@ -244,22 +277,23 @@ func (s *stepCore[E]) markReceived(from int) {
 }
 
 // accept records sender from's result for the current step, copying it
-// into the sender's row; a repeated sender overwrites.
+// into the sender's row; a repeated sender overwrites. It is for a core
+// without a shared table, whose rows are all its own.
 func (s *stepCore[E]) accept(from int, result []E) {
-	copy(s.recvRow(from), result)
+	copy(s.ownRow(from), result)
 	s.markReceived(from)
 }
 
 // ingest accepts the well-formed result broadcasts for the given round
 // computed on the batch tag names among msgs, parsing each straight into
-// its sender's row (acceptResult); anything else is ignored and leaves the
-// rows as they were. A NodeProcess, the one receiver of its process, calls
-// it on what it received; the simulated Cluster parses each envelope once
-// for all its nodes instead (Cluster.parseResults).
+// its sender's own row (acceptResult); anything else is ignored and leaves
+// the rows as they were. A NodeProcess, the one receiver of its process,
+// calls it on what it received; the simulated Cluster parses each envelope
+// once for all its nodes instead (Cluster.parseResults).
 func (s *stepCore[E]) ingest(msgs iter.Seq[transport.Message], round int, tag [32]byte) {
 	f, hdr := s.tr.Field(), resultHeader(round, tag, s.tr.ResultLen())
 	for m := range msgs {
-		if from, ok := acceptResult(f, s.n, hdr, m, s.recvRow); ok {
+		if from, ok := acceptResult(f, s.n, hdr, m, s.ownRow); ok {
 			s.markReceived(from)
 		}
 	}
@@ -314,10 +348,19 @@ func (s *stepCore[E]) absorb(d *nodeDecode[E]) error {
 		s.primed = p // may be nil: layout ineligible for the fast path
 		s.primedIdx = append(s.primedIdx[:0], indices...)
 		s.primedSusp = append(s.primedSusp[:0], s.suspects...)
-		s.rows = s.rows[:0]
-		for _, idx := range indices {
-			s.rows = append(s.rows, s.recvRow(idx))
+		s.rowsStale = true
+	}
+	if s.rowsStale {
+		if s.shared != nil && s.owned == 0 && len(indices) == s.n {
+			s.rows = s.shared
+		} else {
+			s.rowsBuf = s.rowsBuf[:0]
+			for _, idx := range indices {
+				s.rowsBuf = append(s.rowsBuf, s.recvRow(idx))
+			}
+			s.rows = s.rowsBuf
 		}
+		s.rowsStale = false
 	}
 	d.stateLen = s.tr.StateLen()
 	ok := false
@@ -336,15 +379,12 @@ func (s *stepCore[E]) absorb(d *nodeDecode[E]) error {
 		d.DecodeResult = *full // the buffer adopts the full decoder's vectors
 	}
 	s.absorbVerdict(d.FaultyNodes)
-	nextStates := s.nextScratch[:0]
-	for m := range d.Outputs {
-		nextStates = append(nextStates, d.nextState(m))
-	}
-	s.nextScratch = nextStates
 	// Update the coded state: S̃_i(t+1) = Σ_k c_ik Ŝ_k(t+1), re-encoded into
 	// the state double-buffer (the outgoing coded state becomes next round's
-	// buffer; nothing else retains it — external readers copy).
-	newCoded := s.lagrangeRowInto(s.stateScratch, s.tr.StateLen(), nextStates)
+	// buffer; nothing else retains it — external readers copy). Machine k's
+	// next state is the first StateLen elements of its result vector, which
+	// is all the encode reads of it.
+	newCoded := s.lagrangeRowInto(s.stateScratch, s.tr.StateLen(), d.Outputs)
 	s.stateScratch = s.codedState
 	s.codedState = newCoded
 	return nil

@@ -14,7 +14,7 @@ import (
 func tallyOf(replies ...[]uint64) []replyCount[uint64] {
 	var tally []replyCount[uint64]
 	for _, r := range replies {
-		tally = countReply(gold, tally, r)
+		tally = countReply(tally, r)
 	}
 	return tally
 }
@@ -129,7 +129,7 @@ func TestAcceptReplyMatchesMapTally(t *testing.T) {
 		rng.Shuffle(len(replies), func(a, b int) { replies[a], replies[b] = replies[b], replies[a] })
 		got := acceptReply(gold, tallyOf(replies...), threshold)
 		want := mapTally(gold, replies, threshold)
-		if (got == nil) != (want == nil) || !field.VecEqual(gold, got, want) {
+		if (got == nil) != (want == nil) || !slices.Equal(got, want) {
 			t.Fatalf("trial %d: threshold %d, replies %v: accepted %v, map tally %v", trial, threshold, replies, got, want)
 		}
 	}
@@ -157,13 +157,12 @@ func TestClientPhaseCollidingReplies(t *testing.T) {
 	decodes := make([]*nodeDecode[uint64], cfg.N)
 	decodes[0], decodes[1] = mk(high), mk(high)
 	decodes[2], decodes[3] = mk(low), mk(low)
-	replies := make([][]uint64, cfg.K*cfg.N) // no liar: every slot is nil
 	// The oracle's rows after its advance: [state | output].
 	copy(c.oracle[0], []uint64{0, 7})
 	copy(c.oracle[1], []uint64{0, 9})
 	for i := 0; i < 64; i++ {
 		res := &RoundResult[uint64]{}
-		c.clientPhase(&stepOutcome[uint64]{replies: replies, decodes: decodes, res: res})
+		c.clientPhase(&stepOutcome[uint64]{decodes: decodes, res: res}) // no liar
 		for k := 0; k < cfg.K; k++ {
 			if res.Outputs[k] == nil || res.Outputs[k][0] != low[0] {
 				t.Fatalf("iteration %d machine %d: accepted %v, want deterministic %v", i, k, res.Outputs[k], low)

@@ -1,6 +1,7 @@
 package csm
 
 import (
+	"slices"
 	"testing"
 
 	"codedsm/internal/field"
@@ -56,7 +57,7 @@ func TestHonestNodesAgree(t *testing.T) {
 		if n.behavior != Honest {
 			continue
 		}
-		if !field.VecEqual[uint64](gold, n.codedState, enc[i]) {
+		if !slices.Equal(n.codedState, enc[i]) {
 			t.Fatalf("honest node %d diverged from the canonical coded state", i)
 		}
 	}

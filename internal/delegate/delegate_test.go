@@ -3,6 +3,7 @@ package delegate
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"codedsm/internal/field"
@@ -83,7 +84,7 @@ func TestHonestDelegateEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if !field.VecEqual[uint64](gold, coded[i], want[i]) {
+		if !slices.Equal(coded[i], want[i]) {
 			t.Fatalf("node %d: fast encode differs from matrix encode", i)
 		}
 	}
@@ -250,7 +251,7 @@ func TestDelegateRoundMatchesDecentralized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !field.VecEqual[uint64](gold, dec.Outputs[i], want) {
+		if !slices.Equal(dec.Outputs[i], want) {
 			t.Fatalf("machine %d: delegated output differs from direct execution", i)
 		}
 	}
@@ -272,7 +273,7 @@ func TestDelegateRoundMatchesDecentralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range direct {
-		if !field.VecEqual[uint64](gold, updated[i], direct[i]) {
+		if !slices.Equal(updated[i], direct[i]) {
 			t.Fatal("state refresh differs from direct encoding")
 		}
 	}

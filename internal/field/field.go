@@ -89,19 +89,6 @@ func Dot[E comparable](f Field[E], a, b []E) (E, error) {
 	return AsBulk(f).DotVec(a, b), nil
 }
 
-// VecEqual reports componentwise equality of a and b.
-func VecEqual[E comparable](f Field[E], a, b []E) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !f.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // RandVec returns a vector of n uniformly random elements.
 func RandVec[E comparable](f Field[E], r *rand.Rand, n int) []E {
 	return RandVecInto(f, r, make([]E, n))

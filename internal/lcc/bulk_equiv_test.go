@@ -3,6 +3,7 @@ package lcc
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"codedsm/internal/field"
@@ -71,7 +72,7 @@ func TestEncodeDecodeBulkMatchesGeneric(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range encN {
-		if !field.VecEqual[uint64](gold, encN[i], encG[i]) {
+		if !slices.Equal(encN[i], encG[i]) {
 			t.Fatalf("encoding row %d diverged", i)
 		}
 	}
@@ -99,7 +100,7 @@ func TestEncodeDecodeBulkMatchesGeneric(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ki := range decN.Outputs {
-		if !field.VecEqual[uint64](gold, decN.Outputs[ki], decG.Outputs[ki]) {
+		if !slices.Equal(decN.Outputs[ki], decG.Outputs[ki]) {
 			t.Fatalf("decoded output %d diverged", ki)
 		}
 	}
@@ -128,7 +129,7 @@ func TestEncodeDecodeBulkMatchesGeneric(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ki := range subN.Outputs {
-		if !field.VecEqual[uint64](gold, subN.Outputs[ki], subG.Outputs[ki]) {
+		if !slices.Equal(subN.Outputs[ki], subG.Outputs[ki]) {
 			t.Fatalf("subset decoded output %d diverged", ki)
 		}
 	}

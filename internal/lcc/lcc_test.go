@@ -137,7 +137,7 @@ func TestEncodeVectorsFastMatchesNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range naive {
-			if !field.VecEqual(c.f, naive[i], fast[i]) {
+			if !slices.Equal(naive[i], fast[i]) {
 				t.Fatalf("k=%d n=%d: node %d fast != naive", tc.k, tc.n, i)
 			}
 		}
@@ -221,7 +221,7 @@ func TestCodedExecutionRoundTrip(t *testing.T) {
 		}
 		for k := 0; k < tc.k; k++ {
 			want := applyTransition(t, gold, polys, states[k], cmds[k])
-			if !field.VecEqual(gold, dec.Outputs[k], want) {
+			if !slices.Equal(dec.Outputs[k], want) {
 				t.Fatalf("k=%d n=%d: machine %d decoded %v, want %v", tc.k, tc.n, k, dec.Outputs[k], want)
 			}
 		}
@@ -258,7 +258,7 @@ func TestDecodeOutputsSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ki := 0; ki < k; ki++ {
-		if !field.VecEqual(gold, dec.Outputs[ki], states[ki]) {
+		if !slices.Equal(dec.Outputs[ki], states[ki]) {
 			t.Fatalf("machine %d: got %v want %v", ki, dec.Outputs[ki], states[ki])
 		}
 	}
@@ -289,7 +289,7 @@ func TestDecodeBeyondBoundFails(t *testing.T) {
 		// least differ from the truth.
 		same := true
 		for ki := range states {
-			if !field.VecEqual(gold, dec.Outputs[ki], states[ki]) {
+			if !slices.Equal(dec.Outputs[ki], states[ki]) {
 				same = false
 			}
 		}
@@ -370,7 +370,7 @@ func TestStateUpdatePreservesCoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range enc1 {
-		if !field.VecEqual(gold, enc1[i], enc2[i]) {
+		if !slices.Equal(enc1[i], enc2[i]) {
 			t.Fatal("state update differs between naive and fast encoders")
 		}
 	}

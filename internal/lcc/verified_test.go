@@ -89,7 +89,7 @@ func sameDecode(f field.Field[uint64], a, b *DecodeResult[uint64]) bool {
 		return false
 	}
 	for m := range a.Outputs {
-		if !field.VecEqual(f, a.Outputs[m], b.Outputs[m]) {
+		if !slices.Equal(a.Outputs[m], b.Outputs[m]) {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package poly
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"codedsm/internal/field"
@@ -39,7 +40,7 @@ func TestFastEvalManyMatchesHorner(t *testing.T) {
 				t.Fatal(err)
 			}
 			slow := ring.EvalMany(p, xs)
-			if !field.VecEqual(ring.f, fast, slow) {
+			if !slices.Equal(fast, slow) {
 				t.Fatalf("%s n=%d: fast eval != Horner", ring.f.Name(), n)
 			}
 		}
@@ -55,7 +56,7 @@ func TestFastEvalLowDegreePoly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !field.VecEqual[uint64](r.f, fast, r.EvalMany(p, xs)) {
+		if !slices.Equal(fast, r.EvalMany(p, xs)) {
 			t.Fatalf("fast eval mismatch for %v", p)
 		}
 	}

@@ -121,7 +121,7 @@ func (c *PartialCluster[E]) ExecuteRound(cmds [][]E) (*RoundResult[E], error) {
 			castVote(c.cfg.BaseField, votes[k], nodeOuts[i])
 		}
 	}
-	return tally(c.cfg.BaseField, votes, oracleOut, c.q/2+1), nil
+	return tally(votes, oracleOut, c.q/2+1), nil
 }
 
 // ConcentratedAttack returns a Byzantine map that corrupts the smallest

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"codedsm/internal/field"
 	"codedsm/internal/sm"
@@ -161,7 +162,7 @@ func (c *FullCluster[E]) ExecuteRound(cmds [][]E) (*RoundResult[E], error) {
 	}
 	// A client needs b+1 matching replies where b is the tolerated fault
 	// count for the scheme.
-	return tally(c.cfg.BaseField, votes, oracleOut, c.Security()+1), nil
+	return tally(votes, oracleOut, c.Security()+1), nil
 }
 
 // vote groups identical replies.
@@ -187,7 +188,7 @@ func keyOf[E comparable](f field.Field[E], vec []E) string {
 	return fmt.Sprint(out)
 }
 
-func tally[E comparable](f field.Field[E], votes []map[string]*vote[E], oracleOut [][]E, threshold int) *RoundResult[E] {
+func tally[E comparable](votes []map[string]*vote[E], oracleOut [][]E, threshold int) *RoundResult[E] {
 	res := &RoundResult[E]{Outputs: make([][]E, len(votes)), Correct: true}
 	for k, byValue := range votes {
 		best := 0
@@ -197,7 +198,7 @@ func tally[E comparable](f field.Field[E], votes []map[string]*vote[E], oracleOu
 				res.Outputs[k] = v.value
 			}
 		}
-		if res.Outputs[k] == nil || !field.VecEqual(f, res.Outputs[k], oracleOut[k]) {
+		if res.Outputs[k] == nil || !slices.Equal(res.Outputs[k], oracleOut[k]) {
 			res.Correct = false
 		}
 	}

@@ -3,6 +3,7 @@ package sm
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"codedsm/internal/field"
@@ -246,12 +247,12 @@ func TestApplyResultIntoMatchesApplyResult(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("ApplyResultInto allocated %.0f times per call, want 0", allocs)
 	}
-	if !field.VecEqual[uint64](gold, dst, want) {
+	if !slices.Equal(dst, want) {
 		t.Fatalf("ApplyResultInto wrote %v, ApplyResult returned %v", dst, want)
 	}
 	// In place: the state is the head of the result buffer.
 	inPlace := append(append([]uint64(nil), state...), make([]uint64, tr.OutLen())...)
-	if err := tr.ApplyResultInto(inPlace, args, inPlace[:tr.StateLen()], cmd); err != nil || !field.VecEqual[uint64](gold, inPlace, want) {
+	if err := tr.ApplyResultInto(inPlace, args, inPlace[:tr.StateLen()], cmd); err != nil || !slices.Equal(inPlace, want) {
 		t.Fatalf("in place: %v, err %v; want %v", inPlace, err, want)
 	}
 	if err := tr.ApplyResultInto(dst[1:], args, state, cmd); !errors.Is(err, ErrDimension) {
