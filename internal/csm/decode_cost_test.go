@@ -154,16 +154,20 @@ func TestCrashedBeyondBudgetRoundOpCountGuard(t *testing.T) {
 // decode buffers reused from round to round, a step's decode buffers
 // recycled only after its client tally, it cost 82 allocations, and 79
 // once pool.Run stopped wrapping each phase's function in a closure of its
-// own: 64 are the network's copies of the broadcast payloads. The heap
-// bytes, 21 KB at GOMAXPROCS 2, grow with the fan-out's goroutines, which
-// every pool call starts afresh (20.5 KB at GOMAXPROCS 1, 22 KB at 4,
-// 24–29 KB at 16; 30–33 KB at 16 before that change). The allocation
-// ceiling sits within 10 % above today's figure, the byte ceiling within
-// 10 % above the old figure at GOMAXPROCS 16, so the guard holds on a
-// large runner. The race detector's own allocations are added
-// on top (raceHeapSlack).
+// own: 64 were the network's copies of the broadcast payloads, and 8 its
+// delivery queue and record regrowing from empty (20.5 KB at GOMAXPROCS 1,
+// 22 KB at 4, 24–33 KB at 16). With the payload copies carved from
+// blocks, the queue and record recycled by Step, and every node reading
+// the step's results in place from one shared table, it costs 7: the
+// pool's closures, the round's report and its outputs. The heap bytes,
+// 6 KB at GOMAXPROCS 1 and 7 KB at 4, grow with the fan-out's
+// goroutines, which every pool call starts afresh (9–16.5 KB at 16). The
+// allocation ceiling sits within 10 % above today's figure, the byte
+// ceiling within 10 % above today's largest figure at GOMAXPROCS 16, so
+// the guard holds on a large runner. The race detector's own allocations
+// are added on top (raceHeapSlack).
 func TestRoundAllocGuard(t *testing.T) {
-	const allocCeiling, byteCeiling = 87, 36_000
+	const allocCeiling, byteCeiling = 8, 18_000
 	allocs := testing.AllocsPerRun(5, honestRounds(t))
 	bytes := bytesPerRun(5, honestRounds(t))
 	t.Logf("per honest N=64 K=22 b=21 round: %.0f heap allocations (GOMAXPROCS 1), %d heap bytes (GOMAXPROCS %d)", allocs, bytes, runtime.GOMAXPROCS(0))
@@ -187,11 +191,12 @@ func TestRoundAllocGuard(t *testing.T) {
 // With those drawn into reused buffers, and the nodes' step buffers and
 // the step outcomes with their decode buffers reused too, it cost 691, and
 // 674 once pool.Run stopped wrapping each phase's function in a closure of
-// its own, on any GOMAXPROCS and under the race detector: 512 are the
-// network's copies of the broadcast payloads. The ceiling sits within 10 %
-// above today's figure.
+// its own, on any GOMAXPROCS and under the race detector: 512 were the
+// network's copies of the broadcast payloads. With those carved from
+// blocks and the network's queues recycled it costs 102. The ceiling sits
+// within 10 % above today's figure.
 func TestByzantineBatchAllocGuard(t *testing.T) {
-	const allocCeiling = 741
+	const allocCeiling = 112
 	allocs := testing.AllocsPerRun(3, byzantineBatches(t))
 	t.Logf("per B=8 batch of 21-liar N=64 K=22 b=21 rounds: %.0f heap allocations (GOMAXPROCS 1)", allocs)
 	if allocs > allocCeiling {
@@ -204,11 +209,13 @@ func TestByzantineBatchAllocGuard(t *testing.T) {
 // NodeProcess (N=4, K=2, b=1) over local links, one round per batch,
 // counted over all four processes until each has returned the round. A
 // round cost 164 allocations while every apply, payload and decode was a
-// fresh allocation; with the step core's buffers reused it costs 124,
-// mostly the links' message copies and the outputs each process returns.
-// The ceiling sits within 10 % above today's figure.
+// fresh allocation; with the step core's buffers reused it cost 124, and
+// 113 once the simulated network under the links carved its payload
+// copies from blocks and recycled its queues: mostly the links' message
+// slices and the outputs each process returns. The ceiling sits within
+// 10 % above today's figure.
 func TestProcessRoundAllocGuard(t *testing.T) {
-	const allocCeiling = 136
+	const allocCeiling = 124
 	net, err := transport.New(transport.Config{N: consN, Mode: transport.Sync, Seed: consSeed})
 	if err != nil {
 		t.Fatal(err)
