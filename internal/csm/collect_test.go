@@ -173,3 +173,58 @@ func collectStepMatchingIngest(t *testing.T, c *Cluster[uint64]) int {
 		}
 	}
 }
+
+// TestBroadcastTickCollectMatchesGeneral checks node.collect's shortcut for
+// a tick of broadcasts to every other node, each equal to its sender's
+// shared row (one copy of the tick's sender bitmap), against its general
+// walk over the tick's envelopes: for every pending node the received
+// bitmap, the count and the own flags must come out the same, with
+// honest, lying and silent senders.
+func TestBroadcastTickCollectMatchesGeneral(t *testing.T) {
+	for _, byz := range []map[int]Behavior{nil, {2: WrongResult, 7: Silent, 11: WrongResult}} {
+		cfg := baseConfig(3, 16, 4)
+		cfg.Byzantine = byz
+		c := newCluster(t, cfg)
+		for r, cmds := range RandomWorkload[uint64](gold, 3, cfg.K, c.tr.CmdLen(), 7) {
+			if err := c.encodeBatchCommands([][][]uint64{cmds}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.broadcastResults(0); err != nil {
+				t.Fatal(err)
+			}
+			c.net.Step()
+			tick := c.parseResults()
+			if !tick.broadcast {
+				t.Fatalf("round %d: a tick of broadcasts to every node is not taken as one", r)
+			}
+			for _, n := range c.nodes {
+				if n.behavior != Honest {
+					continue
+				}
+				got, own, count := slices.Clone(n.got), slices.Clone(n.own), n.receivedCount
+				n.collect(tick)
+				fastGot, fastOwn, fastCount := slices.Clone(n.got), slices.Clone(n.own), n.receivedCount
+				copy(n.got, got)
+				copy(n.own, own)
+				n.receivedCount = count
+				tick.broadcast = false
+				n.collect(tick)
+				tick.broadcast = true
+				if !slices.Equal(fastGot, n.got) || !slices.Equal(fastOwn, n.own) || fastCount != n.receivedCount {
+					t.Fatalf("round %d node %d: bitmap copy took %v (%d, own %v), the envelope walk %v (%d, own %v)",
+						r, n.id, fastGot, fastCount, fastOwn, n.got, n.receivedCount, n.own)
+				}
+			}
+			o := c.takeOutcome()
+			for _, n := range c.nodes {
+				if n.behavior == Honest {
+					if _, err := n.tryDecode(true, c.decodeNeed(), &o.bufs[n.id]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			c.releaseOutcome(o)
+			c.round++
+		}
+	}
+}

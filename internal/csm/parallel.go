@@ -221,16 +221,12 @@ func (c *Cluster[E]) parseResults() *parsedTick[E] {
 // without parsing it again. A result equal to its sender's shared row is
 // only marked received, and n reads it there; one that differs is copied
 // into n's own row. A later copy from the same sender overwrites. When n
-// holds only its own result and reads every row shared, a broadcast tick
-// is one copy of its senders.
+// holds only its own result, reads every row shared and is among a
+// broadcast tick's senders, the tick is one copy of its senders.
 func (n *node[E]) collect(t *parsedTick[E]) {
-	if t.broadcast && n.owned == 0 && n.receivedCount == 1 && n.got[n.id] {
+	if t.broadcast && t.senders[n.id] && n.owned == 0 && n.receivedCount == 1 && n.got[n.id] {
 		copy(n.got, t.senders)
-		n.got[n.id] = true
 		n.receivedCount = t.count
-		if !t.senders[n.id] {
-			n.receivedCount++
-		}
 		return
 	}
 	for i := range t.results {

@@ -367,10 +367,9 @@ func (n *Network) copyPayload(p []byte) []byte {
 // current round and carrying the network's copy of its payload, and files
 // it for every other node under one lock: the envelope carries no
 // recipient list while every other node is up, and the live recipients,
-// ascending, otherwise. Each copy a down sender or a
-// down recipient loses counts in DroppedDown, before any delay is drawn,
-// exactly as if the copies had been enqueued one by one. Callers hold no
-// lock.
+// ascending, otherwise. Each copy a down sender or a down recipient loses
+// counts in DroppedDown, before any delay is drawn, exactly as if the
+// copies had been enqueued one by one. Callers hold no lock.
 func (n *Network) enqueueBroadcast(m Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
