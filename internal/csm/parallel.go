@@ -185,12 +185,17 @@ func (c *Cluster[E]) parseResults() *parsedTick[E] {
 	}
 	clear(t.senders)
 	t.broadcast, t.count = true, 0
+	t.results = t.results[:cap(t.results)] // every entry a larger tick made
 	count := 0
 	for m, to := range c.net.Envelopes() {
 		if count == len(t.results) {
-			t.results = append(t.results, parsedResult[E]{row: make([]E, l)})
+			t.results = append(t.results, parsedResult[E]{})
+			t.results = t.results[:cap(t.results)]
 		}
 		r := &t.results[count]
+		if r.row == nil {
+			r.row = make([]E, l)
+		}
 		count++
 		var opened bool
 		r.from, r.ok = acceptResult(f, c.cfg.N, hdr, m, func(from int) []E {
