@@ -169,10 +169,13 @@ func TestCrashedBeyondBudgetRoundOpCountGuard(t *testing.T) {
 func TestRoundAllocGuard(t *testing.T) {
 	const allocCeiling, byteCeiling = 8, 18_000
 	allocs := testing.AllocsPerRun(5, honestRounds(t))
-	bytes := bytesPerRun(5, honestRounds(t))
-	t.Logf("per honest N=64 K=22 b=21 round: %.0f heap allocations (GOMAXPROCS 1), %d heap bytes (GOMAXPROCS %d)", allocs, bytes, runtime.GOMAXPROCS(0))
+	here, bytes := heapPerRun(5, honestRounds(t))
+	t.Logf("per honest N=64 K=22 b=21 round: %.0f heap allocations (GOMAXPROCS 1); %d heap allocations, %d heap bytes (GOMAXPROCS %d)", allocs, here, bytes, runtime.GOMAXPROCS(0))
 	if allocs > allocCeiling {
 		t.Errorf("%.0f allocations per round, ceiling %d", allocs, allocCeiling)
+	}
+	if runtime.GOMAXPROCS(0) == 1 && float64(here) != allocs {
+		t.Errorf("%d allocations per round counted at GOMAXPROCS 1, testing.AllocsPerRun counts %.0f", here, allocs)
 	}
 	if bytes > byteCeiling+raceHeapSlack {
 		t.Errorf("%d heap bytes per round, ceiling %d", bytes, byteCeiling+raceHeapSlack)
@@ -198,9 +201,13 @@ func TestRoundAllocGuard(t *testing.T) {
 func TestByzantineBatchAllocGuard(t *testing.T) {
 	const allocCeiling = 112
 	allocs := testing.AllocsPerRun(3, byzantineBatches(t))
-	t.Logf("per B=8 batch of 21-liar N=64 K=22 b=21 rounds: %.0f heap allocations (GOMAXPROCS 1)", allocs)
+	here, _ := heapPerRun(3, byzantineBatches(t))
+	t.Logf("per B=8 batch of 21-liar N=64 K=22 b=21 rounds: %.0f heap allocations (GOMAXPROCS 1); %d heap allocations (GOMAXPROCS %d)", allocs, here, runtime.GOMAXPROCS(0))
 	if allocs > allocCeiling {
 		t.Errorf("%.0f allocations per batch, ceiling %d", allocs, allocCeiling)
+	}
+	if runtime.GOMAXPROCS(0) == 1 && float64(here) != allocs {
+		t.Errorf("%d allocations per batch counted at GOMAXPROCS 1, testing.AllocsPerRun counts %.0f", here, allocs)
 	}
 }
 
@@ -326,9 +333,10 @@ func byzantineBatches(t *testing.T) func() {
 	return batch
 }
 
-// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
-// allocated by one call of f over runs calls, after one warm-up call.
-func bytesPerRun(runs int, f func()) uint64 {
+// heapPerRun is testing.AllocsPerRun at the caller's GOMAXPROCS, for
+// allocations and bytes: the mean heap allocations and heap bytes of one
+// call of f over runs calls, after one warm-up call.
+func heapPerRun(runs int, f func()) (allocs, bytes uint64) {
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -336,7 +344,7 @@ func bytesPerRun(runs int, f func()) uint64 {
 		f()
 	}
 	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // BenchmarkHonestRound times one honest round at csmload's sim-honest
