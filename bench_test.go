@@ -180,41 +180,6 @@ func BenchmarkScalingCSM(b *testing.B) {
 	}
 }
 
-// --- Parallel execution engine: worker-count sweep ---
-
-// BenchmarkClusterRoundParallel quantifies the execution-phase speedup of
-// the worker-pool engine: identical clusters (µ = 1/3 wrong-result nodes
-// injected) swept over N; -cpu sweeps the worker count, which is
-// GOMAXPROCS (go test -bench ClusterRoundParallel -cpu 1,4,8). Rounds are
-// bit-identical across worker counts (see internal/csm
-// TestParallelRoundsBitIdenticalToSequential), so the only difference is
-// wall-clock. On a single-core machine all worker counts collapse to
-// sequential speed; on >= 4 cores the 8-worker N=32 configuration runs
-// >= 2x faster than 1 worker.
-func BenchmarkClusterRoundParallel(b *testing.B) {
-	for _, n := range []int{16, 32, 64} {
-		faults := n / 3
-		k := SyncMaxMachines(n, faults, 1)
-		byz := map[int]Behavior{}
-		for i := 0; len(byz) < faults; i++ {
-			byz[(i*5+2)%n] = WrongResult
-		}
-		b.Run(fmt.Sprintf("N=%d/K=%d", n, k), func(b *testing.B) {
-			c, err := csm.New(csm.Config[uint64]{
-				BaseField:     gold,
-				NewTransition: NewBank[uint64],
-				K:             k, N: n, MaxFaults: faults,
-				Mode: Synchronous, Consensus: OracleConsensus,
-				Byzantine: byz, Seed: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			runWorkload(b, c, k)
-		})
-	}
-}
-
 // --- Pipelined engine: batch x pipeline sweep ---
 
 // BenchmarkClusterRoundPipelined measures the batched + pipelined engine

@@ -274,13 +274,10 @@ type Cluster[E comparable] struct {
 	// tick so far, each with a scratch row, reused every tick.
 	tick parsedTick[E]
 	// Step scratch, reused from step to step: computeAllResults' result
-	// table, runExecutionStep's pending nodes and collectAndDecode's
-	// verdicts on the driving goroutine, clientPhase's tally on whichever
-	// goroutine runs finishStep.
+	// table and runExecutionStep's pending nodes on the driving goroutine,
+	// clientPhase's tally on whichever goroutine runs finishStep.
 	results [][]E
 	pending []*node[E]
-	oks     []bool
-	errs    []error
 	tally   []replyCount[E]
 	// outcomes is the FIFO free list of step outcomes (takeOutcome,
 	// releaseOutcome). At most Pipeline+2 are out of it at once — the

@@ -80,8 +80,8 @@ func (c *Cluster[E]) executeBatch(batch [][][]E, stage *clientStage[E]) ([]*Roun
 	step := c.runExecutionStep
 	if c.cfg.Delegated {
 		step = func(micro int) (*stepOutcome[E], error) { return c.runExecutionDelegated(agreed[micro]) }
-	} else if err := c.encodeBatchCommands(agreed); err != nil {
-		return nil, err
+	} else {
+		c.encodeBatchCommands(agreed)
 	}
 	out := make([]*RoundResult[E], 0, steps)
 	for j := 0; j < steps; j++ {

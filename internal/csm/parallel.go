@@ -3,135 +3,111 @@ package csm
 import (
 	"slices"
 
-	"codedsm/internal/pool"
 	"codedsm/internal/transport"
 )
 
-// The parallel execution engine fans a round's node-level work across
-// worker goroutines, as many as GOMAXPROCS (pool.Run), while keeping the
-// simulation bit-identical to the sequential path. The per-node work is
-// the stepCore every node embeds (step.go — the same core a NodeProcess
-// runs); this file only schedules it. The round is split into phases by
-// what they touch:
+// A simulated Cluster runs a round's node-level work on the driving
+// goroutine, node by node in id order. A node's steady step is a few
+// hundred counted field operations — about a microsecond and a half at
+// N=64 — which is less than handing it to another goroutine costs, so the
+// phases below are plain loops. The per-node work is the stepCore every
+// node embeds (step.go — the same core a NodeProcess runs); this file only
+// orders it. The round is split into phases by what they touch:
 //
-//   - command encode (parallel): stepCore.encodeCommands is a pure
-//     function of the node's coefficients and the agreed batch, flattened
-//     once so one K-term LinCombAccVec per node covers every micro-step.
-//   - compute (parallel): stepCore.apply, the coded transition
-//     g_i = f(S̃_i, X̃_i), is a pure function of the node's state and its
-//     coded command slice; each result lands in the node's own apply
-//     buffer, indexed by node in the cluster's result table.
-//   - broadcast (sequential): each node's result, or its Byzantine lie
-//     drawn from the cluster RNG into the node's lie buffer, is encoded
-//     into the node's payload buffer and enqueued on the driving
-//     goroutine in node order (node.sendResult). An enqueue copies the
-//     payload and records it under the network's lock, so workers would
-//     only contend for it.
-//   - collect + decode (parallel): the step's results live in one
-//     sender-indexed row table, the cluster's (Cluster.shared): each
-//     sender's row is written once per step, when it sends
-//     (shareResult), and read in place by every node that receives it.
-//     Each tick the driving goroutine steps the network and parses each
-//     delivered envelope once, for all its recipients (parseResults),
+//   - command encode: stepCore.encodeCommands is a pure function of the
+//     node's coefficients and the agreed batch, flattened once so one
+//     K-term LinCombAccVec per node covers every micro-step.
+//   - compute: stepCore.apply, the coded transition g_i = f(S̃_i, X̃_i),
+//     is a pure function of the node's state and its coded command slice;
+//     each result lands in the node's own apply buffer, indexed by node in
+//     the cluster's result table.
+//   - broadcast: each node's result, or its Byzantine lie drawn from the
+//     cluster RNG into the node's lie buffer, is encoded into the node's
+//     payload buffer and enqueued in node order (node.sendResult).
+//   - collect + decode: the step's results live in one sender-indexed row
+//     table, the cluster's (Cluster.shared): each sender's row is written
+//     once per step, when it sends (shareResult), and read in place by
+//     every node that receives it. Each tick steps the network and parses
+//     each delivered envelope once, for all its recipients (parseResults),
 //     comparing it with its sender's row; then each honest node still
 //     waiting marks the senders whose results reach it (node.collect) and,
 //     once it holds enough, decodes (stepCore.absorb) into its buffer of
-//     the step's outcome, as one task that writes only that node's core
-//     and buffer. Only a result that differs from its sender's row (an
-//     equivocation, say) is copied, into the recipient's own row. Nothing
-//     writes a row a node may read until the next step opens, so when a
-//     node reads cannot matter.
+//     the step's outcome. Only a result that differs from its sender's row
+//     (an equivocation, say) is copied, into the recipient's own row.
+//     Nothing writes a row a node may read until the next step opens.
 //   - client/audit (sequential or pipelined): the Byzantine replies are
 //     drawn from the cluster RNG on the driving goroutine into the step's
-//     outcome; the tally itself may run on the background client stage.
-//     The ownership rule makes the overlap safe at any Pipeline depth: an
-//     outcome, decode buffers and all, returns to the cluster's free list
-//     only after the stage has tallied its step (releaseOutcome), so a
-//     step the driver runs ahead decodes into another outcome's buffers,
-//     and the round's report copies the outputs it accepts instead of
-//     pointing into a decode.
-//
-// Shared structures reached from worker goroutines are safe by
-// construction: field.Counting uses atomic counters, charged once per
-// kernel call (they commute, so op totals are also identical), lcc.Code
-// guards its lazy RS-code cache with a mutex, and poly rings/trees are
-// immutable after construction.
+//     outcome; the tally itself may run on the background client stage,
+//     which overlaps the driver's next steps and is the one other
+//     goroutine a Cluster runs. The ownership rule makes the overlap safe
+//     at any Pipeline depth: an outcome, decode buffers and all, returns
+//     to the cluster's free list only after the stage has tallied its
+//     step (releaseOutcome), so a step the driver runs ahead decodes into
+//     another outcome's buffers, and the round's report copies the outputs
+//     it accepts instead of pointing into a decode.
 
-// Parallelism reports the worker count rounds execute with now:
-// GOMAXPROCS, capped at the cluster size. Nothing else sets it, and rounds
-// are bit-identical at every value.
-func (c *Cluster[E]) Parallelism() int { return pool.Workers(c.cfg.N) }
+// Parallelism reports the number of goroutines a round's node-level work
+// runs on: 1, the driving goroutine, whatever GOMAXPROCS is.
+func (c *Cluster[E]) Parallelism() int { return 1 }
 
 // encodeBatchCommands Lagrange-encodes the agreed batch once per node:
 // the batch is flattened once, and every live node's core encodes its
 // coded commands for all micro-steps from the shared flat rows.
-func (c *Cluster[E]) encodeBatchCommands(steps [][][]E) error {
+func (c *Cluster[E]) encodeBatchCommands(steps [][][]E) {
 	flat := flattenBatch(steps, c.tr.CmdLen())
-	return pool.Run(len(c.nodes), func(i int) error {
-		n := c.nodes[i]
-		if n.behavior == Crashed || n.behavior == Recovering {
-			return nil // down nodes hold no share and encode nothing
+	for _, n := range c.nodes {
+		if n.behavior != Crashed && n.behavior != Recovering {
+			n.encodeCommands(flat) // down nodes hold no share and encode nothing
 		}
-		n.encodeCommands(flat)
-		return nil
-	})
+	}
 }
 
 // computeAllResults runs the compute phase: every node's true coded result
-// for the batch's micro-th step, in parallel, index-aligned with c.nodes
-// (nil for a down node). The table is the cluster's and each result its
-// node's apply buffer, both valid until the next step.
+// for the batch's micro-th step, index-aligned with c.nodes (nil for a
+// down node). The table is the cluster's and each result its node's apply
+// buffer, both valid until the next step.
 func (c *Cluster[E]) computeAllResults(micro int) ([][]E, error) {
 	if len(c.results) != len(c.nodes) {
 		c.results = make([][]E, len(c.nodes))
 	}
 	results := c.results
 	clear(results)
-	err := pool.Run(len(c.nodes), func(i int) error {
-		n := c.nodes[i]
+	for i, n := range c.nodes {
 		if n.behavior == Crashed || n.behavior == Recovering {
-			return nil // no state, no compute; sendResult sends nothing
+			continue // no state, no compute; sendResult sends nothing
 		}
 		r, err := n.apply(micro)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return results, nil
 }
 
 // collectAndDecode runs one tick of the collect/decode loop for the
-// pending honest nodes: parse the tick's results once, then one task per
-// node takes the ones addressed to it, and decodes into its buffer of the
+// pending honest nodes: parse the tick's results once, then each node in
+// turn takes the ones addressed to it, and decodes into its buffer of the
 // step's outcome once enough have arrived (tryDecode returns at once for
 // a node below the threshold). It reports whether every one of them now
-// holds a decode. Every node is attempted even if one fails — a parallel
-// pool races ahead of an error anyway, so the sequential path does the
-// same and the cluster is left in an identical state for any worker
-// count, error or not; the lowest-index error is reported.
+// holds a decode. A node's failure does not stop the tick: every node is
+// attempted, and the first error is reported.
 func (c *Cluster[E]) collectAndDecode(o *stepOutcome[E], pending []*node[E], force bool, need int) (bool, error) {
 	tab := c.parseResults()
-	if cap(c.oks) < len(pending) {
-		c.oks, c.errs = make([]bool, len(pending)), make([]error, len(pending))
-	}
-	oks, errs := c.oks[:len(pending)], c.errs[:len(pending)]
-	_ = pool.Run(len(pending), func(i int) error {
-		n := pending[i]
+	all := true
+	var first error
+	for _, n := range pending {
 		n.collect(tab)
-		oks[i], errs[i] = n.tryDecode(force, need, &o.bufs[n.id])
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			return false, err
+		ok, err := n.tryDecode(force, need, &o.bufs[n.id])
+		if err != nil && first == nil {
+			first = err
 		}
+		all = all && ok
 	}
-	return !slices.Contains(oks, false), nil
+	if first != nil {
+		return false, first
+	}
+	return all, nil
 }
 
 // shareResult opens sender from's row of the step's table with the result

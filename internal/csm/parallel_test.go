@@ -10,19 +10,19 @@ import (
 	"codedsm/internal/transport"
 )
 
-// setGOMAXPROCS sets GOMAXPROCS, the one control over the engine's worker
-// count, until the test ends. It is read at every fan-out, so a cluster
-// built before a call runs its later rounds at the new count. No test in
+// setGOMAXPROCS sets GOMAXPROCS until the test ends. A cluster runs its
+// node-level work on one goroutine at any value, so rounds may not depend
+// on it; tests that run engines at several values check that. No test in
 // this package runs in parallel with another, so none sees the change.
 func setGOMAXPROCS(t testing.TB, n int) {
 	prev := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// parallelScenarios reuses the csm_test.go Byzantine scenarios: each one is
-// run at GOMAXPROCS 1 and 8 and every observable — round results, decoded
-// states, detected-fault sets, coded states, op counts — must be
-// byte-identical.
+// parallelScenarios reuses the csm_test.go Byzantine scenarios for the
+// determinism tests: two clusters built from one scenario, or one run
+// sequentially and one pipelined, must agree on every observable — round
+// results, decoded states, detected-fault sets, coded states, op counts.
 func parallelScenarios() map[string]Config[uint64] {
 	scenarios := map[string]Config[uint64]{}
 
@@ -81,86 +81,84 @@ func encodeRound(res *RoundResult[uint64]) []byte {
 	return fmt.Appendf(nil, "%+v", *res)
 }
 
+// TestParallelRoundsBitIdenticalToSequential: two clusters built from one
+// scenario run bit-identical rounds, coded states, oracle states and op
+// counts, the second at a different GOMAXPROCS, which no round may read.
 func TestParallelRoundsBitIdenticalToSequential(t *testing.T) {
 	const rounds = 4
 	for name, cfg := range parallelScenarios() {
 		t.Run(name, func(t *testing.T) {
-			seq := newCluster(t, cfg)
-			par := newCluster(t, cfg)
-			setGOMAXPROCS(t, 8)
-			if par.Parallelism() < 2 {
-				t.Fatalf("parallel cluster runs with %d workers", par.Parallelism())
-			}
-			wl := RandomWorkload[uint64](gold, rounds, cfg.K, seq.tr.CmdLen(), 7)
+			setGOMAXPROCS(t, 1)
+			first := newCluster(t, cfg)
+			second := newCluster(t, cfg)
+			wl := RandomWorkload[uint64](gold, rounds, cfg.K, first.tr.CmdLen(), 7)
 			for r, cmds := range wl {
 				runtime.GOMAXPROCS(1)
-				seqRes, err := seq.ExecuteRound(cmds)
+				firstRes, err := first.ExecuteRound(cmds)
 				if err != nil {
 					t.Fatal(err)
 				}
-				runtime.GOMAXPROCS(8)
-				parRes, err := par.ExecuteRound(cmds)
+				runtime.GOMAXPROCS(4)
+				secondRes, err := second.ExecuteRound(cmds)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(encodeRound(seqRes), encodeRound(parRes)) {
-					t.Fatalf("round %d diverged:\nsequential: %+v\nparallel:   %+v", r, seqRes, parRes)
+				if !bytes.Equal(encodeRound(firstRes), encodeRound(secondRes)) {
+					t.Fatalf("round %d diverged:\nfirst:  %+v\nsecond: %+v", r, firstRes, secondRes)
 				}
-				if !seqRes.Correct {
+				if !firstRes.Correct {
 					t.Fatalf("round %d incorrect (scenario must execute cleanly)", r)
 				}
 			}
 			// Detected-fault sets and decoded states are part of RoundResult;
 			// additionally every node's coded state must match slot for slot.
 			for i := 0; i < cfg.N; i++ {
-				seqState, err := seq.NodeCodedState(i)
+				firstState, err := first.NodeCodedState(i)
 				if err != nil {
 					t.Fatal(err)
 				}
-				parState, err := par.NodeCodedState(i)
+				secondState, err := second.NodeCodedState(i)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(seqState, parState) {
+				if !slices.Equal(firstState, secondState) {
 					t.Fatalf("node %d coded state diverged", i)
 				}
 			}
-			for k, seqState := range seq.OracleStates() {
-				if !slices.Equal(seqState, par.OracleStates()[k]) {
+			for k, st := range first.OracleStates() {
+				if !slices.Equal(st, second.OracleStates()[k]) {
 					t.Fatalf("oracle state %d diverged", k)
 				}
 			}
-			// The same multiset of field operations must have run: atomic
-			// counters commute, so totals are order-independent.
-			if seqOps, parOps := seq.OpCounts(), par.OpCounts(); seqOps != parOps {
-				t.Fatalf("op counts diverged: sequential %+v, parallel %+v", seqOps, parOps)
+			if a, b := first.OpCounts(), second.OpCounts(); a != b {
+				t.Fatalf("op counts diverged: %+v vs %+v", a, b)
 			}
 		})
 	}
 }
 
-// TestParallelismWorkerSweep pins how the worker count is chosen: it is
-// GOMAXPROCS capped at N, read when the round runs, and any count yields
-// the same rounds.
+// TestParallelismWorkerSweep: a cluster runs its node-level work on one
+// goroutine whatever GOMAXPROCS is, and every GOMAXPROCS yields the same
+// rounds.
 func TestParallelismWorkerSweep(t *testing.T) {
 	cfg := baseConfig(2, 12, 3)
 	cfg.Byzantine = map[int]Behavior{1: WrongResult, 5: Silent}
 	var ref []byte
-	for _, workers := range []int{1, 2, 3, 5, 12, 64} {
+	for _, procs := range []int{1, 4} {
 		c := newCluster(t, cfg)
-		setGOMAXPROCS(t, workers)
-		if want := min(workers, cfg.N); c.Parallelism() != want {
-			t.Fatalf("GOMAXPROCS %d: Parallelism() = %d, want %d", workers, c.Parallelism(), want)
+		setGOMAXPROCS(t, procs)
+		if c.Parallelism() != 1 {
+			t.Fatalf("GOMAXPROCS %d: Parallelism() = %d, want 1", procs, c.Parallelism())
 		}
 		wl := RandomWorkload[uint64](gold, 3, 2, c.tr.CmdLen(), 11)
 		var trace bytes.Buffer
 		for _, cmds := range wl {
 			res, err := c.ExecuteRound(cmds)
 			if err != nil {
-				t.Fatalf("GOMAXPROCS %d: %v", workers, err)
+				t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 			}
 			if !res.Correct {
-				t.Fatalf("GOMAXPROCS %d: round incorrect", workers)
+				t.Fatalf("GOMAXPROCS %d: round incorrect", procs)
 			}
 			trace.Write(encodeRound(res))
 		}
@@ -169,31 +167,28 @@ func TestParallelismWorkerSweep(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(ref, trace.Bytes()) {
-			t.Fatalf("GOMAXPROCS %d produced a different round trace", workers)
+			t.Fatalf("GOMAXPROCS %d produced a different round trace", procs)
 		}
 	}
 }
 
-// TestParallelismDefaultsToGOMAXPROCS pins the default worker count: a
-// cluster built with no setting of its own runs on the process's
-// GOMAXPROCS, capped at N, and its rounds come out correct.
+// TestParallelismDefaultsToGOMAXPROCS pins the worker count a cluster
+// reports: 1, the driving goroutine, and its rounds come out correct.
 func TestParallelismDefaultsToGOMAXPROCS(t *testing.T) {
 	c := newCluster(t, baseConfig(2, 12, 3))
-	if want := min(runtime.GOMAXPROCS(0), 12); c.Parallelism() != want {
-		t.Fatalf("default parallelism %d, want %d", c.Parallelism(), want)
+	if c.Parallelism() != 1 {
+		t.Fatalf("Parallelism() = %d, want 1", c.Parallelism())
 	}
 	for _, res := range runRounds(t, c, 2) {
 		if !res.Correct {
-			t.Fatal("default-parallelism round incorrect")
+			t.Fatal("round incorrect")
 		}
 	}
 }
 
 func BenchmarkEngineDecodePhase(b *testing.B) {
-	// Micro-benchmark of the decode fan-out alone: N=32, b=10, all results
-	// in, every honest node decodes. Used to sanity-check the
-	// BenchmarkClusterRoundParallel speedups at the root. Sweep the worker
-	// count with -cpu.
+	// One round at N=32, b=10, two liars: all results in, every honest
+	// node decodes.
 	cfg := baseConfig(0, 32, 10)
 	cfg.K = 11 // SyncMaxMachines(32, 10, 1)
 	cfg.Byzantine = map[int]Behavior{3: WrongResult, 17: WrongResult}

@@ -32,7 +32,6 @@ import (
 
 	"codedsm/internal/field"
 	"codedsm/internal/poly"
-	"codedsm/internal/pool"
 )
 
 // ErrTooManyErrors is returned when the received word is not within the
@@ -254,28 +253,24 @@ func (e *WordError) Error() string { return fmt.Sprintf("rs: word %d: %v", e.Wor
 
 func (e *WordError) Unwrap() error { return e.Err }
 
-// DecodeMany decodes len(words) received words against the same code,
-// fanning the independent Gao decodes — each an extended-Euclidean
-// error-locator solve — across the worker pool (pool.Run, sized by
-// GOMAXPROCS). Results are index-aligned with words and identical to
-// decoding each word sequentially; the error reported is the lowest-index
-// failure, wrapped as a *WordError.
-//
-// A Code is immutable after construction, so concurrent decodes against it
-// are safe; an execution round's L vector components are exactly such a
-// batch (Section 5.2).
+// DecodeMany decodes len(words) received words against the same code, one
+// after another: an execution round's L vector components are exactly
+// such a batch (Section 5.2). Results are index-aligned with words. Every
+// word is decoded even after one fails, so the work a batch does (its
+// counted field operations, say) does not depend on where a failure sits;
+// the first failure is reported, wrapped as a *WordError.
 func (c *Code[E]) DecodeMany(words [][]E) ([]*DecodeResult[E], error) {
 	out := make([]*DecodeResult[E], len(words))
-	err := pool.Run(len(words), func(j int) error {
-		res, err := c.Decode(words[j])
-		if err != nil {
-			return &WordError{Word: j, Err: err}
+	var first error
+	for j, w := range words {
+		res, err := c.Decode(w)
+		if err != nil && first == nil {
+			first = &WordError{Word: j, Err: err}
 		}
 		out[j] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	}
+	if first != nil {
+		return nil, first
 	}
 	return out, nil
 }

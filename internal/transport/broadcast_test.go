@@ -9,8 +9,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-
-	"codedsm/internal/pool"
 )
 
 // sameMessages reports whether two delivered sequences are identical,
@@ -113,8 +111,7 @@ func TestNetworkConcurrentBroadcastDeterministic(t *testing.T) {
 // sim-honest shape: 64 nodes each broadcast a result-sized payload (the
 // 48-byte result header and a Bank result's two field elements) in node
 // order, as the cluster's transmit phase does, then one Step, and every
-// node ranges over its Deliveries fanned out over GOMAXPROCS goroutines,
-// as the cluster's collect phase does.
+// node in turn ranges over its Deliveries.
 func BenchmarkNetworkTick(b *testing.B) {
 	const n = 64
 	net, err := New(Config{N: n, Mode: Sync, Seed: 71})
@@ -137,12 +134,11 @@ func BenchmarkNetworkTick(b *testing.B) {
 		}
 		net.Step()
 		delivered := make([]int, n)
-		_ = pool.Run(n, func(i int) error {
-			for range eps[i].Deliveries() {
+		for i, ep := range eps {
+			for range ep.Deliveries() {
 				delivered[i]++
 			}
-			return nil
-		})
+		}
 		if slices.Contains(delivered, 0) {
 			b.Fatal("a node received nothing")
 		}

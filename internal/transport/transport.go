@@ -40,8 +40,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-
-	"codedsm/internal/pool"
 )
 
 // ErrSimulationOnly is returned by non-simulated transports (the TCP
@@ -142,10 +140,14 @@ type Stats struct {
 
 // Network is a deterministic lock-step message-passing simulator.
 type Network struct {
-	mu        sync.Mutex
-	cfg       Config
-	round     int
-	rng       *rand.Rand
+	mu    sync.Mutex
+	cfg   Config
+	round int
+	rng   *rand.Rand
+	// The nodes' keys, derived (DeriveKeys) on the first SignBlob,
+	// VerifyBlob or PublicKey call: a network whose protocol never signs
+	// never pays for them.
+	keysOnce  sync.Once
 	pubs      []ed25519.PublicKey
 	privs     []ed25519.PrivateKey
 	pending   map[int][]envelope // delivery round -> envelopes
@@ -177,7 +179,8 @@ type sent struct {
 	payload []byte
 }
 
-// New constructs a network of cfg.N nodes with deterministic keys.
+// New constructs a network of cfg.N nodes with deterministic keys, which
+// it derives when something first signs, verifies or asks for a key.
 func New(cfg Config) (*Network, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("transport: need at least one node, got %d", cfg.N)
@@ -195,8 +198,14 @@ func New(cfg Config) (*Network, error) {
 		carried: make(map[int][]sent),
 		down:    make([]bool, cfg.N),
 	}
-	n.pubs, n.privs = DeriveKeys(cfg.Seed, cfg.N)
 	return n, nil
+}
+
+// keys returns the nodes' public and private keys, deriving them on the
+// first call; it is safe for concurrent use.
+func (n *Network) keys() ([]ed25519.PublicKey, []ed25519.PrivateKey) {
+	n.keysOnce.Do(func() { n.pubs, n.privs = DeriveKeys(n.cfg.Seed, n.cfg.N) })
+	return n.pubs, n.privs
 }
 
 // DeriveKeys deterministically derives the cluster's N ed25519 keypairs
@@ -210,16 +219,13 @@ func New(cfg Config) (*Network, error) {
 func DeriveKeys(clusterSeed uint64, n int) ([]ed25519.PublicKey, []ed25519.PrivateKey) {
 	pubs := make([]ed25519.PublicKey, n)
 	privs := make([]ed25519.PrivateKey, n)
-	// Each keypair is one scalar multiplication, independent of the
-	// others: derive them on the worker pool.
-	_ = pool.Run(n, func(i int) error {
+	for i := range n {
 		var seed [ed25519.SeedSize]byte
 		binary.LittleEndian.PutUint64(seed[:], clusterSeed^uint64(i)+0x9e3779b97f4a7c15)
 		binary.LittleEndian.PutUint64(seed[8:], uint64(i)*0xbf58476d1ce4e5b9+1)
 		privs[i] = ed25519.NewKeyFromSeed(seed[:])
 		pubs[i] = privs[i].Public().(ed25519.PublicKey)
-		return nil
-	})
+	}
 	return pubs, privs
 }
 
@@ -300,7 +306,8 @@ func (n *Network) PublicKey(id NodeID) (ed25519.PublicKey, error) {
 	if int(id) < 0 || int(id) >= n.cfg.N {
 		return nil, fmt.Errorf("transport: node %d out of range", id)
 	}
-	return n.pubs[id], nil
+	pubs, _ := n.keys()
+	return pubs[id], nil
 }
 
 // Endpoint returns the send/receive interface for a node.
@@ -607,7 +614,8 @@ func (e *Endpoint) Broadcast(kind string, payload []byte) error {
 // context (used for Dolev-Strong signature chains, which must survive
 // re-broadcast by other nodes).
 func (e *Endpoint) SignBlob(context string, data []byte) []byte {
-	return ed25519.Sign(e.net.privs[e.id], blobBytes(context, data))
+	_, privs := e.net.keys()
+	return ed25519.Sign(privs[e.id], blobBytes(context, data))
 }
 
 // VerifyBlob verifies a blob signature produced by SignBlob.
@@ -615,7 +623,8 @@ func (n *Network) VerifyBlob(id NodeID, context string, data, sig []byte) bool {
 	if int(id) < 0 || int(id) >= n.cfg.N {
 		return false
 	}
-	return ed25519.Verify(n.pubs[id], blobBytes(context, data), sig)
+	pubs, _ := n.keys()
+	return ed25519.Verify(pubs[id], blobBytes(context, data), sig)
 }
 
 func blobBytes(context string, data []byte) []byte {

@@ -6,8 +6,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"reflect"
-	"runtime"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -523,8 +523,8 @@ func TestDownDropPreservesDelayStream(t *testing.T) {
 	}
 }
 
-// serialDeriveKeys is DeriveKeys as one loop, the reference the
-// concurrent derivation must reproduce.
+// serialDeriveKeys is the key derivation spelled out, the reference
+// DeriveKeys must reproduce.
 func serialDeriveKeys(clusterSeed uint64, n int) ([]ed25519.PublicKey, []ed25519.PrivateKey) {
 	pubs := make([]ed25519.PublicKey, n)
 	privs := make([]ed25519.PrivateKey, n)
@@ -538,21 +538,16 @@ func serialDeriveKeys(clusterSeed uint64, n int) ([]ed25519.PublicKey, []ed25519
 	return pubs, privs
 }
 
-// TestDeriveKeysMatchesSerial: the cluster's keys do not depend on how
-// many goroutines derive them — equal to the serial loop at every size
-// and GOMAXPROCS, and at N=64, seed 1711 (sim-honest's cluster) to a
-// digest taken from the serial derivation.
+// TestDeriveKeysMatchesSerial: the cluster's keys equal the spelled-out
+// derivation at every size, and at N=64, seed 1711 (sim-honest's cluster)
+// a digest taken from it.
 func TestDeriveKeysMatchesSerial(t *testing.T) {
-	for _, procs := range []int{1, 3, 8} {
-		prev := runtime.GOMAXPROCS(procs)
-		for _, n := range []int{0, 1, 4, 64} {
-			pubs, privs := DeriveKeys(1711, n)
-			wantPubs, wantPrivs := serialDeriveKeys(1711, n)
-			if !reflect.DeepEqual(pubs, wantPubs) || !reflect.DeepEqual(privs, wantPrivs) {
-				t.Errorf("GOMAXPROCS=%d n=%d: keys differ from the serial derivation", procs, n)
-			}
+	for _, n := range []int{0, 1, 4, 64} {
+		pubs, privs := DeriveKeys(1711, n)
+		wantPubs, wantPrivs := serialDeriveKeys(1711, n)
+		if !reflect.DeepEqual(pubs, wantPubs) || !reflect.DeepEqual(privs, wantPrivs) {
+			t.Errorf("n=%d: keys differ from the serial derivation", n)
 		}
-		runtime.GOMAXPROCS(prev)
 	}
 	pubs, privs := DeriveKeys(1711, 64)
 	h := sha256.New()
@@ -563,5 +558,51 @@ func TestDeriveKeysMatchesSerial(t *testing.T) {
 	const golden = "63a5cd5c115c9b1bbd0a0973a9becf128503c06d30df269255ec63d555086541"
 	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
 		t.Fatalf("DeriveKeys(1711, 64) digest %s, want %s", got, golden)
+	}
+}
+
+// TestKeysDerivedOnFirstUse: New derives no key, and whichever of
+// SignBlob, VerifyBlob and PublicKey is called first derives exactly
+// DeriveKeys's keys, once, however many goroutines call it at once (run
+// it under -race).
+func TestKeysDerivedOnFirstUse(t *testing.T) {
+	const n, seed = 5, 1711
+	wantPubs, wantPrivs := DeriveKeys(seed, n)
+	msg := []byte("blob")
+	for _, first := range []string{"SignBlob", "VerifyBlob", "PublicKey"} {
+		net := newNet(t, Config{N: n, Mode: Sync, Seed: seed})
+		if net.pubs != nil || net.privs != nil {
+			t.Fatalf("%s: New derived keys", first)
+		}
+		var wg sync.WaitGroup
+		for id := range NodeID(n) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				switch first {
+				case "SignBlob":
+					endpoint(t, net, id).SignBlob("ctx", msg)
+				case "VerifyBlob":
+					net.VerifyBlob(id, "ctx", msg, nil)
+				case "PublicKey":
+					if _, err := net.PublicKey(id); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if !reflect.DeepEqual(net.pubs, wantPubs) || !reflect.DeepEqual(net.privs, wantPrivs) {
+			t.Fatalf("%s first: keys differ from DeriveKeys's", first)
+		}
+		for id := range NodeID(n) {
+			sig := endpoint(t, net, id).SignBlob("ctx", msg)
+			if !slices.Equal(sig, ed25519.Sign(wantPrivs[id], blobBytes("ctx", msg))) || !net.VerifyBlob(id, "ctx", msg, sig) {
+				t.Fatalf("%s first: node %d signs or verifies unlike DeriveKeys's key", first, id)
+			}
+			if pub, err := net.PublicKey(id); err != nil || !pub.Equal(wantPubs[id]) {
+				t.Fatalf("%s first: node %d public key %x, %v", first, id, pub, err)
+			}
+		}
 	}
 }
