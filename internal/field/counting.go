@@ -69,6 +69,16 @@ func (c *Counting[E]) Reset() {
 	c.invs.Store(0)
 }
 
+// Charged adds adds additions and muls multiplications to the counters
+// and returns the wrapped field, which counts nothing: for a caller that
+// knows what a fixed sequence of scalar calls would count, charges it in
+// one go, as the Bulk kernels do, and then runs the arithmetic uncounted.
+func (c *Counting[E]) Charged(adds, muls uint64) Field[E] {
+	c.adds.Add(adds)
+	c.muls.Add(muls)
+	return c.inner
+}
+
 // Name implements Field.
 func (c *Counting[E]) Name() string { return c.inner.Name() }
 

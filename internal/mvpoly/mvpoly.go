@@ -8,6 +8,7 @@ package mvpoly
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -156,17 +157,46 @@ func (p Poly[E]) Eval(f field.Field[E], args []E) (E, error) {
 	if len(args) != p.nvars {
 		return zero, fmt.Errorf("mvpoly: eval with %d args, want %d: %w", len(args), p.nvars, ErrArity)
 	}
-	acc := f.Zero()
+	if c, ok := f.(*field.Counting[E]); ok {
+		f = c.Charged(p.evalCost())
+	}
+	one, acc := f.One(), f.Zero()
 	for _, t := range p.terms {
-		v := t.Coeff
+		v, unit := t.Coeff, f.Equal(t.Coeff, one)
 		for i, e := range t.Exps {
-			if e > 0 {
-				v = f.Mul(v, field.Exp(f, args[i], uint64(e)))
+			if e == 0 {
+				continue
+			}
+			x := args[i]
+			if e > 1 {
+				x = field.Exp(f, x, uint64(e))
+			}
+			if unit {
+				v, unit = x, false
+			} else {
+				v = f.Mul(v, x)
 			}
 		}
 		acc = f.Add(acc, v)
 	}
 	return acc, nil
+}
+
+// evalCost is what Eval counts: one addition per term and, per variable
+// with exponent e > 0, the popcount(e) + bitlen(e) multiplications of
+// field.Exp's square-and-multiply and the one that multiplies its power
+// in. A counting field is charged that once per evaluation, and the
+// arithmetic runs on the field it wraps, which skips the multiplications
+// by a coefficient of 1 and the powers to an exponent of 1.
+func (p Poly[E]) evalCost() (adds, muls uint64) {
+	for _, t := range p.terms {
+		for _, e := range t.Exps {
+			if e > 0 {
+				muls += uint64(bits.OnesCount(uint(e)) + bits.Len(uint(e)) + 1)
+			}
+		}
+	}
+	return uint64(len(p.terms)), muls
 }
 
 // Add returns p + q; the operand variable counts must match.

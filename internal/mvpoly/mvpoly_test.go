@@ -230,3 +230,69 @@ func TestGF2mPolynomials(t *testing.T) {
 		t.Errorf("freshman's dream fails over GF(2^8): %s", sq.Format(f, vars))
 	}
 }
+
+// perCallEval is Eval before it charged a counting field once per
+// evaluation: every scalar operation through f, a power through
+// field.Exp for every positive exponent, the coefficient always
+// multiplied in. It is the reference for values and counts.
+func perCallEval[E comparable](f field.Field[E], p Poly[E], args []E) E {
+	acc := f.Zero()
+	for _, t := range p.terms {
+		v := t.Coeff
+		for i, e := range t.Exps {
+			if e > 0 {
+				v = f.Mul(v, field.Exp(f, args[i], uint64(e)))
+			}
+		}
+		acc = f.Add(acc, v)
+	}
+	return acc
+}
+
+// TestEvalChargesPerCallCounts: on seeded random polynomials with
+// exponents 0-5 and coefficients that are often 1, Eval over a counting
+// field returns what the per-call evaluation returns and charges exactly
+// the operations it counts, over Goldilocks and over GF(2^8).
+func TestEvalChargesPerCallCounts(t *testing.T) {
+	gf, err := field.NewGF2m(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEvalCounts(t, gold)
+	checkEvalCounts(t, gf)
+}
+
+func checkEvalCounts(t *testing.T, base field.Field[uint64]) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(26, 5))
+	fast, ref := field.NewCounting(base), field.NewCounting(base)
+	for trial := range 200 {
+		nvars := 1 + rng.IntN(4)
+		terms := make([]Term[uint64], 1+rng.IntN(5))
+		for i := range terms {
+			terms[i].Coeff = base.One()
+			if rng.IntN(2) == 0 {
+				terms[i].Coeff = base.Rand(rng)
+			}
+			terms[i].Exps = make([]int, nvars)
+			for j := range terms[i].Exps {
+				terms[i].Exps[j] = rng.IntN(6)
+			}
+		}
+		p, err := FromTerms(base, nvars, terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := field.RandVec(base, rng, nvars)
+		got, err := p.Eval(fast, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := perCallEval(ref, p, args); got != want {
+			t.Fatalf("%s trial %d: Eval %v, per-call evaluation %v", base.Name(), trial, got, want)
+		}
+		if fast.Counts() != ref.Counts() {
+			t.Fatalf("%s trial %d: Eval charged %+v in all, per-call evaluation %+v", base.Name(), trial, fast.Counts(), ref.Counts())
+		}
+	}
+}
