@@ -275,10 +275,12 @@ type Cluster[E comparable] struct {
 	tick parsedTick[E]
 	// Step scratch, reused from step to step: computeAllResults' result
 	// table and runExecutionStep's pending nodes on the driving goroutine,
-	// clientPhase's tally on whichever goroutine runs finishStep.
+	// clientPhase's tally and decode groups on whichever goroutine runs
+	// finishStep.
 	results [][]E
 	pending []*node[E]
 	tally   []replyCount[E]
+	grouped []bool
 	// outcomes is the FIFO free list of step outcomes (takeOutcome,
 	// releaseOutcome). At most Pipeline+2 are out of it at once — the
 	// stage's queue, the one it tallies and the one a step decodes into —

@@ -278,7 +278,12 @@ func (c *Cluster[E]) liarReply(o *stepOutcome[E], k, x int) []E {
 // accepts an output once b+1 nodes report the same value (Table 2, output
 // delivery: 2b+1 <= N). Byzantine nodes report the pre-drawn garbage.
 // Each machine's tally is a short list of distinct replies (one in an
-// honest round). The result is then audited against the oracle execution,
+// honest round). The honest decodes equal to the first one over their
+// whole result block (groupDecodes; every honest decode, in an honest
+// step) reply alike for every machine, so they count once per machine,
+// with their group's size; only the other decodes and the liars' replies
+// are counted one by one, and acceptReply does not depend on the order of
+// the tally. The result is then audited against the oracle execution,
 // which finishStep has advanced past the round. The accepted outputs are
 // copied into one fresh allocation: the round's report outlives the
 // decode buffers they were read from.
@@ -288,15 +293,19 @@ func (c *Cluster[E]) clientPhase(o *stepOutcome[E]) {
 	res.Outputs = make([][]E, c.cfg.K)
 	flat := make([]E, c.cfg.K*l)
 	res.Correct = true
+	ref, group := c.groupDecodes(o)
 	for k := 0; k < c.cfg.K; k++ {
 		c.tally = c.tally[:0]
+		if ref != nil {
+			c.tally = append(c.tally, replyCount[E]{value: ref.output(k), count: group})
+		}
 		x := 0 // the next liar
 		for i, dec := range o.decodes {
 			var reply []E
 			if x < len(o.liars) && o.liars[x] == i {
 				reply = c.liarReply(o, k, x)
 				x++
-			} else if dec != nil {
+			} else if dec != nil && !c.grouped[i] {
 				reply = dec.output(k)
 			}
 			if reply != nil {
@@ -312,13 +321,16 @@ func (c *Cluster[E]) clientPhase(o *stepOutcome[E]) {
 		}
 	}
 	// Consistency audit: every honest node must hold the same decoded next
-	// states, matching the oracle.
+	// states, matching the oracle; the group's are its first decode's.
 	faulty := []int{}
-	for _, dec := range o.decodes {
+	for i, dec := range o.decodes {
 		if dec == nil {
 			continue
 		}
 		faulty = ints.UnionSorted(faulty, dec.FaultyNodes)
+		if c.grouped[i] && dec != ref {
+			continue
+		}
 		for k := 0; k < c.cfg.K; k++ {
 			if !slices.Equal(dec.nextState(k), c.oracle[k][:stateLen]) {
 				res.Correct = false
@@ -326,6 +338,35 @@ func (c *Cluster[E]) clientPhase(o *stepOutcome[E]) {
 		}
 	}
 	res.FaultyDetected = faulty
+}
+
+// groupDecodes marks in c.grouped the decodes of o's honest nodes whose
+// flat result block equals the first one's, and returns that first decode
+// with the group's size, itself included (nil and 0 when no honest node
+// decoded). A decode without a flat block joins no group but its own.
+func (c *Cluster[E]) groupDecodes(o *stepOutcome[E]) (ref *nodeDecode[E], size int) {
+	if len(c.grouped) != len(o.decodes) {
+		c.grouped = make([]bool, len(o.decodes))
+	}
+	clear(c.grouped)
+	x := 0 // the next liar
+	for i, dec := range o.decodes {
+		if x < len(o.liars) && o.liars[x] == i {
+			x++
+			continue
+		}
+		if dec == nil {
+			continue
+		}
+		if ref == nil {
+			ref = dec
+		} else if ref.flat == nil || !slices.Equal(dec.flat, ref.flat) {
+			continue
+		}
+		c.grouped[i] = true
+		size++
+	}
+	return ref, size
 }
 
 // replyCount is a distinct reply a client heard and how many nodes sent it.

@@ -118,7 +118,9 @@ func newStepCore[E comparable](code *lcc.Code[E], tr *sm.Transition[E], bulk fie
 
 // nodeDecode is a node's decoded view of one step: the decoder's K
 // result vectors, each [next state | output], split on read, and the
-// senders it caught (FaultyNodes).
+// senders it caught (FaultyNodes). A decode absorb makes lays the vectors
+// out machine after machine in one flat block (flat), which Outputs views;
+// one the Cluster builds from a delegated worker's proof has none.
 //
 // The ownership rule: absorb decodes into a buffer its caller owns, and
 // the caller reuses the buffer only once nothing reads the decode. A
@@ -134,6 +136,20 @@ func newStepCore[E comparable](code *lcc.Code[E], tr *sm.Transition[E], bulk fie
 type nodeDecode[E comparable] struct {
 	lcc.DecodeResult[E]
 	stateLen int
+	flat     []E
+}
+
+// layOut points Outputs at k vectors of length l over d's flat block,
+// allocating the block only when the shape changes.
+func (d *nodeDecode[E]) layOut(k, l int) {
+	if len(d.flat) == k*l && len(d.Outputs) == k {
+		return
+	}
+	d.flat = make([]E, k*l)
+	d.Outputs = make([][]E, k)
+	for i := range d.Outputs {
+		d.Outputs[i] = d.flat[i*l : (i+1)*l : (i+1)*l]
+	}
 }
 
 // nextState is machine m's decoded next state.
@@ -363,6 +379,7 @@ func (s *stepCore[E]) absorb(d *nodeDecode[E]) error {
 		s.rowsStale = false
 	}
 	d.stateLen = s.tr.StateLen()
+	d.layOut(s.code.K(), s.tr.ResultLen())
 	ok := false
 	if s.primed != nil {
 		var err error
@@ -376,7 +393,10 @@ func (s *stepCore[E]) absorb(d *nodeDecode[E]) error {
 		if err != nil {
 			return fmt.Errorf("csm: node %d decode: %w", s.id, err)
 		}
-		d.DecodeResult = *full // the buffer adopts the full decoder's vectors
+		for k, v := range full.Outputs {
+			copy(d.Outputs[k], v)
+		}
+		d.FaultyNodes = full.FaultyNodes
 	}
 	s.absorbVerdict(d.FaultyNodes)
 	// Update the coded state: S̃_i(t+1) = Σ_k c_ik Ŝ_k(t+1), re-encoded into
