@@ -29,6 +29,10 @@ func TestUnionSorted(t *testing.T) {
 		{nil, []int{4, 1, 4}, []int{1, 4}},
 		{[]int{2, 6}, []int{6, 0, 9, 3}, []int{0, 2, 3, 6, 9}},
 		{[]int{2, 6}, []int{2}, []int{2, 6}},
+		{[]int{1, 3, 5, 8}, []int{3, 8}, []int{1, 3, 5, 8}},    // an ascending subset
+		{[]int{1, 3, 5, 8}, []int{8, 3, 3}, []int{1, 3, 5, 8}}, // a subset out of order
+		{[]int{1, 3, 5, 8}, []int{5, 2}, []int{1, 2, 3, 5, 8}},
+		{[]int{1, 3, 5, 8}, []int{3, 9}, []int{1, 3, 5, 8, 9}},
 	} {
 		if got := UnionSorted(tc.set, tc.add); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("UnionSorted(%v, %v) = %v, want %v", tc.set, tc.add, got, tc.want)
