@@ -108,12 +108,33 @@ func goldReduce(hi, lo uint64) uint64 {
 	return s
 }
 
-// Inv implements Field via Fermat's little theorem: a^(p-2).
+// Inv implements Field via Fermat's little theorem: a^(p-2), on an
+// addition chain for p-2 = (2^31-1)·2^33 + 2^32-1 of 64 squarings and 9
+// multiplications, where square-and-multiply makes 64 and 63.
 func (g Goldilocks) Inv(a uint64) (uint64, error) {
 	if a == 0 {
 		return 0, ErrDivisionByZero
 	}
-	return goldExp(a, GoldilocksModulus-2), nil
+	// t_k = a^(2^k - 1); t_{j+k} = t_j^(2^k) · t_k.
+	t1 := a
+	t2 := g.Mul(goldSquare(t1, 1), t1)
+	t3 := g.Mul(goldSquare(t2, 1), t1)
+	t6 := g.Mul(goldSquare(t3, 3), t3)
+	t12 := g.Mul(goldSquare(t6, 6), t6)
+	t24 := g.Mul(goldSquare(t12, 12), t12)
+	t30 := g.Mul(goldSquare(t24, 6), t6)
+	t31 := g.Mul(goldSquare(t30, 1), t1)
+	t32 := g.Mul(goldSquare(t31, 1), t1)
+	return g.Mul(goldSquare(t31, 33), t32), nil
+}
+
+// goldSquare returns x^(2^n): x squared n times.
+func goldSquare(x uint64, n int) uint64 {
+	var g Goldilocks
+	for range n {
+		x = g.Mul(x, x)
+	}
+	return x
 }
 
 func goldExp(base, e uint64) uint64 {

@@ -75,8 +75,11 @@ func TestGoldilocksInv(t *testing.T) {
 		t.Fatal("Inv(0) should fail")
 	}
 	r := rand.New(rand.NewPCG(1, 2))
+	as := []uint64{1, 2, GoldilocksModulus - 1, GoldilocksModulus - 2, 1 << 32, goldEpsilon}
 	for i := 0; i < 200; i++ {
-		a := g.Rand(r)
+		as = append(as, g.Rand(r))
+	}
+	for _, a := range as {
 		if a == 0 {
 			continue
 		}
@@ -86,6 +89,9 @@ func TestGoldilocksInv(t *testing.T) {
 		}
 		if g.Mul(a, inv) != 1 {
 			t.Fatalf("a * Inv(a) != 1 for a=%d", a)
+		}
+		if want := goldExp(a, GoldilocksModulus-2); inv != want {
+			t.Fatalf("Inv(%d) = %d, square-and-multiply a^(p-2) = %d", a, inv, want)
 		}
 	}
 }
