@@ -60,7 +60,7 @@ bench-micro:
 # share) or allocs (every allocation sampled, -memprofilerate=1; printed
 # by alloc_objects, flat). PROFILE_BENCH picks the benchmark:
 # BenchmarkHonestRound (default; one honest round at sim-honest's shape,
-# N=64, K=22, b=21, default fan-out), BenchmarkByzantineBatch (one B=8
+# N=64, K=22, b=21), BenchmarkByzantineBatch (one B=8
 # batch at sim-byz-batched's shape) or BenchmarkByzantineSetup (a new
 # cluster of that shape and its first batch: the first detection's full
 # decodes).
@@ -94,7 +94,7 @@ smoke-pipeline:
 
 # Churn end-to-end configuration under the race detector (CI smoke): a
 # node crashes and rejoins via coded-state repair while the adversary
-# moves, on the parallel engine.
+# moves.
 smoke-churn:
 	$(GO) run -race ./cmd/csmsim -n 16 -b 3 -rounds 8 -consensus dolev-strong \
 		-churn "1:crash:2,3:rejoin:2,4:corrupt:5:wrong,6:release:5"

@@ -277,16 +277,12 @@ func (c *Cluster[E]) liarReply(o *stepOutcome[E], k, x int) []E {
 // clientPhase simulates the M clients collecting per-node replies: a client
 // accepts an output once b+1 nodes report the same value (Table 2, output
 // delivery: 2b+1 <= N). Byzantine nodes report the pre-drawn garbage.
-// Each machine's tally is a short list of distinct replies (one in an
-// honest round). The honest decodes equal to the first one over their
-// whole result block (groupDecodes; every honest decode, in an honest
-// step) reply alike for every machine, so they count once per machine,
-// with their group's size; only the other decodes and the liars' replies
-// are counted one by one, and acceptReply does not depend on the order of
-// the tally. The result is then audited against the oracle execution,
-// which finishStep has advanced past the round. The accepted outputs are
-// copied into one fresh allocation: the round's report outlives the
-// decode buffers they were read from.
+// Each machine's tally is a short list of distinct replies; the decodes
+// groupDecodes groups count once, with the group's size (acceptReply does
+// not depend on the tally's order). The result is then audited against
+// the oracle, which finishStep has advanced past the round. The accepted
+// outputs are copied into one fresh allocation: the round's report
+// outlives the decode buffers they were read from.
 func (c *Cluster[E]) clientPhase(o *stepOutcome[E]) {
 	f, l, stateLen := c.cfg.BaseField, c.tr.OutLen(), c.tr.StateLen()
 	res := o.res
@@ -320,8 +316,8 @@ func (c *Cluster[E]) clientPhase(o *stepOutcome[E]) {
 			res.Correct = false
 		}
 	}
-	// Consistency audit: every honest node must hold the same decoded next
-	// states, matching the oracle; the group's are its first decode's.
+	// Consistency audit: every honest node's decoded next states must
+	// match the oracle; a group's are its first decode's.
 	faulty := []int{}
 	for i, dec := range o.decodes {
 		if dec == nil {
@@ -340,14 +336,12 @@ func (c *Cluster[E]) clientPhase(o *stepOutcome[E]) {
 	res.FaultyDetected = faulty
 }
 
-// groupDecodes marks in c.grouped the decodes of o's honest nodes whose
-// flat result block equals the first one's, and returns that first decode
-// with the group's size, itself included (nil and 0 when no honest node
-// decoded). A decode without a flat block joins no group but its own.
+// groupDecodes marks in c.grouped the honest decodes whose flat result
+// block equals the first one's (all of them, in an honest step), and
+// returns that first decode and the group's size; a decode without a flat
+// block joins no group but its own.
 func (c *Cluster[E]) groupDecodes(o *stepOutcome[E]) (ref *nodeDecode[E], size int) {
-	if len(c.grouped) != len(o.decodes) {
-		c.grouped = make([]bool, len(o.decodes))
-	}
+	c.grouped = slices.Grow(c.grouped[:0], len(o.decodes))[:len(o.decodes)]
 	clear(c.grouped)
 	x := 0 // the next liar
 	for i, dec := range o.decodes {

@@ -1,50 +1,28 @@
 package csm
 
 import (
+	"cmp"
 	"slices"
 
 	"codedsm/internal/transport"
 )
 
 // A simulated Cluster runs a round's node-level work on the driving
-// goroutine, node by node in id order. A node's steady step is a few
-// hundred counted field operations — about a microsecond and a half at
-// N=64 — which is less than handing it to another goroutine costs, so the
-// phases below are plain loops. The per-node work is the stepCore every
-// node embeds (step.go — the same core a NodeProcess runs); this file only
-// orders it. The round is split into phases by what they touch:
-//
-//   - command encode: stepCore.encodeCommands is a pure function of the
-//     node's coefficients and the agreed batch, flattened once so one
-//     K-term LinCombAccVec per node covers every micro-step.
-//   - compute: stepCore.apply, the coded transition g_i = f(S̃_i, X̃_i),
-//     is a pure function of the node's state and its coded command slice;
-//     each result lands in the node's own apply buffer, indexed by node in
-//     the cluster's result table.
-//   - broadcast: each node's result, or its Byzantine lie drawn from the
-//     cluster RNG into the node's lie buffer, is encoded into the node's
-//     payload buffer and enqueued in node order (node.sendResult).
-//   - collect + decode: the step's results live in one sender-indexed row
-//     table, the cluster's (Cluster.shared): each sender's row is written
-//     once per step, when it sends (shareResult), and read in place by
-//     every node that receives it. Each tick steps the network and parses
-//     each delivered envelope once, for all its recipients (parseResults),
-//     comparing it with its sender's row; then each honest node still
-//     waiting marks the senders whose results reach it (node.collect) and,
-//     once it holds enough, decodes (stepCore.absorb) into its buffer of
-//     the step's outcome. Only a result that differs from its sender's row
-//     (an equivocation, say) is copied, into the recipient's own row.
-//     Nothing writes a row a node may read until the next step opens.
-//   - client/audit (sequential or pipelined): the Byzantine replies are
-//     drawn from the cluster RNG on the driving goroutine into the step's
-//     outcome; the tally itself may run on the background client stage,
-//     which overlaps the driver's next steps and is the one other
-//     goroutine a Cluster runs. The ownership rule makes the overlap safe
-//     at any Pipeline depth: an outcome, decode buffers and all, returns
-//     to the cluster's free list only after the stage has tallied its
-//     step (releaseOutcome), so a step the driver runs ahead decodes into
-//     another outcome's buffers, and the round's report copies the outputs
-//     it accepts instead of pointing into a decode.
+// goroutine, node by node in id order: a node's steady step, a few hundred
+// counted field operations, costs less than handing it to another
+// goroutine. The per-node work is the stepCore every node embeds (step.go,
+// the core a NodeProcess runs too); this file orders it. A step encodes
+// each live node's coded commands, computes each one's coded result into
+// its apply buffer, and broadcasts each result or lie in node order
+// (node.sendResult). Each sender's row of the step's table
+// (Cluster.shared) is written once, when it sends (shareResult); each tick
+// parses every delivered envelope once for all its recipients
+// (parseResults), and each waiting honest node marks the senders that
+// reach it (node.collect) and decodes, reading the rows in place. Only a
+// result that differs from its sender's row is copied, into the
+// recipient's own row. The client tally may run on the pipelined client
+// stage, the one other goroutine a Cluster runs: an outcome returns to
+// the free list only after the stage has tallied it (releaseOutcome).
 
 // Parallelism reports the number of goroutines a round's node-level work
 // runs on: 1, the driving goroutine, whatever GOMAXPROCS is.
@@ -99,15 +77,9 @@ func (c *Cluster[E]) collectAndDecode(o *stepOutcome[E], pending []*node[E], for
 	for _, n := range pending {
 		n.collect(tab)
 		ok, err := n.tryDecode(force, need, &o.bufs[n.id])
-		if err != nil && first == nil {
-			first = err
-		}
-		all = all && ok
+		all, first = all && ok, cmp.Or(first, err)
 	}
-	if first != nil {
-		return false, first
-	}
-	return all, nil
+	return all && first == nil, first
 }
 
 // shareResult opens sender from's row of the step's table with the result

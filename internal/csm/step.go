@@ -118,9 +118,8 @@ func newStepCore[E comparable](code *lcc.Code[E], tr *sm.Transition[E], bulk fie
 
 // nodeDecode is a node's decoded view of one step: the decoder's K
 // result vectors, each [next state | output], split on read, and the
-// senders it caught (FaultyNodes). A decode absorb makes lays the vectors
-// out machine after machine in one flat block (flat), which Outputs views;
-// one the Cluster builds from a delegated worker's proof has none.
+// senders it caught (FaultyNodes). absorb lays the vectors out in one flat
+// block (flat); a decode from a delegated worker's proof has none.
 //
 // The ownership rule: absorb decodes into a buffer its caller owns, and
 // the caller reuses the buffer only once nothing reads the decode. A
@@ -139,16 +138,14 @@ type nodeDecode[E comparable] struct {
 	flat     []E
 }
 
-// layOut points Outputs at k vectors of length l over d's flat block,
-// allocating the block only when the shape changes.
+// layOut points Outputs at k vectors of length l over a flat block,
+// allocated only when the shape changes.
 func (d *nodeDecode[E]) layOut(k, l int) {
-	if len(d.flat) == k*l && len(d.Outputs) == k {
-		return
-	}
-	d.flat = make([]E, k*l)
-	d.Outputs = make([][]E, k)
-	for i := range d.Outputs {
-		d.Outputs[i] = d.flat[i*l : (i+1)*l : (i+1)*l]
+	if len(d.flat) != k*l || len(d.Outputs) != k {
+		d.flat, d.Outputs = make([]E, k*l), make([][]E, k)
+		for i := range d.Outputs {
+			d.Outputs[i] = d.flat[i*l : (i+1)*l : (i+1)*l]
+		}
 	}
 }
 
@@ -394,7 +391,7 @@ func (s *stepCore[E]) absorb(d *nodeDecode[E]) error {
 			return fmt.Errorf("csm: node %d decode: %w", s.id, err)
 		}
 		for k, v := range full.Outputs {
-			copy(d.Outputs[k], v)
+			copy(d.Outputs[k], v) // into the buffer's flat block
 		}
 		d.FaultyNodes = full.FaultyNodes
 	}

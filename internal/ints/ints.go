@@ -32,33 +32,21 @@ func SortedMapKeys[V any](m map[int]V) []int {
 // set and returns it, still ascending and duplicate-free. set's backing
 // array is reused when it has room; add may be in any order. When add is
 // ascending and already in set, the steady case of a faulty-node union,
-// set comes back untouched after one walk of both.
+// one walk of both returns set untouched.
 func UnionSorted(set, add []int) []int {
-	if sortedSubset(set, add) {
-		return set
-	}
-	for _, v := range add {
-		if i, found := slices.BinarySearch(set, v); !found {
-			set = slices.Insert(set, i, v)
-		}
-	}
-	return set
-}
-
-// sortedSubset reports whether add is ascending and every element of it
-// is in the ascending set, in one walk of both.
-func sortedSubset(set, add []int) bool {
 	i := 0
 	for j, v := range add {
-		if j > 0 && v < add[j-1] {
-			return false
-		}
 		for i < len(set) && set[i] < v {
 			i++
 		}
-		if i == len(set) || set[i] != v {
-			return false
+		if i == len(set) || set[i] != v || j > 0 && v < add[j-1] {
+			for _, v := range add[j:] {
+				if i, found := slices.BinarySearch(set, v); !found {
+					set = slices.Insert(set, i, v)
+				}
+			}
+			return set
 		}
 	}
-	return true
+	return set
 }
