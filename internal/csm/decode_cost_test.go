@@ -214,6 +214,45 @@ func TestByzantineBatchAllocGuard(t *testing.T) {
 	}
 }
 
+// TestByzantineSetupAllocGuard caps the heap allocations and heap bytes
+// of what BenchmarkByzantineSetup times, a new cluster of the
+// sim-byz-batched shape and its first B=8 batch, counted both on one
+// worker and at the test's GOMAXPROCS. That first batch meets the 21
+// liars unsuspected: every honest node runs the full decoder once and
+// then primes a check that keeps the liars out of its trusted rows. It
+// cost 15 221 allocations (3.94 MB). The ceilings sit within 10 % above
+// today's figures.
+func TestByzantineSetupAllocGuard(t *testing.T) {
+	const allocCeiling, byteCeiling = 16_740, 4_334_000
+	cfg := batchedByzConfig()
+	tr, err := bankFactory(gold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := RandomWorkload[uint64](gold, cfg.BatchSize, cfg.K, tr.CmdLen(), 7)
+	setup := func() {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(wl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(2, setup)
+	here, bytes := heapPerRun(2, setup)
+	t.Logf("per new 21-liar N=64 K=22 b=21 cluster and first B=8 batch: %.0f heap allocations (GOMAXPROCS 1); %d heap allocations, %d heap bytes (GOMAXPROCS %d)", allocs, here, bytes, runtime.GOMAXPROCS(0))
+	if allocs > allocCeiling {
+		t.Errorf("%.0f allocations per set-up, ceiling %d", allocs, allocCeiling)
+	}
+	if here > allocCeiling {
+		t.Errorf("%d allocations per set-up at GOMAXPROCS %d, ceiling %d", here, runtime.GOMAXPROCS(0), allocCeiling)
+	}
+	if bytes > byteCeiling+raceHeapSlack {
+		t.Errorf("%d heap bytes per set-up, ceiling %d", bytes, byteCeiling+raceHeapSlack)
+	}
+}
+
 // TestProcessRoundAllocGuard caps the heap allocations of one round of
 // the deployed engine at TestProcessRoundCountGuard's Oracle shape: four
 // NodeProcess (N=4, K=2, b=1) over local links, one round per batch,
@@ -311,16 +350,23 @@ func honestRounds(t *testing.T) func() {
 	return round
 }
 
-// byzantineBatches returns a function that runs the next B=8 batch of
-// BenchmarkByzantineBatch's shape, after one batch that learns the liars
-// and primes every node's decode.
-func byzantineBatches(t *testing.T) func() {
+// batchedByzConfig is csmload's sim-byz-batched shape: N=64, K=22, b=21,
+// 21 WrongResult nodes, B=8 rounds per batch, pipeline depth 4.
+func batchedByzConfig() Config[uint64] {
 	cfg := baseConfig(22, 64, 21)
 	cfg.Byzantine = map[int]Behavior{}
 	for i := 0; len(cfg.Byzantine) < 21; i++ {
 		cfg.Byzantine[(i*5+2)%64] = WrongResult
 	}
 	cfg.BatchSize, cfg.Pipeline = 8, 4
+	return cfg
+}
+
+// byzantineBatches returns a function that runs the next B=8 batch of
+// BenchmarkByzantineBatch's shape, after one batch that learns the liars
+// and primes every node's decode.
+func byzantineBatches(t *testing.T) func() {
+	cfg := batchedByzConfig()
 	c := newCluster(t, cfg)
 	wl := RandomWorkload[uint64](gold, 4*cfg.BatchSize, cfg.K, c.tr.CmdLen(), 7)
 	i := 0
@@ -379,12 +425,7 @@ func BenchmarkHonestRound(b *testing.B) {
 // whole batch: error correction on its first step, the primed decode on
 // the other seven, and the pipelined client stage.
 func BenchmarkByzantineBatch(b *testing.B) {
-	cfg := baseConfig(22, 64, 21)
-	cfg.Byzantine = map[int]Behavior{}
-	for i := 0; len(cfg.Byzantine) < 21; i++ {
-		cfg.Byzantine[(i*5+2)%64] = WrongResult
-	}
-	cfg.BatchSize, cfg.Pipeline = 8, 4
+	cfg := batchedByzConfig()
 	c, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -410,12 +451,7 @@ func BenchmarkByzantineBatch(b *testing.B) {
 // B=8 batch, the one whose first step meets the 21 liars unsuspected and
 // every honest node falls back to the full decoder.
 func BenchmarkByzantineSetup(b *testing.B) {
-	cfg := baseConfig(22, 64, 21)
-	cfg.Byzantine = map[int]Behavior{}
-	for i := 0; len(cfg.Byzantine) < 21; i++ {
-		cfg.Byzantine[(i*5+2)%64] = WrongResult
-	}
-	cfg.BatchSize, cfg.Pipeline = 8, 4
+	cfg := batchedByzConfig()
 	tr, err := bankFactory(gold)
 	if err != nil {
 		b.Fatal(err)

@@ -134,44 +134,122 @@ func TestPrimedExhaustive(t *testing.T) {
 	}
 }
 
+// TestPrimedTwoComponentExhaustive runs the verified-subset check over
+// every two-component word of GF(2^3) on New's systematic points with
+// K = 1, d = 1 (dim 1), on the three-row layouts at N ≤ 4, where the
+// radius is 1 — the N=3 full layout and every three-row subset at N=4,
+// with and without machine 0's node — trusting each row in turn. It holds
+// the check to ball ownership of both components at once, so it
+// enumerates what TestPrimedExhaustive's one component cannot: rows
+// caught in the first component and what the second makes of them.
+// Soundness: a certified word has both components in balls, its outputs
+// are the owners' values at ω_0, and FaultyNodes is the union of the rows
+// either component differs on. Completeness: a word with both components
+// in balls and clean on the trusted row is certified.
+func TestPrimedTwoComponentExhaustive(t *testing.T) {
+	f, err := field.NewGF2m(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := poly.NewRing[uint64](f)
+	const d = 1
+	for _, tc := range []struct {
+		n       int
+		indices []int
+	}{
+		{3, []int{0, 1, 2}},
+		{4, []int{0, 1, 2}},
+		{4, []int{0, 1, 3}},
+		{4, []int{0, 2, 3}},
+		{4, []int{1, 2, 3}},
+	} {
+		code, err := New(ring, 1, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var points []uint64
+		for _, i := range tc.indices {
+			points = append(points, code.Alphas()[i])
+		}
+		truth := newBalls(t, ring, points, code.ResultDim(d))
+		indices := tc.indices
+		if len(indices) == tc.n {
+			indices = nil
+		}
+		for trusted := range tc.indices {
+			where := fmt.Sprintf("N=%d rows %v trusted row %d", tc.n, tc.indices, trusted)
+			p, err := code.NewPrimed(indices, tc.indices[:trusted], d, 0)
+			if err != nil || p == nil {
+				t.Fatalf("%s: NewPrimed: %v, %v", where, p, err)
+			}
+			if msg := componentsAgree(code, p, truth, tc.indices, []int{trusted}, 2); msg != "" {
+				t.Errorf("%s: %s", where, msg)
+			}
+		}
+	}
+}
+
 // primedAgrees decodes every word of the layout with p and returns the
 // first disagreement with truth (and how many there were), or "".
 func primedAgrees(code *Code[uint64], p *Primed[uint64], truth *balls, indices, trusted []int) string {
+	return componentsAgree(code, p, truth, indices, trusted, 1)
+}
+
+// componentsAgree is primedAgrees over every word of l components: word w
+// holds component j's word number (w / W^j) mod W, W the words of one
+// component, and each component is held to its own ball.
+func componentsAgree(code *Code[uint64], p *Primed[uint64], truth *balls, indices, trusted []int, l int) string {
 	results := make([][]uint64, len(indices))
 	for r := range results {
-		results[r] = make([]uint64, 1)
+		results[r] = make([]uint64, l)
 	}
+	words := len(truth.owner)
+	word, owner := make([][]uint64, l), make([]int, l)
 	first, bad := "", 0
-	for w, m := range truth.owner {
-		word := digits(w, truth.q, truth.n)
-		for r, v := range word {
-			results[r][0] = v
+	for w := range pow(words, l) {
+		for j, x := 0, w; j < l; j, x = j+1, x/words {
+			word[j], owner[j] = digits(x%words, truth.q, truth.n), truth.owner[x%words]
+			for r, v := range word[j] {
+				results[r][j] = v
+			}
 		}
-		res, ok, err := p.Decode(results, 1)
+		res, ok, err := p.Decode(results, l)
+		inBalls := !slices.Contains(owner, -1)
+		// differs reports whether row r misses its owner's codeword in
+		// some component (the word must lie in balls).
+		differs := func(r int) bool {
+			for j, m := range owner {
+				if word[j][r] != truth.codewords[m][r] {
+					return true
+				}
+			}
+			return false
+		}
 		msg := ""
 		switch {
 		case err != nil:
 			msg = err.Error()
-		case ok && m < 0:
+		case ok && !inBalls:
 			msg = fmt.Sprintf("certified %v, which lies in no ball", word)
 		case ok:
-			cw := truth.codewords[m]
 			var faulty []int
-			for r := range word {
-				if word[r] != cw[r] {
+			for r := range indices {
+				if differs(r) {
 					faulty = append(faulty, indices[r])
 				}
 			}
-			for i, omega := range code.Omegas() {
-				if res.Outputs[i][0] != code.ring.Eval(truth.messages[m], omega) {
-					msg = fmt.Sprintf("word %v: output %d is %d, want message %v at %d", word, i, res.Outputs[i][0], truth.messages[m], omega)
+			for j, m := range owner {
+				for i, omega := range code.Omegas() {
+					if res.Outputs[i][j] != code.ring.Eval(truth.messages[m], omega) {
+						msg = fmt.Sprintf("word %v: output %d component %d is %d, want message %v at %d", word, i, j, res.Outputs[i][j], truth.messages[m], omega)
+					}
 				}
 			}
 			if !slices.Equal(res.FaultyNodes, faulty) {
 				msg = fmt.Sprintf("word %v: faulty %v, want %v", word, res.FaultyNodes, faulty)
 			}
-		case m >= 0 && !slices.ContainsFunc(trusted, func(r int) bool { return word[r] != truth.codewords[m][r] }):
-			msg = fmt.Sprintf("refused %v, which lies in message %v's ball and is clean on the trusted rows %v", word, truth.messages[m], trusted)
+		case inBalls && !slices.ContainsFunc(trusted, differs):
+			msg = fmt.Sprintf("refused %v, which lies in the balls of messages %v and is clean on the trusted rows %v", word, owner, trusted)
 		}
 		if msg != "" {
 			if bad++; bad == 1 {

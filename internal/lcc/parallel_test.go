@@ -1,6 +1,7 @@
 package lcc
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -91,8 +92,12 @@ func TestDecodeOutputsSubsetFullIndexMatchesPlain(t *testing.T) {
 }
 
 // TestConcurrentDecodesShareOneCode exercises the codesByDim cache under
-// concurrent decoders — the cluster's nodes decode the same round in
-// parallel against one shared Code (run with -race).
+// concurrent decoders, and then the cache of subset checks under
+// concurrent primings: 16 goroutines prime two suspect layouts on one
+// counting Code and decode twice on each (the second decode forms the
+// randomized rule on the check's narrowed prediction). The field is
+// charged exactly what 16 primings and decodes charge on fresh Codes, and
+// every decode matches the full decoder's (run with -race).
 func TestConcurrentDecodesShareOneCode(t *testing.T) {
 	const k, n, d = 3, 20, 2
 	code, results := buildRound(t, k, n, d, 1)
@@ -116,5 +121,66 @@ func TestConcurrentDecodesShareOneCode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
+	}
+
+	want, err := code.DecodeOutputs(results, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suspects := [][]int{{1}, {1, 4}}
+	countingAt := func() (*Code[uint64], *field.Counting[uint64]) {
+		cf := field.NewCounting[uint64](field.NewGoldilocks())
+		c, err := NewWithPoints(poly.NewRing[uint64](cf), code.Omegas(), code.Alphas())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, cf
+	}
+	// primeAndDecode primes suspects on c and decodes the round twice.
+	primeAndDecode := func(c *Code[uint64], g int) error {
+		p, err := c.NewPrimed(nil, suspects[g%2], d, 1)
+		if err != nil || p == nil {
+			return fmt.Errorf("NewPrimed: %v, %v", p, err)
+		}
+		p.Randomize(uint64(g), 1)
+		for range 2 {
+			res, ok, err := p.Decode(results, 0)
+			if err != nil || !ok {
+				return fmt.Errorf("primed decode: ok=%v err=%v", ok, err)
+			}
+			if !reflect.DeepEqual(res, want) {
+				return fmt.Errorf("primed decode %v, full decode %v", res, want)
+			}
+		}
+		return nil
+	}
+	var each [2]field.OpCounts
+	for g := range each {
+		c, cf := countingAt()
+		before := cf.Counts()
+		if err := primeAndDecode(c, g); err != nil {
+			t.Fatal(err)
+		}
+		each[g] = cf.Counts().Sub(before)
+	}
+	shared, cf := countingAt()
+	before := cf.Counts()
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			errs[g] = primeAndDecode(shared, g)
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", g, err)
+		}
+	}
+	pair := each[0].Add(each[1])
+	total := field.OpCounts{Adds: 8 * pair.Adds, Muls: 8 * pair.Muls, Invs: 8 * pair.Invs}
+	if got := cf.Counts().Sub(before); got != total {
+		t.Errorf("16 concurrent primings and decodes charged %+v, 16 on fresh Codes %+v", got, total)
 	}
 }

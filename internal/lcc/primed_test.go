@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"codedsm/internal/field"
+	"codedsm/internal/poly"
 	"codedsm/internal/sm"
 )
 
@@ -288,5 +289,65 @@ func TestPrimedRefusesBelowCapacity(t *testing.T) {
 	}
 	if primed != nil {
 		t.Fatal("priming must refuse when trusted rows < dim + maxFaults")
+	}
+}
+
+// primeCost returns the field operations one NewPrimed call charges cf.
+func primeCost(t *testing.T, code *Code[uint64], cf *field.Counting[uint64], indices, suspects []int, d int) field.OpCounts {
+	t.Helper()
+	before := cf.Counts()
+	p, err := code.NewPrimed(indices, suspects, d, 0)
+	if err != nil || p == nil {
+		t.Fatalf("NewPrimed(%v, %v): %v, %v", indices, suspects, p, err)
+	}
+	return cf.Counts().Sub(before)
+}
+
+// countingCode returns a K=4, N=24 code over a counting Goldilocks field.
+func countingCode(t *testing.T) (*Code[uint64], *field.Counting[uint64]) {
+	t.Helper()
+	cf := field.NewCounting[uint64](field.NewGoldilocks())
+	code, err := New(poly.NewRing[uint64](cf), 4, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, cf
+}
+
+// TestPrimedChargesOneBuild primes suspect layouts again and again on one
+// counting Code: every priming charges the field exactly what building its
+// check counts on a fresh Code, inversions included, however often the
+// layout was primed before. The check of the honest layout (every row,
+// rows 0..dim-1 trusted) is the one exception: it is charged once per
+// Code, on its first priming.
+func TestPrimedChargesOneBuild(t *testing.T) {
+	const d = 1
+	subset := []int{0, 1, 2, 3, 5, 6, 8, 9, 10, 12, 13, 14, 15, 16, 17, 19, 20, 21, 22}
+	for _, tc := range []struct {
+		name              string
+		indices, suspects []int
+	}{
+		{"all rows", nil, []int{1, 5, 9}},
+		{"subset", subset, []int{2, 13}},
+		{"subset, no suspects", subset, nil},
+	} {
+		fresh, freshCounts := countingCode(t)
+		build := primeCost(t, fresh, freshCounts, tc.indices, tc.suspects, d)
+		if build.Invs != 2 || build.Muls == 0 {
+			t.Fatalf("%s: one build counted %+v, want two inversions and some multiplications", tc.name, build)
+		}
+		code, cf := countingCode(t)
+		for i := range 3 {
+			if got := primeCost(t, code, cf, tc.indices, tc.suspects, d); got != build {
+				t.Errorf("%s: priming %d charged %+v, one build counts %+v", tc.name, i, got, build)
+			}
+		}
+	}
+	code, cf := countingCode(t)
+	if first := primeCost(t, code, cf, nil, nil, d); first.Invs != 2 {
+		t.Errorf("the honest layout's first priming charged %+v, want one build", first)
+	}
+	if again := primeCost(t, code, cf, nil, []int{20}, d); again != (field.OpCounts{}) {
+		t.Errorf("the honest layout primed again charged %+v, want nothing", again)
 	}
 }
