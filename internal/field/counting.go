@@ -69,13 +69,14 @@ func (c *Counting[E]) Reset() {
 	c.invs.Store(0)
 }
 
-// Charged adds adds additions and muls multiplications to the counters
-// and returns the wrapped field, which counts nothing: for a caller that
-// knows what a fixed sequence of scalar calls would count, charges it in
-// one go, as the Bulk kernels do, and then runs the arithmetic uncounted.
-func (c *Counting[E]) Charged(adds, muls uint64) Field[E] {
-	c.adds.Add(adds)
-	c.muls.Add(muls)
+// Charged adds ops to the counters and returns the wrapped field, which
+// counts nothing: for a caller that knows what a fixed sequence of calls
+// would count, charges it in one go, as the Bulk kernels do, and then runs
+// the arithmetic uncounted, or reuses what an earlier run computed.
+func (c *Counting[E]) Charged(ops OpCounts) Field[E] {
+	c.adds.Add(ops.Adds)
+	c.muls.Add(ops.Muls)
+	c.invs.Add(ops.Invs)
 	return c.inner
 }
 

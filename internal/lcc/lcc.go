@@ -47,9 +47,10 @@ type Code[E comparable] struct {
 	coeffs    [][]E // N x K Lagrange coefficient matrix C = [c_ik]
 	omegaNode []int // per machine k, the node i with α_i = ω_k, or -1
 
-	mu          sync.Mutex // guards the two maps (nodes decode concurrently)
-	codesByDim  map[int]*rs.Code[E]
-	checksByDim map[int]*subsetCheck[E] // see checkFor
+	mu         sync.Mutex // guards the caches below (nodes may decode concurrently)
+	codesByDim map[int]*rs.Code[E]
+	checks     []*subsetCheck[E] // see checkFor
+	trustedBuf []int             // checkFor's lookup key
 }
 
 // New constructs the systematic code for K machines on N nodes: node i's
@@ -101,14 +102,13 @@ func NewWithPoints[E comparable](ring *poly.Ring[E], omegas, alphas []E) (*Code[
 		}
 	}
 	c := &Code[E]{
-		ring:        ring,
-		f:           ring.Field(),
-		bulk:        ring.Bulk(),
-		omegas:      append([]E(nil), omegas...),
-		alphas:      append([]E(nil), alphas...),
-		omegaNode:   omegaNode,
-		codesByDim:  make(map[int]*rs.Code[E]),
-		checksByDim: make(map[int]*subsetCheck[E]),
+		ring:       ring,
+		f:          ring.Field(),
+		bulk:       ring.Bulk(),
+		omegas:     append([]E(nil), omegas...),
+		alphas:     append([]E(nil), alphas...),
+		omegaNode:  omegaNode,
+		codesByDim: make(map[int]*rs.Code[E]),
 	}
 	c.omegaTree = poly.NewSubproductTree(ring, c.omegas)
 	c.alphaTree = poly.NewSubproductTree(ring, c.alphas)
@@ -135,7 +135,7 @@ func (c *Code[E]) buildCoeffs() error {
 			zs = append(zs, a)
 		}
 	}
-	basis, err := c.lagrangeMatrix(c.omegas, zs)
+	basis, err := lagrangeMatrix(c.f, c.bulk, c.omegas, zs)
 	if err != nil {
 		return fmt.Errorf("lcc: coefficient matrix: %w", err)
 	}
@@ -162,9 +162,10 @@ func (c *Code[E]) buildCoeffs() error {
 // the points xs for xs[t] evaluated at zs[i]:
 // ℓ_t(z) = M(z) / ((z - x_t)·w_t) with M(z) = Π_m (z - x_m) and
 // w_t = Π_{m≠t} (x_t - x_m). It is computed a column (one t) at a time
-// and laid out by rows at the end. It fails with the inversion's error
-// when two xs coincide or some zs[i] equals some xs[t].
-func (c *Code[E]) lagrangeMatrix(xs, zs []E) ([]E, error) {
+// and laid out by rows at the end, on f and its kernels bulk. It fails
+// with the inversion's error when two xs coincide or some zs[i] equals
+// some xs[t].
+func lagrangeMatrix[E comparable](f field.Field[E], bulk field.Bulk[E], xs, zs []E) ([]E, error) {
 	dim, z := len(xs), len(zs)
 	diffs := make([]E, dim*z)
 	master := make([]E, z)
@@ -172,34 +173,34 @@ func (c *Code[E]) lagrangeMatrix(xs, zs []E) ([]E, error) {
 	xdiff := make([]E, dim)
 	for t := 0; t < dim; t++ {
 		row := diffs[t*z : (t+1)*z]
-		c.bulk.SubScalarVec(row, zs, xs[t])
+		bulk.SubScalarVec(row, zs, xs[t])
 		if t == 0 {
 			copy(master, row)
 		} else {
-			c.bulk.MulVec(master, master, row)
+			bulk.MulVec(master, master, row)
 		}
-		c.bulk.ScalarSubVec(xdiff, xs[t], xs)
-		w := c.f.One()
+		bulk.ScalarSubVec(xdiff, xs[t], xs)
+		w := f.One()
 		for m, d := range xdiff {
 			if m != t {
-				w = c.f.Mul(w, d)
+				w = f.Mul(w, d)
 			}
 		}
 		weights[t] = w
 	}
 	cols := make([]E, dim*z)
 	weightInvs := make([]E, dim)
-	if err := c.bulk.BatchInvInto(cols, diffs); err != nil {
+	if err := bulk.BatchInvInto(cols, diffs); err != nil {
 		return nil, err
 	}
-	if err := c.bulk.BatchInvInto(weightInvs, weights); err != nil {
+	if err := bulk.BatchInvInto(weightInvs, weights); err != nil {
 		return nil, err
 	}
 	out := diffs // spent: reused for the row-major layout
 	for t := 0; t < dim; t++ {
 		col := cols[t*z : (t+1)*z]
-		c.bulk.MulVec(col, col, master)
-		c.bulk.ScaleVec(col, weightInvs[t], col)
+		bulk.MulVec(col, col, master)
+		bulk.ScaleVec(col, weightInvs[t], col)
 		for i, v := range col {
 			out[i*dim+t] = v
 		}

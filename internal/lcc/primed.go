@@ -67,6 +67,19 @@ type subsetCheck[E comparable] struct {
 	// exact predicts every other row position (its rows, ascending): the
 	// rest rows.
 	exact prediction[E]
+	// cost is what building the check counted on the Code's field (see
+	// checkFor), and narrowed holds exact's narrowings to the suspected
+	// rest rows that randomized rules asked for, newest last (see
+	// narrowedTo). The check is shared and, but for narrowed, which the
+	// Code's mu guards, never written after its build.
+	cost     field.OpCounts
+	narrowed []prediction[E]
+}
+
+// honest reports whether s is the check every honest round needs: the
+// full layout with rows 0..dim-1 trusted.
+func (s *subsetCheck[E]) honest() bool {
+	return s.indices == nil && s.trusted[len(s.trusted)-1] == len(s.trusted)-1
 }
 
 // prediction is what verify computes from a component's trusted values:
@@ -121,42 +134,77 @@ type checkScratch[E comparable] struct {
 	lhs, rhs []E
 }
 
+// checkCacheSize bounds the subset checks a Code keeps (see checkFor),
+// and narrowCacheSize the narrowings each of them keeps (see narrowedTo):
+// a cluster's nodes mostly share one layout and one verdict, so a few
+// entries serve them all.
+const (
+	checkCacheSize  = 32
+	narrowCacheSize = 4
+)
+
 // checkFor returns NewPrimed's verified-subset check for a received-row
 // layout (indices nil: the full node set) that trusts the first dim rows
 // whose node is not in suspects (sorted ascending), or nil when fewer than
-// dim+spare rows are unsuspected. The one check every honest round needs —
-// full layout, rows 0..dim-1 trusted — is built once per dimension and
-// shared by every Primed built against this Code. Any other check is built
-// for the caller alone: an evicting shared cache would make the number of
-// builds, and with it the counted field operations of a seeded run, depend
-// on worker scheduling.
+// dim+spare rows are unsuspected. The Code keeps the checks it built, keyed
+// by layout and trusted rows, and evicts the oldest beyond checkCacheSize,
+// save the check every honest round needs (see honest), which it keeps
+// for good. A check is charged to the field as if built for each caller
+// alone: a hit charges exactly what its build counted, inversions
+// included, so the counted operations of a run depend neither on the
+// order in which nodes prime nor on what was evicted. The honest check is
+// charged once per Code, on its build.
 func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare int) (*subsetCheck[E], error) {
 	if rows < dim {
 		return nil, nil
 	}
-	trusted := make([]int, 0, dim)
-	rest := make([]int, 0, rows-dim)
-	unsuspected := 0
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	trusted, unsuspected := c.trustedBuf[:0], 0
 	for r := 0; r < rows; r++ {
-		_, suspected := slices.BinarySearch(suspects, nodeOf(indices, r))
-		if !suspected {
+		if _, suspected := slices.BinarySearch(suspects, nodeOf(indices, r)); !suspected {
 			unsuspected++
-		}
-		if !suspected && len(trusted) < dim {
-			trusted = append(trusted, r)
-		} else {
-			rest = append(rest, r)
+			if len(trusted) < dim {
+				trusted = append(trusted, r)
+			}
 		}
 	}
+	c.trustedBuf = trusted
 	if len(trusted) < dim || unsuspected < dim+spare {
 		return nil, nil
 	}
-	shared := indices == nil && trusted[dim-1] == dim-1
-	if shared {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if chk, ok := c.checksByDim[dim]; ok {
+	for _, chk := range c.checks {
+		if slices.Equal(chk.indices, indices) && slices.Equal(chk.trusted, trusted) {
+			if counter, ok := c.f.(*field.Counting[E]); ok && !chk.honest() {
+				counter.Charged(chk.cost)
+			}
 			return chk, nil
+		}
+	}
+	chk, err := c.buildCheck(indices, rows, slices.Clone(trusted))
+	if err != nil {
+		return nil, err
+	}
+	if len(c.checks) == checkCacheSize {
+		if i := slices.IndexFunc(c.checks, func(s *subsetCheck[E]) bool { return !s.honest() }); i >= 0 {
+			c.checks = slices.Delete(c.checks, i, i+1)
+		}
+	}
+	c.checks = append(c.checks, chk)
+	return chk, nil
+}
+
+// buildCheck builds the check of a layout that trusts the given rows
+// (ascending). It runs on a counter of its own over the Code's field,
+// which charges that field as it goes and keeps what the build cost.
+func (c *Code[E]) buildCheck(indices []int, rows int, trusted []int) (*subsetCheck[E], error) {
+	dim := len(trusted)
+	rest := make([]int, 0, rows-dim)
+	for r, t := 0, 0; r < rows; r++ {
+		if t < dim && trusted[t] == r {
+			t++
+		} else {
+			rest = append(rest, r)
 		}
 	}
 	// Each output's source, as an index into pred ++ coefs once the extra
@@ -188,7 +236,13 @@ func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare i
 	for t, r := range trusted {
 		xs[t] = c.alphas[nodeOf(indices, r)]
 	}
-	predict, err := c.lagrangeMatrix(xs, zs)
+	f, bulk := c.f, c.bulk
+	var own *field.Counting[E]
+	if _, counted := c.f.(*field.Counting[E]); counted {
+		own = field.NewCounting(c.f)
+		f, bulk = own, own
+	}
+	predict, err := lagrangeMatrix(f, bulk, xs, zs)
 	if err != nil {
 		return nil, fmt.Errorf("lcc: verified-subset check: repeated row index: %w", err)
 	}
@@ -199,10 +253,33 @@ func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare i
 		radius:  (rows - dim) / 2,
 		exact:   prediction[E]{rows: rest, m: predict, from: from},
 	}
-	if shared {
-		c.checksByDim[dim] = chk
+	if own != nil {
+		chk.cost = own.Counts()
 	}
 	return chk, nil
+}
+
+// narrowedTo returns s.exact narrowed to the rest rows at the positions
+// keep (ascending), from s's narrowings when one of them compares exactly
+// those rows. A narrowing costs no field operation.
+func (c *Code[E]) narrowedTo(s *subsetCheck[E], keep []int) prediction[E] {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, p := range s.narrowed {
+		same := len(p.rows) == len(keep)
+		for x := 0; same && x < len(keep); x++ {
+			same = p.rows[x] == s.exact.rows[keep[x]]
+		}
+		if same {
+			return p
+		}
+	}
+	p := s.exact.narrow(keep, len(s.trusted))
+	if len(s.narrowed) == narrowCacheSize {
+		s.narrowed = slices.Delete(s.narrowed, 0, 1)
+	}
+	s.narrowed = append(s.narrowed, p)
+	return p
 }
 
 // rowOf returns the received row position of node in a layout of rows
@@ -342,7 +419,7 @@ func newFreivalds[E comparable](c *Code[E], s *subsetCheck[E], suspects []int, s
 		fr.w[t] = c.f.Zero()
 	}
 	c.bulk.LinCombAccVec(fr.w, fr.r, cleanRows)
-	fr.predict = s.exact.narrow(suspectAt, dim)
+	fr.predict = c.narrowedTo(s, suspectAt)
 	return fr
 }
 

@@ -351,3 +351,20 @@ func TestPrimedChargesOneBuild(t *testing.T) {
 		t.Errorf("the honest layout primed again charged %+v, want nothing", again)
 	}
 }
+
+// TestCheckLookupAllocatesNothing: finding a built check in the Code's
+// cache allocates nothing, on the honest layout and on a suspect one.
+func TestCheckLookupAllocatesNothing(t *testing.T) {
+	code, _ := countingCode(t)
+	dim := code.ResultDim(1)
+	for _, suspects := range [][]int{nil, {1, 5, 9}} {
+		if chk, err := code.checkFor(nil, code.N(), dim, suspects, 0); err != nil || chk == nil {
+			t.Fatalf("suspects %v: %v, %v", suspects, chk, err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			_, _ = code.checkFor(nil, code.N(), dim, suspects, 0)
+		}); allocs != 0 {
+			t.Errorf("suspects %v: %.0f allocations per lookup, want 0", suspects, allocs)
+		}
+	}
+}

@@ -188,15 +188,16 @@ func (p Poly[E]) Eval(f field.Field[E], args []E) (E, error) {
 // in. A counting field is charged that once per evaluation, and the
 // arithmetic runs on the field it wraps, which skips the multiplications
 // by a coefficient of 1 and the powers to an exponent of 1.
-func (p Poly[E]) evalCost() (adds, muls uint64) {
+func (p Poly[E]) evalCost() field.OpCounts {
+	ops := field.OpCounts{Adds: uint64(len(p.terms))}
 	for _, t := range p.terms {
 		for _, e := range t.Exps {
 			if e > 0 {
-				muls += uint64(bits.OnesCount(uint(e)) + bits.Len(uint(e)) + 1)
+				ops.Muls += uint64(bits.OnesCount(uint(e)) + bits.Len(uint(e)) + 1)
 			}
 		}
 	}
-	return uint64(len(p.terms)), muls
+	return ops
 }
 
 // Add returns p + q; the operand variable counts must match.
