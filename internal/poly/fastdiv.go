@@ -12,10 +12,15 @@ const fastDivThreshold = 48
 // divModDispatch picks the naive or Newton division. Callers guarantee a, b
 // normalized and b nonzero.
 func (r *Ring[E]) divModDispatch(a, b Poly[E]) (q, rem Poly[E], err error) {
-	if r.ntt == nil || len(b) < fastDivThreshold || len(a)-len(b) < fastDivThreshold {
+	if !r.fastDiv(a, b) {
 		return r.divModNaive(a, b)
 	}
 	return r.fastDivMod(a, b)
+}
+
+// fastDiv reports whether dividing a by b takes Newton iteration.
+func (r *Ring[E]) fastDiv(a, b Poly[E]) bool {
+	return r.ntt != nil && len(b) >= fastDivThreshold && len(a)-len(b) >= fastDivThreshold
 }
 
 // fastDivMod divides using q = rev(rev(a) * rev(b)^-1 mod z^(deg a - deg b + 1)).

@@ -132,10 +132,14 @@ func (r *Ring[E]) Add(a, b Poly[E]) Poly[E] {
 }
 
 // Sub returns a - b.
-func (r *Ring[E]) Sub(a, b Poly[E]) Poly[E] {
+func (r *Ring[E]) Sub(a, b Poly[E]) Poly[E] { return r.subInto(nil, a, b) }
+
+// subInto is Sub into dst's backing array when it has room (see resize);
+// dst may alias a but not b.
+func (r *Ring[E]) subInto(dst, a, b Poly[E]) Poly[E] {
 	n := max(len(a), len(b))
 	m := min(len(a), len(b))
-	out := make(Poly[E], n)
+	out := resize(dst, n)
 	r.bulk.SubVec(out[:m], a[:m], b[:m])
 	// One operand is exhausted; the tail subtracts against zero, keeping the
 	// same operation sequence the plain loop performed.
@@ -160,12 +164,16 @@ func (r *Ring[E]) MulScalar(c E, p Poly[E]) Poly[E] {
 }
 
 // MulNaive returns a * b by schoolbook multiplication, O(deg a * deg b).
-func (r *Ring[E]) MulNaive(a, b Poly[E]) Poly[E] {
+func (r *Ring[E]) MulNaive(a, b Poly[E]) Poly[E] { return r.mulNaiveInto(nil, a, b) }
+
+// mulNaiveInto is MulNaive into dst's backing array when it has room (see
+// resize); dst must alias neither operand.
+func (r *Ring[E]) mulNaiveInto(dst, a, b Poly[E]) Poly[E] {
 	a, b = r.Normalize(a), r.Normalize(b)
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
-	out := make(Poly[E], len(a)+len(b)-1)
+	out := resize(dst, len(a)+len(b)-1)
 	for i := range out {
 		out[i] = r.f.Zero()
 	}
@@ -180,21 +188,35 @@ func (r *Ring[E]) MulNaive(a, b Poly[E]) Poly[E] {
 
 // Mul returns a * b, choosing NTT multiplication when available and the
 // product is large enough to amortize the transforms.
-func (r *Ring[E]) Mul(a, b Poly[E]) Poly[E] {
+func (r *Ring[E]) Mul(a, b Poly[E]) Poly[E] { return r.mulInto(nil, a, b) }
+
+// mulInto is Mul with a schoolbook product written into dst's backing
+// array when it has room (see resize); dst must alias neither operand. A
+// transform product is a fresh allocation.
+func (r *Ring[E]) mulInto(dst, a, b Poly[E]) Poly[E] {
 	a, b = r.Normalize(a), r.Normalize(b)
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
 	outLen := len(a) + len(b) - 1
 	if r.ntt == nil || outLen < r.nttThreshold {
-		return r.MulNaive(a, b)
+		return r.mulNaiveInto(dst, a, b)
 	}
 	out, err := r.mulNTT(a, b)
 	if err != nil {
 		// Product too large for the field's subgroup: fall back.
-		return r.MulNaive(a, b)
+		return r.mulNaiveInto(dst, a, b)
 	}
 	return out
+}
+
+// resize returns dst resliced to n elements when its capacity allows,
+// else a fresh polynomial of n elements.
+func resize[E comparable](dst Poly[E], n int) Poly[E] {
+	if cap(dst) < n {
+		return make(Poly[E], n)
+	}
+	return dst[:n]
 }
 
 // DivMod returns quotient and remainder with a = q*b + rem, deg(rem) <
@@ -213,24 +235,30 @@ func (r *Ring[E]) DivMod(a, b Poly[E]) (q, rem Poly[E], err error) {
 
 // divModNaive is schoolbook long division, O((deg a - deg b) * deg b).
 func (r *Ring[E]) divModNaive(a, b Poly[E]) (q, rem Poly[E], err error) {
+	return r.divModNaiveInto(nil, r.Clone(a), b)
+}
+
+// divModNaiveInto is divModNaive in place: a (len(a) >= len(b)) is
+// overwritten and its prefix returned as the remainder, and the quotient
+// goes into q's backing array when it has room (see resize).
+func (r *Ring[E]) divModNaiveInto(q, a, b Poly[E]) (quot, rem Poly[E], err error) {
 	leadInv, err := r.f.Inv(b[len(b)-1])
 	if err != nil {
 		return nil, nil, err
 	}
-	remBuf := r.Clone(a)
-	q = make(Poly[E], len(a)-len(b)+1)
+	q = resize(q, len(a)-len(b)+1)
 	for i := range q {
 		q[i] = r.f.Zero()
 	}
 	for i := len(a) - 1; i >= len(b)-1; i-- {
-		if r.f.IsZero(remBuf[i]) {
+		if r.f.IsZero(a[i]) {
 			continue
 		}
-		c := r.f.Mul(remBuf[i], leadInv)
+		c := r.f.Mul(a[i], leadInv)
 		q[i-len(b)+1] = c
-		r.bulk.SubScaleVec(remBuf[i-len(b)+1:i+1], c, b)
+		r.bulk.SubScaleVec(a[i-len(b)+1:i+1], c, b)
 	}
-	return r.Normalize(q), r.Normalize(remBuf[:len(b)-1]), nil
+	return r.Normalize(q), r.Normalize(a[:len(b)-1]), nil
 }
 
 // Mod returns a mod b.
@@ -278,21 +306,45 @@ func (r *Ring[E]) intToField(n int) E {
 // would cost a product and a difference per step. If the remainder
 // sequence reaches zero before stopDeg (the gcd has high degree, e.g. when
 // decoding the all-zero codeword), g is that zero remainder.
+//
+// The remainders, the quotient, the cofactors and their update run in one
+// allocation per call, sized by the operands, whatever the number of
+// steps: each step divides in place and overwrites the cofactor it drops.
+// A step makes the field calls of DivMod, Mul and Sub, in their order (a
+// division or product large enough for the transform path allocates
+// there, as those do). g and v are the caller's.
 func (r *Ring[E]) PartialEEA(a, b Poly[E], stopDeg int) (g, v Poly[E], err error) {
-	r0, r1 := r.Normalize(a), r.Normalize(b)
-	v0, v1 := Poly[E](nil), Poly[E]{r.f.One()}
+	a, b = r.Normalize(a), r.Normalize(b)
+	n := max(len(a), len(b))
+	buf := make([]E, 6*n+3)
+	carve := func(i, size int) Poly[E] { return buf[i : i : i+size] }
+	r0, r1 := append(carve(0, n), a...), append(carve(n, n), b...)
+	q := carve(2*n, n)
+	// Every cofactor has degree at most n-1, and so has each product
+	// q*v1 it is formed from.
+	v0, v1, prod := carve(3*n, n+1), append(carve(4*n+1, n+1), r.f.One()), carve(5*n+2, n+1)
 	for len(r0)-1 >= stopDeg {
 		if len(r1) == 0 {
 			// The zero remainder with its cofactor is the correct final
 			// element: 0 = u1*a + v1*b.
 			return r1, v1, nil
 		}
-		q, rem, derr := r.DivMod(r0, r1)
-		if derr != nil {
-			return nil, nil, derr
+		quot, rem := Poly[E](nil), r0 // r0 shorter than r1: quotient 0
+		switch {
+		case len(r0) < len(r1):
+		case r.fastDiv(r0, r1):
+			var fast Poly[E]
+			if quot, fast, err = r.fastDivMod(r0, r1); err != nil {
+				return nil, nil, err
+			}
+			rem = append(r0[:0], fast...)
+		default:
+			if quot, rem, err = r.divModNaiveInto(q, r0, r1); err != nil {
+				return nil, nil, err
+			}
 		}
 		r0, r1 = r1, rem
-		v0, v1 = v1, r.Sub(v0, r.Mul(q, v1))
+		v0, v1 = v1, r.subInto(v0, v0, r.mulInto(prod, quot, v1))
 	}
 	return r0, v0, nil
 }

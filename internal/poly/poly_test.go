@@ -2,6 +2,7 @@ package poly
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -270,6 +271,97 @@ func TestPartialEEA(t *testing.T) {
 		}
 		if _, rem, err := r.DivMod(r.Sub(g, r.Mul(v, tc.b)), tc.a); err != nil || !r.IsZero(rem) {
 			t.Errorf("%s: a does not divide g - v*b (remainder %v, %v)", tc.name, rem, err)
+		}
+	}
+}
+
+// referenceEEA is PartialEEA as one DivMod, Mul and Sub per step, each
+// into fresh polynomials.
+func referenceEEA(r *Ring[uint64], a, b Poly[uint64], stopDeg int) (g, v Poly[uint64], err error) {
+	r0, r1 := r.Normalize(a), r.Normalize(b)
+	v0, v1 := Poly[uint64](nil), Poly[uint64]{r.f.One()}
+	for len(r0)-1 >= stopDeg {
+		if len(r1) == 0 {
+			return r1, v1, nil
+		}
+		q, rem, err := r.DivMod(r0, r1)
+		if err != nil {
+			return nil, nil, err
+		}
+		r0, r1 = r1, rem
+		v0, v1 = v1, r.Sub(v0, r.Mul(q, v1))
+	}
+	return r0, v0, nil
+}
+
+// TestPartialEEAMatchesAllocatingLoop holds PartialEEA, which runs in
+// buffers of its own, to referenceEEA on counting fields: the same g and
+// v, and the same counted operations, over Goldilocks (operands long
+// enough for Newton division and transform products included) and
+// GF(2^8), with the operands in either order.
+func TestPartialEEAMatchesAllocatingLoop(t *testing.T) {
+	gf, err := field.NewGF2m(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	for _, inner := range []field.Field[uint64]{field.NewGoldilocks(), gf} {
+		for _, tc := range []struct{ degA, degB, stopDeg int }{
+			{64, 63, 43}, {64, 63, 0}, {64, 20, 30}, {15, 30, 5}, {200, 100, 10}, {12, -1, 3}, {9, 9, 0},
+		} {
+			cf := field.NewCounting(inner)
+			r := NewRing[uint64](cf)
+			a, b := randPoly(r, rng, tc.degA), randPoly(r, rng, tc.degB)
+			cf.Reset()
+			wantG, wantV, err := referenceEEA(r, a, b, tc.stopDeg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := cf.Counts()
+			cf.Reset()
+			g, v, err := r.PartialEEA(a, b, tc.stopDeg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			where := fmt.Sprintf("%s deg a %d, deg b %d, stop %d", inner.Name(), tc.degA, tc.degB, tc.stopDeg)
+			if !r.Equal(g, wantG) || !r.Equal(v, wantV) {
+				t.Errorf("%s: (g, v) = (%v, %v), want (%v, %v)", where, g, v, wantG, wantV)
+			}
+			if got := cf.Counts(); got != want {
+				t.Errorf("%s: counted %+v, the allocating loop %+v", where, got, want)
+			}
+		}
+	}
+}
+
+// TestPartialEEAAllocatesOnce: PartialEEA allocates once per call however
+// many Euclid steps it runs (stopDeg sets their number here), on GF(2^8)
+// down to stopDeg 0 and on Goldilocks down to 30; below that a cofactor
+// product reaches the transform threshold and allocates, as Mul does.
+// Gao's decoder stops at (n+k+1)/2, 43 for n = 64 and k = 22.
+func TestPartialEEAAllocatesOnce(t *testing.T) {
+	for _, tc := range []struct {
+		r     *Ring[uint64]
+		stops []int
+	}{
+		{newGF2mRing(t, 8), []int{63, 43, 20, 0}},
+		{newGoldRing(), []int{63, 50, 43, 30}},
+	} {
+		r := tc.r
+		pts, err := r.f.Elements(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := r.FromRootsNaive(pts), randPoly(r, rand.New(rand.NewPCG(5, 6)), 63)
+		for _, stopDeg := range tc.stops {
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, _, err := r.PartialEEA(a, b, stopDeg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 1 {
+				t.Errorf("%s, stopDeg %d: %.0f allocations per call, want 1", r.f.Name(), stopDeg, allocs)
+			}
 		}
 	}
 }

@@ -246,3 +246,33 @@ func TestDecodePropertyRandom(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeAllocsIndependentOfErrors: at the sim-byz-batched shape (n =
+// 64, k = 22 over Goldilocks) a Decode allocates the same number of times
+// for every error count from 1 to the radius, whatever number of Euclid
+// steps the word takes: the remainder sequence and the cofactor update run
+// in one allocation per word.
+func TestDecodeAllocsIndependentOfErrors(t *testing.T) {
+	ring := goldRing()
+	c := newTestCode(t, ring, 64, 22)
+	rng := rand.New(rand.NewPCG(7, 8))
+	var first float64
+	for nerr := 1; nerr <= c.MaxErrors(); nerr++ {
+		word, err := c.Encode(randMsg(ring, rng, 22))
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(ring.Field(), rng, word, nerr)
+		allocs := testing.AllocsPerRun(5, func() {
+			if res, err := c.Decode(word); err != nil || len(res.ErrorsAt) != nerr {
+				t.Fatalf("%d errors: %v", nerr, err)
+			}
+		})
+		if nerr == 1 {
+			first = allocs
+			t.Logf("%.0f allocations per decoded word", allocs)
+		} else if allocs != first {
+			t.Errorf("%d errors: %.0f allocations per word, %.0f with one error", nerr, allocs, first)
+		}
+	}
+}
