@@ -279,10 +279,12 @@ func (c *Cluster[E]) liarReply(o *stepOutcome[E], k, x int) []E {
 // delivery: 2b+1 <= N). Byzantine nodes report the pre-drawn garbage.
 // Each machine's tally is a short list of distinct replies; the decodes
 // groupDecodes groups count once, with the group's size (acceptReply does
-// not depend on the tally's order). The result is then audited against
-// the oracle, which finishStep has advanced past the round. The accepted
-// outputs are copied into one fresh allocation: the round's report
-// outlives the decode buffers they were read from.
+// not depend on the tally's order). A group of at least b+1 that
+// outnumbers every other reply together wins whatever they say, so its
+// output is taken without tallying them. The result is then audited
+// against the oracle, which finishStep has advanced past the round. The
+// accepted outputs are copied into one fresh allocation: the round's
+// report outlives the decode buffers they were read from.
 func (c *Cluster[E]) clientPhase(o *stepOutcome[E]) {
 	f, l, stateLen := c.cfg.BaseField, c.tr.OutLen(), c.tr.StateLen()
 	res := o.res
@@ -290,23 +292,14 @@ func (c *Cluster[E]) clientPhase(o *stepOutcome[E]) {
 	flat := make([]E, c.cfg.K*l)
 	res.Correct = true
 	ref, group := c.groupDecodes(o)
+	majority := group >= c.cfg.MaxFaults+1 && group > len(o.decodes)-group
 	for k := 0; k < c.cfg.K; k++ {
 		c.tally = c.tally[:0]
 		if ref != nil {
 			c.tally = append(c.tally, replyCount[E]{value: ref.output(k), count: group})
 		}
-		x := 0 // the next liar
-		for i, dec := range o.decodes {
-			var reply []E
-			if x < len(o.liars) && o.liars[x] == i {
-				reply = c.liarReply(o, k, x)
-				x++
-			} else if dec != nil && !c.grouped[i] {
-				reply = dec.output(k)
-			}
-			if reply != nil {
-				c.tally = countReply(c.tally, reply)
-			}
+		if !majority {
+			c.tallyOthers(o, k)
 		}
 		if out := acceptReply(f, c.tally, c.cfg.MaxFaults+1); out != nil {
 			res.Outputs[k] = flat[k*l : (k+1)*l : (k+1)*l]
@@ -323,7 +316,9 @@ func (c *Cluster[E]) clientPhase(o *stepOutcome[E]) {
 		if dec == nil {
 			continue
 		}
-		faulty = ints.UnionSorted(faulty, dec.FaultyNodes)
+		if !slices.Equal(faulty, dec.FaultyNodes) {
+			faulty = ints.UnionSorted(faulty, dec.FaultyNodes)
+		}
 		if c.grouped[i] && dec != ref {
 			continue
 		}
@@ -334,6 +329,24 @@ func (c *Cluster[E]) clientPhase(o *stepOutcome[E]) {
 		}
 	}
 	res.FaultyDetected = faulty
+}
+
+// tallyOthers adds machine k's replies outside the honest group to
+// c.tally: the liars' pre-drawn garbage and the ungrouped decodes.
+func (c *Cluster[E]) tallyOthers(o *stepOutcome[E], k int) {
+	x := 0 // the next liar
+	for i, dec := range o.decodes {
+		var reply []E
+		if x < len(o.liars) && o.liars[x] == i {
+			reply = c.liarReply(o, k, x)
+			x++
+		} else if dec != nil && !c.grouped[i] {
+			reply = dec.output(k)
+		}
+		if reply != nil {
+			c.tally = countReply(c.tally, reply)
+		}
+	}
 }
 
 // groupDecodes marks in c.grouped the honest decodes whose flat result

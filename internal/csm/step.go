@@ -414,6 +414,9 @@ func (s *stepCore[E]) absorb(d *nodeDecode[E]) error {
 // dim+b unsuspected nodes), older suspicion is dropped and only the
 // latest verdict — at most the code's radius, hence primeable — is kept.
 func (s *stepCore[E]) absorbVerdict(faulty []int) {
+	if slices.Equal(s.suspects, faulty) {
+		return // the steady case: the same liars caught again
+	}
 	s.suspects = ints.UnionSorted(s.suspects, faulty)
 	if s.n-len(s.suspects) < s.code.ResultDim(s.tr.Degree())+s.maxFaults {
 		s.suspects = append(s.suspects[:0], faulty...)
