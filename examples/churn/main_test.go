@@ -7,7 +7,7 @@ func Example() {
 	// rounds 0-1: healthy cluster, node 9 lying — corrected
 	// rounds 2-3: node 4 crashed (an erasure: 1 parity symbol, where an error costs 2) — still correct
 	// rounds 4-5: node 4 repaired from surviving shares and rejoined — still correct
-	//   repair cost: 6595 field ops ≈ 25.5 node-rounds of work (no K-state re-download)
+	//   repair cost: 6595 field ops ≈ 26.2 node-rounds of work (no K-state re-download)
 	//
 	// dynamic adversary: b=3 corruptions re-targeted every 2 rounds across 4 epochs — all rounds correct
 	//

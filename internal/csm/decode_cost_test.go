@@ -43,9 +43,12 @@ func roundOps(t *testing.T, c *Cluster[uint64], rounds int) []uint64 {
 // two dot products, and the K outputs are the trusted systematic rows
 // themselves (21 104). 21 liars: rounds 0 and 1 pay the first detection's
 // full decode and the exact re-primed check, round 2 forms the rule, and
-// the steady round predicts only the 21 suspected rows one by one, four
-// of which (nodes 2, 7, 12, 17) are the outputs of their machines
-// (89 202). A systematic node's unit row makes its command encode and
+// the steady round predicts only the 21 suspected rows one by one, in the
+// first component; a row caught there is not predicted again, so the
+// later components predict only the four (nodes 2, 7, 12, 17) that are
+// the outputs of their machines (65 165). While every caught row was
+// predicted in every component the liar rounds cost [1 950 766, 487 554,
+// 128 934, 89 202]. A systematic node's unit row makes its command encode and
 // state re-encode a copy; while they ran a K-term combination the rounds
 // cost [245 454, 141 312, 23 040] and [1 952 350, 489 138, 130 518,
 // 90 786]. While the K outputs were predicted from disjoint points the
@@ -63,7 +66,7 @@ func roundOps(t *testing.T, c *Cluster[uint64], rounds int) []uint64 {
 // charged in one call instead of K — must leave every figure where it is.
 func TestRoundOpCountGuard(t *testing.T) {
 	pinnedHonest := []uint64{243_518, 139_376, 21_104}
-	pinnedByz := []uint64{1_950_766, 487_554, 128_934, 89_202}
+	pinnedByz := []uint64{1_950_766, 463_517, 104_897, 65_165}
 	honest := roundOps(t, newCluster(t, baseConfig(22, 64, 21)), 3)
 	cfg := baseConfig(22, 64, 21)
 	cfg.Byzantine = map[int]Behavior{}
@@ -93,10 +96,12 @@ func TestRoundOpCountGuard(t *testing.T) {
 // one had refused. Round 2, which forms each node's randomized rule, cost
 // 231 130 while every rest row was predicted one by one. While the K
 // outputs were predicted from disjoint points the rounds cost
-// [3 253 532, 684 221, 200 600], and [3 087 738, 488 958, 130 338]
-// while a systematic node's encode and re-encode ran on its unit row.
+// [3 253 532, 684 221, 200 600], [3 087 738, 488 958, 130 338]
+// while a systematic node's encode and re-encode ran on its unit row, and
+// [3 086 286, 487 506, 128 886] while a row caught in one component was
+// predicted again in every later one.
 func TestErasureRoundOpCountGuard(t *testing.T) {
-	pinned := []uint64{3_086_286, 487_506, 128_886}
+	pinned := []uint64{3_086_286, 463_469, 104_849}
 	cfg := baseConfig(22, 64, 21)
 	cfg.Byzantine = map[int]Behavior{}
 	for i := 0; len(cfg.Byzantine) < 21; i++ {

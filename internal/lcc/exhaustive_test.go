@@ -135,17 +135,20 @@ func TestPrimedExhaustive(t *testing.T) {
 }
 
 // TestPrimedTwoComponentExhaustive runs the verified-subset check over
-// every two-component word of GF(2^3) on New's systematic points with
-// K = 1, d = 1 (dim 1), on the three-row layouts at N ≤ 4, where the
-// radius is 1 — the N=3 full layout and every three-row subset at N=4,
-// with and without machine 0's node — trusting each row in turn. It holds
-// the check to ball ownership of both components at once, so it
-// enumerates what TestPrimedExhaustive's one component cannot: rows
-// caught in the first component and what the second makes of them.
-// Soundness: a certified word has both components in balls, its outputs
-// are the owners' values at ω_0, and FaultyNodes is the union of the rows
-// either component differs on. Completeness: a word with both components
-// in balls and clean on the trusted row is certified.
+// every two-component word of GF(2^3) on New's systematic points, on
+// layouts whose radius is 1, and holds it to ball ownership of both
+// components at once. It enumerates what TestPrimedExhaustive's one
+// component cannot: the rows caught in the first component and what the
+// second makes of them. With K = 2, d = 1 (dim 2) on all four rows at
+// N = 4, trusting rows 1 and 2, machine 0's output is read off the
+// prediction of row 0, which the first component may catch; with K = 1,
+// d = 1 (dim 1) on the three-row layouts at N ≤ 4 — the N=3 full layout
+// and every three-row subset at N=4, with and without machine 0's node —
+// each row is trusted in turn. Soundness: a certified word has both
+// components in balls, its outputs are the owners' values at the omegas,
+// and FaultyNodes is the union of the rows either component differs on.
+// Completeness: a word with both components in balls and clean on the
+// trusted rows is certified.
 func TestPrimedTwoComponentExhaustive(t *testing.T) {
 	f, err := field.NewGF2m(3)
 	if err != nil {
@@ -154,35 +157,42 @@ func TestPrimedTwoComponentExhaustive(t *testing.T) {
 	ring := poly.NewRing[uint64](f)
 	const d = 1
 	for _, tc := range []struct {
-		n       int
-		indices []int
+		n, k     int
+		indices  []int
+		suspects [][]int
 	}{
-		{3, []int{0, 1, 2}},
-		{4, []int{0, 1, 2}},
-		{4, []int{0, 1, 3}},
-		{4, []int{0, 2, 3}},
-		{4, []int{1, 2, 3}},
+		{4, 2, []int{0, 1, 2, 3}, [][]int{{0}}},
+		{3, 1, []int{0, 1, 2}, [][]int{nil, {0}, {0, 1}}},
+		{4, 1, []int{0, 1, 2}, [][]int{nil, {0}, {0, 1}}},
+		{4, 1, []int{0, 1, 3}, [][]int{nil, {0}, {0, 1}}},
+		{4, 1, []int{0, 2, 3}, [][]int{nil, {0}, {0, 2}}},
+		{4, 1, []int{1, 2, 3}, [][]int{nil, {1}, {1, 2}}},
 	} {
-		code, err := New(ring, 1, tc.n)
+		code, err := New(ring, tc.k, tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}
+		dim := code.ResultDim(d)
 		var points []uint64
 		for _, i := range tc.indices {
 			points = append(points, code.Alphas()[i])
 		}
-		truth := newBalls(t, ring, points, code.ResultDim(d))
+		truth := newBalls(t, ring, points, dim)
 		indices := tc.indices
 		if len(indices) == tc.n {
 			indices = nil
 		}
-		for trusted := range tc.indices {
-			where := fmt.Sprintf("N=%d rows %v trusted row %d", tc.n, tc.indices, trusted)
-			p, err := code.NewPrimed(indices, tc.indices[:trusted], d, 0)
+		for _, suspects := range tc.suspects {
+			where := fmt.Sprintf("N=%d K=%d rows %v suspects %v", tc.n, tc.k, tc.indices, suspects)
+			p, err := code.NewPrimed(indices, suspects, d, 0)
 			if err != nil || p == nil {
 				t.Fatalf("%s: NewPrimed: %v, %v", where, p, err)
 			}
-			if msg := componentsAgree(code, p, truth, tc.indices, []int{trusted}, 2); msg != "" {
+			trusted := make([]int, dim) // the first dim unsuspected rows
+			for r := len(suspects); r < len(suspects)+dim; r++ {
+				trusted[r-len(suspects)] = r
+			}
+			if msg := twoComponentsAgree(code, p, truth, tc.indices, trusted); msg != "" {
 				t.Errorf("%s: %s", where, msg)
 			}
 		}
@@ -192,68 +202,127 @@ func TestPrimedTwoComponentExhaustive(t *testing.T) {
 // primedAgrees decodes every word of the layout with p and returns the
 // first disagreement with truth (and how many there were), or "".
 func primedAgrees(code *Code[uint64], p *Primed[uint64], truth *balls, indices, trusted []int) string {
-	return componentsAgree(code, p, truth, indices, trusted, 1)
-}
-
-// componentsAgree is primedAgrees over every word of l components: word w
-// holds component j's word number (w / W^j) mod W, W the words of one
-// component, and each component is held to its own ball.
-func componentsAgree(code *Code[uint64], p *Primed[uint64], truth *balls, indices, trusted []int, l int) string {
 	results := make([][]uint64, len(indices))
 	for r := range results {
-		results[r] = make([]uint64, l)
+		results[r] = make([]uint64, 1)
 	}
-	words := len(truth.owner)
-	word, owner := make([][]uint64, l), make([]int, l)
 	first, bad := "", 0
-	for w := range pow(words, l) {
-		for j, x := 0, w; j < l; j, x = j+1, x/words {
-			word[j], owner[j] = digits(x%words, truth.q, truth.n), truth.owner[x%words]
-			for r, v := range word[j] {
-				results[r][j] = v
-			}
+	for w, m := range truth.owner {
+		word := digits(w, truth.q, truth.n)
+		for r, v := range word {
+			results[r][0] = v
 		}
-		res, ok, err := p.Decode(results, l)
-		inBalls := !slices.Contains(owner, -1)
-		// differs reports whether row r misses its owner's codeword in
-		// some component (the word must lie in balls).
-		differs := func(r int) bool {
-			for j, m := range owner {
-				if word[j][r] != truth.codewords[m][r] {
-					return true
-				}
-			}
-			return false
-		}
+		res, ok, err := p.Decode(results, 1)
 		msg := ""
 		switch {
 		case err != nil:
 			msg = err.Error()
-		case ok && !inBalls:
+		case ok && m < 0:
 			msg = fmt.Sprintf("certified %v, which lies in no ball", word)
 		case ok:
+			cw := truth.codewords[m]
 			var faulty []int
-			for r := range indices {
-				if differs(r) {
+			for r := range word {
+				if word[r] != cw[r] {
 					faulty = append(faulty, indices[r])
 				}
 			}
-			for j, m := range owner {
-				for i, omega := range code.Omegas() {
-					if res.Outputs[i][j] != code.ring.Eval(truth.messages[m], omega) {
-						msg = fmt.Sprintf("word %v: output %d component %d is %d, want message %v at %d", word, i, j, res.Outputs[i][j], truth.messages[m], omega)
-					}
+			for i, omega := range code.Omegas() {
+				if res.Outputs[i][0] != code.ring.Eval(truth.messages[m], omega) {
+					msg = fmt.Sprintf("word %v: output %d is %d, want message %v at %d", word, i, res.Outputs[i][0], truth.messages[m], omega)
 				}
 			}
 			if !slices.Equal(res.FaultyNodes, faulty) {
 				msg = fmt.Sprintf("word %v: faulty %v, want %v", word, res.FaultyNodes, faulty)
 			}
-		case inBalls && !slices.ContainsFunc(trusted, differs):
-			msg = fmt.Sprintf("refused %v, which lies in the balls of messages %v and is clean on the trusted rows %v", word, owner, trusted)
+		case m >= 0 && !slices.ContainsFunc(trusted, func(r int) bool { return word[r] != truth.codewords[m][r] }):
+			msg = fmt.Sprintf("refused %v, which lies in message %v's ball and is clean on the trusted rows %v", word, truth.messages[m], trusted)
 		}
 		if msg != "" {
 			if bad++; bad == 1 {
 				first = msg
+			}
+		}
+	}
+	if bad > 1 {
+		return fmt.Sprintf("%s (%d disagreements in all)", first, bad)
+	}
+	return first
+}
+
+// twoComponentsAgree is primedAgrees over every word of two components,
+// each held to its own ball: it returns the first disagreement with truth
+// (and how many there were), or "".
+func twoComponentsAgree(code *Code[uint64], p *Primed[uint64], truth *balls, indices, trusted []int) string {
+	words, n := len(truth.owner), truth.n
+	// Per one-component word: its values, the rows where it differs from
+	// its owner's codeword (a bit mask), and the owner's values at the
+	// omegas.
+	values := make([][]uint64, words)
+	errs := make([]uint, words)
+	outs := make([][]uint64, words)
+	for w, m := range truth.owner {
+		values[w] = digits(w, truth.q, n)
+		if m < 0 {
+			continue
+		}
+		for r, v := range values[w] {
+			if v != truth.codewords[m][r] {
+				errs[w] |= 1 << r
+			}
+		}
+		for _, omega := range code.Omegas() {
+			outs[w] = append(outs[w], code.ring.Eval(truth.messages[m], omega))
+		}
+	}
+	var trustedRows uint
+	for _, r := range trusted {
+		trustedRows |= 1 << r
+	}
+	results := make([][]uint64, n)
+	for r := range results {
+		results[r] = make([]uint64, 2)
+	}
+	dst := new(DecodeResult[uint64])
+	first, bad := "", 0
+	for w0, m0 := range truth.owner {
+		for r, v := range values[w0] {
+			results[r][0] = v
+		}
+		for w1, m1 := range truth.owner {
+			for r, v := range values[w1] {
+				results[r][1] = v
+			}
+			ok, err := p.DecodeInto(dst, results)
+			inBalls := m0 >= 0 && m1 >= 0
+			msg := ""
+			switch {
+			case err != nil:
+				msg = err.Error()
+			case ok && !inBalls:
+				msg = fmt.Sprintf("certified %v %v, which lie in no balls", values[w0], values[w1])
+			case ok:
+				for i := range outs[w0] {
+					if dst.Outputs[i][0] != outs[w0][i] || dst.Outputs[i][1] != outs[w1][i] {
+						msg = fmt.Sprintf("words %v %v: output %d is %v, want %d %d", values[w0], values[w1], i, dst.Outputs[i], outs[w0][i], outs[w1][i])
+					}
+				}
+				var faulty []int
+				for r, node := range indices {
+					if (errs[w0]|errs[w1])>>r&1 == 1 {
+						faulty = append(faulty, node)
+					}
+				}
+				if !slices.Equal(dst.FaultyNodes, faulty) {
+					msg = fmt.Sprintf("words %v %v: faulty %v, want %v", values[w0], values[w1], dst.FaultyNodes, faulty)
+				}
+			case inBalls && (errs[w0]|errs[w1])&trustedRows == 0:
+				msg = fmt.Sprintf("refused %v %v, which lie in balls and are clean on the trusted rows %v", values[w0], values[w1], trusted)
+			}
+			if msg != "" {
+				if bad++; bad == 1 {
+					first = msg
+				}
 			}
 		}
 	}

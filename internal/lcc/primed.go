@@ -126,12 +126,78 @@ func (p *prediction[E]) narrow(keep []int, dim int) prediction[E] {
 }
 
 // checkScratch is the reusable working memory of one verify caller: the
-// predicted and trusted values, the mismatch mask, and the randomized
-// rule's two combinations.
+// predicted and trusted values, the mismatch mask, the rows verify still
+// predicts, and the randomized rule's two combinations.
 type checkScratch[E comparable] struct {
 	vals     []E
 	bad      []bool
+	live     live[E]
 	lhs, rhs []E
+}
+
+// live is the part of a prediction p that verify still computes. While
+// all is set that is every row of p.m, read in place; after drop, the rows
+// flagged in keep, laid out in buf as the row-major matrix m, with at[x]
+// the row of p.m behind m's row x, and from is p.from renumbered into m's
+// rows ++ the trusted values, in fromBuf. skipped counts the compared rows
+// left out, and one is the prediction of a single one of them.
+type live[E comparable] struct {
+	all           bool
+	m, buf        []E
+	from, fromBuf []int
+	at, pos       []int
+	keep          []bool
+	skipped       int
+	one           [1]E
+}
+
+// reset makes every row of p live again.
+func (lv *live[E]) reset(p *prediction[E]) {
+	lv.all, lv.m, lv.from, lv.skipped = true, p.m, p.from, 0
+}
+
+// row returns the row of p.m behind live row x.
+func (lv *live[E]) row(x int) int {
+	if lv.all {
+		return x
+	}
+	return lv.at[x]
+}
+
+// drop leaves out of lv every compared row of p that has missed (bad) and
+// that no output is read from.
+func (lv *live[E]) drop(p *prediction[E], bad []bool, dim int) {
+	z, nr := len(p.m)/dim, len(p.rows)
+	lv.keep = slices.Grow(lv.keep[:0], z)[:z]
+	lv.pos = slices.Grow(lv.pos[:0], z)[:z]
+	for i := range lv.keep {
+		lv.keep[i] = i >= nr || !bad[i]
+	}
+	for _, f := range p.from {
+		if f < z {
+			lv.keep[f] = true
+		}
+	}
+	lv.all, lv.buf, lv.at, lv.skipped = false, lv.buf[:0], lv.at[:0], 0
+	for i, kept := range lv.keep {
+		if !kept {
+			lv.skipped++
+			continue
+		}
+		lv.pos[i] = len(lv.at)
+		lv.at = append(lv.at, i)
+		lv.buf = append(lv.buf, p.m[i*dim:(i+1)*dim]...)
+	}
+	lv.fromBuf = lv.fromBuf[:0]
+	for _, f := range p.from {
+		if f < z {
+			f = lv.pos[f]
+		} else {
+			f += len(lv.at) - z
+		}
+		lv.fromBuf = append(lv.fromBuf, f)
+	}
+	lv.m, lv.from = lv.buf, lv.fromBuf
 }
 
 // checkCacheSize bounds the subset checks a Code keeps (see checkFor),
@@ -304,8 +370,13 @@ func rowOf(indices []int, rows, node int) int {
 // candidate misses more than radius of those rows, leaving dst partly
 // written; the words are then for the full decoder. On true with every
 // rest row predicted the result is exactly the full decoder's (see the
-// soundness argument on subsetCheck). The components run in a plain loop
-// that allocates nothing once sc is sized.
+// soundness argument on subsetCheck).
+//
+// A row that missed in one component is already faulty, so later
+// components do not predict it again (see component), unless an output
+// is read from it; the verdict, the outputs and FaultyNodes are those of
+// predicting every row in every component. The components run in a plain
+// loop that allocates nothing once sc is sized.
 func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l int, sc *checkScratch[E], p *prediction[E], dst *DecodeResult[E]) bool {
 	nr, dim := len(p.rows), len(s.trusted)
 	width := len(p.m)/dim + dim // the predicted and trusted values
@@ -315,9 +386,15 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l int, sc *checkScrat
 	}
 	vals, missed := sc.vals[:width], sc.bad[:nr]
 	clear(missed)
+	lv := &sc.live
+	lv.reset(p)
 	for j := range l {
-		if !s.component(c, results, p, vals, missed, dst.Outputs, j) {
+		caught, ok := s.component(c, results, p, lv, vals, missed, dst.Outputs, j)
+		if !ok {
 			return false
+		}
+		if caught && j < l-1 {
+			lv.drop(p, missed, dim)
 		}
 	}
 	faulty := dst.FaultyNodes[:0]
@@ -331,35 +408,49 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l int, sc *checkScrat
 	return true
 }
 
-// component checks component j: vals holds the MatVec's predictions
-// followed by the dim trusted values, and bad marks the rows of p whose
-// received value misses its prediction in any component so far. It writes the
-// outputs' j-th elements and reports true, or false when more rows miss
-// than the radius allows.
-func (s *subsetCheck[E]) component(c *Code[E], results [][]E, p *prediction[E], vals []E, bad []bool, outputs [][]E, j int) bool {
-	dim := len(s.trusted)
-	z := len(vals) - dim
-	pred, coefs := vals[:z], vals[z:]
+// component checks component j on the live rows lv of p: vals holds the
+// MatVec's predictions followed by the dim trusted values, and bad marks
+// the rows of p whose received value misses its prediction in any
+// component so far. The rows lv leaves out have missed before and may
+// miss here too, so when they could carry the count over the radius they
+// are predicted one by one before it decides. It writes the outputs' j-th
+// elements and reports ok, or not ok when more rows miss than the radius
+// allows; caught says some row missed for the first time.
+func (s *subsetCheck[E]) component(c *Code[E], results [][]E, p *prediction[E], lv *live[E], vals []E, bad []bool, outputs [][]E, j int) (caught, ok bool) {
+	dim, nr := len(s.trusted), len(p.rows)
+	z := len(lv.m) / dim
+	pred, coefs := vals[:z], vals[z:z+dim]
 	for t, r := range s.trusted {
 		coefs[t] = results[r][j]
 	}
 	if z > 0 {
-		c.bulk.MatVec(pred, p.m, coefs)
+		c.bulk.MatVec(pred, lv.m, coefs)
 	}
 	misses := 0
-	for i, r := range p.rows {
-		if pred[i] != results[r][j] {
+	for x, v := range pred {
+		if i := lv.row(x); i < nr && v != results[p.rows[i]][j] {
+			caught = caught || !bad[i]
 			bad[i] = true
 			misses++
 		}
 	}
-	if misses > s.radius {
-		return false
+	if misses+lv.skipped > s.radius {
+		for i := 0; i < nr && !lv.all; i++ {
+			if !lv.keep[i] {
+				c.bulk.MatVec(lv.one[:], p.m[i*dim:(i+1)*dim], coefs)
+				if lv.one[0] != results[p.rows[i]][j] {
+					misses++
+				}
+			}
+		}
+		if misses > s.radius {
+			return caught, false
+		}
 	}
-	for ki, f := range p.from {
+	for ki, f := range lv.from {
 		outputs[ki][j] = vals[f]
 	}
-	return true
+	return caught, true
 }
 
 // freivalds is a Primed's randomized accept rule for its unsuspected rest
