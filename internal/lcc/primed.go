@@ -135,39 +135,38 @@ type checkScratch[E comparable] struct {
 	lhs, rhs []E
 }
 
-// live is the part of a prediction p that verify still computes. While
-// all is set that is every row of p.m, read in place; after drop, the rows
-// flagged in keep, laid out in buf as the row-major matrix m, with at[x]
-// the row of p.m behind m's row x, and from is p.from renumbered into m's
-// rows ++ the trusted values, in fromBuf. skipped counts the compared rows
-// left out, and one is the prediction of a single one of them.
+// live is the part of a prediction p that verify still computes: the
+// rows of p.m in runs (consecutive, ascending), n of them, whose
+// predictions are laid out in that order, and from, p.from renumbered
+// into those predictions ++ the trusted values (p.from itself while every
+// row is live; fromBuf after drop). skipped counts the compared rows left
+// out, keep flags the rows left in (valid while skipped > 0), pos is
+// drop's renumbering, and one is the prediction of a single row.
 type live[E comparable] struct {
-	all           bool
-	m, buf        []E
+	runs          []span
+	n             int
 	from, fromBuf []int
-	at, pos       []int
-	keep          []bool
 	skipped       int
+	keep          []bool
+	pos           []int
 	one           [1]E
 }
 
-// reset makes every row of p live again.
-func (lv *live[E]) reset(p *prediction[E]) {
-	lv.all, lv.m, lv.from, lv.skipped = true, p.m, p.from, 0
-}
+// span is a run of rows of a prediction's matrix: n rows from row at.
+type span struct{ at, n int }
 
-// row returns the row of p.m behind live row x.
-func (lv *live[E]) row(x int) int {
-	if lv.all {
-		return x
+// reset makes every row of p, z of them, live again.
+func (lv *live[E]) reset(p *prediction[E], z int) {
+	lv.runs, lv.n, lv.from, lv.skipped = lv.runs[:0], z, p.from, 0
+	if z > 0 {
+		lv.runs = append(lv.runs, span{0, z})
 	}
-	return lv.at[x]
 }
 
-// drop leaves out of lv every compared row of p that has missed (bad) and
-// that no output is read from.
-func (lv *live[E]) drop(p *prediction[E], bad []bool, dim int) {
-	z, nr := len(p.m)/dim, len(p.rows)
+// drop leaves out of lv every compared row of p, of z rows, that has
+// missed (bad) and that no output is read from.
+func (lv *live[E]) drop(p *prediction[E], bad []bool, z int) {
+	nr := len(p.rows)
 	lv.keep = slices.Grow(lv.keep[:0], z)[:z]
 	lv.pos = slices.Grow(lv.pos[:0], z)[:z]
 	for i := range lv.keep {
@@ -178,26 +177,30 @@ func (lv *live[E]) drop(p *prediction[E], bad []bool, dim int) {
 			lv.keep[f] = true
 		}
 	}
-	lv.all, lv.buf, lv.at, lv.skipped = false, lv.buf[:0], lv.at[:0], 0
+	lv.runs, lv.n, lv.skipped = slices.Grow(lv.runs[:0], z), 0, 0
 	for i, kept := range lv.keep {
-		if !kept {
+		switch {
+		case !kept:
 			lv.skipped++
 			continue
+		case len(lv.runs) > 0 && lv.runs[len(lv.runs)-1].at+lv.runs[len(lv.runs)-1].n == i:
+			lv.runs[len(lv.runs)-1].n++
+		default:
+			lv.runs = append(lv.runs, span{i, 1})
 		}
-		lv.pos[i] = len(lv.at)
-		lv.at = append(lv.at, i)
-		lv.buf = append(lv.buf, p.m[i*dim:(i+1)*dim]...)
+		lv.pos[i] = lv.n
+		lv.n++
 	}
-	lv.fromBuf = lv.fromBuf[:0]
+	lv.fromBuf = slices.Grow(lv.fromBuf[:0], len(p.from))
 	for _, f := range p.from {
 		if f < z {
 			f = lv.pos[f]
 		} else {
-			f += len(lv.at) - z
+			f += lv.n - z
 		}
 		lv.fromBuf = append(lv.fromBuf, f)
 	}
-	lv.m, lv.from = lv.buf, lv.fromBuf
+	lv.from = lv.fromBuf
 }
 
 // checkCacheSize bounds the subset checks a Code keeps (see checkFor),
@@ -379,25 +382,25 @@ func rowOf(indices []int, rows, node int) int {
 // loop that allocates nothing once sc is sized.
 func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l int, sc *checkScratch[E], p *prediction[E], dst *DecodeResult[E]) bool {
 	nr, dim := len(p.rows), len(s.trusted)
-	width := len(p.m)/dim + dim // the predicted and trusted values
-	if cap(sc.vals) < width || cap(sc.bad) < nr {
-		sc.vals = make([]E, width)
+	z := len(p.m) / dim
+	if cap(sc.vals) < z+dim || cap(sc.bad) < nr {
+		sc.vals = make([]E, z+dim) // the predicted and trusted values
 		sc.bad = make([]bool, nr)
 	}
-	vals, missed := sc.vals[:width], sc.bad[:nr]
+	missed := sc.bad[:nr]
 	clear(missed)
 	lv := &sc.live
-	lv.reset(p)
+	lv.reset(p, z)
 	for j := range l {
-		caught, ok := s.component(c, results, p, lv, vals, missed, dst.Outputs, j)
+		caught, ok := s.component(c, results, p, lv, sc.vals, missed, dst.Outputs, j)
 		if !ok {
 			return false
 		}
 		if caught && j < l-1 {
-			lv.drop(p, missed, dim)
+			lv.drop(p, missed, z)
 		}
 	}
-	faulty := dst.FaultyNodes[:0]
+	faulty := slices.Grow(dst.FaultyNodes[:0], nr)
 	for i, r := range p.rows {
 		if missed[i] {
 			faulty = append(faulty, nodeOf(s.indices, r))
@@ -409,7 +412,7 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l int, sc *checkScrat
 }
 
 // component checks component j on the live rows lv of p: vals holds the
-// MatVec's predictions followed by the dim trusted values, and bad marks
+// MatVecs' predictions followed by the dim trusted values, and bad marks
 // the rows of p whose received value misses its prediction in any
 // component so far. The rows lv leaves out have missed before and may
 // miss here too, so when they could carry the count over the radius they
@@ -418,24 +421,23 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l int, sc *checkScrat
 // allows; caught says some row missed for the first time.
 func (s *subsetCheck[E]) component(c *Code[E], results [][]E, p *prediction[E], lv *live[E], vals []E, bad []bool, outputs [][]E, j int) (caught, ok bool) {
 	dim, nr := len(s.trusted), len(p.rows)
-	z := len(lv.m) / dim
-	pred, coefs := vals[:z], vals[z:z+dim]
+	pred, coefs := vals[:lv.n], vals[lv.n:lv.n+dim]
 	for t, r := range s.trusted {
 		coefs[t] = results[r][j]
 	}
-	if z > 0 {
-		c.bulk.MatVec(pred, lv.m, coefs)
-	}
-	misses := 0
-	for x, v := range pred {
-		if i := lv.row(x); i < nr && v != results[p.rows[i]][j] {
-			caught = caught || !bad[i]
-			bad[i] = true
-			misses++
+	misses, x := 0, 0
+	for _, run := range lv.runs {
+		c.bulk.MatVec(pred[x:x+run.n], p.m[run.at*dim:(run.at+run.n)*dim], coefs)
+		for i := run.at; i < run.at+run.n; i, x = i+1, x+1 {
+			if i < nr && pred[x] != results[p.rows[i]][j] {
+				caught = caught || !bad[i]
+				bad[i] = true
+				misses++
+			}
 		}
 	}
 	if misses+lv.skipped > s.radius {
-		for i := 0; i < nr && !lv.all; i++ {
+		for i := 0; i < nr && lv.skipped > 0; i++ {
 			if !lv.keep[i] {
 				c.bulk.MatVec(lv.one[:], p.m[i*dim:(i+1)*dim], coefs)
 				if lv.one[0] != results[p.rows[i]][j] {
@@ -447,8 +449,8 @@ func (s *subsetCheck[E]) component(c *Code[E], results [][]E, p *prediction[E], 
 			return caught, false
 		}
 	}
-	for ki, f := range lv.from {
-		outputs[ki][j] = vals[f]
+	for k, f := range lv.from {
+		outputs[k][j] = vals[f]
 	}
 	return caught, true
 }
@@ -486,7 +488,7 @@ func largeField[E comparable](f field.Field[E]) bool {
 // its one counted cost, clean × dim multiply-adds, paid once.
 func newFreivalds[E comparable](c *Code[E], s *subsetCheck[E], suspects []int, seed [2]uint64) *freivalds[E] {
 	rest := s.exact.rows
-	var cleanAt, suspectAt []int // positions in rest
+	cleanAt, suspectAt := make([]int, 0, len(rest)), make([]int, 0, len(rest)) // positions in rest
 	for i, r := range rest {
 		if _, suspected := slices.BinarySearch(suspects, nodeOf(s.indices, r)); suspected {
 			suspectAt = append(suspectAt, i)
