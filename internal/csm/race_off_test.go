@@ -2,5 +2,9 @@
 
 package csm
 
-// raceHeapSlack is zero without the race detector.
-const raceHeapSlack = 0
+// raceHeapSlack and raceSetupAllocSlack are zero without the race
+// detector.
+const (
+	raceHeapSlack       = 0
+	raceSetupAllocSlack = 0
+)

@@ -40,6 +40,7 @@ func UnionSorted(set, add []int) []int {
 			i++
 		}
 		if i == len(set) || set[i] != v || j > 0 && v < add[j-1] {
+			set = slices.Grow(set, len(add)-j)
 			for _, v := range add[j:] {
 				if i, found := slices.BinarySearch(set, v); !found {
 					set = slices.Insert(set, i, v)

@@ -443,7 +443,13 @@ func (c *Code[E]) decode(indices []int, results [][]E, dim int, at []E) (*Decode
 			corrected[e] = true
 		}
 	}
-	faulty := []int{}
+	caught := 0
+	for _, bad := range corrected {
+		if bad {
+			caught++
+		}
+	}
+	faulty := make([]int, 0, caught)
 	for r, bad := range corrected {
 		if bad {
 			faulty = append(faulty, nodeOf(indices, r))
