@@ -227,11 +227,11 @@ func TestByzantineBatchAllocGuard(t *testing.T) {
 // then primes a check that keeps the liars out of its trusted rows. It
 // cost 15 221 allocations (3.94 MB) while the Gao decoder allocated a
 // remainder, quotient, product and difference per Euclid step and each
-// node built its suspect layout's check for itself; it costs 4 971
-// (1.60 MB). The ceilings sit within 10 % above today's figures, and the
+// node built its suspect layout's check for itself; it costs 4 885
+// (1.57 MB). The ceilings sit within 10 % above today's figures, and the
 // race detector's own allocations are added on top of them.
 func TestByzantineSetupAllocGuard(t *testing.T) {
-	const allocCeiling, byteCeiling = 5_470, 1_755_000
+	const allocCeiling, byteCeiling = 5_370, 1_722_000
 	cfg := batchedByzConfig()
 	tr, err := bankFactory(gold)
 	if err != nil {

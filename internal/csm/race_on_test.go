@@ -10,5 +10,5 @@ const raceHeapSlack = 16_000
 
 // raceSetupAllocSlack is the extra heap allocations a new cluster and its
 // first batch make under the race detector at TestByzantineSetupAllocGuard's
-// shape: about 520.
+// shape: about 450.
 const raceSetupAllocSlack = 600

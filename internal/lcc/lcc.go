@@ -21,7 +21,10 @@
 // verified-subset check, which certifies a step from dim trusted rows in
 // one bulk kernel call per component; the DecodeOutputs* entries are the
 // noisy-interpolation decoder a caller runs when the check refuses, and
-// nothing else.
+// nothing else. A Code keeps the checks it builds (checkFor): the nodes
+// of a cluster that share a received layout and a verdict share one
+// check, and each priming is charged to a counting field as if it had
+// built it.
 package lcc
 
 import (

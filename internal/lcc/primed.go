@@ -131,76 +131,56 @@ func (p *prediction[E]) narrow(keep []int, dim int) prediction[E] {
 type checkScratch[E comparable] struct {
 	vals     []E
 	bad      []bool
-	live     live[E]
+	live     live
 	lhs, rhs []E
 }
 
 // live is the part of a prediction p that verify still computes: the
-// rows of p.m in runs (consecutive, ascending), n of them, whose
-// predictions are laid out in that order, and from, p.from renumbered
-// into those predictions ++ the trusted values (p.from itself while every
-// row is live; fromBuf after drop). skipped counts the compared rows left
-// out, keep flags the rows left in (valid while skipped > 0), pos is
-// drop's renumbering, and one is the prediction of a single row.
-type live[E comparable] struct {
-	runs          []span
-	n             int
-	from, fromBuf []int
-	skipped       int
-	keep          []bool
-	pos           []int
-	one           [1]E
+// rows of p.m in runs (consecutive, ascending). skipped counts the
+// compared rows left out, and keep flags the rows left in (valid while
+// skipped > 0).
+type live struct {
+	runs    []span
+	skipped int
+	keep    []bool
 }
 
 // span is a run of rows of a prediction's matrix: n rows from row at.
 type span struct{ at, n int }
 
-// reset makes every row of p, z of them, live again.
-func (lv *live[E]) reset(p *prediction[E], z int) {
-	lv.runs, lv.n, lv.from, lv.skipped = lv.runs[:0], z, p.from, 0
+// reset makes every row of a prediction of z rows live again.
+func (lv *live) reset(z int) {
+	lv.runs, lv.skipped = lv.runs[:0], 0
 	if z > 0 {
 		lv.runs = append(lv.runs, span{0, z})
 	}
 }
 
-// drop leaves out of lv every compared row of p, of z rows, that has
-// missed (bad) and that no output is read from.
-func (lv *live[E]) drop(p *prediction[E], bad []bool, z int) {
-	nr := len(p.rows)
+// drop leaves out of lv every compared row (the first len(bad) of z) that
+// has missed (bad) and that no output is read from (from, as in
+// prediction).
+func (lv *live) drop(bad []bool, z int, from []int) {
 	lv.keep = slices.Grow(lv.keep[:0], z)[:z]
-	lv.pos = slices.Grow(lv.pos[:0], z)[:z]
 	for i := range lv.keep {
-		lv.keep[i] = i >= nr || !bad[i]
+		lv.keep[i] = i >= len(bad) || !bad[i]
 	}
-	for _, f := range p.from {
+	for _, f := range from {
 		if f < z {
 			lv.keep[f] = true
 		}
 	}
-	lv.runs, lv.n, lv.skipped = slices.Grow(lv.runs[:0], z), 0, 0
+	lv.runs, lv.skipped = slices.Grow(lv.runs[:0], z), 0
 	for i, kept := range lv.keep {
+		last := len(lv.runs) - 1
 		switch {
 		case !kept:
 			lv.skipped++
-			continue
-		case len(lv.runs) > 0 && lv.runs[len(lv.runs)-1].at+lv.runs[len(lv.runs)-1].n == i:
-			lv.runs[len(lv.runs)-1].n++
+		case last >= 0 && lv.runs[last].at+lv.runs[last].n == i:
+			lv.runs[last].n++
 		default:
 			lv.runs = append(lv.runs, span{i, 1})
 		}
-		lv.pos[i] = lv.n
-		lv.n++
 	}
-	lv.fromBuf = slices.Grow(lv.fromBuf[:0], len(p.from))
-	for _, f := range p.from {
-		if f < z {
-			f = lv.pos[f]
-		} else {
-			f += lv.n - z
-		}
-		lv.fromBuf = append(lv.fromBuf, f)
-	}
-	lv.from = lv.fromBuf
 }
 
 // checkCacheSize bounds the subset checks a Code keeps (see checkFor),
@@ -250,7 +230,7 @@ func (c *Code[E]) checkFor(indices []int, rows, dim int, suspects []int, spare i
 			return chk, nil
 		}
 	}
-	chk, err := c.buildCheck(indices, rows, slices.Clone(trusted))
+	chk, err := c.buildCheck(slices.Clone(indices), rows, slices.Clone(trusted))
 	if err != nil {
 		return nil, err
 	}
@@ -387,17 +367,17 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l int, sc *checkScrat
 		sc.vals = make([]E, z+dim) // the predicted and trusted values
 		sc.bad = make([]bool, nr)
 	}
-	missed := sc.bad[:nr]
+	vals, missed := sc.vals[:z+dim], sc.bad[:nr]
 	clear(missed)
 	lv := &sc.live
-	lv.reset(p, z)
+	lv.reset(z)
 	for j := range l {
-		caught, ok := s.component(c, results, p, lv, sc.vals, missed, dst.Outputs, j)
+		caught, ok := s.component(c, results, p, lv, vals, missed, dst.Outputs, j)
 		if !ok {
 			return false
 		}
 		if caught && j < l-1 {
-			lv.drop(p, missed, z)
+			lv.drop(missed, z, p.from)
 		}
 	}
 	faulty := slices.Grow(dst.FaultyNodes[:0], nr)
@@ -412,24 +392,26 @@ func (s *subsetCheck[E]) verify(c *Code[E], results [][]E, l int, sc *checkScrat
 }
 
 // component checks component j on the live rows lv of p: vals holds the
-// MatVecs' predictions followed by the dim trusted values, and bad marks
-// the rows of p whose received value misses its prediction in any
-// component so far. The rows lv leaves out have missed before and may
-// miss here too, so when they could carry the count over the radius they
-// are predicted one by one before it decides. It writes the outputs' j-th
+// predictions of p's rows followed by the dim trusted values (a row left
+// out keeps a stale prediction, which nothing reads), and bad marks the
+// rows of p whose received value misses its prediction in any component
+// so far. The rows lv leaves out have missed before and may miss here
+// too, so when they could carry the count over the radius they are
+// predicted one by one before it decides. It writes the outputs' j-th
 // elements and reports ok, or not ok when more rows miss than the radius
 // allows; caught says some row missed for the first time.
-func (s *subsetCheck[E]) component(c *Code[E], results [][]E, p *prediction[E], lv *live[E], vals []E, bad []bool, outputs [][]E, j int) (caught, ok bool) {
-	dim, nr := len(s.trusted), len(p.rows)
-	pred, coefs := vals[:lv.n], vals[lv.n:lv.n+dim]
+func (s *subsetCheck[E]) component(c *Code[E], results [][]E, p *prediction[E], lv *live, vals []E, bad []bool, outputs [][]E, j int) (caught, ok bool) {
+	dim := len(s.trusted)
+	z := len(vals) - dim
+	pred, coefs := vals[:z], vals[z:]
 	for t, r := range s.trusted {
 		coefs[t] = results[r][j]
 	}
-	misses, x := 0, 0
+	misses := 0
 	for _, run := range lv.runs {
-		c.bulk.MatVec(pred[x:x+run.n], p.m[run.at*dim:(run.at+run.n)*dim], coefs)
-		for i := run.at; i < run.at+run.n; i, x = i+1, x+1 {
-			if i < nr && pred[x] != results[p.rows[i]][j] {
+		c.bulk.MatVec(pred[run.at:run.at+run.n], p.m[run.at*dim:(run.at+run.n)*dim], coefs)
+		for i := run.at; i < min(run.at+run.n, len(p.rows)); i++ {
+			if pred[i] != results[p.rows[i]][j] {
 				caught = caught || !bad[i]
 				bad[i] = true
 				misses++
@@ -437,10 +419,10 @@ func (s *subsetCheck[E]) component(c *Code[E], results [][]E, p *prediction[E], 
 		}
 	}
 	if misses+lv.skipped > s.radius {
-		for i := 0; i < nr && lv.skipped > 0; i++ {
+		for i := 0; i < len(p.rows) && lv.skipped > 0; i++ {
 			if !lv.keep[i] {
-				c.bulk.MatVec(lv.one[:], p.m[i*dim:(i+1)*dim], coefs)
-				if lv.one[0] != results[p.rows[i]][j] {
+				c.bulk.MatVec(pred[i:i+1], p.m[i*dim:(i+1)*dim], coefs)
+				if pred[i] != results[p.rows[i]][j] {
 					misses++
 				}
 			}
@@ -449,7 +431,7 @@ func (s *subsetCheck[E]) component(c *Code[E], results [][]E, p *prediction[E], 
 			return caught, false
 		}
 	}
-	for k, f := range lv.from {
+	for k, f := range p.from {
 		outputs[k][j] = vals[f]
 	}
 	return caught, true
@@ -569,7 +551,6 @@ func (c *Code[E]) NewPrimed(indices, suspects []int, degree, maxFaults int) (*Pr
 	rows := n
 	if indices != nil && !isFullSet(indices, n) {
 		rows = len(indices)
-		indices = slices.Clone(indices)
 	} else {
 		indices = nil
 	}
