@@ -2,9 +2,10 @@
 
 package csm
 
-// raceHeapSlack and raceSetupAllocSlack are zero without the race
-// detector.
+// raceHeapSlack, raceBatchAllocSlack and raceSetupAllocSlack are zero
+// without the race detector.
 const (
 	raceHeapSlack       = 0
+	raceBatchAllocSlack = 0
 	raceSetupAllocSlack = 0
 )

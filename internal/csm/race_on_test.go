@@ -8,7 +8,11 @@ package csm
 // 4.
 const raceHeapSlack = 16_000
 
-// raceSetupAllocSlack is the extra heap allocations a new cluster and its
-// first batch make under the race detector at TestByzantineSetupAllocGuard's
-// shape: about 450.
-const raceSetupAllocSlack = 600
+// raceBatchAllocSlack and raceSetupAllocSlack are the extra heap
+// allocations the race detector adds at TestByzantineBatchAllocGuard's
+// shape (about 9 per batch) and at TestByzantineSetupAllocGuard's (about
+// 430 per new cluster and first batch).
+const (
+	raceBatchAllocSlack = 12
+	raceSetupAllocSlack = 600
+)
